@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the cormp sources importable.
+
+    python3 -m pytest perfbench/tests
+"""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
