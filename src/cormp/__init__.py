@@ -8,7 +8,7 @@ weights turn the six scores into a single profit figure and the planner picks
 the most profitable feasible maneuver every replanning period.
 """
 from .baselines import IdmParams, MobilParams, MobilPlanner, UtilityPlanner, idm_accel, make_planner
-from .bezier import CubicBezier, SpeedProfile, TimedTrajectory, arc_length, sample_trajectory
+from .bezier import CubicBezier, SpeedProfile, TimedTrajectory, sample_trajectory
 from .config import PlannerConfig, load_config
 from .identification import (
     Maneuver,
@@ -64,7 +64,6 @@ __all__ = [
     "TimedTrajectory",
     "UtilityPlanner",
     "WeightTable",
-    "arc_length",
     "assess_candidate",
     "compute_metrics",
     "decide",

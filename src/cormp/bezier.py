@@ -2,9 +2,9 @@
 
 Curves carry pure geometry; `sample_trajectory` turns a curve plus a
 constant-acceleration speed profile into a trajectory sampled on the simulator
-tick grid. Arc length uses adaptive de Casteljau subdivision; parameter lookup
-by arc length uses a dense chord table, which is far below the 1e-3 m
-tolerance for the curve spans used here.
+tick grid. Arc length and the parameter lookup by arc length both come from
+one dense chord table, whose error is far below the 1e-3 m tolerance for the
+curve spans used here.
 """
 from __future__ import annotations
 
@@ -63,47 +63,10 @@ class CubicBezier:
             return 0.0
         return float((d1[0] * d2[1] - d1[1] * d2[0]) / speed2**1.5)
 
-    def split(self, u: float = 0.5) -> tuple["CubicBezier", "CubicBezier"]:
-        """de Casteljau split at parameter u."""
-        p = self.ctrl
-        a = p[0] + u * (p[1] - p[0])
-        b = p[1] + u * (p[2] - p[1])
-        c = p[2] + u * (p[3] - p[2])
-        d = a + u * (b - a)
-        e = b + u * (c - b)
-        f = d + u * (e - d)
-        return (
-            CubicBezier(np.array([p[0], a, d, f])),
-            CubicBezier(np.array([f, e, c, p[3]])),
-        )
-
 
 def _check_u(u: float) -> None:
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"parameter u={u} outside [0, 1]")
-
-
-def bezier_eval(curve: CubicBezier, u: float) -> np.ndarray:
-    return curve.point(u)
-
-
-def bezier_derivative(curve: CubicBezier, u: float) -> np.ndarray:
-    return curve.derivative(u)
-
-
-def _poly_chord(ctrl: np.ndarray) -> tuple[float, float]:
-    chord = float(np.hypot(*(ctrl[3] - ctrl[0])))
-    poly = float(sum(np.hypot(*(ctrl[i + 1] - ctrl[i])) for i in range(3)))
-    return chord, poly
-
-
-def arc_length(curve: CubicBezier, tol: float = 1e-3) -> float:
-    """Arc length by adaptive subdivision to the given tolerance (m)."""
-    chord, poly = _poly_chord(curve.ctrl)
-    if poly - chord <= tol:
-        return 0.5 * (chord + poly)
-    left, right = curve.split(0.5)
-    return arc_length(left, 0.5 * tol) + arc_length(right, 0.5 * tol)
 
 
 @dataclass
@@ -222,14 +185,12 @@ def sample_trajectory(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    length = arc_length(curve)
-    # dense parameter->arclength table for inversion
+    # dense parameter->arclength table: the curve length and its inversion
     us = np.linspace(0.0, 1.0, _TABLE_N + 1)
     pts = bezier_points(curve.ctrl, us)
     seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
     s_table = np.concatenate([[0.0], np.cumsum(seg)])
-    if s_table[-1] > 0:
-        s_table *= length / s_table[-1]
+    length = float(s_table[-1])
 
     ts: list[float] = []
     ss: list[float] = []

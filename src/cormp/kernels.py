@@ -1,11 +1,9 @@
-"""Numeric hot kernels with two interchangeable backends.
+"""Numeric hot kernels, in numpy.
 
 The planner spends almost all of its time testing oriented-rectangle footprints
 against each other (time-to-collision scans, corridor intersection counts,
 collision detection) and evaluating cubic Bezier curves in batches. Those inner
-loops live here, compiled with numba by default. Setting ``CORMP_NO_NUMBA=1``
-(or running without numba installed) selects pure-numpy fallbacks that compute
-the same values.
+loops live here, vectorised over pose and parameter arrays.
 
 Overlap tests use the separating-axis theorem on the four edge normals. Every
 function reports a signed "gap": the largest separation over the candidate
@@ -15,32 +13,9 @@ refinement needs.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("CORMP_NO_NUMBA", "").strip() not in ("", "0")
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled by CORMP_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):  # identity decorator; keeps reference impls importable
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-@njit(cache=True)
 def rect_gap(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
     """Separating-axis gap between two oriented rectangles.
 
@@ -55,32 +30,16 @@ def rect_gap(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
     cb = np.cos(bh)
     sb = np.sin(bh)
     gap = -1e30
-    for k in range(4):
-        if k == 0:
-            ux, uy = ca, sa
-        elif k == 1:
-            ux, uy = -sa, ca
-        elif k == 2:
-            ux, uy = cb, sb
-        else:
-            ux, uy = -sb, cb
+    for ux, uy in ((ca, sa), (-sa, ca), (cb, sb), (-sb, cb)):
         d = abs(dx * ux + dy * uy)
         ra = ahl * abs(ca * ux + sa * uy) + ahw * abs(-sa * ux + ca * uy)
         rb = bhl * abs(cb * ux + sb * uy) + bhw * abs(-sb * ux + cb * uy)
-        g = d - ra - rb
-        if g > gap:
-            gap = g
+        gap = max(gap, d - ra - rb)
     return gap
 
 
-@njit(cache=True)
-def _pose_gaps_jit(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw, out):
-    for i in range(ax.shape[0]):
-        out[i] = rect_gap(ax[i], ay[i], ah[i], ahl, ahw, bx[i], by[i], bh[i], bhl, bhw)
-    return out
-
-
-def _gaps_numpy(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
+def pose_gaps(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
+    """Elementwise SAT gaps of two pose arrays (broadcast; the TTC scan)."""
     dx = bx - ax
     dy = by - ay
     ca, sa = np.cos(ah), np.sin(ah)
@@ -95,136 +54,38 @@ def _gaps_numpy(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
     return gap
 
 
-def _pose_gaps_numpy(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw, out):
-    out[:] = _gaps_numpy(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw)
-    return out
-
-
-def pose_gaps(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
-    """Per-sample SAT gaps for two aligned pose arrays (the TTC scan)."""
-    n = ax.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _pose_gaps_jit(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw, out)
-    return _pose_gaps_numpy(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw, out)
-
-
-@njit(cache=True)
-def _any_overlap_jit(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
-    for i in range(ax.shape[0]):
-        for j in range(bx.shape[0]):
-            if rect_gap(ax[i], ay[i], ah[i], ahl, ahw, bx[j], by[j], bh[j], bhl, bhw) <= 0.0:
-                return True
-    return False
-
-
-def _any_overlap_numpy(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
-    g = _gaps_numpy(
-        ax[:, None], ay[:, None], ah[:, None], ahl, ahw,
-        bx[None, :], by[None, :], bh[None, :], bhl, bhw,
-    )
-    return bool(np.any(g <= 0.0))
-
-
 def any_overlap(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
     """True if any pose pair (cross product of the two arrays) overlaps.
 
     Used for corridor-intersection counting, where the two trajectories are
     compared spatially rather than tick-by-tick.
     """
-    if NUMBA_ENABLED:
-        return bool(_any_overlap_jit(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw))
-    return _any_overlap_numpy(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw)
+    g = pose_gaps(ax[:, None], ay[:, None], ah[:, None], ahl, ahw,
+                  bx[None, :], by[None, :], bh[None, :], bhl, bhw)
+    return bool(np.any(g <= 0.0))
 
 
-@njit(cache=True)
-def _bezier_points_jit(px, py, us, out):
-    for i in range(us.shape[0]):
-        u = us[i]
-        v = 1.0 - u
-        b0 = v * v * v
-        b1 = 3.0 * v * v * u
-        b2 = 3.0 * v * u * u
-        b3 = u * u * u
-        out[i, 0] = b0 * px[0] + b1 * px[1] + b2 * px[2] + b3 * px[3]
-        out[i, 1] = b0 * py[0] + b1 * py[1] + b2 * py[2] + b3 * py[3]
-    return out
-
-
-def _bezier_points_numpy(px, py, us, out):
+def bezier_points(ctrl: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Evaluate a cubic Bezier (4x2 control array) at parameter array us."""
+    px, py = ctrl[:, 0], ctrl[:, 1]
     v = 1.0 - us
     b0 = v * v * v
     b1 = 3.0 * v * v * us
     b2 = 3.0 * v * us * us
     b3 = us * us * us
-    out[:, 0] = b0 * px[0] + b1 * px[1] + b2 * px[2] + b3 * px[3]
-    out[:, 1] = b0 * py[0] + b1 * py[1] + b2 * py[2] + b3 * py[3]
-    return out
-
-
-def bezier_points(ctrl: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Evaluate a cubic Bezier (4x2 control array) at parameter array us."""
-    px = np.ascontiguousarray(ctrl[:, 0], dtype=np.float64)
-    py = np.ascontiguousarray(ctrl[:, 1], dtype=np.float64)
-    us = np.ascontiguousarray(us, dtype=np.float64)
-    out = np.empty((us.shape[0], 2), dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _bezier_points_jit(px, py, us, out)
-    return _bezier_points_numpy(px, py, us, out)
-
-
-@njit(cache=True)
-def _bezier_frames_jit(px, py, us, dx, dy, kappa):
-    for i in range(us.shape[0]):
-        u = us[i]
-        v = 1.0 - u
-        d1x = 3.0 * ((px[1] - px[0]) * v * v + (px[2] - px[1]) * 2.0 * v * u + (px[3] - px[2]) * u * u)
-        d1y = 3.0 * ((py[1] - py[0]) * v * v + (py[2] - py[1]) * 2.0 * v * u + (py[3] - py[2]) * u * u)
-        d2x = 6.0 * ((px[2] - 2.0 * px[1] + px[0]) * v + (px[3] - 2.0 * px[2] + px[1]) * u)
-        d2y = 6.0 * ((py[2] - 2.0 * py[1] + py[0]) * v + (py[3] - 2.0 * py[2] + py[1]) * u)
-        dx[i] = d1x
-        dy[i] = d1y
-        s2 = d1x * d1x + d1y * d1y
-        if s2 < 1e-12:
-            kappa[i] = 0.0
-        else:
-            kappa[i] = (d1x * d2y - d1y * d2x) / s2**1.5
-    return dx, dy, kappa
-
-
-def _bezier_frames_numpy(px, py, us, dx, dy, kappa):
-    v = 1.0 - us
-    dx[:] = 3.0 * ((px[1] - px[0]) * v * v + (px[2] - px[1]) * 2.0 * v * us + (px[3] - px[2]) * us * us)
-    dy[:] = 3.0 * ((py[1] - py[0]) * v * v + (py[2] - py[1]) * 2.0 * v * us + (py[3] - py[2]) * us * us)
-    d2x = 6.0 * ((px[2] - 2.0 * px[1] + px[0]) * v + (px[3] - 2.0 * px[2] + px[1]) * us)
-    d2y = 6.0 * ((py[2] - 2.0 * py[1] + py[0]) * v + (py[3] - 2.0 * py[2] + py[1]) * us)
-    s2 = dx * dx + dy * dy
-    safe = np.maximum(s2, 1e-12)
-    kappa[:] = np.where(s2 < 1e-12, 0.0, (dx * d2y - dy * d2x) / safe**1.5)
-    return dx, dy, kappa
+    return np.stack([b0 * px[0] + b1 * px[1] + b2 * px[2] + b3 * px[3],
+                     b0 * py[0] + b1 * py[1] + b2 * py[2] + b3 * py[3]], axis=1)
 
 
 def bezier_frames(ctrl: np.ndarray, us: np.ndarray):
     """Batched tangent (d/du) and signed curvature at parameter array us."""
-    px = np.ascontiguousarray(ctrl[:, 0], dtype=np.float64)
-    py = np.ascontiguousarray(ctrl[:, 1], dtype=np.float64)
-    us = np.ascontiguousarray(us, dtype=np.float64)
-    n = us.shape[0]
-    dx = np.empty(n, dtype=np.float64)
-    dy = np.empty(n, dtype=np.float64)
-    kappa = np.empty(n, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _bezier_frames_jit(px, py, us, dx, dy, kappa)
-    return _bezier_frames_numpy(px, py, us, dx, dy, kappa)
-
-
-def warm_up() -> None:
-    """Compile (or no-op) every kernel so timed code never pays the JIT cost."""
-    us = np.linspace(0.0, 1.0, 4)
-    ctrl = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
-    bezier_points(ctrl, us)
-    bezier_frames(ctrl, us)
-    z = np.zeros(3)
-    pose_gaps(z, z, z, 2.0, 1.0, z + 1.0, z, z, 2.0, 1.0)
-    any_overlap(z, z, z, 2.0, 1.0, z + 10.0, z, z, 2.0, 1.0)
-    rect_gap(0.0, 0.0, 0.0, 2.0, 1.0, 10.0, 0.0, 0.0, 2.0, 1.0)
+    px, py = ctrl[:, 0], ctrl[:, 1]
+    v = 1.0 - us
+    dx = 3.0 * ((px[1] - px[0]) * v * v + (px[2] - px[1]) * 2.0 * v * us + (px[3] - px[2]) * us * us)
+    dy = 3.0 * ((py[1] - py[0]) * v * v + (py[2] - py[1]) * 2.0 * v * us + (py[3] - py[2]) * us * us)
+    d2x = 6.0 * ((px[2] - 2.0 * px[1] + px[0]) * v + (px[3] - 2.0 * px[2] + px[1]) * us)
+    d2y = 6.0 * ((py[2] - 2.0 * py[1] + py[0]) * v + (py[3] - 2.0 * py[2] + py[1]) * us)
+    s2 = dx * dx + dy * dy
+    safe = np.maximum(s2, 1e-12)
+    kappa = np.where(s2 < 1e-12, 0.0, (dx * d2y - dy * d2x) / safe**1.5)
+    return dx, dy, kappa

@@ -214,9 +214,6 @@ class ResourceAssessment:
     values: dict   # ResourceType -> float in [0, 1]
     states: dict   # ResourceType -> ResourceState
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.values[r] for r in RESOURCES])
-
 
 def assess_candidate(ctx: PlanContext, cand: ManeuverCandidate,
                      current_values: dict | None = None) -> ResourceAssessment:

@@ -26,10 +26,6 @@ class ScenarioError(ValueError):
     """Raised for structural or semantic problems in a scenario document."""
 
 
-class ProjectionError(ValueError):
-    """Point cannot be projected onto a lane centerline."""
-
-
 class Polyline:
     """Arc-length parameterized 2D polyline."""
 
@@ -113,7 +109,6 @@ class Lane:
     right_neighbor: str | None = None
     left_boundary: str = "solid"
     right_boundary: str = "dashed"
-    successor: str | None = None
 
     @property
     def length(self) -> float:
@@ -185,16 +180,6 @@ class TrafficLight:
             phase -= dur
         return self.schedule[-1][0]
 
-    def next_change(self, t: float) -> float:
-        """Absolute time of the next color transition after t."""
-        phase = t % self.cycle
-        acc = 0.0
-        for _, dur in self.schedule:
-            acc += dur
-            if phase < acc:
-                return t + (acc - phase)
-        return t + self.cycle - phase
-
 
 @dataclass(eq=False)
 class Crosswalk:
@@ -212,7 +197,6 @@ class Scenario:
     agents: list         # AgentState, ego first
     lights: list
     crosswalks: list
-    _raw_lanes: dict = field(default_factory=dict, repr=False)
 
     @property
     def ego(self) -> AgentState:
@@ -225,24 +209,6 @@ class Scenario:
 
     def others(self) -> list:
         return self.agents[1:]
-
-
-def resolve_apriori_lane(scenario: Scenario) -> Lane:
-    return scenario.lanes[scenario.apriori_lane]
-
-
-def lateral_offset(point, lane: Lane) -> float:
-    """Signed lateral offset of a point from a lane centerline (left > 0).
-
-    Raises ProjectionError when the point lies beyond the polyline ends by
-    more than one lane width.
-    """
-    _, lateral, overshoot = lane.centerline.project(point)
-    if overshoot > lane.width:
-        raise ProjectionError(
-            f"point {tuple(np.asarray(point, float))} beyond lane '{lane.id}' ends by {overshoot:.2f} m"
-        )
-    return lateral
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +250,7 @@ def _load_lane(doc: dict, path: str) -> Lane:
     _require(
         doc, path,
         allowed={"id", "centerline", "width", "speed_limit", "left_neighbor",
-                 "right_neighbor", "left_boundary", "right_boundary", "successor"},
+                 "right_neighbor", "left_boundary", "right_boundary"},
         required={"id", "centerline", "width", "speed_limit"},
     )
     if not isinstance(doc["id"], str) or not doc["id"]:
@@ -301,7 +267,6 @@ def _load_lane(doc: dict, path: str) -> Lane:
         right_neighbor=doc.get("right_neighbor"),
         left_boundary=doc.get("left_boundary", "solid"),
         right_boundary=doc.get("right_boundary", "solid"),
-        successor=doc.get("successor"),
     )
     for key in ("left_boundary", "right_boundary"):
         if getattr(lane, key) not in BOUNDARY_KINDS:
@@ -457,15 +422,13 @@ def load_scenario(source) -> Scenario:
     if not isinstance(doc["lanes"], list) or not doc["lanes"]:
         raise ScenarioError("scenario.lanes: expected a non-empty list")
     lanes: dict = {}
-    raw_lanes: dict = {}
     for i, lane_doc in enumerate(doc["lanes"]):
         lane = _load_lane(lane_doc, f"lanes[{i}]")
         if lane.id in lanes:
             raise ScenarioError(f"lanes[{i}].id: duplicate lane id {lane.id!r}")
         lanes[lane.id] = lane
-        raw_lanes[lane.id] = lane_doc
     for lid, lane in lanes.items():
-        for key in ("left_neighbor", "right_neighbor", "successor"):
+        for key in ("left_neighbor", "right_neighbor"):
             ref = getattr(lane, key)
             if ref is not None and ref not in lanes:
                 raise ScenarioError(f"lane {lid!r}.{key}: unknown lane {ref!r}")
@@ -510,7 +473,6 @@ def load_scenario(source) -> Scenario:
         agents=agents,
         lights=lights,
         crosswalks=crosswalks,
-        _raw_lanes=raw_lanes,
     )
 
 
@@ -527,7 +489,6 @@ def serialize_scenario(sc: Scenario) -> dict:
             "right_neighbor": lane.right_neighbor,
             "left_boundary": lane.left_boundary,
             "right_boundary": lane.right_boundary,
-            "successor": lane.successor,
         })
     agents = []
     for a in sc.agents:

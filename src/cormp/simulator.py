@@ -229,10 +229,6 @@ class SimWorld:
         return events
 
 
-def detect_violations(world: SimWorld) -> list:
-    return world.detect_violations()
-
-
 def _decision_row_fields(decision: Decision) -> dict:
     fields: dict = {}
     for cand in decision.candidates:
@@ -252,15 +248,14 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
 
     Records ceil(duration/dt) ticks. The planner is consulted on the replan
     cadence (and immediately if its trajectory runs out). The first planner
-    call is preceded by an untimed warm-up call so JIT compilation never
-    shows up in the recorded latencies.
+    call is preceded by an untimed warm-up call, so one-time setup costs
+    (imports, first-call allocations) never show up in the recorded latencies.
     """
     cfg = config if config is not None else PlannerConfig()
     world = SimWorld(scenario, cfg)
     log = SimLog(scenario_name=scenario.name, planner=getattr(planner, "name", "planner"),
                  profile=getattr(planner, "profile", scenario.profile), dt=cfg.dt)
 
-    kernels.warm_up()
     warm = SimWorld(scenario, cfg)
     planner.plan(warm.scenario, 0.0)
     planner.reset()
@@ -298,6 +293,11 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
                                            {"maneuver": lc_active.value if lc_active else ""}))
                 lc_active = None
             if maneuver in LANE_CHANGES:
+                # an uncommitted lane change is a fresh start: close the open one
+                if lc_active is not None and not committed:
+                    log.events.append(SimEvent(t, "lane_change_completed",
+                                               {"maneuver": lc_active.value}))
+                    lc_active = None
                 if lc_active is None:
                     lc_active = maneuver
                     log.events.append(SimEvent(t, "lane_change_started",

@@ -1,4 +1,4 @@
-"""Shared fixtures: warm kernels once, cache closed-loop runs across tests."""
+"""Shared fixtures: cache closed-loop runs across tests."""
 from __future__ import annotations
 
 import pathlib
@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from cormp import kernels
 from cormp.baselines import make_planner
 from cormp.config import PlannerConfig
 from cormp.scenario import Scenario, load_scenario
@@ -14,11 +13,6 @@ from cormp.simulator import SimLog, run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ from cormp.bezier import (
     CubicBezier,
     SpeedProfile,
     TimedTrajectory,
-    arc_length,
     sample_trajectory,
 )
 
@@ -104,36 +103,37 @@ def test_quarter_circle_curvature():
         assert abs(c.curvature(u)) == pytest.approx(1.0 / r, abs=0.03 / r)
 
 
-def test_split_halves_lie_on_original():
-    rng = np.random.default_rng(19)
-    c = random_curve(rng)
-    left, right = c.split(0.4)
-    assert np.allclose(left.point(1.0), c.point(0.4), atol=1e-12)
-    assert np.allclose(right.point(0.0), c.point(0.4), atol=1e-12)
-    for v in np.linspace(0.0, 1.0, 7):
-        assert np.allclose(left.point(v), c.point(0.4 * v), atol=1e-9)
-        assert np.allclose(right.point(v), c.point(0.4 + 0.6 * v), atol=1e-9)
-
-
 # ---------------------------------------------------------------- arc length
+#
+# sample_trajectory takes the curve length from its chord table; at 1 m/s with
+# a 1 ms tick and no horizon, the last sample's time is that length to within
+# one tick.
 
 
-def test_arc_length_straight_segment():
-    c = CubicBezier([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
-    assert arc_length(c) == pytest.approx(3.0, abs=1e-3)
+def sampled_at_unit_speed(curve: CubicBezier) -> TimedTrajectory:
+    return sample_trajectory(curve, SpeedProfile(1.0, 0.0), dt=1e-3)
 
 
-def test_arc_length_zero_curve():
-    c = CubicBezier([(2.0, 2.0)] * 4)
-    assert arc_length(c) == pytest.approx(0.0, abs=1e-12)
+def test_sampled_length_straight_segment():
+    traj = sampled_at_unit_speed(CubicBezier([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]))
+    assert traj.t[-1] == pytest.approx(3.0, abs=2e-3)
+    assert traj.path_length() == pytest.approx(traj.t[-1], abs=1e-3)
 
 
-def test_arc_length_against_dense_polyline():
-    c = CubicBezier(UNIT_SQUARE)
+def test_sampled_length_zero_curve():
+    traj = sampled_at_unit_speed(CubicBezier([(2.0, 2.0)] * 4))
+    assert len(traj) == 1
+    assert traj.path_length() == 0.0
+    assert traj.pose(0)[:2] == (2.0, 2.0)
+
+
+def test_sampled_length_against_dense_polyline():
+    traj = sampled_at_unit_speed(CubicBezier(UNIT_SQUARE))
     us = np.linspace(0.0, 1.0, 100_001)
     pts = np.array([de_casteljau(UNIT_SQUARE, u) for u in us])
     oracle = float(np.sum(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))))
-    assert arc_length(c) == pytest.approx(oracle, abs=1e-3)
+    assert traj.t[-1] == pytest.approx(oracle, abs=2e-3)
+    assert traj.path_length() == pytest.approx(traj.t[-1], abs=1e-3)
 
 
 # ---------------------------------------------------------------- sampling

@@ -104,45 +104,3 @@ def test_degenerate_frame_has_zero_curvature():
     ctrl = np.array([[1.0, 1.0]] * 4)
     _, _, kappa = kernels.bezier_frames(ctrl, np.array([0.0, 0.5, 1.0]))
     assert np.allclose(kappa, 0.0)
-
-
-# ------------------------------------------------------- backend equivalence
-
-
-def test_jit_and_numpy_backends_agree():
-    """Both implementations must produce the same numbers.
-
-    When the interpreter forces the numpy path (CORMP_NO_NUMBA) the jit names
-    alias the reference functions and the check degenerates to identity, which
-    is still the property we want.
-    """
-    rng = np.random.default_rng(27)
-    n = 48
-    ax, ay, ah = random_poses(rng, n)
-    bx, by, bh = random_poses(rng, n)
-
-    jit_gaps = kernels._pose_gaps_jit(ax, ay, ah, 2.25, 0.9, bx, by, bh, 2.0, 1.2,
-                                      np.empty(n))
-    np_gaps = kernels._pose_gaps_numpy(ax, ay, ah, 2.25, 0.9, bx, by, bh, 2.0, 1.2,
-                                       np.empty(n))
-    assert np.allclose(jit_gaps, np_gaps, atol=1e-12)
-
-    assert bool(kernels._any_overlap_jit(ax, ay, ah, 2.25, 0.9, bx, by, bh, 2.0, 1.2)) \
-        == bool(kernels._any_overlap_numpy(ax, ay, ah, 2.25, 0.9, bx, by, bh, 2.0, 1.2))
-
-    ctrl = rng.uniform(-10, 10, size=(4, 2))
-    px = np.ascontiguousarray(ctrl[:, 0])
-    py = np.ascontiguousarray(ctrl[:, 1])
-    us = rng.uniform(0.0, 1.0, 65)
-    m = len(us)
-    assert np.allclose(kernels._bezier_points_jit(px, py, us, np.empty((m, 2))),
-                       kernels._bezier_points_numpy(px, py, us, np.empty((m, 2))),
-                       atol=1e-12)
-
-    jx, jy, jk = kernels._bezier_frames_jit(px, py, us, np.empty(m), np.empty(m),
-                                            np.empty(m))
-    nx, ny, nk = kernels._bezier_frames_numpy(px, py, us, np.empty(m), np.empty(m),
-                                              np.empty(m))
-    assert np.allclose(jx, nx, atol=1e-12)
-    assert np.allclose(jy, ny, atol=1e-12)
-    assert np.allclose(jk, nk, atol=1e-12)

@@ -18,7 +18,6 @@ from cormp.identification import (
 from cormp.resources import (
     PROFILE_RANKINGS,
     RESOURCES,
-    ResourceAssessment,
     ResourceState,
     ResourceType,
     WeightTable,
@@ -273,13 +272,6 @@ def test_clamp01():
 
 
 # ---------------------------------------------------------------- assembly
-
-
-def test_assessment_vector_order():
-    values = {r: i / 10.0 for i, r in enumerate(RESOURCES)}
-    states = {r: ResourceState.ACQUIRED for r in RESOURCES}
-    vec = ResourceAssessment(values, states).vector()
-    assert np.allclose(vec, [i / 10.0 for i in range(6)])
 
 
 def test_full_assessment_stays_in_unit_interval():

@@ -9,6 +9,7 @@ from cormp.baselines import make_planner
 from cormp.bezier import TimedTrajectory
 from cormp.config import PlannerConfig
 from cormp.identification import Maneuver
+from cormp.metrics import compute_metrics
 from cormp.planner import PlanResult
 from cormp.scenario import load_scenario
 from cormp.simulator import CSV_COLUMNS, SimLog, run
@@ -180,6 +181,22 @@ def test_lane_change_events_bracket_the_lane_column():
     assert {"right", "left"} <= lanes
     for ev in started:
         assert ev.detail["maneuver"] in ("change_lane_left", "change_lane_right")
+
+
+def test_back_to_back_lane_changes_are_logged_separately():
+    # cor-mp overtakes the static obstacle: left at 2.5 s, straight back right at
+    # 7.5 s, each change a full 5 s trajectory
+    sc, log, _ = timed_run("overtake_static")
+    lc = [(e.t, e.type, e.detail["maneuver"]) for e in log.events
+          if e.type.startswith("lane_change_")]
+    assert lc == [
+        (pytest.approx(2.5), "lane_change_started", "change_lane_left"),
+        (pytest.approx(7.5), "lane_change_completed", "change_lane_left"),
+        (pytest.approx(7.5), "lane_change_started", "change_lane_right"),
+        (pytest.approx(12.5), "lane_change_completed", "change_lane_right"),
+    ]
+    m = compute_metrics(log, sc)
+    assert (m.lane_changes_left, m.lane_changes_right) == (1, 1)
 
 
 def test_red_light_run_has_no_red_light_events():
