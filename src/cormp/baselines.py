@@ -8,19 +8,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bezier import SpeedProfile, sample_trajectory
 from .config import PlannerConfig
-from .identification import (
-    LANE_CHANGES,
-    Maneuver,
-    ManeuverCandidate,
-    PlanContext,
-    _keep_lane_candidate,
-    _lane_change_candidate,
-    interacting_agents,
-    predict_oru,
-)
-from .planner import CorMpPlanner, PlanResult
+from .identification import Maneuver, _keep_lane_candidate, _lane_change_candidate
+from .planner import CorMpPlanner, LaneChangeCommitment, PlanResult, plan_context
 from .resources import ResourceType
 from .scenario import AgentState, Lane, Scenario
 
@@ -104,22 +94,10 @@ class MobilPlanner:
         self.profile = profile
         self.idm = idm
         self.mobil = mobil
-        self._lc_traj = None
-        self._lc_maneuver = None
-        self._lc_start = 0.0
+        self.commitment = LaneChangeCommitment()
 
     def reset(self) -> None:
-        self._lc_traj = None
-        self._lc_maneuver = None
-
-    def _context(self, scenario: Scenario, sim_time: float) -> PlanContext:
-        ego = scenario.ego
-        predictions = [
-            predict_oru(agent, scenario, self.config)
-            for agent in interacting_agents(scenario, ego, self.config)
-        ]
-        return PlanContext(scenario=scenario, config=self.config, ego=ego,
-                           sim_time=sim_time, predictions=predictions)
+        self.commitment.clear()
 
     def _ego_accel_on(self, scenario: Scenario, lane: Lane, ego: AgentState) -> float:
         s, _, _ = lane.centerline.project((ego.x, ego.y))
@@ -190,14 +168,9 @@ class MobilPlanner:
 
     def plan(self, scenario: Scenario, sim_time: float) -> PlanResult:
         cfg = self.config
-        if self._lc_traj is not None:
-            idx = int(round((sim_time - self._lc_start) / cfg.dt))
-            if idx >= len(self._lc_traj) - 1:
-                self._lc_traj = None
-                self._lc_maneuver = None
-            else:
-                return PlanResult(self._lc_traj.tail(idx), self._lc_maneuver,
-                                  committed=True)
+        remaining = self.commitment.remaining(sim_time, cfg.dt)
+        if remaining is not None:
+            return PlanResult(remaining, self.commitment.maneuver, committed=True)
 
         ego = scenario.ego
         lane = scenario.lanes[ego.lane]
@@ -215,13 +188,11 @@ class MobilPlanner:
             if gain is not None and gain > best_gain:
                 best_change, best_gain = maneuver, gain
 
-        ctx = self._context(scenario, sim_time)
+        ctx = plan_context(scenario, cfg, sim_time)
         if best_change is not None:
             cand = _lane_change_candidate(ctx, best_change)
             if cand.target_lane is not None:
-                self._lc_traj = cand.trajectory
-                self._lc_maneuver = best_change
-                self._lc_start = sim_time
+                self.commitment.start(cand.trajectory, best_change, sim_time)
                 return PlanResult(cand.trajectory, best_change)
 
         accel = min(max(a_keep, -cfg.a_lon_max), cfg.accel_keep_lane)

@@ -1,20 +1,27 @@
-"""Cubic Bezier curves and time-sampled trajectories.
+"""Cubic Bezier curves, speed profiles and time-sampled trajectories.
 
-Curves carry pure geometry; `sample_trajectory` turns a curve plus a
-constant-acceleration speed profile into a trajectory sampled on the simulator
-tick grid. Arc length and the parameter lookup by arc length both come from
-one dense chord table, whose error is far below the 1e-3 m tolerance for the
-curve spans used here.
+`CubicBezier` is the paper's curve primitive; its `chord_points` turn it into
+the vertices of a `Polyline`, the one path type every trajectory is sampled
+from (see `identification.lane_path`). `sample_trajectory` turns a path
+plus a constant-acceleration speed profile into a trajectory sampled on the
+simulator tick grid, with headings and lateral accelerations taken from the
+path's own frames.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import bezier_frames, bezier_points
+from .kernels import bezier_points
+from .scenario import Polyline
 
-_TABLE_N = 1024
+# Chords of a planned cubic stray at most this far from it. The heading of the
+# last chord is then within about 1e-4 rad of the curve's, so a lane change
+# ends aligned with its target lane.
+_CHORD_TOL_M = 2e-6
+_MAX_CHORDS = 1024
 
 
 def _as_ctrl(points) -> np.ndarray:
@@ -62,6 +69,18 @@ class CubicBezier:
         if speed2 < 1e-12:
             return 0.0
         return float((d1[0] * d2[1] - d1[1] * d2[0]) / speed2**1.5)
+
+    def chord_points(self) -> np.ndarray:
+        """Points at uniform u steps whose chords stray at most _CHORD_TOL_M from the curve.
+
+        A chord over a step h strays at most max|B''| h^2 / 8, and
+        max|B''| = 6 max(|p0 - 2 p1 + p2|, |p1 - 2 p2 + p3|): a straight curve
+        is one chord, a 3.5 m lane change over 70 m takes _MAX_CHORDS.
+        """
+        p = self.ctrl
+        second = np.hypot(*(p[:-2] - 2.0 * p[1:-1] + p[2:]).T).max()
+        n = min(_MAX_CHORDS, max(1, math.ceil(math.sqrt(0.75 * second / _CHORD_TOL_M))))
+        return bezier_points(p, np.linspace(0.0, 1.0, n + 1))
 
 
 def _check_u(u: float) -> None:
@@ -126,22 +145,6 @@ class TimedTrajectory:
             self.speed[sl], self.a_lon[sl], self.a_lat[sl],
         )
 
-    def concat(self, other: "TimedTrajectory") -> "TimedTrajectory":
-        """Append `other` (its sample 0 must coincide with our last sample)."""
-        if len(other) < 2:
-            return self
-        t2 = other.t[1:] + self.t[-1]
-        return TimedTrajectory(
-            self.dt,
-            np.concatenate([self.t, t2]),
-            np.concatenate([self.x, other.x[1:]]),
-            np.concatenate([self.y, other.y[1:]]),
-            np.concatenate([self.heading, other.heading[1:]]),
-            np.concatenate([self.speed, other.speed[1:]]),
-            np.concatenate([self.a_lon, other.a_lon[1:]]),
-            np.concatenate([self.a_lat, other.a_lat[1:]]),
-        )
-
     @staticmethod
     def stationary(x: float, y: float, heading: float, dt: float, n: int) -> "TimedTrajectory":
         t = np.arange(n, dtype=np.float64) * dt
@@ -170,28 +173,21 @@ def _step_distance(v: float, a: float, dt: float, v_max: float) -> tuple[float, 
 
 
 def sample_trajectory(
-    curve: CubicBezier,
+    path: Polyline,
     profile: SpeedProfile,
     dt: float,
     horizon: float | None = None,
-    heading_fallback: float = 0.0,
 ) -> TimedTrajectory:
-    """Sample poses along `curve` under a clamped constant-accel speed profile.
+    """Sample poses along `path` under a clamped constant-accel speed profile.
 
-    The trajectory ends when the curve is exhausted or, if `horizon` is given,
+    The trajectory ends when the path is exhausted or, if `horizon` is given,
     when the horizon is reached. A stopped profile (speed 0, accel <= 0) keeps
     emitting resting samples up to the horizon; with no horizon it ends at the
-    first resting sample.
+    first resting sample. Lateral acceleration is path curvature times v^2.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    # dense parameter->arclength table: the curve length and its inversion
-    us = np.linspace(0.0, 1.0, _TABLE_N + 1)
-    pts = bezier_points(curve.ctrl, us)
-    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-    s_table = np.concatenate([[0.0], np.cumsum(seg)])
-    length = float(s_table[-1])
-
+    length = path.length
     ts: list[float] = []
     ss: list[float] = []
     speeds: list[float] = []
@@ -215,27 +211,11 @@ def sample_trajectory(
         k += 1
 
     n = len(ts)
-    t_arr = np.asarray(ts)
-    s_arr = np.asarray(ss)
     v_arr = np.asarray(speeds)
-    u_arr = np.interp(s_arr, s_table, us) if length > 0 else np.zeros(n)
-    xy = bezier_points(curve.ctrl, u_arr)
-
-    dxs, dys, kappas = bezier_frames(curve.ctrl, u_arr)
-    heading = np.arctan2(dys, dxs)
-    degenerate = np.hypot(dxs, dys) <= 1e-9
-    if degenerate.any():
-        prev = heading_fallback
-        for i in range(n):
-            if degenerate[i]:
-                heading[i] = prev
-            else:
-                prev = heading[i]
-    a_lat = kappas * v_arr * v_arr
-
+    x, y, heading, kappa = path.frames(ss)
     a_lon = np.zeros(n)
     if n > 1:
         a_lon[:-1] = np.diff(v_arr) / dt
         a_lon[-1] = a_lon[-2]
-
-    return TimedTrajectory(dt, t_arr, xy[:, 0], xy[:, 1], heading, v_arr, a_lon, a_lat)
+    return TimedTrajectory(dt, np.asarray(ts), x, y, heading, v_arr, a_lon,
+                           kappa * v_arr * v_arr)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .baselines import make_planner
-from .config import PlannerConfig, load_config
+from .config import PROFILES, load_config
 from .metrics import compute_metrics
 from .scenario import ScenarioError, load_scenario
 from .simulator import SimLog, run
@@ -38,7 +38,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("scenario", help="scenario JSON file")
-        p.add_argument("--profile", choices=("regular", "aggressive", "fuel_efficient"),
+        p.add_argument("--profile", choices=PROFILES,
                        help="override the scenario's driving profile")
         p.add_argument("--config", help="planner config JSON (or set CORMP_CONFIG)")
         p.add_argument("--out", help="output directory")

@@ -64,15 +64,12 @@ class PlannerConfig:
 
     # decision
     tie_epsilon: float = 1e-9
-    profile: str | None = None           # None -> use the scenario's profile
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.planning_horizon_s < self.replan_period_s:
             raise ValueError("planning_horizon_s must cover at least one replan period")
-        if self.profile is not None and self.profile not in PROFILES:
-            raise ValueError(f"profile: unknown profile {self.profile!r}")
 
     @property
     def horizon_steps(self) -> int:

@@ -1,24 +1,28 @@
 """Maneuver identification: candidate generation, prediction, feasibility.
 
 Six discrete maneuvers are turned into tick-sampled trajectory candidates from
-the ego's current state. Other road users get constant-velocity predictions on
-the same tick grid. The feasibility filter removes candidates that risk
-collision (footprint time-to-collision below the threshold) or break traffic
-rules (speeding, solid boundaries, red lights, occupied crosswalks); if
-everything is filtered out, Stop is retained as the fallback.
+the ego's current state, each sampled along a `Polyline` path from
+`lane_path`: a cubic Bezier from the current pose onto a lane centerline, then
+the centerline itself. Other road users get constant-velocity predictions on
+the same tick grid, along their centerline or a straight line. The
+feasibility filter removes candidates that risk collision (footprint
+time-to-collision below the threshold) or break traffic rules (speeding, solid
+boundaries, red lights, occupied crosswalks); if everything is filtered out,
+Stop is retained as the fallback.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .bezier import CubicBezier, SpeedProfile, TimedTrajectory, sample_trajectory
 from .config import PlannerConfig
 from .kernels import any_overlap, pose_gaps, rect_gap
-from .scenario import AgentState, Crosswalk, Lane, Scenario, TrafficLight
+from .scenario import AgentState, Crosswalk, Lane, Polyline, Scenario
 
 
 class Maneuver(Enum):
@@ -82,6 +86,12 @@ class PlanContext:
     def lane(self) -> Lane:
         return self.scenario.lanes[self.ego.lane]
 
+    @cached_property
+    def keep_lane_path(self) -> Polyline:
+        """The path all keep-lane candidates and Stop share: back onto the lane."""
+        span = max(self.lane.speed_limit, self.ego.speed) * self.config.planning_horizon_s + 5.0
+        return lane_path(self.lane, self.ego.x, self.ego.y, self.ego.heading, span, span)
+
 
 def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfig) -> list:
     """Non-ego agents within the interaction radius of the ego."""
@@ -98,10 +108,10 @@ def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfi
 def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) -> Prediction:
     """Constant-velocity prediction on the tick grid.
 
-    Lane-bound vehicles follow their lane centerline and the prediction is
-    truncated at the lane end; everything else extrapolates straight along the
-    current heading. Standing agents yield a resting trajectory over the full
-    horizon.
+    Lane-bound vehicles move along their lane centerline from their projection
+    onto it, as the simulator moves them, and the prediction is truncated at
+    the lane end; everything else extrapolates straight along the current
+    heading. Standing agents yield a resting trajectory over the full horizon.
     """
     dt = config.dt
     horizon = config.planning_horizon_s
@@ -117,67 +127,54 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
         if span <= 1e-6:
             traj = TimedTrajectory.stationary(agent.x, agent.y, agent.heading, dt, n)
             return Prediction(agent.id, agent.kind, traj, agent.length, agent.width)
-        curve = fit_lane_curve(lane, s0, s0 + span, start_point=(agent.x, agent.y),
-                               start_heading=agent.heading)
-        traj = sample_trajectory(curve, SpeedProfile(agent.speed, 0.0, agent.speed),
-                                 dt, horizon=horizon, heading_fallback=agent.heading)
+        path = lane_path(lane, agent.x, agent.y, agent.heading, 0.0, span)
     else:
-        span = agent.speed * horizon
-        direction = np.array([math.cos(agent.heading), math.sin(agent.heading)])
         p0 = np.array([agent.x, agent.y])
-        ctrl = np.array([p0, p0 + direction * (span / 3.0),
-                         p0 + direction * (2.0 * span / 3.0), p0 + direction * span])
-        traj = sample_trajectory(CubicBezier(ctrl), SpeedProfile(agent.speed, 0.0, agent.speed),
-                                 dt, horizon=horizon, heading_fallback=agent.heading)
+        direction = np.array([math.cos(agent.heading), math.sin(agent.heading)])
+        path = Polyline([p0, p0 + direction * (agent.speed * horizon)])
+    traj = sample_trajectory(path, SpeedProfile(agent.speed, 0.0, agent.speed), dt,
+                             horizon=horizon)
     return Prediction(agent.id, agent.kind, traj, agent.length, agent.width)
 
 
-def fit_lane_curve(
-    lane: Lane,
-    s0: float,
-    s1: float,
-    start_point=None,
-    start_heading: float | None = None,
-) -> CubicBezier:
-    """Cubic fitted along a lane centerline from arc s0 to s1.
+def lane_path(lane: Lane, x: float, y: float, heading: float,
+              blend: float, span: float) -> Polyline:
+    """Path from the pose (x, y, heading) onto `lane` and along its centerline.
 
-    With control points at the third points of a straight centerline the curve
-    *is* the segment with uniform arc parameterization. `start_point` lets the
-    curve begin at an off-centerline pose and blend back onto the line.
+    A cubic Bezier with tangent handles of blend/3 at both ends joins the pose
+    to the centerline `blend` m ahead of the pose's projection onto it; the
+    path then follows the centerline's own vertices until `span` (>= blend) m
+    ahead, extending the last segment past the lane end. With blend = 0 the
+    path starts on the centerline at the projection, and span must be > 0.
     """
-    span = s1 - s0
     line = lane.centerline
-    p3 = line.point_at(s1)
-    p2 = line.point_at(s0 + 2.0 * span / 3.0)
-    if start_point is None:
-        p0 = line.point_at(s0)
-        p1 = line.point_at(s0 + span / 3.0)
+    s0, _, _ = line.project((x, y))
+    s_join = s0 + blend
+    s_end = s0 + span
+    p3 = line.point_at(s_join)
+    if blend > 0.0:
+        h3 = line.heading_at(s_join)
+        p0 = np.array([x, y])
+        p1 = p0 + np.array([math.cos(heading), math.sin(heading)]) * (blend / 3.0)
+        p2 = p3 - np.array([math.cos(h3), math.sin(h3)]) * (blend / 3.0)
+        head = CubicBezier(np.array([p0, p1, p2, p3])).chord_points()
     else:
-        p0 = np.asarray(start_point, dtype=np.float64)
-        h = line.heading_at(s0) if start_heading is None else start_heading
-        p1 = p0 + np.array([math.cos(h), math.sin(h)]) * (span / 3.0)
-    return CubicBezier(np.array([p0, p1, p2, p3]))
+        head = p3[None, :]
+    if span <= blend:
+        return Polyline(head)
+    # vertices within 1e-6 m of the join or the end would make a degenerate segment
+    inner = line.points[(line.cum > s_join + 1e-6) & (line.cum < s_end - 1e-6)]
+    return Polyline(np.vstack([head, inner, line.point_at(s_end)[None, :]]))
 
 
-def _lane_change_curve(ctx: PlanContext, target: Lane, span: float) -> CubicBezier:
-    ego = ctx.ego
-    p0 = np.array([ego.x, ego.y])
-    s_t, _, _ = target.centerline.project(p0)
-    p3 = target.centerline.point_at(s_t + span)
-    h3 = target.centerline.heading_at(s_t + span)
-    p1 = p0 + np.array([math.cos(ego.heading), math.sin(ego.heading)]) * (span / 3.0)
-    p2 = p3 - np.array([math.cos(h3), math.sin(h3)]) * (span / 3.0)
-    return CubicBezier(np.array([p0, p1, p2, p3]))
-
-
-def _lead_inside_curve(ctx: PlanContext, curve: CubicBezier, duration: float) -> bool:
-    """True when a vehicle ahead of the ego is predicted inside the curve corridor."""
+def _lead_inside_path(ctx: PlanContext, path: Polyline, duration: float) -> bool:
+    """True when a vehicle ahead of the ego is predicted inside the path corridor."""
     cfg = ctx.config
     lane = ctx.lane
     s_ego, _, _ = lane.centerline.project((ctx.ego.x, ctx.ego.y))
     stride = max(1, int(round(cfg.crowd_sample_stride_s / cfg.dt)))
-    probe = sample_trajectory(curve, SpeedProfile(max(ctx.ego.speed, 1.0), 0.0),
-                              cfg.dt, horizon=duration, heading_fallback=ctx.ego.heading)
+    probe = sample_trajectory(path, SpeedProfile(max(ctx.ego.speed, 1.0), 0.0),
+                              cfg.dt, horizon=duration)
     idx = np.arange(0, len(probe), stride)
     for pred in ctx.predictions:
         if pred.kind not in ("vehicle", "obstacle"):
@@ -196,22 +193,20 @@ def _lead_inside_curve(ctx: PlanContext, curve: CubicBezier, duration: float) ->
     return False
 
 
-def _keep_lane_candidate(ctx: PlanContext, maneuver: Maneuver, accel: float,
-                         v_max: float | None = None) -> ManeuverCandidate:
+def _keep_lane_candidate(ctx: PlanContext, maneuver: Maneuver, accel: float) -> ManeuverCandidate:
     cfg = ctx.config
     ego = ctx.ego
-    lane = ctx.lane
-    cap = lane.speed_limit if v_max is None else v_max
-    s0, _, _ = lane.centerline.project((ego.x, ego.y))
-    span = max(cap, ego.speed) * cfg.planning_horizon_s + 5.0
-    curve = fit_lane_curve(lane, s0, s0 + span, start_point=(ego.x, ego.y),
-                           start_heading=ego.heading)
-    traj = sample_trajectory(curve, SpeedProfile(ego.speed, accel, cap), cfg.dt,
-                             horizon=cfg.planning_horizon_s, heading_fallback=ego.heading)
+    profile = SpeedProfile(ego.speed, accel, ctx.lane.speed_limit)
+    traj = sample_trajectory(ctx.keep_lane_path, profile, cfg.dt, horizon=cfg.planning_horizon_s)
     return ManeuverCandidate(maneuver, traj, ego.lane, ego.speed, traj.end_speed)
 
 
 def _lane_change_candidate(ctx: PlanContext, maneuver: Maneuver) -> ManeuverCandidate:
+    """Cubic onto the neighbour lane over the lane-change duration, then its centerline.
+
+    The candidate is sampled over the longer of the lane-change duration and
+    the planning horizon, so it is never shorter than a keep-lane candidate.
+    """
     cfg = ctx.config
     ego = ctx.ego
     lane = ctx.lane
@@ -224,36 +219,21 @@ def _lane_change_candidate(ctx: PlanContext, maneuver: Maneuver) -> ManeuverCand
         return placeholder
     target = ctx.scenario.lanes[target_id]
     duration = cfg.lane_change_duration_s
-    span = max(ego.speed, 1.0) * duration
-    curve = _lane_change_curve(ctx, target, span)
-    stretched = False
-    if _lead_inside_curve(ctx, curve, duration):
-        span *= cfg.lane_change_stretch
-        curve = _lane_change_curve(ctx, target, span)
-        stretched = True
+    horizon = max(duration, cfg.planning_horizon_s)
+    v = max(ego.speed, 1.0)
+    blend = v * duration
+    tail = v * (horizon - duration) + 5.0
+    path = lane_path(target, ego.x, ego.y, ego.heading, blend, blend + tail)
+    stretched = _lead_inside_path(ctx, path, duration)
+    if stretched:
+        blend *= cfg.lane_change_stretch
+        path = lane_path(target, ego.x, ego.y, ego.heading, blend, blend + tail)
 
     cap = min(lane.speed_limit, target.speed_limit)
-    traj = sample_trajectory(curve, SpeedProfile(ego.speed, 0.0, cap), cfg.dt,
-                             horizon=duration, heading_fallback=ego.heading)
-    # keep the candidate window comparable to keep-lane candidates
-    if duration < cfg.planning_horizon_s and traj.end_speed > 1e-9:
-        s_t, _, _ = target.centerline.project((traj.x[-1], traj.y[-1]))
-        ext_span = traj.end_speed * (cfg.planning_horizon_s - duration) + 5.0
-        ext_curve = fit_lane_curve(target, s_t, s_t + ext_span,
-                                   start_point=(traj.x[-1], traj.y[-1]),
-                                   start_heading=float(traj.heading[-1]))
-        ext = sample_trajectory(ext_curve, SpeedProfile(traj.end_speed, 0.0, cap), cfg.dt,
-                                horizon=cfg.planning_horizon_s - duration,
-                                heading_fallback=float(traj.heading[-1]))
-        traj = traj.concat(ext)
+    traj = sample_trajectory(path, SpeedProfile(ego.speed, 0.0, cap), cfg.dt, horizon=horizon)
     cand = ManeuverCandidate(maneuver, traj, target_id, ego.speed, traj.end_speed)
     cand.stretched = stretched
     return cand
-
-
-def _lane_s(lane: Lane, x: float, y: float) -> float:
-    s, _, _ = lane.centerline.project((x, y))
-    return s
 
 
 def _stop_constraint_distance(ctx: PlanContext) -> float | None:
@@ -261,7 +241,7 @@ def _stop_constraint_distance(ctx: PlanContext) -> float | None:
     cfg = ctx.config
     ego = ctx.ego
     lane = ctx.lane
-    front = _lane_s(lane, ego.x, ego.y) + ego.length / 2.0
+    front = lane.centerline.project((ego.x, ego.y))[0] + ego.length / 2.0
     targets = []
     for light in ctx.scenario.lights:
         if light.lane != ego.lane:
@@ -347,8 +327,10 @@ def time_to_collision(candidate: ManeuverCandidate, prediction: Prediction,
     return float(traj.t[i - 1] + frac * traj.dt)
 
 
-def _trajectory_lane_s(traj: TimedTrajectory, lane: Lane) -> np.ndarray:
-    return np.array([_lane_s(lane, traj.x[i], traj.y[i]) for i in range(len(traj))])
+def _front_s(traj: TimedTrajectory, lane: Lane, ego_length: float) -> np.ndarray:
+    """Arc position of the ego front bumper on `lane` at every sample."""
+    s, _, _ = lane.centerline.project(np.column_stack([traj.x, traj.y]))
+    return s + ego_length / 2.0
 
 
 def _crosswalk_occupied(ctx: PlanContext, cw: Crosswalk, sample_idx: int) -> bool:
@@ -381,7 +363,7 @@ def _check_red_lights(ctx: PlanContext, cand: ManeuverCandidate) -> bool:
         if light.lane not in lanes_to_check:
             continue
         lane = ctx.scenario.lanes[light.lane]
-        s_front = _trajectory_lane_s(cand.trajectory, lane) + ego.length / 2.0
+        s_front = _front_s(cand.trajectory, lane, ego.length)
         if s_front[0] >= light.stop_line_s:
             continue  # already past this light
         red_now = light.color_at(ctx.sim_time) == "red"
@@ -412,7 +394,7 @@ def _check_crosswalks(ctx: PlanContext, cand: ManeuverCandidate) -> bool:
         if not lanes_to_check.intersection(cw.lanes):
             continue
         lane = ctx.scenario.lanes[ego.lane if ego.lane in cw.lanes else cand.target_lane]
-        s_front = _trajectory_lane_s(cand.trajectory, lane) + ego.length / 2.0
+        s_front = _front_s(cand.trajectory, lane, ego.length)
         if s_front[0] >= cw.span[1]:
             continue  # already past
         enter = np.nonzero(s_front >= cw.span[0] - cfg.crosswalk_hold_m)[0]

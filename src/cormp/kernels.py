@@ -76,16 +76,3 @@ def bezier_points(ctrl: np.ndarray, us: np.ndarray) -> np.ndarray:
     return np.stack([b0 * px[0] + b1 * px[1] + b2 * px[2] + b3 * px[3],
                      b0 * py[0] + b1 * py[1] + b2 * py[2] + b3 * py[3]], axis=1)
 
-
-def bezier_frames(ctrl: np.ndarray, us: np.ndarray):
-    """Batched tangent (d/du) and signed curvature at parameter array us."""
-    px, py = ctrl[:, 0], ctrl[:, 1]
-    v = 1.0 - us
-    dx = 3.0 * ((px[1] - px[0]) * v * v + (px[2] - px[1]) * 2.0 * v * us + (px[3] - px[2]) * us * us)
-    dy = 3.0 * ((py[1] - py[0]) * v * v + (py[2] - py[1]) * 2.0 * v * us + (py[3] - py[2]) * us * us)
-    d2x = 6.0 * ((px[2] - 2.0 * px[1] + px[0]) * v + (px[3] - 2.0 * px[2] + px[1]) * us)
-    d2y = 6.0 * ((py[2] - 2.0 * py[1] + py[0]) * v + (py[3] - 2.0 * py[2] + py[1]) * us)
-    s2 = dx * dx + dy * dy
-    safe = np.maximum(s2, 1e-12)
-    kappa = np.where(s2 < 1e-12, 0.0, (dx * d2y - dy * d2x) / safe**1.5)
-    return dx, dy, kappa

@@ -3,18 +3,18 @@
 `plan_tick` is pure: snapshot in, ranked decision out. `CorMpPlanner` wraps it
 with the small amount of state the closed loop needs: the previous maneuver
 (tie-break preference), the previous chosen resource values (state upgrades),
-and an in-progress lane change, which is committed until it completes unless
-its safety resource collapses, in which case the planner aborts into a
-deceleration along the remaining path.
+and an in-progress lane change (`LaneChangeCommitment`, shared with the MOBIL
+baseline), which is committed until it completes unless its safety resource
+collapses, in which case the planner aborts into a deceleration along the
+remaining path, sampled like every other trajectory.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import TimedTrajectory
+from .bezier import SpeedProfile, TimedTrajectory, sample_trajectory
 from .config import PlannerConfig
 from .identification import (
     LANE_CHANGES,
@@ -33,7 +33,7 @@ from .resources import (
     assess_candidate,
     safety_value,
 )
-from .scenario import AgentState, Scenario
+from .scenario import Polyline, Scenario
 
 # deterministic preference order when profits tie and the previous maneuver
 # is not among the tied set
@@ -128,49 +128,57 @@ def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
                      horizon: float) -> TimedTrajectory:
     """Re-profile a trajectory's path with a constant deceleration to rest.
 
-    Positions stay on the original path; only the speed schedule changes. Used
-    for lane-change aborts, where steering back would be a second lateral
-    maneuver but slowing down along the committed geometry is always available.
+    Positions stay on the polyline through the trajectory's samples; only the
+    speed schedule changes. Used for lane-change aborts, where steering back
+    would be a second lateral maneuver but slowing down along the committed
+    geometry is always available. A trajectory that does not move (a lane
+    change begun at standstill) gives a resting one; if the path runs out
+    before the vehicle stops, the result ends there.
     """
-    n = len(traj)
-    if n < 2:
-        return traj
-    seg = np.hypot(np.diff(traj.x), np.diff(traj.y))
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = float(cum[-1])
+    xy = np.column_stack([traj.x, traj.y])
+    moved = np.concatenate([[True], np.any(np.diff(xy, axis=0) != 0.0, axis=1)])
+    if np.count_nonzero(moved) < 2:
+        return TimedTrajectory.stationary(float(traj.x[0]), float(traj.y[0]),
+                                          float(traj.heading[0]), dt,
+                                          int(round(horizon / dt)) + 1)
+    return sample_trajectory(Polyline(xy[moved]), SpeedProfile(float(traj.speed[0]), -decel),
+                             dt, horizon=horizon)
 
-    v = float(traj.speed[0])
-    ts, ss, vs = [0.0], [0.0], [v]
-    t = 0.0
-    s = 0.0
-    while t < horizon - 1e-9:
-        t += dt
-        if v > 0.0:
-            t_stop = v / decel
-            if t_stop < dt:
-                s += v * t_stop - 0.5 * decel * t_stop * t_stop
-                v = 0.0
-            else:
-                s += v * dt - 0.5 * decel * dt * dt
-                v = max(v - decel * dt, 0.0)
-        s = min(s, total)
-        ts.append(t)
-        ss.append(s)
-        vs.append(v)
 
-    t_arr = np.asarray(ts)
-    s_arr = np.asarray(ss)
-    v_arr = np.asarray(vs)
-    x = np.interp(s_arr, cum, traj.x)
-    y = np.interp(s_arr, cum, traj.y)
-    heading = np.interp(s_arr, cum, np.unwrap(traj.heading))
-    a_lon = np.zeros(len(t_arr))
-    if len(t_arr) > 1:
-        a_lon[:-1] = np.diff(v_arr) / dt
-        a_lon[-1] = a_lon[-2]
-    scale = np.divide(v_arr, np.maximum(traj.speed[0], 1e-9)) ** 2
-    a_lat = np.interp(s_arr, cum, traj.a_lat) * scale
-    return TimedTrajectory(dt, t_arr, x, y, heading, v_arr, a_lon, a_lat)
+def plan_context(scenario: Scenario, config: PlannerConfig, sim_time: float) -> PlanContext:
+    """Snapshot for one plan call, with predictions for the interacting agents."""
+    ego = scenario.ego
+    predictions = [predict_oru(agent, scenario, config)
+                   for agent in interacting_agents(scenario, ego, config)]
+    return PlanContext(scenario=scenario, config=config, ego=ego,
+                       sim_time=sim_time, predictions=predictions)
+
+
+class LaneChangeCommitment:
+    """A chosen lane change, replayed from its start time until it completes."""
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.trajectory: TimedTrajectory | None = None
+        self.maneuver: Maneuver | None = None
+        self.start_time = 0.0
+
+    def start(self, trajectory: TimedTrajectory, maneuver: Maneuver, sim_time: float) -> None:
+        self.trajectory = trajectory
+        self.maneuver = maneuver
+        self.start_time = sim_time
+
+    def remaining(self, sim_time: float, dt: float) -> TimedTrajectory | None:
+        """The rest of the committed trajectory; None (and cleared) once it has run out."""
+        if self.trajectory is None:
+            return None
+        idx = int(round((sim_time - self.start_time) / dt))
+        if idx >= len(self.trajectory) - 1:
+            self.clear()
+            return None
+        return self.trajectory.tail(idx)
 
 
 @dataclass
@@ -196,56 +204,35 @@ class CorMpPlanner:
         self.profile = profile
         self.previous: Maneuver | None = None
         self.current_values: dict | None = None
-        self._lc_traj: TimedTrajectory | None = None
-        self._lc_maneuver: Maneuver | None = None
-        self._lc_start: float = 0.0
+        self.commitment = LaneChangeCommitment()
 
     def reset(self) -> None:
         self.previous = None
         self.current_values = None
-        self._lc_traj = None
-        self._lc_maneuver = None
-
-    def _context(self, scenario: Scenario, sim_time: float) -> PlanContext:
-        ego = scenario.ego
-        predictions = [
-            predict_oru(agent, scenario, self.config)
-            for agent in interacting_agents(scenario, ego, self.config)
-        ]
-        return PlanContext(scenario=scenario, config=self.config, ego=ego,
-                           sim_time=sim_time, predictions=predictions)
+        self.commitment.clear()
 
     def plan(self, scenario: Scenario, sim_time: float) -> PlanResult:
         cfg = self.config
-        if self._lc_traj is not None:
-            idx = int(round((sim_time - self._lc_start) / cfg.dt))
-            if idx >= len(self._lc_traj) - 1:
-                self._lc_traj = None
-                self._lc_maneuver = None
-            else:
-                ctx = self._context(scenario, sim_time)
-                remaining = self._lc_traj.tail(idx)
-                probe = ManeuverCandidate(self._lc_maneuver, remaining, None,
-                                          float(remaining.speed[0]), remaining.end_speed)
-                mu_safety = safety_value(probe, ctx.predictions,
-                                         ctx.ego.length, ctx.ego.width, cfg)
-                if mu_safety < cfg.theta_loss:
-                    aborted = decelerate_along(remaining, cfg.stop_decel_default, cfg.dt,
-                                               cfg.planning_horizon_s)
-                    self._lc_traj = None
-                    self._lc_maneuver = None
-                    self.previous = Maneuver.KEEP_LANE_DECELERATE
-                    return PlanResult(aborted, Maneuver.KEEP_LANE_DECELERATE,
-                                      aborted=True)
-                return PlanResult(remaining, self._lc_maneuver, committed=True)
+        remaining = self.commitment.remaining(sim_time, cfg.dt)
+        if remaining is not None:
+            ctx = plan_context(scenario, cfg, sim_time)
+            maneuver = self.commitment.maneuver
+            probe = ManeuverCandidate(maneuver, remaining, None,
+                                      float(remaining.speed[0]), remaining.end_speed)
+            mu_safety = safety_value(probe, ctx.predictions, ctx.ego.length, ctx.ego.width, cfg)
+            if mu_safety >= cfg.theta_loss:
+                return PlanResult(remaining, maneuver, committed=True)
+            self.commitment.clear()
+            self.previous = Maneuver.KEEP_LANE_DECELERATE
+            aborted = decelerate_along(remaining, cfg.stop_decel_default, cfg.dt,
+                                       cfg.planning_horizon_s)
+            return PlanResult(aborted, Maneuver.KEEP_LANE_DECELERATE, aborted=True)
 
-        ctx = self._context(scenario, sim_time)
+        ctx = plan_context(scenario, cfg, sim_time)
         decision = plan_tick(ctx, self.previous, self.current_values, self.weights)
         self.previous = decision.maneuver
         self.current_values = dict(decision.assessments[decision.maneuver].values)
         if decision.maneuver in LANE_CHANGES:
-            self._lc_traj = decision.trajectory
-            self._lc_maneuver = decision.maneuver
-            self._lc_start = sim_time
+            self.commitment.start(decision.trajectory, decision.maneuver, sim_time)
         return PlanResult(decision.trajectory, decision.maneuver, decision=decision,
                           fallback=decision.fallback)

@@ -7,7 +7,6 @@ planner can compare across maneuvers.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 

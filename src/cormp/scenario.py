@@ -10,13 +10,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .config import PROFILES
 
 BOUNDARY_KINDS = ("solid", "dashed")
 AGENT_KINDS = ("ego", "vehicle", "pedestrian", "obstacle")
 LIGHT_COLORS = ("red", "green")
-PROFILES = ("regular", "aggressive", "fuel_efficient")
 
 DEFAULT_VEHICLE_MASS = 1500.0
 DEFAULT_PEDESTRIAN_MASS = 75.0
@@ -27,7 +29,7 @@ class ScenarioError(ValueError):
 
 
 class Polyline:
-    """Arc-length parameterized 2D polyline."""
+    """Arc-length parameterized 2D polyline: lane centerlines and planned paths."""
 
     def __init__(self, points) -> None:
         pts = np.asarray(points, dtype=np.float64)
@@ -35,68 +37,114 @@ class Polyline:
             raise ValueError("polyline needs at least two 2D points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("polyline points must be finite")
-        seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+        d = np.diff(pts, axis=0)
+        seg = np.hypot(d[:, 0], d[:, 1])
         if np.any(seg <= 0):
             raise ValueError("polyline has zero-length segments")
         self.points = pts
         self.cum = np.concatenate([[0.0], np.cumsum(seg)])
+        self._d = d
+        self._seg = seg
+        # signed turning angle at each interior vertex over the mean length of
+        # its two segments: 1/R for vertices on an arc of radius R
+        turn = np.arctan2(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0],
+                          d[:-1, 0] * d[1:, 0] + d[:-1, 1] * d[1:, 1])
+        self._kappa = turn / (0.5 * (seg[:-1] + seg[1:]))
 
     @property
     def length(self) -> float:
         return float(self.cum[-1])
 
-    def _segment(self, s: float) -> tuple[int, float]:
-        """Segment index and local offset for arc position s (clamped)."""
-        s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self.cum, s, side="right") - 1)
-        i = min(max(i, 0), len(self.points) - 2)
-        return i, s - self.cum[i]
+    def _segment(self, s: float) -> int:
+        """Index of the segment holding arc position s (an end one beyond the ends)."""
+        i = int(np.searchsorted(self.cum, s, side="right")) - 1
+        return min(max(i, 0), len(self._seg) - 1)
 
     def point_at(self, s: float) -> np.ndarray:
         """Position at arc length s; extrapolates along end tangents."""
-        if 0.0 <= s <= self.length:
-            i, ds = self._segment(s)
-            d = self.points[i + 1] - self.points[i]
-            return self.points[i] + d * (ds / np.hypot(*d))
-        if s < 0.0:
-            d = self.points[1] - self.points[0]
-            return self.points[0] + d * (s / np.hypot(*d))
-        d = self.points[-1] - self.points[-2]
-        return self.points[-1] + d * ((s - self.length) / np.hypot(*d))
+        i = self._segment(s)
+        return self.points[i] + self._d[i] * ((s - self.cum[i]) / self._seg[i])
 
     def heading_at(self, s: float) -> float:
-        i, _ = self._segment(s)
-        d = self.points[i + 1] - self.points[i]
+        d = self._d[self._segment(s)]
         return float(np.arctan2(d[1], d[0]))
 
-    def project(self, point) -> tuple[float, float, float]:
+    def frames(self, s) -> tuple:
+        """x, y, heading and signed curvature at an array of arc positions.
+
+        s is clamped to [0, length]. Heading is the direction of the segment
+        holding s (as `heading_at` gives it); curvature is interpolated in s
+        between the interior vertices and is 0 on a two-point line.
+        """
+        s = np.clip(np.asarray(s, dtype=np.float64), 0.0, self.length)
+        i = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self._seg) - 1)
+        f = (s - self.cum[i]) / self._seg[i]
+        x = self.points[i, 0] + self._d[i, 0] * f
+        y = self.points[i, 1] + self._d[i, 1] * f
+        if len(self._kappa):
+            kappa = np.interp(s, self.cum[1:-1], self._kappa)
+        else:
+            kappa = np.zeros_like(s)
+        return x, y, np.arctan2(self._d[i, 1], self._d[i, 0]), kappa
+
+    @cached_property
+    def _segment_floats(self) -> list:
+        """Per-segment Python floats: the scalar `project` loop is faster on
+        them than on numpy scalars, and most lanes have one segment."""
+        p, d = self.points, self._d
+        return list(zip(p[:-1, 0].tolist(), p[:-1, 1].tolist(), d[:, 0].tolist(),
+                        d[:, 1].tolist(), (self._seg * self._seg).tolist(),
+                        self._seg.tolist(), self.cum[:-1].tolist()))
+
+    def project(self, point):
         """(s, signed lateral offset, overshoot) of the closest point.
 
         Lateral offset is positive to the left of the travel direction.
         Overshoot is how far the point lies beyond the polyline ends along the
-        end tangent (0 when it projects onto the interior).
+        end tangent (0 when it projects onto the interior). `point` is one
+        (x, y) pair, giving floats, or an (n, 2) array, giving three arrays.
+        A segment within 1e-12 m^2 of the closest loses to an earlier one.
         """
         p = np.asarray(point, dtype=np.float64)
-        best = (math.inf, 0.0, 0.0, 0.0)  # dist2, s, lateral, overshoot
-        for i in range(len(self.points) - 1):
-            a = self.points[i]
-            d = self.points[i + 1] - a
-            seg_len2 = float(d @ d)
-            t = float((p - a) @ d) / seg_len2
+        if p.ndim == 2:
+            return self._project_many(p)
+        px, py = float(p[0]), float(p[1])
+        last = len(self._seg) - 1
+        best = math.inf
+        out = (0.0, 0.0, 0.0)
+        for i, (ax, ay, dx, dy, len2, seg, cum) in enumerate(self._segment_floats):
+            rx, ry = px - ax, py - ay
+            t = (rx * dx + ry * dy) / len2
             tc = min(max(t, 0.0), 1.0)
-            proj = a + d * tc
-            r = p - proj
-            dist2 = float(r @ r)
-            if dist2 < best[0] - 1e-12:
-                seg_len = math.sqrt(seg_len2)
-                lateral = float(d[0] * r[1] - d[1] * r[0]) / seg_len
+            qx, qy = rx - dx * tc, ry - dy * tc
+            dist2 = qx * qx + qy * qy
+            if dist2 < best - 1e-12:
+                best = dist2
                 over = 0.0
                 if i == 0 and t < 0.0:
-                    over = -t * seg_len
-                elif i == len(self.points) - 2 and t > 1.0:
-                    over = (t - 1.0) * seg_len
-                best = (dist2, self.cum[i] + tc * seg_len, lateral, over)
-        return best[1], best[2], best[3]
+                    over = -t * seg
+                elif i == last and t > 1.0:
+                    over = (t - 1.0) * seg
+                out = (cum + tc * seg, (dx * qy - dy * qx) / seg, over)
+        return out
+
+    def _project_many(self, p: np.ndarray) -> tuple:
+        a, d, seg = self.points[:-1], self._d, self._seg
+        rx = p[:, 0:1] - a[:, 0]
+        ry = p[:, 1:2] - a[:, 1]
+        t = (rx * d[:, 0] + ry * d[:, 1]) / (seg * seg)
+        tc = np.clip(t, 0.0, 1.0)
+        qx = rx - d[:, 0] * tc
+        qy = ry - d[:, 1] * tc
+        dist2 = qx * qx + qy * qy
+        j = np.argmax(dist2 < dist2.min(axis=1, keepdims=True) + 1e-12, axis=1)
+        r = np.arange(len(p))
+        s = self.cum[j] + tc[r, j] * seg[j]
+        lateral = (d[j, 0] * qy[r, j] - d[j, 1] * qx[r, j]) / seg[j]
+        t0, t1 = t[:, 0], t[:, -1]
+        over = np.where((j == 0) & (t0 < 0.0), -t0 * seg[0], 0.0)
+        over = np.where((j == len(seg) - 1) & (t1 > 1.0), (t1 - 1.0) * seg[-1], over)
+        return s, lateral, over
 
 
 @dataclass(eq=False)

@@ -19,8 +19,8 @@ from .bezier import TimedTrajectory
 from .config import PlannerConfig
 from .identification import LANE_CHANGES, Maneuver
 from .planner import Decision, PlanResult
-from .resources import RESOURCES, ResourceState
-from .scenario import AgentState, Lane, Scenario
+from .resources import RESOURCES
+from .scenario import AgentState, Scenario
 
 SPEED_TOLERANCE = 0.5  # m/s over the limit before a violation event
 

@@ -1,6 +1,7 @@
 """Shared fixtures: cache closed-loop runs across tests."""
 from __future__ import annotations
 
+import math
 import pathlib
 import time
 
@@ -20,7 +21,65 @@ def scenario_dir() -> pathlib.Path:
     return SCENARIO_DIR
 
 
+def arc_centerline(radius: float, turn: int, offset: float = 0.0,
+                   n_points: int = 60, length: float = 420.0) -> list:
+    """Centerline `offset` m left of a reference arc of `length` m.
+
+    The reference arc starts at the origin heading +x and turns left
+    (turn=+1) or right (turn=-1) with the given radius.
+    """
+    r = radius - turn * offset
+    sweep = length / radius
+    pts = []
+    for i in range(n_points):
+        a = turn * (sweep * i / (n_points - 1) - math.pi / 2.0)
+        pts.append([r * math.cos(a), turn * radius + r * math.sin(a)])
+    return pts
+
+
+def curved_road(radius: float, turn: int, lead_lane: str, lead_speed: float,
+                duration: float) -> dict:
+    """Two-lane arc with solid edge lines: the ego at 13.89 m/s in the right
+    lane, a vehicle ahead in `lead_lane` at `lead_speed`."""
+    lines = {"right": arc_centerline(radius, turn), "left": arc_centerline(radius, turn, 3.5)}
+
+    def pose(lane: str, i: int) -> tuple:
+        (x0, y0), (x1, y1) = lines[lane][i], lines[lane][i + 1]
+        return [x0, y0], math.atan2(y1 - y0, x1 - x0)
+
+    ego_pos, ego_h = pose("right", 2)
+    lead_pos, lead_h = pose(lead_lane, 9)
+    return {
+        "name": f"arc_{'left' if turn > 0 else 'right'}_r{radius:.0f}",
+        "duration_s": duration,
+        "apriori_lane": "right",
+        "lanes": [
+            {"id": "right", "centerline": lines["right"], "width": 3.5, "speed_limit": 13.89,
+             "left_neighbor": "left", "left_boundary": "dashed", "right_boundary": "solid"},
+            {"id": "left", "centerline": lines["left"], "width": 3.5, "speed_limit": 13.89,
+             "right_neighbor": "right", "left_boundary": "solid", "right_boundary": "dashed"},
+        ],
+        "agents": [
+            {"id": "ego", "kind": "ego", "position": ego_pos, "heading": ego_h,
+             "speed": 13.89, "length": 4.5, "width": 1.8, "lane": "right"},
+            {"id": "lead", "kind": "vehicle", "position": lead_pos, "heading": lead_h,
+             "speed": lead_speed, "length": 4.5, "width": 1.8, "lane": lead_lane},
+        ],
+    }
+
+
+# Curved roads for the clean sweep, kept out of scenarios/ (whose files are the
+# shipped set): the ego in the inner lane of a right-hand arc, and an overtake
+# of a slow lead in the ego's own lane on a left-hand arc.
+CURVED = {
+    "arc_right_r140": curved_road(140.0, -1, "left", 8.0, 8.5),
+    "arc_left_overtake_r140": curved_road(140.0, +1, "right", 6.0, 20.0),
+}
+
+
 def load(name: str) -> Scenario:
+    if name in CURVED:
+        return load_scenario(CURVED[name])
     return load_scenario(str(SCENARIO_DIR / f"{name}.json"))
 
 

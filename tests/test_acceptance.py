@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, timed_run
+from conftest import CURVED, SCENARIO_DIR, timed_run
 from cormp import cli
 from cormp.bezier import CubicBezier, TimedTrajectory
 from cormp.identification import (
@@ -189,15 +189,17 @@ def test_criterion_2d_pedestrian_crossing():
 def test_criterion_3_all_scenarios_clean():
     names = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
     assert len(names) >= 8
+    runs = [(name, "cor-mp") for name in names]
+    runs += [(name, planner) for name in CURVED for planner in ("cor-mp", "utility")]
     dirty = {}
-    for name in names:
-        sc, log, _ = timed_run(name)
+    for name, planner in runs:
+        sc, log, _ = timed_run(name, planner)
         m = compute_metrics(log, sc)
         if m.collisions or m.rule_violations:
-            dirty[name] = (m.collisions, m.rule_violations)
+            dirty[(name, planner)] = (m.collisions, m.rule_violations)
     assert dirty == {}
     print(f"\n[criterion-3] PASS 0 collisions and 0 rule violations across "
-          f"{len(names)} scenarios")
+          f"{len(names)} scenarios and {len(CURVED)} curved roads")
 
 
 # --------------------------------------------------------------------------

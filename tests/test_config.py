@@ -30,6 +30,12 @@ def test_from_dict_rejects_unknown_keys():
         PlannerConfig.from_dict({"no_such_knob": 1.0})
 
 
+def test_profile_is_not_a_config_key():
+    # the driving profile comes from the scenario or --profile, never the config
+    with pytest.raises(ValueError, match="profile"):
+        PlannerConfig.from_dict({"profile": "aggressive"})
+
+
 def test_from_dict_roundtrip():
     cfg = PlannerConfig(dt=0.05, ttc_min_s=3.0)
     again = PlannerConfig.from_dict(cfg.to_dict())
@@ -41,8 +47,6 @@ def test_validation_rejects_bad_values():
         PlannerConfig(dt=0.0)
     with pytest.raises(ValueError):
         PlannerConfig(planning_horizon_s=0.2, replan_period_s=0.5)
-    with pytest.raises(ValueError):
-        PlannerConfig(profile="bogus")
 
 
 def test_profiles_constant():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import curved_road
 from cormp.config import PlannerConfig
 from cormp.identification import (
     COLLISION_RISK,
@@ -12,6 +13,7 @@ from cormp.identification import (
     Maneuver,
     PlanContext,
     _keep_lane_candidate,
+    _lane_change_candidate,
     _stop_candidate,
     _stop_constraint_distance,
     enumerate_candidates,
@@ -22,6 +24,7 @@ from cormp.identification import (
 )
 from cormp.kernels import rect_gap
 from cormp.scenario import load_scenario
+from cormp.simulator import SimWorld
 
 EGO = {"id": "ego", "kind": "ego", "position": [15.0, 0.0], "heading": 0.0,
        "speed": 13.89, "length": 4.5, "width": 1.8, "mass": 1500.0,
@@ -83,6 +86,19 @@ def test_lane_vehicle_prediction_travels_downstream():
     assert pred.trajectory.duration == pytest.approx(4.0)
     assert pred.trajectory.x[-1] - pred.trajectory.x[0] == pytest.approx(40.0, abs=0.1)
     assert abs(pred.trajectory.y[-1]) < 1e-6
+
+
+def test_lane_vehicle_prediction_matches_the_simulator_on_an_arc():
+    cfg = PlannerConfig()
+    world = SimWorld(load_scenario(curved_road(140.0, -1, "left", 8.0, 8.5)), cfg)
+    world.advance_others()  # the simulator snaps lane vehicles onto the centerline
+    lead = world.scenario.agents[1]
+    pred = predict_oru(lead, world.scenario, cfg).trajectory
+    assert len(pred) == cfg.horizon_steps + 1
+    for k in range(len(pred)):
+        assert math.hypot(pred.x[k] - lead.x, pred.y[k] - lead.y) < 1e-9
+        assert pred.heading[k] == pytest.approx(lead.heading, abs=1e-9)
+        world.advance_others()
 
 
 def test_pedestrian_prediction_extrapolates_heading():
@@ -151,6 +167,30 @@ def test_keep_lane_kinematics_with_explicit_rate():
     assert cand.v_end == pytest.approx(16.0, abs=1e-9)
     assert cand.trajectory.duration == pytest.approx(4.0)
     assert cand.trajectory.path_length() == pytest.approx(52.0, abs=1e-6)
+
+
+def test_keep_lane_and_lane_change_follow_a_curved_centerline():
+    sc = load_scenario(curved_road(140.0, -1, "left", 8.0, 8.5))
+    cfg = PlannerConfig()
+    ctx = PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0, predictions=[])
+    keep = _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_SAME_SPEED, 0.0).trajectory
+    _, lateral, _ = sc.lanes["right"].centerline.project(np.column_stack([keep.x, keep.y]))
+    # the solid edge is 0.85 m from the centerline for this ego; the start
+    # heading is the 7 m chord's direction, so the cubic cuts in a little
+    assert np.max(np.abs(lateral)) < 0.3
+    change = _lane_change_candidate(ctx, Maneuver.CHANGE_LANE_LEFT).trajectory
+    _, lateral, _ = sc.lanes["left"].centerline.project((change.x[-1], change.y[-1]))
+    assert abs(lateral) < 0.01
+
+
+def test_short_lane_change_continues_along_the_target_centerline():
+    cfg = PlannerConfig(lane_change_duration_s=3.0)
+    cand = _lane_change_candidate(context(road(), cfg), Maneuver.CHANGE_LANE_LEFT)
+    traj = cand.trajectory
+    assert traj.duration == pytest.approx(cfg.planning_horizon_s)
+    after = traj.t >= 3.2 - 1e-9   # the cubic is a little longer than its 41.7 m chord
+    assert np.allclose(traj.y[after], 3.5, atol=1e-9)
+    assert np.allclose(np.diff(traj.x[after]), 13.89 * cfg.dt, atol=1e-9)
 
 
 def test_lane_change_stretches_around_a_near_lead():

@@ -85,22 +85,3 @@ def test_bezier_points_matches_scalar_evaluation():
     pts = kernels.bezier_points(ctrl, us)
     for i, u in enumerate(us):
         assert np.allclose(pts[i], curve.point(float(u)), atol=1e-12)
-
-
-def test_bezier_frames_matches_scalar_evaluation():
-    rng = np.random.default_rng(21)
-    ctrl = rng.uniform(-10, 10, size=(4, 2))
-    curve = CubicBezier(ctrl)
-    us = rng.uniform(0.0, 1.0, 33)
-    dx, dy, kappa = kernels.bezier_frames(ctrl, us)
-    for i, u in enumerate(us):
-        d = curve.derivative(float(u))
-        assert dx[i] == pytest.approx(d[0], abs=1e-12)
-        assert dy[i] == pytest.approx(d[1], abs=1e-12)
-        assert kappa[i] == pytest.approx(curve.curvature(float(u)), abs=1e-12)
-
-
-def test_degenerate_frame_has_zero_curvature():
-    ctrl = np.array([[1.0, 1.0]] * 4)
-    _, _, kappa = kernels.bezier_frames(ctrl, np.array([0.0, 0.5, 1.0]))
-    assert np.allclose(kappa, 0.0)

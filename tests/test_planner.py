@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import load
+from cormp.baselines import MobilPlanner
 from cormp.bezier import TimedTrajectory
 from cormp.config import PlannerConfig
 from cormp.identification import (
@@ -226,9 +227,7 @@ def two_lane_scenario(others=()):
 
 def test_commitment_replays_the_stored_trajectory():
     planner = CorMpPlanner(PlannerConfig(), "regular")
-    planner._lc_traj = straight_lc_trajectory()
-    planner._lc_maneuver = Maneuver.CHANGE_LANE_LEFT
-    planner._lc_start = 0.0
+    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
     result = planner.plan(two_lane_scenario(), 1.0)
     assert result.committed
     assert not result.aborted
@@ -239,37 +238,55 @@ def test_commitment_replays_the_stored_trajectory():
 
 def test_commitment_expires_at_the_trajectory_end():
     planner = CorMpPlanner(PlannerConfig(), "regular")
-    planner._lc_traj = straight_lc_trajectory()
-    planner._lc_maneuver = Maneuver.CHANGE_LANE_LEFT
-    planner._lc_start = 0.0
+    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
     result = planner.plan(two_lane_scenario(), 5.0)
     assert not result.committed
     assert result.decision is not None
-    assert planner._lc_traj is None or result.maneuver in (
+    assert planner.commitment.trajectory is None or result.maneuver in (
         Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT)
 
 
 def test_commitment_aborts_on_a_sudden_blocker():
     planner = CorMpPlanner(PlannerConfig(), "regular")
-    planner._lc_traj = straight_lc_trajectory()
-    planner._lc_maneuver = Maneuver.CHANGE_LANE_LEFT
-    planner._lc_start = 0.0
+    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
     blocker = {"id": "intruder", "kind": "obstacle", "position": [12.6, 1.4],
                "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
     result = planner.plan(two_lane_scenario([blocker]), 1.0)
     assert result.aborted
     assert result.maneuver is Maneuver.KEEP_LANE_DECELERATE
-    assert planner._lc_traj is None
+    assert planner.commitment.trajectory is None
     assert result.trajectory.end_speed < 8.0
     # braking follows the committed geometry rather than steering back
     assert result.trajectory.y[0] == pytest.approx(0.7, abs=1e-6)
 
 
+def test_aborting_a_lane_change_begun_at_standstill_rests():
+    # a lane change chosen at 0 m/s never moves, so its path has zero length
+    planner = CorMpPlanner(PlannerConfig(), "regular")
+    standing = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 51)
+    planner.commitment.start(standing, Maneuver.CHANGE_LANE_LEFT, 0.0)
+    blocker = {"id": "intruder", "kind": "obstacle", "position": [4.0, 0.0],
+               "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
+    result = planner.plan(two_lane_scenario([blocker]), 1.0)
+    assert result.aborted
+    assert len(result.trajectory) == 41
+    assert np.all(result.trajectory.x == 0.0) and np.all(result.trajectory.speed == 0.0)
+
+
+def test_mobil_shares_the_commitment_replay():
+    planner = MobilPlanner(PlannerConfig(), "regular")
+    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
+    result = planner.plan(two_lane_scenario(), 1.0)
+    assert result.committed
+    assert result.trajectory.x[0] == pytest.approx(8.0)
+    planner.reset()
+    assert planner.commitment.trajectory is None
+
+
 def test_reset_clears_history():
     planner = CorMpPlanner(PlannerConfig(), "regular")
     planner.previous = Maneuver.STOP
-    planner._lc_traj = straight_lc_trajectory()
-    planner._lc_maneuver = Maneuver.CHANGE_LANE_LEFT
+    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
     planner.reset()
     assert planner.previous is None
-    assert planner._lc_traj is None
+    assert planner.commitment.trajectory is None

@@ -62,6 +62,38 @@ def test_polyline_project_returns_s_lateral_overshoot():
     assert over == pytest.approx(4.0)
 
 
+def test_polyline_project_array_matches_points():
+    rng = np.random.default_rng(5)
+    angles = np.linspace(0.0, 2.0, 30)
+    line = Polyline(np.column_stack([50.0 * np.cos(angles), 50.0 * np.sin(angles)]))
+    pts = np.vstack([rng.uniform(-60.0, 60.0, (40, 2)),
+                     [[60.0, -10.0], [-30.0, 60.0]]])   # beyond both ends
+    s, lat, over = line.project(pts)
+    assert over[-2] > 0.0 and over[-1] > 0.0
+    for k, p in enumerate(pts):
+        assert (s[k], lat[k], over[k]) == pytest.approx(line.project(p), abs=1e-12)
+
+
+def test_polyline_frames_on_an_arc():
+    r = 140.0
+    angles = np.linspace(0.0, 3.0, 60)
+    line = Polyline(np.column_stack([r * np.sin(angles), r - r * np.cos(angles)]))
+    s = np.linspace(0.0, line.length, 200)
+    x, y, heading, kappa = line.frames(s)
+    assert np.allclose(kappa, 1.0 / r, rtol=0.01)            # a left turn
+    for k in range(0, 200, 17):
+        assert np.allclose((x[k], y[k]), line.point_at(float(s[k])), atol=1e-9)
+        assert heading[k] == pytest.approx(line.heading_at(float(s[k])), abs=1e-12)
+
+
+def test_polyline_frames_on_a_two_point_line():
+    line = Polyline([[0.0, 0.0], [3.0, 4.0]])
+    x, y, heading, kappa = line.frames([0.0, 2.5, 5.0, 7.0])
+    assert np.array_equal(kappa, np.zeros(4))
+    assert np.allclose(heading, math.atan2(4.0, 3.0))
+    assert (x[-1], y[-1]) == (3.0, 4.0)                        # clamped at the end
+
+
 def test_polyline_rejects_degenerate_input():
     with pytest.raises(ValueError):
         Polyline([[0.0, 0.0]])
