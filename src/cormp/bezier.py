@@ -132,9 +132,6 @@ class TimedTrajectory:
             return 0.0
         return float(np.sum(np.hypot(np.diff(self.x), np.diff(self.y))))
 
-    def pose(self, i: int) -> tuple[float, float, float]:
-        return float(self.x[i]), float(self.y[i]), float(self.heading[i])
-
     def tail(self, start: int) -> "TimedTrajectory":
         """Samples from index `start` on, with time rebased to 0."""
         sl = slice(start, None)

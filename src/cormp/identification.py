@@ -4,11 +4,12 @@ Six discrete maneuvers are turned into tick-sampled trajectory candidates from
 the ego's current state, each sampled along a `Polyline` path from
 `lane_path`: a cubic Bezier from the current pose onto a lane centerline, then
 the centerline itself. Other road users get constant-velocity predictions on
-the same tick grid, along their centerline or a straight line. The
-feasibility filter removes candidates that risk collision (footprint
-time-to-collision below the threshold) or break traffic rules (speeding, solid
-boundaries, red lights, occupied crosswalks); if everything is filtered out,
-Stop is retained as the fallback.
+the same tick grid, along their centerline or a straight line, stacked into
+one `PredictionBlock` per plan so that every pairwise measure is one broadcast
+over all of them. The feasibility filter removes candidates that risk
+collision (footprint time-to-collision below the threshold) or break traffic
+rules (speeding, solid boundaries, red lights, occupied crosswalks); if
+everything is filtered out, Stop is retained as the fallback.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .bezier import CubicBezier, SpeedProfile, TimedTrajectory, sample_trajectory
 from .config import PlannerConfig
-from .kernels import any_overlap, pose_gaps, rect_gap
+from .kernels import pose_gaps
 from .scenario import AgentState, Crosswalk, Lane, Polyline, Scenario
 
 
@@ -42,20 +43,46 @@ RULE_VIOLATION = "rule_violation"
 COLLISION_RISK = "collision_risk"
 
 
-@dataclass
-class Prediction:
-    """Constant-velocity forecast for one road user."""
+class PredictionBlock:
+    """The predictions of one plan, stacked: row k is `agents[k]`.
 
-    agent_id: str
-    kind: str
-    trajectory: TimedTrajectory
-    length: float
-    width: float
+    x, y, heading and speed are (K, T) arrays on the tick grid, with T =
+    horizon_steps + 1 in a plan. A trajectory sample past T is compared with
+    row sample T-1: road users persist beyond the horizon.
+    """
 
-    def pose_at(self, i: int) -> tuple[float, float, float]:
-        """Pose at sample i, clamped to the last sample (objects persist)."""
-        j = min(i, len(self.trajectory) - 1)
-        return self.trajectory.pose(j)
+    def __init__(self, agents: list, x: np.ndarray, y: np.ndarray,
+                 heading: np.ndarray, speed: np.ndarray) -> None:
+        self.ids = [a.id for a in agents]
+        self.half_length = np.array([a.length for a in agents], dtype=np.float64) / 2.0
+        self.half_width = np.array([a.width for a in agents], dtype=np.float64) / 2.0
+        self.pedestrian = np.array([a.kind == "pedestrian" for a in agents], dtype=bool)
+        self.vehicle_like = np.array([a.kind in ("vehicle", "obstacle") for a in agents],
+                                     dtype=bool)
+        self.x, self.y, self.heading, self.speed = x, y, heading, speed
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def steps(self) -> int:
+        return self.x.shape[1]
+
+    def corridor_hits(self, traj: TimedTrajectory, ego_length: float, ego_width: float,
+                      cfg: PlannerConfig) -> np.ndarray:
+        """(K,) bool: rows whose corridor crosses the trajectory's corridor.
+
+        Both are subsampled every `crowd_sample_stride_s` and compared
+        spatially, every sample of one against every sample of the other.
+        """
+        st = max(1, int(round(cfg.crowd_sample_stride_s / cfg.dt)))
+        gaps = pose_gaps(
+            traj.x[::st, None], traj.y[::st, None], traj.heading[::st, None],
+            ego_length / 2.0, ego_width / 2.0,
+            self.x[:, None, ::st], self.y[:, None, ::st], self.heading[:, None, ::st],
+            self.half_length[:, None, None], self.half_width[:, None, None],
+        )
+        return np.min(gaps, axis=(1, 2)) <= 0.0
 
 
 @dataclass
@@ -80,7 +107,7 @@ class PlanContext:
     config: PlannerConfig
     ego: AgentState
     sim_time: float
-    predictions: list
+    predictions: PredictionBlock
 
     @property
     def lane(self) -> Lane:
@@ -91,6 +118,17 @@ class PlanContext:
         """The path all keep-lane candidates and Stop share: back onto the lane."""
         span = max(self.lane.speed_limit, self.ego.speed) * self.config.planning_horizon_s + 5.0
         return lane_path(self.lane, self.ego.x, self.ego.y, self.ego.heading, span, span)
+
+    @cached_property
+    def leads(self) -> np.ndarray:
+        """(K,) bool: vehicles and obstacles whose first sample is ahead of the ego on its lane."""
+        block = self.predictions
+        if not block.vehicle_like.any():
+            return block.vehicle_like
+        line = self.lane.centerline
+        s_ego, _, _ = line.project((self.ego.x, self.ego.y))
+        s_obj, _, _ = line.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
+        return block.vehicle_like & (s_obj > s_ego)
 
 
 def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfig) -> list:
@@ -105,36 +143,30 @@ def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfi
     return out
 
 
-def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) -> Prediction:
-    """Constant-velocity prediction on the tick grid.
+def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) -> TimedTrajectory:
+    """Constant-velocity prediction on the tick grid, horizon_steps + 1 samples.
 
     Lane-bound vehicles move along their lane centerline from their projection
-    onto it, as the simulator moves them, and the prediction is truncated at
-    the lane end; everything else extrapolates straight along the current
-    heading. Standing agents yield a resting trajectory over the full horizon.
+    onto it and on past the lane end along its last segment, as the simulator
+    moves them. A vehicle already beyond a lane end, like every other road
+    user, extrapolates straight along its current heading. Standing agents
+    yield a resting trajectory over the full horizon.
     """
     dt = config.dt
     horizon = config.planning_horizon_s
-    n = config.horizon_steps + 1
     if agent.speed <= 1e-9:
-        traj = TimedTrajectory.stationary(agent.x, agent.y, agent.heading, dt, n)
-        return Prediction(agent.id, agent.kind, traj, agent.length, agent.width)
-
+        return TimedTrajectory.stationary(agent.x, agent.y, agent.heading, dt,
+                                          config.horizon_steps + 1)
+    span = agent.speed * horizon
     lane = scenario.lane(agent.lane) if agent.kind in ("vehicle", "ego") else None
-    if lane is not None:
-        s0, _, _ = lane.centerline.project((agent.x, agent.y))
-        span = min(agent.speed * horizon, lane.length - s0)
-        if span <= 1e-6:
-            traj = TimedTrajectory.stationary(agent.x, agent.y, agent.heading, dt, n)
-            return Prediction(agent.id, agent.kind, traj, agent.length, agent.width)
+    if lane is not None and lane.centerline.project((agent.x, agent.y))[2] == 0.0:
         path = lane_path(lane, agent.x, agent.y, agent.heading, 0.0, span)
     else:
         p0 = np.array([agent.x, agent.y])
         direction = np.array([math.cos(agent.heading), math.sin(agent.heading)])
-        path = Polyline([p0, p0 + direction * (agent.speed * horizon)])
-    traj = sample_trajectory(path, SpeedProfile(agent.speed, 0.0, agent.speed), dt,
+        path = Polyline([p0, p0 + direction * span])
+    return sample_trajectory(path, SpeedProfile(agent.speed, 0.0, agent.speed), dt,
                              horizon=horizon)
-    return Prediction(agent.id, agent.kind, traj, agent.length, agent.width)
 
 
 def lane_path(lane: Lane, x: float, y: float, heading: float,
@@ -170,27 +202,13 @@ def lane_path(lane: Lane, x: float, y: float, heading: float,
 def _lead_inside_path(ctx: PlanContext, path: Polyline, duration: float) -> bool:
     """True when a vehicle ahead of the ego is predicted inside the path corridor."""
     cfg = ctx.config
-    lane = ctx.lane
-    s_ego, _, _ = lane.centerline.project((ctx.ego.x, ctx.ego.y))
-    stride = max(1, int(round(cfg.crowd_sample_stride_s / cfg.dt)))
-    probe = sample_trajectory(path, SpeedProfile(max(ctx.ego.speed, 1.0), 0.0),
+    ego = ctx.ego
+    if not ctx.leads.any():
+        return False
+    probe = sample_trajectory(path, SpeedProfile(max(ego.speed, 1.0), 0.0),
                               cfg.dt, horizon=duration)
-    idx = np.arange(0, len(probe), stride)
-    for pred in ctx.predictions:
-        if pred.kind not in ("vehicle", "obstacle"):
-            continue
-        s_obj, _, _ = lane.centerline.project((pred.trajectory.x[0], pred.trajectory.y[0]))
-        if s_obj <= s_ego:
-            continue
-        jdx = np.arange(0, len(pred.trajectory), stride)
-        if any_overlap(
-            probe.x[idx], probe.y[idx], probe.heading[idx],
-            ctx.ego.length / 2.0, ctx.ego.width / 2.0,
-            pred.trajectory.x[jdx], pred.trajectory.y[jdx], pred.trajectory.heading[jdx],
-            pred.length / 2.0, pred.width / 2.0,
-        ):
-            return True
-    return False
+    hits = ctx.predictions.corridor_hits(probe, ego.length, ego.width, cfg)
+    return bool(np.any(hits[ctx.leads]))
 
 
 def _keep_lane_candidate(ctx: PlanContext, maneuver: Maneuver, accel: float) -> ManeuverCandidate:
@@ -255,16 +273,15 @@ def _stop_constraint_distance(ctx: PlanContext) -> float | None:
             continue
         if _crosswalk_occupied(ctx, cw, 0):
             targets.append(cw.span[0] - cfg.stop_line_margin_m)
-    for pred in ctx.predictions:
-        if pred.kind not in ("vehicle", "obstacle"):
-            continue
-        x0, y0 = pred.trajectory.x[0], pred.trajectory.y[0]
-        s_obj, lateral, _ = lane.centerline.project((x0, y0))
-        if s_obj <= front or abs(lateral) > lane.width / 2.0:
-            continue
-        if pred.trajectory.speed[0] > 0.5:
-            continue  # moving traffic is handled by TTC, not a fixed stop target
-        targets.append(s_obj - pred.length / 2.0 - cfg.stop_line_margin_m)
+    block = ctx.predictions
+    # moving traffic is handled by TTC, not a fixed stop target
+    still = block.vehicle_like & (block.speed[:, 0] <= 0.5)
+    if still.any():
+        s_obj, lateral, _ = lane.centerline.project(
+            np.column_stack([block.x[still, 0], block.y[still, 0]]))
+        ahead = (s_obj > front) & (np.abs(lateral) <= lane.width / 2.0)
+        stop_s = s_obj - block.half_length[still] - cfg.stop_line_margin_m
+        targets.extend(stop_s[ahead].tolist())
     if not targets:
         return None
     return min(targets) - front
@@ -298,32 +315,36 @@ def enumerate_candidates(ctx: PlanContext) -> list:
     ]
 
 
-def time_to_collision(candidate: ManeuverCandidate, prediction: Prediction,
+def time_to_collision(traj: TimedTrajectory, block: PredictionBlock,
                       ego_length: float, ego_width: float) -> float:
-    """Footprint time-to-collision on the shared tick grid.
+    """Footprint time-to-collision with any predicted road user, on the tick grid.
 
-    Scans aligned samples for the first oriented-rectangle overlap and refines
-    linearly on the separating-axis gap inside that tick. Returns +inf when the
-    footprints never overlap.
+    Scans the first min(len(traj), T) aligned samples of every row for the
+    first oriented-rectangle overlap and refines linearly on the
+    separating-axis gap inside that tick (the gap is positive before it and
+    <= 0 at it). Returns +inf when no footprints overlap.
     """
-    traj = candidate.trajectory
-    pred = prediction.trajectory
-    n = min(len(traj), len(pred))
-    if n == 0:
+    n = min(len(traj), block.steps)
+    if len(block) == 0 or n == 0:
         return math.inf
     gaps = pose_gaps(
-        traj.x[:n], traj.y[:n], traj.heading[:n], ego_length / 2.0, ego_width / 2.0,
-        pred.x[:n], pred.y[:n], pred.heading[:n], prediction.length / 2.0, prediction.width / 2.0,
+        traj.x[None, :n], traj.y[None, :n], traj.heading[None, :n],
+        ego_length / 2.0, ego_width / 2.0,
+        block.x[:, :n], block.y[:, :n], block.heading[:, :n],
+        block.half_length[:, None], block.half_width[:, None],
     )
-    hits = np.nonzero(gaps <= 0.0)[0]
-    if len(hits) == 0:
+    ticks = np.nonzero(np.min(gaps, axis=0) <= 0.0)[0]
+    if len(ticks) == 0:
         return math.inf
-    i = int(hits[0])
+    i = int(ticks[0])
     if i == 0:
         return 0.0
-    g0 = float(gaps[i - 1])
-    g1 = float(gaps[i])
-    frac = g0 / (g0 - g1) if g0 > g1 else 1.0
+    # each row overlapping first at tick i collides in (t[i-1], t[i]]: rows
+    # that overlap only later cannot collide sooner
+    g0 = gaps[:, i - 1]
+    g1 = gaps[:, i]
+    hit = g1 <= 0.0
+    frac = np.min(g0[hit] / (g0[hit] - g1[hit]))
     return float(traj.t[i - 1] + frac * traj.dt)
 
 
@@ -335,20 +356,22 @@ def _front_s(traj: TimedTrajectory, lane: Lane, ego_length: float) -> np.ndarray
 
 def _crosswalk_occupied(ctx: PlanContext, cw: Crosswalk, sample_idx: int) -> bool:
     """Any pedestrian footprint predicted on the crosswalk area at this tick."""
-    for pred in ctx.predictions:
-        if pred.kind != "pedestrian":
-            continue
-        px, py, ph = pred.pose_at(sample_idx)
-        for lane_id in cw.lanes:
-            lane = ctx.scenario.lanes[lane_id]
-            mid = 0.5 * (cw.span[0] + cw.span[1])
-            cx, cy = lane.centerline.point_at(mid)
-            heading = lane.centerline.heading_at(mid)
-            if rect_gap(
-                cx, cy, heading, (cw.span[1] - cw.span[0]) / 2.0, lane.width / 2.0,
-                px, py, ph, pred.length / 2.0, pred.width / 2.0,
-            ) <= 0.0:
-                return True
+    block = ctx.predictions
+    ped = block.pedestrian
+    if not ped.any():
+        return False
+    j = min(sample_idx, block.steps - 1)
+    mid = 0.5 * (cw.span[0] + cw.span[1])
+    for lane_id in cw.lanes:
+        lane = ctx.scenario.lanes[lane_id]
+        cx, cy = lane.centerline.point_at(mid)
+        gaps = pose_gaps(
+            cx, cy, lane.centerline.heading_at(mid), (cw.span[1] - cw.span[0]) / 2.0,
+            lane.width / 2.0, block.x[ped, j], block.y[ped, j], block.heading[ped, j],
+            block.half_length[ped], block.half_width[ped],
+        )
+        if np.any(gaps <= 0.0):
+            return True
     return False
 
 
@@ -440,13 +463,8 @@ def feasibility_filter(ctx: PlanContext, candidates: list) -> list:
             cand.feasible = False
             cand.reason = RULE_VIOLATION
             continue
-        ttc = math.inf
-        for pred in ctx.predictions:
-            ttc = min(ttc, time_to_collision(cand, pred, ego.length, ego.width))
-            if ttc == 0.0:
-                break
-        cand.min_ttc = ttc
-        if ttc < cfg.ttc_min_s:
+        cand.min_ttc = time_to_collision(cand.trajectory, ctx.predictions, ego.length, ego.width)
+        if cand.min_ttc < cfg.ttc_min_s:
             cand.feasible = False
             cand.reason = COLLISION_RISK
 

@@ -39,7 +39,12 @@ def rect_gap(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
 
 
 def pose_gaps(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
-    """Elementwise SAT gaps of two pose arrays (broadcast; the TTC scan)."""
+    """Elementwise SAT gaps of two broadcast pose arrays.
+
+    A (1, n) against a (K, n) array gives the aligned TTC scan of K rows; an
+    (n, 1) against a (K, 1, m) array compares every sample pair (corridor
+    crossings).
+    """
     dx = bx - ax
     dy = by - ay
     ca, sa = np.cos(ah), np.sin(ah)
@@ -52,17 +57,6 @@ def pose_gaps(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
         g = d - ra - rb
         gap = g if gap is None else np.maximum(gap, g)
     return gap
-
-
-def any_overlap(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
-    """True if any pose pair (cross product of the two arrays) overlaps.
-
-    Used for corridor-intersection counting, where the two trajectories are
-    compared spatially rather than tick-by-tick.
-    """
-    g = pose_gaps(ax[:, None], ay[:, None], ah[:, None], ahl, ahw,
-                  bx[None, :], by[None, :], bh[None, :], bhl, bhw)
-    return bool(np.any(g <= 0.0))
 
 
 def bezier_points(ctrl: np.ndarray, us: np.ndarray) -> np.ndarray:

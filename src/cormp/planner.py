@@ -19,8 +19,8 @@ from .config import PlannerConfig
 from .identification import (
     LANE_CHANGES,
     Maneuver,
-    ManeuverCandidate,
     PlanContext,
+    PredictionBlock,
     enumerate_candidates,
     feasibility_filter,
     interacting_agents,
@@ -65,15 +65,6 @@ class Decision:
     profits: dict                     # Maneuver -> float (feasible only)
     tie_break_applied: bool = False
     fallback: bool = False
-    committed: bool = False
-    aborted: bool = False
-
-    @property
-    def chosen(self) -> ManeuverCandidate:
-        for cand in self.candidates:
-            if cand.maneuver is self.maneuver:
-                return cand
-        raise LookupError(f"no candidate for {self.maneuver}")
 
 
 def decide(candidates: list, assessments: dict, profits: dict,
@@ -146,12 +137,15 @@ def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
 
 
 def plan_context(scenario: Scenario, config: PlannerConfig, sim_time: float) -> PlanContext:
-    """Snapshot for one plan call, with predictions for the interacting agents."""
+    """Snapshot for one plan call, with the interacting agents' predictions stacked."""
     ego = scenario.ego
-    predictions = [predict_oru(agent, scenario, config)
-                   for agent in interacting_agents(scenario, ego, config)]
-    return PlanContext(scenario=scenario, config=config, ego=ego,
-                       sim_time=sim_time, predictions=predictions)
+    agents = interacting_agents(scenario, ego, config)
+    rows = np.empty((4, len(agents), config.horizon_steps + 1))
+    for k, agent in enumerate(agents):
+        traj = predict_oru(agent, scenario, config)
+        rows[:, k] = traj.x, traj.y, traj.heading, traj.speed
+    return PlanContext(scenario=scenario, config=config, ego=ego, sim_time=sim_time,
+                       predictions=PredictionBlock(agents, *rows))
 
 
 class LaneChangeCommitment:
@@ -217,9 +211,7 @@ class CorMpPlanner:
         if remaining is not None:
             ctx = plan_context(scenario, cfg, sim_time)
             maneuver = self.commitment.maneuver
-            probe = ManeuverCandidate(maneuver, remaining, None,
-                                      float(remaining.speed[0]), remaining.end_speed)
-            mu_safety = safety_value(probe, ctx.predictions, ctx.ego.length, ctx.ego.width, cfg)
+            mu_safety = safety_value(remaining, ctx.predictions, ctx.ego.length, ctx.ego.width, cfg)
             if mu_safety >= cfg.theta_loss:
                 return PlanResult(remaining, maneuver, committed=True)
             self.commitment.clear()

@@ -12,9 +12,9 @@ from enum import Enum
 
 import numpy as np
 
+from .bezier import TimedTrajectory
 from .config import PlannerConfig
-from .identification import ManeuverCandidate, PlanContext
-from .kernels import any_overlap
+from .identification import ManeuverCandidate, PlanContext, PredictionBlock
 
 
 class ResourceType(Enum):
@@ -109,7 +109,7 @@ def kinetic_energy_delta_kj(mass_kg: float, v_a: float, v_b: float) -> float:
     return 0.5 * mass_kg * dv * dv / 1000.0
 
 
-def safety_value(cand: ManeuverCandidate, predictions: list,
+def safety_value(traj: TimedTrajectory, block: PredictionBlock,
                  ego_length: float, ego_width: float, cfg: PlannerConfig) -> float:
     """Worst clearance ratio to any interacting road user over the trajectory.
 
@@ -118,28 +118,22 @@ def safety_value(cand: ManeuverCandidate, predictions: list,
     speed) and the lateral center-distance ratio, clamped to [0, 1]. The
     resource value is the minimum over objects and samples.
     """
-    traj = cand.trajectory
     n = len(traj)
-    if n == 0 or not predictions:
+    if n == 0 or len(block) == 0:
         return 1.0
+    # samples past the rows' end take their last one
+    idx = np.arange(n)
+    dx = np.take(block.x, idx, axis=1, mode="clip") - traj.x
+    dy = np.take(block.y, idx, axis=1, mode="clip") - traj.y
     cos_h = np.cos(traj.heading)
     sin_h = np.sin(traj.heading)
+    lon = dx * cos_h + dy * sin_h
+    lat = -dx * sin_h + dy * cos_h
+    lon_gap = np.maximum(np.abs(lon) - (ego_length / 2.0 + block.half_length[:, None]), 0.0)
     req_lon = traj.speed * cfg.t_headway_s + cfg.d_min_m
-    mu = 1.0
-    for pred in predictions:
-        m = len(pred.trajectory)
-        idx = np.minimum(np.arange(n), m - 1)
-        dx = pred.trajectory.x[idx] - traj.x
-        dy = pred.trajectory.y[idx] - traj.y
-        lon = dx * cos_h + dy * sin_h
-        lat = -dx * sin_h + dy * cos_h
-        lon_gap = np.maximum(np.abs(lon) - (ego_length + pred.length) / 2.0, 0.0)
-        req_lat = (ego_width + pred.width) / 2.0 + cfg.lateral_clearance_m
-        r = np.maximum(lon_gap / req_lon, np.abs(lat) / req_lat)
-        mu = min(mu, float(np.min(np.clip(r, 0.0, 1.0))))
-        if mu == 0.0:
-            break
-    return mu
+    req_lat = ego_width / 2.0 + block.half_width + cfg.lateral_clearance_m
+    r = np.maximum(lon_gap / req_lon, np.abs(lat) / req_lat[:, None])   # >= 0
+    return min(float(r.min()), 1.0)
 
 
 def comfort_value(cand: ManeuverCandidate, cfg: PlannerConfig) -> float:
@@ -177,23 +171,12 @@ def energy_value(cand: ManeuverCandidate, mass_kg: float, e_ref_kj: float) -> fl
     return 1.0 - clamp01(delta / e_ref_kj)
 
 
-def crowdedness_value(cand: ManeuverCandidate, predictions: list,
+def crowdedness_value(traj: TimedTrajectory, block: PredictionBlock,
                       ego_length: float, ego_width: float, cfg: PlannerConfig) -> float:
-    """1 minus the (normalized) count of corridors crossing the candidate's."""
-    traj = cand.trajectory
-    if len(traj) == 0 or not predictions:
+    """1 minus the (normalized) count of corridors crossing the trajectory's."""
+    if len(traj) == 0 or len(block) == 0:
         return 1.0
-    stride = max(1, int(round(cfg.crowd_sample_stride_s / cfg.dt)))
-    idx = np.arange(0, len(traj), stride)
-    count = 0
-    for pred in predictions:
-        jdx = np.arange(0, len(pred.trajectory), stride)
-        if any_overlap(
-            traj.x[idx], traj.y[idx], traj.heading[idx], ego_length / 2.0, ego_width / 2.0,
-            pred.trajectory.x[jdx], pred.trajectory.y[jdx], pred.trajectory.heading[jdx],
-            pred.length / 2.0, pred.width / 2.0,
-        ):
-            count += 1
+    count = int(np.count_nonzero(block.corridor_hits(traj, ego_length, ego_width, cfg)))
     return 1.0 - clamp01(count / float(cfg.crowd_reference_count))
 
 
@@ -221,12 +204,14 @@ def assess_candidate(ctx: PlanContext, cand: ManeuverCandidate,
     ego = ctx.ego
     apriori = ctx.scenario.lanes[ctx.scenario.apriori_lane]
     values = {
-        ResourceType.SAFETY: safety_value(cand, ctx.predictions, ego.length, ego.width, cfg),
+        ResourceType.SAFETY: safety_value(cand.trajectory, ctx.predictions,
+                                          ego.length, ego.width, cfg),
         ResourceType.COMFORT: comfort_value(cand, cfg),
         ResourceType.OBJECTIVE: objective_value(cand, ctx.lane.speed_limit, cfg.planning_horizon_s),
         ResourceType.APRIORI_LANE: apriori_lane_value(cand, apriori),
         ResourceType.ENERGY: energy_value(cand, ego.mass, cfg.energy_reference_kj(ego.mass)),
-        ResourceType.CROWDEDNESS: crowdedness_value(cand, ctx.predictions, ego.length, ego.width, cfg),
+        ResourceType.CROWDEDNESS: crowdedness_value(cand.trajectory, ctx.predictions,
+                                                    ego.length, ego.width, cfg),
     }
     states = {
         res: classify_state(

@@ -197,10 +197,6 @@ class AgentState:
     lane: str | None = None
     behavior: Behavior = field(default_factory=Behavior)
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     def copy(self) -> "AgentState":
         return AgentState(
             self.id, self.kind, self.x, self.y, self.heading, self.speed,

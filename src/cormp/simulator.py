@@ -55,7 +55,6 @@ class SimLog:
     dt: float
     rows: list = field(default_factory=list)       # dicts keyed by CSV_COLUMNS
     events: list = field(default_factory=list)     # SimEvent
-    decisions: list = field(default_factory=list)  # (t, Decision)
     latencies_ms: list = field(default_factory=list)
     epoch_speeds: list = field(default_factory=list)  # ego speed at each decision time
 
@@ -284,7 +283,6 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
             fallback = result.fallback
             log.epoch_speeds.append(world.ego.speed)
             if result.decision is not None:
-                log.decisions.append((t, result.decision))
                 decision_fields = _decision_row_fields(result.decision)
                 if result.decision.fallback:
                     log.events.append(SimEvent(t, "fallback_stop", {}))

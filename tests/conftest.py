@@ -5,11 +5,13 @@ import math
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 from cormp.baselines import make_planner
 from cormp.config import PlannerConfig
-from cormp.scenario import Scenario, load_scenario
+from cormp.identification import PredictionBlock
+from cormp.scenario import AgentState, Scenario, load_scenario
 from cormp.simulator import SimLog, run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -100,3 +102,17 @@ def timed_run(name: str, planner_id: str = "cor-mp",
         elapsed = time.perf_counter() - t0
         _RUN_CACHE[key] = (sc, log, elapsed)
     return _RUN_CACHE[key]
+
+
+def prediction_block(*rows, steps: int = 41) -> PredictionBlock:
+    """Stack (kind, trajectory, length, width) rows as `plan_context` does.
+
+    The trajectories share one length, which becomes the block's T; with no
+    rows the block has `steps` samples per (absent) row.
+    """
+    agents = [AgentState(f"obj{k}", kind, 0.0, 0.0, 0.0, 0.0, length, width, 0.0)
+              for k, (kind, _, length, width) in enumerate(rows)]
+    cols = np.empty((4, len(rows), len(rows[0][1]) if rows else steps))
+    for k, (_, traj, _, _) in enumerate(rows):
+        cols[:, k] = traj.x, traj.y, traj.heading, traj.speed
+    return PredictionBlock(agents, *cols)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import curved_road
+from conftest import curved_road, prediction_block
 from cormp.config import PlannerConfig
 from cormp.identification import (
     COLLISION_RISK,
@@ -18,11 +18,11 @@ from cormp.identification import (
     _stop_constraint_distance,
     enumerate_candidates,
     feasibility_filter,
-    interacting_agents,
     predict_oru,
     time_to_collision,
 )
 from cormp.kernels import rect_gap
+from cormp.planner import plan_context
 from cormp.scenario import load_scenario
 from cormp.simulator import SimWorld
 
@@ -54,12 +54,7 @@ def road(n_lanes: int = 2, limit: float = 13.89, ego=None, others=(),
 
 def context(doc: dict, cfg: PlannerConfig | None = None,
             sim_time: float = 0.0) -> PlanContext:
-    sc = load_scenario(doc)
-    cfg = cfg or PlannerConfig()
-    predictions = [predict_oru(a, sc, cfg)
-                   for a in interacting_agents(sc, sc.ego, cfg)]
-    return PlanContext(scenario=sc, config=cfg, ego=sc.ego,
-                       sim_time=sim_time, predictions=predictions)
+    return plan_context(load_scenario(doc), cfg or PlannerConfig(), sim_time)
 
 
 def by_maneuver(cands):
@@ -73,19 +68,19 @@ def test_static_obstacle_prediction_is_stationary():
     ctx = context(road(others=[{"id": "rock", "kind": "obstacle",
                                 "position": [50.0, 0.0], "heading": 0.0,
                                 "speed": 0.0, "length": 2.0, "width": 2.0}]))
-    pred = ctx.predictions[0]
-    assert np.allclose(pred.trajectory.x, 50.0)
-    assert np.allclose(pred.trajectory.speed, 0.0)
+    pred = ctx.predictions
+    assert np.allclose(pred.x[0], 50.0)
+    assert np.allclose(pred.speed[0], 0.0)
 
 
 def test_lane_vehicle_prediction_travels_downstream():
     ctx = context(road(others=[{"id": "car", "kind": "vehicle", "lane": "right",
                                 "position": [50.0, 0.0], "heading": 0.0,
                                 "speed": 10.0, "length": 4.5, "width": 1.8}]))
-    pred = ctx.predictions[0]
-    assert pred.trajectory.duration == pytest.approx(4.0)
-    assert pred.trajectory.x[-1] - pred.trajectory.x[0] == pytest.approx(40.0, abs=0.1)
-    assert abs(pred.trajectory.y[-1]) < 1e-6
+    pred = ctx.predictions
+    assert (pred.steps - 1) * ctx.config.dt == pytest.approx(4.0)
+    assert pred.x[0, -1] - pred.x[0, 0] == pytest.approx(40.0, abs=0.1)
+    assert abs(pred.y[0, -1]) < 1e-6
 
 
 def test_lane_vehicle_prediction_matches_the_simulator_on_an_arc():
@@ -93,7 +88,7 @@ def test_lane_vehicle_prediction_matches_the_simulator_on_an_arc():
     world = SimWorld(load_scenario(curved_road(140.0, -1, "left", 8.0, 8.5)), cfg)
     world.advance_others()  # the simulator snaps lane vehicles onto the centerline
     lead = world.scenario.agents[1]
-    pred = predict_oru(lead, world.scenario, cfg).trajectory
+    pred = predict_oru(lead, world.scenario, cfg)
     assert len(pred) == cfg.horizon_steps + 1
     for k in range(len(pred)):
         assert math.hypot(pred.x[k] - lead.x, pred.y[k] - lead.y) < 1e-9
@@ -107,17 +102,28 @@ def test_pedestrian_prediction_extrapolates_heading():
                                 "position": [60.0, -5.0],
                                 "heading": math.pi / 2, "speed": 1.4,
                                 "length": 0.6, "width": 0.6}]), cfg=cfg)
-    pred = ctx.predictions[0]
-    assert pred.trajectory.y[-1] - pred.trajectory.y[0] == pytest.approx(4.2, abs=1e-6)
-    assert pred.trajectory.x[-1] == pytest.approx(60.0, abs=1e-9)
+    pred = ctx.predictions
+    assert pred.y[0, -1] - pred.y[0, 0] == pytest.approx(4.2, abs=1e-6)
+    assert pred.x[0, -1] == pytest.approx(60.0, abs=1e-9)
 
 
-def test_prediction_pose_clamps_past_the_end():
-    ctx = context(road(others=[{"id": "car", "kind": "vehicle", "lane": "right",
-                                "position": [50.0, 0.0], "heading": 0.0,
-                                "speed": 10.0, "length": 4.5, "width": 1.8}]))
-    pred = ctx.predictions[0]
-    assert pred.pose_at(10 ** 6) == pred.pose_at(len(pred.trajectory) - 1)
+def test_lane_vehicle_prediction_continues_past_the_lane_end():
+    doc = road(n_lanes=1, others=[{"id": "car", "kind": "vehicle", "lane": "right",
+                                   "position": [180.0, 0.0], "heading": 0.0,
+                                   "speed": 10.0, "length": 4.5, "width": 1.8}])
+    doc["lanes"][0]["centerline"] = [[0.0, 0.0], [200.0, 0.0]]
+    cfg = PlannerConfig()
+    world = SimWorld(load_scenario(doc), cfg)
+    car = world.scenario.agents[1]
+    # from 20 m before the lane end to 220 m at t = 4 s, then on from there
+    for start in (180.0, 220.0):
+        assert car.x == pytest.approx(start, abs=1e-9)
+        pred = predict_oru(car, world.scenario, cfg)
+        assert len(pred) == cfg.horizon_steps + 1
+        for k in range(len(pred)):
+            if k:
+                world.advance_others()
+            assert math.hypot(pred.x[k] - car.x, pred.y[k] - car.y) < 1e-9
 
 
 def test_interaction_radius_filters_far_agents():
@@ -126,7 +132,7 @@ def test_interaction_radius_filters_far_agents():
            "length": 4.5, "width": 1.8}
     near = dict(far, id="near", position=[80.0, 0.0])
     ctx = context(road(others=[far, near]))
-    assert [p.agent_id for p in ctx.predictions] == ["near"]
+    assert ctx.predictions.ids == ["near"]
 
 
 # ---------------------------------------------------------------- candidates
@@ -172,7 +178,8 @@ def test_keep_lane_kinematics_with_explicit_rate():
 def test_keep_lane_and_lane_change_follow_a_curved_centerline():
     sc = load_scenario(curved_road(140.0, -1, "left", 8.0, 8.5))
     cfg = PlannerConfig()
-    ctx = PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0, predictions=[])
+    ctx = PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0,
+                      predictions=prediction_block())
     keep = _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_SAME_SPEED, 0.0).trajectory
     _, lateral, _ = sc.lanes["right"].centerline.project(np.column_stack([keep.x, keep.y]))
     # the solid edge is 0.85 m from the centerline for this ego; the start
@@ -263,7 +270,7 @@ def lead_context(ego_speed: float, lead_speed: float, gap_centers: float,
 def test_footprint_ttc_beats_the_point_mass_estimate():
     ctx = lead_context(15.0, 10.0, 20.0)
     kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    ttc = time_to_collision(kls, ctx.predictions[0], 4.5, 1.8)
+    ttc = time_to_collision(kls.trajectory, ctx.predictions, 4.5, 1.8)
     point_mass = 20.0 / (15.0 - 10.0)
     assert point_mass == pytest.approx(4.0)
     assert ttc < point_mass
@@ -274,7 +281,7 @@ def test_footprint_ttc_beats_the_point_mass_estimate():
 def test_footprint_ttc_matches_millisecond_sweep():
     ctx = lead_context(15.0, 10.0, 20.0)
     kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    ttc = time_to_collision(kls, ctx.predictions[0], 4.5, 1.8)
+    ttc = time_to_collision(kls.trajectory, ctx.predictions, 4.5, 1.8)
     brute = math.inf
     for k in range(4001):
         t = 0.001 * k
@@ -289,7 +296,7 @@ def test_footprint_ttc_matches_millisecond_sweep():
 def test_faster_lead_never_collides():
     ctx = lead_context(15.0, 20.0, 20.0)
     kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    assert time_to_collision(kls, ctx.predictions[0], 4.5, 1.8) == math.inf
+    assert time_to_collision(kls.trajectory, ctx.predictions, 4.5, 1.8) == math.inf
 
 
 def test_lateral_separation_never_collides():
@@ -297,7 +304,7 @@ def test_lateral_separation_never_collides():
               "heading": 0.0, "speed": 10.0, "length": 4.5, "width": 1.8}
     ctx = context(road(ego={"speed": 15.0}, limit=25.0, others=[passer]))
     kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    assert time_to_collision(kls, ctx.predictions[0], 4.5, 1.8) == math.inf
+    assert time_to_collision(kls.trajectory, ctx.predictions, 4.5, 1.8) == math.inf
 
 
 # ---------------------------------------------------------------- filtering

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import prediction_block
 from cormp import kernels
-from cormp.bezier import CubicBezier
+from cormp.bezier import CubicBezier, TimedTrajectory
+from cormp.config import PlannerConfig
 
 
 def random_poses(rng, n, spread=20.0):
@@ -62,19 +64,29 @@ def test_pose_gaps_matches_scalar_loop():
         assert gaps[i] == pytest.approx(expect, abs=1e-12)
 
 
-def test_any_overlap_matches_pairwise_scan():
+def test_corridor_hits_match_pairwise_scan():
+    # every strided sample of the ego corridor against every strided sample
+    # of each row, as a pairwise rect_gap scan
+    cfg = PlannerConfig()
+    stride = 5  # crowd_sample_stride_s / dt
     rng = np.random.default_rng(9)
     for _ in range(20):
-        na, nb = rng.integers(1, 12), rng.integers(1, 12)
-        ax, ay, ah = random_poses(rng, na, spread=6.0)
-        bx, by, bh = random_poses(rng, nb, spread=6.0)
-        flag = kernels.any_overlap(ax, ay, ah, 2.0, 1.0, bx, by, bh, 2.0, 1.0)
-        brute = any(
-            kernels.rect_gap(ax[i], ay[i], ah[i], 2.0, 1.0,
-                             bx[j], by[j], bh[j], 2.0, 1.0) <= 0.0
-            for i in range(na) for j in range(nb)
-        )
-        assert bool(flag) == brute
+        na, k = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+        ego = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, na)
+        ego.x[:], ego.y[:], ego.heading[:] = random_poses(rng, na)
+        rows = []
+        for _ in range(k):
+            row = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 41)
+            row.x[:], row.y[:], row.heading[:] = random_poses(rng, 41)
+            rows.append(("vehicle", row, 4.0, 2.0))
+        hits = prediction_block(*rows).corridor_hits(ego, 4.0, 2.0, cfg)
+        brute = [
+            any(kernels.rect_gap(ego.x[i], ego.y[i], ego.heading[i], 2.0, 1.0,
+                                 row.x[j], row.y[j], row.heading[j], 2.0, 1.0) <= 0.0
+                for i in range(0, na, stride) for j in range(0, 41, stride))
+            for _, row, _, _ in rows
+        ]
+        assert hits.tolist() == brute
 
 
 def test_bezier_points_matches_scalar_evaluation():

@@ -9,14 +9,13 @@ from cormp.identification import (
     ManeuverCandidate,
     Maneuver,
     PlanContext,
-    interacting_agents,
-    predict_oru,
 )
 from cormp.planner import (
     TIE_ORDER,
     CorMpPlanner,
     decelerate_along,
     decide,
+    plan_context,
     plan_tick,
     profit,
 )
@@ -143,12 +142,7 @@ def test_decide_requires_a_feasible_candidate():
 
 
 def empty_road_context() -> PlanContext:
-    sc = load("empty_road")
-    cfg = PlannerConfig()
-    predictions = [predict_oru(a, sc, cfg)
-                   for a in interacting_agents(sc, sc.ego, cfg)]
-    return PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0,
-                       predictions=predictions)
+    return plan_context(load("empty_road"), PlannerConfig(), 0.0)
 
 
 def test_empty_road_below_limit_accelerates():

@@ -3,18 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import load
+from conftest import load, prediction_block
 from cormp.bezier import TimedTrajectory
 from cormp.config import PROFILES, PlannerConfig
 from cormp.identification import (
     ManeuverCandidate,
     Maneuver,
-    PlanContext,
-    Prediction,
     enumerate_candidates,
-    interacting_agents,
-    predict_oru,
 )
+from cormp.planner import plan_context
 from cormp.resources import (
     PROFILE_RANKINGS,
     RESOURCES,
@@ -53,8 +50,9 @@ def cand(traj: TimedTrajectory, v_begin: float | None = None,
     return ManeuverCandidate(Maneuver.KEEP_LANE_SAME_SPEED, traj, None, vb, ve)
 
 
-def vehicle_pred(traj: TimedTrajectory, agent_id: str = "obj") -> Prediction:
-    return Prediction(agent_id, "vehicle", traj, 4.5, 1.8)
+def vehicle_pred(traj: TimedTrajectory) -> tuple:
+    """One `prediction_block` row: a 4.5 x 1.8 m vehicle."""
+    return ("vehicle", traj, 4.5, 1.8)
 
 
 # ---------------------------------------------------------------- weights
@@ -139,35 +137,35 @@ def one_sample(v: float, x: float = 0.0, y: float = 0.0) -> TimedTrajectory:
 
 
 def test_safety_vacuous_without_objects():
-    assert safety_value(cand(straight_traj(10.0)), [], 4.5, 1.8, CFG) == 1.0
+    assert safety_value(straight_traj(10.0), prediction_block(), 4.5, 1.8, CFG) == 1.0
 
 
 def test_safety_boundary_at_required_distance():
     # required bumper gap at 10 m/s: 10*2 + 5 = 25 m; centers 25 + 4.5 apart
-    ego = cand(one_sample(10.0))
+    ego = one_sample(10.0)
     pred = vehicle_pred(one_sample(10.0, x=29.5))
-    assert safety_value(ego, [pred], 4.5, 1.8, CFG) == pytest.approx(1.0)
+    assert safety_value(ego, prediction_block(pred), 4.5, 1.8, CFG) == pytest.approx(1.0)
 
 
 def test_safety_half_distance_both_axes():
-    ego = cand(one_sample(10.0))
+    ego = one_sample(10.0)
     # half the required gap ahead, half the required clearance sideways
     pred = vehicle_pred(one_sample(10.0, x=17.0, y=1.15))
-    assert safety_value(ego, [pred], 4.5, 1.8, CFG) == pytest.approx(0.5)
+    assert safety_value(ego, prediction_block(pred), 4.5, 1.8, CFG) == pytest.approx(0.5)
 
 
 def test_safety_zero_on_contact():
-    ego = cand(one_sample(10.0))
+    ego = one_sample(10.0)
     pred = vehicle_pred(one_sample(10.0, x=2.0))
-    assert safety_value(ego, [pred], 4.5, 1.8, CFG) == 0.0
+    assert safety_value(ego, prediction_block(pred), 4.5, 1.8, CFG) == 0.0
 
 
 def test_safety_takes_worst_sample():
-    ego = cand(straight_traj(10.0))                     # moves 0..40 m
+    ego = straight_traj(10.0)                           # moves 0..40 m
     pred = vehicle_pred(TimedTrajectory.stationary(60.0, 0.0, 0.0, 0.1, 41))
-    close = safety_value(ego, [pred], 4.5, 1.8, CFG)
+    close = safety_value(ego, prediction_block(pred), 4.5, 1.8, CFG)
     far_pred = vehicle_pred(TimedTrajectory.stationary(90.0, 0.0, 0.0, 0.1, 41))
-    assert close < safety_value(ego, [far_pred], 4.5, 1.8, CFG)
+    assert close < safety_value(ego, prediction_block(far_pred), 4.5, 1.8, CFG)
 
 
 # ---------------------------------------------------------------- comfort
@@ -240,15 +238,15 @@ def test_apriori_uses_final_sample():
 
 
 def test_crowdedness_counts_crossing_corridors():
-    ego = cand(straight_traj(10.0))  # corridor x in [0, 40]
+    ego = straight_traj(10.0)  # corridor x in [0, 40]
     def block(x):
-        return vehicle_pred(TimedTrajectory.stationary(x, 0.0, 0.0, 0.1, 41), f"b{x}")
-    assert crowdedness_value(ego, [], 4.5, 1.8, CFG) == 1.0
-    two = [block(10.0), block(20.0)]
+        return vehicle_pred(TimedTrajectory.stationary(x, 0.0, 0.0, 0.1, 41))
+    assert crowdedness_value(ego, prediction_block(), 4.5, 1.8, CFG) == 1.0
+    two = prediction_block(block(10.0), block(20.0))
     assert crowdedness_value(ego, two, 4.5, 1.8, CFG) == pytest.approx(0.6)
-    five = [block(x) for x in (5.0, 10.0, 15.0, 20.0, 25.0)]
+    five = prediction_block(*[block(x) for x in (5.0, 10.0, 15.0, 20.0, 25.0)])
     assert crowdedness_value(ego, five, 4.5, 1.8, CFG) == 0.0
-    aside = [vehicle_pred(TimedTrajectory.stationary(10.0, 50.0, 0.0, 0.1, 41))]
+    aside = prediction_block(vehicle_pred(TimedTrajectory.stationary(10.0, 50.0, 0.0, 0.1, 41)))
     assert crowdedness_value(ego, aside, 4.5, 1.8, CFG) == 1.0
 
 
@@ -275,12 +273,7 @@ def test_clamp01():
 
 
 def test_full_assessment_stays_in_unit_interval():
-    sc = load("overtake_static")
-    cfg = PlannerConfig()
-    predictions = [predict_oru(a, sc, cfg)
-                   for a in interacting_agents(sc, sc.ego, cfg)]
-    ctx = PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0,
-                      predictions=predictions)
+    ctx = plan_context(load("overtake_static"), PlannerConfig(), 0.0)
     for candidate in enumerate_candidates(ctx):
         assessment = assess_candidate(ctx, candidate)
         for res in RESOURCES:
