@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -73,7 +74,8 @@ class PlannerConfig:
 
     @property
     def horizon_steps(self) -> int:
-        return int(round(self.planning_horizon_s / self.dt))
+        """Ticks within the planning horizon, with the 1e-9 s tolerance of `sample_trajectory`."""
+        return math.floor(self.planning_horizon_s / self.dt + 1e-9)
 
     @property
     def replan_steps(self) -> int:

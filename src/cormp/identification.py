@@ -46,20 +46,23 @@ COLLISION_RISK = "collision_risk"
 class PredictionBlock:
     """The predictions of one plan, stacked: row k is `agents[k]`.
 
-    x, y, heading and speed are (K, T) arrays on the tick grid, with T =
-    horizon_steps + 1 in a plan. A trajectory sample past T is compared with
-    row sample T-1: road users persist beyond the horizon.
+    x, y, heading and speed are (K, T) arrays on the tick grid, filled from
+    `trajectories[k]`, each of `steps` samples (T = horizon_steps + 1 in a
+    plan). A trajectory sample past T is compared with row sample T-1: road
+    users persist beyond the horizon.
     """
 
-    def __init__(self, agents: list, x: np.ndarray, y: np.ndarray,
-                 heading: np.ndarray, speed: np.ndarray) -> None:
+    def __init__(self, agents: list, trajectories: list, steps: int) -> None:
+        rows = np.empty((4, len(agents), steps))
+        for k, traj in enumerate(trajectories):
+            rows[:, k] = traj.x, traj.y, traj.heading, traj.speed
+        self.x, self.y, self.heading, self.speed = rows
         self.ids = [a.id for a in agents]
         self.half_length = np.array([a.length for a in agents], dtype=np.float64) / 2.0
         self.half_width = np.array([a.width for a in agents], dtype=np.float64) / 2.0
         self.pedestrian = np.array([a.kind == "pedestrian" for a in agents], dtype=bool)
         self.vehicle_like = np.array([a.kind in ("vehicle", "obstacle") for a in agents],
                                      dtype=bool)
-        self.x, self.y, self.heading, self.speed = x, y, heading, speed
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -153,11 +156,10 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
     yield a resting trajectory over the full horizon.
     """
     dt = config.dt
-    horizon = config.planning_horizon_s
+    n = config.horizon_steps + 1
     if agent.speed <= 1e-9:
-        return TimedTrajectory.stationary(agent.x, agent.y, agent.heading, dt,
-                                          config.horizon_steps + 1)
-    span = agent.speed * horizon
+        return TimedTrajectory.stationary(agent.x, agent.y, agent.heading, dt, n)
+    span = agent.speed * config.planning_horizon_s
     lane = scenario.lane(agent.lane) if agent.kind in ("vehicle", "ego") else None
     if lane is not None and lane.centerline.project((agent.x, agent.y))[2] == 0.0:
         path = lane_path(lane, agent.x, agent.y, agent.heading, 0.0, span)
@@ -165,8 +167,13 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
         p0 = np.array([agent.x, agent.y])
         direction = np.array([math.cos(agent.heading), math.sin(agent.heading)])
         path = Polyline([p0, p0 + direction * span])
-    return sample_trajectory(path, SpeedProfile(agent.speed, 0.0, agent.speed), dt,
-                             horizon=horizon)
+    # arc length accumulates tick by tick, as `sample_trajectory` steps it;
+    # `frames` clamps at the path end, which can fall short of `span` by rounding
+    s = np.concatenate([[0.0], np.cumsum(np.full(n - 1, agent.speed * dt))])
+    x, y, heading, kappa = path.frames(s)
+    speed = np.full(n, agent.speed)
+    return TimedTrajectory(dt, np.arange(n) * dt, x, y, heading, speed, np.zeros(n),
+                           kappa * speed * speed)
 
 
 def lane_path(lane: Lane, x: float, y: float, heading: float,

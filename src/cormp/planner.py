@@ -140,12 +140,10 @@ def plan_context(scenario: Scenario, config: PlannerConfig, sim_time: float) -> 
     """Snapshot for one plan call, with the interacting agents' predictions stacked."""
     ego = scenario.ego
     agents = interacting_agents(scenario, ego, config)
-    rows = np.empty((4, len(agents), config.horizon_steps + 1))
-    for k, agent in enumerate(agents):
-        traj = predict_oru(agent, scenario, config)
-        rows[:, k] = traj.x, traj.y, traj.heading, traj.speed
+    block = PredictionBlock(agents, [predict_oru(a, scenario, config) for a in agents],
+                            config.horizon_steps + 1)
     return PlanContext(scenario=scenario, config=config, ego=ego, sim_time=sim_time,
-                       predictions=PredictionBlock(agents, *rows))
+                       predictions=block)
 
 
 class LaneChangeCommitment:

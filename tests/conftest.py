@@ -5,7 +5,6 @@ import math
 import pathlib
 import time
 
-import numpy as np
 import pytest
 
 from cormp.baselines import make_planner
@@ -105,14 +104,12 @@ def timed_run(name: str, planner_id: str = "cor-mp",
 
 
 def prediction_block(*rows, steps: int = 41) -> PredictionBlock:
-    """Stack (kind, trajectory, length, width) rows as `plan_context` does.
+    """A `PredictionBlock` of (kind, trajectory, length, width) rows.
 
     The trajectories share one length, which becomes the block's T; with no
     rows the block has `steps` samples per (absent) row.
     """
     agents = [AgentState(f"obj{k}", kind, 0.0, 0.0, 0.0, 0.0, length, width, 0.0)
               for k, (kind, _, length, width) in enumerate(rows)]
-    cols = np.empty((4, len(rows), len(rows[0][1]) if rows else steps))
-    for k, (_, traj, _, _) in enumerate(rows):
-        cols[:, k] = traj.x, traj.y, traj.heading, traj.speed
-    return PredictionBlock(agents, *cols)
+    return PredictionBlock(agents, [traj for _, traj, _, _ in rows],
+                           len(rows[0][1]) if rows else steps)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import curved_road, prediction_block
+from cormp.baselines import make_planner
 from cormp.config import PlannerConfig
 from cormp.identification import (
     COLLISION_RISK,
@@ -24,7 +25,7 @@ from cormp.identification import (
 from cormp.kernels import rect_gap
 from cormp.planner import plan_context
 from cormp.scenario import load_scenario
-from cormp.simulator import SimWorld
+from cormp.simulator import SimWorld, run
 
 EGO = {"id": "ego", "kind": "ego", "position": [15.0, 0.0], "heading": 0.0,
        "speed": 13.89, "length": 4.5, "width": 1.8, "mass": 1500.0,
@@ -124,6 +125,49 @@ def test_lane_vehicle_prediction_continues_past_the_lane_end():
             if k:
                 world.advance_others()
             assert math.hypot(pred.x[k] - car.x, pred.y[k] - car.y) < 1e-9
+
+
+def test_lane_prediction_keeps_its_last_tick_when_the_path_rounds_short():
+    # the span ends 0.5 um past a 0.5 rad corner, a vertex lane_path drops:
+    # the path is about 6e-8 m shorter than the span, yet every tick is kept
+    doc = road(n_lanes=1, others=[{"id": "car", "kind": "vehicle", "lane": "right",
+                                   "position": [60.0 + 0.5e-6, 0.0], "heading": 0.0,
+                                   "speed": 10.0, "length": 4.5, "width": 1.8}])
+    doc["lanes"][0]["centerline"] = [[0.0, 0.0], [100.0, 0.0],
+                                     [100.0 + 200.0 * math.cos(0.5), 200.0 * math.sin(0.5)]]
+    cfg = PlannerConfig()
+    world = SimWorld(load_scenario(doc), cfg)
+    car = world.scenario.agents[1]
+    pred = predict_oru(car, world.scenario, cfg)
+    assert len(pred) == cfg.horizon_steps + 1
+    for k in range(len(pred)):
+        if k:
+            world.advance_others()
+        assert math.hypot(pred.x[k] - car.x, pred.y[k] - car.y) < 1e-6
+
+
+def test_every_row_spans_the_horizon_when_the_tick_does_not_divide_it():
+    # 4 s / 0.15 s = 26.7: moving, standing and pedestrian rows all get the
+    # 27 ticks within the horizon, and the closed loop plans on them
+    cfg = PlannerConfig(dt=0.15)
+    doc = road(others=[
+        {"id": "car", "kind": "vehicle", "lane": "left", "position": [40.0, 3.5],
+         "heading": 0.0, "speed": 12.0, "length": 4.5, "width": 1.8},
+        {"id": "rock", "kind": "obstacle", "position": [100.0, 0.0], "heading": 0.0,
+         "speed": 0.0, "length": 2.0, "width": 2.0},
+        {"id": "ped", "kind": "pedestrian", "position": [70.0, -6.0],
+         "heading": math.pi / 2, "speed": 1.4, "length": 0.6, "width": 0.6},
+    ])
+    block = context(doc, cfg=cfg).predictions
+    assert block.ids == ["car", "rock", "ped"]
+    assert cfg.horizon_steps + 1 == block.steps == 27
+    assert block.x[0, -1] - block.x[0, 0] == pytest.approx(12.0 * 26 * 0.15)
+    assert np.all(block.x[1] == 100.0)
+    assert block.y[2, -1] - block.y[2, 0] == pytest.approx(1.4 * 26 * 0.15)
+    doc["duration_s"] = 6.0
+    log = run(load_scenario(doc), make_planner("cor-mp", cfg, "regular"), cfg)
+    assert len(log.rows) == 40  # 6 s / 0.15 s
+    assert log.count_events("collision") == 0
 
 
 def test_interaction_radius_filters_far_agents():
