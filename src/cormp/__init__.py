@@ -27,7 +27,7 @@ from .resources import (
     ResourceState,
     ResourceType,
     WeightTable,
-    assess_candidate,
+    assess_candidates,
     kinetic_energy_delta_kj,
     rank_order_centroid,
 )
@@ -64,7 +64,7 @@ __all__ = [
     "TimedTrajectory",
     "UtilityPlanner",
     "WeightTable",
-    "assess_candidate",
+    "assess_candidates",
     "compute_metrics",
     "decide",
     "enumerate_candidates",

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .config import PlannerConfig
-from .identification import Maneuver, _keep_lane_candidate, _lane_change_candidate
+from .identification import Maneuver, _keep_lane_candidate, _lane_change_candidates
 from .planner import CorMpPlanner, LaneChangeCommitment, PlanResult, plan_context
 from .resources import ResourceType
 from .scenario import AgentState, Lane, Scenario
@@ -190,7 +190,7 @@ class MobilPlanner:
 
         ctx = plan_context(scenario, cfg, sim_time)
         if best_change is not None:
-            cand = _lane_change_candidate(ctx, best_change)
+            cand, = _lane_change_candidates(ctx, (best_change,))
             if cand.target_lane is not None:
                 self.commitment.start(cand.trajectory, best_change, sim_time)
                 return PlanResult(cand.trajectory, best_change)

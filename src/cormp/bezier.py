@@ -151,68 +151,53 @@ class TimedTrajectory:
         )
 
 
-def _step_distance(v: float, a: float, dt: float, v_max: float) -> tuple[float, float]:
-    """Exact distance over one tick under v(t) = clip(v + a t, 0, v_max)."""
-    if a > 0 and v < v_max:
-        t_hit = (v_max - v) / a
-        if t_hit < dt:
-            ds = v * t_hit + 0.5 * a * t_hit * t_hit + v_max * (dt - t_hit)
-            return ds, v_max
-        return v * dt + 0.5 * a * dt * dt, v + a * dt
-    if a < 0 and v > 0.0:
-        t_hit = -v / a
-        if t_hit < dt:
-            return v * t_hit + 0.5 * a * t_hit * t_hit, 0.0
-        return v * dt + 0.5 * a * dt * dt, v + a * dt
-    # cruising, already capped, or already stopped
-    v_now = min(max(v, 0.0), v_max)
-    return v_now * dt, v_now
+def _speeds_and_arcs(profile: SpeedProfile, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Speed and arc length at n ticks under v(t) = clip(v0 + a t, 0, v_max).
+
+    Both are running sums of per-tick steps, so they equal stepping
+    `v += a dt` and `s += ds` tick by tick. The speed ramps by a dt while a
+    whole tick fits before the clip; the one tick that reaches v_max or rest
+    is integrated exactly, and the speed holds from there on.
+    """
+    a, v_max = profile.accel, profile.v_max
+    v = np.cumsum(np.concatenate([[min(max(profile.v0, 0.0), v_max)], np.full(n - 1, a * dt)]))
+    steps = v[:-1]
+    ds = steps * dt + 0.5 * a * dt * dt
+    # time left before each step's speed reaches the clip (v_max, or rest)
+    left = (v_max - steps) / a if a > 0 else (-steps / a if a < 0 else np.zeros(n - 1))
+    clips = left < dt
+    if clips.any():
+        k = int(np.argmax(clips))
+        vk, t_hit = float(steps[k]), max(float(left[k]), 0.0)
+        v_hold = v_max if a > 0 else (0.0 if a < 0 else vk)
+        ds[k] = vk * t_hit + 0.5 * a * t_hit * t_hit + v_hold * (dt - t_hit)
+        ds[k + 1:] = v_hold * dt
+        v[k + 1:] = v_hold
+    return v, np.cumsum(np.concatenate([[0.0], ds]))
 
 
-def sample_trajectory(
-    path: Polyline,
-    profile: SpeedProfile,
-    dt: float,
-    horizon: float | None = None,
-) -> TimedTrajectory:
+def sample_trajectory(path: Polyline, profile: SpeedProfile, dt: float,
+                      horizon: float) -> TimedTrajectory:
     """Sample poses along `path` under a clamped constant-accel speed profile.
 
-    The trajectory ends when the path is exhausted or, if `horizon` is given,
-    when the horizon is reached. A stopped profile (speed 0, accel <= 0) keeps
-    emitting resting samples up to the horizon; with no horizon it ends at the
-    first resting sample. Lateral acceleration is path curvature times v^2.
+    Samples fall on the ticks up to `horizon` and end early where the path
+    is exhausted; a profile that comes to rest keeps emitting resting samples
+    up to the horizon. Lateral acceleration is path curvature times v^2.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    length = path.length
-    ts: list[float] = []
-    ss: list[float] = []
-    speeds: list[float] = []
-    v = min(max(profile.v0, 0.0), profile.v_max)
-    s = 0.0
-    k = 0
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     eps = 1e-9
-    while True:
-        t = k * dt
-        if horizon is not None and t > horizon + eps:
-            break
-        if s > length + eps:
-            break
-        ts.append(t)
-        ss.append(min(s, length))
-        speeds.append(v)
-        if horizon is None and v <= eps and profile.accel <= 0:
-            break
-        ds, v = _step_distance(v, profile.accel, dt, profile.v_max)
-        s += ds
-        k += 1
-
-    n = len(ts)
-    v_arr = np.asarray(speeds)
-    x, y, heading, kappa = path.frames(ss)
+    t = np.arange(int((horizon + eps) / dt) + 2) * dt
+    t = t[t <= horizon + eps]
+    v, s = _speeds_and_arcs(profile, dt, len(t))
+    length = path.length
+    n = int(np.count_nonzero(s <= length + eps))   # s never decreases
+    t, v = t[:n], v[:n]
+    x, y, heading, kappa = path.frames(np.minimum(s[:n], length))
     a_lon = np.zeros(n)
     if n > 1:
-        a_lon[:-1] = np.diff(v_arr) / dt
+        a_lon[:-1] = np.diff(v) / dt
         a_lon[-1] = a_lon[-2]
-    return TimedTrajectory(dt, np.asarray(ts), x, y, heading, v_arr, a_lon,
-                           kappa * v_arr * v_arr)
+    return TimedTrajectory(dt, t, x, y, heading, v, a_lon, kappa * v * v)

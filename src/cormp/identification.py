@@ -5,11 +5,12 @@ the ego's current state, each sampled along a `Polyline` path from
 `lane_path`: a cubic Bezier from the current pose onto a lane centerline, then
 the centerline itself. Other road users get constant-velocity predictions on
 the same tick grid, along their centerline or a straight line, stacked into
-one `PredictionBlock` per plan so that every pairwise measure is one broadcast
-over all of them. The feasibility filter removes candidates that risk
-collision (footprint time-to-collision below the threshold) or break traffic
-rules (speeding, solid boundaries, red lights, occupied crosswalks); if
-everything is filtered out, Stop is retained as the fallback.
+one `PredictionBlock` per plan; candidates are stacked into a `CandidateBlock`
+so that every pairwise measure is one broadcast over both. The feasibility
+filter removes candidates that risk collision (footprint time-to-collision
+below the threshold) or break traffic rules (speeding, solid boundaries, red
+lights, occupied crosswalks); if everything is filtered out, Stop is retained
+as the fallback.
 """
 from __future__ import annotations
 
@@ -71,21 +72,47 @@ class PredictionBlock:
     def steps(self) -> int:
         return self.x.shape[1]
 
-    def corridor_hits(self, traj: TimedTrajectory, ego_length: float, ego_width: float,
+    def corridor_hits(self, cands: CandidateBlock, ego_length: float, ego_width: float,
                       cfg: PlannerConfig) -> np.ndarray:
-        """(K,) bool: rows whose corridor crosses the trajectory's corridor.
+        """(C, K) bool: rows whose corridor crosses each candidate's corridor.
 
         Both are subsampled every `crowd_sample_stride_s` and compared
-        spatially, every sample of one against every sample of the other.
+        spatially, every sample of one against every sample of the other;
+        a candidate's padding takes no part.
         """
         st = max(1, int(round(cfg.crowd_sample_stride_s / cfg.dt)))
         gaps = pose_gaps(
-            traj.x[::st, None], traj.y[::st, None], traj.heading[::st, None],
-            ego_length / 2.0, ego_width / 2.0,
-            self.x[:, None, ::st], self.y[:, None, ::st], self.heading[:, None, ::st],
-            self.half_length[:, None, None], self.half_width[:, None, None],
+            cands.x[:, None, ::st, None], cands.y[:, None, ::st, None],
+            cands.heading[:, None, ::st, None], ego_length / 2.0, ego_width / 2.0,
+            self.x[None, :, None, ::st], self.y[None, :, None, ::st],
+            self.heading[None, :, None, ::st],
+            self.half_length[None, :, None, None], self.half_width[None, :, None, None],
         )
-        return np.min(gaps, axis=(1, 2)) <= 0.0
+        gaps = np.where(cands.valid[:, None, ::st, None], gaps, np.inf)
+        return np.min(gaps, axis=(2, 3)) <= 0.0
+
+
+class CandidateBlock:
+    """Candidate trajectories of one plan, stacked: row c is `trajectories[c]`.
+
+    t, x, y, heading and speed are (C, T_c) arrays, T_c the longest
+    trajectory's sample count; a shorter row repeats its last sample, and
+    `valid` marks each row's own samples. The trajectories share one tick dt.
+    """
+
+    def __init__(self, trajectories: list) -> None:
+        lengths = np.array([len(traj) for traj in trajectories])
+        rows = np.empty((5, len(trajectories), lengths.max()))
+        for c, traj in enumerate(trajectories):
+            n = len(traj)
+            rows[:, c, :n] = traj.t, traj.x, traj.y, traj.heading, traj.speed
+            rows[:, c, n:] = rows[:, c, n - 1:n]
+        self.t, self.x, self.y, self.heading, self.speed = rows
+        self.valid = np.arange(rows.shape[2]) < lengths[:, None]
+        self.dt = trajectories[0].dt
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 @dataclass
@@ -121,17 +148,6 @@ class PlanContext:
         """The path all keep-lane candidates and Stop share: back onto the lane."""
         span = max(self.lane.speed_limit, self.ego.speed) * self.config.planning_horizon_s + 5.0
         return lane_path(self.lane, self.ego.x, self.ego.y, self.ego.heading, span, span)
-
-    @cached_property
-    def leads(self) -> np.ndarray:
-        """(K,) bool: vehicles and obstacles whose first sample is ahead of the ego on its lane."""
-        block = self.predictions
-        if not block.vehicle_like.any():
-            return block.vehicle_like
-        line = self.lane.centerline
-        s_ego, _, _ = line.project((self.ego.x, self.ego.y))
-        s_obj, _, _ = line.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
-        return block.vehicle_like & (s_obj > s_ego)
 
 
 def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfig) -> list:
@@ -183,11 +199,14 @@ def lane_path(lane: Lane, x: float, y: float, heading: float,
     A cubic Bezier with tangent handles of blend/3 at both ends joins the pose
     to the centerline `blend` m ahead of the pose's projection onto it; the
     path then follows the centerline's own vertices until `span` (>= blend) m
-    ahead, extending the last segment past the lane end. With blend = 0 the
-    path starts on the centerline at the projection, and span must be > 0.
+    ahead, extending the last segment past the lane end. A pose beyond the
+    lane end projects onto that extension. With blend = 0 the path starts on
+    the centerline at the projection, and span must be > 0.
     """
     line = lane.centerline
-    s0, _, _ = line.project((x, y))
+    s0, _, over = line.project((x, y))
+    if s0 >= line.length:   # `project` clamps s at the lane end
+        s0 += over
     s_join = s0 + blend
     s_end = s0 + span
     p3 = line.point_at(s_join)
@@ -206,18 +225,6 @@ def lane_path(lane: Lane, x: float, y: float, heading: float,
     return Polyline(np.vstack([head, inner, line.point_at(s_end)[None, :]]))
 
 
-def _lead_inside_path(ctx: PlanContext, path: Polyline, duration: float) -> bool:
-    """True when a vehicle ahead of the ego is predicted inside the path corridor."""
-    cfg = ctx.config
-    ego = ctx.ego
-    if not ctx.leads.any():
-        return False
-    probe = sample_trajectory(path, SpeedProfile(max(ego.speed, 1.0), 0.0),
-                              cfg.dt, horizon=duration)
-    hits = ctx.predictions.corridor_hits(probe, ego.length, ego.width, cfg)
-    return bool(np.any(hits[ctx.leads]))
-
-
 def _keep_lane_candidate(ctx: PlanContext, maneuver: Maneuver, accel: float) -> ManeuverCandidate:
     cfg = ctx.config
     ego = ctx.ego
@@ -226,39 +233,57 @@ def _keep_lane_candidate(ctx: PlanContext, maneuver: Maneuver, accel: float) -> 
     return ManeuverCandidate(maneuver, traj, ego.lane, ego.speed, traj.end_speed)
 
 
-def _lane_change_candidate(ctx: PlanContext, maneuver: Maneuver) -> ManeuverCandidate:
-    """Cubic onto the neighbour lane over the lane-change duration, then its centerline.
+def _lane_change_candidates(ctx: PlanContext, maneuvers) -> list:
+    """Cubics onto the neighbour lanes over the lane-change duration, then their centerlines.
 
-    The candidate is sampled over the longer of the lane-change duration and
+    Each candidate is sampled over the longer of the lane-change duration and
     the planning horizon, so it is never shorter than a keep-lane candidate.
+    A lane change is stretched when a vehicle ahead of the ego on its lane
+    (first sample ahead in arc length) is predicted inside its path's
+    corridor over the lane-change duration; one probe checks every path.
+    Without a neighbour lane the maneuver is an infeasible placeholder.
     """
     cfg = ctx.config
     ego = ctx.ego
     lane = ctx.lane
-    target_id = lane.left_neighbor if maneuver is Maneuver.CHANGE_LANE_LEFT else lane.right_neighbor
-    if target_id is None:
-        placeholder = _keep_lane_candidate(ctx, maneuver, 0.0)
-        placeholder.feasible = False
-        placeholder.reason = NO_LANE
-        placeholder.target_lane = None
-        return placeholder
-    target = ctx.scenario.lanes[target_id]
+    block = ctx.predictions
     duration = cfg.lane_change_duration_s
     horizon = max(duration, cfg.planning_horizon_s)
     v = max(ego.speed, 1.0)
     blend = v * duration
     tail = v * (horizon - duration) + 5.0
-    path = lane_path(target, ego.x, ego.y, ego.heading, blend, blend + tail)
-    stretched = _lead_inside_path(ctx, path, duration)
-    if stretched:
-        blend *= cfg.lane_change_stretch
-        path = lane_path(target, ego.x, ego.y, ego.heading, blend, blend + tail)
+    targets = {m: lane.left_neighbor if m is Maneuver.CHANGE_LANE_LEFT else lane.right_neighbor
+               for m in maneuvers}
+    paths = {m: lane_path(ctx.scenario.lanes[t], ego.x, ego.y, ego.heading, blend, blend + tail)
+             for m, t in targets.items() if t is not None}
+    stretched = dict.fromkeys(paths, False)
+    if paths and block.vehicle_like.any():
+        s_ego, _, _ = lane.centerline.project((ego.x, ego.y))
+        s_obj, _, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
+        leads = block.vehicle_like & (s_obj > s_ego)
+        if leads.any():
+            probes = CandidateBlock([sample_trajectory(p, SpeedProfile(v, 0.0), cfg.dt,
+                                                       horizon=duration) for p in paths.values()])
+            hits = block.corridor_hits(probes, ego.length, ego.width, cfg)
+            stretched = dict(zip(paths, np.any(hits[:, leads], axis=1).tolist()))
 
-    cap = min(lane.speed_limit, target.speed_limit)
-    traj = sample_trajectory(path, SpeedProfile(ego.speed, 0.0, cap), cfg.dt, horizon=horizon)
-    cand = ManeuverCandidate(maneuver, traj, target_id, ego.speed, traj.end_speed)
-    cand.stretched = stretched
-    return cand
+    out = []
+    for m in maneuvers:
+        if targets[m] is None:
+            traj = _keep_lane_candidate(ctx, m, 0.0).trajectory
+            out.append(ManeuverCandidate(m, traj, None, ego.speed, traj.end_speed,
+                                         feasible=False, reason=NO_LANE))
+            continue
+        target = ctx.scenario.lanes[targets[m]]
+        path = paths[m]
+        if stretched[m]:
+            wide = blend * cfg.lane_change_stretch
+            path = lane_path(target, ego.x, ego.y, ego.heading, wide, wide + tail)
+        cap = min(lane.speed_limit, target.speed_limit)
+        traj = sample_trajectory(path, SpeedProfile(ego.speed, 0.0, cap), cfg.dt, horizon=horizon)
+        out.append(ManeuverCandidate(m, traj, targets[m], ego.speed, traj.end_speed,
+                                     stretched=stretched[m]))
+    return out
 
 
 def _stop_constraint_distance(ctx: PlanContext) -> float | None:
@@ -313,8 +338,7 @@ def enumerate_candidates(ctx: PlanContext) -> list:
     """All six maneuver candidates, in Maneuver enum order."""
     cfg = ctx.config
     return [
-        _lane_change_candidate(ctx, Maneuver.CHANGE_LANE_LEFT),
-        _lane_change_candidate(ctx, Maneuver.CHANGE_LANE_RIGHT),
+        *_lane_change_candidates(ctx, LANE_CHANGES),
         _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_ACCELERATE, cfg.accel_keep_lane),
         _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_SAME_SPEED, 0.0),
         _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_DECELERATE, -cfg.decel_keep_lane),
@@ -322,37 +346,36 @@ def enumerate_candidates(ctx: PlanContext) -> list:
     ]
 
 
-def time_to_collision(traj: TimedTrajectory, block: PredictionBlock,
-                      ego_length: float, ego_width: float) -> float:
-    """Footprint time-to-collision with any predicted road user, on the tick grid.
+def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
+                      ego_length: float, ego_width: float) -> np.ndarray:
+    """(C,) footprint time-to-collision of each candidate with any predicted road user.
 
-    Scans the first min(len(traj), T) aligned samples of every row for the
-    first oriented-rectangle overlap and refines linearly on the
+    Scans a candidate's first min(len, T) samples, aligned with every row's,
+    for the first oriented-rectangle overlap and refines linearly on the
     separating-axis gap inside that tick (the gap is positive before it and
-    <= 0 at it). Returns +inf when no footprints overlap.
+    <= 0 at it). +inf where no footprints overlap.
     """
-    n = min(len(traj), block.steps)
-    if len(block) == 0 or n == 0:
-        return math.inf
+    if len(block) == 0:
+        return np.full(len(cands), math.inf)
+    n = min(cands.x.shape[1], block.steps)
     gaps = pose_gaps(
-        traj.x[None, :n], traj.y[None, :n], traj.heading[None, :n],
+        cands.x[:, None, :n], cands.y[:, None, :n], cands.heading[:, None, :n],
         ego_length / 2.0, ego_width / 2.0,
-        block.x[:, :n], block.y[:, :n], block.heading[:, :n],
-        block.half_length[:, None], block.half_width[:, None],
+        block.x[None, :, :n], block.y[None, :, :n], block.heading[None, :, :n],
+        block.half_length[None, :, None], block.half_width[None, :, None],
     )
-    ticks = np.nonzero(np.min(gaps, axis=0) <= 0.0)[0]
-    if len(ticks) == 0:
-        return math.inf
-    i = int(ticks[0])
-    if i == 0:
-        return 0.0
-    # each row overlapping first at tick i collides in (t[i-1], t[i]]: rows
-    # that overlap only later cannot collide sooner
-    g0 = gaps[:, i - 1]
-    g1 = gaps[:, i]
-    hit = g1 <= 0.0
-    frac = np.min(g0[hit] / (g0[hit] - g1[hit]))
-    return float(traj.t[i - 1] + frac * traj.dt)
+    gaps = np.where(cands.valid[:, None, :n], gaps, np.inf)
+    overlap = np.min(gaps, axis=1) <= 0.0
+    ttc = np.where(overlap[:, 0], 0.0, math.inf)
+    rows = np.nonzero(overlap.any(axis=1) & ~overlap[:, 0])[0]
+    i = np.argmax(overlap[rows], axis=1)
+    # each road user overlapping first at tick i collides in (t[i-1], t[i]]:
+    # those that overlap only later cannot collide sooner
+    g0 = gaps[rows, :, i - 1]
+    g1 = gaps[rows, :, i]
+    frac = np.divide(g0, g0 - g1, out=np.full_like(g0, np.inf), where=g1 <= 0.0)
+    ttc[rows] = cands.t[rows, i - 1] + np.min(frac, axis=1) * cands.dt
+    return ttc
 
 
 def _front_s(traj: TimedTrajectory, lane: Lane, ego_length: float) -> np.ndarray:
@@ -446,34 +469,27 @@ def feasibility_filter(ctx: PlanContext, candidates: list) -> list:
     """
     cfg = ctx.config
     ego = ctx.ego
+    eps = cfg.rule_speed_epsilon
+    solid = {Maneuver.CHANGE_LANE_LEFT: ctx.lane.left_boundary == "solid",
+             Maneuver.CHANGE_LANE_RIGHT: ctx.lane.right_boundary == "solid"}
     for cand in candidates:
-        if not cand.feasible:
-            continue
-        target = ctx.scenario.lanes[cand.target_lane]
-        if cand.v_end > target.speed_limit + cfg.rule_speed_epsilon:
+        if cand.feasible and (
+                cand.v_end > ctx.scenario.lanes[cand.target_lane].speed_limit + eps
+                or (cand.maneuver is Maneuver.KEEP_LANE_ACCELERATE
+                    and cand.v_begin >= ctx.lane.speed_limit - eps)
+                or solid.get(cand.maneuver, False)
+                or _check_red_lights(ctx, cand) or _check_crosswalks(ctx, cand)):
             cand.feasible = False
             cand.reason = RULE_VIOLATION
-            continue
-        if (cand.maneuver is Maneuver.KEEP_LANE_ACCELERATE
-                and cand.v_begin >= ctx.lane.speed_limit - cfg.rule_speed_epsilon):
-            cand.feasible = False
-            cand.reason = RULE_VIOLATION
-            continue
-        if cand.maneuver in LANE_CHANGES:
-            boundary = (ctx.lane.left_boundary if cand.maneuver is Maneuver.CHANGE_LANE_LEFT
-                        else ctx.lane.right_boundary)
-            if boundary == "solid":
+    ruled_in = [c for c in candidates if c.feasible]
+    if ruled_in:
+        ttc = time_to_collision(CandidateBlock([c.trajectory for c in ruled_in]),
+                                ctx.predictions, ego.length, ego.width)
+        for cand, min_ttc in zip(ruled_in, ttc.tolist()):
+            cand.min_ttc = min_ttc
+            if min_ttc < cfg.ttc_min_s:
                 cand.feasible = False
-                cand.reason = RULE_VIOLATION
-                continue
-        if _check_red_lights(ctx, cand) or _check_crosswalks(ctx, cand):
-            cand.feasible = False
-            cand.reason = RULE_VIOLATION
-            continue
-        cand.min_ttc = time_to_collision(cand.trajectory, ctx.predictions, ego.length, ego.width)
-        if cand.min_ttc < cfg.ttc_min_s:
-            cand.feasible = False
-            cand.reason = COLLISION_RISK
+                cand.reason = COLLISION_RISK
 
     if not any(c.feasible for c in candidates):
         for cand in candidates:

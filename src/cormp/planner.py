@@ -18,6 +18,7 @@ from .bezier import SpeedProfile, TimedTrajectory, sample_trajectory
 from .config import PlannerConfig
 from .identification import (
     LANE_CHANGES,
+    CandidateBlock,
     Maneuver,
     PlanContext,
     PredictionBlock,
@@ -30,7 +31,7 @@ from .resources import (
     RESOURCES,
     ResourceAssessment,
     WeightTable,
-    assess_candidate,
+    assess_candidates,
     safety_value,
 )
 from .scenario import Polyline, Scenario
@@ -93,14 +94,10 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
         weights = WeightTable.for_profile(ctx.scenario.profile).weights
     candidates = enumerate_candidates(ctx)
     feasibility_filter(ctx, candidates)
-    assessments: dict = {}
-    profits: dict = {}
-    for cand in candidates:
-        if not cand.feasible:
-            continue
-        assessment = assess_candidate(ctx, cand, current_values)
-        assessments[cand.maneuver] = assessment
-        profits[cand.maneuver] = profit(assessment, weights)
+    feasible = [c for c in candidates if c.feasible]
+    assessments = dict(zip((c.maneuver for c in feasible),
+                           assess_candidates(ctx, feasible, current_values)))
+    profits = {m: profit(a, weights) for m, a in assessments.items()}
     maneuver, tie_break = decide(candidates, assessments, profits, previous, ctx.config.tie_epsilon)
     chosen = next(c for c in candidates if c.maneuver is maneuver)
     return Decision(
@@ -209,7 +206,8 @@ class CorMpPlanner:
         if remaining is not None:
             ctx = plan_context(scenario, cfg, sim_time)
             maneuver = self.commitment.maneuver
-            mu_safety = safety_value(remaining, ctx.predictions, ctx.ego.length, ctx.ego.width, cfg)
+            mu_safety = safety_value(CandidateBlock([remaining]), ctx.predictions,
+                                     ctx.ego.length, ctx.ego.width, cfg)[0]
             if mu_safety >= cfg.theta_loss:
                 return PlanResult(remaining, maneuver, committed=True)
             self.commitment.clear()

@@ -12,9 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bezier import TimedTrajectory
 from .config import PlannerConfig
-from .identification import ManeuverCandidate, PlanContext, PredictionBlock
+from .identification import CandidateBlock, ManeuverCandidate, PlanContext, PredictionBlock
 
 
 class ResourceType(Enum):
@@ -109,31 +108,31 @@ def kinetic_energy_delta_kj(mass_kg: float, v_a: float, v_b: float) -> float:
     return 0.5 * mass_kg * dv * dv / 1000.0
 
 
-def safety_value(traj: TimedTrajectory, block: PredictionBlock,
-                 ego_length: float, ego_width: float, cfg: PlannerConfig) -> float:
-    """Worst clearance ratio to any interacting road user over the trajectory.
+def safety_value(cands: CandidateBlock, block: PredictionBlock,
+                 ego_length: float, ego_width: float, cfg: PlannerConfig) -> np.ndarray:
+    """(C,) worst clearance ratio of each candidate to any interacting road user.
 
     Per sample, the object is expressed in the ego frame; the score is the
     better of the longitudinal bumper-gap ratio (required gap grows with ego
     speed) and the lateral center-distance ratio, clamped to [0, 1]. The
-    resource value is the minimum over objects and samples.
+    resource value is the minimum over objects and the candidate's samples.
     """
-    n = len(traj)
-    if n == 0 or len(block) == 0:
-        return 1.0
+    if len(block) == 0:
+        return np.ones(len(cands))
     # samples past the rows' end take their last one
-    idx = np.arange(n)
-    dx = np.take(block.x, idx, axis=1, mode="clip") - traj.x
-    dy = np.take(block.y, idx, axis=1, mode="clip") - traj.y
-    cos_h = np.cos(traj.heading)
-    sin_h = np.sin(traj.heading)
+    idx = np.arange(cands.x.shape[1])
+    dx = np.take(block.x, idx, axis=1, mode="clip") - cands.x[:, None, :]
+    dy = np.take(block.y, idx, axis=1, mode="clip") - cands.y[:, None, :]
+    cos_h = np.cos(cands.heading)[:, None, :]
+    sin_h = np.sin(cands.heading)[:, None, :]
     lon = dx * cos_h + dy * sin_h
     lat = -dx * sin_h + dy * cos_h
     lon_gap = np.maximum(np.abs(lon) - (ego_length / 2.0 + block.half_length[:, None]), 0.0)
-    req_lon = traj.speed * cfg.t_headway_s + cfg.d_min_m
+    req_lon = cands.speed[:, None, :] * cfg.t_headway_s + cfg.d_min_m
     req_lat = ego_width / 2.0 + block.half_width + cfg.lateral_clearance_m
     r = np.maximum(lon_gap / req_lon, np.abs(lat) / req_lat[:, None])   # >= 0
-    return min(float(r.min()), 1.0)
+    r = np.where(cands.valid[:, None, :], r, np.inf)
+    return np.minimum(r.min(axis=(1, 2)), 1.0)
 
 
 def comfort_value(cand: ManeuverCandidate, cfg: PlannerConfig) -> float:
@@ -171,13 +170,13 @@ def energy_value(cand: ManeuverCandidate, mass_kg: float, e_ref_kj: float) -> fl
     return 1.0 - clamp01(delta / e_ref_kj)
 
 
-def crowdedness_value(traj: TimedTrajectory, block: PredictionBlock,
-                      ego_length: float, ego_width: float, cfg: PlannerConfig) -> float:
-    """1 minus the (normalized) count of corridors crossing the trajectory's."""
-    if len(traj) == 0 or len(block) == 0:
-        return 1.0
-    count = int(np.count_nonzero(block.corridor_hits(traj, ego_length, ego_width, cfg)))
-    return 1.0 - clamp01(count / float(cfg.crowd_reference_count))
+def crowdedness_value(cands: CandidateBlock, block: PredictionBlock,
+                      ego_length: float, ego_width: float, cfg: PlannerConfig) -> np.ndarray:
+    """(C,) 1 minus the (normalized) count of corridors crossing each candidate's."""
+    if len(block) == 0:
+        return np.ones(len(cands))
+    count = np.count_nonzero(block.corridor_hits(cands, ego_length, ego_width, cfg), axis=1)
+    return 1.0 - np.clip(count / float(cfg.crowd_reference_count), 0.0, 1.0)
 
 
 def classify_state(mu: float, cfg: PlannerConfig, mu_current: float | None = None) -> ResourceState:
@@ -197,27 +196,27 @@ class ResourceAssessment:
     states: dict   # ResourceType -> ResourceState
 
 
-def assess_candidate(ctx: PlanContext, cand: ManeuverCandidate,
-                     current_values: dict | None = None) -> ResourceAssessment:
-    """Evaluate all six resources for one candidate."""
+def assess_candidates(ctx: PlanContext, candidates: list,
+                      current_values: dict | None = None) -> list:
+    """All six resources of each candidate; safety and crowdedness are one broadcast each."""
     cfg = ctx.config
     ego = ctx.ego
     apriori = ctx.scenario.lanes[ctx.scenario.apriori_lane]
-    values = {
-        ResourceType.SAFETY: safety_value(cand.trajectory, ctx.predictions,
-                                          ego.length, ego.width, cfg),
-        ResourceType.COMFORT: comfort_value(cand, cfg),
-        ResourceType.OBJECTIVE: objective_value(cand, ctx.lane.speed_limit, cfg.planning_horizon_s),
-        ResourceType.APRIORI_LANE: apriori_lane_value(cand, apriori),
-        ResourceType.ENERGY: energy_value(cand, ego.mass, cfg.energy_reference_kj(ego.mass)),
-        ResourceType.CROWDEDNESS: crowdedness_value(cand.trajectory, ctx.predictions,
-                                                    ego.length, ego.width, cfg),
-    }
-    states = {
-        res: classify_state(
-            values[res], cfg,
-            None if current_values is None else current_values.get(res),
-        )
-        for res in RESOURCES
-    }
-    return ResourceAssessment(values=values, states=states)
+    held = current_values or {}
+    cands = CandidateBlock([c.trajectory for c in candidates])
+    safety = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
+    crowdedness = crowdedness_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
+    out = []
+    for cand, mu_safety, mu_crowdedness in zip(candidates, safety, crowdedness):
+        values = {
+            ResourceType.SAFETY: mu_safety,
+            ResourceType.COMFORT: comfort_value(cand, cfg),
+            ResourceType.OBJECTIVE: objective_value(cand, ctx.lane.speed_limit,
+                                                    cfg.planning_horizon_s),
+            ResourceType.APRIORI_LANE: apriori_lane_value(cand, apriori),
+            ResourceType.ENERGY: energy_value(cand, ego.mass, cfg.energy_reference_kj(ego.mass)),
+            ResourceType.CROWDEDNESS: mu_crowdedness,
+        }
+        states = {res: classify_state(values[res], cfg, held.get(res)) for res in RESOURCES}
+        out.append(ResourceAssessment(values=values, states=states))
+    return out

@@ -152,6 +152,17 @@ def test_mobil_stays_put_without_a_lead():
     assert result.maneuver is Maneuver.KEEP_LANE_ACCELERATE  # below the limit
 
 
+def test_mobil_drives_on_past_the_lane_end():
+    # red_light's one lane ends at x = 400 m, which MOBIL (blind to the
+    # light) passes before the drive ends: its keep-lane path must lead on
+    # from the pose, not back to the lane end
+    _, log, _ = timed_run("red_light", "mobil")
+    x = log.column("ego_x")
+    assert x.max() > 420.0
+    assert np.all(np.diff(x) >= 0.0)
+    assert np.all(np.cos(log.column("ego_heading")) > 0.0)
+
+
 def test_mobil_politeness_zero_is_purely_egoistic():
     # small ego gain (free left lane vs a distant same-speed lead), large
     # cost for the new follower: the polite driver stays, the egoist goes

@@ -107,12 +107,13 @@ def test_quarter_circle_curvature():
 # ---------------------------------------------------------------- arc length
 #
 # sample_trajectory runs along a Polyline path; at 1 m/s with a 1 ms tick and
-# no horizon, the last sample's time is the path length to within one tick.
+# a horizon past its end, the last sample's time is the path length to within
+# one tick.
 # Cubics become paths through `chord_points`, which must keep their length.
 
 
 def sampled_at_unit_speed(path: Polyline) -> TimedTrajectory:
-    return sample_trajectory(path, SpeedProfile(1.0, 0.0), dt=1e-3)
+    return sample_trajectory(path, SpeedProfile(1.0, 0.0), dt=1e-3, horizon=10.0)
 
 
 def test_sampled_length_straight_segment():
@@ -143,7 +144,7 @@ def straight(length: float) -> Polyline:
 
 
 def test_constant_speed_sampling_uniform_spacing():
-    traj = sample_trajectory(straight(40.0), SpeedProfile(10.0, 0.0), dt=0.1)
+    traj = sample_trajectory(straight(40.0), SpeedProfile(10.0, 0.0), dt=0.1, horizon=10.0)
     assert traj.duration == pytest.approx(4.0)
     steps = np.hypot(np.diff(traj.x), np.diff(traj.y))
     assert np.allclose(steps, 1.0, atol=1e-9)
@@ -164,13 +165,10 @@ def test_braking_profile_floors_at_zero():
     assert np.allclose(traj.x[resting], traj.x[-1], atol=1e-12)
 
 
-def test_stopped_profile_without_horizon_is_single_rest():
-    traj = sample_trajectory(straight(40.0), SpeedProfile(0.0, 0.0), dt=0.1)
-    assert len(traj) == 1
-    with_h = sample_trajectory(straight(40.0), SpeedProfile(0.0, 0.0), dt=0.1,
-                               horizon=2.0)
-    assert len(with_h) == 21
-    assert np.allclose(with_h.speed, 0.0)
+def test_stopped_profile_rests_to_the_horizon():
+    traj = sample_trajectory(straight(40.0), SpeedProfile(0.0, 0.0), dt=0.1, horizon=2.0)
+    assert len(traj) == 21
+    assert np.allclose(traj.speed, 0.0)
 
 
 def test_lateral_acceleration_is_curvature_times_speed_squared():
@@ -179,7 +177,7 @@ def test_lateral_acceleration_is_curvature_times_speed_squared():
     arc = CubicBezier([(r, 0.0), (r, r * k), (r * k, r), (0.0, r)])
     pts = arc.chord_points()
     path = Polyline(pts)
-    traj = sample_trajectory(path, SpeedProfile(15.0, 0.0), dt=0.1)
+    traj = sample_trajectory(path, SpeedProfile(15.0, 0.0), dt=0.1, horizon=10.0)
     interior = slice(2, len(traj) - 2)
     assert np.allclose(np.abs(traj.a_lat[interior]), 15.0 ** 2 / r, atol=0.05)
     # against the analytic curvature at each sample's curve parameter
@@ -195,11 +193,64 @@ def test_speed_cap_respected():
     assert float(np.max(traj.speed)) <= 14.0 + 1e-12
 
 
+def step_distance(v, a, dt, v_max):
+    """Exact distance over one tick under v(t) = clip(v + a t, 0, v_max)."""
+    if a > 0 and v < v_max:
+        t_hit = (v_max - v) / a
+        if t_hit < dt:
+            ds = v * t_hit + 0.5 * a * t_hit * t_hit + v_max * (dt - t_hit)
+            return ds, v_max
+        return v * dt + 0.5 * a * dt * dt, v + a * dt
+    if a < 0 and v > 0.0:
+        t_hit = -v / a
+        if t_hit < dt:
+            return v * t_hit + 0.5 * a * t_hit * t_hit, 0.0
+        return v * dt + 0.5 * a * dt * dt, v + a * dt
+    v_now = min(max(v, 0.0), v_max)
+    return v_now * dt, v_now
+
+
+def stepped_samples(length, profile, dt, horizon):
+    """Reference: t, arc length and speed stepped tick by tick."""
+    ts, ss, speeds = [], [], []
+    v = min(max(profile.v0, 0.0), profile.v_max)
+    s, k = 0.0, 0
+    while k * dt <= horizon + 1e-9 and s <= length + 1e-9:
+        ts.append(k * dt)
+        ss.append(min(s, length))
+        speeds.append(v)
+        ds, v = step_distance(v, profile.accel, dt, profile.v_max)
+        s += ds
+        k += 1
+    return np.array(ts), np.array(ss), np.array(speeds)
+
+
+@pytest.mark.parametrize("length, profile, dt, horizon", [
+    (200.0, SpeedProfile(10.0, 2.0, v_max=13.89), 0.1, 4.0),   # v_max at 1.945 s
+    (200.0, SpeedProfile(13.0, 1.5, v_max=13.89), 0.15, 4.0),  # v_max at 0.593 s
+    (200.0, SpeedProfile(7.3, -3.0), 0.1, 4.0),                # rest at 2.433 s
+    (200.0, SpeedProfile(12.0, -4.0), 0.15, 4.0),              # rest at 3 s, a tick
+    (25.0, SpeedProfile(9.0, 1.0), 0.1, 4.0),                  # path ends at 2.3 s
+    (30.0, SpeedProfile(14.0, 0.0), 0.15, 5.0),                # path ends at 2.1 s
+    (200.0, SpeedProfile(15.0, 1.0, v_max=13.89), 0.1, 4.0),   # starts over the cap
+    (200.0, SpeedProfile(0.0, -2.0), 0.15, 4.0),               # stays at rest
+])
+def test_sampled_profile_matches_tick_by_tick_stepping(length, profile, dt, horizon):
+    path = straight(length)
+    traj = sample_trajectory(path, profile, dt, horizon=horizon)
+    t, s, v = stepped_samples(length, profile, dt, horizon)
+    assert np.array_equal(traj.t, t)
+    assert np.array_equal(traj.x, path.frames(s)[0])
+    assert np.array_equal(traj.speed, v)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         SpeedProfile(-1.0, 0.0)
     with pytest.raises(ValueError):
-        sample_trajectory(straight(10.0), SpeedProfile(1.0, 0.0), dt=0.0)
+        sample_trajectory(straight(10.0), SpeedProfile(1.0, 0.0), dt=0.0, horizon=1.0)
+    with pytest.raises(ValueError):
+        sample_trajectory(straight(10.0), SpeedProfile(1.0, 0.0), dt=0.1, horizon=-1.0)
 
 
 # ---------------------------------------------------------------- container
@@ -214,7 +265,7 @@ def test_stationary_factory():
 
 
 def test_tail_rebases_time():
-    traj = sample_trajectory(straight(40.0), SpeedProfile(10.0, 0.0), dt=0.1)
+    traj = sample_trajectory(straight(40.0), SpeedProfile(10.0, 0.0), dt=0.1, horizon=4.0)
     tail = traj.tail(5)
     assert tail.t[0] == pytest.approx(0.0)
     assert len(tail) == len(traj) - 5

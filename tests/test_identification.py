@@ -11,10 +11,11 @@ from cormp.identification import (
     LANE_CHANGES,
     NO_LANE,
     RULE_VIOLATION,
+    CandidateBlock,
     Maneuver,
     PlanContext,
     _keep_lane_candidate,
-    _lane_change_candidate,
+    _lane_change_candidates,
     _stop_candidate,
     _stop_constraint_distance,
     enumerate_candidates,
@@ -229,14 +230,14 @@ def test_keep_lane_and_lane_change_follow_a_curved_centerline():
     # the solid edge is 0.85 m from the centerline for this ego; the start
     # heading is the 7 m chord's direction, so the cubic cuts in a little
     assert np.max(np.abs(lateral)) < 0.3
-    change = _lane_change_candidate(ctx, Maneuver.CHANGE_LANE_LEFT).trajectory
+    change = _lane_change_candidates(ctx, (Maneuver.CHANGE_LANE_LEFT,))[0].trajectory
     _, lateral, _ = sc.lanes["left"].centerline.project((change.x[-1], change.y[-1]))
     assert abs(lateral) < 0.01
 
 
 def test_short_lane_change_continues_along_the_target_centerline():
     cfg = PlannerConfig(lane_change_duration_s=3.0)
-    cand = _lane_change_candidate(context(road(), cfg), Maneuver.CHANGE_LANE_LEFT)
+    cand, = _lane_change_candidates(context(road(), cfg), (Maneuver.CHANGE_LANE_LEFT,))
     traj = cand.trajectory
     assert traj.duration == pytest.approx(cfg.planning_horizon_s)
     after = traj.t >= 3.2 - 1e-9   # the cubic is a little longer than its 41.7 m chord
@@ -311,10 +312,14 @@ def lead_context(ego_speed: float, lead_speed: float, gap_centers: float,
     return context(road(limit=limit, ego={"speed": ego_speed}, others=[lead]))
 
 
+def ttc_of(traj, ctx: PlanContext) -> float:
+    return time_to_collision(CandidateBlock([traj]), ctx.predictions, 4.5, 1.8)[0]
+
+
 def test_footprint_ttc_beats_the_point_mass_estimate():
     ctx = lead_context(15.0, 10.0, 20.0)
     kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    ttc = time_to_collision(kls.trajectory, ctx.predictions, 4.5, 1.8)
+    ttc = ttc_of(kls.trajectory, ctx)
     point_mass = 20.0 / (15.0 - 10.0)
     assert point_mass == pytest.approx(4.0)
     assert ttc < point_mass
@@ -325,7 +330,7 @@ def test_footprint_ttc_beats_the_point_mass_estimate():
 def test_footprint_ttc_matches_millisecond_sweep():
     ctx = lead_context(15.0, 10.0, 20.0)
     kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    ttc = time_to_collision(kls.trajectory, ctx.predictions, 4.5, 1.8)
+    ttc = ttc_of(kls.trajectory, ctx)
     brute = math.inf
     for k in range(4001):
         t = 0.001 * k
@@ -340,7 +345,7 @@ def test_footprint_ttc_matches_millisecond_sweep():
 def test_faster_lead_never_collides():
     ctx = lead_context(15.0, 20.0, 20.0)
     kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    assert time_to_collision(kls.trajectory, ctx.predictions, 4.5, 1.8) == math.inf
+    assert ttc_of(kls.trajectory, ctx) == math.inf
 
 
 def test_lateral_separation_never_collides():
@@ -348,7 +353,7 @@ def test_lateral_separation_never_collides():
               "heading": 0.0, "speed": 10.0, "length": 4.5, "width": 1.8}
     ctx = context(road(ego={"speed": 15.0}, limit=25.0, others=[passer]))
     kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    assert time_to_collision(kls.trajectory, ctx.predictions, 4.5, 1.8) == math.inf
+    assert ttc_of(kls.trajectory, ctx) == math.inf
 
 
 # ---------------------------------------------------------------- filtering

@@ -7,6 +7,7 @@ from conftest import prediction_block
 from cormp import kernels
 from cormp.bezier import CubicBezier, TimedTrajectory
 from cormp.config import PlannerConfig
+from cormp.identification import CandidateBlock
 
 
 def random_poses(rng, n, spread=20.0):
@@ -79,7 +80,7 @@ def test_corridor_hits_match_pairwise_scan():
             row = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 41)
             row.x[:], row.y[:], row.heading[:] = random_poses(rng, 41)
             rows.append(("vehicle", row, 4.0, 2.0))
-        hits = prediction_block(*rows).corridor_hits(ego, 4.0, 2.0, cfg)
+        hits = prediction_block(*rows).corridor_hits(CandidateBlock([ego]), 4.0, 2.0, cfg)[0]
         brute = [
             any(kernels.rect_gap(ego.x[i], ego.y[i], ego.heading[i], 2.0, 1.0,
                                  row.x[j], row.y[j], row.heading[j], 2.0, 1.0) <= 0.0

@@ -7,6 +7,7 @@ from conftest import load, prediction_block
 from cormp.bezier import TimedTrajectory
 from cormp.config import PROFILES, PlannerConfig
 from cormp.identification import (
+    CandidateBlock,
     ManeuverCandidate,
     Maneuver,
     enumerate_candidates,
@@ -19,7 +20,7 @@ from cormp.resources import (
     ResourceType,
     WeightTable,
     apriori_lane_value,
-    assess_candidate,
+    assess_candidates,
     clamp01,
     classify_state,
     comfort_value,
@@ -136,36 +137,40 @@ def one_sample(v: float, x: float = 0.0, y: float = 0.0) -> TimedTrajectory:
                            np.array([0.0]), np.array([0.0]))
 
 
+def safety(ego: TimedTrajectory, block) -> float:
+    return safety_value(CandidateBlock([ego]), block, 4.5, 1.8, CFG)[0]
+
+
 def test_safety_vacuous_without_objects():
-    assert safety_value(straight_traj(10.0), prediction_block(), 4.5, 1.8, CFG) == 1.0
+    assert safety(straight_traj(10.0), prediction_block()) == 1.0
 
 
 def test_safety_boundary_at_required_distance():
     # required bumper gap at 10 m/s: 10*2 + 5 = 25 m; centers 25 + 4.5 apart
     ego = one_sample(10.0)
     pred = vehicle_pred(one_sample(10.0, x=29.5))
-    assert safety_value(ego, prediction_block(pred), 4.5, 1.8, CFG) == pytest.approx(1.0)
+    assert safety(ego, prediction_block(pred)) == pytest.approx(1.0)
 
 
 def test_safety_half_distance_both_axes():
     ego = one_sample(10.0)
     # half the required gap ahead, half the required clearance sideways
     pred = vehicle_pred(one_sample(10.0, x=17.0, y=1.15))
-    assert safety_value(ego, prediction_block(pred), 4.5, 1.8, CFG) == pytest.approx(0.5)
+    assert safety(ego, prediction_block(pred)) == pytest.approx(0.5)
 
 
 def test_safety_zero_on_contact():
     ego = one_sample(10.0)
     pred = vehicle_pred(one_sample(10.0, x=2.0))
-    assert safety_value(ego, prediction_block(pred), 4.5, 1.8, CFG) == 0.0
+    assert safety(ego, prediction_block(pred)) == 0.0
 
 
 def test_safety_takes_worst_sample():
     ego = straight_traj(10.0)                           # moves 0..40 m
     pred = vehicle_pred(TimedTrajectory.stationary(60.0, 0.0, 0.0, 0.1, 41))
-    close = safety_value(ego, prediction_block(pred), 4.5, 1.8, CFG)
+    close = safety(ego, prediction_block(pred))
     far_pred = vehicle_pred(TimedTrajectory.stationary(90.0, 0.0, 0.0, 0.1, 41))
-    assert close < safety_value(ego, prediction_block(far_pred), 4.5, 1.8, CFG)
+    assert close < safety(ego, prediction_block(far_pred))
 
 
 # ---------------------------------------------------------------- comfort
@@ -237,17 +242,21 @@ def test_apriori_uses_final_sample():
 # ---------------------------------------------------------------- crowding
 
 
+def crowdedness(ego: TimedTrajectory, block) -> float:
+    return crowdedness_value(CandidateBlock([ego]), block, 4.5, 1.8, CFG)[0]
+
+
 def test_crowdedness_counts_crossing_corridors():
     ego = straight_traj(10.0)  # corridor x in [0, 40]
     def block(x):
         return vehicle_pred(TimedTrajectory.stationary(x, 0.0, 0.0, 0.1, 41))
-    assert crowdedness_value(ego, prediction_block(), 4.5, 1.8, CFG) == 1.0
+    assert crowdedness(ego, prediction_block()) == 1.0
     two = prediction_block(block(10.0), block(20.0))
-    assert crowdedness_value(ego, two, 4.5, 1.8, CFG) == pytest.approx(0.6)
+    assert crowdedness(ego, two) == pytest.approx(0.6)
     five = prediction_block(*[block(x) for x in (5.0, 10.0, 15.0, 20.0, 25.0)])
-    assert crowdedness_value(ego, five, 4.5, 1.8, CFG) == 0.0
+    assert crowdedness(ego, five) == 0.0
     aside = prediction_block(vehicle_pred(TimedTrajectory.stationary(10.0, 50.0, 0.0, 0.1, 41)))
-    assert crowdedness_value(ego, aside, 4.5, 1.8, CFG) == 1.0
+    assert crowdedness(ego, aside) == 1.0
 
 
 # ---------------------------------------------------------------- states
@@ -274,8 +283,7 @@ def test_clamp01():
 
 def test_full_assessment_stays_in_unit_interval():
     ctx = plan_context(load("overtake_static"), PlannerConfig(), 0.0)
-    for candidate in enumerate_candidates(ctx):
-        assessment = assess_candidate(ctx, candidate)
+    for assessment in assess_candidates(ctx, enumerate_candidates(ctx)):
         for res in RESOURCES:
             assert 0.0 <= assessment.values[res] <= 1.0
             assert isinstance(assessment.states[res], ResourceState)
