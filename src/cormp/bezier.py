@@ -1,10 +1,10 @@
 """Cubic Bezier curves, speed profiles and time-sampled trajectories.
 
 `CubicBezier` is the paper's curve primitive; its `chord_points` turn it into
-the vertices of a `Polyline`, the one path type every trajectory is sampled
-from (see `identification.lane_path`). `sample_trajectory` turns a path
-plus a constant-acceleration speed profile into a trajectory sampled on the
-simulator tick grid, with headings and lateral accelerations taken from the
+the vertices of a `Polyline`, the one path type every planned trajectory is
+sampled from (see `identification.lane_path`). `sample_trajectory` turns a
+path plus a constant-acceleration speed profile into a trajectory sampled on
+the simulator tick grid, with headings and lateral accelerations taken from the
 path's own frames.
 """
 from __future__ import annotations

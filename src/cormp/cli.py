@@ -18,7 +18,7 @@ from .config import PROFILES, load_config
 from .metrics import compute_metrics
 from .scenario import ScenarioError, load_scenario
 from .simulator import SimLog, run
-from .timeline import render_timeline
+from .timeline import write_timeline
 
 PLANNERS = ("cor-mp", "mobil", "utility")
 
@@ -67,8 +67,7 @@ def _write_run_outputs(out: Path, log: SimLog, scenario) -> dict:
     _write_json(out / "events.json", log.events_json())
     metrics = compute_metrics(log, scenario)
     _write_json(out / "metrics.json", metrics.to_dict())
-    with open(out / "timeline.svg", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_timeline([(log.planner, log)], scenario.duration_s))
+    write_timeline(out / "timeline.svg", [(log.planner, log)], scenario.duration_s)
     return metrics.to_dict()
 
 
@@ -117,8 +116,7 @@ def _cmd_compare(args) -> int:
               f"{report[name]['rule_violations']} violations")
     _write_json(out / "report.json", {"scenario": scenario.name, "profile": profile,
                                       "planners": report})
-    with open(out / "timeline.svg", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_timeline(logs, scenario.duration_s))
+    write_timeline(out / "timeline.svg", logs, scenario.duration_s)
     print(f"compare report -> {out}")
     return 2 if incidents else 0
 

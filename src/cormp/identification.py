@@ -165,28 +165,25 @@ def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfi
 def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) -> TimedTrajectory:
     """Constant-velocity prediction on the tick grid, horizon_steps + 1 samples.
 
-    Lane-bound vehicles move along their lane centerline from their projection
-    onto it and on past the lane end along its last segment, as the simulator
-    moves them. A vehicle already beyond a lane end, like every other road
-    user, extrapolates straight along its current heading. Standing agents
-    yield a resting trajectory over the full horizon.
+    A lane-bound vehicle moves along its lane centerline from its
+    `Lane.arc_position`, on past either lane end along the end segment, as
+    the simulator moves it. Every other road user extrapolates straight along
+    its current heading. Standing agents yield a resting trajectory over the
+    full horizon.
     """
     dt = config.dt
     n = config.horizon_steps + 1
     if agent.speed <= 1e-9:
         return TimedTrajectory.stationary(agent.x, agent.y, agent.heading, dt, n)
-    span = agent.speed * config.planning_horizon_s
-    lane = scenario.lane(agent.lane) if agent.kind in ("vehicle", "ego") else None
-    if lane is not None and lane.centerline.project((agent.x, agent.y))[2] == 0.0:
-        path = lane_path(lane, agent.x, agent.y, agent.heading, 0.0, span)
-    else:
-        p0 = np.array([agent.x, agent.y])
-        direction = np.array([math.cos(agent.heading), math.sin(agent.heading)])
-        path = Polyline([p0, p0 + direction * span])
-    # arc length accumulates tick by tick, as `sample_trajectory` steps it;
-    # `frames` clamps at the path end, which can fall short of `span` by rounding
+    # arc length accumulates tick by tick, as the simulator steps it
     s = np.concatenate([[0.0], np.cumsum(np.full(n - 1, agent.speed * dt))])
-    x, y, heading, kappa = path.frames(s)
+    lane = scenario.lane(agent.lane) if agent.kind in ("vehicle", "ego") else None
+    if lane is not None:
+        x, y, heading, kappa = lane.centerline.frames(lane.arc_position(agent.x, agent.y) + s)
+    else:
+        x = agent.x + math.cos(agent.heading) * s
+        y = agent.y + math.sin(agent.heading) * s
+        heading, kappa = np.full(n, agent.heading), np.zeros(n)
     speed = np.full(n, agent.speed)
     return TimedTrajectory(dt, np.arange(n) * dt, x, y, heading, speed, np.zeros(n),
                            kappa * speed * speed)
@@ -194,30 +191,24 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
 
 def lane_path(lane: Lane, x: float, y: float, heading: float,
               blend: float, span: float) -> Polyline:
-    """Path from the pose (x, y, heading) onto `lane` and along its centerline.
+    """Planned path from the pose (x, y, heading) onto `lane` and along its centerline.
 
-    A cubic Bezier with tangent handles of blend/3 at both ends joins the pose
-    to the centerline `blend` m ahead of the pose's projection onto it; the
-    path then follows the centerline's own vertices until `span` (>= blend) m
-    ahead, extending the last segment past the lane end. A pose beyond the
-    lane end projects onto that extension. With blend = 0 the path starts on
-    the centerline at the projection, and span must be > 0.
+    A cubic Bezier with tangent handles of blend/3 (blend > 0) at both ends
+    joins the pose to the centerline `blend` m ahead of the pose's
+    `Lane.arc_position`; the path then follows the centerline's own vertices
+    until `span` (>= blend) m ahead, extending the end segments past either
+    lane end.
     """
     line = lane.centerline
-    s0, _, over = line.project((x, y))
-    if s0 >= line.length:   # `project` clamps s at the lane end
-        s0 += over
+    s0 = lane.arc_position(x, y)
     s_join = s0 + blend
     s_end = s0 + span
     p3 = line.point_at(s_join)
-    if blend > 0.0:
-        h3 = line.heading_at(s_join)
-        p0 = np.array([x, y])
-        p1 = p0 + np.array([math.cos(heading), math.sin(heading)]) * (blend / 3.0)
-        p2 = p3 - np.array([math.cos(h3), math.sin(h3)]) * (blend / 3.0)
-        head = CubicBezier(np.array([p0, p1, p2, p3])).chord_points()
-    else:
-        head = p3[None, :]
+    h3 = line.heading_at(s_join)
+    p0 = np.array([x, y])
+    p1 = p0 + np.array([math.cos(heading), math.sin(heading)]) * (blend / 3.0)
+    p2 = p3 - np.array([math.cos(h3), math.sin(h3)]) * (blend / 3.0)
+    head = CubicBezier(np.array([p0, p1, p2, p3])).chord_points()
     if span <= blend:
         return Polyline(head)
     # vertices within 1e-6 m of the join or the end would make a degenerate segment
@@ -241,7 +232,8 @@ def _lane_change_candidates(ctx: PlanContext, maneuvers) -> list:
     A lane change is stretched when a vehicle ahead of the ego on its lane
     (first sample ahead in arc length) is predicted inside its path's
     corridor over the lane-change duration; one probe checks every path.
-    Without a neighbour lane the maneuver is an infeasible placeholder.
+    Without a neighbour lane the maneuver is an infeasible placeholder
+    resting at the ego pose for one sample.
     """
     cfg = ctx.config
     ego = ctx.ego
@@ -270,8 +262,8 @@ def _lane_change_candidates(ctx: PlanContext, maneuvers) -> list:
     out = []
     for m in maneuvers:
         if targets[m] is None:
-            traj = _keep_lane_candidate(ctx, m, 0.0).trajectory
-            out.append(ManeuverCandidate(m, traj, None, ego.speed, traj.end_speed,
+            rest = TimedTrajectory.stationary(ego.x, ego.y, ego.heading, cfg.dt, 1)
+            out.append(ManeuverCandidate(m, rest, None, ego.speed, ego.speed,
                                          feasible=False, reason=NO_LANE))
             continue
         target = ctx.scenario.lanes[targets[m]]

@@ -1,7 +1,7 @@
 """Run metrics derived from a simulation log."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,22 +28,7 @@ class Metrics:
     latency_ms: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "avg_speed_mps": self.avg_speed_mps,
-            "avg_accel_mps2": self.avg_accel_mps2,
-            "distance_m": self.distance_m,
-            "collisions": self.collisions,
-            "rule_violations": self.rule_violations,
-            "violations_by_rule": self.violations_by_rule,
-            "lane_changes_left": self.lane_changes_left,
-            "lane_changes_right": self.lane_changes_right,
-            "lane_changes_aborted": self.lane_changes_aborted,
-            "fallback_stops": self.fallback_stops,
-            "kinetic_energy_kj": self.kinetic_energy_kj,
-            "time_in_state_s": self.time_in_state_s,
-            "maneuver_time_s": self.maneuver_time_s,
-            "latency_ms": self.latency_ms,
-        }
+        return asdict(self)
 
 
 def invested_energy_kj(epoch_speeds, mass: float) -> float:

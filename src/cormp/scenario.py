@@ -72,11 +72,12 @@ class Polyline:
     def frames(self, s) -> tuple:
         """x, y, heading and signed curvature at an array of arc positions.
 
-        s is clamped to [0, length]. Heading is the direction of the segment
-        holding s (as `heading_at` gives it); curvature is interpolated in s
-        between the interior vertices and is 0 on a two-point line.
+        Positions and headings are those of `point_at` and `heading_at`: s
+        beyond either end extends along that end's segment. Curvature is
+        interpolated in s between the interior vertices, holds its end value
+        beyond them, and is 0 on a two-point line.
         """
-        s = np.clip(np.asarray(s, dtype=np.float64), 0.0, self.length)
+        s = np.asarray(s, dtype=np.float64)
         i = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self._seg) - 1)
         f = (s - self.cum[i]) / self._seg[i]
         x = self.points[i, 0] + self._d[i, 0] * f
@@ -161,6 +162,16 @@ class Lane:
     @property
     def length(self) -> float:
         return self.centerline.length
+
+    def arc_position(self, x: float, y: float) -> float:
+        """Arc position of (x, y) along the centerline, extended past its ends.
+
+        The projection's s, plus the overshoot beyond the lane end or minus
+        the overshoot before its start: a point on an end segment's extension
+        gets the s that `Polyline.point_at` maps back to it.
+        """
+        s, _, over = self.centerline.project((x, y))
+        return s + over if s > 0.0 else s - over
 
 
 @dataclass

@@ -88,11 +88,7 @@ class _AgentRuntime:
         self.agent = agent
         self.traveled = 0.0  # pedestrian crossing distance
         lane = scenario.lane(agent.lane)
-        if lane is not None:
-            s, _, _ = lane.centerline.project((agent.x, agent.y))
-            self.s = s
-        else:
-            self.s = 0.0
+        self.s = lane.arc_position(agent.x, agent.y) if lane is not None else 0.0
 
 
 class SimWorld:

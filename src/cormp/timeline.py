@@ -103,5 +103,5 @@ def render_timeline(runs: list, duration_s: float) -> str:
 
 
 def write_timeline(path, runs: list, duration_s: float) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_timeline(runs, duration_s))

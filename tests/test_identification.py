@@ -120,17 +120,27 @@ def test_lane_vehicle_prediction_continues_past_the_lane_end():
     # from 20 m before the lane end to 220 m at t = 4 s, then on from there
     for start in (180.0, 220.0):
         assert car.x == pytest.approx(start, abs=1e-9)
-        pred = predict_oru(car, world.scenario, cfg)
-        assert len(pred) == cfg.horizon_steps + 1
-        for k in range(len(pred)):
-            if k:
-                world.advance_others()
-            assert math.hypot(pred.x[k] - car.x, pred.y[k] - car.y) < 1e-9
+        assert_prediction_matches_simulator(world, car, cfg)
+    # placed 30 m past the lane end, or 30 m before its start: no jump onto the lane
+    for start in (230.0, -30.0):
+        doc["agents"][1]["position"] = [start, 0.0]
+        world = SimWorld(load_scenario(doc), cfg)
+        assert_prediction_matches_simulator(world, world.scenario.agents[1], cfg)
+
+
+def assert_prediction_matches_simulator(world: SimWorld, car, cfg: PlannerConfig) -> None:
+    """Each tick of car's prediction is within 1e-9 m of the simulator moving it."""
+    pred = predict_oru(car, world.scenario, cfg)
+    assert len(pred) == cfg.horizon_steps + 1
+    for k in range(len(pred)):
+        if k:
+            world.advance_others()
+        assert math.hypot(pred.x[k] - car.x, pred.y[k] - car.y) < 1e-9
 
 
 def test_lane_prediction_keeps_its_last_tick_when_the_path_rounds_short():
-    # the span ends 0.5 um past a 0.5 rad corner, a vertex lane_path drops:
-    # the path is about 6e-8 m shorter than the span, yet every tick is kept
+    # the horizon ends 0.5 um past a 0.5 rad corner: the last tick lands just
+    # beyond a centerline vertex, and it is kept on the lane past the corner
     doc = road(n_lanes=1, others=[{"id": "car", "kind": "vehicle", "lane": "right",
                                    "position": [60.0 + 0.5e-6, 0.0], "heading": 0.0,
                                    "speed": 10.0, "length": 4.5, "width": 1.8}])
@@ -198,6 +208,9 @@ def test_missing_neighbor_marks_no_lane():
     assert not right.feasible
     assert right.reason == NO_LANE
     assert right.target_lane is None
+    assert len(right.trajectory) == 1                   # resting at the ego pose
+    assert (right.trajectory.x[0], right.trajectory.y[0]) == (15.0, 0.0)
+    assert right.trajectory.speed[0] == 0.0
     left = cands[Maneuver.CHANGE_LANE_LEFT]
     assert left.feasible
     assert left.target_lane == "left"

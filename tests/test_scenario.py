@@ -8,6 +8,7 @@ import pytest
 from conftest import SCENARIO_DIR, load
 from cormp.scenario import (
     Behavior,
+    Lane,
     Polyline,
     ScenarioError,
     TrafficLight,
@@ -78,20 +79,31 @@ def test_polyline_frames_on_an_arc():
     r = 140.0
     angles = np.linspace(0.0, 3.0, 60)
     line = Polyline(np.column_stack([r * np.sin(angles), r - r * np.cos(angles)]))
-    s = np.linspace(0.0, line.length, 200)
+    s = np.linspace(-30.0, line.length + 30.0, 200)           # past both ends
     x, y, heading, kappa = line.frames(s)
     assert np.allclose(kappa, 1.0 / r, rtol=0.01)            # a left turn
-    for k in range(0, 200, 17):
+    for k in [*range(0, 200, 17), 199]:
         assert np.allclose((x[k], y[k]), line.point_at(float(s[k])), atol=1e-9)
         assert heading[k] == pytest.approx(line.heading_at(float(s[k])), abs=1e-12)
 
 
 def test_polyline_frames_on_a_two_point_line():
     line = Polyline([[0.0, 0.0], [3.0, 4.0]])
-    x, y, heading, kappa = line.frames([0.0, 2.5, 5.0, 7.0])
-    assert np.array_equal(kappa, np.zeros(4))
+    s = [-2.0, 0.0, 2.5, 5.0, 7.0]
+    x, y, heading, kappa = line.frames(s)
+    assert np.array_equal(kappa, np.zeros(5))
     assert np.allclose(heading, math.atan2(4.0, 3.0))
-    assert (x[-1], y[-1]) == (3.0, 4.0)                        # clamped at the end
+    for k in (0, 4):                        # beyond either end, along the line
+        assert (x[k], y[k]) == tuple(line.point_at(s[k]))
+        assert heading[k] == line.heading_at(s[k])
+    assert (x[-1], y[-1]) == pytest.approx((4.2, 5.6))
+
+
+def test_lane_arc_position_extends_past_both_ends():
+    lane = Lane("a", Polyline([[0.0, 0.0], [100.0, 0.0], [100.0, 50.0]]), 3.5, 10.0)
+    assert lane.arc_position(40.0, 1.0) == pytest.approx(40.0)
+    assert lane.arc_position(-30.0, 0.5) == pytest.approx(-30.0)   # before the start
+    assert lane.arc_position(100.5, 80.0) == pytest.approx(180.0)  # past the end
 
 
 def test_polyline_rejects_degenerate_input():
