@@ -48,11 +48,6 @@ def idm_accel(v: float, v_desired: float, gap: float | None,
     return p.a_max * (free - (s_star / gap) ** 2)
 
 
-def _on_lane(lane: Lane, agent: AgentState) -> tuple[float, bool]:
-    s, lateral, overshoot = lane.centerline.project((agent.x, agent.y))
-    return s, abs(lateral) <= lane.width / 2.0 and overshoot == 0.0
-
-
 def find_neighbors(scenario: Scenario, lane: Lane, s_ref: float,
                    ref_half_len: float, exclude: str):
     """Nearest lead and follower on `lane` around arc position s_ref.
@@ -65,8 +60,8 @@ def find_neighbors(scenario: Scenario, lane: Lane, s_ref: float,
     for agent in scenario.agents:
         if agent.id == exclude or agent.kind == "pedestrian":
             continue
-        s, inside = _on_lane(lane, agent)
-        if not inside:
+        s, lateral = lane.centerline.project((agent.x, agent.y))
+        if abs(lateral) > lane.width / 2.0:
             continue
         if s >= s_ref:
             gap = (s - s_ref) - ref_half_len - agent.length / 2.0
@@ -100,7 +95,7 @@ class MobilPlanner:
         self.commitment.clear()
 
     def _ego_accel_on(self, scenario: Scenario, lane: Lane, ego: AgentState) -> float:
-        s, _, _ = lane.centerline.project((ego.x, ego.y))
+        s, _ = lane.centerline.project((ego.x, ego.y))
         lead, gap, _, _ = find_neighbors(scenario, lane, s, ego.length / 2.0, ego.id)
         if lead is None:
             return idm_accel(ego.speed, lane.speed_limit, None, 0.0, self.idm)
@@ -117,8 +112,8 @@ class MobilPlanner:
     def _change_gain(self, scenario: Scenario, ego: AgentState,
                      current: Lane, target: Lane, a_keep: float) -> float | None:
         """MOBIL incentive for moving to `target`; None when unsafe."""
-        s_cur, _, _ = current.centerline.project((ego.x, ego.y))
-        s_tgt, _, _ = target.centerline.project((ego.x, ego.y))
+        s_cur, _ = current.centerline.project((ego.x, ego.y))
+        s_tgt, _ = target.centerline.project((ego.x, ego.y))
         half = ego.length / 2.0
         t_lead, t_lead_gap, t_fol, t_fol_gap = find_neighbors(
             scenario, target, s_tgt, half, ego.id)
@@ -130,7 +125,7 @@ class MobilPlanner:
             return None
         a_fol_old = 0.0
         if t_fol is not None:
-            s_fol, _, _ = target.centerline.project((t_fol.x, t_fol.y))
+            s_fol, _ = target.centerline.project((t_fol.x, t_fol.y))
             f_lead, f_gap, _, _ = find_neighbors(
                 scenario, target, s_fol, t_fol.length / 2.0, t_fol.id)
             if f_lead is None:
@@ -153,8 +148,8 @@ class MobilPlanner:
         a_old_fol_after = 0.0
         if c_fol is not None:
             if c_lead is not None:
-                s_fol, _, _ = current.centerline.project((c_fol.x, c_fol.y))
-                s_lead, _, _ = current.centerline.project((c_lead.x, c_lead.y))
+                s_fol, _ = current.centerline.project((c_fol.x, c_fol.y))
+                s_lead, _ = current.centerline.project((c_lead.x, c_lead.y))
                 gap_after = (s_lead - s_fol) - c_fol.length / 2.0 - c_lead.length / 2.0
                 a_old_fol_after = idm_accel(c_fol.speed, current.speed_limit, gap_after,
                                             c_fol.speed - c_lead.speed, self.idm)

@@ -176,6 +176,12 @@ def _speeds_and_arcs(profile: SpeedProfile, dt: float, n: int) -> tuple[np.ndarr
     return v, np.cumsum(np.concatenate([[0.0], ds]))
 
 
+def tick_times(dt: float, horizon: float) -> np.ndarray:
+    """Tick times 0, dt, 2 dt, ... up to `horizon`, with a 1e-9 s tolerance."""
+    t = np.arange(int((horizon + 1e-9) / dt) + 2) * dt
+    return t[t <= horizon + 1e-9]
+
+
 def sample_trajectory(path: Polyline, profile: SpeedProfile, dt: float,
                       horizon: float) -> TimedTrajectory:
     """Sample poses along `path` under a clamped constant-accel speed profile.
@@ -189,8 +195,7 @@ def sample_trajectory(path: Polyline, profile: SpeedProfile, dt: float,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     eps = 1e-9
-    t = np.arange(int((horizon + eps) / dt) + 2) * dt
-    t = t[t <= horizon + eps]
+    t = tick_times(dt, horizon)
     v, s = _speeds_and_arcs(profile, dt, len(t))
     length = path.length
     n = int(np.count_nonzero(s <= length + eps))   # s never decreases

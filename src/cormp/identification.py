@@ -165,9 +165,9 @@ def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfi
 def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) -> TimedTrajectory:
     """Constant-velocity prediction on the tick grid, horizon_steps + 1 samples.
 
-    A lane-bound vehicle moves along its lane centerline from its
-    `Lane.arc_position`, on past either lane end along the end segment, as
-    the simulator moves it. Every other road user extrapolates straight along
+    A lane-bound vehicle moves along its lane centerline from its projected
+    arc position, on past either lane end along the end segment, as the
+    simulator moves it. Every other road user extrapolates straight along
     its current heading. Standing agents yield a resting trajectory over the
     full horizon.
     """
@@ -179,7 +179,8 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
     s = np.concatenate([[0.0], np.cumsum(np.full(n - 1, agent.speed * dt))])
     lane = scenario.lane(agent.lane) if agent.kind in ("vehicle", "ego") else None
     if lane is not None:
-        x, y, heading, kappa = lane.centerline.frames(lane.arc_position(agent.x, agent.y) + s)
+        line = lane.centerline
+        x, y, heading, kappa = line.frames(line.project((agent.x, agent.y))[0] + s)
     else:
         x = agent.x + math.cos(agent.heading) * s
         y = agent.y + math.sin(agent.heading) * s
@@ -194,13 +195,13 @@ def lane_path(lane: Lane, x: float, y: float, heading: float,
     """Planned path from the pose (x, y, heading) onto `lane` and along its centerline.
 
     A cubic Bezier with tangent handles of blend/3 (blend > 0) at both ends
-    joins the pose to the centerline `blend` m ahead of the pose's
-    `Lane.arc_position`; the path then follows the centerline's own vertices
+    joins the pose to the centerline `blend` m ahead of the pose's projected
+    arc position; the path then follows the centerline's own vertices
     until `span` (>= blend) m ahead, extending the end segments past either
     lane end.
     """
     line = lane.centerline
-    s0 = lane.arc_position(x, y)
+    s0 = line.project((x, y))[0]
     s_join = s0 + blend
     s_end = s0 + span
     p3 = line.point_at(s_join)
@@ -250,8 +251,8 @@ def _lane_change_candidates(ctx: PlanContext, maneuvers) -> list:
              for m, t in targets.items() if t is not None}
     stretched = dict.fromkeys(paths, False)
     if paths and block.vehicle_like.any():
-        s_ego, _, _ = lane.centerline.project((ego.x, ego.y))
-        s_obj, _, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
+        s_ego, _ = lane.centerline.project((ego.x, ego.y))
+        s_obj, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
         leads = block.vehicle_like & (s_obj > s_ego)
         if leads.any():
             probes = CandidateBlock([sample_trajectory(p, SpeedProfile(v, 0.0), cfg.dt,
@@ -301,7 +302,7 @@ def _stop_constraint_distance(ctx: PlanContext) -> float | None:
     # moving traffic is handled by TTC, not a fixed stop target
     still = block.vehicle_like & (block.speed[:, 0] <= 0.5)
     if still.any():
-        s_obj, lateral, _ = lane.centerline.project(
+        s_obj, lateral = lane.centerline.project(
             np.column_stack([block.x[still, 0], block.y[still, 0]]))
         ahead = (s_obj > front) & (np.abs(lateral) <= lane.width / 2.0)
         stop_s = s_obj - block.half_length[still] - cfg.stop_line_margin_m
@@ -372,7 +373,7 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
 
 def _front_s(traj: TimedTrajectory, lane: Lane, ego_length: float) -> np.ndarray:
     """Arc position of the ego front bumper on `lane` at every sample."""
-    s, _, _ = lane.centerline.project(np.column_stack([traj.x, traj.y]))
+    s, _ = lane.centerline.project(np.column_stack([traj.x, traj.y]))
     return s + ego_length / 2.0
 
 

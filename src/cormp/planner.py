@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import SpeedProfile, TimedTrajectory, sample_trajectory
+from .bezier import SpeedProfile, TimedTrajectory, sample_trajectory, tick_times
 from .config import PlannerConfig
 from .identification import (
     LANE_CHANGES,
@@ -120,7 +120,8 @@ def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
     speed schedule changes. Used for lane-change aborts, where steering back
     would be a second lateral maneuver but slowing down along the committed
     geometry is always available. A trajectory that does not move (a lane
-    change begun at standstill) gives a resting one; if the path runs out
+    change begun at standstill) gives a resting one on the `tick_times`
+    grid that every sampled trajectory uses; if the path runs out
     before the vehicle stops, the result ends there.
     """
     xy = np.column_stack([traj.x, traj.y])
@@ -128,7 +129,7 @@ def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
     if np.count_nonzero(moved) < 2:
         return TimedTrajectory.stationary(float(traj.x[0]), float(traj.y[0]),
                                           float(traj.heading[0]), dt,
-                                          int(round(horizon / dt)) + 1)
+                                          len(tick_times(dt, horizon)))
     return sample_trajectory(Polyline(xy[moved]), SpeedProfile(float(traj.speed[0]), -decel),
                              dt, horizon=horizon)
 

@@ -161,7 +161,7 @@ def apriori_lane_value(cand: ManeuverCandidate, apriori_lane) -> float:
     traj = cand.trajectory
     if len(traj) == 0:
         return 1.0
-    _, lateral, _ = apriori_lane.centerline.project((traj.x[-1], traj.y[-1]))
+    _, lateral = apriori_lane.centerline.project((traj.x[-1], traj.y[-1]))
     return clamp01(1.0 - abs(lateral) / (2.0 * apriori_lane.width))
 
 

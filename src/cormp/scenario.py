@@ -98,13 +98,15 @@ class Polyline:
                         self._seg.tolist(), self.cum[:-1].tolist()))
 
     def project(self, point):
-        """(s, signed lateral offset, overshoot) of the closest point.
+        """(s, signed lateral offset) of the closest point.
 
-        Lateral offset is positive to the left of the travel direction.
-        Overshoot is how far the point lies beyond the polyline ends along the
-        end tangent (0 when it projects onto the interior). `point` is one
-        (x, y) pair, giving floats, or an (n, 2) array, giving three arrays.
-        A segment within 1e-12 m^2 of the closest loses to an earlier one.
+        s is the arc position with the end segments extended past either end
+        (negative before the start, beyond `length` past the end), so that
+        `point_at(s)` is the foot of the point on that extension: `project`
+        inverts `point_at` and `frames` everywhere. Lateral offset is positive
+        to the left of the travel direction. `point` is one (x, y) pair,
+        giving two floats, or an (n, 2) array, giving two arrays. A segment
+        within 1e-12 m^2 of the closest loses to an earlier one.
         """
         p = np.asarray(point, dtype=np.float64)
         if p.ndim == 2:
@@ -112,7 +114,7 @@ class Polyline:
         px, py = float(p[0]), float(p[1])
         last = len(self._seg) - 1
         best = math.inf
-        out = (0.0, 0.0, 0.0)
+        out = (0.0, 0.0)
         for i, (ax, ay, dx, dy, len2, seg, cum) in enumerate(self._segment_floats):
             rx, ry = px - ax, py - ay
             t = (rx * dx + ry * dy) / len2
@@ -121,12 +123,9 @@ class Polyline:
             dist2 = qx * qx + qy * qy
             if dist2 < best - 1e-12:
                 best = dist2
-                over = 0.0
-                if i == 0 and t < 0.0:
-                    over = -t * seg
-                elif i == last and t > 1.0:
-                    over = (t - 1.0) * seg
-                out = (cum + tc * seg, (dx * qy - dy * qx) / seg, over)
+                if (i == 0 and t < 0.0) or (i == last and t > 1.0):
+                    tc = t  # past an end: along the end segment's extension
+                out = (cum + tc * seg, (dx * qy - dy * qx) / seg)
         return out
 
     def _project_many(self, p: np.ndarray) -> tuple:
@@ -140,12 +139,11 @@ class Polyline:
         dist2 = qx * qx + qy * qy
         j = np.argmax(dist2 < dist2.min(axis=1, keepdims=True) + 1e-12, axis=1)
         r = np.arange(len(p))
-        s = self.cum[j] + tc[r, j] * seg[j]
+        tj = t[r, j]
+        past_end = ((j == 0) & (tj < 0.0)) | ((j == len(seg) - 1) & (tj > 1.0))
+        s = self.cum[j] + np.where(past_end, tj, tc[r, j]) * seg[j]
         lateral = (d[j, 0] * qy[r, j] - d[j, 1] * qx[r, j]) / seg[j]
-        t0, t1 = t[:, 0], t[:, -1]
-        over = np.where((j == 0) & (t0 < 0.0), -t0 * seg[0], 0.0)
-        over = np.where((j == len(seg) - 1) & (t1 > 1.0), (t1 - 1.0) * seg[-1], over)
-        return s, lateral, over
+        return s, lateral
 
 
 @dataclass(eq=False)
@@ -162,16 +160,6 @@ class Lane:
     @property
     def length(self) -> float:
         return self.centerline.length
-
-    def arc_position(self, x: float, y: float) -> float:
-        """Arc position of (x, y) along the centerline, extended past its ends.
-
-        The projection's s, plus the overshoot beyond the lane end or minus
-        the overshoot before its start: a point on an end segment's extension
-        gets the s that `Polyline.point_at` maps back to it.
-        """
-        s, _, over = self.centerline.project((x, y))
-        return s + over if s > 0.0 else s - over
 
 
 @dataclass

@@ -88,7 +88,7 @@ class _AgentRuntime:
         self.agent = agent
         self.traveled = 0.0  # pedestrian crossing distance
         lane = scenario.lane(agent.lane)
-        self.s = lane.arc_position(agent.x, agent.y) if lane is not None else 0.0
+        self.s = lane.centerline.project((agent.x, agent.y))[0] if lane is not None else 0.0
 
 
 class SimWorld:
@@ -163,7 +163,7 @@ class SimWorld:
             if lane_id is None:
                 continue
             cand = self.scenario.lanes[lane_id]
-            _, lateral, _ = cand.centerline.project((self.ego.x, self.ego.y))
+            _, lateral = cand.centerline.project((self.ego.x, self.ego.y))
             off = abs(lateral)
             if best_off is None or off < best_off - 1e-9:
                 best_id, best_off = lane_id, off
@@ -199,7 +199,7 @@ class SimWorld:
                                    {"rule": "speed", "lane": lane.id, "speed": ego.speed}))
         self._speeding = speeding
 
-        _, lateral, _ = lane.centerline.project((ego.x, ego.y))
+        _, lateral = lane.centerline.project((ego.x, ego.y))
         room = lane.width / 2.0 - ego.width / 2.0
         crossing = ((lateral > room and lane.left_boundary == "solid")
                     or (lateral < -room and lane.right_boundary == "solid"))
@@ -210,8 +210,8 @@ class SimWorld:
 
         for i, light in enumerate(self.scenario.lights):
             llane = self.scenario.lanes[light.lane]
-            s, lat, _ = llane.centerline.project((ego.x, ego.y))
-            if abs(lat) > llane.width:  # not on this light's lane
+            s, lat = llane.centerline.project((ego.x, ego.y))
+            if abs(lat) > llane.width / 2.0:  # not on this light's lane
                 self._prev_front_s.pop(i, None)
                 continue
             front = s + ego.length / 2.0

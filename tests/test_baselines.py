@@ -24,6 +24,7 @@ from cormp.resources import (
     WeightTable,
 )
 from cormp.scenario import load_scenario
+from cormp.simulator import run
 
 IDM = IdmParams()
 
@@ -161,6 +162,23 @@ def test_mobil_drives_on_past_the_lane_end():
     assert x.max() > 420.0
     assert np.all(np.diff(x) >= 0.0)
     assert np.all(np.cos(log.column("ego_heading")) > 0.0)
+
+
+@pytest.mark.parametrize("behavior", [{"speed": 3.0}, {"speed": 0.0, "behavior": {"type": "static"}}],
+                         ids=["slow", "standing"])
+def test_mobil_sees_a_lead_past_the_lane_end(behavior):
+    # the one lane ends at x = 200 m and the car ahead is 30 m past it
+    sc = load_scenario({
+        "duration_s": 12.0, "apriori_lane": "main",
+        "lanes": [{"id": "main", "centerline": [[0.0, 0.0], [200.0, 0.0]],
+                   "width": 3.5, "speed_limit": 13.89}],
+        "agents": [{"id": "ego", "kind": "ego", "position": [150.0, 0.0], "heading": 0.0,
+                    "speed": 10.0, "length": 4.5, "width": 1.8, "lane": "main"},
+                   dict(car("car", 230.0, 0.0, 3.0, "main"), **behavior)],
+    })
+    cfg = PlannerConfig()
+    log = run(sc, make_planner("mobil", cfg, sc.profile), cfg)
+    assert log.count_events("collision") == 0
 
 
 def test_mobil_politeness_zero_is_purely_egoistic():

@@ -34,16 +34,17 @@ EGO = {"id": "ego", "kind": "ego", "position": [15.0, 0.0], "heading": 0.0,
 
 
 def road(n_lanes: int = 2, limit: float = 13.89, ego=None, others=(),
-         lights=(), crosswalks=(), left_boundary: str = "dashed") -> dict:
+         lights=(), crosswalks=(), left_boundary: str = "dashed",
+         length: float = 600.0) -> dict:
     lanes = [{
-        "id": "right", "centerline": [[0.0, 0.0], [600.0, 0.0]], "width": 3.5,
+        "id": "right", "centerline": [[0.0, 0.0], [length, 0.0]], "width": 3.5,
         "speed_limit": limit, "left_boundary": left_boundary,
         "right_boundary": "solid",
     }]
     if n_lanes == 2:
         lanes[0]["left_neighbor"] = "left"
         lanes.append({
-            "id": "left", "centerline": [[0.0, 3.5], [600.0, 3.5]], "width": 3.5,
+            "id": "left", "centerline": [[0.0, 3.5], [length, 3.5]], "width": 3.5,
             "speed_limit": limit, "right_neighbor": "right",
             "left_boundary": "solid", "right_boundary": left_boundary,
         })
@@ -239,12 +240,12 @@ def test_keep_lane_and_lane_change_follow_a_curved_centerline():
     ctx = PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0,
                       predictions=prediction_block())
     keep = _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_SAME_SPEED, 0.0).trajectory
-    _, lateral, _ = sc.lanes["right"].centerline.project(np.column_stack([keep.x, keep.y]))
+    _, lateral = sc.lanes["right"].centerline.project(np.column_stack([keep.x, keep.y]))
     # the solid edge is 0.85 m from the centerline for this ego; the start
     # heading is the 7 m chord's direction, so the cubic cuts in a little
     assert np.max(np.abs(lateral)) < 0.3
     change = _lane_change_candidates(ctx, (Maneuver.CHANGE_LANE_LEFT,))[0].trajectory
-    _, lateral, _ = sc.lanes["left"].centerline.project((change.x[-1], change.y[-1]))
+    _, lateral = sc.lanes["left"].centerline.project((change.x[-1], change.y[-1]))
     assert abs(lateral) < 0.01
 
 
@@ -269,6 +270,19 @@ def test_lane_change_stretches_around_a_near_lead():
     far = by_maneuver(enumerate_candidates(context(far_doc)))
     assert near[Maneuver.CHANGE_LANE_LEFT].stretched
     assert not far[Maneuver.CHANGE_LANE_LEFT].stretched
+
+
+
+def test_lane_change_stretches_around_a_lead_past_the_lane_end():
+    # the lanes end at x = 200 m; ahead of the ego is ahead on the lane's
+    # extension too, so the lead 40 m ahead blocks the change either way
+    for x in (130.0, 230.0):
+        lead = {"id": "lead", "kind": "vehicle", "lane": "left",
+                "position": [x + 40.0, 3.5], "heading": 0.0, "speed": 5.0,
+                "length": 4.5, "width": 1.8}
+        doc = road(length=200.0, ego={"position": [x, 0.0]}, others=[lead])
+        cands = by_maneuver(_lane_change_candidates(context(doc), (Maneuver.CHANGE_LANE_LEFT,)))
+        assert cands[Maneuver.CHANGE_LANE_LEFT].stretched, x
 
 
 # ---------------------------------------------------------------- stop rates
@@ -312,6 +326,18 @@ def test_stopped_vehicle_is_a_stop_target_moving_one_is_not():
     assert d == pytest.approx((80.0 - 2.25 - 12.0) - (15.0 + 2.25))
     moving = dict(parked, speed=8.0)
     assert _stop_constraint_distance(context(road(others=[moving]))) is None
+
+
+
+def test_vehicle_standing_past_the_lane_end_is_a_stop_target_where_it_stands():
+    # the one lane ends at x = 200 m; the car stands 30 m past it
+    parked = {"id": "v", "kind": "vehicle", "lane": "right",
+              "position": [230.0, 0.0], "heading": 0.0, "speed": 0.0,
+              "length": 4.5, "width": 1.8, "behavior": {"type": "static"}}
+    doc = road(n_lanes=1, length=200.0, ego={"position": [150.0, 0.0], "speed": 10.0},
+               others=[parked])
+    d = _stop_constraint_distance(context(doc))
+    assert d == pytest.approx((230.0 - 2.25 - 12.0) - (150.0 + 2.25))   # 63.5 m
 
 
 # ---------------------------------------------------------------- collision

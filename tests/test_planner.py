@@ -3,7 +3,7 @@ import pytest
 
 from conftest import load
 from cormp.baselines import MobilPlanner
-from cormp.bezier import TimedTrajectory
+from cormp.bezier import SpeedProfile, TimedTrajectory, sample_trajectory
 from cormp.config import PlannerConfig
 from cormp.identification import (
     ManeuverCandidate,
@@ -25,7 +25,7 @@ from cormp.resources import (
     ResourceState,
     WeightTable,
 )
-from cormp.scenario import load_scenario
+from cormp.scenario import Polyline, load_scenario
 
 
 def assessment(values_by_resource: dict) -> ResourceAssessment:
@@ -265,6 +265,17 @@ def test_aborting_a_lane_change_begun_at_standstill_rests():
     assert result.aborted
     assert len(result.trajectory) == 41
     assert np.all(result.trajectory.x == 0.0) and np.all(result.trajectory.speed == 0.0)
+
+
+def test_standstill_abort_has_the_sampler_tick_count():
+    # 4 s is no whole number of 0.15 s ticks; rounding it gave a 28th sample
+    cfg = PlannerConfig(dt=0.15)
+    standing = TimedTrajectory.stationary(0.0, 0.0, 0.0, cfg.dt, 27)
+    rest = decelerate_along(standing, 2.0, cfg.dt, cfg.planning_horizon_s)
+    moving = sample_trajectory(Polyline([[0.0, 0.0], [100.0, 0.0]]), SpeedProfile(5.0, 0.0),
+                               cfg.dt, horizon=cfg.planning_horizon_s)
+    assert len(rest) == len(moving) == cfg.horizon_steps + 1 == 27
+    assert np.all(rest.speed == 0.0)
 
 
 def test_mobil_shares_the_commitment_replay():

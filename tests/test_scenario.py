@@ -4,11 +4,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, load
 from cormp.scenario import (
     Behavior,
-    Lane,
     Polyline,
     ScenarioError,
     TrafficLight,
@@ -51,16 +52,14 @@ def test_polyline_point_at_extrapolates_past_ends():
     assert np.allclose(line.point_at(13.0), (13.0, 0.0))
 
 
-def test_polyline_project_returns_s_lateral_overshoot():
+def test_polyline_project_returns_extended_s_and_lateral():
     line = Polyline([[0.0, 0.0], [10.0, 0.0]])
-    s, lat, over = line.project((4.0, 1.5))
+    s, lat = line.project((4.0, 1.5))
     assert s == pytest.approx(4.0)
     assert lat == pytest.approx(1.5)  # left of travel direction is positive
-    assert over == pytest.approx(0.0)
-    s, lat, over = line.project((14.0, -2.0))
-    assert s == pytest.approx(10.0)
+    s, lat = line.project((14.0, -2.0))
+    assert s == pytest.approx(14.0)   # past the end, along the end segment
     assert lat == pytest.approx(-2.0)
-    assert over == pytest.approx(4.0)
 
 
 def test_polyline_project_array_matches_points():
@@ -69,10 +68,40 @@ def test_polyline_project_array_matches_points():
     line = Polyline(np.column_stack([50.0 * np.cos(angles), 50.0 * np.sin(angles)]))
     pts = np.vstack([rng.uniform(-60.0, 60.0, (40, 2)),
                      [[60.0, -10.0], [-30.0, 60.0]]])   # beyond both ends
-    s, lat, over = line.project(pts)
-    assert over[-2] > 0.0 and over[-1] > 0.0
+    s, lat = line.project(pts)
+    assert s[-2] < 0.0 and s[-1] > line.length
     for k, p in enumerate(pts):
-        assert (s[k], lat[k], over[k]) == pytest.approx(line.project(p), abs=1e-12)
+        assert (s[k], lat[k]) == pytest.approx(line.project(p), abs=1e-12)
+
+
+@st.composite
+def polylines(draw) -> Polyline:
+    """Two-point lines, and arcs of 2-60 points sweeping at most pi/2."""
+    coord = st.floats(-200.0, 200.0)
+    x0, y0, h0 = draw(coord), draw(coord), draw(st.floats(-math.pi, math.pi))
+    if draw(st.booleans()):
+        length = draw(st.floats(0.5, 300.0))
+        return Polyline([[x0, y0], [x0 + length * math.cos(h0), y0 + length * math.sin(h0)]])
+    radius = draw(st.floats(5.0, 1000.0))
+    sweep = draw(st.floats(0.01, math.pi / 2.0))
+    turn = draw(st.sampled_from([-1.0, 1.0]))
+    a = h0 + turn * np.linspace(0.0, sweep, draw(st.integers(2, 60)))
+    # centre a radius to the turning side of the start pose
+    cx, cy = x0 - turn * radius * math.sin(h0), y0 + turn * radius * math.cos(h0)
+    return Polyline(np.column_stack([cx + turn * radius * np.sin(a),
+                                     cy - turn * radius * np.cos(a)]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(polylines(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_polyline_project_inverts_point_at_past_both_ends(line, fractions):
+    s = np.array([-30.0 + f * (line.length + 60.0) for f in fractions])
+    pts = np.array([line.point_at(float(sk)) for sk in s])
+    s_many, lat_many = line.project(pts)
+    for k, p in enumerate(pts):
+        s_one, lat_one = line.project(p)
+        assert s_one == pytest.approx(s[k], abs=1e-9)
+        assert (s_many[k], lat_many[k]) == pytest.approx((s_one, lat_one), abs=1e-12)
 
 
 def test_polyline_frames_on_an_arc():
@@ -99,11 +128,11 @@ def test_polyline_frames_on_a_two_point_line():
     assert (x[-1], y[-1]) == pytest.approx((4.2, 5.6))
 
 
-def test_lane_arc_position_extends_past_both_ends():
-    lane = Lane("a", Polyline([[0.0, 0.0], [100.0, 0.0], [100.0, 50.0]]), 3.5, 10.0)
-    assert lane.arc_position(40.0, 1.0) == pytest.approx(40.0)
-    assert lane.arc_position(-30.0, 0.5) == pytest.approx(-30.0)   # before the start
-    assert lane.arc_position(100.5, 80.0) == pytest.approx(180.0)  # past the end
+def test_polyline_project_extends_s_past_both_ends():
+    line = Polyline([[0.0, 0.0], [100.0, 0.0], [100.0, 50.0]])
+    assert line.project((40.0, 1.0))[0] == pytest.approx(40.0)
+    assert line.project((-30.0, 0.5))[0] == pytest.approx(-30.0)   # before the start
+    assert line.project((100.5, 80.0))[0] == pytest.approx(180.0)  # past the end
 
 
 def test_polyline_rejects_degenerate_input():

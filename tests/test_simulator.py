@@ -199,6 +199,28 @@ def test_back_to_back_lane_changes_are_logged_separately():
     assert (m.lane_changes_left, m.lane_changes_right) == (1, 1)
 
 
+@pytest.mark.parametrize("planner_id", ["cor-mp", "mobil", "utility"])
+def test_red_light_on_the_neighbour_lane_is_not_a_violation(planner_id):
+    # the light stands on the right lane only; the ego keeps to the left lane,
+    # whose centreline lies one lane width from the right one's
+    sc = load_scenario({
+        "duration_s": 10.0, "apriori_lane": "left",
+        "lanes": [{"id": "right", "centerline": [[0.0, 0.0], [600.0, 0.0]], "width": 3.5,
+                   "speed_limit": 13.89, "left_neighbor": "left",
+                   "left_boundary": "dashed", "right_boundary": "solid"},
+                  {"id": "left", "centerline": [[0.0, 3.5], [600.0, 3.5]], "width": 3.5,
+                   "speed_limit": 13.89, "right_neighbor": "right",
+                   "left_boundary": "solid", "right_boundary": "dashed"}],
+        "agents": [{"id": "ego", "kind": "ego", "position": [15.0, 3.5], "heading": 0.0,
+                    "speed": 10.0, "length": 4.5, "width": 1.8, "lane": "left"}],
+        "lights": [{"lane": "right", "stop_line_s": 100.0, "schedule": [["red", 1000.0]]}],
+    })
+    cfg = PlannerConfig()
+    log = run(sc, make_planner(planner_id, cfg, sc.profile), cfg)
+    assert set(log.column("ego_lane")) == {"left"}
+    assert len(rule_events(log, "red_light")) == 0
+
+
 def test_red_light_run_has_no_red_light_events():
     _, log, _ = timed_run("red_light")
     assert len(rule_events(log, "red_light")) == 0
