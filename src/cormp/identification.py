@@ -23,7 +23,7 @@ import numpy as np
 
 from .bezier import CubicBezier, SpeedProfile, TimedTrajectory, sample_trajectory
 from .config import PlannerConfig
-from .kernels import pose_gaps
+from .kernels import REACH_MARGIN, pose_gaps
 from .scenario import AgentState, Crosswalk, Lane, Polyline, Scenario
 
 
@@ -78,18 +78,25 @@ class PredictionBlock:
 
         Both are subsampled every `crowd_sample_stride_s` and compared
         spatially, every sample of one against every sample of the other;
-        a candidate's padding takes no part.
+        a candidate's padding takes no part. Only sample pairs whose centers
+        lie within the two circumradii plus `REACH_MARGIN` can overlap
+        (see `kernels`), so only those are gathered for the SAT test.
         """
         st = max(1, int(round(cfg.crowd_sample_stride_s / cfg.dt)))
-        gaps = pose_gaps(
-            cands.x[:, None, ::st, None], cands.y[:, None, ::st, None],
-            cands.heading[:, None, ::st, None], ego_length / 2.0, ego_width / 2.0,
-            self.x[None, :, None, ::st], self.y[None, :, None, ::st],
-            self.heading[None, :, None, ::st],
-            self.half_length[None, :, None, None], self.half_width[None, :, None, None],
-        )
-        gaps = np.where(cands.valid[:, None, ::st, None], gaps, np.inf)
-        return np.min(gaps, axis=(2, 3)) <= 0.0
+        ax, ay, ah = cands.x[:, ::st], cands.y[:, ::st], cands.heading[:, ::st]
+        bx, by, bh = self.x[:, ::st], self.y[:, ::st], self.heading[:, ::st]
+        reach = (math.hypot(ego_length / 2.0, ego_width / 2.0) + REACH_MARGIN
+                 + np.hypot(self.half_length, self.half_width))
+        dx = bx[None, :, None, :] - ax[:, None, :, None]
+        dy = by[None, :, None, :] - ay[:, None, :, None]
+        near = dx * dx + dy * dy <= (reach * reach)[None, :, None, None]
+        c, k, i, j = np.nonzero(near & cands.valid[:, None, ::st, None])
+        gaps = pose_gaps(ax[c, i], ay[c, i], ah[c, i], ego_length / 2.0, ego_width / 2.0,
+                         bx[k, j], by[k, j], bh[k, j], self.half_length[k], self.half_width[k])
+        hits = np.zeros((len(cands), len(self)), dtype=bool)
+        overlap = gaps <= 0.0
+        hits[c[overlap], k[overlap]] = True
+        return hits
 
 
 class CandidateBlock:
@@ -204,7 +211,7 @@ def lane_path(lane: Lane, x: float, y: float, heading: float,
     s0 = line.project((x, y))[0]
     s_join = s0 + blend
     s_end = s0 + span
-    p3 = line.point_at(s_join)
+    p3 = np.array(line.point_at(s_join))
     h3 = line.heading_at(s_join)
     p0 = np.array([x, y])
     p1 = p0 + np.array([math.cos(heading), math.sin(heading)]) * (blend / 3.0)
@@ -214,7 +221,7 @@ def lane_path(lane: Lane, x: float, y: float, heading: float,
         return Polyline(head)
     # vertices within 1e-6 m of the join or the end would make a degenerate segment
     inner = line.points[(line.cum > s_join + 1e-6) & (line.cum < s_end - 1e-6)]
-    return Polyline(np.vstack([head, inner, line.point_at(s_end)[None, :]]))
+    return Polyline(np.vstack([head, inner, [line.point_at(s_end)]]))
 
 
 def _keep_lane_candidate(ctx: PlanContext, maneuver: Maneuver, accel: float) -> ManeuverCandidate:

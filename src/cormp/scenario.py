@@ -7,6 +7,7 @@ exact inverse of `load_scenario` so scenario files round-trip.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,19 +56,28 @@ class Polyline:
     def length(self) -> float:
         return float(self.cum[-1])
 
+    @cached_property
+    def _cum_floats(self) -> list:
+        return self.cum.tolist()
+
+    @cached_property
+    def _heading_floats(self) -> list:
+        # np.arctan2 as in `frames`: math.atan2 rounds some headings differently
+        return np.arctan2(self._d[:, 1], self._d[:, 0]).tolist()
+
     def _segment(self, s: float) -> int:
         """Index of the segment holding arc position s (an end one beyond the ends)."""
-        i = int(np.searchsorted(self.cum, s, side="right")) - 1
+        i = bisect.bisect_right(self._cum_floats, s) - 1
         return min(max(i, 0), len(self._seg) - 1)
 
-    def point_at(self, s: float) -> np.ndarray:
-        """Position at arc length s; extrapolates along end tangents."""
-        i = self._segment(s)
-        return self.points[i] + self._d[i] * ((s - self.cum[i]) / self._seg[i])
+    def point_at(self, s: float) -> tuple:
+        """(x, y) at arc length s; extrapolates along end tangents."""
+        ax, ay, dx, dy, _, seg, cum = self._segment_floats[self._segment(s)]
+        f = (s - cum) / seg
+        return ax + dx * f, ay + dy * f
 
     def heading_at(self, s: float) -> float:
-        d = self._d[self._segment(s)]
-        return float(np.arctan2(d[1], d[0]))
+        return self._heading_floats[self._segment(s)]
 
     def frames(self, s) -> tuple:
         """x, y, heading and signed curvature at an array of arc positions.
@@ -105,28 +115,38 @@ class Polyline:
         `point_at(s)` is the foot of the point on that extension: `project`
         inverts `point_at` and `frames` everywhere. Lateral offset is positive
         to the left of the travel direction. `point` is one (x, y) pair,
-        giving two floats, or an (n, 2) array, giving two arrays. A segment
-        within 1e-12 m^2 of the closest loses to an earlier one.
+        giving two floats, or an (n, 2) array, giving two arrays. Among the
+        segments within 1e-12 m^2 of the closest, the first whose unclamped
+        foot lies on it wins, else the first: near a vertex the segment that
+        holds the point beats its neighbour clamped to that vertex.
         """
         p = np.asarray(point, dtype=np.float64)
         if p.ndim == 2:
             return self._project_many(p)
         px, py = float(p[0]), float(p[1])
-        last = len(self._seg) - 1
         best = math.inf
-        out = (0.0, 0.0)
+        near = []   # (dist2, i, t, tc, qx, qy) of the segments near the closest so far
         for i, (ax, ay, dx, dy, len2, seg, cum) in enumerate(self._segment_floats):
             rx, ry = px - ax, py - ay
             t = (rx * dx + ry * dy) / len2
             tc = min(max(t, 0.0), 1.0)
             qx, qy = rx - dx * tc, ry - dy * tc
             dist2 = qx * qx + qy * qy
-            if dist2 < best - 1e-12:
+            if dist2 < best - 1e-9:   # so much closer that none so far can tie with it
                 best = dist2
-                if (i == 0 and t < 0.0) or (i == last and t > 1.0):
-                    tc = t  # past an end: along the end segment's extension
-                out = (cum + tc * seg, (dx * qy - dy * qx) / seg)
-        return out
+                near = [(dist2, i, t, tc, qx, qy)]
+            elif dist2 <= best + 1e-12:
+                best = min(best, dist2)
+                near.append((dist2, i, t, tc, qx, qy))
+        pick = near[0]
+        if len(near) > 1:
+            near = [e for e in near if e[0] <= best + 1e-12]
+            pick = next((e for e in near if e[2] == e[3]), near[0])
+        _, i, t, tc, qx, qy = pick
+        _, _, dx, dy, _, seg, cum = self._segment_floats[i]
+        if (i == 0 and t < 0.0) or (i == len(self._seg) - 1 and t > 1.0):
+            tc = t  # past an end: along the end segment's extension
+        return cum + tc * seg, (dx * qy - dy * qx) / seg
 
     def _project_many(self, p: np.ndarray) -> tuple:
         a, d, seg = self.points[:-1], self._d, self._seg
@@ -137,7 +157,9 @@ class Polyline:
         qx = rx - d[:, 0] * tc
         qy = ry - d[:, 1] * tc
         dist2 = qx * qx + qy * qy
-        j = np.argmax(dist2 < dist2.min(axis=1, keepdims=True) + 1e-12, axis=1)
+        near = dist2 <= dist2.min(axis=1, keepdims=True) + 1e-12
+        # 2 for a near segment holding its foot, 1 for another near one
+        j = np.argmax(near.astype(np.int8) + (near & (tc == t)), axis=1)
         r = np.arange(len(p))
         tj = t[r, j]
         past_end = ((j == 0) & (tj < 0.0)) | ((j == len(seg) - 1) & (tj > 1.0))

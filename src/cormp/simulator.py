@@ -139,8 +139,7 @@ class SimWorld:
             agent.y += math.sin(agent.heading) * speed * dt
             return
         rt.s += speed * dt
-        x, y = lane.centerline.point_at(rt.s)
-        agent.x, agent.y = float(x), float(y)
+        agent.x, agent.y = lane.centerline.point_at(rt.s)
         agent.heading = lane.centerline.heading_at(rt.s)
 
     def advance_others(self) -> None:

@@ -6,6 +6,7 @@ import pathlib
 import time
 
 import pytest
+from hypothesis import settings
 
 from cormp.baselines import make_planner
 from cormp.config import PlannerConfig
@@ -15,6 +16,11 @@ from cormp.simulator import SimLog, run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
+
+# Property tests run a fixed example sequence with no per-example deadline,
+# so the suite is deterministic; each test sets its own max_examples.
+settings.register_profile("cormp", derandomize=True, deadline=None)
+settings.load_profile("cormp")
 
 
 @pytest.fixture(scope="session")

@@ -74,6 +74,16 @@ def test_polyline_project_array_matches_points():
         assert (s[k], lat[k]) == pytest.approx(line.project(p), abs=1e-12)
 
 
+def test_polyline_project_far_from_the_line():
+    # 300 m off the line, 1e-12 m^2 is below the rounding of dist2: the
+    # closest segment must still win on both paths
+    line = Polyline([[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]])
+    pts = np.array([[150.0, 300.0], [150.0, -1000.0], [50.0, 500.0]])
+    s, lat = line.project(pts)
+    assert s.tolist() == [150.0, 150.0, 50.0] and lat.tolist() == [300.0, -1000.0, 500.0]
+    assert [line.project(p) for p in pts] == list(zip(s.tolist(), lat.tolist()))
+
+
 @st.composite
 def polylines(draw) -> Polyline:
     """Two-point lines, and arcs of 2-60 points sweeping at most pi/2."""
@@ -92,16 +102,49 @@ def polylines(draw) -> Polyline:
                                      cy - turn * radius * np.cos(a)]))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(polylines(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
-def test_polyline_project_inverts_point_at_past_both_ends(line, fractions):
-    s = np.array([-30.0 + f * (line.length + 60.0) for f in fractions])
+# an arc position: a fraction of [-30, length + 30], or an offset of
+# 1e-8 to 1e-5 m to either side of an interior vertex (fraction of the way
+# through the interior vertices); a two-point line has none and takes the
+# fraction
+arc_positions = st.one_of(
+    st.builds(lambda f: (f, 0.0), st.floats(0.0, 1.0)),
+    st.builds(lambda f, ds, side: (f, side * ds), st.floats(0.0, 1.0),
+              st.floats(1e-8, 1e-5), st.sampled_from([-1.0, 1.0])),
+)
+
+
+def arc_position(line: Polyline, f: float, ds: float) -> float:
+    interior = len(line.cum) - 2
+    if ds == 0.0 or interior == 0:
+        return -30.0 + f * (line.length + 60.0)
+    return float(line.cum[1 + min(int(f * interior), interior - 1)]) + ds
+
+
+@settings(max_examples=60)
+@given(polylines(), st.lists(arc_positions, min_size=1, max_size=8))
+def test_polyline_project_inverts_point_at_past_both_ends(line, positions):
+    s = np.array([arc_position(line, f, ds) for f, ds in positions])
     pts = np.array([line.point_at(float(sk)) for sk in s])
     s_many, lat_many = line.project(pts)
     for k, p in enumerate(pts):
         s_one, lat_one = line.project(p)
         assert s_one == pytest.approx(s[k], abs=1e-9)
         assert (s_many[k], lat_many[k]) == pytest.approx((s_one, lat_one), abs=1e-12)
+
+
+@pytest.mark.parametrize("turn", [1.0, -1.0])
+def test_polyline_project_is_exact_next_to_interior_vertices(turn):
+    # 60 points on a radius-140 m arc sweeping pi/2: the segment clamped to a
+    # vertex is within 1e-12 m^2 of the one holding a point 1e-6 m past it
+    a = np.linspace(0.0, math.pi / 2.0, 60)
+    line = Polyline(np.column_stack([140.0 * np.sin(a), turn * 140.0 * (1.0 - np.cos(a))]))
+    s = np.array([line.cum[k] + side * ds for k in range(1, 59)
+                  for ds in (1e-8, 1e-7, 1e-6, 1e-5) for side in (-1.0, 1.0)])
+    pts = np.array([line.point_at(float(sk)) for sk in s])
+    s_many, _ = line.project(pts)
+    s_one = [line.project(p)[0] for p in pts]
+    assert np.max(np.abs(s_many - s)) < 1e-9
+    assert np.max(np.abs(np.array(s_one) - s)) < 1e-9
 
 
 def test_polyline_frames_on_an_arc():
