@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .config import PlannerConfig
-from .identification import Maneuver, _keep_lane_candidate, _lane_change_candidates
+from .identification import Maneuver, _keep_lane_candidates, _lane_change_candidates
 from .planner import CorMpPlanner, LaneChangeCommitment, PlanResult, plan_context
 from .resources import ResourceType
 from .scenario import AgentState, Lane, Scenario
@@ -197,7 +197,7 @@ class MobilPlanner:
             maneuver = Maneuver.KEEP_LANE_DECELERATE
         else:
             maneuver = Maneuver.KEEP_LANE_SAME_SPEED
-        cand = _keep_lane_candidate(ctx, maneuver, accel)
+        cand, = _keep_lane_candidates(ctx, {maneuver: accel})
         return PlanResult(cand.trajectory, maneuver)
 
 

@@ -1,20 +1,21 @@
 """Cubic Bezier curves, speed profiles and time-sampled trajectories.
 
-`CubicBezier` is the paper's curve primitive; its `chord_points` turn it into
-the vertices of a `Polyline`, the one path type every planned trajectory is
-sampled from (see `identification.lane_path`). `sample_trajectory` turns a
-path plus a constant-acceleration speed profile into a trajectory sampled on
-the simulator tick grid, with headings and lateral accelerations taken from the
-path's own frames.
+`CubicBezier` is the paper's curve primitive; `chord_points` turns a cubic
+into the vertices of a `Polyline`, the one path type every planned trajectory
+is sampled from (see `identification.lane_path`). `sample_trajectory` turns a
+path plus one or several constant-acceleration speed profiles into
+trajectories sampled on the simulator tick grid, with headings and lateral
+accelerations taken from the path's own frames.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .kernels import bezier_points
+from .kernels import bernstein, bezier_curve, bezier_points
 from .scenario import Polyline
 
 # Chords of a planned cubic stray at most this far from it. The heading of the
@@ -71,21 +72,40 @@ class CubicBezier:
         return float((d1[0] * d2[1] - d1[1] * d2[0]) / speed2**1.5)
 
     def chord_points(self) -> np.ndarray:
-        """Points at uniform u steps whose chords stray at most _CHORD_TOL_M from the curve.
-
-        A chord over a step h strays at most max|B''| h^2 / 8, and
-        max|B''| = 6 max(|p0 - 2 p1 + p2|, |p1 - 2 p2 + p3|): a straight curve
-        is one chord, a 3.5 m lane change over 70 m takes _MAX_CHORDS.
-        """
-        p = self.ctrl
-        second = np.hypot(*(p[:-2] - 2.0 * p[1:-1] + p[2:]).T).max()
-        n = min(_MAX_CHORDS, max(1, math.ceil(math.sqrt(0.75 * second / _CHORD_TOL_M))))
-        return bezier_points(p, np.linspace(0.0, 1.0, n + 1))
+        return chord_points(self.ctrl.tolist())
 
 
 def _check_u(u: float) -> None:
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"parameter u={u} outside [0, 1]")
+
+
+@lru_cache(maxsize=16)
+def _chord_basis(n: int) -> np.ndarray:
+    """Read-only Bernstein basis at u = 0, 1/n, ..., 1; the 16 kept hold at
+    most about 0.5 MB at the _MAX_CHORDS cap."""
+    basis = bernstein(np.linspace(0.0, 1.0, n + 1))
+    basis.flags.writeable = False
+    return basis
+
+
+def chord_points(ctrl, extra: int = 0) -> np.ndarray:
+    """Points at uniform u steps whose chords stray at most _CHORD_TOL_M from the cubic.
+
+    `ctrl` is four (x, y) pairs of floats. A chord over a step h strays at
+    most max|B''| h^2 / 8, and max|B''| = 6 max(|p0 - 2 p1 + p2|,
+    |p1 - 2 p2 + p3|): a straight curve is one chord, a 3.5 m lane change
+    over 70 m takes _MAX_CHORDS. The points fill the first rows of an
+    (n + 1 + extra, 2) array; the `extra` rows after them are left for the
+    caller to fill.
+    """
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = ctrl
+    second = max(math.hypot(x0 - 2.0 * x1 + x2, y0 - 2.0 * y1 + y2),
+                 math.hypot(x1 - 2.0 * x2 + x3, y1 - 2.0 * y2 + y3))
+    n = min(_MAX_CHORDS, max(1, math.ceil(math.sqrt(0.75 * second / _CHORD_TOL_M))))
+    out = np.empty((n + 1 + extra, 2))
+    out[:n + 1] = bezier_curve(_chord_basis(n), ctrl)
+    return out
 
 
 @dataclass
@@ -151,58 +171,97 @@ class TimedTrajectory:
         )
 
 
-def _speeds_and_arcs(profile: SpeedProfile, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Speed and arc length at n ticks under v(t) = clip(v0 + a t, 0, v_max).
+def _speeds_and_arcs(profiles, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, n) speeds and arc lengths at n ticks, row p under profiles[p].
 
-    Both are running sums of per-tick steps, so they equal stepping
-    `v += a dt` and `s += ds` tick by tick. The speed ramps by a dt while a
-    whole tick fits before the clip; the one tick that reaches v_max or rest
-    is integrated exactly, and the speed holds from there on.
+    Each row follows v(t) = clip(v0 + a t, 0, v_max). Both are running sums
+    of per-tick steps, so they equal stepping `v += a dt` and `s += ds` tick
+    by tick. The speed ramps by a dt while a whole tick fits before the clip;
+    the one tick that reaches v_max or rest is integrated exactly, and the
+    speed holds from there on (from the first tick without acceleration).
     """
-    a, v_max = profile.accel, profile.v_max
-    v = np.cumsum(np.concatenate([[min(max(profile.v0, 0.0), v_max)], np.full(n - 1, a * dt)]))
-    steps = v[:-1]
-    ds = steps * dt + 0.5 * a * dt * dt
-    # time left before each step's speed reaches the clip (v_max, or rest)
-    left = (v_max - steps) / a if a > 0 else (-steps / a if a < 0 else np.zeros(n - 1))
+    rows = []
+    for p in profiles:
+        a, v0 = p.accel, min(max(p.v0, 0.0), p.v_max)
+        # the clip's speed, and (clip - v) / a is the time left before it;
+        # dividing by inf puts a profile without acceleration at its clip now
+        clip, hold = (p.v_max, p.v_max) if a > 0 else ((0.0, 0.0) if a < 0 else (0.0, v0))
+        rows.append((v0, a * dt, 0.5 * a * dt * dt, clip, a if a != 0 else math.inf,
+                     0.5 * a, hold, hold * dt))
+    v0, a_dt, ramp, clip, a, half_a, hold, hold_ds = np.array(rows).T[:, :, None]
+    v = np.empty((len(rows), n))
+    v[:, :1] = v0
+    v[:, 1:] = a_dt
+    np.cumsum(v, axis=1, out=v)
+    steps = v[:, :-1]
+    s = np.empty_like(v)
+    s[:, 0] = 0.0
+    ds = s[:, 1:]
+    np.multiply(steps, dt, out=ds)
+    ds += ramp
+    # steps move monotonically towards the clip, so each row clips from its
+    # first tick k with less than a tick left: ds[k] is integrated exactly,
+    # and later ticks hold
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or nan on rows that never clip
+        left = (clip - steps) / a
+        t_hit = np.maximum(left, 0.0)
+        exact = steps * t_hit + half_a * t_hit * t_hit + hold * (dt - t_hit)
     clips = left < dt
-    if clips.any():
-        k = int(np.argmax(clips))
-        vk, t_hit = float(steps[k]), max(float(left[k]), 0.0)
-        v_hold = v_max if a > 0 else (0.0 if a < 0 else vk)
-        ds[k] = vk * t_hit + 0.5 * a * t_hit * t_hit + v_hold * (dt - t_hit)
-        ds[k + 1:] = v_hold * dt
-        v[k + 1:] = v_hold
-    return v, np.cumsum(np.concatenate([[0.0], ds]))
+    np.copyto(ds, exact, where=clips)
+    np.copyto(ds[:, 1:], hold_ds, where=clips[:, :-1])
+    np.copyto(v[:, 1:], hold, where=clips)
+    return v, np.cumsum(s, axis=1, out=s)
 
 
+@lru_cache(maxsize=8)
 def tick_times(dt: float, horizon: float) -> np.ndarray:
-    """Tick times 0, dt, 2 dt, ... up to `horizon`, with a 1e-9 s tolerance."""
+    """Tick times 0, dt, 2 dt, ... up to `horizon`, with a 1e-9 s tolerance.
+
+    Cached and read-only: every trajectory sampled on the grid shares it.
+    """
     t = np.arange(int((horizon + 1e-9) / dt) + 2) * dt
-    return t[t <= horizon + 1e-9]
+    t = t[t <= horizon + 1e-9]
+    t.flags.writeable = False
+    return t
 
 
-def sample_trajectory(path: Polyline, profile: SpeedProfile, dt: float,
-                      horizon: float) -> TimedTrajectory:
-    """Sample poses along `path` under a clamped constant-accel speed profile.
+def sample_trajectory(path: Polyline, profiles, dt: float, horizon: float):
+    """Sample poses along `path` under clamped constant-accel speed profiles.
 
-    Samples fall on the ticks up to `horizon` and end early where the path
-    is exhausted; a profile that comes to rest keeps emitting resting samples
-    up to the horizon. Lateral acceleration is path curvature times v^2.
+    `profiles` is one `SpeedProfile`, giving one `TimedTrajectory`, or a
+    sequence of them, giving a list with one trajectory per profile; all are
+    sampled at once, with one `Polyline.frames` call. Samples fall on the
+    ticks up to `horizon` and end early where the path is exhausted, so the
+    trajectories may differ in length; a profile that comes to rest keeps
+    emitting resting samples up to the horizon. Lateral acceleration is path
+    curvature times v^2.
+
+    The arrays are shared, not owned, and read-only: every trajectory's `t`
+    is a view of the cached `tick_times` grid, and its x, y, heading, speed,
+    a_lon and a_lat are views of row p of (P, T) buffers that the
+    trajectories of one call share.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    one = isinstance(profiles, SpeedProfile)
+    if one:
+        profiles = (profiles,)
     eps = 1e-9
     t = tick_times(dt, horizon)
-    v, s = _speeds_and_arcs(profile, dt, len(t))
+    v, s = _speeds_and_arcs(profiles, dt, len(t))
     length = path.length
-    n = int(np.count_nonzero(s <= length + eps))   # s never decreases
-    t, v = t[:n], v[:n]
-    x, y, heading, kappa = path.frames(np.minimum(s[:n], length))
-    a_lon = np.zeros(n)
-    if n > 1:
-        a_lon[:-1] = np.diff(v) / dt
-        a_lon[-1] = a_lon[-2]
-    return TimedTrajectory(dt, t, x, y, heading, v, a_lon, kappa * v * v)
+    counts = (s <= length + eps).sum(axis=1).tolist()   # s never decreases
+    x, y, heading, kappa = path.frames(np.minimum(s, length))
+    a_lon = np.empty_like(v)
+    np.subtract(v[:, 1:], v[:, :-1], out=a_lon[:, :-1])
+    a_lon[:, :-1] /= dt
+    a_lat = kappa * v * v
+    for p, n in enumerate(counts):
+        a_lon[p, n - 1] = a_lon[p, n - 2] if n > 1 else 0.0
+    for shared in (x, y, heading, v, a_lon, a_lat):
+        shared.flags.writeable = False
+    out = [TimedTrajectory(dt, t[:n], x[p, :n], y[p, :n], heading[p, :n], v[p, :n],
+                           a_lon[p, :n], a_lat[p, :n]) for p, n in enumerate(counts)]
+    return out[0] if one else out

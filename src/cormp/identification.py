@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bezier import CubicBezier, SpeedProfile, TimedTrajectory, sample_trajectory
+from .bezier import SpeedProfile, TimedTrajectory, chord_points, sample_trajectory
 from .config import PlannerConfig
 from .kernels import REACH_MARGIN, pose_gaps
 from .scenario import AgentState, Crosswalk, Lane, Polyline, Scenario
@@ -105,6 +105,9 @@ class CandidateBlock:
     t, x, y, heading and speed are (C, T_c) arrays, T_c the longest
     trajectory's sample count; a shorter row repeats its last sample, and
     `valid` marks each row's own samples. The trajectories share one tick dt.
+    A plan stacks all its candidates once and hands `take` of the rows in
+    play to each measure: padding past a row's own samples changes no
+    measure, as none reads a sample that `valid` does not mark.
     """
 
     def __init__(self, trajectories: list) -> None:
@@ -114,9 +117,24 @@ class CandidateBlock:
             n = len(traj)
             rows[:, c, :n] = traj.t, traj.x, traj.y, traj.heading, traj.speed
             rows[:, c, n:] = rows[:, c, n - 1:n]
+        self._set(rows, np.arange(rows.shape[2]) < lengths[:, None], trajectories[0].dt)
+
+    def _set(self, rows: np.ndarray, valid: np.ndarray, dt: float) -> None:
+        self._rows = rows
         self.t, self.x, self.y, self.heading, self.speed = rows
-        self.valid = np.arange(rows.shape[2]) < lengths[:, None]
-        self.dt = trajectories[0].dt
+        self.valid = valid
+        self.dt = dt
+
+    def take(self, idx: list) -> CandidateBlock:
+        """The block of rows `idx` (copies), padded as here."""
+        sub = CandidateBlock.__new__(CandidateBlock)
+        sub._set(self._rows[:, idx], self.valid[idx], self.dt)
+        return sub
+
+    @property
+    def end_xy(self) -> np.ndarray:
+        """(C, 2) last sample of each row."""
+        return self._rows[1:3, :, -1].T
 
     def __len__(self) -> int:
         return len(self.x)
@@ -211,25 +229,32 @@ def lane_path(lane: Lane, x: float, y: float, heading: float,
     s0 = line.project((x, y))[0]
     s_join = s0 + blend
     s_end = s0 + span
-    p3 = np.array(line.point_at(s_join))
+    x3, y3 = line.point_at(s_join)
     h3 = line.heading_at(s_join)
-    p0 = np.array([x, y])
-    p1 = p0 + np.array([math.cos(heading), math.sin(heading)]) * (blend / 3.0)
-    p2 = p3 - np.array([math.cos(h3), math.sin(h3)]) * (blend / 3.0)
-    head = CubicBezier(np.array([p0, p1, p2, p3])).chord_points()
+    handle = blend / 3.0
+    ctrl = ((x, y), (x + math.cos(heading) * handle, y + math.sin(heading) * handle),
+            (x3 - math.cos(h3) * handle, y3 - math.sin(h3) * handle), (x3, y3))
     if span <= blend:
-        return Polyline(head)
+        return Polyline(chord_points(ctrl))
     # vertices within 1e-6 m of the join or the end would make a degenerate segment
-    inner = line.points[(line.cum > s_join + 1e-6) & (line.cum < s_end - 1e-6)]
-    return Polyline(np.vstack([head, inner, [line.point_at(s_end)]]))
+    inner = line.vertices_between(s_join + 1e-6, s_end - 1e-6)
+    points = chord_points(ctrl, extra=len(inner) + 1)
+    points[-len(inner) - 1:-1] = inner
+    points[-1] = line.point_at(s_end)
+    return Polyline(points)
 
 
-def _keep_lane_candidate(ctx: PlanContext, maneuver: Maneuver, accel: float) -> ManeuverCandidate:
+def _keep_lane_candidates(ctx: PlanContext, accels: dict) -> list:
+    """One candidate per maneuver -> acceleration in `accels`, all along `ctx.keep_lane_path`.
+
+    The speed profiles are sampled in one call, capped at the lane's limit.
+    """
     cfg = ctx.config
     ego = ctx.ego
-    profile = SpeedProfile(ego.speed, accel, ctx.lane.speed_limit)
-    traj = sample_trajectory(ctx.keep_lane_path, profile, cfg.dt, horizon=cfg.planning_horizon_s)
-    return ManeuverCandidate(maneuver, traj, ego.lane, ego.speed, traj.end_speed)
+    profiles = [SpeedProfile(ego.speed, a, ctx.lane.speed_limit) for a in accels.values()]
+    trajs = sample_trajectory(ctx.keep_lane_path, profiles, cfg.dt, horizon=cfg.planning_horizon_s)
+    return [ManeuverCandidate(m, traj, ego.lane, ego.speed, traj.end_speed)
+            for m, traj in zip(accels, trajs)]
 
 
 def _lane_change_candidates(ctx: PlanContext, maneuvers) -> list:
@@ -319,19 +344,16 @@ def _stop_constraint_distance(ctx: PlanContext) -> float | None:
     return min(targets) - front
 
 
-def _stop_candidate(ctx: PlanContext) -> ManeuverCandidate:
+def _stop_decel(ctx: PlanContext) -> float:
+    """Stop's braking rate: what reaches the nearest stop target, else the default."""
     cfg = ctx.config
     v = ctx.ego.speed
     d = _stop_constraint_distance(ctx)
     if d is None:
-        decel = cfg.stop_decel_default
-    elif d <= 0.01 or v <= 1e-9:
-        decel = cfg.stop_decel_max
-    else:
-        needed = v * v / (2.0 * d)
-        decel = min(max(needed, 0.1), cfg.stop_decel_max)
-    cand = _keep_lane_candidate(ctx, Maneuver.STOP, -decel)
-    return cand
+        return cfg.stop_decel_default
+    if d <= 0.01 or v <= 1e-9:
+        return cfg.stop_decel_max
+    return min(max(v * v / (2.0 * d), 0.1), cfg.stop_decel_max)
 
 
 def enumerate_candidates(ctx: PlanContext) -> list:
@@ -339,10 +361,12 @@ def enumerate_candidates(ctx: PlanContext) -> list:
     cfg = ctx.config
     return [
         *_lane_change_candidates(ctx, LANE_CHANGES),
-        _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_ACCELERATE, cfg.accel_keep_lane),
-        _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_SAME_SPEED, 0.0),
-        _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_DECELERATE, -cfg.decel_keep_lane),
-        _stop_candidate(ctx),
+        *_keep_lane_candidates(ctx, {
+            Maneuver.KEEP_LANE_ACCELERATE: cfg.accel_keep_lane,
+            Maneuver.KEEP_LANE_SAME_SPEED: 0.0,
+            Maneuver.KEEP_LANE_DECELERATE: -cfg.decel_keep_lane,
+            Maneuver.STOP: -_stop_decel(ctx),
+        }),
     ]
 
 
@@ -461,9 +485,11 @@ def _check_crosswalks(ctx: PlanContext, cand: ManeuverCandidate) -> bool:
     return False
 
 
-def feasibility_filter(ctx: PlanContext, candidates: list) -> list:
+def feasibility_filter(ctx: PlanContext, candidates: list,
+                       cands: CandidateBlock | None = None) -> list:
     """Mark candidates infeasible for rule or collision reasons (in place).
 
+    `cands` stacks the candidates' trajectories (built here if not given).
     Guarantees at least one feasible candidate by retaining Stop as a
     fallback when everything else is rejected.
     """
@@ -481,11 +507,13 @@ def feasibility_filter(ctx: PlanContext, candidates: list) -> list:
                 or _check_red_lights(ctx, cand) or _check_crosswalks(ctx, cand)):
             cand.feasible = False
             cand.reason = RULE_VIOLATION
-    ruled_in = [c for c in candidates if c.feasible]
+    ruled_in = [i for i, c in enumerate(candidates) if c.feasible]
     if ruled_in:
-        ttc = time_to_collision(CandidateBlock([c.trajectory for c in ruled_in]),
-                                ctx.predictions, ego.length, ego.width)
-        for cand, min_ttc in zip(ruled_in, ttc.tolist()):
+        if cands is None:
+            cands = CandidateBlock([c.trajectory for c in candidates])
+        ttc = time_to_collision(cands.take(ruled_in), ctx.predictions, ego.length, ego.width)
+        for i, min_ttc in zip(ruled_in, ttc.tolist()):
+            cand = candidates[i]
             cand.min_ttc = min_ttc
             if min_ttc < cfg.ttc_min_s:
                 cand.feasible = False

@@ -79,14 +79,22 @@ def pose_gaps(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
     return np.maximum(gap, np.abs(dy * cb - dx * sb) - (ahl * s + ahw * c) - bhw)
 
 
+def bernstein(us: np.ndarray) -> np.ndarray:
+    """(4, 1, n) cubic Bernstein basis at the parameter array us."""
+    v = 1.0 - us
+    return np.stack([v * v * v, 3.0 * v * v * us, 3.0 * v * us * us, us * us * us])[:, None, :]
+
+
+def bezier_curve(basis: np.ndarray, ctrl) -> np.ndarray:
+    """(n, 2) points of the cubic with control points `ctrl` (4 x 2) on a `bernstein` basis.
+
+    Sums b0 p0 + b1 p1 + b2 p2 + b3 p3 in that order.
+    """
+    terms = basis * np.array(ctrl, dtype=np.float64)[:, :, None]   # (4, 2, n)
+    return (terms[0] + terms[1] + terms[2] + terms[3]).T
+
+
 def bezier_points(ctrl: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Evaluate a cubic Bezier (4x2 control array) at parameter array us."""
-    px, py = ctrl[:, 0], ctrl[:, 1]
-    v = 1.0 - us
-    b0 = v * v * v
-    b1 = 3.0 * v * v * us
-    b2 = 3.0 * v * us * us
-    b3 = us * us * us
-    return np.stack([b0 * px[0] + b1 * px[1] + b2 * px[2] + b3 * px[3],
-                     b0 * py[0] + b1 * py[1] + b2 * py[2] + b3 * py[3]], axis=1)
+    return bezier_curve(bernstein(us), ctrl)
 

@@ -156,13 +156,10 @@ def objective_value(cand: ManeuverCandidate, speed_limit: float, horizon_s: floa
     return clamp01(cand.trajectory.path_length() / (speed_limit * horizon_s))
 
 
-def apriori_lane_value(cand: ManeuverCandidate, apriori_lane) -> float:
-    """1 on the a-priori lane centerline, 0 two lane widths away."""
-    traj = cand.trajectory
-    if len(traj) == 0:
-        return 1.0
-    _, lateral = apriori_lane.centerline.project((traj.x[-1], traj.y[-1]))
-    return clamp01(1.0 - abs(lateral) / (2.0 * apriori_lane.width))
+def apriori_lane_value(ends: np.ndarray, apriori_lane) -> np.ndarray:
+    """(n,) per (n, 2) end point: 1 on the a-priori lane centerline, 0 two lane widths away."""
+    _, lateral = apriori_lane.centerline.project(ends)
+    return np.clip(1.0 - np.abs(lateral) / (2.0 * apriori_lane.width), 0.0, 1.0)
 
 
 def energy_value(cand: ManeuverCandidate, mass_kg: float, e_ref_kj: float) -> float:
@@ -196,24 +193,31 @@ class ResourceAssessment:
     states: dict   # ResourceType -> ResourceState
 
 
-def assess_candidates(ctx: PlanContext, candidates: list,
-                      current_values: dict | None = None) -> list:
-    """All six resources of each candidate; safety and crowdedness are one broadcast each."""
+def assess_candidates(ctx: PlanContext, candidates: list, current_values: dict | None = None,
+                      cands: CandidateBlock | None = None) -> list:
+    """All six resources of each candidate.
+
+    `cands` stacks the candidates' trajectories (built here if not given);
+    safety, crowdedness and the a-priori lane are one array call each.
+    """
     cfg = ctx.config
     ego = ctx.ego
     apriori = ctx.scenario.lanes[ctx.scenario.apriori_lane]
     held = current_values or {}
-    cands = CandidateBlock([c.trajectory for c in candidates])
+    if cands is None:
+        cands = CandidateBlock([c.trajectory for c in candidates])
     safety = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
     crowdedness = crowdedness_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
+    lane_hold = apriori_lane_value(cands.end_xy, apriori).tolist()
     out = []
-    for cand, mu_safety, mu_crowdedness in zip(candidates, safety, crowdedness):
+    for cand, mu_safety, mu_crowdedness, mu_lane in zip(candidates, safety, crowdedness,
+                                                        lane_hold):
         values = {
             ResourceType.SAFETY: mu_safety,
             ResourceType.COMFORT: comfort_value(cand, cfg),
             ResourceType.OBJECTIVE: objective_value(cand, ctx.lane.speed_limit,
                                                     cfg.planning_horizon_s),
-            ResourceType.APRIORI_LANE: apriori_lane_value(cand, apriori),
+            ResourceType.APRIORI_LANE: mu_lane,
             ResourceType.ENERGY: energy_value(cand, ego.mass, cfg.energy_reference_kj(ego.mass)),
             ResourceType.CROWDEDNESS: mu_crowdedness,
         }

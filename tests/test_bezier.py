@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cormp.bezier import (
     CubicBezier,
     SpeedProfile,
     TimedTrajectory,
     sample_trajectory,
+    tick_times,
 )
 from cormp.scenario import Polyline
 
@@ -251,6 +254,86 @@ def test_profile_validation():
         sample_trajectory(straight(10.0), SpeedProfile(1.0, 0.0), dt=0.0, horizon=1.0)
     with pytest.raises(ValueError):
         sample_trajectory(straight(10.0), SpeedProfile(1.0, 0.0), dt=0.1, horizon=-1.0)
+
+
+# ---------------------------------------------------------------- batches
+
+FIELDS = ("t", "x", "y", "heading", "speed", "a_lon", "a_lat")
+
+
+def bent_path(length: float) -> Polyline:
+    """A path of `length` m: straight, then two bends, with curvature on it."""
+    pts = [(0.0, 0.0), (0.3, 0.0), (0.6, 0.05), (0.85, 0.2), (1.0, 0.45)]
+    line = Polyline(pts)
+    return Polyline(np.asarray(pts) * (length / line.length))
+
+
+profiles = st.builds(
+    SpeedProfile,
+    st.one_of(st.sampled_from([0.0, 13.89, 20.0]), st.floats(0.0, 30.0)),
+    st.one_of(st.sampled_from([0.0, 1.5, -2.0, -3.0]), st.floats(-6.0, 6.0)),
+    st.one_of(st.sampled_from([math.inf, 13.89, 5.0]), st.floats(0.0, 30.0)))
+
+
+@settings(max_examples=200)
+@given(st.lists(profiles, min_size=1, max_size=5),
+       st.sampled_from([0.1, 0.15, 0.05]),
+       st.one_of(st.sampled_from([4.0, 5.0, 0.05]), st.floats(0.0, 6.0)),
+       st.one_of(st.sampled_from([200.0, 20.0]), st.floats(0.5, 150.0)))
+@example([SpeedProfile(13.89, 1.0, 13.89), SpeedProfile(13.89, 0.0, 13.89),
+          SpeedProfile(13.89, -1.0, 13.89), SpeedProfile(13.89, -2.0, 13.89)], 0.1, 4.0, 60.0)
+@example([SpeedProfile(20.0, 1.0, 13.89), SpeedProfile(0.0, 0.0), SpeedProfile(0.0, -2.0),
+          SpeedProfile(7.3, -3.0), SpeedProfile(13.0, 1.5, 13.89)], 0.15, 4.0, 30.0)
+def test_batched_sampling_matches_per_profile_calls(batch, dt, horizon, length):
+    # clip kinks between ticks, a = 0, v0 > v_max, standing starts, dt = 0.15,
+    # and paths that run out before the horizon at a different tick per row
+    path = bent_path(length)
+    together = sample_trajectory(path, batch, dt, horizon=horizon)
+    assert len(together) == len(batch)
+    for profile, traj in zip(batch, together):
+        alone = sample_trajectory(path, profile, dt, horizon=horizon)
+        for name in FIELDS:
+            assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
+        t, s, v = stepped_samples(path.length, profile, dt, horizon)
+        assert np.array_equal(traj.t, t)
+        assert np.array_equal(traj.speed, v)
+        assert np.array_equal(traj.x, path.frames(s)[0])
+
+
+def test_batched_rows_end_where_the_path_runs_out():
+    batch = [SpeedProfile(v, 0.0) for v in (5.0, 10.0, 20.0)]
+    trajs = sample_trajectory(straight(30.0), batch, 0.1, horizon=4.0)
+    assert [len(traj) for traj in trajs] == [41, 31, 16]
+    assert [traj.x[-1] for traj in trajs] == [20.0, 30.0, 30.0]
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(st.floats(-30.0, 150.0), min_size=7, max_size=7),
+                min_size=1, max_size=4),
+       st.floats(0.5, 120.0))
+def test_frames_on_a_block_match_row_by_row(rows, length):
+    path = bent_path(length)
+    s = np.array(rows)
+    block = path.frames(s)
+    for p, row in enumerate(s):
+        for got, want in zip(block, path.frames(row)):
+            assert np.array_equal(got[p], want)
+
+
+def test_tick_grid_is_cached_and_read_only():
+    t = tick_times(0.1, 4.0)
+    assert tick_times(0.1, 4.0) is t
+    with pytest.raises(ValueError):
+        t[0] = 1.0
+
+
+def test_sampled_arrays_are_read_only():
+    trajs = sample_trajectory(straight(40.0), [SpeedProfile(10.0, 0.0), SpeedProfile(10.0, -2.0)],
+                              dt=0.1, horizon=4.0)
+    for traj in trajs:
+        for name in FIELDS:
+            with pytest.raises(ValueError):
+                getattr(traj, name)[0] = 0.0
 
 
 # ---------------------------------------------------------------- container

@@ -14,18 +14,18 @@ from cormp.identification import (
     CandidateBlock,
     Maneuver,
     PlanContext,
-    _keep_lane_candidate,
+    _keep_lane_candidates,
     _lane_change_candidates,
-    _stop_candidate,
     _stop_constraint_distance,
     enumerate_candidates,
     feasibility_filter,
+    lane_path,
     predict_oru,
     time_to_collision,
 )
 from cormp.kernels import rect_gap
 from cormp.planner import plan_context
-from cormp.scenario import load_scenario
+from cormp.scenario import Polyline, load_scenario
 from cormp.simulator import SimWorld, run
 
 EGO = {"id": "ego", "kind": "ego", "position": [15.0, 0.0], "heading": 0.0,
@@ -62,6 +62,10 @@ def context(doc: dict, cfg: PlannerConfig | None = None,
 
 def by_maneuver(cands):
     return {c.maneuver: c for c in cands}
+
+
+def stop_candidate(ctx):
+    return by_maneuver(enumerate_candidates(ctx))[Maneuver.STOP]
 
 
 # ---------------------------------------------------------------- prediction
@@ -228,7 +232,7 @@ def test_accelerate_capped_at_the_speed_limit():
 
 def test_keep_lane_kinematics_with_explicit_rate():
     ctx = context(road(limit=30.0, ego={"speed": 10.0}))
-    cand = _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_ACCELERATE, 1.5)
+    cand, = _keep_lane_candidates(ctx, {Maneuver.KEEP_LANE_ACCELERATE: 1.5})
     assert cand.v_end == pytest.approx(16.0, abs=1e-9)
     assert cand.trajectory.duration == pytest.approx(4.0)
     assert cand.trajectory.path_length() == pytest.approx(52.0, abs=1e-6)
@@ -239,7 +243,7 @@ def test_keep_lane_and_lane_change_follow_a_curved_centerline():
     cfg = PlannerConfig()
     ctx = PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0,
                       predictions=prediction_block())
-    keep = _keep_lane_candidate(ctx, Maneuver.KEEP_LANE_SAME_SPEED, 0.0).trajectory
+    keep = _keep_lane_candidates(ctx, {Maneuver.KEEP_LANE_SAME_SPEED: 0.0})[0].trajectory
     _, lateral = sc.lanes["right"].centerline.project(np.column_stack([keep.x, keep.y]))
     # the solid edge is 0.85 m from the centerline for this ego; the start
     # heading is the 7 m chord's direction, so the cubic cuts in a little
@@ -285,11 +289,65 @@ def test_lane_change_stretches_around_a_lead_past_the_lane_end():
         assert cands[Maneuver.CHANGE_LANE_LEFT].stretched, x
 
 
+# ---------------------------------------------------------------- planned paths
+
+
+def lane_path_oracle(lane, x, y, heading, blend, span) -> tuple:
+    """(path, chord count): `lane_path` built as numpy control points, the
+    cubic's chord points evaluated coordinate by coordinate, then stacked
+    with the centerline vertices between join and end and the end point."""
+    line = lane.centerline
+    s0 = line.project((x, y))[0]
+    s_join, s_end = s0 + blend, s0 + span
+    p3 = np.array(line.point_at(s_join))
+    h3 = line.heading_at(s_join)
+    p0 = np.array([x, y])
+    p1 = p0 + np.array([math.cos(heading), math.sin(heading)]) * (blend / 3.0)
+    p2 = p3 - np.array([math.cos(h3), math.sin(h3)]) * (blend / 3.0)
+    p = np.array([p0, p1, p2, p3])
+    second = np.hypot(*(p[:-2] - 2.0 * p[1:-1] + p[2:]).T).max()
+    n = min(1024, max(1, math.ceil(math.sqrt(0.75 * second / 2e-6))))
+    u = np.linspace(0.0, 1.0, n + 1)
+    v = 1.0 - u
+    b = (v * v * v, 3.0 * v * v * u, 3.0 * v * u * u, u * u * u)
+    head = np.stack([b[0] * p[0, k] + b[1] * p[1, k] + b[2] * p[2, k] + b[3] * p[3, k]
+                     for k in (0, 1)], axis=1)
+    if span <= blend:
+        return Polyline(head), n
+    inner = line.points[(line.cum > s_join + 1e-6) & (line.cum < s_end - 1e-6)]
+    return Polyline(np.vstack([head, inner, [line.point_at(s_end)]])), n
+
+
+def test_lane_path_matches_the_stacked_cubic_oracle_bitwise():
+    straight = load_scenario(road()).lanes
+    arcs = {turn: load_scenario(curved_road(140.0, turn, "left", 8.0, 8.5)).lanes
+            for turn in (-1, 1)}
+    poses = []
+    for lanes in (straight, *arcs.values()):
+        line = lanes["right"].centerline
+        for s in (float(line.cum[min(2, len(line.cum) - 2)]), 37.3):   # a vertex, and between
+            (x0, y0), h = line.point_at(s), line.heading_at(s)
+            for dy, dh in ((0.0, 0.0), (0.8, 0.05), (-0.4, -0.1), (1.7, 0.2)):
+                poses.append((lanes, x0 - math.sin(h) * dy, y0 + math.cos(h) * dy, h + dh))
+    poses.append((straight, 630.0, 0.3, 0.0))   # past the lane end
+    counts = set()
+    for lanes, x, y, heading in poses:
+        for lane_id in ("right", "left"):
+            for blend, span in ((55.56, 60.56), (55.56, 200.0), (55.56, 55.56), (20.0, 10.0),
+                                (3.0, 100.0)):
+                path = lane_path(lanes[lane_id], x, y, heading, blend, span)
+                want, n = lane_path_oracle(lanes[lane_id], x, y, heading, blend, span)
+                counts.add(n)
+                assert np.array_equal(path.points, want.points), (lane_id, x, y, blend, span)
+                assert np.array_equal(path.cum, want.cum)
+    assert {1, 1024} <= counts
+
+
 # ---------------------------------------------------------------- stop rates
 
 
 def test_stop_uses_default_rate_without_a_target():
-    cand = _stop_candidate(context(road()))
+    cand = stop_candidate(context(road()))
     assert cand.trajectory.a_lon[0] == pytest.approx(-2.0, abs=1e-6)
 
 
@@ -299,7 +357,7 @@ def test_stop_rate_sized_to_the_red_light():
                        limit=20.0, lights=[light]))
     d = _stop_constraint_distance(ctx)
     assert d == pytest.approx((100.0 - 12.0) - (15.0 + 2.25))
-    cand = _stop_candidate(ctx)
+    cand = stop_candidate(ctx)
     assert cand.trajectory.a_lon[0] == pytest.approx(-(15.0 ** 2) / (2 * d), abs=1e-6)
 
 
@@ -307,7 +365,7 @@ def test_stop_rate_capped_when_past_the_margin():
     light = {"lane": "right", "stop_line_s": 100.0, "schedule": [["red", 1000.0]]}
     ctx = context(road(ego={"speed": 15.0, "position": [86.0, 0.0]},
                        limit=20.0, lights=[light]))
-    cand = _stop_candidate(ctx)
+    cand = stop_candidate(ctx)
     assert cand.trajectory.a_lon[0] == pytest.approx(-3.0, abs=1e-6)
 
 

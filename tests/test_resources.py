@@ -221,22 +221,25 @@ def mission_lane() -> Lane:
                 width=3.5, speed_limit=13.89)
 
 
+def lane_hold(*trajs: TimedTrajectory) -> list:
+    return apriori_lane_value(CandidateBlock(list(trajs)).end_xy, mission_lane()).tolist()
+
+
 def test_apriori_examples():
-    lane = mission_lane()
-    assert apriori_lane_value(cand(straight_traj(10.0, y=0.0)), lane) == 1.0
-    assert apriori_lane_value(cand(straight_traj(10.0, y=3.5)), lane) \
-        == pytest.approx(0.5, abs=1e-12)
-    assert apriori_lane_value(cand(straight_traj(10.0, y=7.0)), lane) == 0.0
+    held = lane_hold(*(straight_traj(10.0, y=y) for y in (0.0, 3.5, 7.0, -10.0)))
+    assert held[0] == 1.0
+    assert held[1] == pytest.approx(0.5, abs=1e-12)
+    assert held[2:] == [0.0, 0.0]
 
 
 def test_apriori_uses_final_sample():
-    lane = mission_lane()
     n = 41
     t = np.arange(n) * 0.1
     y = np.linspace(3.5, 0.0, n)  # merging back onto the mission lane
     traj = TimedTrajectory(0.1, t, 10.0 * t, y, np.zeros(n), np.full(n, 10.0),
                            np.zeros(n), np.zeros(n))
-    assert apriori_lane_value(cand(traj), lane) == 1.0
+    # a shorter row is padded with its last sample, which is its end point
+    assert lane_hold(traj, straight_traj(10.0, n=5, y=3.5)) == [1.0, pytest.approx(0.5)]
 
 
 # ---------------------------------------------------------------- crowding
@@ -299,4 +302,4 @@ def test_property_values_clamped_over_random_inputs():
         assert 0.0 <= comfort_value(c, CFG) <= 1.0
         assert 0.0 <= energy_value(c, 1500.0, 75.0) <= 1.0
         assert 0.0 <= objective_value(c, rng.uniform(5, 30), 4.0) <= 1.0
-        assert 0.0 <= apriori_lane_value(c, mission_lane()) <= 1.0
+        assert 0.0 <= lane_hold(c.trajectory)[0] <= 1.0
