@@ -225,16 +225,15 @@ def tick_times(dt: float, horizon: float) -> np.ndarray:
     return t
 
 
-def sample_trajectory(path: Polyline, profiles, dt: float, horizon: float):
+def sample_trajectory(path: Polyline, profiles, dt: float, horizon: float) -> list:
     """Sample poses along `path` under clamped constant-accel speed profiles.
 
-    `profiles` is one `SpeedProfile`, giving one `TimedTrajectory`, or a
-    sequence of them, giving a list with one trajectory per profile; all are
-    sampled at once, with one `Polyline.frames` call. Samples fall on the
-    ticks up to `horizon` and end early where the path is exhausted, so the
-    trajectories may differ in length; a profile that comes to rest keeps
-    emitting resting samples up to the horizon. Lateral acceleration is path
-    curvature times v^2.
+    `profiles` is a sequence of `SpeedProfile`s; the list returned holds one
+    `TimedTrajectory` per profile, all sampled at once, with one
+    `Polyline.frames` call. Samples fall on the ticks up to `horizon` and end
+    early where the path is exhausted, so the trajectories may differ in
+    length; a profile that comes to rest keeps emitting resting samples up to
+    the horizon. Lateral acceleration is path curvature times v^2.
 
     The arrays are shared, not owned, and read-only: every trajectory's `t`
     is a view of the cached `tick_times` grid, and its x, y, heading, speed,
@@ -245,9 +244,6 @@ def sample_trajectory(path: Polyline, profiles, dt: float, horizon: float):
         raise ValueError("dt must be positive")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    one = isinstance(profiles, SpeedProfile)
-    if one:
-        profiles = (profiles,)
     eps = 1e-9
     t = tick_times(dt, horizon)
     v, s = _speeds_and_arcs(profiles, dt, len(t))
@@ -262,6 +258,5 @@ def sample_trajectory(path: Polyline, profiles, dt: float, horizon: float):
         a_lon[p, n - 1] = a_lon[p, n - 2] if n > 1 else 0.0
     for shared in (x, y, heading, v, a_lon, a_lat):
         shared.flags.writeable = False
-    out = [TimedTrajectory(dt, t[:n], x[p, :n], y[p, :n], heading[p, :n], v[p, :n],
-                           a_lon[p, :n], a_lat[p, :n]) for p, n in enumerate(counts)]
-    return out[0] if one else out
+    return [TimedTrajectory(dt, t[:n], x[p, :n], y[p, :n], heading[p, :n], v[p, :n],
+                            a_lon[p, :n], a_lat[p, :n]) for p, n in enumerate(counts)]

@@ -287,8 +287,9 @@ def _lane_change_candidates(ctx: PlanContext, maneuvers) -> list:
         s_obj, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
         leads = block.vehicle_like & (s_obj > s_ego)
         if leads.any():
-            probes = CandidateBlock([sample_trajectory(p, SpeedProfile(v, 0.0), cfg.dt,
-                                                       horizon=duration) for p in paths.values()])
+            probes = CandidateBlock([sample_trajectory(p, [SpeedProfile(v, 0.0)], cfg.dt,
+                                                       horizon=duration)[0]
+                                     for p in paths.values()])
             hits = block.corridor_hits(probes, ego.length, ego.width, cfg)
             stretched = dict(zip(paths, np.any(hits[:, leads], axis=1).tolist()))
 
@@ -305,7 +306,8 @@ def _lane_change_candidates(ctx: PlanContext, maneuvers) -> list:
             wide = blend * cfg.lane_change_stretch
             path = lane_path(target, ego.x, ego.y, ego.heading, wide, wide + tail)
         cap = min(lane.speed_limit, target.speed_limit)
-        traj = sample_trajectory(path, SpeedProfile(ego.speed, 0.0, cap), cfg.dt, horizon=horizon)
+        traj, = sample_trajectory(path, [SpeedProfile(ego.speed, 0.0, cap)], cfg.dt,
+                                  horizon=horizon)
         out.append(ManeuverCandidate(m, traj, targets[m], ego.speed, traj.end_speed,
                                      stretched=stretched[m]))
     return out
@@ -485,11 +487,10 @@ def _check_crosswalks(ctx: PlanContext, cand: ManeuverCandidate) -> bool:
     return False
 
 
-def feasibility_filter(ctx: PlanContext, candidates: list,
-                       cands: CandidateBlock | None = None) -> list:
+def feasibility_filter(ctx: PlanContext, candidates: list, cands: CandidateBlock) -> list:
     """Mark candidates infeasible for rule or collision reasons (in place).
 
-    `cands` stacks the candidates' trajectories (built here if not given).
+    `cands` stacks the candidates' trajectories, row i for candidates[i].
     Guarantees at least one feasible candidate by retaining Stop as a
     fallback when everything else is rejected.
     """
@@ -509,8 +510,6 @@ def feasibility_filter(ctx: PlanContext, candidates: list,
             cand.reason = RULE_VIOLATION
     ruled_in = [i for i, c in enumerate(candidates) if c.feasible]
     if ruled_in:
-        if cands is None:
-            cands = CandidateBlock([c.trajectory for c in candidates])
         ttc = time_to_collision(cands.take(ruled_in), ctx.predictions, ego.length, ego.width)
         for i, min_ttc in zip(ruled_in, ttc.tolist()):
             cand = candidates[i]

@@ -98,7 +98,7 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
     rows = [i for i, c in enumerate(candidates) if c.feasible]
     feasible = [candidates[i] for i in rows]
     assessments = dict(zip((c.maneuver for c in feasible),
-                           assess_candidates(ctx, feasible, current_values, cands.take(rows))))
+                           assess_candidates(ctx, feasible, cands.take(rows), current_values)))
     profits = {m: profit(a, weights) for m, a in assessments.items()}
     maneuver, tie_break = decide(candidates, assessments, profits, previous, ctx.config.tie_epsilon)
     chosen = next(c for c in candidates if c.maneuver is maneuver)
@@ -132,8 +132,10 @@ def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
         return TimedTrajectory.stationary(float(traj.x[0]), float(traj.y[0]),
                                           float(traj.heading[0]), dt,
                                           len(tick_times(dt, horizon)))
-    return sample_trajectory(Polyline(xy[moved]), SpeedProfile(float(traj.speed[0]), -decel),
-                             dt, horizon=horizon)
+    stopping, = sample_trajectory(Polyline(xy[moved]),
+                                  [SpeedProfile(float(traj.speed[0]), -decel)], dt,
+                                  horizon=horizon)
+    return stopping
 
 
 def plan_context(scenario: Scenario, config: PlannerConfig, sim_time: float) -> PlanContext:

@@ -193,19 +193,17 @@ class ResourceAssessment:
     states: dict   # ResourceType -> ResourceState
 
 
-def assess_candidates(ctx: PlanContext, candidates: list, current_values: dict | None = None,
-                      cands: CandidateBlock | None = None) -> list:
+def assess_candidates(ctx: PlanContext, candidates: list, cands: CandidateBlock,
+                      current_values: dict | None = None) -> list:
     """All six resources of each candidate.
 
-    `cands` stacks the candidates' trajectories (built here if not given);
+    `cands` stacks the candidates' trajectories, row i for candidates[i];
     safety, crowdedness and the a-priori lane are one array call each.
     """
     cfg = ctx.config
     ego = ctx.ego
     apriori = ctx.scenario.lanes[ctx.scenario.apriori_lane]
     held = current_values or {}
-    if cands is None:
-        cands = CandidateBlock([c.trajectory for c in candidates])
     safety = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
     crowdedness = crowdedness_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
     lane_hold = apriori_lane_value(cands.end_xy, apriori).tolist()

@@ -29,11 +29,6 @@ class ScenarioError(ValueError):
     """Raised for structural or semantic problems in a scenario document."""
 
 
-# a single-point `Polyline.project` on a line of at least this many segments
-# first skips the segments that cannot hold the closest point
-_SCAN_ALL = 16
-
-
 class Polyline:
     """Arc-length parameterized 2D polyline: lane centerlines and planned paths."""
 
@@ -41,11 +36,11 @@ class Polyline:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("polyline needs at least two 2D points")
-        if not np.isfinite(pts).all():
+        if not np.all(np.isfinite(pts)):
             raise ValueError("polyline points must be finite")
-        d = pts[1:] - pts[:-1]
+        d = np.diff(pts, axis=0)
         seg = np.hypot(d[:, 0], d[:, 1])
-        if (seg <= 0).any():
+        if np.any(seg <= 0):
             raise ValueError("polyline has zero-length segments")
         self.points = pts
         self.cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -136,10 +131,10 @@ class Polyline:
         px, py = float(p[0]), float(p[1])
         best = math.inf
         near = []   # (dist2, i, t, tc, qx, qy) of the segments near the closest so far
-        for i, (ax, ay, dx, dy, len2, seg, cum) in self._reachable(px, py):
+        for i, (ax, ay, dx, dy, len2, seg, cum) in enumerate(self._segment_floats):
             rx, ry = px - ax, py - ay
             t = (rx * dx + ry * dy) / len2
-            tc = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+            tc = min(max(t, 0.0), 1.0)
             qx, qy = rx - dx * tc, ry - dy * tc
             dist2 = qx * qx + qy * qy
             if dist2 < best - 1e-9:   # so much closer that none so far can tie with it
@@ -158,33 +153,12 @@ class Polyline:
             tc = t  # past an end: along the end segment's extension
         return cum + tc * seg, (dx * qy - dy * qx) / seg
 
-    @cached_property
-    def _midpoints(self) -> tuple:
-        return 0.5 * (self.points[:-1] + self.points[1:]), 0.5 * self._seg
-
-    def _reachable(self, px: float, py: float):
-        """(i, segment floats) of the segments that may hold the closest point.
-
-        `project` depends only on the segments within 1e-12 m^2 of the
-        closest. A segment lies within half its length h of its midpoint m,
-        so its distance is within |p - m| -+ h; one whose near bound exceeds
-        the least far bound by over 1 mm is over 1 mm farther than the
-        closest and is skipped. Below _SCAN_ALL segments all are tried.
-        """
-        segs = self._segment_floats
-        if len(segs) < _SCAN_ALL:
-            return enumerate(segs)
-        mid, half = self._midpoints
-        dist = np.hypot(mid[:, 0] - px, mid[:, 1] - py)
-        keep = np.nonzero(dist - half <= (dist + half).min() + 1e-3)[0].tolist()
-        return [(i, segs[i]) for i in keep]
-
     def _project_many(self, p: np.ndarray) -> tuple:
         a, d, seg = self.points[:-1], self._d, self._seg
         rx = p[:, 0:1] - a[:, 0]
         ry = p[:, 1:2] - a[:, 1]
         t = (rx * d[:, 0] + ry * d[:, 1]) / (seg * seg)
-        tc = np.minimum(np.maximum(t, 0.0), 1.0)
+        tc = np.clip(t, 0.0, 1.0)
         qx = rx - d[:, 0] * tc
         qy = ry - d[:, 1] * tc
         dist2 = qx * qx + qy * qy

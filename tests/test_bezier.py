@@ -116,7 +116,8 @@ def test_quarter_circle_curvature():
 
 
 def sampled_at_unit_speed(path: Polyline) -> TimedTrajectory:
-    return sample_trajectory(path, SpeedProfile(1.0, 0.0), dt=1e-3, horizon=10.0)
+    traj, = sample_trajectory(path, [SpeedProfile(1.0, 0.0)], dt=1e-3, horizon=10.0)
+    return traj
 
 
 def test_sampled_length_straight_segment():
@@ -147,7 +148,7 @@ def straight(length: float) -> Polyline:
 
 
 def test_constant_speed_sampling_uniform_spacing():
-    traj = sample_trajectory(straight(40.0), SpeedProfile(10.0, 0.0), dt=0.1, horizon=10.0)
+    traj, = sample_trajectory(straight(40.0), [SpeedProfile(10.0, 0.0)], dt=0.1, horizon=10.0)
     assert traj.duration == pytest.approx(4.0)
     steps = np.hypot(np.diff(traj.x), np.diff(traj.y))
     assert np.allclose(steps, 1.0, atol=1e-9)
@@ -157,8 +158,8 @@ def test_constant_speed_sampling_uniform_spacing():
 
 def test_braking_profile_floors_at_zero():
     # v(t) = 2 - 1.5 t crosses zero at t = 4/3; the vehicle covers v0^2/2a
-    traj = sample_trajectory(straight(40.0), SpeedProfile(2.0, -1.5), dt=0.1,
-                             horizon=4.0)
+    traj, = sample_trajectory(straight(40.0), [SpeedProfile(2.0, -1.5)], dt=0.1,
+                              horizon=4.0)
     t_stop = 4.0 / 3.0
     for k, t in enumerate(traj.t):
         assert traj.speed[k] == pytest.approx(max(0.0, 2.0 - 1.5 * t), abs=1e-12)
@@ -169,7 +170,7 @@ def test_braking_profile_floors_at_zero():
 
 
 def test_stopped_profile_rests_to_the_horizon():
-    traj = sample_trajectory(straight(40.0), SpeedProfile(0.0, 0.0), dt=0.1, horizon=2.0)
+    traj, = sample_trajectory(straight(40.0), [SpeedProfile(0.0, 0.0)], dt=0.1, horizon=2.0)
     assert len(traj) == 21
     assert np.allclose(traj.speed, 0.0)
 
@@ -180,7 +181,7 @@ def test_lateral_acceleration_is_curvature_times_speed_squared():
     arc = CubicBezier([(r, 0.0), (r, r * k), (r * k, r), (0.0, r)])
     pts = arc.chord_points()
     path = Polyline(pts)
-    traj = sample_trajectory(path, SpeedProfile(15.0, 0.0), dt=0.1, horizon=10.0)
+    traj, = sample_trajectory(path, [SpeedProfile(15.0, 0.0)], dt=0.1, horizon=10.0)
     interior = slice(2, len(traj) - 2)
     assert np.allclose(np.abs(traj.a_lat[interior]), 15.0 ** 2 / r, atol=0.05)
     # against the analytic curvature at each sample's curve parameter
@@ -190,8 +191,8 @@ def test_lateral_acceleration_is_curvature_times_speed_squared():
 
 
 def test_speed_cap_respected():
-    traj = sample_trajectory(straight(200.0), SpeedProfile(10.0, 2.0, v_max=14.0),
-                             dt=0.1, horizon=4.0)
+    traj, = sample_trajectory(straight(200.0), [SpeedProfile(10.0, 2.0, v_max=14.0)],
+                              dt=0.1, horizon=4.0)
     assert traj.end_speed == pytest.approx(14.0)
     assert float(np.max(traj.speed)) <= 14.0 + 1e-12
 
@@ -240,7 +241,7 @@ def stepped_samples(length, profile, dt, horizon):
 ])
 def test_sampled_profile_matches_tick_by_tick_stepping(length, profile, dt, horizon):
     path = straight(length)
-    traj = sample_trajectory(path, profile, dt, horizon=horizon)
+    traj, = sample_trajectory(path, [profile], dt, horizon=horizon)
     t, s, v = stepped_samples(length, profile, dt, horizon)
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.x, path.frames(s)[0])
@@ -251,9 +252,9 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         SpeedProfile(-1.0, 0.0)
     with pytest.raises(ValueError):
-        sample_trajectory(straight(10.0), SpeedProfile(1.0, 0.0), dt=0.0, horizon=1.0)
+        sample_trajectory(straight(10.0), [SpeedProfile(1.0, 0.0)], dt=0.0, horizon=1.0)
     with pytest.raises(ValueError):
-        sample_trajectory(straight(10.0), SpeedProfile(1.0, 0.0), dt=0.1, horizon=-1.0)
+        sample_trajectory(straight(10.0), [SpeedProfile(1.0, 0.0)], dt=0.1, horizon=-1.0)
 
 
 # ---------------------------------------------------------------- batches
@@ -291,7 +292,7 @@ def test_batched_sampling_matches_per_profile_calls(batch, dt, horizon, length):
     together = sample_trajectory(path, batch, dt, horizon=horizon)
     assert len(together) == len(batch)
     for profile, traj in zip(batch, together):
-        alone = sample_trajectory(path, profile, dt, horizon=horizon)
+        alone, = sample_trajectory(path, [profile], dt, horizon=horizon)
         for name in FIELDS:
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
         t, s, v = stepped_samples(path.length, profile, dt, horizon)
@@ -348,7 +349,7 @@ def test_stationary_factory():
 
 
 def test_tail_rebases_time():
-    traj = sample_trajectory(straight(40.0), SpeedProfile(10.0, 0.0), dt=0.1, horizon=4.0)
+    traj, = sample_trajectory(straight(40.0), [SpeedProfile(10.0, 0.0)], dt=0.1, horizon=4.0)
     tail = traj.tail(5)
     assert tail.t[0] == pytest.approx(0.0)
     assert len(tail) == len(traj) - 5

@@ -60,6 +60,11 @@ def context(doc: dict, cfg: PlannerConfig | None = None,
     return plan_context(load_scenario(doc), cfg or PlannerConfig(), sim_time)
 
 
+def filtered(ctx: PlanContext, candidates: list) -> list:
+    """`feasibility_filter` on the candidates' stacked block, as a plan calls it."""
+    return feasibility_filter(ctx, candidates, CandidateBlock([c.trajectory for c in candidates]))
+
+
 def by_maneuver(cands):
     return {c.maneuver: c for c in cands}
 
@@ -225,7 +230,7 @@ def test_accelerate_capped_at_the_speed_limit():
     ctx = context(road(ego={"speed": 13.89}))
     kla = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_ACCELERATE]
     assert float(np.max(kla.trajectory.speed)) <= 13.89 + 1e-9
-    feasibility_filter(ctx, [kla])
+    filtered(ctx, [kla])
     assert not kla.feasible
     assert kla.reason == RULE_VIOLATION
 
@@ -462,7 +467,7 @@ def test_short_ttc_marks_collision_risk():
                "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
     ctx = context(road(n_lanes=1, ego={"speed": 15.0}, limit=20.0,
                        others=[blocker]))
-    cands = by_maneuver(feasibility_filter(ctx, enumerate_candidates(ctx)))
+    cands = by_maneuver(filtered(ctx, enumerate_candidates(ctx)))
     kls = cands[Maneuver.KEEP_LANE_SAME_SPEED]
     assert not kls.feasible
     assert kls.reason == COLLISION_RISK
@@ -472,7 +477,7 @@ def test_short_ttc_marks_collision_risk():
 
 def test_solid_boundary_blocks_the_lane_change():
     ctx = context(road(left_boundary="solid"))
-    cands = by_maneuver(feasibility_filter(ctx, enumerate_candidates(ctx)))
+    cands = by_maneuver(filtered(ctx, enumerate_candidates(ctx)))
     cll = cands[Maneuver.CHANGE_LANE_LEFT]
     assert not cll.feasible
     assert cll.reason == RULE_VIOLATION
@@ -481,7 +486,7 @@ def test_solid_boundary_blocks_the_lane_change():
 def test_red_light_crossing_is_infeasible():
     light = {"lane": "right", "stop_line_s": 150.0, "schedule": [["red", 1000.0]]}
     ctx = context(road(ego={"position": [130.0, 0.0]}, lights=[light]))
-    cands = by_maneuver(feasibility_filter(ctx, enumerate_candidates(ctx)))
+    cands = by_maneuver(filtered(ctx, enumerate_candidates(ctx)))
     kls = cands[Maneuver.KEEP_LANE_SAME_SPEED]
     assert not kls.feasible
     assert kls.reason == RULE_VIOLATION
@@ -491,7 +496,7 @@ def test_stop_survives_as_fallback_when_nothing_is_feasible():
     blocker = {"id": "wall", "kind": "obstacle", "position": [27.0, 0.0],
                "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
     ctx = context(road(n_lanes=1, ego={"speed": 13.89}, others=[blocker]))
-    cands = feasibility_filter(ctx, enumerate_candidates(ctx))
+    cands = filtered(ctx, enumerate_candidates(ctx))
     stop = by_maneuver(cands)[Maneuver.STOP]
     assert stop.feasible and stop.fallback
     assert all(not c.feasible for c in cands if c.maneuver is not Maneuver.STOP)
@@ -513,7 +518,7 @@ def test_filter_always_leaves_a_feasible_candidate():
                    ego={"speed": float(rng.uniform(0.0, 13.89))},
                    others=others)
         ctx = context(doc)
-        cands = feasibility_filter(ctx, enumerate_candidates(ctx))
+        cands = filtered(ctx, enumerate_candidates(ctx))
         assert any(c.feasible for c in cands)
 
 

@@ -286,7 +286,8 @@ def test_clamp01():
 
 def test_full_assessment_stays_in_unit_interval():
     ctx = plan_context(load("overtake_static"), PlannerConfig(), 0.0)
-    for assessment in assess_candidates(ctx, enumerate_candidates(ctx)):
+    cands = enumerate_candidates(ctx)
+    for assessment in assess_candidates(ctx, cands, CandidateBlock([c.trajectory for c in cands])):
         for res in RESOURCES:
             assert 0.0 <= assessment.values[res] <= 1.0
             assert isinstance(assessment.states[res], ResourceState)
