@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .config import PlannerConfig
-from .identification import Maneuver, _keep_lane_candidates, _lane_change_candidates
+from .identification import Maneuver, enumerate_candidates
 from .planner import CorMpPlanner, LaneChangeCommitment, PlanResult, plan_context
 from .resources import ResourceType
 from .scenario import AgentState, Lane, Scenario
@@ -185,7 +185,7 @@ class MobilPlanner:
 
         ctx = plan_context(scenario, cfg, sim_time)
         if best_change is not None:
-            cand, = _lane_change_candidates(ctx, (best_change,))
+            cand, = enumerate_candidates(ctx, (best_change,), {})
             if cand.target_lane is not None:
                 self.commitment.start(cand.trajectory, best_change, sim_time)
                 return PlanResult(cand.trajectory, best_change)
@@ -197,7 +197,7 @@ class MobilPlanner:
             maneuver = Maneuver.KEEP_LANE_DECELERATE
         else:
             maneuver = Maneuver.KEEP_LANE_SAME_SPEED
-        cand, = _keep_lane_candidates(ctx, {maneuver: accel})
+        cand, = enumerate_candidates(ctx, (), {maneuver: accel})
         return PlanResult(cand.trajectory, maneuver)
 
 

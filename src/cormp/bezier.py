@@ -2,10 +2,10 @@
 
 `CubicBezier` is the paper's curve primitive; `chord_points` turns a cubic
 into the vertices of a `Polyline`, the one path type every planned trajectory
-is sampled from (see `identification.lane_path`). `sample_trajectory` turns a
-path plus one or several constant-acceleration speed profiles into
-trajectories sampled on the simulator tick grid, with headings and lateral
-accelerations taken from the path's own frames.
+is sampled from (see `identification.lane_path`). `sample_trajectory` turns
+any number of (path, constant-acceleration speed profile, horizon) rows into
+trajectories on the simulator tick grid in one call, with headings and
+lateral accelerations taken from each path's own frames.
 """
 from __future__ import annotations
 
@@ -225,38 +225,57 @@ def tick_times(dt: float, horizon: float) -> np.ndarray:
     return t
 
 
-def sample_trajectory(path: Polyline, profiles, dt: float, horizon: float) -> list:
-    """Sample poses along `path` under clamped constant-accel speed profiles.
+def sample_trajectory(rows, dt: float) -> list:
+    """Sample poses along paths under clamped constant-accel speed profiles.
 
-    `profiles` is a sequence of `SpeedProfile`s; the list returned holds one
-    `TimedTrajectory` per profile, all sampled at once, with one
-    `Polyline.frames` call. Samples fall on the ticks up to `horizon` and end
-    early where the path is exhausted, so the trajectories may differ in
-    length; a profile that comes to rest keeps emitting resting samples up to
-    the horizon. Lateral acceleration is path curvature times v^2.
+    `rows` is a sequence of (path, `SpeedProfile`, horizon) triples; the list
+    returned holds one `TimedTrajectory` per row. A row's samples fall on the
+    ticks up to its horizon and end early where its path is exhausted, so the
+    trajectories may differ in length; a profile that comes to rest keeps
+    emitting resting samples up to the horizon. Lateral acceleration is path
+    curvature times v^2.
+
+    One `_speeds_and_arcs` call covers every row, and each distinct path
+    locates and gathers its rows' segments once; each row is bitwise what it
+    would be if sampled alone.
 
     The arrays are shared, not owned, and read-only: every trajectory's `t`
     is a view of the cached `tick_times` grid, and its x, y, heading, speed,
-    a_lon and a_lat are views of row p of (P, T) buffers that the
+    a_lon and a_lat are views of row r of (R, T) buffers that the
     trajectories of one call share.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if horizon < 0:
+    horizons = [h for _, _, h in rows]
+    if min(horizons) < 0:
         raise ValueError("horizon must be >= 0")
-    eps = 1e-9
-    t = tick_times(dt, horizon)
-    v, s = _speeds_and_arcs(profiles, dt, len(t))
-    length = path.length
-    counts = (s <= length + eps).sum(axis=1).tolist()   # s never decreases
-    x, y, heading, kappa = path.frames(np.minimum(s, length))
+    t = tick_times(dt, max(horizons))
+    v, s = _speeds_and_arcs([p for _, p, _ in rows], dt, len(t))
+    groups: dict = {}
+    for r, (path, _, _) in enumerate(rows):
+        groups.setdefault(path, []).append(r)
+    length = np.array([[path.length] for path, _, _ in rows])
+    # s never decreases along a row
+    counts = np.minimum([len(tick_times(dt, h)) for h in horizons],
+                        (s <= length + 1e-9).sum(axis=1)).tolist()
+    np.minimum(s, length, out=s)
+    kappa = np.empty_like(s)
+    frames = np.empty((6,) + s.shape)   # each sample's row of its path's `frame_table`
+    for path, idx in groups.items():
+        # adjacent rows, the usual case, are read and written as a slice, not copied
+        sel = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+        i, kappa[sel] = path.locate(s[sel])
+        frames[:, sel] = path.frame_table.take(i, axis=1)
+    ax, ay, dx, dy, seg_len, cum = frames
+    f = (s - cum) / seg_len
+    x, y, heading = ax + dx * f, ay + dy * f, np.arctan2(dy, dx)
     a_lon = np.empty_like(v)
     np.subtract(v[:, 1:], v[:, :-1], out=a_lon[:, :-1])
     a_lon[:, :-1] /= dt
     a_lat = kappa * v * v
-    for p, n in enumerate(counts):
-        a_lon[p, n - 1] = a_lon[p, n - 2] if n > 1 else 0.0
+    for r, n in enumerate(counts):
+        a_lon[r, n - 1] = a_lon[r, n - 2] if n > 1 else 0.0
     for shared in (x, y, heading, v, a_lon, a_lat):
         shared.flags.writeable = False
-    return [TimedTrajectory(dt, t[:n], x[p, :n], y[p, :n], heading[p, :n], v[p, :n],
-                            a_lon[p, :n], a_lat[p, :n]) for p, n in enumerate(counts)]
+    return [TimedTrajectory(dt, t[:n], x[r, :n], y[r, :n], heading[r, :n], v[r, :n],
+                            a_lon[r, :n], a_lat[r, :n]) for r, n in enumerate(counts)]

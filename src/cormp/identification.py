@@ -1,10 +1,12 @@
 """Maneuver identification: candidate generation, prediction, feasibility.
 
 Six discrete maneuvers are turned into tick-sampled trajectory candidates from
-the ego's current state, each sampled along a `Polyline` path from
-`lane_path`: a cubic Bezier from the current pose onto a lane centerline, then
-the centerline itself. Other road users get constant-velocity predictions on
-the same tick grid, along their centerline or a straight line, stacked into
+the ego's current state, each along a `Polyline` path from `lane_path`: a
+cubic Bezier from the current pose onto a lane centerline, then the
+centerline itself. A plan projects the ego once onto each lane it considers
+and samples every candidate, lane-change probe and stretched variant in one
+`sample_trajectory` call. Other road users get constant-velocity predictions
+on the same tick grid, along their centerline or a straight line, stacked into
 one `PredictionBlock` per plan; candidates are stacked into a `CandidateBlock`
 so that every pairwise measure is one broadcast over both. The feasibility
 filter removes candidates that risk collision (footprint time-to-collision
@@ -169,10 +171,9 @@ class PlanContext:
         return self.scenario.lanes[self.ego.lane]
 
     @cached_property
-    def keep_lane_path(self) -> Polyline:
-        """The path all keep-lane candidates and Stop share: back onto the lane."""
-        span = max(self.lane.speed_limit, self.ego.speed) * self.config.planning_horizon_s + 5.0
-        return lane_path(self.lane, self.ego.x, self.ego.y, self.ego.heading, span, span)
+    def ego_s(self) -> float:
+        """The ego's arc position on its own lane, projected once per plan."""
+        return self.lane.centerline.project((self.ego.x, self.ego.y))[0]
 
 
 def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfig) -> list:
@@ -215,18 +216,17 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
                            kappa * speed * speed)
 
 
-def lane_path(lane: Lane, x: float, y: float, heading: float,
+def lane_path(lane: Lane, s0: float, x: float, y: float, heading: float,
               blend: float, span: float) -> Polyline:
     """Planned path from the pose (x, y, heading) onto `lane` and along its centerline.
 
-    A cubic Bezier with tangent handles of blend/3 (blend > 0) at both ends
-    joins the pose to the centerline `blend` m ahead of the pose's projected
-    arc position; the path then follows the centerline's own vertices
-    until `span` (>= blend) m ahead, extending the end segments past either
-    lane end.
+    `s0` is the pose's arc position on the lane, as `project` gives it. A
+    cubic Bezier with tangent handles of blend/3 (blend > 0) at both ends
+    joins the pose to the centerline `blend` m ahead of s0; the path then
+    follows the centerline's own vertices until `span` (>= blend) m ahead,
+    extending the end segments past either lane end.
     """
     line = lane.centerline
-    s0 = line.project((x, y))[0]
     s_join = s0 + blend
     s_end = s0 + span
     x3, y3 = line.point_at(s_join)
@@ -244,81 +244,12 @@ def lane_path(lane: Lane, x: float, y: float, heading: float,
     return Polyline(points)
 
 
-def _keep_lane_candidates(ctx: PlanContext, accels: dict) -> list:
-    """One candidate per maneuver -> acceleration in `accels`, all along `ctx.keep_lane_path`.
-
-    The speed profiles are sampled in one call, capped at the lane's limit.
-    """
-    cfg = ctx.config
-    ego = ctx.ego
-    profiles = [SpeedProfile(ego.speed, a, ctx.lane.speed_limit) for a in accels.values()]
-    trajs = sample_trajectory(ctx.keep_lane_path, profiles, cfg.dt, horizon=cfg.planning_horizon_s)
-    return [ManeuverCandidate(m, traj, ego.lane, ego.speed, traj.end_speed)
-            for m, traj in zip(accels, trajs)]
-
-
-def _lane_change_candidates(ctx: PlanContext, maneuvers) -> list:
-    """Cubics onto the neighbour lanes over the lane-change duration, then their centerlines.
-
-    Each candidate is sampled over the longer of the lane-change duration and
-    the planning horizon, so it is never shorter than a keep-lane candidate.
-    A lane change is stretched when a vehicle ahead of the ego on its lane
-    (first sample ahead in arc length) is predicted inside its path's
-    corridor over the lane-change duration; one probe checks every path.
-    Without a neighbour lane the maneuver is an infeasible placeholder
-    resting at the ego pose for one sample.
-    """
-    cfg = ctx.config
-    ego = ctx.ego
-    lane = ctx.lane
-    block = ctx.predictions
-    duration = cfg.lane_change_duration_s
-    horizon = max(duration, cfg.planning_horizon_s)
-    v = max(ego.speed, 1.0)
-    blend = v * duration
-    tail = v * (horizon - duration) + 5.0
-    targets = {m: lane.left_neighbor if m is Maneuver.CHANGE_LANE_LEFT else lane.right_neighbor
-               for m in maneuvers}
-    paths = {m: lane_path(ctx.scenario.lanes[t], ego.x, ego.y, ego.heading, blend, blend + tail)
-             for m, t in targets.items() if t is not None}
-    stretched = dict.fromkeys(paths, False)
-    if paths and block.vehicle_like.any():
-        s_ego, _ = lane.centerline.project((ego.x, ego.y))
-        s_obj, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
-        leads = block.vehicle_like & (s_obj > s_ego)
-        if leads.any():
-            probes = CandidateBlock([sample_trajectory(p, [SpeedProfile(v, 0.0)], cfg.dt,
-                                                       horizon=duration)[0]
-                                     for p in paths.values()])
-            hits = block.corridor_hits(probes, ego.length, ego.width, cfg)
-            stretched = dict(zip(paths, np.any(hits[:, leads], axis=1).tolist()))
-
-    out = []
-    for m in maneuvers:
-        if targets[m] is None:
-            rest = TimedTrajectory.stationary(ego.x, ego.y, ego.heading, cfg.dt, 1)
-            out.append(ManeuverCandidate(m, rest, None, ego.speed, ego.speed,
-                                         feasible=False, reason=NO_LANE))
-            continue
-        target = ctx.scenario.lanes[targets[m]]
-        path = paths[m]
-        if stretched[m]:
-            wide = blend * cfg.lane_change_stretch
-            path = lane_path(target, ego.x, ego.y, ego.heading, wide, wide + tail)
-        cap = min(lane.speed_limit, target.speed_limit)
-        traj, = sample_trajectory(path, [SpeedProfile(ego.speed, 0.0, cap)], cfg.dt,
-                                  horizon=horizon)
-        out.append(ManeuverCandidate(m, traj, targets[m], ego.speed, traj.end_speed,
-                                     stretched=stretched[m]))
-    return out
-
-
 def _stop_constraint_distance(ctx: PlanContext) -> float | None:
     """Distance from the ego front bumper to the nearest active stop target."""
     cfg = ctx.config
     ego = ctx.ego
     lane = ctx.lane
-    front = lane.centerline.project((ego.x, ego.y))[0] + ego.length / 2.0
+    front = ctx.ego_s + ego.length / 2.0
     targets = []
     for light in ctx.scenario.lights:
         if light.lane != ego.lane:
@@ -358,18 +289,85 @@ def _stop_decel(ctx: PlanContext) -> float:
     return min(max(v * v / (2.0 * d), 0.1), cfg.stop_decel_max)
 
 
-def enumerate_candidates(ctx: PlanContext) -> list:
-    """All six maneuver candidates, in Maneuver enum order."""
-    cfg = ctx.config
-    return [
-        *_lane_change_candidates(ctx, LANE_CHANGES),
-        *_keep_lane_candidates(ctx, {
+def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
+                         accels: dict | None = None) -> list:
+    """The lane changes `maneuvers`, then one keep-lane candidate per maneuver -> acceleration.
+
+    By default all six, in Maneuver enum order, Stop braking at `_stop_decel`;
+    every trajectory is a row of one `sample_trajectory` call. Keep-lane
+    candidates share a path back onto the ego's lane, capped at its limit. A
+    lane change, a cubic onto the neighbour lane over the lane-change
+    duration and then its centerline, is sampled over the longer of that
+    duration and the planning horizon. With a vehicle ahead of the ego on its
+    lane (first sample ahead in arc length), a constant-speed probe along it
+    (the lane change's own row where profile and horizon agree) and a
+    stretched path are sampled too; the stretched one is taken where such a
+    vehicle is predicted inside the probe's corridor. Without a neighbour
+    lane the maneuver is an infeasible placeholder, one sample at the ego pose.
+    """
+    cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
+    if accels is None:
+        accels = {
             Maneuver.KEEP_LANE_ACCELERATE: cfg.accel_keep_lane,
             Maneuver.KEEP_LANE_SAME_SPEED: 0.0,
             Maneuver.KEEP_LANE_DECELERATE: -cfg.decel_keep_lane,
             Maneuver.STOP: -_stop_decel(ctx),
-        }),
-    ]
+        }
+    targets = {m: lane.left_neighbor if m is Maneuver.CHANGE_LANE_LEFT else lane.right_neighbor
+               for m in maneuvers}
+    leads = None
+    if any(targets.values()) and block.vehicle_like.any():
+        s_obj, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
+        leads = block.vehicle_like & (s_obj > ctx.ego_s)
+    lead = leads is not None and bool(leads.any())
+    duration = cfg.lane_change_duration_s
+    horizon = max(duration, cfg.planning_horizon_s)
+    v = max(ego.speed, 1.0)
+    blend = v * duration
+    wide = blend * cfg.lane_change_stretch
+    tail = v * (horizon - duration) + 5.0
+    rows, sides = [], {}   # maneuver -> [target lane, nominal row, probe row, stretched row]
+    for m, target_id in targets.items():
+        if target_id is None:
+            continue
+        target = ctx.scenario.lanes[target_id]
+        cap = min(lane.speed_limit, target.speed_limit)
+        s0 = target.centerline.project((ego.x, ego.y))[0]
+        profile = SpeedProfile(ego.speed, 0.0, cap)
+        nominal = lane_path(target, s0, ego.x, ego.y, ego.heading, blend, blend + tail)
+        sides[m] = at = [target_id, len(rows), len(rows), None]
+        rows.append((nominal, profile, horizon))
+        if lead:
+            if not (1.0 <= ego.speed <= cap and duration >= cfg.planning_horizon_s):
+                at[2] = len(rows)
+                rows.append((nominal, SpeedProfile(v, 0.0), duration))
+            at[3] = len(rows)
+            rows.append((lane_path(target, s0, ego.x, ego.y, ego.heading, wide, wide + tail),
+                         profile, horizon))
+
+    span = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
+    keep = lane_path(lane, ctx.ego_s, ego.x, ego.y, ego.heading, span, span) if accels else None
+    rows += [(keep, SpeedProfile(ego.speed, a, lane.speed_limit), cfg.planning_horizon_s)
+             for a in accels.values()]
+    trajs = sample_trajectory(rows, cfg.dt) if rows else []
+    stretched = dict.fromkeys(sides, False)
+    if lead:
+        probes = CandidateBlock([trajs[probe] for _, _, probe, _ in sides.values()])
+        hits = block.corridor_hits(probes, ego.length, ego.width, cfg)
+        stretched = dict(zip(sides, np.any(hits[:, leads], axis=1).tolist()))
+    out = []
+    for m in maneuvers:
+        if m not in sides:
+            rest = TimedTrajectory.stationary(ego.x, ego.y, ego.heading, cfg.dt, 1)
+            out.append(ManeuverCandidate(m, rest, None, ego.speed, ego.speed,
+                                         feasible=False, reason=NO_LANE))
+            continue
+        target_id, nominal, _, stretched_row = sides[m]
+        traj = trajs[stretched_row if stretched[m] else nominal]
+        out.append(ManeuverCandidate(m, traj, target_id, ego.speed, traj.end_speed,
+                                     stretched=stretched[m]))
+    return out + [ManeuverCandidate(m, traj, ego.lane, ego.speed, traj.end_speed)
+                  for m, traj in zip(accels, trajs[len(trajs) - len(accels):])]
 
 
 def time_to_collision(cands: CandidateBlock, block: PredictionBlock,

@@ -132,9 +132,8 @@ def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
         return TimedTrajectory.stationary(float(traj.x[0]), float(traj.y[0]),
                                           float(traj.heading[0]), dt,
                                           len(tick_times(dt, horizon)))
-    stopping, = sample_trajectory(Polyline(xy[moved]),
-                                  [SpeedProfile(float(traj.speed[0]), -decel)], dt,
-                                  horizon=horizon)
+    stopping, = sample_trajectory(
+        [(Polyline(xy[moved]), SpeedProfile(float(traj.speed[0]), -decel), horizon)], dt)
     return stopping
 
 

@@ -38,12 +38,19 @@ class Polyline:
             raise ValueError("polyline needs at least two 2D points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("polyline points must be finite")
-        d = np.diff(pts, axis=0)
-        seg = np.hypot(d[:, 0], d[:, 1])
+        # one column per vertex: x, y, the dx, dy and length of the segment
+        # it starts (0 at the last vertex) and its arc position. `points`,
+        # `cum`, `_d` and `_seg` are views of it; `frames` gathers its columns
+        self.frame_table = table = np.empty((6, len(pts)))
+        table[:2] = pts.T
+        d = np.subtract(table[:2, 1:], table[:2, :-1], out=table[2:4, :-1]).T
+        seg = np.hypot(table[2, :-1], table[3, :-1], out=table[4, :-1])
         if np.any(seg <= 0):
             raise ValueError("polyline has zero-length segments")
-        self.points = pts
-        self.cum = np.concatenate([[0.0], np.cumsum(seg)])
+        table[2:, -1] = table[5, 0] = 0.0
+        np.cumsum(seg, out=table[5, 1:])
+        self.points = table[:2].T
+        self.cum = table[5]
         self._d = d
         self._seg = seg
         # signed turning angle at each interior vertex over the mean length of
@@ -84,6 +91,13 @@ class Polyline:
     def heading_at(self, s: float) -> float:
         return self._heading_floats[self._segment(s)]
 
+    def locate(self, s: np.ndarray) -> tuple:
+        """(segment, curvature) at an array of arc positions, as `frames` reads them:
+        the count of interior vertices at or before s is `_segment`."""
+        inner = self.cum[1:-1]
+        i = np.searchsorted(inner, s, side="right")
+        return i, np.interp(s, inner, self._kappa) if len(inner) else np.zeros_like(s)
+
     def frames(self, s) -> tuple:
         """x, y, heading and signed curvature at an array of arc positions.
 
@@ -93,15 +107,10 @@ class Polyline:
         beyond them, and is 0 on a two-point line.
         """
         s = np.asarray(s, dtype=np.float64)
-        i = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self._seg) - 1)
-        f = (s - self.cum[i]) / self._seg[i]
-        x = self.points[i, 0] + self._d[i, 0] * f
-        y = self.points[i, 1] + self._d[i, 1] * f
-        if len(self._kappa):
-            kappa = np.interp(s, self.cum[1:-1], self._kappa)
-        else:
-            kappa = np.zeros_like(s)
-        return x, y, np.arctan2(self._d[i, 1], self._d[i, 0]), kappa
+        i, kappa = self.locate(s)
+        ax, ay, dx, dy, seg, cum = self.frame_table.take(i, axis=1)
+        f = (s - cum) / seg
+        return ax + dx * f, ay + dy * f, np.arctan2(dy, dx), kappa
 
     @cached_property
     def _segment_floats(self) -> list:
@@ -154,6 +163,17 @@ class Polyline:
         return cum + tc * seg, (dx * qy - dy * qx) / seg
 
     def _project_many(self, p: np.ndarray) -> tuple:
+        if len(self._seg) > 1:
+            return self._project_segments(p)
+        # `_project_segments` on its one segment, bitwise: past either end
+        # the foot is t on the extension, and on the segment t is tc
+        ax, ay, dx, dy, len2, seg, cum = self._segment_floats[0]
+        rx, ry = p[:, 0] - ax, p[:, 1] - ay
+        t = (rx * dx + ry * dy) / len2
+        tc = np.clip(t, 0.0, 1.0)
+        return cum + t * seg, (dx * (ry - dy * tc) - dy * (rx - dx * tc)) / seg
+
+    def _project_segments(self, p: np.ndarray) -> tuple:
         a, d, seg = self.points[:-1], self._d, self._seg
         rx = p[:, 0:1] - a[:, 0]
         ry = p[:, 1:2] - a[:, 1]

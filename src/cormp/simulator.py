@@ -105,6 +105,7 @@ class SimWorld:
         self._speeding = False
         self._off_lane = False
         self._prev_front_s: dict = {}     # light index -> ego front s on its lane
+        self._lane_update: tuple = ()     # (lane, x, y, s, lateral) of the last lane update
 
     # ----- scripted agents -------------------------------------------------
 
@@ -157,16 +158,15 @@ class SimWorld:
 
     def _update_ego_lane(self) -> None:
         lane = self.scenario.lanes[self.ego.lane]
-        best_id, best_off = self.ego.lane, None
+        best_id, best = self.ego.lane, None
         for lane_id in (self.ego.lane, lane.left_neighbor, lane.right_neighbor):
             if lane_id is None:
                 continue
-            cand = self.scenario.lanes[lane_id]
-            _, lateral = cand.centerline.project((self.ego.x, self.ego.y))
-            off = abs(lateral)
-            if best_off is None or off < best_off - 1e-9:
-                best_id, best_off = lane_id, off
+            on = self.scenario.lanes[lane_id].centerline.project((self.ego.x, self.ego.y))
+            if best is None or abs(on[1]) < abs(best[1]) - 1e-9:
+                best_id, best = lane_id, on
         self.ego.lane = best_id
+        self._lane_update = (best_id, self.ego.x, self.ego.y, *best)
 
     # ----- events ----------------------------------------------------------
 
@@ -198,7 +198,9 @@ class SimWorld:
                                    {"rule": "speed", "lane": lane.id, "speed": ego.speed}))
         self._speeding = speeding
 
-        _, lateral = lane.centerline.project((ego.x, ego.y))
+        last = self._lane_update
+        s_ego, lateral = (last[3:] if last[:3] == (ego.lane, ego.x, ego.y)
+                          else lane.centerline.project((ego.x, ego.y)))
         room = lane.width / 2.0 - ego.width / 2.0
         crossing = ((lateral > room and lane.left_boundary == "solid")
                     or (lateral < -room and lane.right_boundary == "solid"))
@@ -209,7 +211,8 @@ class SimWorld:
 
         for i, light in enumerate(self.scenario.lights):
             llane = self.scenario.lanes[light.lane]
-            s, lat = llane.centerline.project((ego.x, ego.y))
+            s, lat = ((s_ego, lateral) if light.lane == ego.lane
+                      else llane.centerline.project((ego.x, ego.y)))
             if abs(lat) > llane.width / 2.0:  # not on this light's lane
                 self._prev_front_s.pop(i, None)
                 continue

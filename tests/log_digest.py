@@ -8,7 +8,8 @@ bytes as `cormp run` writes them, for the eight scenarios in `scenarios/`,
 the two curved roads of `tests/conftest.py` and, with `--workload-seeds`,
 every distinct drive of the three `perfbench` workloads at those seeds, each
 under cor-mp, mobil and utility. Run it in two checkouts and `diff` the
-outputs to see which logs a change moved.
+outputs to see which logs a change moved. `tests/log_digests.txt` holds the
+lines without workload seeds, which `test_log_digests.py` checks.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import CURVED  # noqa: E402
 
@@ -40,6 +41,7 @@ def documents(workload_seeds: list) -> dict:
             docs[path.stem] = json.load(fh)
     docs.update(CURVED)
     if workload_seeds:
+        sys.path.insert(0, str(ROOT / "perfbench"))
         import workloads
         for seed in workload_seeds:
             for workload in workloads.WORKLOADS:

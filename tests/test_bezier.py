@@ -116,7 +116,7 @@ def test_quarter_circle_curvature():
 
 
 def sampled_at_unit_speed(path: Polyline) -> TimedTrajectory:
-    traj, = sample_trajectory(path, [SpeedProfile(1.0, 0.0)], dt=1e-3, horizon=10.0)
+    traj, = sample_trajectory([(path, SpeedProfile(1.0, 0.0), 10.0)], dt=1e-3)
     return traj
 
 
@@ -148,7 +148,7 @@ def straight(length: float) -> Polyline:
 
 
 def test_constant_speed_sampling_uniform_spacing():
-    traj, = sample_trajectory(straight(40.0), [SpeedProfile(10.0, 0.0)], dt=0.1, horizon=10.0)
+    traj, = sample_trajectory([(straight(40.0), SpeedProfile(10.0, 0.0), 10.0)], dt=0.1)
     assert traj.duration == pytest.approx(4.0)
     steps = np.hypot(np.diff(traj.x), np.diff(traj.y))
     assert np.allclose(steps, 1.0, atol=1e-9)
@@ -158,8 +158,7 @@ def test_constant_speed_sampling_uniform_spacing():
 
 def test_braking_profile_floors_at_zero():
     # v(t) = 2 - 1.5 t crosses zero at t = 4/3; the vehicle covers v0^2/2a
-    traj, = sample_trajectory(straight(40.0), [SpeedProfile(2.0, -1.5)], dt=0.1,
-                              horizon=4.0)
+    traj, = sample_trajectory([(straight(40.0), SpeedProfile(2.0, -1.5), 4.0)], dt=0.1)
     t_stop = 4.0 / 3.0
     for k, t in enumerate(traj.t):
         assert traj.speed[k] == pytest.approx(max(0.0, 2.0 - 1.5 * t), abs=1e-12)
@@ -170,7 +169,7 @@ def test_braking_profile_floors_at_zero():
 
 
 def test_stopped_profile_rests_to_the_horizon():
-    traj, = sample_trajectory(straight(40.0), [SpeedProfile(0.0, 0.0)], dt=0.1, horizon=2.0)
+    traj, = sample_trajectory([(straight(40.0), SpeedProfile(0.0, 0.0), 2.0)], dt=0.1)
     assert len(traj) == 21
     assert np.allclose(traj.speed, 0.0)
 
@@ -181,7 +180,7 @@ def test_lateral_acceleration_is_curvature_times_speed_squared():
     arc = CubicBezier([(r, 0.0), (r, r * k), (r * k, r), (0.0, r)])
     pts = arc.chord_points()
     path = Polyline(pts)
-    traj, = sample_trajectory(path, [SpeedProfile(15.0, 0.0)], dt=0.1, horizon=10.0)
+    traj, = sample_trajectory([(path, SpeedProfile(15.0, 0.0), 10.0)], dt=0.1)
     interior = slice(2, len(traj) - 2)
     assert np.allclose(np.abs(traj.a_lat[interior]), 15.0 ** 2 / r, atol=0.05)
     # against the analytic curvature at each sample's curve parameter
@@ -191,8 +190,8 @@ def test_lateral_acceleration_is_curvature_times_speed_squared():
 
 
 def test_speed_cap_respected():
-    traj, = sample_trajectory(straight(200.0), [SpeedProfile(10.0, 2.0, v_max=14.0)],
-                              dt=0.1, horizon=4.0)
+    traj, = sample_trajectory([(straight(200.0), SpeedProfile(10.0, 2.0, v_max=14.0), 4.0)],
+                              dt=0.1)
     assert traj.end_speed == pytest.approx(14.0)
     assert float(np.max(traj.speed)) <= 14.0 + 1e-12
 
@@ -241,7 +240,7 @@ def stepped_samples(length, profile, dt, horizon):
 ])
 def test_sampled_profile_matches_tick_by_tick_stepping(length, profile, dt, horizon):
     path = straight(length)
-    traj, = sample_trajectory(path, [profile], dt, horizon=horizon)
+    traj, = sample_trajectory([(path, profile, horizon)], dt)
     t, s, v = stepped_samples(length, profile, dt, horizon)
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.x, path.frames(s)[0])
@@ -252,9 +251,9 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         SpeedProfile(-1.0, 0.0)
     with pytest.raises(ValueError):
-        sample_trajectory(straight(10.0), [SpeedProfile(1.0, 0.0)], dt=0.0, horizon=1.0)
+        sample_trajectory([(straight(10.0), SpeedProfile(1.0, 0.0), 1.0)], dt=0.0)
     with pytest.raises(ValueError):
-        sample_trajectory(straight(10.0), [SpeedProfile(1.0, 0.0)], dt=0.1, horizon=-1.0)
+        sample_trajectory([(straight(10.0), SpeedProfile(1.0, 0.0), -1.0)], dt=0.1)
 
 
 # ---------------------------------------------------------------- batches
@@ -276,34 +275,49 @@ profiles = st.builds(
     st.one_of(st.sampled_from([math.inf, 13.89, 5.0]), st.floats(0.0, 30.0)))
 
 
+horizons = st.one_of(st.sampled_from([4.0, 5.0, 0.05, 0.0]), st.floats(0.0, 6.0))
+
+
 @settings(max_examples=200)
-@given(st.lists(profiles, min_size=1, max_size=5),
+@given(st.lists(st.tuples(st.integers(0, 3), profiles, horizons), min_size=1, max_size=7),
        st.sampled_from([0.1, 0.15, 0.05]),
-       st.one_of(st.sampled_from([4.0, 5.0, 0.05]), st.floats(0.0, 6.0)),
-       st.one_of(st.sampled_from([200.0, 20.0]), st.floats(0.5, 150.0)))
-@example([SpeedProfile(13.89, 1.0, 13.89), SpeedProfile(13.89, 0.0, 13.89),
-          SpeedProfile(13.89, -1.0, 13.89), SpeedProfile(13.89, -2.0, 13.89)], 0.1, 4.0, 60.0)
-@example([SpeedProfile(20.0, 1.0, 13.89), SpeedProfile(0.0, 0.0), SpeedProfile(0.0, -2.0),
-          SpeedProfile(7.3, -3.0), SpeedProfile(13.0, 1.5, 13.89)], 0.15, 4.0, 30.0)
-def test_batched_sampling_matches_per_profile_calls(batch, dt, horizon, length):
-    # clip kinks between ticks, a = 0, v0 > v_max, standing starts, dt = 0.15,
-    # and paths that run out before the horizon at a different tick per row
-    path = bent_path(length)
-    together = sample_trajectory(path, batch, dt, horizon=horizon)
-    assert len(together) == len(batch)
-    for profile, traj in zip(batch, together):
-        alone, = sample_trajectory(path, [profile], dt, horizon=horizon)
+       st.lists(st.one_of(st.sampled_from([200.0, 20.0]), st.floats(0.5, 150.0)),
+                min_size=3, max_size=3))
+@example([(0, SpeedProfile(13.89, a, 13.89), 4.0) for a in (1.0, 0.0, -1.0, -2.0)],
+         0.1, [60.0, 60.0, 60.0])
+@example([(0, p, 4.0) for p in (SpeedProfile(20.0, 1.0, 13.89), SpeedProfile(0.0, 0.0),
+                                SpeedProfile(0.0, -2.0), SpeedProfile(7.3, -3.0),
+                                SpeedProfile(13.0, 1.5, 13.89))], 0.15, [30.0, 30.0, 30.0])
+@example([(0, SpeedProfile(20.0, 0.0, 13.89), 5.0), (1, SpeedProfile(20.0, 0.0), 5.0),
+          (0, SpeedProfile(13.89, 0.0, 13.89), 5.0), (3, SpeedProfile(0.0, -2.0), 4.0),
+          (2, SpeedProfile(7.3, -3.0), 4.0), (1, SpeedProfile(14.0, 1.0, 13.89), 4.0),
+          (3, SpeedProfile(13.0, 1.5, 13.89), 0.0)], 0.1, [60.0, 75.0, 25.0])
+def test_batched_sampling_matches_per_profile_calls(rows, dt, lengths):
+    # each row of one call is what it is sampled alone: clip kinks between
+    # ticks, a = 0, v0 > v_max, standing starts, dt = 0.15, mixed horizons,
+    # rows that share a path, a one-segment path among bent ones, and paths
+    # that run out before the horizon at a different tick per row
+    paths = [bent_path(length) for length in lengths] + [straight(30.0)]
+    call = [(paths[k], profile, horizon) for k, profile, horizon in rows]
+    together = sample_trajectory(call, dt)
+    assert len(together) == len(call)
+    for (path, profile, horizon), traj in zip(call, together):
+        alone, = sample_trajectory([(path, profile, horizon)], dt)
         for name in FIELDS:
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
         t, s, v = stepped_samples(path.length, profile, dt, horizon)
         assert np.array_equal(traj.t, t)
         assert np.array_equal(traj.speed, v)
-        assert np.array_equal(traj.x, path.frames(s)[0])
+        x, y, heading, kappa = path.frames(s)
+        assert np.array_equal(traj.x, x) and np.array_equal(traj.y, y)
+        assert np.array_equal(traj.heading, heading)
+        assert np.array_equal(traj.a_lat, kappa * v * v)
 
 
 def test_batched_rows_end_where_the_path_runs_out():
     batch = [SpeedProfile(v, 0.0) for v in (5.0, 10.0, 20.0)]
-    trajs = sample_trajectory(straight(30.0), batch, 0.1, horizon=4.0)
+    path = straight(30.0)
+    trajs = sample_trajectory([(path, profile, 4.0) for profile in batch], 0.1)
     assert [len(traj) for traj in trajs] == [41, 31, 16]
     assert [traj.x[-1] for traj in trajs] == [20.0, 30.0, 30.0]
 
@@ -329,8 +343,9 @@ def test_tick_grid_is_cached_and_read_only():
 
 
 def test_sampled_arrays_are_read_only():
-    trajs = sample_trajectory(straight(40.0), [SpeedProfile(10.0, 0.0), SpeedProfile(10.0, -2.0)],
-                              dt=0.1, horizon=4.0)
+    path = straight(40.0)
+    trajs = sample_trajectory([(path, SpeedProfile(10.0, 0.0), 4.0),
+                               (path, SpeedProfile(10.0, -2.0), 4.0)], dt=0.1)
     for traj in trajs:
         for name in FIELDS:
             with pytest.raises(ValueError):
@@ -349,7 +364,7 @@ def test_stationary_factory():
 
 
 def test_tail_rebases_time():
-    traj, = sample_trajectory(straight(40.0), [SpeedProfile(10.0, 0.0)], dt=0.1, horizon=4.0)
+    traj, = sample_trajectory([(straight(40.0), SpeedProfile(10.0, 0.0), 4.0)], dt=0.1)
     tail = traj.tail(5)
     assert tail.t[0] == pytest.approx(0.0)
     assert len(tail) == len(traj) - 5

@@ -1,10 +1,14 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import curved_road, prediction_block
+from conftest import CURVED, SCENARIO_DIR, curved_road, prediction_block
+from cormp import identification
 from cormp.baselines import make_planner
+from cormp.bezier import SpeedProfile, sample_trajectory
 from cormp.config import PlannerConfig
 from cormp.identification import (
     COLLISION_RISK,
@@ -14,9 +18,8 @@ from cormp.identification import (
     CandidateBlock,
     Maneuver,
     PlanContext,
-    _keep_lane_candidates,
-    _lane_change_candidates,
     _stop_constraint_distance,
+    _stop_decel,
     enumerate_candidates,
     feasibility_filter,
     lane_path,
@@ -24,7 +27,7 @@ from cormp.identification import (
     time_to_collision,
 )
 from cormp.kernels import rect_gap
-from cormp.planner import plan_context
+from cormp.planner import CorMpPlanner, plan_context, plan_tick
 from cormp.scenario import Polyline, load_scenario
 from cormp.simulator import SimWorld, run
 
@@ -237,7 +240,7 @@ def test_accelerate_capped_at_the_speed_limit():
 
 def test_keep_lane_kinematics_with_explicit_rate():
     ctx = context(road(limit=30.0, ego={"speed": 10.0}))
-    cand, = _keep_lane_candidates(ctx, {Maneuver.KEEP_LANE_ACCELERATE: 1.5})
+    cand, = enumerate_candidates(ctx, (), {Maneuver.KEEP_LANE_ACCELERATE: 1.5})
     assert cand.v_end == pytest.approx(16.0, abs=1e-9)
     assert cand.trajectory.duration == pytest.approx(4.0)
     assert cand.trajectory.path_length() == pytest.approx(52.0, abs=1e-6)
@@ -248,19 +251,19 @@ def test_keep_lane_and_lane_change_follow_a_curved_centerline():
     cfg = PlannerConfig()
     ctx = PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0,
                       predictions=prediction_block())
-    keep = _keep_lane_candidates(ctx, {Maneuver.KEEP_LANE_SAME_SPEED: 0.0})[0].trajectory
+    keep = enumerate_candidates(ctx, (), {Maneuver.KEEP_LANE_SAME_SPEED: 0.0})[0].trajectory
     _, lateral = sc.lanes["right"].centerline.project(np.column_stack([keep.x, keep.y]))
     # the solid edge is 0.85 m from the centerline for this ego; the start
     # heading is the 7 m chord's direction, so the cubic cuts in a little
     assert np.max(np.abs(lateral)) < 0.3
-    change = _lane_change_candidates(ctx, (Maneuver.CHANGE_LANE_LEFT,))[0].trajectory
+    change = enumerate_candidates(ctx, (Maneuver.CHANGE_LANE_LEFT,), {})[0].trajectory
     _, lateral = sc.lanes["left"].centerline.project((change.x[-1], change.y[-1]))
     assert abs(lateral) < 0.01
 
 
 def test_short_lane_change_continues_along_the_target_centerline():
     cfg = PlannerConfig(lane_change_duration_s=3.0)
-    cand, = _lane_change_candidates(context(road(), cfg), (Maneuver.CHANGE_LANE_LEFT,))
+    cand, = enumerate_candidates(context(road(), cfg), (Maneuver.CHANGE_LANE_LEFT,), {})
     traj = cand.trajectory
     assert traj.duration == pytest.approx(cfg.planning_horizon_s)
     after = traj.t >= 3.2 - 1e-9   # the cubic is a little longer than its 41.7 m chord
@@ -290,7 +293,7 @@ def test_lane_change_stretches_around_a_lead_past_the_lane_end():
                 "position": [x + 40.0, 3.5], "heading": 0.0, "speed": 5.0,
                 "length": 4.5, "width": 1.8}
         doc = road(length=200.0, ego={"position": [x, 0.0]}, others=[lead])
-        cands = by_maneuver(_lane_change_candidates(context(doc), (Maneuver.CHANGE_LANE_LEFT,)))
+        cands = by_maneuver(enumerate_candidates(context(doc), (Maneuver.CHANGE_LANE_LEFT,), {}))
         assert cands[Maneuver.CHANGE_LANE_LEFT].stretched, x
 
 
@@ -340,7 +343,9 @@ def test_lane_path_matches_the_stacked_cubic_oracle_bitwise():
         for lane_id in ("right", "left"):
             for blend, span in ((55.56, 60.56), (55.56, 200.0), (55.56, 55.56), (20.0, 10.0),
                                 (3.0, 100.0)):
-                path = lane_path(lanes[lane_id], x, y, heading, blend, span)
+                line = lanes[lane_id].centerline
+                path = lane_path(lanes[lane_id], line.project((x, y))[0], x, y, heading,
+                                 blend, span)
                 want, n = lane_path_oracle(lanes[lane_id], x, y, heading, blend, span)
                 counts.add(n)
                 assert np.array_equal(path.points, want.points), (lane_id, x, y, blend, span)
@@ -524,3 +529,132 @@ def test_filter_always_leaves_a_feasible_candidate():
 
 def test_lane_change_tuple_matches_enum():
     assert LANE_CHANGES == (Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT)
+
+
+# ---------------------------------------------------------------- one sampler call
+
+
+def per_path_reference(ctx: PlanContext) -> list:
+    """The six candidates as sampled one path per call: each lane change's
+    probe alone, and a stretched path built only once its probe hits a lead."""
+    cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
+
+    def along(target, blend, span):
+        s0 = target.centerline.project((ego.x, ego.y))[0]
+        return lane_path(target, s0, ego.x, ego.y, ego.heading, blend, span)
+
+    def sample(path, profile, horizon):
+        traj, = sample_trajectory([(path, profile, horizon)], cfg.dt)
+        return traj
+
+    duration = cfg.lane_change_duration_s
+    horizon = max(duration, cfg.planning_horizon_s)
+    v = max(ego.speed, 1.0)
+    blend = v * duration
+    tail = v * (horizon - duration) + 5.0
+    targets = {Maneuver.CHANGE_LANE_LEFT: lane.left_neighbor,
+               Maneuver.CHANGE_LANE_RIGHT: lane.right_neighbor}
+    paths = {m: along(ctx.scenario.lanes[t], blend, blend + tail)
+             for m, t in targets.items() if t is not None}
+    stretched = dict.fromkeys(paths, False)
+    if paths and block.vehicle_like.any():
+        s_ego, _ = lane.centerline.project((ego.x, ego.y))
+        s_obj, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
+        leads = block.vehicle_like & (s_obj > s_ego)
+        if leads.any():
+            probes = CandidateBlock([sample(p, SpeedProfile(v, 0.0), duration)
+                                     for p in paths.values()])
+            hits = block.corridor_hits(probes, ego.length, ego.width, cfg)
+            stretched = dict(zip(paths, np.any(hits[:, leads], axis=1).tolist()))
+    out = []
+    for m, target_id in targets.items():
+        if target_id is None:
+            out.append((m, None, False, None))
+            continue
+        target = ctx.scenario.lanes[target_id]
+        path = paths[m]
+        if stretched[m]:
+            wide = blend * cfg.lane_change_stretch
+            path = along(target, wide, wide + tail)
+        cap = min(lane.speed_limit, target.speed_limit)
+        out.append((m, target_id, stretched[m], sample(path, SpeedProfile(ego.speed, 0.0, cap),
+                                                        horizon)))
+    span = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
+    keep = along(lane, span, span)
+    for m, a in ((Maneuver.KEEP_LANE_ACCELERATE, cfg.accel_keep_lane),
+                 (Maneuver.KEEP_LANE_SAME_SPEED, 0.0),
+                 (Maneuver.KEEP_LANE_DECELERATE, -cfg.decel_keep_lane),
+                 (Maneuver.STOP, -_stop_decel(ctx))):
+        out.append((m, ego.lane, False, sample(keep, SpeedProfile(ego.speed, a, lane.speed_limit),
+                                               cfg.planning_horizon_s)))
+    return out
+
+
+def assert_matches_reference(ctx: PlanContext) -> list:
+    """Compare bitwise; returns the stretched flags."""
+    got = enumerate_candidates(ctx)
+    want = per_path_reference(ctx)
+    assert [c.maneuver for c in got] == [m for m, _, _, _ in want]
+    for cand, (m, target, stretched, traj) in zip(got, want):
+        assert (cand.target_lane, cand.stretched) == (target, stretched), m
+        if traj is None:
+            assert cand.reason == NO_LANE
+            continue
+        assert cand.v_end == traj.end_speed
+        for name in ("t", "x", "y", "heading", "speed", "a_lon", "a_lat"):
+            assert np.array_equal(getattr(cand.trajectory, name), getattr(traj, name)), (m, name)
+    return [c.stretched for c in got]
+
+
+def busy_highway_contexts(cfg: PlannerConfig, times=(0.0, 5.0, 10.0), **ego) -> list:
+    """Contexts of a cor-mp drive of `busy_highway` at `times`, each checked
+    against the reference as the drive reaches it."""
+    doc = json.loads((SCENARIO_DIR / "busy_highway.json").read_text())
+    doc["agents"][0].update(ego)
+    sc = load_scenario(doc)
+    flags = []
+
+    class Checked(CorMpPlanner):
+        def plan(self, scenario, sim_time):
+            if any(abs(sim_time - t) < 1e-9 for t in times):
+                flags.append(assert_matches_reference(plan_context(scenario, cfg, sim_time)))
+            return super().plan(scenario, sim_time)
+
+    run(dataclasses.replace(sc, duration_s=max(times) + 0.05), Checked(cfg, sc.profile), cfg)
+    return flags
+
+
+def test_enumerate_matches_the_per_path_reference_bitwise():
+    cfg = PlannerConfig()
+    flags = busy_highway_contexts(cfg)
+    assert len(flags) == 4                          # the warm-up call, then t = 0, 5, 10 s
+    flags += busy_highway_contexts(cfg, (0.0,), speed=0.0)     # a standing start
+    flags += busy_highway_contexts(cfg, (0.0,), speed=27.0)    # above the 25 m/s limit
+    # a lane change shorter than the horizon: the probe has its own row
+    flags += busy_highway_contexts(PlannerConfig(lane_change_duration_s=3.0), (0.0,))
+    arc = CURVED["arc_left_overtake_r140"]                    # a slow lead ahead
+    for speed in (arc["agents"][0]["speed"], 0.0):
+        doc = dict(arc, agents=[dict(arc["agents"][0], speed=speed), *arc["agents"][1:]])
+        flags.append(assert_matches_reference(context(doc)))
+    assert any(any(f) for f in flags)               # some lane change was stretched
+
+
+def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
+    calls = []
+    for name in ("sample_trajectory", "lane_path"):
+        fn = getattr(identification, name)
+        monkeypatch.setattr(identification, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    project = Polyline.project
+    monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(
+        "scalar_project" if np.ndim(p) == 1 else "project") or project(self, p))
+    blocker = {"id": "slow", "kind": "vehicle", "lane": "right", "position": [35.0, 0.0],
+               "heading": 0.0, "speed": 2.0, "length": 4.5, "width": 1.8}
+    for doc, lanes in ((road(others=[blocker]), 2), (road(n_lanes=1), 1),
+                       (CURVED["arc_left_overtake_r140"], 2)):
+        ctx = context(doc)
+        calls.clear()
+        plan_tick(ctx)
+        assert calls.count("sample_trajectory") == 1
+        assert "lane_path" not in calls[calls.index("sample_trajectory"):]
+        # one projection of the ego per lane: its own and each neighbour
+        assert calls.count("scalar_project") == lanes

@@ -272,8 +272,8 @@ def test_standstill_abort_has_the_sampler_tick_count():
     cfg = PlannerConfig(dt=0.15)
     standing = TimedTrajectory.stationary(0.0, 0.0, 0.0, cfg.dt, 27)
     rest = decelerate_along(standing, 2.0, cfg.dt, cfg.planning_horizon_s)
-    moving, = sample_trajectory(Polyline([[0.0, 0.0], [100.0, 0.0]]), [SpeedProfile(5.0, 0.0)],
-                                cfg.dt, horizon=cfg.planning_horizon_s)
+    moving, = sample_trajectory([(Polyline([[0.0, 0.0], [100.0, 0.0]]), SpeedProfile(5.0, 0.0),
+                                  cfg.planning_horizon_s)], cfg.dt)
     assert len(rest) == len(moving) == cfg.horizon_steps + 1 == 27
     assert np.all(rest.speed == 0.0)
 

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, load
@@ -130,6 +130,29 @@ def test_polyline_project_inverts_point_at_past_both_ends(line, positions):
         s_one, lat_one = line.project(p)
         assert s_one == pytest.approx(s[k], abs=1e-9)
         assert (s_many[k], lat_many[k]) == pytest.approx((s_one, lat_one), abs=1e-12)
+
+
+coords = st.floats(-200.0, 200.0)
+
+
+@settings(max_examples=200)
+@given(st.tuples(coords, coords), st.tuples(coords, coords),
+       st.lists(st.tuples(coords, coords), max_size=6),
+       st.lists(st.tuples(st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                                    st.floats(-3.0, 4.0)),
+                          st.one_of(st.just(0.0), st.floats(-50.0, 50.0))),
+                min_size=1, max_size=6))
+def test_one_segment_projection_matches_the_general_path_bitwise(a, b, free, along):
+    # `free` points anywhere; `along` points (f, w) at fraction f of the
+    # segment, w m to its left: on either end, on it, or past either end
+    assume(math.dist(a, b) > 1e-3)
+    line = Polyline([a, b])
+    (ax, ay), (bx, by) = a, b
+    ux, uy = (bx - ax) / math.dist(a, b), (by - ay) / math.dist(a, b)
+    pts = np.array(free + [(ax + (bx - ax) * f - uy * w, ay + (by - ay) * f + ux * w)
+                           for f, w in along])
+    for got, want in zip(line.project(pts), line._project_segments(pts)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("turn", [1.0, -1.0])

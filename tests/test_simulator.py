@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -11,8 +12,8 @@ from cormp.config import PlannerConfig
 from cormp.identification import Maneuver
 from cormp.metrics import compute_metrics
 from cormp.planner import PlanResult
-from cormp.scenario import load_scenario
-from cormp.simulator import CSV_COLUMNS, SimLog, run
+from cormp.scenario import Polyline, TrafficLight, load_scenario
+from cormp.simulator import CSV_COLUMNS, SimLog, SimWorld, run
 
 FROZEN_COLUMNS = (
     ["t", "ego_x", "ego_y", "ego_heading", "ego_speed", "ego_accel_lon",
@@ -151,6 +152,33 @@ def test_crossing_the_stop_line_on_red_is_a_violation():
     light = {"lane": "main", "stop_line_s": 150.0, "schedule": [["red", 1000.0]]}
     log = run(lane_doc(duration=3.0, ego_x=140.0, lights=[light]), cruiser(10.0, x0=140.0))
     assert len(rule_events(log, "red_light")) == 1
+
+
+def test_violation_checks_reuse_the_lane_update_projection(monkeypatch):
+    # after a pose update the ego's lane and a light on it are checked on the
+    # (s, lateral) the lane update projected; only another lane's light projects
+    sc = lane_doc()
+    side = dataclasses.replace(sc.lanes["main"], id="side",
+                               centerline=Polyline([[0.0, -3.5], [600.0, -3.5]]))
+    sc = dataclasses.replace(sc, lanes={**sc.lanes, "side": side},
+                             lights=[TrafficLight(lane, 150.0, [("red", 1000.0)], 0.0, 0.0)
+                                     for lane in ("main", "side")])
+    world = SimWorld(sc, PlannerConfig())
+    traj = TimedTrajectory(0.1, np.array([0.0, 0.1]), np.array([15.0, 16.0]), np.array([0.0, 0.3]),
+                           np.zeros(2), np.full(2, 10.0), np.zeros(2), np.zeros(2))
+    world.apply_ego_sample(traj, 1)
+    projected = []
+    project = Polyline.project
+    monkeypatch.setattr(Polyline, "project",
+                        lambda self, p: projected.append(self) or project(self, p))
+    lanes = world.scenario.lanes
+    assert world.detect_violations() == []
+    assert projected == [lanes["side"].centerline]
+    world.ego.x = 17.0                   # moved without a lane update: projects anew
+    projected.clear()
+    assert world.detect_violations() == []
+    assert projected == [lanes["main"].centerline, lanes["side"].centerline]
+    assert world._prev_front_s[0] == 17.0 + 4.5 / 2.0
 
 
 def test_crossing_the_stop_line_on_green_is_clean():
