@@ -8,7 +8,7 @@ weights turn the six scores into a single profit figure and the planner picks
 the most profitable feasible maneuver every replanning period.
 """
 from .baselines import IdmParams, MobilParams, MobilPlanner, UtilityPlanner, idm_accel, make_planner
-from .bezier import CubicBezier, SpeedProfile, TimedTrajectory, sample_trajectory
+from .bezier import SpeedProfile, TimedTrajectory, sample_trajectory
 from .config import PlannerConfig, load_config
 from .identification import (
     Maneuver,
@@ -26,9 +26,9 @@ from .resources import (
     ResourceAssessment,
     ResourceState,
     ResourceType,
-    WeightTable,
     assess_candidates,
     kinetic_energy_delta_kj,
+    profile_weights,
     rank_order_centroid,
 )
 from .scenario import AgentState, Lane, Scenario, ScenarioError, load_scenario, serialize_scenario
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentState",
     "CorMpPlanner",
-    "CubicBezier",
     "Decision",
     "IdmParams",
     "Lane",
@@ -63,7 +62,6 @@ __all__ = [
     "SpeedProfile",
     "TimedTrajectory",
     "UtilityPlanner",
-    "WeightTable",
     "assess_candidates",
     "compute_metrics",
     "decide",
@@ -77,6 +75,7 @@ __all__ = [
     "make_planner",
     "plan_tick",
     "predict_oru",
+    "profile_weights",
     "profit",
     "rank_order_centroid",
     "render_timeline",

@@ -94,72 +94,33 @@ class MobilPlanner:
     def reset(self) -> None:
         self.commitment.clear()
 
-    def _ego_accel_on(self, scenario: Scenario, lane: Lane, ego: AgentState) -> float:
-        s, _ = lane.centerline.project((ego.x, ego.y))
-        lead, gap, _, _ = find_neighbors(scenario, lane, s, ego.length / 2.0, ego.id)
-        if lead is None:
-            return idm_accel(ego.speed, lane.speed_limit, None, 0.0, self.idm)
-        return idm_accel(ego.speed, lane.speed_limit, gap,
-                         ego.speed - lead.speed, self.idm)
+    def _change_gain(self, scenario: Scenario, ego: AgentState, target: Lane,
+                     a_keep: float, relief: float) -> float | None:
+        """MOBIL incentive for moving to `target`; None when unsafe.
 
-    def _follower_accel(self, lane: Lane, follower: AgentState,
-                        gap: float | None, lead_speed: float) -> float:
-        if follower is None:
-            return 0.0
-        return idm_accel(follower.speed, lane.speed_limit, gap,
-                         follower.speed - lead_speed, self.idm)
-
-    def _change_gain(self, scenario: Scenario, ego: AgentState,
-                     current: Lane, target: Lane, a_keep: float) -> float | None:
-        """MOBIL incentive for moving to `target`; None when unsafe."""
-        s_cur, _ = current.centerline.project((ego.x, ego.y))
+        `a_keep` (the ego's acceleration on its own lane) and `relief` (the
+        change in its old follower's) do not depend on the target lane.
+        """
         s_tgt, _ = target.centerline.project((ego.x, ego.y))
-        half = ego.length / 2.0
         t_lead, t_lead_gap, t_fol, t_fol_gap = find_neighbors(
-            scenario, target, s_tgt, half, ego.id)
+            scenario, target, s_tgt, ego.length / 2.0, ego.id)
         if (t_lead_gap is not None and t_lead_gap <= 0.0) or \
            (t_fol_gap is not None and t_fol_gap <= 0.0):
             return None
-        a_fol_new = self._follower_accel(target, t_fol, t_fol_gap, ego.speed)
-        if a_fol_new < -self.mobil.b_safe:
-            return None
-        a_fol_old = 0.0
+        a_fol_new = a_fol_old = 0.0
         if t_fol is not None:
+            a_fol_new = idm_accel(t_fol.speed, target.speed_limit, t_fol_gap,
+                                  t_fol.speed - ego.speed, self.idm)
             s_fol, _ = target.centerline.project((t_fol.x, t_fol.y))
             f_lead, f_gap, _, _ = find_neighbors(
                 scenario, target, s_fol, t_fol.length / 2.0, t_fol.id)
-            if f_lead is None:
-                a_fol_old = idm_accel(t_fol.speed, target.speed_limit, None,
-                                      0.0, self.idm)
-            else:
-                a_fol_old = idm_accel(t_fol.speed, target.speed_limit, f_gap,
-                                      t_fol.speed - f_lead.speed, self.idm)
-
-        if t_lead is None:
-            a_ego_new = idm_accel(ego.speed, target.speed_limit, None, 0.0, self.idm)
-        else:
-            a_ego_new = idm_accel(ego.speed, target.speed_limit, t_lead_gap,
-                                  ego.speed - t_lead.speed, self.idm)
-
-        # relief for the follower the ego leaves behind
-        c_lead, c_lead_gap, c_fol, c_fol_gap = find_neighbors(
-            scenario, current, s_cur, half, ego.id)
-        a_old_fol_now = self._follower_accel(current, c_fol, c_fol_gap, ego.speed)
-        a_old_fol_after = 0.0
-        if c_fol is not None:
-            if c_lead is not None:
-                s_fol, _ = current.centerline.project((c_fol.x, c_fol.y))
-                s_lead, _ = current.centerline.project((c_lead.x, c_lead.y))
-                gap_after = (s_lead - s_fol) - c_fol.length / 2.0 - c_lead.length / 2.0
-                a_old_fol_after = idm_accel(c_fol.speed, current.speed_limit, gap_after,
-                                            c_fol.speed - c_lead.speed, self.idm)
-            else:
-                a_old_fol_after = idm_accel(c_fol.speed, current.speed_limit,
-                                            None, 0.0, self.idm)
-
-        gain = (a_ego_new - a_keep) + self.mobil.politeness * (
-            (a_fol_new - a_fol_old) + (a_old_fol_after - a_old_fol_now))
-        return gain
+            a_fol_old = idm_accel(t_fol.speed, target.speed_limit, f_gap,
+                                  t_fol.speed - f_lead.speed if f_lead else 0.0, self.idm)
+        if a_fol_new < -self.mobil.b_safe:
+            return None
+        a_ego_new = idm_accel(ego.speed, target.speed_limit, t_lead_gap,
+                              ego.speed - t_lead.speed if t_lead else 0.0, self.idm)
+        return (a_ego_new - a_keep) + self.mobil.politeness * ((a_fol_new - a_fol_old) + relief)
 
     def plan(self, scenario: Scenario, sim_time: float) -> PlanResult:
         cfg = self.config
@@ -169,7 +130,22 @@ class MobilPlanner:
 
         ego = scenario.ego
         lane = scenario.lanes[ego.lane]
-        a_keep = self._ego_accel_on(scenario, lane, ego)
+        line = lane.centerline
+        s, _ = line.project((ego.x, ego.y))
+        lead, gap, fol, fol_gap = find_neighbors(scenario, lane, s, ego.length / 2.0, ego.id)
+        a_keep = idm_accel(ego.speed, lane.speed_limit, gap,
+                           ego.speed - lead.speed if lead else 0.0, self.idm)
+        # the follower the ego leaves behind then follows the ego's lead
+        relief = 0.0
+        if fol is not None:
+            gap_after = None
+            if lead is not None:
+                s_fol, s_lead = line.project((fol.x, fol.y))[0], line.project((lead.x, lead.y))[0]
+                gap_after = (s_lead - s_fol) - fol.length / 2.0 - lead.length / 2.0
+            relief = (idm_accel(fol.speed, lane.speed_limit, gap_after,
+                                fol.speed - lead.speed if lead else 0.0, self.idm)
+                      - idm_accel(fol.speed, lane.speed_limit, fol_gap,
+                                  fol.speed - ego.speed, self.idm))
 
         best_change, best_gain = None, self.mobil.accel_threshold
         for maneuver, neighbor_id, boundary in (
@@ -178,8 +154,7 @@ class MobilPlanner:
         ):
             if neighbor_id is None or boundary == "solid":
                 continue
-            gain = self._change_gain(scenario, ego, lane,
-                                     scenario.lanes[neighbor_id], a_keep)
+            gain = self._change_gain(scenario, ego, scenario.lanes[neighbor_id], a_keep, relief)
             if gain is not None and gain > best_gain:
                 best_change, best_gain = maneuver, gain
 

@@ -1,11 +1,12 @@
 """Cubic Bezier curves, speed profiles and time-sampled trajectories.
 
-`CubicBezier` is the paper's curve primitive; `chord_points` turns a cubic
-into the vertices of a `Polyline`, the one path type every planned trajectory
-is sampled from (see `identification.lane_path`). `sample_trajectory` turns
-any number of (path, constant-acceleration speed profile, horizon) rows into
-trajectories on the simulator tick grid in one call, with headings and
-lateral accelerations taken from each path's own frames.
+The cubic Bezier is the paper's curve primitive; `chord_points` turns one,
+given by its four control points, into the vertices of a `Polyline`, the one
+path type every planned trajectory is sampled from (see
+`identification.lane_path`). `sample_trajectory` turns any number of (path,
+constant-acceleration speed profile, horizon) rows into trajectories on the
+simulator tick grid in one call, with headings and lateral accelerations
+taken from each path's own frames.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import bernstein, bezier_curve, bezier_points
+from .kernels import bernstein, bezier_curve
 from .scenario import Polyline
 
 # Chords of a planned cubic stray at most this far from it. The heading of the
@@ -23,61 +24,6 @@ from .scenario import Polyline
 # ends aligned with its target lane.
 _CHORD_TOL_M = 2e-6
 _MAX_CHORDS = 1024
-
-
-def _as_ctrl(points) -> np.ndarray:
-    ctrl = np.asarray(points, dtype=np.float64)
-    if ctrl.shape != (4, 2):
-        raise ValueError(f"cubic Bezier needs 4 control points, got shape {ctrl.shape}")
-    if not np.all(np.isfinite(ctrl)):
-        raise ValueError("control points must be finite")
-    return ctrl
-
-
-@dataclass
-class CubicBezier:
-    ctrl: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.ctrl = _as_ctrl(self.ctrl)
-
-    def point(self, u: float) -> np.ndarray:
-        _check_u(u)
-        return bezier_points(self.ctrl, np.array([u]))[0]
-
-    def derivative(self, u: float) -> np.ndarray:
-        """First derivative with respect to u (not arc length)."""
-        _check_u(u)
-        p = self.ctrl
-        v = 1.0 - u
-        d = 3.0 * (
-            (p[1] - p[0]) * (v * v)
-            + (p[2] - p[1]) * (2.0 * v * u)
-            + (p[3] - p[2]) * (u * u)
-        )
-        return d
-
-    def second_derivative(self, u: float) -> np.ndarray:
-        _check_u(u)
-        p = self.ctrl
-        return 6.0 * ((p[2] - 2.0 * p[1] + p[0]) * (1.0 - u) + (p[3] - 2.0 * p[2] + p[1]) * u)
-
-    def curvature(self, u: float) -> float:
-        """Signed curvature (left turn positive); 0 where the tangent vanishes."""
-        d1 = self.derivative(u)
-        d2 = self.second_derivative(u)
-        speed2 = d1[0] * d1[0] + d1[1] * d1[1]
-        if speed2 < 1e-12:
-            return 0.0
-        return float((d1[0] * d2[1] - d1[1] * d2[0]) / speed2**1.5)
-
-    def chord_points(self) -> np.ndarray:
-        return chord_points(self.ctrl.tolist())
-
-
-def _check_u(u: float) -> None:
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"parameter u={u} outside [0, 1]")
 
 
 @lru_cache(maxsize=16)
@@ -138,10 +84,6 @@ class TimedTrajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0]) if len(self.t) else 0.0
 
     @property
     def end_speed(self) -> float:

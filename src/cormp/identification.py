@@ -50,15 +50,17 @@ class PredictionBlock:
     """The predictions of one plan, stacked: row k is `agents[k]`.
 
     x, y, heading and speed are (K, T) arrays on the tick grid, filled from
-    `trajectories[k]`, each of `steps` samples (T = horizon_steps + 1 in a
+    `predictions[k]`, an (x, y, heading, speed) tuple of `steps`-sample
+    arrays or scalars that hold over the row (T = horizon_steps + 1 in a
     plan). A trajectory sample past T is compared with row sample T-1: road
     users persist beyond the horizon.
     """
 
-    def __init__(self, agents: list, trajectories: list, steps: int) -> None:
+    def __init__(self, agents: list, predictions: list, steps: int) -> None:
         rows = np.empty((4, len(agents), steps))
-        for k, traj in enumerate(trajectories):
-            rows[:, k] = traj.x, traj.y, traj.heading, traj.speed
+        for k, prediction in enumerate(predictions):
+            for row, values in zip(rows[:, k], prediction):
+                row[:] = values
         self.x, self.y, self.heading, self.speed = rows
         self.ids = [a.id for a in agents]
         self.half_length = np.array([a.length for a in agents], dtype=np.float64) / 2.0
@@ -147,8 +149,6 @@ class ManeuverCandidate:
     maneuver: Maneuver
     trajectory: TimedTrajectory
     target_lane: str | None
-    v_begin: float
-    v_end: float
     feasible: bool = True
     reason: str | None = None
     fallback: bool = False
@@ -188,32 +188,27 @@ def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfi
     return out
 
 
-def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) -> TimedTrajectory:
-    """Constant-velocity prediction on the tick grid, horizon_steps + 1 samples.
+def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) -> tuple:
+    """Constant-velocity prediction on the tick grid: (x, y, heading, speed).
 
-    A lane-bound vehicle moves along its lane centerline from its projected
+    Each is horizon_steps + 1 samples, or a scalar that holds over them. A
+    lane-bound vehicle moves along its lane centerline from its projected
     arc position, on past either lane end along the end segment, as the
     simulator moves it. Every other road user extrapolates straight along
-    its current heading. Standing agents yield a resting trajectory over the
-    full horizon.
+    its current heading. A standing agent rests where it is.
     """
-    dt = config.dt
-    n = config.horizon_steps + 1
     if agent.speed <= 1e-9:
-        return TimedTrajectory.stationary(agent.x, agent.y, agent.heading, dt, n)
+        return agent.x, agent.y, agent.heading, 0.0
+    n = config.horizon_steps + 1
     # arc length accumulates tick by tick, as the simulator steps it
-    s = np.concatenate([[0.0], np.cumsum(np.full(n - 1, agent.speed * dt))])
-    lane = scenario.lane(agent.lane) if agent.kind in ("vehicle", "ego") else None
+    s = np.concatenate([[0.0], np.cumsum(np.full(n - 1, agent.speed * config.dt))])
+    lane = scenario.lanes.get(agent.lane) if agent.kind in ("vehicle", "ego") else None
     if lane is not None:
         line = lane.centerline
-        x, y, heading, kappa = line.frames(line.project((agent.x, agent.y))[0] + s)
-    else:
-        x = agent.x + math.cos(agent.heading) * s
-        y = agent.y + math.sin(agent.heading) * s
-        heading, kappa = np.full(n, agent.heading), np.zeros(n)
-    speed = np.full(n, agent.speed)
-    return TimedTrajectory(dt, np.arange(n) * dt, x, y, heading, speed, np.zeros(n),
-                           kappa * speed * speed)
+        x, y, heading, _ = line.frames(line.project((agent.x, agent.y))[0] + s)
+        return x, y, heading, agent.speed
+    return (agent.x + math.cos(agent.heading) * s, agent.y + math.sin(agent.heading) * s,
+            agent.heading, agent.speed)
 
 
 def lane_path(lane: Lane, s0: float, x: float, y: float, heading: float,
@@ -359,14 +354,12 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     for m in maneuvers:
         if m not in sides:
             rest = TimedTrajectory.stationary(ego.x, ego.y, ego.heading, cfg.dt, 1)
-            out.append(ManeuverCandidate(m, rest, None, ego.speed, ego.speed,
-                                         feasible=False, reason=NO_LANE))
+            out.append(ManeuverCandidate(m, rest, None, feasible=False, reason=NO_LANE))
             continue
         target_id, nominal, _, stretched_row = sides[m]
         traj = trajs[stretched_row if stretched[m] else nominal]
-        out.append(ManeuverCandidate(m, traj, target_id, ego.speed, traj.end_speed,
-                                     stretched=stretched[m]))
-    return out + [ManeuverCandidate(m, traj, ego.lane, ego.speed, traj.end_speed)
+        out.append(ManeuverCandidate(m, traj, target_id, stretched=stretched[m]))
+    return out + [ManeuverCandidate(m, traj, ego.lane)
                   for m, traj in zip(accels, trajs[len(trajs) - len(accels):])]
 
 
@@ -429,15 +422,12 @@ def _crosswalk_occupied(ctx: PlanContext, cw: Crosswalk, sample_idx: int) -> boo
     return False
 
 
-def _check_red_lights(ctx: PlanContext, cand: ManeuverCandidate) -> bool:
-    """True if the candidate violates a red light (crossing or hold zone)."""
+def _check_red_lights(ctx: PlanContext, cand: ManeuverCandidate, lanes: set) -> bool:
+    """True if the candidate violates a red light (crossing or hold zone) on `lanes`."""
     cfg = ctx.config
     ego = ctx.ego
-    lanes_to_check = {ego.lane}
-    if cand.target_lane is not None:
-        lanes_to_check.add(cand.target_lane)
     for light in ctx.scenario.lights:
-        if light.lane not in lanes_to_check:
+        if light.lane not in lanes:
             continue
         lane = ctx.scenario.lanes[light.lane]
         s_front = _front_s(cand.trajectory, lane, ego.length)
@@ -460,15 +450,12 @@ def _check_red_lights(ctx: PlanContext, cand: ManeuverCandidate) -> bool:
     return False
 
 
-def _check_crosswalks(ctx: PlanContext, cand: ManeuverCandidate) -> bool:
-    """True if the candidate enters an occupied crosswalk span."""
+def _check_crosswalks(ctx: PlanContext, cand: ManeuverCandidate, lanes: set) -> bool:
+    """True if the candidate enters an occupied crosswalk span on `lanes`."""
     cfg = ctx.config
     ego = ctx.ego
-    lanes_to_check = {ego.lane}
-    if cand.target_lane is not None:
-        lanes_to_check.add(cand.target_lane)
     for cw in ctx.scenario.crosswalks:
-        if not lanes_to_check.intersection(cw.lanes):
+        if not lanes.intersection(cw.lanes):
             continue
         lane = ctx.scenario.lanes[ego.lane if ego.lane in cw.lanes else cand.target_lane]
         s_front = _front_s(cand.trajectory, lane, ego.length)
@@ -498,12 +485,13 @@ def feasibility_filter(ctx: PlanContext, candidates: list, cands: CandidateBlock
     solid = {Maneuver.CHANGE_LANE_LEFT: ctx.lane.left_boundary == "solid",
              Maneuver.CHANGE_LANE_RIGHT: ctx.lane.right_boundary == "solid"}
     for cand in candidates:
+        lanes = {ego.lane, cand.target_lane}
         if cand.feasible and (
-                cand.v_end > ctx.scenario.lanes[cand.target_lane].speed_limit + eps
+                cand.trajectory.end_speed > ctx.scenario.lanes[cand.target_lane].speed_limit + eps
                 or (cand.maneuver is Maneuver.KEEP_LANE_ACCELERATE
-                    and cand.v_begin >= ctx.lane.speed_limit - eps)
+                    and ego.speed >= ctx.lane.speed_limit - eps)
                 or solid.get(cand.maneuver, False)
-                or _check_red_lights(ctx, cand) or _check_crosswalks(ctx, cand)):
+                or _check_red_lights(ctx, cand, lanes) or _check_crosswalks(ctx, cand, lanes)):
             cand.feasible = False
             cand.reason = RULE_VIOLATION
     ruled_in = [i for i, c in enumerate(candidates) if c.feasible]

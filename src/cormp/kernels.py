@@ -93,8 +93,3 @@ def bezier_curve(basis: np.ndarray, ctrl) -> np.ndarray:
     terms = basis * np.array(ctrl, dtype=np.float64)[:, :, None]   # (4, 2, n)
     return (terms[0] + terms[1] + terms[2] + terms[3]).T
 
-
-def bezier_points(ctrl: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Evaluate a cubic Bezier (4x2 control array) at parameter array us."""
-    return bezier_curve(bernstein(us), ctrl)
-

@@ -30,8 +30,8 @@ from .identification import (
 from .resources import (
     RESOURCES,
     ResourceAssessment,
-    WeightTable,
     assess_candidates,
+    profile_weights,
     safety_value,
 )
 from .scenario import Polyline, Scenario
@@ -91,7 +91,7 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
               weights: dict | None = None) -> Decision:
     """One full planning pass: enumerate, filter, assess, maximize profit."""
     if weights is None:
-        weights = WeightTable.for_profile(ctx.scenario.profile).weights
+        weights = profile_weights(ctx.scenario.profile)
     candidates = enumerate_candidates(ctx)
     cands = CandidateBlock([c.trajectory for c in candidates])
     feasibility_filter(ctx, candidates, cands)
@@ -183,7 +183,6 @@ class PlanResult:
     decision: Decision | None = None   # None while committed to a lane change
     committed: bool = False
     aborted: bool = False
-    fallback: bool = False
 
 
 class CorMpPlanner:
@@ -193,7 +192,7 @@ class CorMpPlanner:
 
     def __init__(self, config: PlannerConfig, profile: str) -> None:
         self.config = config
-        self.weights = WeightTable.for_profile(profile).weights
+        self.weights = profile_weights(profile)
         self.profile = profile
         self.previous: Maneuver | None = None
         self.current_values: dict | None = None
@@ -226,5 +225,4 @@ class CorMpPlanner:
         self.current_values = dict(decision.assessments[decision.maneuver].values)
         if decision.maneuver in LANE_CHANGES:
             self.commitment.start(decision.trajectory, decision.maneuver, sim_time)
-        return PlanResult(decision.trajectory, decision.maneuver, decision=decision,
-                          fallback=decision.fallback)
+        return PlanResult(decision.trajectory, decision.maneuver, decision=decision)

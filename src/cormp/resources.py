@@ -83,18 +83,11 @@ def rank_order_centroid(ranking: dict) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    profile: str
-    ranks: dict
-    weights: dict
-
-    @classmethod
-    def for_profile(cls, profile: str) -> "WeightTable":
-        if profile not in PROFILE_RANKINGS:
-            raise ValueError(f"unknown profile {profile!r}")
-        ranks = dict(PROFILE_RANKINGS[profile])
-        return cls(profile=profile, ranks=ranks, weights=rank_order_centroid(ranks))
+def profile_weights(profile: str) -> dict:
+    """Resource -> rank-order-centroid weight under a driver profile."""
+    if profile not in PROFILE_RANKINGS:
+        raise ValueError(f"unknown profile {profile!r}")
+    return rank_order_centroid(PROFILE_RANKINGS[profile])
 
 
 def kinetic_energy_delta_kj(mass_kg: float, v_a: float, v_b: float) -> float:
@@ -159,11 +152,12 @@ def objective_value(cand: ManeuverCandidate, speed_limit: float, horizon_s: floa
 def apriori_lane_value(ends: np.ndarray, apriori_lane) -> np.ndarray:
     """(n,) per (n, 2) end point: 1 on the a-priori lane centerline, 0 two lane widths away."""
     _, lateral = apriori_lane.centerline.project(ends)
-    return np.clip(1.0 - np.abs(lateral) / (2.0 * apriori_lane.width), 0.0, 1.0)
+    return np.minimum(np.maximum(1.0 - np.abs(lateral) / (2.0 * apriori_lane.width), 0.0), 1.0)
 
 
-def energy_value(cand: ManeuverCandidate, mass_kg: float, e_ref_kj: float) -> float:
-    delta = kinetic_energy_delta_kj(mass_kg, cand.v_begin, cand.v_end)
+def energy_value(v_begin: float, v_end: float, mass_kg: float, e_ref_kj: float) -> float:
+    """1 minus the kinetic energy spent from v_begin to v_end, relative to e_ref_kj."""
+    delta = kinetic_energy_delta_kj(mass_kg, v_begin, v_end)
     return 1.0 - clamp01(delta / e_ref_kj)
 
 
@@ -173,7 +167,7 @@ def crowdedness_value(cands: CandidateBlock, block: PredictionBlock,
     if len(block) == 0:
         return np.ones(len(cands))
     count = np.count_nonzero(block.corridor_hits(cands, ego_length, ego_width, cfg), axis=1)
-    return 1.0 - np.clip(count / float(cfg.crowd_reference_count), 0.0, 1.0)
+    return 1.0 - np.minimum(np.maximum(count / float(cfg.crowd_reference_count), 0.0), 1.0)
 
 
 def classify_state(mu: float, cfg: PlannerConfig, mu_current: float | None = None) -> ResourceState:
@@ -216,7 +210,8 @@ def assess_candidates(ctx: PlanContext, candidates: list, cands: CandidateBlock,
             ResourceType.OBJECTIVE: objective_value(cand, ctx.lane.speed_limit,
                                                     cfg.planning_horizon_s),
             ResourceType.APRIORI_LANE: mu_lane,
-            ResourceType.ENERGY: energy_value(cand, ego.mass, cfg.energy_reference_kj(ego.mass)),
+            ResourceType.ENERGY: energy_value(ego.speed, cand.trajectory.end_speed, ego.mass,
+                                              cfg.energy_reference_kj(ego.mass)),
             ResourceType.CROWDEDNESS: mu_crowdedness,
         }
         states = {res: classify_state(values[res], cfg, held.get(res)) for res in RESOURCES}

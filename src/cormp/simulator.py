@@ -87,7 +87,7 @@ class _AgentRuntime:
     def __init__(self, agent: AgentState, scenario: Scenario) -> None:
         self.agent = agent
         self.traveled = 0.0  # pedestrian crossing distance
-        lane = scenario.lane(agent.lane)
+        lane = scenario.lanes.get(agent.lane)
         self.s = lane.centerline.project((agent.x, agent.y))[0] if lane is not None else 0.0
 
 
@@ -132,7 +132,7 @@ class SimWorld:
             rt.traveled += step
             return
         # lane_follow / speed_schedule
-        lane = self.scenario.lane(agent.lane)
+        lane = self.scenario.lanes.get(agent.lane)
         speed = beh.speed_at(self.t, agent.speed)
         agent.speed = speed
         if lane is None:
@@ -231,8 +231,7 @@ def _decision_row_fields(decision: Decision) -> dict:
     for cand in decision.candidates:
         name = cand.maneuver.value
         fields[f"feasible_{name}"] = int(cand.feasible)
-        v = decision.profits.get(cand.maneuver)
-        fields[f"V_{name}"] = v if v is not None else None
+        fields[f"V_{name}"] = decision.profits.get(cand.maneuver)
     chosen = decision.assessments[decision.maneuver]
     for res in RESOURCES:
         fields[f"mu_{res.value}"] = chosen.values[res]
@@ -278,12 +277,12 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
             active_idx = 0
             maneuver = result.maneuver
             committed = result.committed
-            fallback = result.fallback
+            fallback = result.decision is not None and result.decision.fallback
             log.epoch_speeds.append(world.ego.speed)
             if result.decision is not None:
                 decision_fields = _decision_row_fields(result.decision)
-                if result.decision.fallback:
-                    log.events.append(SimEvent(t, "fallback_stop", {}))
+            if fallback:
+                log.events.append(SimEvent(t, "fallback_stop", {}))
             if result.aborted:
                 log.events.append(SimEvent(t, "lane_change_aborted",
                                            {"maneuver": lc_active.value if lc_active else ""}))

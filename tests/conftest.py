@@ -117,5 +117,6 @@ def prediction_block(*rows, steps: int = 41) -> PredictionBlock:
     """
     agents = [AgentState(f"obj{k}", kind, 0.0, 0.0, 0.0, 0.0, length, width, 0.0)
               for k, (kind, _, length, width) in enumerate(rows)]
-    return PredictionBlock(agents, [traj for _, traj, _, _ in rows],
+    return PredictionBlock(agents, [(traj.x, traj.y, traj.heading, traj.speed)
+                                    for _, traj, _, _ in rows],
                            len(rows[0][1]) if rows else steps)

@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import CURVED, SCENARIO_DIR, prediction_block, timed_run
 from cormp import cli
-from cormp.bezier import CubicBezier, TimedTrajectory
+from cormp.bezier import TimedTrajectory
 from cormp.identification import CandidateBlock, time_to_collision
 from cormp.metrics import compute_metrics
 from cormp.planner import profit
@@ -20,10 +20,11 @@ from cormp.resources import (
     RESOURCES,
     ResourceAssessment,
     ResourceState,
-    WeightTable,
     kinetic_energy_delta_kj,
+    profile_weights,
     rank_order_centroid,
 )
+from curve_oracle import CubicBezier
 
 EGO_HALF_LEN = 4.5 / 2.0
 
@@ -42,17 +43,17 @@ def test_criterion_1_rank_weights():
     exact = [sum(Fraction(1, j) for j in range(k, 7)) / 6 for k in range(1, 7)]
     assert exact[0] == Fraction(49, 120) and exact[5] == Fraction(1, 36)
     for profile in ("regular", "aggressive", "fuel_efficient"):
-        table = WeightTable.for_profile(profile)
+        weights = profile_weights(profile)
         ranking = {r: i + 1 for i, r in enumerate(
-            sorted(RESOURCES, key=lambda r: table.weights[r], reverse=True))}
+            sorted(RESOURCES, key=lambda r: weights[r], reverse=True))}
         recomputed = rank_order_centroid(ranking)
-        ordered = sorted(table.weights.values(), reverse=True)
+        ordered = sorted(weights.values(), reverse=True)
         for got, want in zip(ordered, exact):
             assert abs(got - float(want)) <= 1e-12
-        assert abs(sum(table.weights.values()) - 1.0) <= 1e-12
+        assert abs(sum(weights.values()) - 1.0) <= 1e-12
         assert all(a > b for a, b in zip(ordered, ordered[1:]))
         for r in RESOURCES:
-            assert abs(table.weights[r] - recomputed[r]) <= 1e-12
+            assert abs(weights[r] - recomputed[r]) <= 1e-12
     assert time.perf_counter() - t0 < 1.0
     print("\n[criterion-1] PASS rank weights match the closed form, sum to 1, "
           "strictly decrease, in under a second")
@@ -221,13 +222,13 @@ def test_criterion_4_profiles_diverge_on_the_highway():
 def test_criterion_5_profit_oracle_and_scaling():
     rng = np.random.default_rng(2203)
     for profile in ("regular", "aggressive", "fuel_efficient"):
-        weights = WeightTable.for_profile(profile).weights
+        weights = profile_weights(profile)
         w = np.array([weights[r] for r in RESOURCES])
         for _ in range(1000):
             mu = rng.uniform(0.0, 1.0, 6)
             assert abs(profit(assessment(mu), weights) - float(w @ mu)) <= 1e-12
 
-    weights = WeightTable.for_profile("regular").weights
+    weights = profile_weights("regular")
     checked = 0
     while checked < 300:
         mus = rng.uniform(0.0, 1.0, (6, 6))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import timed_run
+from cormp import baselines
 from cormp.baselines import (
     IdmParams,
     MobilParams,
@@ -21,7 +22,7 @@ from cormp.resources import (
     ResourceAssessment,
     ResourceState,
     ResourceType,
-    WeightTable,
+    profile_weights,
 )
 from cormp.scenario import load_scenario
 from cormp.simulator import run
@@ -208,6 +209,45 @@ def test_mobil_politeness_zero_is_purely_egoistic():
     assert selfish.plan(sc, 0.0).maneuver is Maneuver.CHANGE_LANE_LEFT
 
 
+def test_mobil_politeness_weighs_the_old_followers_relief():
+    # no lead on either lane, so the ego gains nothing by changing; a faster
+    # follower 20 m behind it brakes hard now and drives free once it leaves:
+    # the relief alone moves the polite driver, and the egoist stays
+    sc = two_lane_doc([car("fol", 75.5, 0.0, 12.0, "right")])
+    sc.ego.x, sc.ego.speed = 100.0, 10.0
+    polite = MobilPlanner(PlannerConfig())
+    selfish = MobilPlanner(PlannerConfig(), mobil=MobilParams(politeness=0.0))
+    assert polite.plan(sc, 0.0).maneuver is Maneuver.CHANGE_LANE_LEFT
+    assert selfish.plan(sc, 0.0).maneuver not in LANE_CHANGES
+
+
+def test_mobil_finds_the_current_lanes_neighbors_once_per_plan(monkeypatch):
+    # the ego's own-lane terms do not depend on the target lane: one search
+    # on its lane serves both sides
+    doc = {
+        "duration_s": 10.0, "apriori_lane": "mid",
+        "lanes": [{"id": lane, "centerline": [[0.0, y], [600.0, y]], "width": 3.5,
+                   "speed_limit": 13.89, "left_neighbor": left, "right_neighbor": right,
+                   "left_boundary": "dashed" if left else "solid",
+                   "right_boundary": "dashed" if right else "solid"}
+                  for lane, y, left, right in (("right", -3.5, "mid", None),
+                                               ("mid", 0.0, "left", "right"),
+                                               ("left", 3.5, None, "mid"))],
+        "agents": [{"id": "ego", "kind": "ego", "position": [100.0, 0.0], "heading": 0.0,
+                    "speed": 10.0, "length": 4.5, "width": 1.8, "lane": "mid"},
+                   car("lead", 130.0, 0.0, 5.0, "mid"), car("fol", 80.0, 0.0, 10.0, "mid")],
+    }
+    calls = []
+
+    def counted(scenario, lane, s_ref, ref_half_len, exclude):
+        calls.append((lane.id, exclude))
+        return find_neighbors(scenario, lane, s_ref, ref_half_len, exclude)
+
+    monkeypatch.setattr(baselines, "find_neighbors", counted)
+    MobilPlanner(PlannerConfig()).plan(load_scenario(doc), 0.0)
+    assert sorted(calls) == [("left", "ego"), ("mid", "ego"), ("right", "ego")]
+
+
 # ---------------------------------------------------------------- utility
 
 
@@ -235,7 +275,7 @@ def test_utility_and_resource_scoring_agree_under_dominance():
     # when one candidate beats another on every shared resource (and the
     # unshared ones are equal), both scorers must pick the same winner
     rng = np.random.default_rng(11)
-    regular = WeightTable.for_profile("regular").weights
+    regular = profile_weights("regular")
     flat = UtilityPlanner.UTILITY_WEIGHTS
     for _ in range(100):
         low = rng.uniform(0.0, 0.8, 4)
@@ -252,8 +292,7 @@ def test_utility_tie_breaks_like_the_primary_planner():
     from cormp.bezier import TimedTrajectory
 
     def cand(m):
-        return ManeuverCandidate(m, TimedTrajectory.stationary(0, 0, 0, 0.1, 2),
-                                 None, 0.0, 0.0)
+        return ManeuverCandidate(m, TimedTrajectory.stationary(0, 0, 0, 0.1, 2), None)
 
     candidates = [cand(Maneuver.KEEP_LANE_ACCELERATE),
                   cand(Maneuver.KEEP_LANE_SAME_SPEED)]

@@ -23,7 +23,7 @@ from cormp.resources import (
     RESOURCES,
     ResourceAssessment,
     ResourceState,
-    WeightTable,
+    profile_weights,
 )
 from cormp.scenario import Polyline, load_scenario
 
@@ -40,10 +40,10 @@ def uniform_assessment(value: float) -> ResourceAssessment:
 
 def stub_candidate(maneuver: Maneuver, feasible: bool = True) -> ManeuverCandidate:
     traj = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 2)
-    return ManeuverCandidate(maneuver, traj, None, 0.0, 0.0, feasible=feasible)
+    return ManeuverCandidate(maneuver, traj, None, feasible=feasible)
 
 
-REGULAR = WeightTable.for_profile("regular").weights
+REGULAR = profile_weights("regular")
 
 
 # ---------------------------------------------------------------- profit
@@ -63,7 +63,7 @@ def test_profit_single_resource_is_its_weight():
 def test_profit_matches_dot_product_oracle():
     rng = np.random.default_rng(47)
     for profile in ("regular", "aggressive", "fuel_efficient"):
-        weights = WeightTable.for_profile(profile).weights
+        weights = profile_weights(profile)
         w_vec = np.array([weights[r] for r in RESOURCES])
         for _ in range(200):
             mu = rng.uniform(0.0, 1.0, 6)

@@ -12,13 +12,12 @@ from cormp.identification import (
     Maneuver,
     enumerate_candidates,
 )
-from cormp.planner import plan_context
+from cormp.planner import CorMpPlanner, plan_context
 from cormp.resources import (
     PROFILE_RANKINGS,
     RESOURCES,
     ResourceState,
     ResourceType,
-    WeightTable,
     apriori_lane_value,
     assess_candidates,
     clamp01,
@@ -28,6 +27,7 @@ from cormp.resources import (
     energy_value,
     kinetic_energy_delta_kj,
     objective_value,
+    profile_weights,
     rank_order_centroid,
     safety_value,
 )
@@ -44,11 +44,8 @@ def straight_traj(v: float, n: int = 41, dt: float = 0.1, y: float = 0.0,
                            np.full(n, a_lat))
 
 
-def cand(traj: TimedTrajectory, v_begin: float | None = None,
-         v_end: float | None = None) -> ManeuverCandidate:
-    vb = float(traj.speed[0]) if v_begin is None else v_begin
-    ve = traj.end_speed if v_end is None else v_end
-    return ManeuverCandidate(Maneuver.KEEP_LANE_SAME_SPEED, traj, None, vb, ve)
+def cand(traj: TimedTrajectory) -> ManeuverCandidate:
+    return ManeuverCandidate(Maneuver.KEEP_LANE_SAME_SPEED, traj, None)
 
 
 def vehicle_pred(traj: TimedTrajectory) -> tuple:
@@ -90,10 +87,10 @@ def test_rank_weights_reject_non_permutations():
     ("fuel_efficient", ResourceType.ENERGY),
 ])
 def test_profile_tables_put_the_right_resource_first(profile, top):
-    table = WeightTable.for_profile(profile)
+    weights = profile_weights(profile)
     assert PROFILE_RANKINGS[profile][top] == 1
-    assert table.weights[top] == pytest.approx(49.0 / 120.0, abs=1e-12)
-    assert abs(sum(table.weights.values()) - 1.0) < 1e-12
+    assert weights[top] == pytest.approx(49.0 / 120.0, abs=1e-12)
+    assert abs(sum(weights.values()) - 1.0) < 1e-12
 
 
 def test_every_profile_has_a_full_ranking():
@@ -101,6 +98,13 @@ def test_every_profile_has_a_full_ranking():
         ranking = PROFILE_RANKINGS[profile]
         assert sorted(ranking.values()) == [1, 2, 3, 4, 5, 6]
         assert set(ranking) == set(RESOURCES)
+
+
+def test_an_unknown_profile_is_rejected():
+    with pytest.raises(ValueError, match="unknown profile 'sporty'"):
+        profile_weights("sporty")
+    with pytest.raises(ValueError, match="unknown profile 'sporty'"):
+        CorMpPlanner(CFG, "sporty")
 
 
 # ---------------------------------------------------------------- energy
@@ -120,12 +124,9 @@ def test_kinetic_energy_free_when_not_accelerating():
 
 
 def test_energy_value_ratio_and_clamp():
-    c = cand(straight_traj(10.0), v_begin=10.0, v_end=15.0)
-    assert energy_value(c, 1500.0, 75.0) == pytest.approx(0.75, abs=1e-12)
-    c = cand(straight_traj(10.0), v_begin=10.0, v_end=10.0)
-    assert energy_value(c, 1500.0, 75.0) == 1.0
-    c = cand(straight_traj(0.0), v_begin=0.0, v_end=20.0)  # 300 kJ >= 75 kJ
-    assert energy_value(c, 1500.0, 75.0) == 0.0
+    assert energy_value(10.0, 15.0, 1500.0, 75.0) == pytest.approx(0.75, abs=1e-12)
+    assert energy_value(10.0, 10.0, 1500.0, 75.0) == 1.0
+    assert energy_value(0.0, 20.0, 1500.0, 75.0) == 0.0  # 300 kJ >= 75 kJ
 
 
 # ---------------------------------------------------------------- safety
@@ -298,9 +299,8 @@ def test_property_values_clamped_over_random_inputs():
     for _ in range(200):
         v = rng.uniform(0.0, 30.0)
         c = cand(straight_traj(v, a_lon=rng.uniform(-6, 6),
-                               a_lat=rng.uniform(-5, 5)),
-                 v_begin=rng.uniform(0, 30), v_end=rng.uniform(0, 30))
+                               a_lat=rng.uniform(-5, 5)))
         assert 0.0 <= comfort_value(c, CFG) <= 1.0
-        assert 0.0 <= energy_value(c, 1500.0, 75.0) <= 1.0
+        assert 0.0 <= energy_value(rng.uniform(0, 30), rng.uniform(0, 30), 1500.0, 75.0) <= 1.0
         assert 0.0 <= objective_value(c, rng.uniform(5, 30), 4.0) <= 1.0
         assert 0.0 <= lane_hold(c.trajectory)[0] <= 1.0
