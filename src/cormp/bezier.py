@@ -19,17 +19,18 @@ import numpy as np
 from .kernels import bernstein, bezier_curve
 from .scenario import Polyline
 
-# Chords of a planned cubic stray at most this far from it. The heading of the
-# last chord is then within about 1e-4 rad of the curve's, so a lane change
-# ends aligned with its target lane.
-_CHORD_TOL_M = 2e-6
+# Chords of a planned cubic stray at most this far from it (0.1 mm on a 3.5 m
+# lane). The last chord's heading is then off the curve's by about 3 D / (n L)
+# rad (`lane_path` blend L, second difference D, n chords): 5.9e-4 rad for a
+# 3.5 m lane change at 13.89 m/s in 256 chords, 1.0e-3 rad at 8 m/s.
+_CHORD_TOL_M = 1e-4
 _MAX_CHORDS = 1024
 
 
 @lru_cache(maxsize=16)
 def _chord_basis(n: int) -> np.ndarray:
-    """Read-only Bernstein basis at u = 0, 1/n, ..., 1; the 16 kept hold at
-    most about 0.5 MB at the _MAX_CHORDS cap."""
+    """Read-only Bernstein basis at u = 0, 1/n, ..., 1; the 11 power-of-two
+    n up to _MAX_CHORDS all stay cached, in about 66 KB."""
     basis = bernstein(np.linspace(0.0, 1.0, n + 1))
     basis.flags.writeable = False
     return basis
@@ -40,15 +41,17 @@ def chord_points(ctrl, extra: int = 0) -> np.ndarray:
 
     `ctrl` is four (x, y) pairs of floats. A chord over a step h strays at
     most max|B''| h^2 / 8, and max|B''| = 6 max(|p0 - 2 p1 + p2|,
-    |p1 - 2 p2 + p3|): a straight curve is one chord, a 3.5 m lane change
-    over 70 m takes _MAX_CHORDS. The points fill the first rows of an
-    (n + 1 + extra, 2) array; the `extra` rows after them are left for the
-    caller to fill.
+    |p1 - 2 p2 + p3|). n is the smallest power of two that meets the tolerance,
+    capped at _MAX_CHORDS; past the cap (a second difference over about 140 m,
+    a pose far off its lane) the tolerance does not hold. A straight curve is
+    one chord, a 3.5 m lane change 256 at any length. The points fill the
+    first rows of an (n + 1 + extra, 2) array; the caller fills the rest.
     """
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = ctrl
     second = max(math.hypot(x0 - 2.0 * x1 + x2, y0 - 2.0 * y1 + y2),
                  math.hypot(x1 - 2.0 * x2 + x3, y1 - 2.0 * y2 + y3))
-    n = min(_MAX_CHORDS, max(1, math.ceil(math.sqrt(0.75 * second / _CHORD_TOL_M))))
+    need = min(_MAX_CHORDS, max(1, math.ceil(math.sqrt(0.75 * second / _CHORD_TOL_M))))
+    n = 1 << (need - 1).bit_length()
     out = np.empty((n + 1 + extra, 2))
     out[:n + 1] = bezier_curve(_chord_basis(n), ctrl)
     return out

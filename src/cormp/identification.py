@@ -36,6 +36,7 @@ class Maneuver(Enum):
     KEEP_LANE_SAME_SPEED = "keep_lane_same_speed"
     KEEP_LANE_DECELERATE = "keep_lane_decelerate"
     STOP = "stop"
+    __hash__ = object.__hash__   # identity, as `==` is; Enum's own runs in Python
 
 
 LANE_CHANGES = (Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT)

@@ -23,6 +23,7 @@ class ResourceType(Enum):
     APRIORI_LANE = "apriori_lane"
     ENERGY = "energy"
     CROWDEDNESS = "crowdedness"
+    __hash__ = object.__hash__   # identity, as `==` is; Enum's own runs in Python
 
 
 class ResourceState(Enum):

@@ -4,21 +4,47 @@
 derivatives and curvature come from the closed forms, and its points from
 `bezier_points`, which evaluates a cubic at an array of parameters on the
 planner's Bernstein kernels. `CubicBezier.chord_points` hands the cubic to the
-planner's own `cormp.bezier.chord_points`.
+planner's own `cormp.bezier.chord_points`, and `chord_count` restates how
+many chords it should cut. `lane_cubic` builds the cubic that
+`identification.lane_path` joins a pose to its lane with.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from cormp.bezier import chord_points
+from cormp.bezier import _CHORD_TOL_M, _MAX_CHORDS, chord_points
 from cormp.kernels import bernstein, bezier_curve
 
 
 def bezier_points(ctrl: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Evaluate a cubic Bezier (4x2 control array) at parameter array us."""
     return bezier_curve(bernstein(us), ctrl)
+
+
+def chord_count(ctrl: np.ndarray) -> int:
+    """Chords for a 4x2 control array: the smallest power of two at least
+    sqrt(0.75 max|second difference| / _CHORD_TOL_M), and at most _MAX_CHORDS."""
+    second = np.hypot(*(ctrl[:-2] - 2.0 * ctrl[1:-1] + ctrl[2:]).T).max()
+    need = math.ceil(math.sqrt(0.75 * second / _CHORD_TOL_M))
+    n = 1
+    while n < min(need, _MAX_CHORDS):
+        n *= 2
+    return n
+
+
+def lane_cubic(line, x: float, y: float, heading: float, blend: float) -> np.ndarray:
+    """4x2 control points from the pose (x, y, heading) to the point of the
+    centerline `line` `blend` m ahead, with tangent handles of blend / 3."""
+    s_join = line.project((x, y))[0] + blend
+    p3 = np.array(line.point_at(s_join))
+    h3 = line.heading_at(s_join)
+    p0 = np.array([x, y])
+    p1 = p0 + np.array([math.cos(heading), math.sin(heading)]) * (blend / 3.0)
+    p2 = p3 - np.array([math.cos(h3), math.sin(h3)]) * (blend / 3.0)
+    return np.array([p0, p1, p2, p3])
 
 
 def _as_ctrl(points) -> np.ndarray:

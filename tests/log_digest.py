@@ -17,7 +17,9 @@ lines without workload seeds, which `test_log_digests.py` checks.
 compares two such trees and prints one line per run that differs: the first
 `log.csv` row that differs with its columns that differ, how many rows
 differ, the largest ego position difference over the rows both logs have,
-and whether `events.json` differs. It exits with 1 if any run differs.
+which discrete columns (`DISCRETE`, and every `feasible_*` and `state_*`)
+differ in any of those rows, and whether `events.json` differs. It exits
+with 1 if any run differs.
 """
 from __future__ import annotations
 
@@ -38,6 +40,12 @@ from cormp import PlannerConfig, load_scenario, make_planner, simulator  # noqa:
 
 PLANNERS = ("cor-mp", "mobil", "utility")
 ARTIFACTS = ("log.csv", "events.json")
+# the log's decisions and rule outcomes, as against its continuous poses and values
+DISCRETE = ("ego_lane", "maneuver", "committed", "fallback", "events")
+
+
+def is_discrete(column: str) -> bool:
+    return column in DISCRETE or column.startswith(("feasible_", "state_"))
 
 
 def documents(workload_seeds: list) -> dict:
@@ -108,9 +116,13 @@ def diff_logs(rows_a: list, rows_b: list) -> str:
                  + ", ".join(c for c, x, y in zip(header, a, b) if x != y))
     else:
         where = f"first differing row {first}, past the end of the shorter log"
+    discrete = [k for k, c in enumerate(header) if is_discrete(c)
+                and any(pairs[i][0][k] != pairs[i][1][k] for i in differ)]
     return (f"{where}; {len(differ)} of {len(pairs)} common rows differ, "
             f"{len(body_a)} vs {len(body_b)} rows; "
-            f"largest ego position difference {moved:.6g} m")
+            f"largest ego position difference {moved:.6g} m; "
+            + (f"discrete columns differ: {', '.join(header[k] for k in discrete)}"
+               if discrete else "no discrete column differs"))
 
 
 def diff_runs(dir_a: Path, dir_b: Path) -> list:

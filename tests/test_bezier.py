@@ -5,9 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cormp.bezier import SpeedProfile, TimedTrajectory, sample_trajectory, tick_times
-from cormp.scenario import Polyline
-from curve_oracle import CubicBezier
+from conftest import CURVED
+from cormp import bezier
+from cormp.baselines import make_planner
+from cormp.bezier import (_CHORD_TOL_M, _MAX_CHORDS, SpeedProfile, TimedTrajectory,
+                          sample_trajectory, tick_times)
+from cormp.config import PlannerConfig
+from cormp.kernels import bezier_curve
+from cormp.scenario import Polyline, load_scenario
+from cormp.simulator import run
+from curve_oracle import CubicBezier, bezier_points, chord_count, lane_cubic
 
 UNIT_SQUARE = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
 
@@ -133,6 +140,72 @@ def test_sampled_length_against_dense_polyline():
 def test_flat_cubic_becomes_one_chord():
     pts = CubicBezier([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]).chord_points()
     assert np.array_equal(pts, [(0.0, 0.0), (3.0, 0.0)])
+
+
+def chord_stray(ctrl: np.ndarray) -> tuple:
+    """(chord count, largest distance from the cubic to its chords), the
+    cubic evaluated by the oracle 16 times per chord."""
+    pts = CubicBezier(ctrl).chord_points()
+    n = len(pts) - 1
+    u = (np.arange(n)[:, None] + np.linspace(0.0, 1.0, 17)) / n
+    curve = bezier_points(ctrl, u.ravel()).reshape(n, 17, 2)
+    a, d = pts[:-1, None], (pts[1:] - pts[:-1])[:, None]
+    f = np.clip(((curve - a) * d).sum(axis=2) / (d * d).sum(axis=2), 0.0, 1.0)
+    return n, float(np.hypot(*(curve - a - f[..., None] * d).T).max())
+
+
+def lane_change_cubics():
+    """Random cubics shaped like lane changes, and the cubics from poses on
+    both conftest arcs onto each of their lanes."""
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        length, lateral = rng.uniform(5.0, 120.0), rng.uniform(-4.0, 4.0)
+        h0, h3 = rng.uniform(-0.3, 0.3, size=2)
+        p0, p3 = np.zeros(2), np.array([length, lateral])
+        yield np.array([p0, p0 + np.array([math.cos(h0), math.sin(h0)]) * length / 3.0,
+                        p3 - np.array([math.cos(h3), math.sin(h3)]) * length / 3.0, p3])
+    for doc in CURVED.values():
+        lanes = load_scenario(doc).lanes
+        ego = lanes["right"].centerline
+        for s in (5.0, 37.3, 140.0):
+            (x, y), h = ego.point_at(s), ego.heading_at(s)
+            for lane in lanes.values():
+                for blend in (20.0, 55.56, 72.2):
+                    yield lane_cubic(lane.centerline, x, y, h, blend)
+
+
+def test_chords_stay_within_the_stated_tolerance():
+    for ctrl in lane_change_cubics():
+        n, stray = chord_stray(ctrl)
+        assert n == chord_count(ctrl) and n & (n - 1) == 0 and n <= _MAX_CHORDS
+        assert n < _MAX_CHORDS and stray <= _CHORD_TOL_M, (ctrl, n, stray)
+
+
+def test_a_pose_far_off_its_lane_reaches_the_chord_cap():
+    # 0.75 max|second difference| / _MAX_CHORDS^2 passes _CHORD_TOL_M at
+    # about 140 m: the cap then binds, and the chords stray past the tolerance
+    for offset, within in ((40.0, True), (300.0, False)):
+        ctrl = np.array([(0.0, offset), (20.0, offset), (40.0, 0.0), (60.0, 0.0)])
+        n, stray = chord_stray(ctrl)
+        assert n == _MAX_CHORDS
+        assert (stray <= _CHORD_TOL_M) == within, stray
+
+
+def test_closed_loop_chord_counts_each_build_one_basis(monkeypatch):
+    counts = []
+
+    def spy(basis, ctrl):
+        counts.append(basis.shape[-1] - 1)
+        return bezier_curve(basis, ctrl)
+
+    monkeypatch.setattr(bezier, "bezier_curve", spy)
+    bezier._chord_basis.cache_clear()
+    cfg = PlannerConfig()
+    for doc in CURVED.values():
+        scenario = load_scenario(doc)
+        run(scenario, make_planner("cor-mp", cfg, scenario.profile), cfg)
+    assert all(n & (n - 1) == 0 and n <= _MAX_CHORDS for n in counts)
+    assert bezier._chord_basis.cache_info().misses == len(set(counts))
 
 
 # ---------------------------------------------------------------- sampling

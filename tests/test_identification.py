@@ -8,7 +8,7 @@ import pytest
 from conftest import CURVED, SCENARIO_DIR, curved_road, prediction_block
 from cormp import identification
 from cormp.baselines import make_planner
-from cormp.bezier import SpeedProfile, sample_trajectory
+from cormp.bezier import _MAX_CHORDS, SpeedProfile, sample_trajectory
 from cormp.config import PlannerConfig
 from cormp.identification import (
     COLLISION_RISK,
@@ -30,6 +30,7 @@ from cormp.kernels import rect_gap
 from cormp.planner import CorMpPlanner, plan_context, plan_tick
 from cormp.scenario import Polyline, load_scenario
 from cormp.simulator import SimWorld, run
+from curve_oracle import chord_count, lane_cubic
 
 EGO = {"id": "ego", "kind": "ego", "position": [15.0, 0.0], "heading": 0.0,
        "speed": 13.89, "length": 4.5, "width": 1.8, "mass": 1500.0,
@@ -307,14 +308,8 @@ def lane_path_oracle(lane, x, y, heading, blend, span) -> tuple:
     line = lane.centerline
     s0 = line.project((x, y))[0]
     s_join, s_end = s0 + blend, s0 + span
-    p3 = np.array(line.point_at(s_join))
-    h3 = line.heading_at(s_join)
-    p0 = np.array([x, y])
-    p1 = p0 + np.array([math.cos(heading), math.sin(heading)]) * (blend / 3.0)
-    p2 = p3 - np.array([math.cos(h3), math.sin(h3)]) * (blend / 3.0)
-    p = np.array([p0, p1, p2, p3])
-    second = np.hypot(*(p[:-2] - 2.0 * p[1:-1] + p[2:]).T).max()
-    n = min(1024, max(1, math.ceil(math.sqrt(0.75 * second / 2e-6))))
+    p = lane_cubic(line, x, y, heading, blend)
+    n = chord_count(p)
     u = np.linspace(0.0, 1.0, n + 1)
     v = 1.0 - u
     b = (v * v * v, 3.0 * v * v * u, 3.0 * v * u * u, u * u * u)
@@ -338,6 +333,7 @@ def test_lane_path_matches_the_stacked_cubic_oracle_bitwise():
             for dy, dh in ((0.0, 0.0), (0.8, 0.05), (-0.4, -0.1), (1.7, 0.2)):
                 poses.append((lanes, x0 - math.sin(h) * dy, y0 + math.cos(h) * dy, h + dh))
     poses.append((straight, 630.0, 0.3, 0.0))   # past the lane end
+    poses.append((straight, 100.0, 40.0, 0.0))  # far off the lanes: the chord cap
     counts = set()
     for lanes, x, y, heading in poses:
         for lane_id in ("right", "left"):
@@ -350,7 +346,7 @@ def test_lane_path_matches_the_stacked_cubic_oracle_bitwise():
                 counts.add(n)
                 assert np.array_equal(path.points, want.points), (lane_id, x, y, blend, span)
                 assert np.array_equal(path.cum, want.cum)
-    assert {1, 1024} <= counts
+    assert {1, _MAX_CHORDS} <= counts
 
 
 # ---------------------------------------------------------------- stop rates

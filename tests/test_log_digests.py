@@ -52,8 +52,18 @@ def test_diff_names_the_row_column_and_ego_shift_of_a_planted_change(tmp_path, c
     assert len(out) == 1 and out[0].startswith("slow_lead/mobil: first differing row 12 ")
     assert "columns ego_x;" in out[0]
     assert "1 of 400 common rows differ" in out[0]
-    assert "largest ego position difference 0.25 m" in out[0]
+    assert "largest ego position difference 0.25 m; no discrete column differs" in out[0]
     assert "events.json" not in out[0]
+
+    # and the maneuver of data row 30 as well
+    cells = rows[31].split(",")
+    cells[header.index("maneuver")] = "stop"
+    rows[31] = ",".join(cells)
+    log.write_text("\n".join(rows), encoding="utf-8")
+    assert log_digest.main(["--diff", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and "2 of 400 common rows differ" in out[0]
+    assert out[0].endswith("; discrete columns differ: maneuver")
 
     # and an events.json that differs, with log.csv restored
     shutil.copy(a / "slow_lead" / "mobil" / "log.csv", log)

@@ -61,6 +61,11 @@ def roc_oracle(n: int) -> list:
             for k in range(1, n + 1)]
 
 
+def test_resources_and_maneuvers_hash_by_identity():
+    for member in (*ResourceType, *Maneuver):
+        assert hash(member) == object.__hash__(member)
+
+
 def test_rank_weights_match_exact_rationals():
     ranking = {r: i + 1 for i, r in enumerate(RESOURCES)}
     weights = rank_order_centroid(ranking)
