@@ -6,7 +6,8 @@ path type every planned trajectory is sampled from (see
 `identification.lane_path`). `sample_trajectory` turns any number of (path,
 constant-acceleration speed profile, horizon) rows into trajectories on the
 simulator tick grid in one call, with headings and lateral accelerations
-taken from each path's own frames.
+taken from each path's own frames, and returns them as one `CandidateBlock`:
+the padded (R, T) rows every pairwise measure of a plan broadcasts over.
 """
 from __future__ import annotations
 
@@ -116,6 +117,58 @@ class TimedTrajectory:
         )
 
 
+class CandidateBlock:
+    """Trajectories on one tick grid, stacked: row c is `trajectories[c]`.
+
+    t, x, y, heading, speed, a_lon and a_lat are (C, T) arrays, T the longest
+    trajectory's sample count; a shorter row repeats its last sample, and
+    `valid` marks each row's own samples. Iterating or indexing the block
+    gives its trajectories. `sample_trajectory` returns its own buffers as
+    one; a plan hands `take` of the rows in play to each measure. Padding
+    changes no measure: none reads a sample that `valid` does not mark, or
+    one that only repeats a marked sample (such as a row's largest |a_lon|).
+    """
+
+    def __init__(self, trajectories: list) -> None:
+        lengths = np.array([len(traj) for traj in trajectories])
+        rows = np.empty((7, len(trajectories), lengths.max()))
+        for c, traj in enumerate(trajectories):
+            n = len(traj)
+            rows[:, c, :n] = (traj.t, traj.x, traj.y, traj.heading, traj.speed,
+                              traj.a_lon, traj.a_lat)
+            rows[:, c, n:] = rows[:, c, n - 1:n]
+        self._set(rows, np.arange(rows.shape[2]) < lengths[:, None], trajectories[0].dt,
+                  list(trajectories))
+
+    def _set(self, rows: np.ndarray, valid: np.ndarray, dt: float, trajectories: list) -> None:
+        self._rows = rows
+        self.t, self.x, self.y, self.heading, self.speed, self.a_lon, self.a_lat = rows
+        self.valid = valid
+        self.dt = dt
+        self.trajectories = trajectories
+
+    def take(self, idx: list) -> CandidateBlock:
+        """The block of rows `idx` (copies), padded as here."""
+        sub = CandidateBlock.__new__(CandidateBlock)
+        sub._set(self._rows[:, idx], self.valid[idx], self.dt,
+                 [self.trajectories[i] for i in idx])
+        return sub
+
+    @property
+    def end_xy(self) -> np.ndarray:
+        """(C, 2) last sample of each row."""
+        return self._rows[1:3, :, -1].T
+
+    def __len__(self) -> int:
+        return len(self.trajectories)
+
+    def __iter__(self):
+        return iter(self.trajectories)
+
+    def __getitem__(self, c: int) -> TimedTrajectory:
+        return self.trajectories[c]
+
+
 def _speeds_and_arcs(profiles, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(P, n) speeds and arc lengths at n ticks, row p under profiles[p].
 
@@ -170,24 +223,25 @@ def tick_times(dt: float, horizon: float) -> np.ndarray:
     return t
 
 
-def sample_trajectory(rows, dt: float) -> list:
+def sample_trajectory(rows, dt: float) -> CandidateBlock:
     """Sample poses along paths under clamped constant-accel speed profiles.
 
-    `rows` is a sequence of (path, `SpeedProfile`, horizon) triples; the list
-    returned holds one `TimedTrajectory` per row. A row's samples fall on the
-    ticks up to its horizon and end early where its path is exhausted, so the
-    trajectories may differ in length; a profile that comes to rest keeps
-    emitting resting samples up to the horizon. Lateral acceleration is path
-    curvature times v^2.
+    `rows` is a sequence of (path, `SpeedProfile`, horizon) triples; the
+    `CandidateBlock` returned holds one `TimedTrajectory` per row, in order.
+    A row's samples fall on the ticks up to its horizon and end early where
+    its path is exhausted, so the trajectories may differ in length; a
+    profile that comes to rest keeps emitting resting samples up to the
+    horizon. Lateral acceleration is path curvature times v^2.
 
     One `_speeds_and_arcs` call covers every row, and each distinct path
     locates and gathers its rows' segments once; each row is bitwise what it
     would be if sampled alone.
 
-    The arrays are shared, not owned, and read-only: every trajectory's `t`
-    is a view of the cached `tick_times` grid, and its x, y, heading, speed,
-    a_lon and a_lat are views of row r of (R, T) buffers that the
-    trajectories of one call share.
+    The arrays are shared, not owned, and read-only: the block's (R, T) rows
+    are the buffers the samples are written to, padded with each row's last
+    sample as `CandidateBlock(trajectories)` pads them; each trajectory's
+    x, y, heading, speed, a_lon and a_lat are views of its row, and its `t`
+    a view of the cached `tick_times` grid.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -202,7 +256,7 @@ def sample_trajectory(rows, dt: float) -> list:
     length = np.array([[path.length] for path, _, _ in rows])
     # s never decreases along a row
     counts = np.minimum([len(tick_times(dt, h)) for h in horizons],
-                        (s <= length + 1e-9).sum(axis=1)).tolist()
+                        (s <= length + 1e-9).sum(axis=1))
     np.minimum(s, length, out=s)
     kappa = np.empty_like(s)
     frames = np.empty((6,) + s.shape)   # each sample's row of its path's `frame_table`
@@ -213,14 +267,26 @@ def sample_trajectory(rows, dt: float) -> list:
         frames[:, sel] = path.frame_table.take(i, axis=1)
     ax, ay, dx, dy, seg_len, cum = frames
     f = (s - cum) / seg_len
-    x, y, heading = ax + dx * f, ay + dy * f, np.arctan2(dy, dx)
-    a_lon = np.empty_like(v)
+    buffers = np.empty((7,) + s.shape)
+    block_t, x, y, heading, speed, a_lon, a_lat = buffers
+    block_t[:] = t
+    np.add(ax, dx * f, out=x)
+    np.add(ay, dy * f, out=y)
+    np.arctan2(dy, dx, out=heading)
+    speed[:] = v
     np.subtract(v[:, 1:], v[:, :-1], out=a_lon[:, :-1])
     a_lon[:, :-1] /= dt
-    a_lat = kappa * v * v
-    for r, n in enumerate(counts):
+    np.multiply(kappa * v, v, out=a_lat)
+    width, ns = len(t), counts.tolist()
+    for r, n in enumerate(ns):
         a_lon[r, n - 1] = a_lon[r, n - 2] if n > 1 else 0.0
-    for shared in (x, y, heading, v, a_lon, a_lat):
-        shared.flags.writeable = False
-    return [TimedTrajectory(dt, t[:n], x[r, :n], y[r, :n], heading[r, :n], v[r, :n],
-                            a_lon[r, :n], a_lat[r, :n]) for r, n in enumerate(counts)]
+        if n < width:
+            buffers[:, r, n:] = buffers[:, r, n - 1:n]
+    buffers.flags.writeable = False
+    _, x, y, heading, speed, a_lon, a_lat = buffers   # read-only views, as the rows are
+    block = CandidateBlock.__new__(CandidateBlock)
+    block._set(buffers, np.arange(width) < counts[:, None], dt,
+               [TimedTrajectory(dt, t[:n], x[r, :n], y[r, :n], heading[r, :n], speed[r, :n],
+                                a_lon[r, :n], a_lat[r, :n])
+                for r, n in enumerate(ns)])
+    return block

@@ -1,29 +1,32 @@
 """Maneuver identification: candidate generation, prediction, feasibility.
 
 Six discrete maneuvers are turned into tick-sampled trajectory candidates from
-the ego's current state, each along a `Polyline` path from `lane_path`: a
-cubic Bezier from the current pose onto a lane centerline, then the
-centerline itself. A plan projects the ego once onto each lane it considers
-and samples every candidate, lane-change probe and stretched variant in one
-`sample_trajectory` call. Other road users get constant-velocity predictions
-on the same tick grid, along their centerline or a straight line, stacked into
-one `PredictionBlock` per plan; candidates are stacked into a `CandidateBlock`
-so that every pairwise measure is one broadcast over both. The feasibility
-filter removes candidates that risk collision (footprint time-to-collision
-below the threshold) or break traffic rules (speeding, solid boundaries, red
-lights, occupied crosswalks); if everything is filtered out, Stop is retained
-as the fallback.
+the ego's current state, each along a path whose vertices `lane_path` gives:
+a cubic Bezier from the current pose onto a lane centerline, then the
+centerline itself. A plan projects the ego once onto each lane it considers,
+builds all its paths with one `Polyline.stack` call and samples every
+candidate, lane-change probe and stretched variant in one
+`sample_trajectory` call, whose `CandidateBlock` is the plan's block: each
+candidate records its row, and every later measure takes rows of it. Other
+road users get constant-velocity predictions on the same tick grid, along
+their centerline or a straight line, stacked into one `PredictionBlock` per
+plan, so that every pairwise measure is one broadcast over both blocks, and
+their corridors are crossed with the plan's rows at most once per plan
+(`PlanContext.corridor_hits`). The feasibility filter removes candidates that
+risk collision (footprint time-to-collision below the threshold) or break
+traffic rules (speeding, solid boundaries, red lights, occupied crosswalks);
+if everything is filtered out, Stop is retained as the fallback.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .bezier import SpeedProfile, TimedTrajectory, chord_points, sample_trajectory
+from .bezier import CandidateBlock, SpeedProfile, TimedTrajectory, chord_points, sample_trajectory
 from .config import PlannerConfig
 from .kernels import REACH_MARGIN, pose_gaps
 from .scenario import AgentState, Crosswalk, Lane, Polyline, Scenario
@@ -85,8 +88,12 @@ class PredictionBlock:
         spatially, every sample of one against every sample of the other;
         a candidate's padding takes no part. Only sample pairs whose centers
         lie within the two circumradii plus `REACH_MARGIN` can overlap
-        (see `kernels`), so only those are gathered for the SAT test.
+        (see `kernels`), so only those are gathered for the SAT test. The
+        verdict of each (candidate, row) pair is its own: stacking more
+        candidates changes none.
         """
+        if len(self) == 0:
+            return np.zeros((len(cands), 0), dtype=bool)
         st = max(1, int(round(cfg.crowd_sample_stride_s / cfg.dt)))
         ax, ay, ah = cands.x[:, ::st], cands.y[:, ::st], cands.heading[:, ::st]
         bx, by, bh = self.x[:, ::st], self.y[:, ::st], self.heading[:, ::st]
@@ -104,47 +111,6 @@ class PredictionBlock:
         return hits
 
 
-class CandidateBlock:
-    """Candidate trajectories of one plan, stacked: row c is `trajectories[c]`.
-
-    t, x, y, heading and speed are (C, T_c) arrays, T_c the longest
-    trajectory's sample count; a shorter row repeats its last sample, and
-    `valid` marks each row's own samples. The trajectories share one tick dt.
-    A plan stacks all its candidates once and hands `take` of the rows in
-    play to each measure: padding past a row's own samples changes no
-    measure, as none reads a sample that `valid` does not mark.
-    """
-
-    def __init__(self, trajectories: list) -> None:
-        lengths = np.array([len(traj) for traj in trajectories])
-        rows = np.empty((5, len(trajectories), lengths.max()))
-        for c, traj in enumerate(trajectories):
-            n = len(traj)
-            rows[:, c, :n] = traj.t, traj.x, traj.y, traj.heading, traj.speed
-            rows[:, c, n:] = rows[:, c, n - 1:n]
-        self._set(rows, np.arange(rows.shape[2]) < lengths[:, None], trajectories[0].dt)
-
-    def _set(self, rows: np.ndarray, valid: np.ndarray, dt: float) -> None:
-        self._rows = rows
-        self.t, self.x, self.y, self.heading, self.speed = rows
-        self.valid = valid
-        self.dt = dt
-
-    def take(self, idx: list) -> CandidateBlock:
-        """The block of rows `idx` (copies), padded as here."""
-        sub = CandidateBlock.__new__(CandidateBlock)
-        sub._set(self._rows[:, idx], self.valid[idx], self.dt)
-        return sub
-
-    @property
-    def end_xy(self) -> np.ndarray:
-        """(C, 2) last sample of each row."""
-        return self._rows[1:3, :, -1].T
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-
 @dataclass
 class ManeuverCandidate:
     maneuver: Maneuver
@@ -155,6 +121,8 @@ class ManeuverCandidate:
     fallback: bool = False
     min_ttc: float = math.inf
     stretched: bool = False
+    block: CandidateBlock | None = None   # the plan's sampled rows; `trajectory` is row `row`
+    row: int | None = None
 
 
 @dataclass
@@ -166,10 +134,23 @@ class PlanContext:
     ego: AgentState
     sim_time: float
     predictions: PredictionBlock
+    _corridor: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def lane(self) -> Lane:
         return self.scenario.lanes[self.ego.lane]
+
+    def corridor_hits(self, cands: CandidateBlock) -> np.ndarray:
+        """(C, K) `PredictionBlock.corridor_hits` of the ego along `cands`.
+
+        Kept for the last block asked about, so the lane-change lead probe
+        and crowdedness read rows of one pass over the plan's block.
+        """
+        if self._corridor is None or self._corridor[0] is not cands:
+            ego = self.ego
+            self._corridor = cands, self.predictions.corridor_hits(cands, ego.length, ego.width,
+                                                                   self.config)
+        return self._corridor[1]
 
     @cached_property
     def ego_s(self) -> float:
@@ -213,8 +194,9 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
 
 
 def lane_path(lane: Lane, s0: float, x: float, y: float, heading: float,
-              blend: float, span: float) -> Polyline:
-    """Planned path from the pose (x, y, heading) onto `lane` and along its centerline.
+              blend: float, span: float) -> np.ndarray:
+    """(n, 2) vertices of the planned path from the pose (x, y, heading) onto
+    `lane` and along its centerline, for `Polyline` or `Polyline.stack`.
 
     `s0` is the pose's arc position on the lane, as `project` gives it. A
     cubic Bezier with tangent handles of blend/3 (blend > 0) at both ends
@@ -231,13 +213,13 @@ def lane_path(lane: Lane, s0: float, x: float, y: float, heading: float,
     ctrl = ((x, y), (x + math.cos(heading) * handle, y + math.sin(heading) * handle),
             (x3 - math.cos(h3) * handle, y3 - math.sin(h3) * handle), (x3, y3))
     if span <= blend:
-        return Polyline(chord_points(ctrl))
+        return chord_points(ctrl)
     # vertices within 1e-6 m of the join or the end would make a degenerate segment
     inner = line.vertices_between(s_join + 1e-6, s_end - 1e-6)
     points = chord_points(ctrl, extra=len(inner) + 1)
     points[-len(inner) - 1:-1] = inner
     points[-1] = line.point_at(s_end)
-    return Polyline(points)
+    return points
 
 
 def _stop_constraint_distance(ctx: PlanContext) -> float | None:
@@ -289,17 +271,19 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
                          accels: dict | None = None) -> list:
     """The lane changes `maneuvers`, then one keep-lane candidate per maneuver -> acceleration.
 
-    By default all six, in Maneuver enum order, Stop braking at `_stop_decel`;
-    every trajectory is a row of one `sample_trajectory` call. Keep-lane
-    candidates share a path back onto the ego's lane, capped at its limit. A
-    lane change, a cubic onto the neighbour lane over the lane-change
-    duration and then its centerline, is sampled over the longer of that
-    duration and the planning horizon. With a vehicle ahead of the ego on its
-    lane (first sample ahead in arc length), a constant-speed probe along it
-    (the lane change's own row where profile and horizon agree) and a
-    stretched path are sampled too; the stretched one is taken where such a
-    vehicle is predicted inside the probe's corridor. Without a neighbour
-    lane the maneuver is an infeasible placeholder, one sample at the ego pose.
+    By default all six, in Maneuver enum order, Stop braking at `_stop_decel`.
+    Every path is built by one `Polyline.stack` call and every trajectory is a
+    row of one `sample_trajectory` call, whose block each candidate records
+    with its row. Keep-lane candidates share a path back onto the ego's lane,
+    capped at its limit. A lane change, a cubic onto the neighbour lane over
+    the lane-change duration and then its centerline, is sampled over the
+    longer of that duration and the planning horizon. With a vehicle ahead of
+    the ego on its lane (first sample ahead in arc length), a constant-speed
+    probe along it (the lane change's own row where profile and horizon
+    agree) and a stretched path are sampled too; the stretched one is taken
+    where such a vehicle is predicted inside the probe's corridor, read from
+    the plan's one corridor pass. Without a neighbour lane the maneuver is an
+    infeasible placeholder, one sample at the ego pose, with no row.
     """
     cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
     if accels is None:
@@ -322,7 +306,8 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     blend = v * duration
     wide = blend * cfg.lane_change_stretch
     tail = v * (horizon - duration) + 5.0
-    rows, sides = [], {}   # maneuver -> [target lane, nominal row, probe row, stretched row]
+    paths, rows = [], []   # vertex arrays; (path index, profile, horizon)
+    sides = {}   # maneuver -> [target lane, nominal row, probe row, stretched row]
     for m, target_id in targets.items():
         if target_id is None:
             continue
@@ -330,27 +315,27 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
         cap = min(lane.speed_limit, target.speed_limit)
         s0 = target.centerline.project((ego.x, ego.y))[0]
         profile = SpeedProfile(ego.speed, 0.0, cap)
-        nominal = lane_path(target, s0, ego.x, ego.y, ego.heading, blend, blend + tail)
         sides[m] = at = [target_id, len(rows), len(rows), None]
-        rows.append((nominal, profile, horizon))
+        rows.append((len(paths), profile, horizon))
+        paths.append(lane_path(target, s0, ego.x, ego.y, ego.heading, blend, blend + tail))
         if lead:
             if not (1.0 <= ego.speed <= cap and duration >= cfg.planning_horizon_s):
                 at[2] = len(rows)
-                rows.append((nominal, SpeedProfile(v, 0.0), duration))
+                rows.append((len(paths) - 1, SpeedProfile(v, 0.0), duration))
             at[3] = len(rows)
-            rows.append((lane_path(target, s0, ego.x, ego.y, ego.heading, wide, wide + tail),
-                         profile, horizon))
-
-    span = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
-    keep = lane_path(lane, ctx.ego_s, ego.x, ego.y, ego.heading, span, span) if accels else None
-    rows += [(keep, SpeedProfile(ego.speed, a, lane.speed_limit), cfg.planning_horizon_s)
-             for a in accels.values()]
-    trajs = sample_trajectory(rows, cfg.dt) if rows else []
+            rows.append((len(paths), profile, horizon))
+            paths.append(lane_path(target, s0, ego.x, ego.y, ego.heading, wide, wide + tail))
+    if accels:
+        span = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
+        rows += [(len(paths), SpeedProfile(ego.speed, a, lane.speed_limit),
+                  cfg.planning_horizon_s) for a in accels.values()]
+        paths.append(lane_path(lane, ctx.ego_s, ego.x, ego.y, ego.heading, span, span))
+    lines = Polyline.stack(paths) if paths else []
+    sampled = sample_trajectory([(lines[k], p, h) for k, p, h in rows], cfg.dt) if rows else None
     stretched = dict.fromkeys(sides, False)
     if lead:
-        probes = CandidateBlock([trajs[probe] for _, _, probe, _ in sides.values()])
-        hits = block.corridor_hits(probes, ego.length, ego.width, cfg)
-        stretched = dict(zip(sides, np.any(hits[:, leads], axis=1).tolist()))
+        hits = ctx.corridor_hits(sampled)[:, leads]
+        stretched = {m: bool(hits[probe].any()) for m, (_, _, probe, _) in sides.items()}
     out = []
     for m in maneuvers:
         if m not in sides:
@@ -358,10 +343,11 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
             out.append(ManeuverCandidate(m, rest, None, feasible=False, reason=NO_LANE))
             continue
         target_id, nominal, _, stretched_row = sides[m]
-        traj = trajs[stretched_row if stretched[m] else nominal]
-        out.append(ManeuverCandidate(m, traj, target_id, stretched=stretched[m]))
-    return out + [ManeuverCandidate(m, traj, ego.lane)
-                  for m, traj in zip(accels, trajs[len(trajs) - len(accels):])]
+        r = stretched_row if stretched[m] else nominal
+        out.append(ManeuverCandidate(m, sampled[r], target_id, stretched=stretched[m],
+                                     block=sampled, row=r))
+    return out + [ManeuverCandidate(m, sampled[r], ego.lane, block=sampled, row=r)
+                  for r, m in enumerate(accels, len(rows) - len(accels))]
 
 
 def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
@@ -473,12 +459,13 @@ def _check_crosswalks(ctx: PlanContext, cand: ManeuverCandidate, lanes: set) -> 
     return False
 
 
-def feasibility_filter(ctx: PlanContext, candidates: list, cands: CandidateBlock) -> list:
+def feasibility_filter(ctx: PlanContext, candidates: list) -> list:
     """Mark candidates infeasible for rule or collision reasons (in place).
 
-    `cands` stacks the candidates' trajectories, row i for candidates[i].
-    Guarantees at least one feasible candidate by retaining Stop as a
-    fallback when everything else is rejected.
+    Time-to-collision is one call over the rows of the plan's block that
+    the candidates ruled in by the traffic rules record. Guarantees at least
+    one feasible candidate by retaining Stop as a fallback when everything
+    else is rejected.
     """
     cfg = ctx.config
     ego = ctx.ego
@@ -495,11 +482,11 @@ def feasibility_filter(ctx: PlanContext, candidates: list, cands: CandidateBlock
                 or _check_red_lights(ctx, cand, lanes) or _check_crosswalks(ctx, cand, lanes)):
             cand.feasible = False
             cand.reason = RULE_VIOLATION
-    ruled_in = [i for i, c in enumerate(candidates) if c.feasible]
+    ruled_in = [c for c in candidates if c.feasible]
     if ruled_in:
-        ttc = time_to_collision(cands.take(ruled_in), ctx.predictions, ego.length, ego.width)
-        for i, min_ttc in zip(ruled_in, ttc.tolist()):
-            cand = candidates[i]
+        rows = ruled_in[0].block.take([c.row for c in ruled_in])
+        ttc = time_to_collision(rows, ctx.predictions, ego.length, ego.width)
+        for cand, min_ttc in zip(ruled_in, ttc.tolist()):
             cand.min_ttc = min_ttc
             if min_ttc < cfg.ttc_min_s:
                 cand.feasible = False

@@ -93,12 +93,10 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
     if weights is None:
         weights = profile_weights(ctx.scenario.profile)
     candidates = enumerate_candidates(ctx)
-    cands = CandidateBlock([c.trajectory for c in candidates])
-    feasibility_filter(ctx, candidates, cands)
-    rows = [i for i, c in enumerate(candidates) if c.feasible]
-    feasible = [candidates[i] for i in rows]
+    feasibility_filter(ctx, candidates)
+    feasible = [c for c in candidates if c.feasible]
     assessments = dict(zip((c.maneuver for c in feasible),
-                           assess_candidates(ctx, feasible, cands.take(rows), current_values)))
+                           assess_candidates(ctx, feasible, current_values)))
     profits = {m: profit(a, weights) for m, a in assessments.items()}
     maneuver, tie_break = decide(candidates, assessments, profits, previous, ctx.config.tie_epsilon)
     chosen = next(c for c in candidates if c.maneuver is maneuver)

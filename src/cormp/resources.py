@@ -3,7 +3,9 @@
 Each candidate maneuver is scored on six resources, every value normalized to
 [0, 1]. Profiles rank the resources and the ranks are converted to weights by
 the rank-order centroid, so the profit of a candidate is a weighted sum the
-planner can compare across maneuvers.
+planner can compare across maneuvers. `assess_candidates` scores all of a
+plan's candidates at once: every value and state is an array expression over
+their rows of the plan's `CandidateBlock`.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .config import PlannerConfig
-from .identification import CandidateBlock, ManeuverCandidate, PlanContext, PredictionBlock
+from .identification import CandidateBlock, PlanContext, PredictionBlock
 
 
 class ResourceType(Enum):
@@ -64,8 +66,9 @@ PROFILE_RANKINGS = {
 }
 
 
-def clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x clamped to [0, 1]."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def rank_order_centroid(ranking: dict) -> dict:
@@ -91,15 +94,13 @@ def profile_weights(profile: str) -> dict:
     return rank_order_centroid(PROFILE_RANKINGS[profile])
 
 
-def kinetic_energy_delta_kj(mass_kg: float, v_a: float, v_b: float) -> float:
-    """Kinetic energy spent accelerating from v_a to v_b (kJ).
+def kinetic_energy_delta_kj(mass_kg: float, v_a, v_b):
+    """Kinetic energy spent accelerating from v_a to v_b (kJ), elementwise.
 
     Deceleration consumes nothing: the delta is zero unless v_b > v_a.
     """
-    if v_b <= v_a:
-        return 0.0
-    dv = v_b - v_a
-    return 0.5 * mass_kg * dv * dv / 1000.0
+    dv = np.subtract(v_b, v_a)
+    return np.where(dv > 0.0, 0.5 * mass_kg * dv * dv / 1000.0, 0.0)
 
 
 def safety_value(cands: CandidateBlock, block: PredictionBlock,
@@ -129,57 +130,30 @@ def safety_value(cands: CandidateBlock, block: PredictionBlock,
     return np.minimum(r.min(axis=(1, 2)), 1.0)
 
 
-def comfort_value(cand: ManeuverCandidate, cfg: PlannerConfig) -> float:
-    """1 inside the comfort box, linear falloff to 0 at the axis maxima."""
-    traj = cand.trajectory
-    if len(traj) == 0:
-        return 1.0
+def _comfort_axis(acc: np.ndarray, comf: float, amax: float) -> np.ndarray:
+    """(C,) comfort of each row's largest |acc|: 1 up to `comf`, linear to 0 at `amax`.
 
-    def axis(acc: np.ndarray, comf: float, amax: float) -> float:
-        worst = float(np.max(np.abs(acc)))
-        if worst <= comf:
-            return 1.0
-        return clamp01((amax - worst) / (amax - comf))
-
-    return min(axis(traj.a_lon, cfg.a_lon_comfort, cfg.a_lon_max),
-               axis(traj.a_lat, cfg.a_lat_comfort, cfg.a_lat_max))
-
-
-def objective_value(cand: ManeuverCandidate, speed_limit: float, horizon_s: float) -> float:
-    """Distance covered relative to full-speed travel over the horizon."""
-    return clamp01(cand.trajectory.path_length() / (speed_limit * horizon_s))
+    A row's padding repeats its last sample, so it never holds the largest.
+    """
+    worst = np.abs(acc).max(axis=1)
+    return np.where(worst <= comf, 1.0, _unit((amax - worst) / (amax - comf)))
 
 
 def apriori_lane_value(ends: np.ndarray, apriori_lane) -> np.ndarray:
     """(n,) per (n, 2) end point: 1 on the a-priori lane centerline, 0 two lane widths away."""
     _, lateral = apriori_lane.centerline.project(ends)
-    return np.minimum(np.maximum(1.0 - np.abs(lateral) / (2.0 * apriori_lane.width), 0.0), 1.0)
+    return _unit(1.0 - np.abs(lateral) / (2.0 * apriori_lane.width))
 
 
-def energy_value(v_begin: float, v_end: float, mass_kg: float, e_ref_kj: float) -> float:
-    """1 minus the kinetic energy spent from v_begin to v_end, relative to e_ref_kj."""
-    delta = kinetic_energy_delta_kj(mass_kg, v_begin, v_end)
-    return 1.0 - clamp01(delta / e_ref_kj)
+def crowdedness_value(hits: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
+    """(C,) 1 minus the (normalized) count of corridors crossing each candidate's,
+    from the (C, K) `PredictionBlock.corridor_hits` of the candidates."""
+    return 1.0 - _unit(np.count_nonzero(hits, axis=1) / float(cfg.crowd_reference_count))
 
 
-def crowdedness_value(cands: CandidateBlock, block: PredictionBlock,
-                      ego_length: float, ego_width: float, cfg: PlannerConfig) -> np.ndarray:
-    """(C,) 1 minus the (normalized) count of corridors crossing each candidate's."""
-    if len(block) == 0:
-        return np.ones(len(cands))
-    count = np.count_nonzero(block.corridor_hits(cands, ego_length, ego_width, cfg), axis=1)
-    return 1.0 - np.minimum(np.maximum(count / float(cfg.crowd_reference_count), 0.0), 1.0)
-
-
-def classify_state(mu: float, cfg: PlannerConfig, mu_current: float | None = None) -> ResourceState:
-    """State of a resource given its value (and the currently-held value)."""
-    if mu < cfg.theta_loss:
-        return ResourceState.LOSS
-    if mu < cfg.theta_acquired:
-        return ResourceState.THREATENED
-    if mu_current is not None and mu_current < cfg.theta_acquired <= mu:
-        return ResourceState.DESIRED
-    return ResourceState.ACQUIRED
+# indexed by the state codes of `assess_candidates`
+_STATES = (ResourceState.LOSS, ResourceState.THREATENED, ResourceState.DESIRED,
+               ResourceState.ACQUIRED)
 
 
 @dataclass
@@ -188,33 +162,40 @@ class ResourceAssessment:
     states: dict   # ResourceType -> ResourceState
 
 
-def assess_candidates(ctx: PlanContext, candidates: list, cands: CandidateBlock,
+def assess_candidates(ctx: PlanContext, candidates: list,
                       current_values: dict | None = None) -> list:
-    """All six resources of each candidate.
+    """All six resources of each candidate, as one `ResourceAssessment` each.
 
-    `cands` stacks the candidates' trajectories, row i for candidates[i];
-    safety, crowdedness and the a-priori lane are one array call each.
+    Values form a (C, 6) matrix in `RESOURCES` order, each column an array
+    expression over the candidates' rows of their plan's block; crowdedness
+    reads those rows of the plan's one corridor pass. Comfort is 1 inside the
+    comfort box, with a linear falloff to 0 at the axis maxima; objective is
+    the distance covered relative to full-speed travel over the horizon;
+    energy is 1 minus the kinetic energy spent, relative to the reference. A
+    value is a loss below `theta_loss`, threatened below `theta_acquired`,
+    and otherwise desired where the currently held value is below
+    `theta_acquired`, else acquired.
     """
-    cfg = ctx.config
-    ego = ctx.ego
-    apriori = ctx.scenario.lanes[ctx.scenario.apriori_lane]
+    cfg, ego = ctx.config, ctx.ego
+    plan_rows = candidates[0].block
+    idx = [c.row for c in candidates]
+    cands = plan_rows.take(idx)
+    mu = np.empty((len(idx), len(RESOURCES)))
+    mu[:, 0] = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg)
+    mu[:, 1] = np.minimum(_comfort_axis(cands.a_lon, cfg.a_lon_comfort, cfg.a_lon_max),
+                          _comfort_axis(cands.a_lat, cfg.a_lat_comfort, cfg.a_lat_max))
+    # each row's own n - 1 steps, summed alone: a padded sum would round differently
+    steps = np.hypot(np.diff(cands.x, axis=1), np.diff(cands.y, axis=1))
+    lengths = [steps[c, :n - 1].sum() for c, n in enumerate(cands.valid.sum(axis=1).tolist())]
+    mu[:, 2] = _unit(np.array(lengths) / (ctx.lane.speed_limit * cfg.planning_horizon_s))
+    mu[:, 3] = apriori_lane_value(cands.end_xy, ctx.scenario.lanes[ctx.scenario.apriori_lane])
+    spent = kinetic_energy_delta_kj(ego.mass, ego.speed, cands.speed[:, -1])
+    mu[:, 4] = 1.0 - _unit(spent / cfg.energy_reference_kj(ego.mass))
+    mu[:, 5] = crowdedness_value(ctx.corridor_hits(plan_rows)[idx], cfg)
     held = current_values or {}
-    safety = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
-    crowdedness = crowdedness_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
-    lane_hold = apriori_lane_value(cands.end_xy, apriori).tolist()
-    out = []
-    for cand, mu_safety, mu_crowdedness, mu_lane in zip(candidates, safety, crowdedness,
-                                                        lane_hold):
-        values = {
-            ResourceType.SAFETY: mu_safety,
-            ResourceType.COMFORT: comfort_value(cand, cfg),
-            ResourceType.OBJECTIVE: objective_value(cand, ctx.lane.speed_limit,
-                                                    cfg.planning_horizon_s),
-            ResourceType.APRIORI_LANE: mu_lane,
-            ResourceType.ENERGY: energy_value(ego.speed, cand.trajectory.end_speed, ego.mass,
-                                              cfg.energy_reference_kj(ego.mass)),
-            ResourceType.CROWDEDNESS: mu_crowdedness,
-        }
-        states = {res: classify_state(values[res], cfg, held.get(res)) for res in RESOURCES}
-        out.append(ResourceAssessment(values=values, states=states))
-    return out
+    current = np.array([held.get(res, np.nan) for res in RESOURCES])   # nan: none held
+    codes = np.where(mu < cfg.theta_loss, 0, np.where(
+        mu < cfg.theta_acquired, 1, np.where(current < cfg.theta_acquired, 2, 3)))
+    return [ResourceAssessment(dict(zip(RESOURCES, values)),
+                               dict(zip(RESOURCES, [_STATES[k] for k in row])))
+            for values, row in zip(mu.tolist(), codes.tolist())]

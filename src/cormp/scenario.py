@@ -29,35 +29,78 @@ class ScenarioError(ValueError):
     """Raised for structural or semantic problems in a scenario document."""
 
 
+def _frame_tables(paths) -> tuple:
+    """The frame tables of polylines through each vertex array of `paths`, in one pass.
+
+    Returns a (P, 6, V) table, V the most vertices of any path, the (P, V - 2)
+    curvatures at the interior vertices and the P vertex counts. A path with n
+    vertices is padded with its last one: its padded segments have dx = dy =
+    length = 0, so the first n columns of its table and the first n - 2 of its
+    curvatures are what it alone would give. Every path must have at least two
+    points, all finite, and no zero-length segment of its own.
+    """
+    pts = [np.asarray(p, dtype=np.float64) for p in paths]
+    for p in pts:
+        if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 2:
+            raise ValueError("polyline needs at least two 2D points")
+    counts = [len(p) for p in pts]
+    width = max(counts)
+    # one column per vertex: x, y, the dx, dy and length of the segment it
+    # starts (0 at the last vertex) and its arc position
+    table = np.empty((len(pts), 6, width))
+    for rows, p, n in zip(table, pts, counts):
+        rows[:2, :n] = p.T
+        rows[:2, n:] = p[-1:].T
+    # one path works on its (6, V) table: numpy calls cost less on 2D views
+    t = table[0] if len(pts) == 1 else table
+    if not np.isfinite(t[..., :2, :]).all():
+        raise ValueError("polyline points must be finite")
+    d = np.subtract(t[..., :2, 1:], t[..., :2, :-1], out=t[..., 2:4, :-1])
+    dx, dy = d[..., 0, :], d[..., 1, :]
+    seg = np.hypot(dx, dy, out=t[..., 4, :-1])
+    # the width - n padded segments of each path are exactly 0 long
+    if np.count_nonzero(seg <= 0) > width * len(pts) - sum(counts):
+        raise ValueError("polyline has zero-length segments")
+    t[..., 2:, -1] = t[..., 5, 0] = 0.0
+    np.cumsum(seg, axis=-1, out=t[..., 5, 1:])
+    # signed turning angle at each interior vertex over the mean length of
+    # its two segments: 1/R for vertices on an arc of radius R (0 where both
+    # segments are padding)
+    ax, ay, bx, by = dx[..., :-1], dy[..., :-1], dx[..., 1:], dy[..., 1:]
+    turn = np.arctan2(ax * by - ay * bx, ax * bx + ay * by)
+    mean = 0.5 * (seg[..., :-1] + seg[..., 1:])
+    kappa = np.divide(turn, mean, out=turn, where=mean > 0.0)
+    return table, kappa.reshape(len(pts), -1), counts
+
+
 class Polyline:
     """Arc-length parameterized 2D polyline: lane centerlines and planned paths."""
 
     def __init__(self, points) -> None:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("polyline needs at least two 2D points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("polyline points must be finite")
-        # one column per vertex: x, y, the dx, dy and length of the segment
-        # it starts (0 at the last vertex) and its arc position. `points`,
-        # `cum`, `_d` and `_seg` are views of it; `frames` gathers its columns
-        self.frame_table = table = np.empty((6, len(pts)))
-        table[:2] = pts.T
-        d = np.subtract(table[:2, 1:], table[:2, :-1], out=table[2:4, :-1]).T
-        seg = np.hypot(table[2, :-1], table[3, :-1], out=table[4, :-1])
-        if np.any(seg <= 0):
-            raise ValueError("polyline has zero-length segments")
-        table[2:, -1] = table[5, 0] = 0.0
-        np.cumsum(seg, out=table[5, 1:])
+        table, kappa, _ = _frame_tables([points])
+        self._adopt(table[0], kappa[0])
+
+    @classmethod
+    def stack(cls, paths) -> list:
+        """One `Polyline` per vertex array of `paths`, equal to `Polyline(points)`
+        of each, their tables filled in one padded pass (see `_frame_tables`)."""
+        table, kappa, counts = _frame_tables(paths)
+        lines = []
+        for rows, turns, n in zip(table, kappa, counts):
+            line = cls.__new__(cls)
+            line._adopt(rows[:, :n], turns[:n - 2])
+            lines.append(line)
+        return lines
+
+    def _adopt(self, table: np.ndarray, kappa: np.ndarray) -> None:
+        # `points`, `cum`, `_d` and `_seg` are views of the (6, n) table;
+        # `frames` gathers its columns
+        self.frame_table = table
         self.points = table[:2].T
         self.cum = table[5]
-        self._d = d
-        self._seg = seg
-        # signed turning angle at each interior vertex over the mean length of
-        # its two segments: 1/R for vertices on an arc of radius R
-        turn = np.arctan2(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0],
-                          d[:-1, 0] * d[1:, 0] + d[:-1, 1] * d[1:, 1])
-        self._kappa = turn / (0.5 * (seg[:-1] + seg[1:]))
+        self._d = table[2:4, :-1].T
+        self._seg = table[4, :-1]
+        self._kappa = kappa
 
     @property
     def length(self) -> float:

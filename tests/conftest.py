@@ -5,10 +5,12 @@ import math
 import pathlib
 import time
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from cormp.baselines import make_planner
+from cormp.bezier import CandidateBlock
 from cormp.config import PlannerConfig
 from cormp.identification import PredictionBlock
 from cormp.scenario import AgentState, Scenario, load_scenario
@@ -120,3 +122,16 @@ def prediction_block(*rows, steps: int = 41) -> PredictionBlock:
     return PredictionBlock(agents, [(traj.x, traj.y, traj.heading, traj.speed)
                                     for _, traj, _, _ in rows],
                            len(rows[0][1]) if rows else steps)
+
+
+def assert_row_is_its_lone_block(block, row: int) -> None:
+    """Row `row` of a `CandidateBlock` is `CandidateBlock([block[row]])`, bitwise:
+    every array over the trajectory's own samples, then its last sample
+    repeated to the block's width, and `valid` marking exactly its own."""
+    alone = CandidateBlock([block[row]])
+    n = len(block[row])
+    for name in ("t", "x", "y", "heading", "speed", "a_lon", "a_lat"):
+        got, want = getattr(block, name)[row], getattr(alone, name)[0]
+        assert np.array_equal(got[:n], want), (row, name)
+        assert np.array_equal(got[n:], np.full(len(got) - n, want[-1])), (row, name)
+    assert np.array_equal(block.valid[row], np.arange(block.x.shape[1]) < n)

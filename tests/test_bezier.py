@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CURVED
+from conftest import CURVED, assert_row_is_its_lone_block
 from cormp import bezier
 from cormp.baselines import make_planner
 from cormp.bezier import (_CHORD_TOL_M, _MAX_CHORDS, SpeedProfile, TimedTrajectory,
@@ -369,6 +369,8 @@ def test_batched_sampling_matches_per_profile_calls(rows, dt, lengths):
     call = [(paths[k], profile, horizon) for k, profile, horizon in rows]
     together = sample_trajectory(call, dt)
     assert len(together) == len(call)
+    for row in range(len(call)):   # the returned block's rows, padding included
+        assert_row_is_its_lone_block(together, row)
     for (path, profile, horizon), traj in zip(call, together):
         alone, = sample_trajectory([(path, profile, horizon)], dt)
         for name in FIELDS:
@@ -418,6 +420,9 @@ def test_sampled_arrays_are_read_only():
         for name in FIELDS:
             with pytest.raises(ValueError):
                 getattr(traj, name)[0] = 0.0
+    for name in FIELDS:   # the block's rows are the same buffers
+        with pytest.raises(ValueError):
+            getattr(trajs, name)[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------- container

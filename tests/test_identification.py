@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import CURVED, SCENARIO_DIR, curved_road, prediction_block
+from conftest import (CURVED, SCENARIO_DIR, assert_row_is_its_lone_block, curved_road,
+                      prediction_block)
 from cormp import identification
 from cormp.baselines import make_planner
 from cormp.bezier import _MAX_CHORDS, SpeedProfile, sample_trajectory
@@ -18,6 +21,7 @@ from cormp.identification import (
     CandidateBlock,
     Maneuver,
     PlanContext,
+    PredictionBlock,
     _stop_constraint_distance,
     _stop_decel,
     enumerate_candidates,
@@ -65,8 +69,8 @@ def context(doc: dict, cfg: PlannerConfig | None = None,
 
 
 def filtered(ctx: PlanContext, candidates: list) -> list:
-    """`feasibility_filter` on the candidates' stacked block, as a plan calls it."""
-    return feasibility_filter(ctx, candidates, CandidateBlock([c.trajectory for c in candidates]))
+    """`feasibility_filter` on the candidates' rows of their plan's block, as a plan calls it."""
+    return feasibility_filter(ctx, candidates)
 
 
 def by_maneuver(cands):
@@ -340,8 +344,8 @@ def test_lane_path_matches_the_stacked_cubic_oracle_bitwise():
             for blend, span in ((55.56, 60.56), (55.56, 200.0), (55.56, 55.56), (20.0, 10.0),
                                 (3.0, 100.0)):
                 line = lanes[lane_id].centerline
-                path = lane_path(lanes[lane_id], line.project((x, y))[0], x, y, heading,
-                                 blend, span)
+                path = Polyline(lane_path(lanes[lane_id], line.project((x, y))[0], x, y,
+                                          heading, blend, span))
                 want, n = lane_path_oracle(lanes[lane_id], x, y, heading, blend, span)
                 counts.add(n)
                 assert np.array_equal(path.points, want.points), (lane_id, x, y, blend, span)
@@ -537,7 +541,7 @@ def per_path_reference(ctx: PlanContext) -> list:
 
     def along(target, blend, span):
         s0 = target.centerline.project((ego.x, ego.y))[0]
-        return lane_path(target, s0, ego.x, ego.y, ego.heading, blend, span)
+        return Polyline(lane_path(target, s0, ego.x, ego.y, ego.heading, blend, span))
 
     def sample(path, profile, horizon):
         traj, = sample_trajectory([(path, profile, horizon)], cfg.dt)
@@ -586,9 +590,35 @@ def per_path_reference(ctx: PlanContext) -> list:
     return out
 
 
+def assert_same_polyline(got: Polyline, want: Polyline) -> None:
+    for name in ("frame_table", "cum", "_kappa"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def enumerate_with_paths(ctx: PlanContext) -> tuple:
+    """`enumerate_candidates(ctx)`, and the (vertices, Polyline) pairs of its stacked build."""
+    built = []
+    stack = Polyline.stack
+
+    def record(paths):
+        lines = stack(paths)
+        built.extend(zip(paths, lines))
+        return lines
+
+    with mock.patch.object(Polyline, "stack", record):
+        return enumerate_candidates(ctx), built
+
+
 def assert_matches_reference(ctx: PlanContext) -> list:
-    """Compare bitwise; returns the stretched flags."""
-    got = enumerate_candidates(ctx)
+    """Compare bitwise, and each candidate's row of the plan's block and each
+    stacked path with their lone builds; returns the stretched flags."""
+    got, built = enumerate_with_paths(ctx)
+    for points, line in built:
+        assert_same_polyline(line, Polyline(points))
+    for cand in got:
+        if cand.block is not None:
+            assert cand.block[cand.row] is cand.trajectory
+            assert_row_is_its_lone_block(cand.block, cand.row)
     want = per_path_reference(ctx)
     assert [c.maneuver for c in got] == [m for m, _, _, _ in want]
     for cand, (m, target, stretched, traj) in zip(got, want):
@@ -632,6 +662,17 @@ def test_enumerate_matches_the_per_path_reference_bitwise():
         doc = dict(arc, agents=[dict(arc["agents"][0], speed=speed), *arc["agents"][1:]])
         flags.append(assert_matches_reference(context(doc)))
     assert any(any(f) for f in flags)               # some lane change was stretched
+    # no plan row above runs out of path: rows along the arc's keep-lane path
+    # that do, at different ticks, next to one that does not and a 1-sample one
+    cands, built = enumerate_with_paths(context(arc))
+    keep = built[-1][1]
+    block = sample_trajectory([(keep, SpeedProfile(v, 0.0), 10.0) for v in (40.0, 25.0)]
+                              + [(keep, SpeedProfile(5.0, 0.0), 4.0),
+                                 (keep, SpeedProfile(5.0, 0.0), 0.0)], 0.1)
+    lengths = [len(traj) for traj in block]
+    assert lengths[2:] == [41, 1] and lengths[0] < lengths[1] < 101
+    for row in range(len(block)):
+        assert_row_is_its_lone_block(block, row)
 
 
 def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
@@ -642,9 +683,19 @@ def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
     project = Polyline.project
     monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(
         "scalar_project" if np.ndim(p) == 1 else "project") or project(self, p))
+    # one stacked path build, no lone `Polyline`, one corridor pass at most,
+    # and no block stacked from a list of trajectories
+    counted = {(Polyline, "stack"): "stack", (Polyline, "__init__"): "polyline",
+               (PredictionBlock, "corridor_hits"): "corridor",
+               (CandidateBlock, "__init__"): "list_block"}
+    for (owner, name), tag in counted.items():
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn, tag=tag: calls.append(tag) or fn(*a))
     blocker = {"id": "slow", "kind": "vehicle", "lane": "right", "position": [35.0, 0.0],
                "heading": 0.0, "speed": 2.0, "length": 4.5, "width": 1.8}
+    oncoming = dict(blocker, id="oncoming", lane=None, position=[60.0, 0.0], heading=math.pi)
     for doc, lanes in ((road(others=[blocker]), 2), (road(n_lanes=1), 1),
+                       (road(n_lanes=1, others=[oncoming]), 1),
                        (CURVED["arc_left_overtake_r140"], 2)):
         ctx = context(doc)
         calls.clear()
@@ -653,3 +704,6 @@ def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
         assert "lane_path" not in calls[calls.index("sample_trajectory"):]
         # one projection of the ego per lane: its own and each neighbour
         assert calls.count("scalar_project") == lanes
+        tags = Counter(calls)
+        assert (tags["stack"], tags["polyline"], tags["list_block"]) == (1, 0, 0)
+        assert tags["corridor"] == 1   # the lead probe and crowdedness share it

@@ -114,7 +114,7 @@ def assert_measures_match(cands, trajectories, block, rows):
     ttc = time_to_collision(cands, block, EGO_L, EGO_W)
     safety = safety_value(cands, block, EGO_L, EGO_W, CFG)
     hits = block.corridor_hits(cands, EGO_L, EGO_W, CFG)
-    crowdedness = crowdedness_value(cands, block, EGO_L, EGO_W, CFG)
+    crowdedness = crowdedness_value(hits, CFG)
     assert ttc.shape == safety.shape == crowdedness.shape == (len(trajectories),)
     assert hits.shape == (len(trajectories), len(rows))
     for c, ego in enumerate(trajectories):

@@ -1,16 +1,22 @@
+import dataclasses
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import load, prediction_block
-from cormp.bezier import TimedTrajectory
+from cormp.bezier import SpeedProfile, TimedTrajectory, sample_trajectory
 from cormp.config import PROFILES, PlannerConfig
 from cormp.identification import (
     CandidateBlock,
     ManeuverCandidate,
     Maneuver,
     enumerate_candidates,
+    lane_path,
 )
 from cormp.planner import CorMpPlanner, plan_context
 from cormp.resources import (
@@ -20,18 +26,15 @@ from cormp.resources import (
     ResourceType,
     apriori_lane_value,
     assess_candidates,
-    clamp01,
-    classify_state,
-    comfort_value,
     crowdedness_value,
-    energy_value,
     kinetic_energy_delta_kj,
-    objective_value,
     profile_weights,
     rank_order_centroid,
     safety_value,
 )
 from cormp.scenario import Lane, Polyline
+from resource_oracle import (assess_oracle, clamp01, classify_state, comfort_value, energy_value,
+                             objective_value)
 
 CFG = PlannerConfig()
 
@@ -252,7 +255,7 @@ def test_apriori_uses_final_sample():
 
 
 def crowdedness(ego: TimedTrajectory, block) -> float:
-    return crowdedness_value(CandidateBlock([ego]), block, 4.5, 1.8, CFG)[0]
+    return crowdedness_value(block.corridor_hits(CandidateBlock([ego]), 4.5, 1.8, CFG), CFG)[0]
 
 
 def test_crowdedness_counts_crossing_corridors():
@@ -292,8 +295,10 @@ def test_clamp01():
 
 def test_full_assessment_stays_in_unit_interval():
     ctx = plan_context(load("overtake_static"), PlannerConfig(), 0.0)
-    cands = enumerate_candidates(ctx)
-    for assessment in assess_candidates(ctx, cands, CandidateBlock([c.trajectory for c in cands])):
+    # every candidate with a row of the plan's block: all but the missing right lane's
+    cands = [c for c in enumerate_candidates(ctx) if c.row is not None]
+    assert len(cands) == 5
+    for assessment in assess_candidates(ctx, cands):
         for res in RESOURCES:
             assert 0.0 <= assessment.values[res] <= 1.0
             assert isinstance(assessment.states[res], ResourceState)
@@ -309,3 +314,66 @@ def test_property_values_clamped_over_random_inputs():
         assert 0.0 <= energy_value(rng.uniform(0, 30), rng.uniform(0, 30), 1500.0, 75.0) <= 1.0
         assert 0.0 <= objective_value(c, rng.uniform(5, 30), 4.0) <= 1.0
         assert 0.0 <= lane_hold(c.trajectory)[0] <= 1.0
+
+
+# ---------------------------------------------------------------- array form
+
+
+@lru_cache(maxsize=1)
+def busy_context() -> tuple:
+    """`busy_highway` at 0 s and three paths from the ego: its keep-lane path,
+    a lane change onto the left lane and a 3 m line that rows run off."""
+    ctx = plan_context(load("busy_highway"), PlannerConfig(), 0.0)
+    ego, lane = ctx.ego, ctx.lane
+    target = ctx.scenario.lanes[lane.left_neighbor]
+    s0 = target.centerline.project((ego.x, ego.y))[0]
+    return ctx, (Polyline(lane_path(lane, ctx.ego_s, ego.x, ego.y, ego.heading, 60.0, 60.0)),
+                 Polyline(lane_path(target, s0, ego.x, ego.y, ego.heading, 70.0, 90.0)),
+                 Polyline([[ego.x, ego.y], [ego.x + 3.0, ego.y]]))
+
+
+speeds = st.one_of(st.sampled_from([0.0, 13.89, 25.0]), st.floats(0.0, 30.0))
+assessed_rows = st.lists(st.tuples(
+    st.integers(0, 2),
+    st.builds(SpeedProfile, speeds,
+              st.one_of(st.sampled_from([0.0, 0.9, -2.0, -6.0]), st.floats(-6.0, 4.0)),
+              st.one_of(st.sampled_from([math.inf, 13.89, 3.0]), speeds)),
+    st.sampled_from([0.0, 0.1, 1.3, 4.0, 5.0])), min_size=1, max_size=8)
+picks = st.integers(0, 63)   # indices into the rows, or into the oracle's values
+
+
+@settings(max_examples=150)
+@given(assessed_rows, st.lists(picks, min_size=1, max_size=8),
+       st.one_of(st.none(), st.tuples(picks, picks)),
+       st.one_of(st.none(), st.dictionaries(st.sampled_from(RESOURCES),
+                                            st.one_of(picks, st.floats(0.0, 1.0)))))
+# 1- and 2-sample rows next to full ones; rest, braking to rest, a speed-clipped
+# ramp and a row off the 3 m line; both thresholds at values in play, with and
+# without held values
+@example([(0, SpeedProfile(0.0, 0.0), 0.0), (0, SpeedProfile(13.89, 0.0), 0.1),
+          (0, SpeedProfile(5.0, -6.0), 4.0), (1, SpeedProfile(12.0, 4.0, 13.89), 5.0),
+          (2, SpeedProfile(25.0, 0.0), 4.0), (0, SpeedProfile(13.89, 0.9, 13.89), 4.0)],
+         [5, 4, 3, 2, 1, 0], (1, 7), None)
+@example([(0, SpeedProfile(0.0, 0.0), 0.0), (0, SpeedProfile(13.89, 0.0), 0.1),
+          (0, SpeedProfile(5.0, -6.0), 4.0), (1, SpeedProfile(12.0, 4.0, 13.89), 5.0)],
+         [0, 1, 2, 3], (2, 11), {res: k for k, res in enumerate(RESOURCES)})
+def test_assess_candidates_equals_the_per_candidate_oracle_bitwise(rows, idx, thresholds, held):
+    ctx, paths = busy_context()
+    block = sample_trajectory([(paths[k], profile, h) for k, profile, h in rows], ctx.config.dt)
+    cands = [ManeuverCandidate(Maneuver.KEEP_LANE_SAME_SPEED, block[r], ctx.ego.lane,
+                               block=block, row=r)
+             for r in dict.fromkeys(i % len(rows) for i in idx)]
+    values = sorted({v for mu, _ in assess_oracle(ctx, cands) for v in mu.values()})
+    if thresholds is not None:   # both exactly at values in play
+        lo, hi = sorted(values[i % len(values)] for i in thresholds)
+        ctx = dataclasses.replace(ctx, config=ctx.config.replace(theta_loss=lo, theta_acquired=hi))
+    if held is not None:
+        held = {res: values[v % len(values)] if isinstance(v, int) else v
+                for res, v in held.items()}
+    got = assess_candidates(ctx, cands, held)
+    want = assess_oracle(ctx, cands, held)
+    assert len(got) == len(want) == len(cands)
+    for assessment, (mu, states) in zip(got, want):
+        assert [assessment.values[res].hex() for res in RESOURCES] \
+            == [mu[res].hex() for res in RESOURCES]
+        assert assessment.states == states
