@@ -20,10 +20,9 @@ from .identification import (
     time_to_collision,
 )
 from .metrics import Metrics, compute_metrics, invested_energy_kj
-from .planner import CorMpPlanner, Decision, PlanResult, decide, plan_tick, profit
+from .planner import CorMpPlanner, Decision, PlanResult, decide, plan_tick
 from .resources import (
     RESOURCES,
-    ResourceAssessment,
     ResourceState,
     ResourceType,
     assess_candidates,
@@ -52,7 +51,6 @@ __all__ = [
     "PlanResult",
     "PlannerConfig",
     "RESOURCES",
-    "ResourceAssessment",
     "ResourceState",
     "ResourceType",
     "Scenario",
@@ -76,7 +74,6 @@ __all__ = [
     "plan_tick",
     "predict_oru",
     "profile_weights",
-    "profit",
     "rank_order_centroid",
     "render_timeline",
     "run",

@@ -93,11 +93,6 @@ class TimedTrajectory:
     def end_speed(self) -> float:
         return float(self.speed[-1])
 
-    def path_length(self) -> float:
-        if len(self.t) < 2:
-            return 0.0
-        return float(np.sum(np.hypot(np.diff(self.x), np.diff(self.y))))
-
     def tail(self, start: int) -> "TimedTrajectory":
         """Samples from index `start` on, with time rebased to 0."""
         sl = slice(start, None)

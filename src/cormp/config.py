@@ -67,10 +67,18 @@ class PlannerConfig:
     tie_epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # all but dt and the horizon keep a resource's ratio from dividing by zero
+        for key in ("dt", "e_ref_accel", "d_min_m"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
         if self.planning_horizon_s < self.replan_period_s:
             raise ValueError("planning_horizon_s must cover at least one replan period")
+        if self.a_lon_max <= self.a_lon_comfort:
+            raise ValueError("a_lon_max must exceed a_lon_comfort")
+        if self.a_lat_max <= self.a_lat_comfort:
+            raise ValueError("a_lat_max must exceed a_lat_comfort")
+        if self.crowd_reference_count < 1:
+            raise ValueError("crowd_reference_count must be at least 1")
 
     @property
     def horizon_steps(self) -> int:

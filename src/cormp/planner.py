@@ -27,13 +27,7 @@ from .identification import (
     interacting_agents,
     predict_oru,
 )
-from .resources import (
-    RESOURCES,
-    ResourceAssessment,
-    assess_candidates,
-    profile_weights,
-    safety_value,
-)
+from .resources import RESOURCES, assess_candidates, profile_weights, safety_value
 from .scenario import Polyline, Scenario
 
 # deterministic preference order when profits tie and the previous maneuver
@@ -48,28 +42,22 @@ TIE_ORDER = (
 )
 
 
-def profit(assessment: ResourceAssessment, weights: dict) -> float:
-    """Weighted sum of resource values (the candidate's total profit)."""
-    total = 0.0
-    for res in RESOURCES:
-        total += weights[res] * assessment.values[res]
-    return total
-
-
 @dataclass
 class Decision:
     t: float
     maneuver: Maneuver
     trajectory: TimedTrajectory
     candidates: list                  # all six ManeuverCandidates
-    assessments: dict                 # Maneuver -> ResourceAssessment (feasible only)
+    values: np.ndarray                # (F, 6) resource values of the feasible ones, in order
+    states: np.ndarray                # (F, 6) codes into `resources.STATES`
+    chosen: int                       # the maneuver's row of `values` and `states`
     profits: dict                     # Maneuver -> float (feasible only)
     tie_break_applied: bool = False
     fallback: bool = False
 
 
-def decide(candidates: list, assessments: dict, profits: dict,
-           previous: Maneuver | None, tie_eps: float) -> tuple[Maneuver, bool]:
+def decide(candidates: list, profits: dict, previous: Maneuver | None,
+           tie_eps: float) -> tuple[Maneuver, bool]:
     """Argmax profit over the feasible set with the documented tie-break."""
     feasible = [c.maneuver for c in candidates if c.feasible]
     if not feasible:
@@ -87,7 +75,7 @@ def decide(candidates: list, assessments: dict, profits: dict,
 
 
 def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
-              current_values: dict | None = None,
+              current_values: np.ndarray | None = None,
               weights: dict | None = None) -> Decision:
     """One full planning pass: enumerate, filter, assess, maximize profit."""
     if weights is None:
@@ -95,20 +83,25 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
     candidates = enumerate_candidates(ctx)
     feasibility_filter(ctx, candidates)
     feasible = [c for c in candidates if c.feasible]
-    assessments = dict(zip((c.maneuver for c in feasible),
-                           assess_candidates(ctx, feasible, current_values)))
-    profits = {m: profit(a, weights) for m, a in assessments.items()}
-    maneuver, tie_break = decide(candidates, assessments, profits, previous, ctx.config.tie_epsilon)
-    chosen = next(c for c in candidates if c.maneuver is maneuver)
+    values, states = assess_candidates(ctx, feasible, current_values)
+    total = 0.0
+    for k, res in enumerate(RESOURCES):   # the weighted sum, in `RESOURCES` order
+        total = total + weights[res] * values[:, k]
+    maneuvers = [c.maneuver for c in feasible]
+    profits = dict(zip(maneuvers, total.tolist()))
+    maneuver, tie_break = decide(candidates, profits, previous, ctx.config.tie_epsilon)
+    row = maneuvers.index(maneuver)
     return Decision(
         t=ctx.sim_time,
         maneuver=maneuver,
-        trajectory=chosen.trajectory,
+        trajectory=feasible[row].trajectory,
         candidates=candidates,
-        assessments=assessments,
+        values=values,
+        states=states,
+        chosen=row,
         profits=profits,
         tie_break_applied=tie_break,
-        fallback=chosen.fallback,
+        fallback=feasible[row].fallback,
     )
 
 
@@ -193,7 +186,7 @@ class CorMpPlanner:
         self.weights = profile_weights(profile)
         self.profile = profile
         self.previous: Maneuver | None = None
-        self.current_values: dict | None = None
+        self.current_values: np.ndarray | None = None
         self.commitment = LaneChangeCommitment()
 
     def reset(self) -> None:
@@ -220,7 +213,7 @@ class CorMpPlanner:
         ctx = plan_context(scenario, cfg, sim_time)
         decision = plan_tick(ctx, self.previous, self.current_values, self.weights)
         self.previous = decision.maneuver
-        self.current_values = dict(decision.assessments[decision.maneuver].values)
+        self.current_values = decision.values[decision.chosen]
         if decision.maneuver in LANE_CHANGES:
             self.commitment.start(decision.trajectory, decision.maneuver, sim_time)
         return PlanResult(decision.trajectory, decision.maneuver, decision=decision)

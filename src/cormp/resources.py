@@ -9,7 +9,6 @@ their rows of the plan's `CandidateBlock`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -152,28 +151,23 @@ def crowdedness_value(hits: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
 
 
 # indexed by the state codes of `assess_candidates`
-_STATES = (ResourceState.LOSS, ResourceState.THREATENED, ResourceState.DESIRED,
-               ResourceState.ACQUIRED)
-
-
-@dataclass
-class ResourceAssessment:
-    values: dict   # ResourceType -> float in [0, 1]
-    states: dict   # ResourceType -> ResourceState
+STATES = (ResourceState.LOSS, ResourceState.THREATENED, ResourceState.DESIRED,
+          ResourceState.ACQUIRED)
 
 
 def assess_candidates(ctx: PlanContext, candidates: list,
-                      current_values: dict | None = None) -> list:
-    """All six resources of each candidate, as one `ResourceAssessment` each.
+                      current_values: np.ndarray | None = None) -> tuple:
+    """(values, states) of the six resources of each candidate.
 
-    Values form a (C, 6) matrix in `RESOURCES` order, each column an array
+    `values` is a (C, 6) matrix in `RESOURCES` order, each column an array
     expression over the candidates' rows of their plan's block; crowdedness
     reads those rows of the plan's one corridor pass. Comfort is 1 inside the
     comfort box, with a linear falloff to 0 at the axis maxima; objective is
     the distance covered relative to full-speed travel over the horizon;
-    energy is 1 minus the kinetic energy spent, relative to the reference. A
-    value is a loss below `theta_loss`, threatened below `theta_acquired`,
-    and otherwise desired where the currently held value is below
+    energy is 1 minus the kinetic energy spent, relative to the reference.
+    `states` holds codes into `STATES`: a value is a loss below `theta_loss`,
+    threatened below `theta_acquired`, and otherwise desired where the
+    currently held value (a (6,) row, or None for none held) is below
     `theta_acquired`, else acquired.
     """
     cfg, ego = ctx.config, ctx.ego
@@ -192,10 +186,7 @@ def assess_candidates(ctx: PlanContext, candidates: list,
     spent = kinetic_energy_delta_kj(ego.mass, ego.speed, cands.speed[:, -1])
     mu[:, 4] = 1.0 - _unit(spent / cfg.energy_reference_kj(ego.mass))
     mu[:, 5] = crowdedness_value(ctx.corridor_hits(plan_rows)[idx], cfg)
-    held = current_values or {}
-    current = np.array([held.get(res, np.nan) for res in RESOURCES])   # nan: none held
+    held = np.nan if current_values is None else current_values   # nan: none held
     codes = np.where(mu < cfg.theta_loss, 0, np.where(
-        mu < cfg.theta_acquired, 1, np.where(current < cfg.theta_acquired, 2, 3)))
-    return [ResourceAssessment(dict(zip(RESOURCES, values)),
-                               dict(zip(RESOURCES, [_STATES[k] for k in row])))
-            for values, row in zip(mu.tolist(), codes.tolist())]
+        mu < cfg.theta_acquired, 1, np.where(held < cfg.theta_acquired, 2, 3)))
+    return mu, codes

@@ -19,7 +19,7 @@ from .bezier import TimedTrajectory
 from .config import PlannerConfig
 from .identification import LANE_CHANGES, Maneuver
 from .planner import Decision, PlanResult
-from .resources import RESOURCES
+from .resources import RESOURCES, STATES
 from .scenario import AgentState, Scenario
 
 SPEED_TOLERANCE = 0.5  # m/s over the limit before a violation event
@@ -232,10 +232,12 @@ def _decision_row_fields(decision: Decision) -> dict:
         name = cand.maneuver.value
         fields[f"feasible_{name}"] = int(cand.feasible)
         fields[f"V_{name}"] = decision.profits.get(cand.maneuver)
-    chosen = decision.assessments[decision.maneuver]
-    for res in RESOURCES:
-        fields[f"mu_{res.value}"] = chosen.values[res]
-        fields[f"state_{res.value}"] = chosen.states[res].value
+    # Python floats: the log writes repr(), which numpy 2 gives as np.float64(...)
+    row = decision.chosen
+    for res, mu, code in zip(RESOURCES, decision.values[row].tolist(),
+                             decision.states[row].tolist()):
+        fields[f"mu_{res.value}"] = mu
+        fields[f"state_{res.value}"] = STATES[code].value
     return fields
 
 

@@ -4,15 +4,17 @@ from __future__ import annotations
 import math
 import pathlib
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import cormp.planner
 from cormp.baselines import make_planner
-from cormp.bezier import CandidateBlock
+from cormp.bezier import CandidateBlock, TimedTrajectory
 from cormp.config import PlannerConfig
-from cormp.identification import PredictionBlock
+from cormp.identification import Maneuver, ManeuverCandidate, PredictionBlock
 from cormp.scenario import AgentState, Scenario, load_scenario
 from cormp.simulator import SimLog, run
 
@@ -135,3 +137,29 @@ def assert_row_is_its_lone_block(block, row: int) -> None:
         assert np.array_equal(got[:n], want), (row, name)
         assert np.array_equal(got[n:], np.full(len(got) - n, want[-1])), (row, name)
     assert np.array_equal(block.valid[row], np.arange(block.x.shape[1]) < n)
+
+
+@pytest.fixture
+def weigh(monkeypatch):
+    """`plan_tick`'s weighting and choice over given resource values.
+
+    `weigh(values, weights, maneuvers)` plans with one feasible candidate per
+    (6,) row of `values`, named by `maneuvers` in order (by default the
+    `Maneuver` order), and returns the `Decision`. Enumeration, the filter and
+    the assessment are stubbed to give exactly those candidates and rows.
+    """
+    plan: dict = {}
+    monkeypatch.setattr(cormp.planner, "enumerate_candidates", lambda ctx: [
+        ManeuverCandidate(m, TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 2), None)
+        for m in plan["maneuvers"]])
+    monkeypatch.setattr(cormp.planner, "feasibility_filter", lambda ctx, candidates: None)
+    monkeypatch.setattr(cormp.planner, "assess_candidates", lambda ctx, feasible, held: (
+        plan["values"], np.full(plan["values"].shape, 3)))
+    ctx = SimpleNamespace(sim_time=0.0, config=PlannerConfig())
+
+    def plan_on(values, weights: dict, maneuvers: tuple = tuple(Maneuver)):
+        plan["values"] = np.asarray(values, dtype=float)
+        plan["maneuvers"] = maneuvers[:len(plan["values"])]
+        return cormp.planner.plan_tick(ctx, weights=weights)
+
+    return plan_on

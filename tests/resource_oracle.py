@@ -5,13 +5,13 @@ replaced with array expressions over a plan's block: comfort, objective,
 energy and the state of each value are computed on Python floats from the
 candidate's own trajectory, and safety, crowdedness and the a-priori lane
 from a block stacked from the trajectories alone. `assess_candidates` must
-equal it bitwise.
+equal it bitwise. `path_length` is the objective's distance covered.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from cormp.bezier import CandidateBlock
+from cormp.bezier import CandidateBlock, TimedTrajectory
 from cormp.config import PlannerConfig
 from cormp.identification import ManeuverCandidate, PlanContext
 from cormp.resources import (
@@ -43,9 +43,16 @@ def comfort_value(cand: ManeuverCandidate, cfg: PlannerConfig) -> float:
                axis(traj.a_lat, cfg.a_lat_comfort, cfg.a_lat_max))
 
 
+def path_length(traj: TimedTrajectory) -> float:
+    """Length of the polyline through a trajectory's samples (m)."""
+    if len(traj) < 2:
+        return 0.0
+    return float(np.sum(np.hypot(np.diff(traj.x), np.diff(traj.y))))
+
+
 def objective_value(cand: ManeuverCandidate, speed_limit: float, horizon_s: float) -> float:
     """Distance covered relative to full-speed travel over the horizon."""
-    return clamp01(cand.trajectory.path_length() / (speed_limit * horizon_s))
+    return clamp01(path_length(cand.trajectory) / (speed_limit * horizon_s))
 
 
 def energy_value(v_begin: float, v_end: float, mass_kg: float, e_ref_kj: float) -> float:
@@ -66,13 +73,14 @@ def classify_state(mu: float, cfg: PlannerConfig, mu_current: float | None = Non
     return ResourceState.ACQUIRED
 
 
-def assess_oracle(ctx: PlanContext, candidates: list, current_values: dict | None = None) -> list:
-    """(values, states) dicts of each candidate, one candidate at a time."""
+def assess_oracle(ctx: PlanContext, candidates: list, current_values=None) -> list:
+    """(values, states) dicts of each candidate, one candidate at a time;
+    `current_values` holds a value per resource in `RESOURCES` order, or is None."""
     cfg = ctx.config
     ego = ctx.ego
     cands = CandidateBlock([c.trajectory for c in candidates])
     apriori = ctx.scenario.lanes[ctx.scenario.apriori_lane]
-    held = current_values or {}
+    held = {} if current_values is None else dict(zip(RESOURCES, current_values))
     safety = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
     hits = ctx.predictions.corridor_hits(cands, ego.length, ego.width, cfg)
     crowdedness = [1.0 - clamp01(float(n) / float(cfg.crowd_reference_count))

@@ -15,11 +15,8 @@ from cormp import cli
 from cormp.bezier import TimedTrajectory
 from cormp.identification import CandidateBlock, time_to_collision
 from cormp.metrics import compute_metrics
-from cormp.planner import profit
 from cormp.resources import (
     RESOURCES,
-    ResourceAssessment,
-    ResourceState,
     kinetic_energy_delta_kj,
     profile_weights,
     rank_order_centroid,
@@ -27,11 +24,6 @@ from cormp.resources import (
 from curve_oracle import CubicBezier
 
 EGO_HALF_LEN = 4.5 / 2.0
-
-
-def assessment(mu):
-    return ResourceAssessment({r: float(v) for r, v in zip(RESOURCES, mu)},
-                              {r: ResourceState.ACQUIRED for r in RESOURCES})
 
 
 # --------------------------------------------------------------------------
@@ -219,25 +211,26 @@ def test_criterion_4_profiles_diverge_on_the_highway():
 # criterion 5: profit is the weighted sum, and scale cannot flip a choice
 
 
-def test_criterion_5_profit_oracle_and_scaling():
+def test_criterion_5_profit_oracle_and_scaling(weigh):
     rng = np.random.default_rng(2203)
     for profile in ("regular", "aggressive", "fuel_efficient"):
         weights = profile_weights(profile)
         w = np.array([weights[r] for r in RESOURCES])
         for _ in range(1000):
             mu = rng.uniform(0.0, 1.0, 6)
-            assert abs(profit(assessment(mu), weights) - float(w @ mu)) <= 1e-12
+            profit, = weigh([mu], weights).profits.values()
+            assert abs(profit - float(w @ mu)) <= 1e-12
 
     weights = profile_weights("regular")
     checked = 0
     while checked < 300:
         mus = rng.uniform(0.0, 1.0, (6, 6))
         lam = float(rng.uniform(0.1, 10.0))
-        base = np.array([profit(assessment(v), weights) for v in mus])
+        base = np.array(list(weigh(mus, weights).profits.values()))
         order = np.argsort(base)
         if base[order[-1]] - base[order[-2]] < 1e-9:
             continue  # a true tie goes to the tie-break rule, not the argmax
-        scaled = np.array([profit(assessment(lam * v), weights) for v in mus])
+        scaled = np.array(list(weigh(lam * mus, weights).profits.values()))
         assert int(np.argmax(base)) == int(np.argmax(scaled))
         assert np.allclose(scaled, lam * base, rtol=1e-9, atol=1e-12)
         checked += 1

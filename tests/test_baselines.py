@@ -16,14 +16,8 @@ from cormp.baselines import (
 )
 from cormp.config import PlannerConfig
 from cormp.identification import LANE_CHANGES, Maneuver
-from cormp.planner import CorMpPlanner, decide, profit
-from cormp.resources import (
-    RESOURCES,
-    ResourceAssessment,
-    ResourceState,
-    ResourceType,
-    profile_weights,
-)
+from cormp.planner import CorMpPlanner
+from cormp.resources import ResourceType, profile_weights
 from cormp.scenario import load_scenario
 from cormp.simulator import run
 
@@ -259,19 +253,14 @@ def test_utility_weights_cover_four_resources_equally():
     assert sum(w.values()) == pytest.approx(1.0)
 
 
-def assessment(values):
-    return ResourceAssessment({r: v for r, v in zip(RESOURCES, values)},
-                              {r: ResourceState.ACQUIRED for r in RESOURCES})
-
-
-def test_utility_ignores_energy_and_crowdedness():
+def test_utility_ignores_energy_and_crowdedness(weigh):
     w = UtilityPlanner.UTILITY_WEIGHTS
-    a = assessment([0.5, 0.5, 0.5, 0.5, 0.0, 0.0])
-    b = assessment([0.5, 0.5, 0.5, 0.5, 1.0, 1.0])
-    assert profit(a, w) == profit(b, w) == pytest.approx(0.5)
+    a, b = weigh([[0.5, 0.5, 0.5, 0.5, 0.0, 0.0],
+                  [0.5, 0.5, 0.5, 0.5, 1.0, 1.0]], w).profits.values()
+    assert a == b == pytest.approx(0.5)
 
 
-def test_utility_and_resource_scoring_agree_under_dominance():
+def test_utility_and_resource_scoring_agree_under_dominance(weigh):
     # when one candidate beats another on every shared resource (and the
     # unshared ones are equal), both scorers must pick the same winner
     rng = np.random.default_rng(11)
@@ -281,27 +270,20 @@ def test_utility_and_resource_scoring_agree_under_dominance():
         low = rng.uniform(0.0, 0.8, 4)
         high = low + rng.uniform(0.01, 0.2, 4)
         tail = rng.uniform(0.0, 1.0, 2)
-        weak = assessment(list(low) + list(tail))
-        strong = assessment(list(high) + list(tail))
+        weak = list(low) + list(tail)
+        strong = list(high) + list(tail)
         for weights in (regular, flat):
-            assert profit(strong, weights) > profit(weak, weights)
+            p_strong, p_weak = weigh([strong, weak], weights).profits.values()
+            assert p_strong > p_weak
 
 
-def test_utility_tie_breaks_like_the_primary_planner():
-    from cormp.identification import ManeuverCandidate
-    from cormp.bezier import TimedTrajectory
-
-    def cand(m):
-        return ManeuverCandidate(m, TimedTrajectory.stationary(0, 0, 0, 0.1, 2), None)
-
-    candidates = [cand(Maneuver.KEEP_LANE_ACCELERATE),
-                  cand(Maneuver.KEEP_LANE_SAME_SPEED)]
-    shared = assessment([0.7, 0.7, 0.7, 0.7, 0.2, 0.9])
+def test_utility_tie_breaks_like_the_primary_planner(weigh):
+    shared = [0.7, 0.7, 0.7, 0.7, 0.2, 0.9]
     flat = UtilityPlanner.UTILITY_WEIGHTS
-    profits = {c.maneuver: profit(shared, flat) for c in candidates}
-    maneuver, tie = decide(candidates, {}, profits, None, 1e-9)
-    assert tie
-    assert maneuver is Maneuver.KEEP_LANE_SAME_SPEED
+    decision = weigh([shared, shared], flat,
+                     (Maneuver.KEEP_LANE_ACCELERATE, Maneuver.KEEP_LANE_SAME_SPEED))
+    assert decision.tie_break_applied
+    assert decision.maneuver is Maneuver.KEEP_LANE_SAME_SPEED
 
 
 def test_highway_split_between_planners():

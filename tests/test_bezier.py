@@ -15,6 +15,7 @@ from cormp.kernels import bezier_curve
 from cormp.scenario import Polyline, load_scenario
 from cormp.simulator import run
 from curve_oracle import CubicBezier, bezier_points, chord_count, lane_cubic
+from resource_oracle import path_length
 
 UNIT_SQUARE = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
 
@@ -125,7 +126,7 @@ def sampled_at_unit_speed(path: Polyline) -> TimedTrajectory:
 def test_sampled_length_straight_segment():
     traj = sampled_at_unit_speed(Polyline([(0.0, 0.0), (3.0, 0.0)]))
     assert traj.t[-1] == pytest.approx(3.0, abs=2e-3)
-    assert traj.path_length() == pytest.approx(traj.t[-1], abs=1e-3)
+    assert path_length(traj) == pytest.approx(traj.t[-1], abs=1e-3)
 
 
 def test_sampled_length_against_dense_polyline():
@@ -134,7 +135,7 @@ def test_sampled_length_against_dense_polyline():
     pts = np.array([de_casteljau(UNIT_SQUARE, u) for u in us])
     oracle = float(np.sum(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))))
     assert traj.t[-1] == pytest.approx(oracle, abs=2e-3)
-    assert traj.path_length() == pytest.approx(traj.t[-1], abs=1e-3)
+    assert path_length(traj) == pytest.approx(traj.t[-1], abs=1e-3)
 
 
 def test_flat_cubic_becomes_one_chord():
@@ -433,7 +434,7 @@ def test_stationary_factory():
     assert len(traj) == 8
     assert np.allclose(traj.x, 3.0) and np.allclose(traj.y, 4.0)
     assert np.allclose(traj.speed, 0.0)
-    assert traj.path_length() == pytest.approx(0.0)
+    assert path_length(traj) == pytest.approx(0.0)
 
 
 def test_tail_rebases_time():

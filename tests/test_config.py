@@ -49,6 +49,23 @@ def test_validation_rejects_bad_values():
         PlannerConfig(planning_horizon_s=0.2, replan_period_s=0.5)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    pytest.param({"a_lon_max": 0.9}, "a_lon_max", id="a_lon_max"),
+    pytest.param({"a_lat_max": 0.9}, "a_lat_max", id="a_lat_max"),
+    pytest.param({"a_lon_comfort": 3.5}, "a_lon_max", id="a_lon_comfort"),
+    pytest.param({"crowd_reference_count": 0}, "crowd_reference_count",
+                 id="crowd_reference_count"),
+    pytest.param({"e_ref_accel": 0.0}, "e_ref_accel", id="e_ref_accel"),
+    pytest.param({"t_headway_s": 0.0, "d_min_m": 0.0}, "d_min_m", id="d_min_m"),
+])
+def test_validation_rejects_values_a_resource_would_divide_by(overrides, key):
+    # each makes a comfort, crowdedness, energy or safety ratio divide by zero
+    with pytest.raises(ValueError, match=key):
+        PlannerConfig(**overrides)
+    with pytest.raises(ValueError, match=key):
+        PlannerConfig.from_dict(overrides)
+
+
 def test_profiles_constant():
     assert PROFILES == ("regular", "aggressive", "fuel_efficient")
 

@@ -35,6 +35,7 @@ from cormp.planner import CorMpPlanner, plan_context, plan_tick
 from cormp.scenario import Polyline, load_scenario
 from cormp.simulator import SimWorld, run
 from curve_oracle import chord_count, lane_cubic
+from resource_oracle import path_length
 
 EGO = {"id": "ego", "kind": "ego", "position": [15.0, 0.0], "heading": 0.0,
        "speed": 13.89, "length": 4.5, "width": 1.8, "mass": 1500.0,
@@ -248,7 +249,7 @@ def test_keep_lane_kinematics_with_explicit_rate():
     cand, = enumerate_candidates(ctx, (), {Maneuver.KEEP_LANE_ACCELERATE: 1.5})
     assert cand.trajectory.end_speed == pytest.approx(16.0, abs=1e-9)
     assert cand.trajectory.t[-1] - cand.trajectory.t[0] == pytest.approx(4.0)
-    assert cand.trajectory.path_length() == pytest.approx(52.0, abs=1e-6)
+    assert path_length(cand.trajectory) == pytest.approx(52.0, abs=1e-6)
 
 
 def test_keep_lane_and_lane_change_follow_a_curved_centerline():

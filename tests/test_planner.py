@@ -17,25 +17,9 @@ from cormp.planner import (
     decide,
     plan_context,
     plan_tick,
-    profit,
 )
-from cormp.resources import (
-    RESOURCES,
-    ResourceAssessment,
-    ResourceState,
-    profile_weights,
-)
+from cormp.resources import RESOURCES, STATES, ResourceState, profile_weights
 from cormp.scenario import Polyline, load_scenario
-
-
-def assessment(values_by_resource: dict) -> ResourceAssessment:
-    values = {r: values_by_resource.get(r, 0.0) for r in RESOURCES}
-    states = {r: ResourceState.ACQUIRED for r in RESOURCES}
-    return ResourceAssessment(values, states)
-
-
-def uniform_assessment(value: float) -> ResourceAssessment:
-    return assessment({r: value for r in RESOURCES})
 
 
 def stub_candidate(maneuver: Maneuver, feasible: bool = True) -> ManeuverCandidate:
@@ -49,41 +33,40 @@ REGULAR = profile_weights("regular")
 # ---------------------------------------------------------------- profit
 
 
-def test_profit_bounds():
-    assert profit(uniform_assessment(1.0), REGULAR) == pytest.approx(1.0, abs=1e-12)
-    assert profit(uniform_assessment(0.0), REGULAR) == 0.0
+def test_profit_bounds(weigh):
+    profits = weigh([np.ones(6), np.zeros(6)], REGULAR).profits
+    assert profits[Maneuver.CHANGE_LANE_LEFT] == pytest.approx(1.0, abs=1e-12)
+    assert profits[Maneuver.CHANGE_LANE_RIGHT] == 0.0
 
 
-def test_profit_single_resource_is_its_weight():
-    from cormp.resources import ResourceType
-    a = assessment({ResourceType.SAFETY: 1.0})
-    assert profit(a, REGULAR) == pytest.approx(49.0 / 120.0, abs=1e-12)
+def test_profit_single_resource_is_its_weight(weigh):
+    # safety alone, the first of `RESOURCES`
+    profits = weigh([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]], REGULAR).profits
+    assert profits[Maneuver.CHANGE_LANE_LEFT] == pytest.approx(49.0 / 120.0, abs=1e-12)
 
 
-def test_profit_matches_dot_product_oracle():
+def test_profit_matches_dot_product_oracle(weigh):
     rng = np.random.default_rng(47)
     for profile in ("regular", "aggressive", "fuel_efficient"):
         weights = profile_weights(profile)
         w_vec = np.array([weights[r] for r in RESOURCES])
         for _ in range(200):
             mu = rng.uniform(0.0, 1.0, 6)
-            a = assessment(dict(zip(RESOURCES, mu)))
-            assert abs(profit(a, weights) - float(w_vec @ mu)) < 1e-12
+            profit, = weigh([mu], weights).profits.values()
+            assert abs(profit - float(w_vec @ mu)) < 1e-12
 
 
-def test_choice_is_scale_invariant():
-    # a common positive rescaling of every value vector scales all profits
+def test_choice_is_scale_invariant(weigh):
+    # a common positive rescaling of every value row scales all profits
     # equally, so the winner cannot move (clamping is bypassed here by
-    # feeding raw assessments straight to the scorer)
+    # feeding raw rows straight to the weighting)
     rng = np.random.default_rng(53)
     maneuvers = list(Maneuver)
     for _ in range(100):
-        raw = {m: rng.uniform(0.0, 1.0, 6) for m in maneuvers}
+        raw = rng.uniform(0.0, 1.0, (len(maneuvers), 6))
         lam = float(rng.uniform(0.1, 10.0))
-        base = {m: profit(assessment(dict(zip(RESOURCES, v))), REGULAR)
-                for m, v in raw.items()}
-        scaled = {m: profit(assessment(dict(zip(RESOURCES, lam * v))), REGULAR)
-                  for m, v in raw.items()}
+        base = weigh(raw, REGULAR).profits
+        scaled = weigh(lam * raw, REGULAR).profits
         ranked = sorted(base, key=base.get)
         if base[ranked[-1]] - base[ranked[-2]] < 1e-9:
             continue  # genuine tie, handled by the tie-break tests
@@ -99,7 +82,7 @@ def test_decide_takes_the_argmax():
     cands = [stub_candidate(Maneuver.CHANGE_LANE_LEFT),
              stub_candidate(Maneuver.KEEP_LANE_SAME_SPEED)]
     profits = {Maneuver.CHANGE_LANE_LEFT: 0.7, Maneuver.KEEP_LANE_SAME_SPEED: 0.6}
-    maneuver, tie = decide(cands, {}, profits, None, 1e-9)
+    maneuver, tie = decide(cands, profits, None, 1e-9)
     assert maneuver is Maneuver.CHANGE_LANE_LEFT
     assert not tie
 
@@ -109,7 +92,7 @@ def test_decide_tie_prefers_the_previous_maneuver():
              stub_candidate(Maneuver.KEEP_LANE_DECELERATE)]
     profits = {Maneuver.KEEP_LANE_SAME_SPEED: 0.6,
                Maneuver.KEEP_LANE_DECELERATE: 0.6}
-    maneuver, tie = decide(cands, {}, profits, Maneuver.KEEP_LANE_DECELERATE, 1e-9)
+    maneuver, tie = decide(cands, profits, Maneuver.KEEP_LANE_DECELERATE, 1e-9)
     assert maneuver is Maneuver.KEEP_LANE_DECELERATE
     assert tie
 
@@ -119,7 +102,7 @@ def test_decide_tie_without_history_uses_fixed_order():
              stub_candidate(Maneuver.KEEP_LANE_SAME_SPEED)]
     profits = {m: 0.5 for m in (Maneuver.KEEP_LANE_DECELERATE,
                                 Maneuver.KEEP_LANE_SAME_SPEED)}
-    maneuver, tie = decide(cands, {}, profits, None, 1e-9)
+    maneuver, tie = decide(cands, profits, None, 1e-9)
     assert maneuver is Maneuver.KEEP_LANE_SAME_SPEED  # calmest option first
     assert tie
     assert TIE_ORDER[0] is Maneuver.KEEP_LANE_SAME_SPEED
@@ -129,13 +112,13 @@ def test_decide_with_only_a_fallback():
     cands = [stub_candidate(m, feasible=False) for m in list(Maneuver)[:5]]
     cands.append(stub_candidate(Maneuver.STOP))
     profits = {Maneuver.STOP: 0.1}
-    maneuver, _ = decide(cands, {}, profits, None, 1e-9)
+    maneuver, _ = decide(cands, profits, None, 1e-9)
     assert maneuver is Maneuver.STOP
 
 
 def test_decide_requires_a_feasible_candidate():
     with pytest.raises(ValueError):
-        decide([stub_candidate(Maneuver.STOP, feasible=False)], {}, {}, None, 1e-9)
+        decide([stub_candidate(Maneuver.STOP, feasible=False)], {}, None, 1e-9)
 
 
 # ---------------------------------------------------------------- plan_tick
@@ -154,10 +137,34 @@ def test_empty_road_below_limit_accelerates():
 
 
 def test_plan_tick_scores_only_feasible_candidates():
-    decision = plan_tick(empty_road_context())
-    infeasible = {c.maneuver for c in decision.candidates if not c.feasible}
-    assert set(decision.profits).isdisjoint(infeasible)
-    assert set(decision.profits) == set(decision.assessments)
+    ctx = empty_road_context()
+    decision = plan_tick(ctx)
+    feasible = [c.maneuver for c in decision.candidates if c.feasible]
+    assert len(feasible) < len(decision.candidates)
+    assert list(decision.profits) == feasible
+    assert decision.values.shape == decision.states.shape == (len(feasible), len(RESOURCES))
+    assert set(decision.states.flat) <= set(range(len(STATES)))
+    weights = profile_weights(ctx.scenario.profile)
+    for m, row in zip(feasible, decision.values.tolist()):
+        total = 0.0   # the weighted sum in `RESOURCES` order, bitwise
+        for res, mu in zip(RESOURCES, row):
+            total += weights[res] * mu
+        assert decision.profits[m] == total
+    assert feasible[decision.chosen] is decision.maneuver
+
+
+def test_held_values_turn_acquired_states_desired():
+    planner = CorMpPlanner(PlannerConfig(), "regular")
+    first = planner.plan(load("empty_road"), 0.0).decision
+    assert np.array_equal(planner.current_values, first.values[first.chosen])
+    fresh = plan_tick(empty_road_context())
+    held = plan_tick(empty_road_context(), current_values=np.zeros(len(RESOURCES)))
+    assert np.array_equal(fresh.values, held.values)
+    kept = fresh.values >= PlannerConfig().theta_acquired
+    assert kept.any()
+    assert {STATES[k] for k in fresh.states[kept]} == {ResourceState.ACQUIRED}
+    assert {STATES[k] for k in held.states[kept]} == {ResourceState.DESIRED}
+    assert np.array_equal(fresh.states[~kept], held.states[~kept])
 
 
 # ---------------------------------------------------------------- re-profile
@@ -291,7 +298,9 @@ def test_mobil_shares_the_commitment_replay():
 def test_reset_clears_history():
     planner = CorMpPlanner(PlannerConfig(), "regular")
     planner.previous = Maneuver.STOP
+    planner.current_values = np.ones(len(RESOURCES))
     planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
     planner.reset()
     assert planner.previous is None
+    assert planner.current_values is None
     assert planner.commitment.trajectory is None

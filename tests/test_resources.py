@@ -22,6 +22,7 @@ from cormp.planner import CorMpPlanner, plan_context
 from cormp.resources import (
     PROFILE_RANKINGS,
     RESOURCES,
+    STATES,
     ResourceState,
     ResourceType,
     apriori_lane_value,
@@ -298,10 +299,12 @@ def test_full_assessment_stays_in_unit_interval():
     # every candidate with a row of the plan's block: all but the missing right lane's
     cands = [c for c in enumerate_candidates(ctx) if c.row is not None]
     assert len(cands) == 5
-    for assessment in assess_candidates(ctx, cands):
-        for res in RESOURCES:
-            assert 0.0 <= assessment.values[res] <= 1.0
-            assert isinstance(assessment.states[res], ResourceState)
+    values, states = assess_candidates(ctx, cands)
+    assert values.shape == states.shape == (5, len(RESOURCES))
+    assert np.all((0.0 <= values) & (values <= 1.0))
+    assert np.issubdtype(states.dtype, np.integer)
+    assert set(states.flat) <= set(range(len(STATES)))
+    assert all(isinstance(state, ResourceState) for state in STATES)
 
 
 def test_property_values_clamped_over_random_inputs():
@@ -345,8 +348,8 @@ picks = st.integers(0, 63)   # indices into the rows, or into the oracle's value
 @settings(max_examples=150)
 @given(assessed_rows, st.lists(picks, min_size=1, max_size=8),
        st.one_of(st.none(), st.tuples(picks, picks)),
-       st.one_of(st.none(), st.dictionaries(st.sampled_from(RESOURCES),
-                                            st.one_of(picks, st.floats(0.0, 1.0)))))
+       st.one_of(st.none(), st.lists(st.one_of(picks, st.floats(0.0, 1.0)),
+                                     min_size=len(RESOURCES), max_size=len(RESOURCES))))
 # 1- and 2-sample rows next to full ones; rest, braking to rest, a speed-clipped
 # ramp and a row off the 3 m line; both thresholds at values in play, with and
 # without held values
@@ -356,7 +359,7 @@ picks = st.integers(0, 63)   # indices into the rows, or into the oracle's value
          [5, 4, 3, 2, 1, 0], (1, 7), None)
 @example([(0, SpeedProfile(0.0, 0.0), 0.0), (0, SpeedProfile(13.89, 0.0), 0.1),
           (0, SpeedProfile(5.0, -6.0), 4.0), (1, SpeedProfile(12.0, 4.0, 13.89), 5.0)],
-         [0, 1, 2, 3], (2, 11), {res: k for k, res in enumerate(RESOURCES)})
+         [0, 1, 2, 3], (2, 11), list(range(len(RESOURCES))))
 def test_assess_candidates_equals_the_per_candidate_oracle_bitwise(rows, idx, thresholds, held):
     ctx, paths = busy_context()
     block = sample_trajectory([(paths[k], profile, h) for k, profile, h in rows], ctx.config.dt)
@@ -368,12 +371,10 @@ def test_assess_candidates_equals_the_per_candidate_oracle_bitwise(rows, idx, th
         lo, hi = sorted(values[i % len(values)] for i in thresholds)
         ctx = dataclasses.replace(ctx, config=ctx.config.replace(theta_loss=lo, theta_acquired=hi))
     if held is not None:
-        held = {res: values[v % len(values)] if isinstance(v, int) else v
-                for res, v in held.items()}
-    got = assess_candidates(ctx, cands, held)
+        held = np.array([values[v % len(values)] if isinstance(v, int) else v for v in held])
+    got, codes = assess_candidates(ctx, cands, held)
     want = assess_oracle(ctx, cands, held)
-    assert len(got) == len(want) == len(cands)
-    for assessment, (mu, states) in zip(got, want):
-        assert [assessment.values[res].hex() for res in RESOURCES] \
-            == [mu[res].hex() for res in RESOURCES]
-        assert assessment.states == states
+    assert got.shape == codes.shape == (len(cands), len(RESOURCES)) and len(want) == len(cands)
+    for row, row_codes, (mu, states) in zip(got.tolist(), codes.tolist(), want):
+        assert [v.hex() for v in row] == [mu[res].hex() for res in RESOURCES]
+        assert [STATES[k] for k in row_codes] == [states[res] for res in RESOURCES]
