@@ -160,10 +160,11 @@ class MobilPlanner:
 
         ctx = plan_context(scenario, cfg, sim_time)
         if best_change is not None:
-            cand, = enumerate_candidates(ctx, (best_change,), {})
-            if cand.target_lane is not None:
-                self.commitment.start(cand.trajectory, best_change, sim_time)
-                return PlanResult(cand.trajectory, best_change)
+            block, (cand,) = enumerate_candidates(ctx, (best_change,), {})
+            if cand.row is not None:
+                trajectory = block[cand.row]
+                self.commitment.start(trajectory, best_change, sim_time)
+                return PlanResult(trajectory, best_change)
 
         accel = min(max(a_keep, -cfg.a_lon_max), cfg.accel_keep_lane)
         if accel > 0.05:
@@ -172,8 +173,8 @@ class MobilPlanner:
             maneuver = Maneuver.KEEP_LANE_DECELERATE
         else:
             maneuver = Maneuver.KEEP_LANE_SAME_SPEED
-        cand, = enumerate_candidates(ctx, (), {maneuver: accel})
-        return PlanResult(cand.trajectory, maneuver)
+        block, (cand,) = enumerate_candidates(ctx, (), {maneuver: accel})
+        return PlanResult(block[cand.row], maneuver)
 
 
 class UtilityPlanner(CorMpPlanner):

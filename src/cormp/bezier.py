@@ -60,7 +60,7 @@ def chord_points(ctrl, extra: int = 0) -> np.ndarray:
 
 @dataclass
 class SpeedProfile:
-    """Constant-acceleration speed profile with clamping at 0 and v_max."""
+    """Constant-acceleration speed profile, clamped at 0 and at max(v_max, v0)."""
 
     v0: float
     accel: float = 0.0
@@ -89,10 +89,6 @@ class TimedTrajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def end_speed(self) -> float:
-        return float(self.speed[-1])
-
     def tail(self, start: int) -> "TimedTrajectory":
         """Samples from index `start` on, with time rebased to 0."""
         sl = slice(start, None)
@@ -117,11 +113,12 @@ class CandidateBlock:
 
     t, x, y, heading, speed, a_lon and a_lat are (C, T) arrays, T the longest
     trajectory's sample count; a shorter row repeats its last sample, and
-    `valid` marks each row's own samples. Iterating or indexing the block
-    gives its trajectories. `sample_trajectory` returns its own buffers as
-    one; a plan hands `take` of the rows in play to each measure. Padding
-    changes no measure: none reads a sample that `valid` does not mark, or
-    one that only repeats a marked sample (such as a row's largest |a_lon|).
+    `valid` marks each row's own samples. Indexing or iterating the block
+    gives each row's `TimedTrajectory`, built on demand as views of the row's
+    valid samples. `sample_trajectory` returns its own buffers as one; a plan
+    hands `take` of the rows in play to each measure. Padding changes no
+    measure: none reads a sample that `valid` does not mark, or one that only
+    repeats a marked sample (such as a row's largest |a_lon|).
     """
 
     def __init__(self, trajectories: list) -> None:
@@ -132,21 +129,18 @@ class CandidateBlock:
             rows[:, c, :n] = (traj.t, traj.x, traj.y, traj.heading, traj.speed,
                               traj.a_lon, traj.a_lat)
             rows[:, c, n:] = rows[:, c, n - 1:n]
-        self._set(rows, np.arange(rows.shape[2]) < lengths[:, None], trajectories[0].dt,
-                  list(trajectories))
+        self._set(rows, np.arange(rows.shape[2]) < lengths[:, None], trajectories[0].dt)
 
-    def _set(self, rows: np.ndarray, valid: np.ndarray, dt: float, trajectories: list) -> None:
+    def _set(self, rows: np.ndarray, valid: np.ndarray, dt: float) -> None:
         self._rows = rows
         self.t, self.x, self.y, self.heading, self.speed, self.a_lon, self.a_lat = rows
         self.valid = valid
         self.dt = dt
-        self.trajectories = trajectories
 
     def take(self, idx: list) -> CandidateBlock:
         """The block of rows `idx` (copies), padded as here."""
         sub = CandidateBlock.__new__(CandidateBlock)
-        sub._set(self._rows[:, idx], self.valid[idx], self.dt,
-                 [self.trajectories[i] for i in idx])
+        sub._set(self._rows[:, idx], self.valid[idx], self.dt)
         return sub
 
     @property
@@ -155,30 +149,28 @@ class CandidateBlock:
         return self._rows[1:3, :, -1].T
 
     def __len__(self) -> int:
-        return len(self.trajectories)
-
-    def __iter__(self):
-        return iter(self.trajectories)
+        return self._rows.shape[1]
 
     def __getitem__(self, c: int) -> TimedTrajectory:
-        return self.trajectories[c]
+        return TimedTrajectory(self.dt, *self._rows[:, c, :np.count_nonzero(self.valid[c])])
 
 
 def _speeds_and_arcs(profiles, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(P, n) speeds and arc lengths at n ticks, row p under profiles[p].
 
-    Each row follows v(t) = clip(v0 + a t, 0, v_max). Both are running sums
-    of per-tick steps, so they equal stepping `v += a dt` and `s += ds` tick
-    by tick. The speed ramps by a dt while a whole tick fits before the clip;
-    the one tick that reaches v_max or rest is integrated exactly, and the
-    speed holds from there on (from the first tick without acceleration).
+    Each row follows v(t) = clip(v0 + a t, 0, cap), cap = max(v_max, v0).
+    Both are running sums of per-tick steps, so they equal stepping
+    `v += a dt` and `s += ds` tick by tick. The speed ramps by a dt while a
+    whole tick fits before the clip; the one tick that reaches the cap or
+    rest is integrated exactly, and the speed holds from there on (from the
+    first tick without acceleration).
     """
     rows = []
     for p in profiles:
-        a, v0 = p.accel, min(max(p.v0, 0.0), p.v_max)
+        a, v0, cap = p.accel, p.v0, max(p.v_max, p.v0)
         # the clip's speed, and (clip - v) / a is the time left before it;
         # dividing by inf puts a profile without acceleration at its clip now
-        clip, hold = (p.v_max, p.v_max) if a > 0 else ((0.0, 0.0) if a < 0 else (0.0, v0))
+        clip, hold = (cap, cap) if a > 0 else ((0.0, 0.0) if a < 0 else (0.0, v0))
         rows.append((v0, a * dt, 0.5 * a * dt * dt, clip, a if a != 0 else math.inf,
                      0.5 * a, hold, hold * dt))
     v0, a_dt, ramp, clip, a, half_a, hold, hold_ds = np.array(rows).T[:, :, None]
@@ -221,8 +213,8 @@ def tick_times(dt: float, horizon: float) -> np.ndarray:
 def sample_trajectory(rows, dt: float) -> CandidateBlock:
     """Sample poses along paths under clamped constant-accel speed profiles.
 
-    `rows` is a sequence of (path, `SpeedProfile`, horizon) triples; the
-    `CandidateBlock` returned holds one `TimedTrajectory` per row, in order.
+    `rows` is a sequence of (path, `SpeedProfile`, horizon) triples; row r
+    of the `CandidateBlock` returned is the trajectory of `rows[r]`.
     A row's samples fall on the ticks up to its horizon and end early where
     its path is exhausted, so the trajectories may differ in length; a
     profile that comes to rest keeps emitting resting samples up to the
@@ -232,11 +224,9 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     locates and gathers its rows' segments once; each row is bitwise what it
     would be if sampled alone.
 
-    The arrays are shared, not owned, and read-only: the block's (R, T) rows
-    are the buffers the samples are written to, padded with each row's last
-    sample as `CandidateBlock(trajectories)` pads them; each trajectory's
-    x, y, heading, speed, a_lon and a_lat are views of its row, and its `t`
-    a view of the cached `tick_times` grid.
+    The block's (R, T) rows are the read-only buffers the samples are
+    written to, padded with each row's last sample as
+    `CandidateBlock(trajectories)` pads them.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -278,10 +268,6 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
         if n < width:
             buffers[:, r, n:] = buffers[:, r, n - 1:n]
     buffers.flags.writeable = False
-    _, x, y, heading, speed, a_lon, a_lat = buffers   # read-only views, as the rows are
     block = CandidateBlock.__new__(CandidateBlock)
-    block._set(buffers, np.arange(width) < counts[:, None], dt,
-               [TimedTrajectory(dt, t[:n], x[r, :n], y[r, :n], heading[r, :n], speed[r, :n],
-                                a_lon[r, :n], a_lat[r, :n])
-                for r, n in enumerate(ns)])
+    block._set(buffers, np.arange(width) < counts[:, None], dt)
     return block

@@ -12,24 +12,27 @@ road users get constant-velocity predictions on the same tick grid, along
 their centerline or a straight line, stacked into one `PredictionBlock` per
 plan, so that every pairwise measure is one broadcast over both blocks, and
 their corridors are crossed with the plan's rows at most once per plan
-(`PlanContext.corridor_hits`). The feasibility filter removes candidates that
-risk collision (footprint time-to-collision below the threshold) or break
-traffic rules (speeding, solid boundaries, red lights, occupied crosswalks);
-if everything is filtered out, Stop is retained as the fallback.
+(`PlanContext.corridor_hits`). The feasibility filter returns the plan's rule
+matrix: one row per candidate, one column per rule in `RULES` (no lane,
+speeding, accelerating at the limit, a solid boundary, a red light, an
+occupied crosswalk, footprint time-to-collision below the threshold), each
+column one array expression over the candidates' rows. A candidate is
+feasible where no column is set; if none is, Stop is retained as the
+fallback.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .bezier import CandidateBlock, SpeedProfile, TimedTrajectory, chord_points, sample_trajectory
+from .bezier import CandidateBlock, SpeedProfile, chord_points, sample_trajectory
 from .config import PlannerConfig
 from .kernels import REACH_MARGIN, pose_gaps
-from .scenario import AgentState, Crosswalk, Lane, Polyline, Scenario
+from .scenario import AgentState, Lane, Polyline, Scenario
 
 
 class Maneuver(Enum):
@@ -44,10 +47,9 @@ class Maneuver(Enum):
 
 LANE_CHANGES = (Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT)
 
-# reject reasons
-NO_LANE = "no_lane"
-RULE_VIOLATION = "rule_violation"
-COLLISION_RISK = "collision_risk"
+# the columns of `feasibility_filter`'s rule matrix
+RULES = ("no_lane", "speed", "accelerate_at_limit", "solid_line", "red_light", "crosswalk",
+         "ttc")
 
 
 class PredictionBlock:
@@ -114,15 +116,10 @@ class PredictionBlock:
 @dataclass
 class ManeuverCandidate:
     maneuver: Maneuver
-    trajectory: TimedTrajectory
     target_lane: str | None
-    feasible: bool = True
-    reason: str | None = None
-    fallback: bool = False
-    min_ttc: float = math.inf
+    row: int | None = None        # its trajectory's row of the plan's block; None without a lane
     stretched: bool = False
-    block: CandidateBlock | None = None   # the plan's sampled rows; `trajectory` is row `row`
-    row: int | None = None
+    feasible: bool = True
 
 
 @dataclass
@@ -156,6 +153,23 @@ class PlanContext:
     def ego_s(self) -> float:
         """The ego's arc position on its own lane, projected once per plan."""
         return self.lane.centerline.project((self.ego.x, self.ego.y))[0]
+
+    @cached_property
+    def crosswalk_occupancy(self) -> list:
+        """Per crosswalk, (T,) bool: a pedestrian footprint is predicted on
+        its area, on any of its lanes, at each tick. One broadcast each."""
+        block, ped = self.predictions, self.predictions.pedestrian
+        out = []
+        for cw in self.scenario.crosswalks:
+            mid = 0.5 * (cw.span[0] + cw.span[1])
+            rects = [(*lane.centerline.point_at(mid), lane.centerline.heading_at(mid),
+                      lane.width / 2.0) for lane in map(self.scenario.lanes.get, cw.lanes)]
+            cx, cy, heading, half_width = np.array(rects).T[:, :, None, None]
+            gaps = pose_gaps(cx, cy, heading, (cw.span[1] - cw.span[0]) / 2.0, half_width,
+                             block.x[ped], block.y[ped], block.heading[ped],
+                             block.half_length[ped, None], block.half_width[ped, None])
+            out.append(np.any(gaps <= 0.0, axis=(0, 1)))   # (L, P, T) -> (T,)
+        return out
 
 
 def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfig) -> list:
@@ -236,10 +250,10 @@ def _stop_constraint_distance(ctx: PlanContext) -> float | None:
             continue
         if light.color_at(ctx.sim_time) == "red":
             targets.append(light.stop_line_s - cfg.stop_line_margin_m)
-    for cw in ctx.scenario.crosswalks:
+    for cw, occupied in zip(ctx.scenario.crosswalks, ctx.crosswalk_occupancy):
         if ego.lane not in cw.lanes or cw.span[0] <= front:
             continue
-        if _crosswalk_occupied(ctx, cw, 0):
+        if occupied[0]:
             targets.append(cw.span[0] - cfg.stop_line_margin_m)
     block = ctx.predictions
     # moving traffic is handled by TTC, not a fixed stop target
@@ -268,22 +282,23 @@ def _stop_decel(ctx: PlanContext) -> float:
 
 
 def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
-                         accels: dict | None = None) -> list:
-    """The lane changes `maneuvers`, then one keep-lane candidate per maneuver -> acceleration.
+                         accels: dict | None = None) -> tuple:
+    """(block, candidates): the lane changes `maneuvers`, then one keep-lane
+    candidate per maneuver -> acceleration.
 
     By default all six, in Maneuver enum order, Stop braking at `_stop_decel`.
     Every path is built by one `Polyline.stack` call and every trajectory is a
-    row of one `sample_trajectory` call, whose block each candidate records
-    with its row. Keep-lane candidates share a path back onto the ego's lane,
-    capped at its limit. A lane change, a cubic onto the neighbour lane over
-    the lane-change duration and then its centerline, is sampled over the
-    longer of that duration and the planning horizon. With a vehicle ahead of
-    the ego on its lane (first sample ahead in arc length), a constant-speed
-    probe along it (the lane change's own row where profile and horizon
-    agree) and a stretched path are sampled too; the stretched one is taken
-    where such a vehicle is predicted inside the probe's corridor, read from
-    the plan's one corridor pass. Without a neighbour lane the maneuver is an
-    infeasible placeholder, one sample at the ego pose, with no row.
+    row of one `sample_trajectory` call, whose block is returned; each
+    candidate records its row. Keep-lane candidates share a path back onto the
+    ego's lane, capped at its limit. A lane change, a cubic onto the neighbour
+    lane over the lane-change duration and then its centerline, is sampled
+    over the longer of that duration and the planning horizon. With a vehicle
+    ahead of the ego on its lane (first sample ahead in arc length), a
+    constant-speed probe along it (the lane change's own row where profile and
+    horizon agree) and a stretched path are sampled too; the stretched one is
+    taken where such a vehicle is predicted inside the probe's corridor, read
+    from the plan's one corridor pass. Without a neighbour lane the maneuver
+    is an infeasible placeholder with no row.
     """
     cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
     if accels is None:
@@ -339,15 +354,13 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     out = []
     for m in maneuvers:
         if m not in sides:
-            rest = TimedTrajectory.stationary(ego.x, ego.y, ego.heading, cfg.dt, 1)
-            out.append(ManeuverCandidate(m, rest, None, feasible=False, reason=NO_LANE))
+            out.append(ManeuverCandidate(m, None, feasible=False))
             continue
         target_id, nominal, _, stretched_row = sides[m]
-        r = stretched_row if stretched[m] else nominal
-        out.append(ManeuverCandidate(m, sampled[r], target_id, stretched=stretched[m],
-                                     block=sampled, row=r))
-    return out + [ManeuverCandidate(m, sampled[r], ego.lane, block=sampled, row=r)
-                  for r, m in enumerate(accels, len(rows) - len(accels))]
+        out.append(ManeuverCandidate(m, target_id, stretched_row if stretched[m] else nominal,
+                                     stretched[m]))
+    return sampled, out + [ManeuverCandidate(m, ego.lane, r)
+                           for r, m in enumerate(accels, len(rows) - len(accels))]
 
 
 def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
@@ -382,119 +395,108 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
     return ttc
 
 
-def _front_s(traj: TimedTrajectory, lane: Lane, ego_length: float) -> np.ndarray:
-    """Arc position of the ego front bumper on `lane` at every sample."""
-    s, _ = lane.centerline.project(np.column_stack([traj.x, traj.y]))
-    return s + ego_length / 2.0
-
-
-def _crosswalk_occupied(ctx: PlanContext, cw: Crosswalk, sample_idx: int) -> bool:
-    """Any pedestrian footprint predicted on the crosswalk area at this tick."""
-    block = ctx.predictions
-    ped = block.pedestrian
-    if not ped.any():
-        return False
-    j = min(sample_idx, block.steps - 1)
-    mid = 0.5 * (cw.span[0] + cw.span[1])
-    for lane_id in cw.lanes:
-        lane = ctx.scenario.lanes[lane_id]
-        cx, cy = lane.centerline.point_at(mid)
-        gaps = pose_gaps(
-            cx, cy, lane.centerline.heading_at(mid), (cw.span[1] - cw.span[0]) / 2.0,
-            lane.width / 2.0, block.x[ped, j], block.y[ped, j], block.heading[ped, j],
-            block.half_length[ped], block.half_width[ped],
-        )
-        if np.any(gaps <= 0.0):
-            return True
-    return False
-
-
-def _check_red_lights(ctx: PlanContext, cand: ManeuverCandidate, lanes: set) -> bool:
-    """True if the candidate violates a red light (crossing or hold zone) on `lanes`."""
+def _red_lights(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
+                front) -> np.ndarray:
+    """(R,) rows that cross a red stop line, or enter its hold zone while it
+    is red, on a lane they concern: the ego's, or `targets`, each row's
+    target lane. `front(lane_id)` gives the (R, T) front-bumper arc positions
+    of the rows on a lane. The light's color is read at the tick of each
+    crossing or entry."""
     cfg = ctx.config
-    ego = ctx.ego
+    out = np.zeros(len(cands), dtype=bool)
     for light in ctx.scenario.lights:
-        if light.lane not in lanes:
+        ahead = (targets == light.lane) | (light.lane == ctx.ego.lane)
+        if not ahead.any():
             continue
-        lane = ctx.scenario.lanes[light.lane]
-        s_front = _front_s(cand.trajectory, lane, ego.length)
-        if s_front[0] >= light.stop_line_s:
-            continue  # already past this light
-        red_now = light.color_at(ctx.sim_time) == "red"
-        cross = np.nonzero(s_front >= light.stop_line_s)[0]
-        if len(cross):
-            t_cross = float(cand.trajectory.t[int(cross[0])])
-            if red_now or light.color_at(ctx.sim_time + t_cross) == "red":
-                return True
+        s = front(light.lane)
+        ahead &= s[:, 0] < light.stop_line_s   # not yet past this light
         # gate entry a bit outside the hold window so tracking fuzz cannot
         # park the bumper right on its boundary
         hold_line = light.stop_line_s - cfg.red_light_hold_m - cfg.hold_buffer_m
-        hold = np.nonzero(s_front >= hold_line)[0]
-        if len(hold) and s_front[0] < hold_line:
-            t_enter = float(cand.trajectory.t[int(hold[0])])
-            if red_now or light.color_at(ctx.sim_time + t_enter) == "red":
-                return True
-    return False
-
-
-def _check_crosswalks(ctx: PlanContext, cand: ManeuverCandidate, lanes: set) -> bool:
-    """True if the candidate enters an occupied crosswalk span on `lanes`."""
-    cfg = ctx.config
-    ego = ctx.ego
-    for cw in ctx.scenario.crosswalks:
-        if not lanes.intersection(cw.lanes):
+        crosses = ahead[:, None] & (s >= light.stop_line_s)
+        enters = (ahead & (s[:, 0] < hold_line))[:, None] & (s >= hold_line)
+        if light.color_at(ctx.sim_time) == "red":
+            out |= crosses.any(axis=1) | enters.any(axis=1)
             continue
-        lane = ctx.scenario.lanes[ego.lane if ego.lane in cw.lanes else cand.target_lane]
-        s_front = _front_s(cand.trajectory, lane, ego.length)
-        if s_front[0] >= cw.span[1]:
-            continue  # already past
-        enter = np.nonzero(s_front >= cw.span[0] - cfg.crosswalk_hold_m)[0]
-        if not len(enter):
-            continue
-        if s_front[0] >= cw.span[0] - cfg.crosswalk_hold_m and cand.trajectory.speed[0] <= 1e-9:
-            continue  # parked at the hold line is not an entry
-        idx = int(enter[0])
-        if _crosswalk_occupied(ctx, cw, 0) or _crosswalk_occupied(ctx, cw, idx):
-            return True
-    return False
+        for event in (crosses, enters):
+            rows = np.nonzero(event.any(axis=1))[0]
+            when = cands.t[rows, event[rows].argmax(axis=1)].tolist()
+            out[rows[np.array([light.color_at(ctx.sim_time + t) == "red" for t in when],
+                              dtype=bool)]] = True
+    return out
 
 
-def feasibility_filter(ctx: PlanContext, candidates: list) -> list:
-    """Mark candidates infeasible for rule or collision reasons (in place).
+def _crosswalks(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
+                front) -> np.ndarray:
+    """(R,) rows that enter a crosswalk's hold margin on a lane they concern
+    while it is occupied now or at the tick of entry, with `targets` and
+    `front` as in `_red_lights`. The span is measured along the ego's lane
+    where the crosswalk spans it, else along each row's target lane; a row
+    parked at the hold line does not enter."""
+    cfg, ego = ctx.config, ctx.ego
+    out = np.zeros(len(cands), dtype=bool)
+    for cw, occupied in zip(ctx.scenario.crosswalks, ctx.crosswalk_occupancy):
+        for lane_id in [ego.lane] if ego.lane in cw.lanes else cw.lanes:
+            enters = (targets == lane_id) | (lane_id == ego.lane)
+            if not enters.any():
+                continue
+            s = front(lane_id)
+            at = s >= cw.span[0] - cfg.crosswalk_hold_m
+            enters &= (s[:, 0] < cw.span[1]) & at.any(axis=1)
+            enters &= ~(at[:, 0] & (cands.speed[:, 0] <= 1e-9))
+            tick = np.minimum(at.argmax(axis=1), len(occupied) - 1)
+            out |= enters & (occupied[0] | occupied[tick])
+    return out
 
-    Time-to-collision is one call over the rows of the plan's block that
-    the candidates ruled in by the traffic rules record. Guarantees at least
-    one feasible candidate by retaining Stop as a fallback when everything
-    else is rejected.
+
+def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
+                       candidates: list) -> tuple:
+    """(broken, min_ttc): the rules each candidate breaks, and its footprint TTC.
+
+    `broken` is a (C, len(RULES)) bool matrix, column k set where a
+    candidate breaks `RULES[k]`; `min_ttc` is (C,), inf for a candidate with
+    no row. Every column but `no_lane` is one array expression over the
+    candidates' rows of the plan's `block`; the red-light and crosswalk
+    columns share one projection of every row's samples per lane they
+    concern, and time-to-collision is one call over every row. Sets each
+    candidate feasible where no column is set; when none is, Stop is
+    retained as the fallback, feasible with its broken rules still set.
     """
-    cfg = ctx.config
-    ego = ctx.ego
+    cfg, ego, lane, lanes = ctx.config, ctx.ego, ctx.lane, ctx.scenario.lanes
     eps = cfg.rule_speed_epsilon
-    solid = {Maneuver.CHANGE_LANE_LEFT: ctx.lane.left_boundary == "solid",
-             Maneuver.CHANGE_LANE_RIGHT: ctx.lane.right_boundary == "solid"}
-    for cand in candidates:
-        lanes = {ego.lane, cand.target_lane}
-        if cand.feasible and (
-                cand.trajectory.end_speed > ctx.scenario.lanes[cand.target_lane].speed_limit + eps
-                or (cand.maneuver is Maneuver.KEEP_LANE_ACCELERATE
-                    and ego.speed >= ctx.lane.speed_limit - eps)
-                or solid.get(cand.maneuver, False)
-                or _check_red_lights(ctx, cand, lanes) or _check_crosswalks(ctx, cand, lanes)):
-            cand.feasible = False
-            cand.reason = RULE_VIOLATION
-    ruled_in = [c for c in candidates if c.feasible]
-    if ruled_in:
-        rows = ruled_in[0].block.take([c.row for c in ruled_in])
-        ttc = time_to_collision(rows, ctx.predictions, ego.length, ego.width)
-        for cand, min_ttc in zip(ruled_in, ttc.tolist()):
-            cand.min_ttc = min_ttc
-            if min_ttc < cfg.ttc_min_s:
-                cand.feasible = False
-                cand.reason = COLLISION_RISK
+    broken = np.zeros((len(candidates), len(RULES)), dtype=bool)
+    min_ttc = np.full(len(candidates), math.inf)
+    has = np.array([c.row is not None for c in candidates], dtype=bool)
+    broken[:, 0] = ~has
+    ruled = [c for c in candidates if c.row is not None]
+    if ruled:
+        cands = block.take([c.row for c in ruled])
+        maneuvers = [c.maneuver for c in ruled]
+        targets = np.array([c.target_lane for c in ruled])
+        solid = {Maneuver.CHANGE_LANE_LEFT: lane.left_boundary == "solid",
+                 Maneuver.CHANGE_LANE_RIGHT: lane.right_boundary == "solid"}
 
-    if not any(c.feasible for c in candidates):
-        for cand in candidates:
-            if cand.maneuver is Maneuver.STOP:
-                cand.feasible = True
-                cand.fallback = True
-    return candidates
+        @cache
+        def front(lane_id: str) -> np.ndarray:
+            """(R, T) arc position of the ego front bumper on the lane."""
+            s, _ = lanes[lane_id].centerline.project(
+                np.column_stack([cands.x.ravel(), cands.y.ravel()]))
+            return s.reshape(cands.x.shape) + ego.length / 2.0
+
+        ttc = time_to_collision(cands, ctx.predictions, ego.length, ego.width)
+        min_ttc[has] = ttc
+        broken[has, 1:] = np.array([   # in `RULES` order
+            cands.speed[:, -1] > np.array([lanes[t].speed_limit for t in targets.tolist()]) + eps,
+            np.array([m is Maneuver.KEEP_LANE_ACCELERATE for m in maneuvers])
+            & (ego.speed >= lane.speed_limit - eps),
+            [solid.get(m, False) for m in maneuvers],
+            _red_lights(ctx, cands, targets, front),
+            _crosswalks(ctx, cands, targets, front),
+            ttc < cfg.ttc_min_s,
+        ]).T
+    feasible = ~broken.any(axis=1)
+    if not feasible.any():
+        feasible = np.array([c.maneuver is Maneuver.STOP for c in candidates])
+    for cand, ok in zip(candidates, feasible.tolist()):
+        cand.feasible = ok
+    return broken, min_ttc

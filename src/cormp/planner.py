@@ -48,12 +48,18 @@ class Decision:
     maneuver: Maneuver
     trajectory: TimedTrajectory
     candidates: list                  # all six ManeuverCandidates
+    broken: np.ndarray                # (6, len(RULES)) rule matrix of the candidates
+    min_ttc: np.ndarray               # (6,) their footprint TTC
     values: np.ndarray                # (F, 6) resource values of the feasible ones, in order
     states: np.ndarray                # (F, 6) codes into `resources.STATES`
     chosen: int                       # the maneuver's row of `values` and `states`
     profits: dict                     # Maneuver -> float (feasible only)
     tie_break_applied: bool = False
-    fallback: bool = False
+
+    @property
+    def fallback(self) -> bool:
+        """Whether Stop was retained as the fallback: a feasible candidate breaks a rule."""
+        return bool(self.broken[[c.feasible for c in self.candidates]].any())
 
 
 def decide(candidates: list, profits: dict, previous: Maneuver | None,
@@ -80,10 +86,10 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
     """One full planning pass: enumerate, filter, assess, maximize profit."""
     if weights is None:
         weights = profile_weights(ctx.scenario.profile)
-    candidates = enumerate_candidates(ctx)
-    feasibility_filter(ctx, candidates)
+    block, candidates = enumerate_candidates(ctx)
+    broken, min_ttc = feasibility_filter(ctx, block, candidates)
     feasible = [c for c in candidates if c.feasible]
-    values, states = assess_candidates(ctx, feasible, current_values)
+    values, states = assess_candidates(ctx, block, [c.row for c in feasible], current_values)
     total = 0.0
     for k, res in enumerate(RESOURCES):   # the weighted sum, in `RESOURCES` order
         total = total + weights[res] * values[:, k]
@@ -94,14 +100,15 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
     return Decision(
         t=ctx.sim_time,
         maneuver=maneuver,
-        trajectory=feasible[row].trajectory,
+        trajectory=block[feasible[row].row],
         candidates=candidates,
+        broken=broken,
+        min_ttc=min_ttc,
         values=values,
         states=states,
         chosen=row,
         profits=profits,
         tie_break_applied=tie_break,
-        fallback=feasible[row].fallback,
     )
 
 

@@ -155,13 +155,13 @@ STATES = (ResourceState.LOSS, ResourceState.THREATENED, ResourceState.DESIRED,
           ResourceState.ACQUIRED)
 
 
-def assess_candidates(ctx: PlanContext, candidates: list,
+def assess_candidates(ctx: PlanContext, block: CandidateBlock, rows: list,
                       current_values: np.ndarray | None = None) -> tuple:
-    """(values, states) of the six resources of each candidate.
+    """(values, states) of the six resources of each of the plan's `rows`.
 
     `values` is a (C, 6) matrix in `RESOURCES` order, each column an array
-    expression over the candidates' rows of their plan's block; crowdedness
-    reads those rows of the plan's one corridor pass. Comfort is 1 inside the
+    expression over those rows of the plan's `block`; crowdedness reads
+    those rows of the plan's one corridor pass. Comfort is 1 inside the
     comfort box, with a linear falloff to 0 at the axis maxima; objective is
     the distance covered relative to full-speed travel over the horizon;
     energy is 1 minus the kinetic energy spent, relative to the reference.
@@ -171,10 +171,8 @@ def assess_candidates(ctx: PlanContext, candidates: list,
     `theta_acquired`, else acquired.
     """
     cfg, ego = ctx.config, ctx.ego
-    plan_rows = candidates[0].block
-    idx = [c.row for c in candidates]
-    cands = plan_rows.take(idx)
-    mu = np.empty((len(idx), len(RESOURCES)))
+    cands = block.take(rows)
+    mu = np.empty((len(rows), len(RESOURCES)))
     mu[:, 0] = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg)
     mu[:, 1] = np.minimum(_comfort_axis(cands.a_lon, cfg.a_lon_comfort, cfg.a_lon_max),
                           _comfort_axis(cands.a_lat, cfg.a_lat_comfort, cfg.a_lat_max))
@@ -185,7 +183,7 @@ def assess_candidates(ctx: PlanContext, candidates: list,
     mu[:, 3] = apriori_lane_value(cands.end_xy, ctx.scenario.lanes[ctx.scenario.apriori_lane])
     spent = kinetic_energy_delta_kj(ego.mass, ego.speed, cands.speed[:, -1])
     mu[:, 4] = 1.0 - _unit(spent / cfg.energy_reference_kj(ego.mass))
-    mu[:, 5] = crowdedness_value(ctx.corridor_hits(plan_rows)[idx], cfg)
+    mu[:, 5] = crowdedness_value(ctx.corridor_hits(block)[rows], cfg)
     held = np.nan if current_values is None else current_values   # nan: none held
     codes = np.where(mu < cfg.theta_loss, 0, np.where(
         mu < cfg.theta_acquired, 1, np.where(held < cfg.theta_acquired, 2, 3)))

@@ -14,7 +14,7 @@ import cormp.planner
 from cormp.baselines import make_planner
 from cormp.bezier import CandidateBlock, TimedTrajectory
 from cormp.config import PlannerConfig
-from cormp.identification import Maneuver, ManeuverCandidate, PredictionBlock
+from cormp.identification import RULES, Maneuver, ManeuverCandidate, PredictionBlock
 from cormp.scenario import AgentState, Scenario, load_scenario
 from cormp.simulator import SimLog, run
 
@@ -149,11 +149,12 @@ def weigh(monkeypatch):
     the assessment are stubbed to give exactly those candidates and rows.
     """
     plan: dict = {}
-    monkeypatch.setattr(cormp.planner, "enumerate_candidates", lambda ctx: [
-        ManeuverCandidate(m, TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 2), None)
-        for m in plan["maneuvers"]])
-    monkeypatch.setattr(cormp.planner, "feasibility_filter", lambda ctx, candidates: None)
-    monkeypatch.setattr(cormp.planner, "assess_candidates", lambda ctx, feasible, held: (
+    monkeypatch.setattr(cormp.planner, "enumerate_candidates", lambda ctx: (
+        CandidateBlock([TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 2)] * len(plan["values"])),
+        [ManeuverCandidate(m, None, r) for r, m in enumerate(plan["maneuvers"])]))
+    monkeypatch.setattr(cormp.planner, "feasibility_filter", lambda ctx, block, candidates: (
+        np.zeros((len(candidates), len(RULES)), dtype=bool), np.full(len(candidates), math.inf)))
+    monkeypatch.setattr(cormp.planner, "assess_candidates", lambda ctx, block, rows, held: (
         plan["values"], np.full(plan["values"].shape, 3)))
     ctx = SimpleNamespace(sim_time=0.0, config=PlannerConfig())
 

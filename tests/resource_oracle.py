@@ -2,7 +2,7 @@
 
 `assess_oracle` is the per-candidate loop that `resources.assess_candidates`
 replaced with array expressions over a plan's block: comfort, objective,
-energy and the state of each value are computed on Python floats from the
+energy and the state of each value are computed on Python floats from each
 candidate's own trajectory, and safety, crowdedness and the a-priori lane
 from a block stacked from the trajectories alone. `assess_candidates` must
 equal it bitwise. `path_length` is the objective's distance covered.
@@ -13,7 +13,7 @@ import numpy as np
 
 from cormp.bezier import CandidateBlock, TimedTrajectory
 from cormp.config import PlannerConfig
-from cormp.identification import ManeuverCandidate, PlanContext
+from cormp.identification import PlanContext
 from cormp.resources import (
     RESOURCES,
     ResourceState,
@@ -27,9 +27,8 @@ def clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def comfort_value(cand: ManeuverCandidate, cfg: PlannerConfig) -> float:
+def comfort_value(traj: TimedTrajectory, cfg: PlannerConfig) -> float:
     """1 inside the comfort box, linear falloff to 0 at the axis maxima."""
-    traj = cand.trajectory
     if len(traj) == 0:
         return 1.0
 
@@ -50,9 +49,9 @@ def path_length(traj: TimedTrajectory) -> float:
     return float(np.sum(np.hypot(np.diff(traj.x), np.diff(traj.y))))
 
 
-def objective_value(cand: ManeuverCandidate, speed_limit: float, horizon_s: float) -> float:
+def objective_value(traj: TimedTrajectory, speed_limit: float, horizon_s: float) -> float:
     """Distance covered relative to full-speed travel over the horizon."""
-    return clamp01(path_length(cand.trajectory) / (speed_limit * horizon_s))
+    return clamp01(path_length(traj) / (speed_limit * horizon_s))
 
 
 def energy_value(v_begin: float, v_end: float, mass_kg: float, e_ref_kj: float) -> float:
@@ -73,12 +72,12 @@ def classify_state(mu: float, cfg: PlannerConfig, mu_current: float | None = Non
     return ResourceState.ACQUIRED
 
 
-def assess_oracle(ctx: PlanContext, candidates: list, current_values=None) -> list:
-    """(values, states) dicts of each candidate, one candidate at a time;
+def assess_oracle(ctx: PlanContext, trajectories: list, current_values=None) -> list:
+    """(values, states) dicts of each candidate trajectory, one at a time;
     `current_values` holds a value per resource in `RESOURCES` order, or is None."""
     cfg = ctx.config
     ego = ctx.ego
-    cands = CandidateBlock([c.trajectory for c in candidates])
+    cands = CandidateBlock(trajectories)
     apriori = ctx.scenario.lanes[ctx.scenario.apriori_lane]
     held = {} if current_values is None else dict(zip(RESOURCES, current_values))
     safety = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()
@@ -87,15 +86,15 @@ def assess_oracle(ctx: PlanContext, candidates: list, current_values=None) -> li
                    for n in np.count_nonzero(hits, axis=1).tolist()]
     lane_hold = apriori_lane_value(cands.end_xy, apriori).tolist()
     out = []
-    for cand, mu_safety, mu_crowdedness, mu_lane in zip(candidates, safety, crowdedness,
+    for traj, mu_safety, mu_crowdedness, mu_lane in zip(trajectories, safety, crowdedness,
                                                         lane_hold):
         values = {
             ResourceType.SAFETY: mu_safety,
-            ResourceType.COMFORT: comfort_value(cand, cfg),
-            ResourceType.OBJECTIVE: objective_value(cand, ctx.lane.speed_limit,
+            ResourceType.COMFORT: comfort_value(traj, cfg),
+            ResourceType.OBJECTIVE: objective_value(traj, ctx.lane.speed_limit,
                                                     cfg.planning_horizon_s),
             ResourceType.APRIORI_LANE: mu_lane,
-            ResourceType.ENERGY: energy_value(ego.speed, cand.trajectory.end_speed, ego.mass,
+            ResourceType.ENERGY: energy_value(ego.speed, float(traj.speed[-1]), ego.mass,
                                               cfg.energy_reference_kj(ego.mass)),
             ResourceType.CROWDEDNESS: mu_crowdedness,
         }

@@ -261,7 +261,7 @@ def test_lateral_acceleration_is_curvature_times_speed_squared():
 def test_speed_cap_respected():
     traj, = sample_trajectory([(straight(200.0), SpeedProfile(10.0, 2.0, v_max=14.0), 4.0)],
                               dt=0.1)
-    assert traj.end_speed == pytest.approx(14.0)
+    assert traj.speed[-1] == pytest.approx(14.0)
     assert float(np.max(traj.speed)) <= 14.0 + 1e-12
 
 
@@ -283,15 +283,16 @@ def step_distance(v, a, dt, v_max):
 
 
 def stepped_samples(length, profile, dt, horizon):
-    """Reference: t, arc length and speed stepped tick by tick."""
+    """Reference: t, arc length and speed stepped tick by tick. A start above
+    v_max is capped at itself: it holds or slows, and never drops to v_max."""
     ts, ss, speeds = [], [], []
-    v = min(max(profile.v0, 0.0), profile.v_max)
+    v, v_max = profile.v0, max(profile.v_max, profile.v0)
     s, k = 0.0, 0
     while k * dt <= horizon + 1e-9 and s <= length + 1e-9:
         ts.append(k * dt)
         ss.append(min(s, length))
         speeds.append(v)
-        ds, v = step_distance(v, profile.accel, dt, profile.v_max)
+        ds, v = step_distance(v, profile.accel, dt, v_max)
         s += ds
         k += 1
     return np.array(ts), np.array(ss), np.array(speeds)
@@ -304,7 +305,7 @@ def stepped_samples(length, profile, dt, horizon):
     (200.0, SpeedProfile(12.0, -4.0), 0.15, 4.0),              # rest at 3 s, a tick
     (25.0, SpeedProfile(9.0, 1.0), 0.1, 4.0),                  # path ends at 2.3 s
     (30.0, SpeedProfile(14.0, 0.0), 0.15, 5.0),                # path ends at 2.1 s
-    (200.0, SpeedProfile(15.0, 1.0, v_max=13.89), 0.1, 4.0),   # starts over the cap
+    (200.0, SpeedProfile(15.0, 1.0, v_max=13.89), 0.1, 4.0),   # starts over the cap: holds
     (200.0, SpeedProfile(0.0, -2.0), 0.15, 4.0),               # stays at rest
 ])
 def test_sampled_profile_matches_tick_by_tick_stepping(length, profile, dt, horizon):

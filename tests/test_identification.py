@@ -14,10 +14,8 @@ from cormp.baselines import make_planner
 from cormp.bezier import _MAX_CHORDS, SpeedProfile, sample_trajectory
 from cormp.config import PlannerConfig
 from cormp.identification import (
-    COLLISION_RISK,
     LANE_CHANGES,
-    NO_LANE,
-    RULE_VIOLATION,
+    RULES,
     CandidateBlock,
     Maneuver,
     PlanContext,
@@ -69,17 +67,31 @@ def context(doc: dict, cfg: PlannerConfig | None = None,
     return plan_context(load_scenario(doc), cfg or PlannerConfig(), sim_time)
 
 
-def filtered(ctx: PlanContext, candidates: list) -> list:
-    """`feasibility_filter` on the candidates' rows of their plan's block, as a plan calls it."""
-    return feasibility_filter(ctx, candidates)
+def filtered(ctx: PlanContext) -> tuple:
+    """A plan's candidates by maneuver after `feasibility_filter`, the set of
+    `RULES` each breaks and its min TTC, each by maneuver."""
+    block, cands = enumerate_candidates(ctx)
+    broken, min_ttc = feasibility_filter(ctx, block, cands)
+    assert broken.shape == (len(cands), len(RULES)) and min_ttc.shape == (len(cands),)
+    maneuvers = [c.maneuver for c in cands]
+    return (by_maneuver(cands),
+            {m: {RULES[k] for k in np.flatnonzero(row)} for m, row in zip(maneuvers, broken)},
+            dict(zip(maneuvers, min_ttc.tolist())))
 
 
 def by_maneuver(cands):
     return {c.maneuver: c for c in cands}
 
 
-def stop_candidate(ctx):
-    return by_maneuver(enumerate_candidates(ctx))[Maneuver.STOP]
+def trajectories(ctx: PlanContext, *args) -> dict:
+    """Maneuver -> trajectory of each candidate of `enumerate_candidates(ctx, *args)`
+    with a row, read from the block."""
+    block, cands = enumerate_candidates(ctx, *args)
+    return {c.maneuver: block[c.row] for c in cands if c.row is not None}
+
+
+def stop_trajectory(ctx):
+    return trajectories(ctx)[Maneuver.STOP]
 
 
 # ---------------------------------------------------------------- prediction
@@ -213,7 +225,7 @@ def test_interaction_radius_filters_far_agents():
 
 
 def test_six_candidates_in_fixed_order():
-    cands = enumerate_candidates(context(road()))
+    _, cands = enumerate_candidates(context(road()))
     assert [c.maneuver for c in cands] == [
         Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT,
         Maneuver.KEEP_LANE_ACCELERATE, Maneuver.KEEP_LANE_SAME_SPEED,
@@ -222,34 +234,32 @@ def test_six_candidates_in_fixed_order():
 
 
 def test_missing_neighbor_marks_no_lane():
-    cands = by_maneuver(enumerate_candidates(context(road())))
-    right = cands[Maneuver.CHANGE_LANE_RIGHT]
+    block, cands = enumerate_candidates(context(road()))
+    right = by_maneuver(cands)[Maneuver.CHANGE_LANE_RIGHT]
     assert not right.feasible
-    assert right.reason == NO_LANE
-    assert right.target_lane is None
-    assert len(right.trajectory) == 1                   # resting at the ego pose
-    assert (right.trajectory.x[0], right.trajectory.y[0]) == (15.0, 0.0)
-    assert right.trajectory.speed[0] == 0.0
-    left = cands[Maneuver.CHANGE_LANE_LEFT]
+    assert (right.target_lane, right.row) == (None, None)
+    assert len(block) == 5                              # no row for it
+    left = by_maneuver(cands)[Maneuver.CHANGE_LANE_LEFT]
     assert left.feasible
     assert left.target_lane == "left"
 
 
 def test_accelerate_capped_at_the_speed_limit():
+    # planted: accelerating at the limit is the only rule it breaks
     ctx = context(road(ego={"speed": 13.89}))
-    kla = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_ACCELERATE]
-    assert float(np.max(kla.trajectory.speed)) <= 13.89 + 1e-9
-    filtered(ctx, [kla])
-    assert not kla.feasible
-    assert kla.reason == RULE_VIOLATION
+    assert float(np.max(trajectories(ctx)[Maneuver.KEEP_LANE_ACCELERATE].speed)) <= 13.89 + 1e-9
+    cands, rules, _ = filtered(ctx)
+    assert not cands[Maneuver.KEEP_LANE_ACCELERATE].feasible
+    assert rules[Maneuver.KEEP_LANE_ACCELERATE] == {"accelerate_at_limit"}
 
 
 def test_keep_lane_kinematics_with_explicit_rate():
     ctx = context(road(limit=30.0, ego={"speed": 10.0}))
-    cand, = enumerate_candidates(ctx, (), {Maneuver.KEEP_LANE_ACCELERATE: 1.5})
-    assert cand.trajectory.end_speed == pytest.approx(16.0, abs=1e-9)
-    assert cand.trajectory.t[-1] - cand.trajectory.t[0] == pytest.approx(4.0)
-    assert path_length(cand.trajectory) == pytest.approx(52.0, abs=1e-6)
+    traj = trajectories(ctx, (), {Maneuver.KEEP_LANE_ACCELERATE: 1.5})[
+        Maneuver.KEEP_LANE_ACCELERATE]
+    assert traj.speed[-1] == pytest.approx(16.0, abs=1e-9)
+    assert traj.t[-1] - traj.t[0] == pytest.approx(4.0)
+    assert path_length(traj) == pytest.approx(52.0, abs=1e-6)
 
 
 def test_keep_lane_and_lane_change_follow_a_curved_centerline():
@@ -257,20 +267,21 @@ def test_keep_lane_and_lane_change_follow_a_curved_centerline():
     cfg = PlannerConfig()
     ctx = PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0,
                       predictions=prediction_block())
-    keep = enumerate_candidates(ctx, (), {Maneuver.KEEP_LANE_SAME_SPEED: 0.0})[0].trajectory
+    keep = trajectories(ctx, (), {Maneuver.KEEP_LANE_SAME_SPEED: 0.0})[
+        Maneuver.KEEP_LANE_SAME_SPEED]
     _, lateral = sc.lanes["right"].centerline.project(np.column_stack([keep.x, keep.y]))
     # the solid edge is 0.85 m from the centerline for this ego; the start
     # heading is the 7 m chord's direction, so the cubic cuts in a little
     assert np.max(np.abs(lateral)) < 0.3
-    change = enumerate_candidates(ctx, (Maneuver.CHANGE_LANE_LEFT,), {})[0].trajectory
+    change = trajectories(ctx, (Maneuver.CHANGE_LANE_LEFT,), {})[Maneuver.CHANGE_LANE_LEFT]
     _, lateral = sc.lanes["left"].centerline.project((change.x[-1], change.y[-1]))
     assert abs(lateral) < 0.01
 
 
 def test_short_lane_change_continues_along_the_target_centerline():
     cfg = PlannerConfig(lane_change_duration_s=3.0)
-    cand, = enumerate_candidates(context(road(), cfg), (Maneuver.CHANGE_LANE_LEFT,), {})
-    traj = cand.trajectory
+    traj = trajectories(context(road(), cfg), (Maneuver.CHANGE_LANE_LEFT,), {})[
+        Maneuver.CHANGE_LANE_LEFT]
     assert traj.t[-1] - traj.t[0] == pytest.approx(cfg.planning_horizon_s)
     after = traj.t >= 3.2 - 1e-9   # the cubic is a little longer than its 41.7 m chord
     assert np.allclose(traj.y[after], 3.5, atol=1e-9)
@@ -283,9 +294,9 @@ def test_lane_change_stretches_around_a_near_lead():
     blocker = {"id": "slow", "kind": "vehicle", "lane": "right",
                "position": [35.0, 0.0], "heading": 0.0, "speed": 2.0,
                "length": 4.5, "width": 1.8}
-    near = by_maneuver(enumerate_candidates(context(road(others=[blocker]))))
+    near = by_maneuver(enumerate_candidates(context(road(others=[blocker])))[1])
     far_doc = road(others=[dict(blocker, position=[300.0, 0.0])])
-    far = by_maneuver(enumerate_candidates(context(far_doc)))
+    far = by_maneuver(enumerate_candidates(context(far_doc))[1])
     assert near[Maneuver.CHANGE_LANE_LEFT].stretched
     assert not far[Maneuver.CHANGE_LANE_LEFT].stretched
 
@@ -299,8 +310,8 @@ def test_lane_change_stretches_around_a_lead_past_the_lane_end():
                 "position": [x + 40.0, 3.5], "heading": 0.0, "speed": 5.0,
                 "length": 4.5, "width": 1.8}
         doc = road(length=200.0, ego={"position": [x, 0.0]}, others=[lead])
-        cands = by_maneuver(enumerate_candidates(context(doc), (Maneuver.CHANGE_LANE_LEFT,), {}))
-        assert cands[Maneuver.CHANGE_LANE_LEFT].stretched, x
+        _, (cand,) = enumerate_candidates(context(doc), (Maneuver.CHANGE_LANE_LEFT,), {})
+        assert cand.stretched, x
 
 
 # ---------------------------------------------------------------- planned paths
@@ -358,8 +369,7 @@ def test_lane_path_matches_the_stacked_cubic_oracle_bitwise():
 
 
 def test_stop_uses_default_rate_without_a_target():
-    cand = stop_candidate(context(road()))
-    assert cand.trajectory.a_lon[0] == pytest.approx(-2.0, abs=1e-6)
+    assert stop_trajectory(context(road())).a_lon[0] == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_stop_rate_sized_to_the_red_light():
@@ -368,16 +378,14 @@ def test_stop_rate_sized_to_the_red_light():
                        limit=20.0, lights=[light]))
     d = _stop_constraint_distance(ctx)
     assert d == pytest.approx((100.0 - 12.0) - (15.0 + 2.25))
-    cand = stop_candidate(ctx)
-    assert cand.trajectory.a_lon[0] == pytest.approx(-(15.0 ** 2) / (2 * d), abs=1e-6)
+    assert stop_trajectory(ctx).a_lon[0] == pytest.approx(-(15.0 ** 2) / (2 * d), abs=1e-6)
 
 
 def test_stop_rate_capped_when_past_the_margin():
     light = {"lane": "right", "stop_line_s": 100.0, "schedule": [["red", 1000.0]]}
     ctx = context(road(ego={"speed": 15.0, "position": [86.0, 0.0]},
                        limit=20.0, lights=[light]))
-    cand = stop_candidate(ctx)
-    assert cand.trajectory.a_lon[0] == pytest.approx(-3.0, abs=1e-6)
+    assert stop_trajectory(ctx).a_lon[0] == pytest.approx(-3.0, abs=1e-6)
 
 
 def test_green_light_is_not_a_stop_target():
@@ -426,8 +434,7 @@ def ttc_of(traj, ctx: PlanContext) -> float:
 
 def test_footprint_ttc_beats_the_point_mass_estimate():
     ctx = lead_context(15.0, 10.0, 20.0)
-    kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    ttc = ttc_of(kls.trajectory, ctx)
+    ttc = ttc_of(trajectories(ctx)[Maneuver.KEEP_LANE_SAME_SPEED], ctx)
     point_mass = 20.0 / (15.0 - 10.0)
     assert point_mass == pytest.approx(4.0)
     assert ttc < point_mass
@@ -437,8 +444,7 @@ def test_footprint_ttc_beats_the_point_mass_estimate():
 
 def test_footprint_ttc_matches_millisecond_sweep():
     ctx = lead_context(15.0, 10.0, 20.0)
-    kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    ttc = ttc_of(kls.trajectory, ctx)
+    ttc = ttc_of(trajectories(ctx)[Maneuver.KEEP_LANE_SAME_SPEED], ctx)
     brute = math.inf
     for k in range(4001):
         t = 0.001 * k
@@ -452,16 +458,14 @@ def test_footprint_ttc_matches_millisecond_sweep():
 
 def test_faster_lead_never_collides():
     ctx = lead_context(15.0, 20.0, 20.0)
-    kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    assert ttc_of(kls.trajectory, ctx) == math.inf
+    assert ttc_of(trajectories(ctx)[Maneuver.KEEP_LANE_SAME_SPEED], ctx) == math.inf
 
 
 def test_lateral_separation_never_collides():
     passer = {"id": "side", "kind": "vehicle", "position": [15.0, 7.0],
               "heading": 0.0, "speed": 10.0, "length": 4.5, "width": 1.8}
     ctx = context(road(ego={"speed": 15.0}, limit=25.0, others=[passer]))
-    kls = by_maneuver(enumerate_candidates(ctx))[Maneuver.KEEP_LANE_SAME_SPEED]
-    assert ttc_of(kls.trajectory, ctx) == math.inf
+    assert ttc_of(trajectories(ctx)[Maneuver.KEEP_LANE_SAME_SPEED], ctx) == math.inf
 
 
 # ---------------------------------------------------------------- filtering
@@ -473,39 +477,140 @@ def test_short_ttc_marks_collision_risk():
                "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
     ctx = context(road(n_lanes=1, ego={"speed": 15.0}, limit=20.0,
                        others=[blocker]))
-    cands = by_maneuver(filtered(ctx, enumerate_candidates(ctx)))
-    kls = cands[Maneuver.KEEP_LANE_SAME_SPEED]
-    assert not kls.feasible
-    assert kls.reason == COLLISION_RISK
-    assert kls.min_ttc == pytest.approx(1.8, abs=1e-3)
-    assert kls.min_ttc < ctx.config.ttc_min_s
+    cands, rules, min_ttc = filtered(ctx)
+    assert not cands[Maneuver.KEEP_LANE_SAME_SPEED].feasible
+    assert rules[Maneuver.KEEP_LANE_SAME_SPEED] == {"ttc"}   # planted: TTC alone
+    assert min_ttc[Maneuver.KEEP_LANE_SAME_SPEED] == pytest.approx(1.8, abs=1e-3)
+    assert min_ttc[Maneuver.KEEP_LANE_SAME_SPEED] < ctx.config.ttc_min_s
+    assert min_ttc[Maneuver.CHANGE_LANE_LEFT] == math.inf   # no row
+
+
+def test_the_rule_matrix_names_every_rule_a_candidate_breaks():
+    # at the limit and 1.8 s from a blocker: accelerating breaks both rules
+    blocker = {"id": "wall", "kind": "obstacle", "position": [46.5, 0.0],
+               "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
+    ctx = context(road(n_lanes=1, ego={"speed": 15.0}, limit=15.0, others=[blocker]))
+    _, rules, min_ttc = filtered(ctx)
+    assert rules[Maneuver.KEEP_LANE_ACCELERATE] == {"accelerate_at_limit", "ttc"}
+    assert rules[Maneuver.KEEP_LANE_SAME_SPEED] == {"ttc"}
+    assert min_ttc[Maneuver.KEEP_LANE_ACCELERATE] < ctx.config.ttc_min_s
 
 
 def test_solid_boundary_blocks_the_lane_change():
-    ctx = context(road(left_boundary="solid"))
-    cands = by_maneuver(filtered(ctx, enumerate_candidates(ctx)))
-    cll = cands[Maneuver.CHANGE_LANE_LEFT]
-    assert not cll.feasible
-    assert cll.reason == RULE_VIOLATION
+    cands, rules, _ = filtered(context(road(left_boundary="solid")))
+    assert not cands[Maneuver.CHANGE_LANE_LEFT].feasible
+    assert rules[Maneuver.CHANGE_LANE_LEFT] == {"solid_line"}   # planted: the boundary alone
 
 
 def test_red_light_crossing_is_infeasible():
     light = {"lane": "right", "stop_line_s": 150.0, "schedule": [["red", 1000.0]]}
-    ctx = context(road(ego={"position": [130.0, 0.0]}, lights=[light]))
-    cands = by_maneuver(filtered(ctx, enumerate_candidates(ctx)))
-    kls = cands[Maneuver.KEEP_LANE_SAME_SPEED]
-    assert not kls.feasible
-    assert kls.reason == RULE_VIOLATION
+    cands, rules, _ = filtered(context(road(ego={"position": [130.0, 0.0]}, lights=[light])))
+    assert not cands[Maneuver.KEEP_LANE_SAME_SPEED].feasible
+    assert rules[Maneuver.KEEP_LANE_SAME_SPEED] == {"red_light"}
+
+
+@pytest.mark.parametrize("schedule, broken", [
+    ([["red", 1000.0]], True),                     # red now
+    ([["green", 3.0], ["red", 1000.0]], True),     # red by the entry at 3.7 s
+    ([["green", 5.0], ["red", 1000.0]], False),    # still green at the entry
+])
+def test_entering_a_red_lights_hold_zone_is_infeasible(schedule, broken):
+    # planted: at 10 m/s from x = 100 m the bumper (102.25 m) enters the hold
+    # zone, which begins 11.5 m before the stop line, at 3.7 s, and ends the
+    # horizon short of the line itself, at 142.25 m
+    light = {"lane": "right", "stop_line_s": 150.0, "schedule": schedule}
+    ctx = context(road(ego={"position": [100.0, 0.0], "speed": 10.0}, lights=[light]))
+    kls = trajectories(ctx)[Maneuver.KEEP_LANE_SAME_SPEED]
+    assert 142.0 < kls.x[-1] + 2.25 < 150.0
+    cands, rules, _ = filtered(ctx)
+    assert rules[Maneuver.KEEP_LANE_SAME_SPEED] == ({"red_light"} if broken else set())
+    assert cands[Maneuver.KEEP_LANE_SAME_SPEED].feasible is not broken
+
+
+def test_a_start_above_the_target_lanes_limit_breaks_the_speed_rule():
+    # planted: at 20 m/s into a lane limited to 10 m/s, the lane change holds
+    # its speed instead of starting at 10 m/s, and only the speed rule rejects it
+    doc = road(ego={"speed": 20.0}, limit=25.0)
+    doc["lanes"][1]["speed_limit"] = 10.0
+    ctx = context(doc)
+    change = trajectories(ctx)[Maneuver.CHANGE_LANE_LEFT]
+    assert np.all(change.speed == 20.0) and np.all(change.a_lon == 0.0)
+    cands, rules, _ = filtered(ctx)
+    assert not cands[Maneuver.CHANGE_LANE_LEFT].feasible
+    assert rules[Maneuver.CHANGE_LANE_LEFT] == {"speed"}
+    assert rules[Maneuver.KEEP_LANE_SAME_SPEED] == set()
+
+
+def test_a_missing_lane_breaks_only_the_no_lane_rule():
+    cands, rules, min_ttc = filtered(context(road()))
+    assert rules[Maneuver.CHANGE_LANE_RIGHT] == {"no_lane"}
+    assert min_ttc[Maneuver.CHANGE_LANE_RIGHT] == math.inf
+    assert not cands[Maneuver.CHANGE_LANE_RIGHT].feasible
+
+
+CROSSWALK = {"lanes": ["right"], "span": [100.0, 103.0]}
+# on the crosswalk's right edge at 0 s, walking off the road
+LEAVING = {"id": "ped", "kind": "pedestrian", "position": [101.5, -1.6],
+           "heading": -math.pi / 2, "speed": 1.4, "length": 0.6, "width": 0.6}
+
+
+def test_entering_an_occupied_crosswalk_is_infeasible():
+    # planted: the bumper reaches the hold margin at about 2.7 s, when the
+    # walker is long off the road, so the occupancy now alone rejects it
+    ctx = context(road(n_lanes=1, ego={"position": [60.0, 0.0]}, others=[LEAVING],
+                       crosswalks=[CROSSWALK]))
+    assert ctx.crosswalk_occupancy[0][0] and not ctx.crosswalk_occupancy[0][-1]
+    cands, rules, min_ttc = filtered(ctx)
+    assert rules[Maneuver.KEEP_LANE_SAME_SPEED] == {"crosswalk"}
+    assert min_ttc[Maneuver.KEEP_LANE_SAME_SPEED] == math.inf
+    assert rules[Maneuver.STOP] == set() and cands[Maneuver.STOP].feasible
+    # the same drive with the crosswalk empty breaks no rule
+    empty = context(road(n_lanes=1, ego={"position": [60.0, 0.0]}, crosswalks=[CROSSWALK]))
+    assert filtered(empty)[1][Maneuver.KEEP_LANE_SAME_SPEED] == set()
+
+
+def test_standing_at_the_crosswalk_hold_line_breaks_no_rule():
+    # planted: the bumper stands 0.2 m past the hold line, 0.8 m short of the
+    # occupied span; staying or stopping there is not an entry
+    ctx = context(road(n_lanes=1, ego={"position": [96.95, 0.0], "speed": 0.0},
+                       others=[LEAVING], crosswalks=[CROSSWALK]))
+    assert ctx.crosswalk_occupancy[0][0]
+    cands, rules, _ = filtered(ctx)
+    for m in (Maneuver.KEEP_LANE_SAME_SPEED, Maneuver.STOP):
+        assert rules[m] == set() and cands[m].feasible, m
 
 
 def test_stop_survives_as_fallback_when_nothing_is_feasible():
     blocker = {"id": "wall", "kind": "obstacle", "position": [27.0, 0.0],
                "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
     ctx = context(road(n_lanes=1, ego={"speed": 13.89}, others=[blocker]))
-    cands = filtered(ctx, enumerate_candidates(ctx))
-    stop = by_maneuver(cands)[Maneuver.STOP]
-    assert stop.feasible and stop.fallback
-    assert all(not c.feasible for c in cands if c.maneuver is not Maneuver.STOP)
+    cands, rules, _ = filtered(ctx)
+    assert cands[Maneuver.STOP].feasible and rules[Maneuver.STOP]
+    assert all(not c.feasible for m, c in cands.items() if m is not Maneuver.STOP)
+    decision = plan_tick(ctx)
+    assert decision.maneuver is Maneuver.STOP and decision.fallback
+
+
+def test_rule_columns_project_each_lane_once(monkeypatch):
+    # a red light and an occupied crosswalk ahead on the ego's lane, and the
+    # neighbour lane: one array projection of the plan's rows per lane concerned
+    light = {"lane": "right", "stop_line_s": 150.0, "schedule": [["red", 1000.0]]}
+    for doc, lanes in ((road(ego={"position": [60.0, 0.0]}, others=[LEAVING], lights=[light],
+                             crosswalks=[CROSSWALK]), 1),
+                       (road(ego={"position": [60.0, 0.0]}, others=[LEAVING], lights=[light],
+                             crosswalks=[dict(CROSSWALK, lanes=["right", "left"])]), 1),
+                       (road(ego={"position": [120.0, 0.0]},
+                             lights=[light, dict(light, lane="left")]), 2)):
+        ctx = context(doc)
+        block, cands = enumerate_candidates(ctx)
+        calls = []
+        project = Polyline.project
+        monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(
+            np.ndim(p)) or project(self, p))
+        broken, _ = feasibility_filter(ctx, block, cands)
+        monkeypatch.undo()
+        assert calls == [2] * lanes
+        assert broken[:, [RULES.index("red_light"), RULES.index("crosswalk")]].any()
 
 
 def test_filter_always_leaves_a_feasible_candidate():
@@ -523,9 +628,8 @@ def test_filter_always_leaves_a_feasible_candidate():
         doc = road(n_lanes=int(rng.integers(1, 3)),
                    ego={"speed": float(rng.uniform(0.0, 13.89))},
                    others=others)
-        ctx = context(doc)
-        cands = filtered(ctx, enumerate_candidates(ctx))
-        assert any(c.feasible for c in cands)
+        cands, _, _ = filtered(context(doc))
+        assert any(c.feasible for c in cands.values())
 
 
 def test_lane_change_tuple_matches_enum():
@@ -613,22 +717,21 @@ def enumerate_with_paths(ctx: PlanContext) -> tuple:
 def assert_matches_reference(ctx: PlanContext) -> list:
     """Compare bitwise, and each candidate's row of the plan's block and each
     stacked path with their lone builds; returns the stretched flags."""
-    got, built = enumerate_with_paths(ctx)
+    (block, got), built = enumerate_with_paths(ctx)
     for points, line in built:
         assert_same_polyline(line, Polyline(points))
     for cand in got:
-        if cand.block is not None:
-            assert cand.block[cand.row] is cand.trajectory
-            assert_row_is_its_lone_block(cand.block, cand.row)
+        if cand.row is not None:
+            assert_row_is_its_lone_block(block, cand.row)
     want = per_path_reference(ctx)
     assert [c.maneuver for c in got] == [m for m, _, _, _ in want]
     for cand, (m, target, stretched, traj) in zip(got, want):
         assert (cand.target_lane, cand.stretched) == (target, stretched), m
         if traj is None:
-            assert cand.reason == NO_LANE
+            assert cand.row is None
             continue
         for name in ("t", "x", "y", "heading", "speed", "a_lon", "a_lat"):
-            assert np.array_equal(getattr(cand.trajectory, name), getattr(traj, name)), (m, name)
+            assert np.array_equal(getattr(block[cand.row], name), getattr(traj, name)), (m, name)
     return [c.stretched for c in got]
 
 
@@ -665,7 +768,7 @@ def test_enumerate_matches_the_per_path_reference_bitwise():
     assert any(any(f) for f in flags)               # some lane change was stretched
     # no plan row above runs out of path: rows along the arc's keep-lane path
     # that do, at different ticks, next to one that does not and a 1-sample one
-    cands, built = enumerate_with_paths(context(arc))
+    _, built = enumerate_with_paths(context(arc))
     keep = built[-1][1]
     block = sample_trajectory([(keep, SpeedProfile(v, 0.0), 10.0) for v in (40.0, 25.0)]
                               + [(keep, SpeedProfile(5.0, 0.0), 4.0),

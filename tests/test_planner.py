@@ -20,11 +20,11 @@ from cormp.planner import (
 )
 from cormp.resources import RESOURCES, STATES, ResourceState, profile_weights
 from cormp.scenario import Polyline, load_scenario
+from cormp.simulator import run
 
 
 def stub_candidate(maneuver: Maneuver, feasible: bool = True) -> ManeuverCandidate:
-    traj = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 2)
-    return ManeuverCandidate(maneuver, traj, None, feasible=feasible)
+    return ManeuverCandidate(maneuver, None, feasible=feasible)
 
 
 REGULAR = profile_weights("regular")
@@ -191,7 +191,7 @@ def test_decelerate_along_reaches_rest_and_stays():
     traj = TimedTrajectory(0.1, t, 4.0 * t, np.zeros(n), np.zeros(n),
                            np.full(n, 4.0), np.zeros(n), np.zeros(n))
     slowed = decelerate_along(traj, 2.0, 0.1, 4.0)
-    assert slowed.end_speed == 0.0
+    assert slowed.speed[-1] == 0.0
     stopped = slowed.t >= 2.0 + 1e-9
     assert np.allclose(slowed.x[stopped], 4.0, atol=1e-9)  # v^2 / 2a
 
@@ -256,7 +256,7 @@ def test_commitment_aborts_on_a_sudden_blocker():
     assert result.aborted
     assert result.maneuver is Maneuver.KEEP_LANE_DECELERATE
     assert planner.commitment.trajectory is None
-    assert result.trajectory.end_speed < 8.0
+    assert result.trajectory.speed[-1] < 8.0
     # braking follows the committed geometry rather than steering back
     assert result.trajectory.y[0] == pytest.approx(0.7, abs=1e-6)
 
@@ -304,3 +304,27 @@ def test_reset_clears_history():
     assert planner.previous is None
     assert planner.current_values is None
     assert planner.commitment.trajectory is None
+
+
+def test_a_start_above_the_limit_brakes_instead_of_jumping_to_it():
+    # the ego at 20 m/s on a one-lane 13.89 m/s road: every speed profile
+    # holds or slows from 20 m/s, so only Stop (2 m/s^2 for 4 s) ends under
+    # the limit, and the logged speed falls at that rate instead of snapping
+    # to 13.89 m/s in one tick
+    doc = {
+        "name": "over_the_limit", "duration_s": 3.0, "apriori_lane": "main",
+        "lanes": [{"id": "main", "centerline": [[0.0, 0.0], [600.0, 0.0]], "width": 3.5,
+                   "speed_limit": 13.89, "left_boundary": "solid", "right_boundary": "solid"}],
+        "agents": [{"id": "ego", "kind": "ego", "position": [0.0, 0.0], "heading": 0.0,
+                    "speed": 20.0, "length": 4.5, "width": 1.8, "lane": "main"}],
+    }
+    cfg = PlannerConfig()
+    sc = load_scenario(doc)
+    decision = plan_tick(plan_context(sc, cfg, 0.0))
+    assert [c.maneuver for c in decision.candidates if c.feasible] == [Maneuver.STOP]
+    assert not decision.fallback
+    log = run(sc, CorMpPlanner(cfg, sc.profile), cfg)
+    speeds = np.array([row["ego_speed"] for row in log.rows])
+    assert speeds[0] == 20.0 and speeds[-1] < 20.0
+    assert np.all(np.abs(np.diff(speeds)) <= cfg.stop_decel_default * cfg.dt + 1e-9)
+    assert log.rows[0]["ego_accel_lon"] == pytest.approx(-cfg.stop_decel_default)

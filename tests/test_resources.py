@@ -13,7 +13,6 @@ from cormp.bezier import SpeedProfile, TimedTrajectory, sample_trajectory
 from cormp.config import PROFILES, PlannerConfig
 from cormp.identification import (
     CandidateBlock,
-    ManeuverCandidate,
     Maneuver,
     enumerate_candidates,
     lane_path,
@@ -46,10 +45,6 @@ def straight_traj(v: float, n: int = 41, dt: float = 0.1, y: float = 0.0,
     return TimedTrajectory(dt, t, v * t, np.full(n, y), np.zeros(n),
                            np.full(n, float(v)), np.full(n, a_lon),
                            np.full(n, a_lat))
-
-
-def cand(traj: TimedTrajectory) -> ManeuverCandidate:
-    return ManeuverCandidate(Maneuver.KEEP_LANE_SAME_SPEED, traj, None)
 
 
 def vehicle_pred(traj: TimedTrajectory) -> tuple:
@@ -187,22 +182,22 @@ def test_safety_takes_worst_sample():
 
 
 def test_comfort_inside_box():
-    c = cand(straight_traj(10.0, a_lon=0.5, a_lat=0.2))
+    c = straight_traj(10.0, a_lon=0.5, a_lat=0.2)
     assert comfort_value(c, CFG) == 1.0
 
 
 def test_comfort_zero_at_axis_maximum():
-    c = cand(straight_traj(10.0, a_lon=3.0))
+    c = straight_traj(10.0, a_lon=3.0)
     assert comfort_value(c, CFG) == 0.0
 
 
 def test_comfort_linear_between_box_and_maximum():
-    c = cand(straight_traj(10.0, a_lon=1.95))
+    c = straight_traj(10.0, a_lon=1.95)
     assert comfort_value(c, CFG) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_comfort_uses_worst_axis():
-    c = cand(straight_traj(10.0, a_lon=0.2, a_lat=2.5))
+    c = straight_traj(10.0, a_lon=0.2, a_lat=2.5)
     assert comfort_value(c, CFG) == 0.0
 
 
@@ -210,16 +205,16 @@ def test_comfort_uses_worst_axis():
 
 
 def test_objective_full_speed_ratio():
-    assert objective_value(cand(straight_traj(10.0)), 10.0, 4.0) == 1.0
+    assert objective_value(straight_traj(10.0), 10.0, 4.0) == 1.0
 
 
 def test_objective_standstill():
-    stop = cand(TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 41))
+    stop = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 41)
     assert objective_value(stop, 10.0, 4.0) == 0.0
 
 
 def test_objective_half_speed():
-    assert objective_value(cand(straight_traj(5.0)), 10.0, 4.0) \
+    assert objective_value(straight_traj(5.0), 10.0, 4.0) \
         == pytest.approx(0.5, abs=1e-9)
 
 
@@ -297,9 +292,10 @@ def test_clamp01():
 def test_full_assessment_stays_in_unit_interval():
     ctx = plan_context(load("overtake_static"), PlannerConfig(), 0.0)
     # every candidate with a row of the plan's block: all but the missing right lane's
-    cands = [c for c in enumerate_candidates(ctx) if c.row is not None]
-    assert len(cands) == 5
-    values, states = assess_candidates(ctx, cands)
+    block, cands = enumerate_candidates(ctx)
+    rows = [c.row for c in cands if c.row is not None]
+    assert len(rows) == 5
+    values, states = assess_candidates(ctx, block, rows)
     assert values.shape == states.shape == (5, len(RESOURCES))
     assert np.all((0.0 <= values) & (values <= 1.0))
     assert np.issubdtype(states.dtype, np.integer)
@@ -311,12 +307,11 @@ def test_property_values_clamped_over_random_inputs():
     rng = np.random.default_rng(37)
     for _ in range(200):
         v = rng.uniform(0.0, 30.0)
-        c = cand(straight_traj(v, a_lon=rng.uniform(-6, 6),
-                               a_lat=rng.uniform(-5, 5)))
+        c = straight_traj(v, a_lon=rng.uniform(-6, 6), a_lat=rng.uniform(-5, 5))
         assert 0.0 <= comfort_value(c, CFG) <= 1.0
         assert 0.0 <= energy_value(rng.uniform(0, 30), rng.uniform(0, 30), 1500.0, 75.0) <= 1.0
         assert 0.0 <= objective_value(c, rng.uniform(5, 30), 4.0) <= 1.0
-        assert 0.0 <= lane_hold(c.trajectory)[0] <= 1.0
+        assert 0.0 <= lane_hold(c)[0] <= 1.0
 
 
 # ---------------------------------------------------------------- array form
@@ -363,18 +358,17 @@ picks = st.integers(0, 63)   # indices into the rows, or into the oracle's value
 def test_assess_candidates_equals_the_per_candidate_oracle_bitwise(rows, idx, thresholds, held):
     ctx, paths = busy_context()
     block = sample_trajectory([(paths[k], profile, h) for k, profile, h in rows], ctx.config.dt)
-    cands = [ManeuverCandidate(Maneuver.KEEP_LANE_SAME_SPEED, block[r], ctx.ego.lane,
-                               block=block, row=r)
-             for r in dict.fromkeys(i % len(rows) for i in idx)]
-    values = sorted({v for mu, _ in assess_oracle(ctx, cands) for v in mu.values()})
+    picked = list(dict.fromkeys(i % len(rows) for i in idx))
+    trajectories = [block[r] for r in picked]
+    values = sorted({v for mu, _ in assess_oracle(ctx, trajectories) for v in mu.values()})
     if thresholds is not None:   # both exactly at values in play
         lo, hi = sorted(values[i % len(values)] for i in thresholds)
         ctx = dataclasses.replace(ctx, config=ctx.config.replace(theta_loss=lo, theta_acquired=hi))
     if held is not None:
         held = np.array([values[v % len(values)] if isinstance(v, int) else v for v in held])
-    got, codes = assess_candidates(ctx, cands, held)
-    want = assess_oracle(ctx, cands, held)
-    assert got.shape == codes.shape == (len(cands), len(RESOURCES)) and len(want) == len(cands)
+    got, codes = assess_candidates(ctx, block, picked, held)
+    want = assess_oracle(ctx, trajectories, held)
+    assert got.shape == codes.shape == (len(picked), len(RESOURCES)) and len(want) == len(picked)
     for row, row_codes, (mu, states) in zip(got.tolist(), codes.tolist(), want):
         assert [v.hex() for v in row] == [mu[res].hex() for res in RESOURCES]
         assert [STATES[k] for k in row_codes] == [states[res] for res in RESOURCES]
