@@ -200,12 +200,11 @@ class UtilityPlanner(CorMpPlanner):
         self.weights = dict(self.UTILITY_WEIGHTS)
 
 
+PLANNERS = {"cor-mp": CorMpPlanner, "mobil": MobilPlanner, "utility": UtilityPlanner}
+
+
 def make_planner(name: str, config: PlannerConfig, profile: str):
-    """Planner registry used by the CLI."""
-    if name == "cor-mp":
-        return CorMpPlanner(config, profile)
-    if name == "mobil":
-        return MobilPlanner(config, profile)
-    if name == "utility":
-        return UtilityPlanner(config, profile)
-    raise ValueError(f"unknown planner '{name}' (expected cor-mp, mobil, or utility)")
+    """The planner `name` names in `PLANNERS`."""
+    if name not in PLANNERS:
+        raise ValueError(f"unknown planner '{name}' (expected one of {', '.join(PLANNERS)})")
+    return PLANNERS[name](config, profile)

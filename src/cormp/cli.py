@@ -13,14 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-from .baselines import make_planner
+from .baselines import PLANNERS, make_planner
 from .config import PROFILES, load_config
 from .metrics import compute_metrics
 from .scenario import ScenarioError, load_scenario
 from .simulator import SimLog, run
 from .timeline import write_timeline
-
-PLANNERS = ("cor-mp", "mobil", "utility")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +43,7 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="simulate one scenario under one planner")
     common(p_run)
-    p_run.add_argument("--planner", choices=PLANNERS, default="cor-mp")
+    p_run.add_argument("--planner", choices=tuple(PLANNERS), default="cor-mp")
 
     p_cmp = sub.add_parser("compare", help="run several planners on one scenario")
     common(p_cmp)
@@ -65,14 +63,10 @@ def _write_run_outputs(out: Path, log: SimLog, scenario) -> dict:
     with open(out / "log.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(log.to_csv())
     _write_json(out / "events.json", log.events_json())
-    metrics = compute_metrics(log, scenario)
-    _write_json(out / "metrics.json", metrics.to_dict())
+    metrics = compute_metrics(log, scenario).to_dict()
+    _write_json(out / "metrics.json", metrics)
     write_timeline(out / "timeline.svg", [(log.planner, log)], scenario.duration_s)
-    return metrics.to_dict()
-
-
-def _had_incidents(log: SimLog) -> bool:
-    return any(e.type in ("collision", "rule_violation") for e in log.events)
+    return metrics
 
 
 def _setup(args) -> tuple:
@@ -92,7 +86,7 @@ def _cmd_run(args) -> int:
           f"avg speed {metrics['avg_speed_mps']:.2f} m/s, "
           f"{metrics['collisions']} collisions, "
           f"{metrics['rule_violations']} violations -> {out}")
-    return 2 if _had_incidents(log) else 0
+    return 2 if metrics["collisions"] or metrics["rule_violations"] else 0
 
 
 def _cmd_compare(args) -> int:
@@ -107,13 +101,13 @@ def _cmd_compare(args) -> int:
     for name in names:
         planner = make_planner(name, config, profile)
         log = run(scenario, planner, config)
-        report[name] = _write_run_outputs(out / name, log, scenario)
+        metrics = report[name] = _write_run_outputs(out / name, log, scenario)
         logs.append((name, log))
-        incidents = incidents or _had_incidents(log)
-        print(f"  {name}: avg speed {report[name]['avg_speed_mps']:.2f} m/s, "
-              f"energy {report[name]['kinetic_energy_kj']:.1f} kJ, "
-              f"{report[name]['collisions']} collisions, "
-              f"{report[name]['rule_violations']} violations")
+        incidents = incidents or metrics["collisions"] or metrics["rule_violations"]
+        print(f"  {name}: avg speed {metrics['avg_speed_mps']:.2f} m/s, "
+              f"energy {metrics['kinetic_energy_kj']:.1f} kJ, "
+              f"{metrics['collisions']} collisions, "
+              f"{metrics['rule_violations']} violations")
     _write_json(out / "report.json", {"scenario": scenario.name, "profile": profile,
                                       "planners": report})
     write_timeline(out / "timeline.svg", logs, scenario.duration_s)

@@ -113,9 +113,6 @@ class PlannerConfig:
             raise ValueError("config: top level must be an object")
         return cls.from_dict(doc)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def load_config(path: str | None = None) -> PlannerConfig:
     """Resolve a config: explicit path, else $CORMP_CONFIG, else defaults."""

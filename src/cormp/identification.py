@@ -400,8 +400,8 @@ def _red_lights(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
     """(R,) rows that cross a red stop line, or enter its hold zone while it
     is red, on a lane they concern: the ego's, or `targets`, each row's
     target lane. `front(lane_id)` gives the (R, T) front-bumper arc positions
-    of the rows on a lane. The light's color is read at the tick of each
-    crossing or entry."""
+    of the rows on a lane. A light counts as red if it is red now or at the
+    tick of the crossing or entry."""
     cfg = ctx.config
     out = np.zeros(len(cands), dtype=bool)
     for light in ctx.scenario.lights:
@@ -415,14 +415,12 @@ def _red_lights(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
         hold_line = light.stop_line_s - cfg.red_light_hold_m - cfg.hold_buffer_m
         crosses = ahead[:, None] & (s >= light.stop_line_s)
         enters = (ahead & (s[:, 0] < hold_line))[:, None] & (s >= hold_line)
-        if light.color_at(ctx.sim_time) == "red":
-            out |= crosses.any(axis=1) | enters.any(axis=1)
-            continue
+        red_now = light.color_at(ctx.sim_time) == "red"
         for event in (crosses, enters):
             rows = np.nonzero(event.any(axis=1))[0]
             when = cands.t[rows, event[rows].argmax(axis=1)].tolist()
-            out[rows[np.array([light.color_at(ctx.sim_time + t) == "red" for t in when],
-                              dtype=bool)]] = True
+            out[rows[np.array([red_now or light.color_at(ctx.sim_time + t) == "red"
+                               for t in when], dtype=bool)]] = True
     return out
 
 
@@ -432,7 +430,7 @@ def _crosswalks(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
     while it is occupied now or at the tick of entry, with `targets` and
     `front` as in `_red_lights`. The span is measured along the ego's lane
     where the crosswalk spans it, else along each row's target lane; a row
-    parked at the hold line does not enter."""
+    parked past the hold line does not enter while its front never advances."""
     cfg, ego = ctx.config, ctx.ego
     out = np.zeros(len(cands), dtype=bool)
     for cw, occupied in zip(ctx.scenario.crosswalks, ctx.crosswalk_occupancy):
@@ -443,7 +441,7 @@ def _crosswalks(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
             s = front(lane_id)
             at = s >= cw.span[0] - cfg.crosswalk_hold_m
             enters &= (s[:, 0] < cw.span[1]) & at.any(axis=1)
-            enters &= ~(at[:, 0] & (cands.speed[:, 0] <= 1e-9))
+            enters &= ~(at[:, 0] & (s[:, -1] <= s[:, 0]))
             tick = np.minimum(at.argmax(axis=1), len(occupied) - 1)
             out |= enters & (occupied[0] | occupied[tick])
     return out

@@ -62,14 +62,13 @@ class Decision:
         return bool(self.broken[[c.feasible for c in self.candidates]].any())
 
 
-def decide(candidates: list, profits: dict, previous: Maneuver | None,
-           tie_eps: float) -> tuple[Maneuver, bool]:
-    """Argmax profit over the feasible set with the documented tie-break."""
-    feasible = [c.maneuver for c in candidates if c.feasible]
-    if not feasible:
+def decide(profits: dict, previous: Maneuver | None, tie_eps: float) -> tuple[Maneuver, bool]:
+    """Argmax profit over the feasible set, the keys of `profits`, with the
+    documented tie-break."""
+    if not profits:
         raise ValueError("decide() needs at least one feasible candidate")
-    best = max(profits[m] for m in feasible)
-    tied = [m for m in feasible if abs(profits[m] - best) < tie_eps]
+    best = max(profits.values())
+    tied = [m for m, v in profits.items() if abs(v - best) < tie_eps]
     if len(tied) == 1:
         return tied[0], False
     if previous is not None and previous in tied:
@@ -95,7 +94,7 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
         total = total + weights[res] * values[:, k]
     maneuvers = [c.maneuver for c in feasible]
     profits = dict(zip(maneuvers, total.tolist()))
-    maneuver, tie_break = decide(candidates, profits, previous, ctx.config.tie_epsilon)
+    maneuver, tie_break = decide(profits, previous, ctx.config.tie_epsilon)
     row = maneuvers.index(maneuver)
     return Decision(
         t=ctx.sim_time,
@@ -203,9 +202,9 @@ class CorMpPlanner:
 
     def plan(self, scenario: Scenario, sim_time: float) -> PlanResult:
         cfg = self.config
+        ctx = plan_context(scenario, cfg, sim_time)
         remaining = self.commitment.remaining(sim_time, cfg.dt)
         if remaining is not None:
-            ctx = plan_context(scenario, cfg, sim_time)
             maneuver = self.commitment.maneuver
             mu_safety = safety_value(CandidateBlock([remaining]), ctx.predictions,
                                      ctx.ego.length, ctx.ego.width, cfg)[0]
@@ -217,7 +216,6 @@ class CorMpPlanner:
                                        cfg.planning_horizon_s)
             return PlanResult(aborted, Maneuver.KEEP_LANE_DECELERATE, aborted=True)
 
-        ctx = plan_context(scenario, cfg, sim_time)
         decision = plan_tick(ctx, self.previous, self.current_values, self.weights)
         self.previous = decision.maneuver
         self.current_values = decision.values[decision.chosen]

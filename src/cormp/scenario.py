@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -110,11 +110,6 @@ class Polyline:
     def _cum_floats(self) -> list:
         return self.cum.tolist()
 
-    @cached_property
-    def _heading_floats(self) -> list:
-        # np.arctan2 as in `frames`: math.atan2 rounds some headings differently
-        return np.arctan2(self._d[:, 1], self._d[:, 0]).tolist()
-
     def _segment(self, s: float) -> int:
         """Index of the segment holding arc position s (an end one beyond the ends)."""
         i = bisect.bisect_right(self._cum_floats, s) - 1
@@ -127,12 +122,12 @@ class Polyline:
 
     def point_at(self, s: float) -> tuple:
         """(x, y) at arc length s; extrapolates along end tangents."""
-        ax, ay, dx, dy, _, seg, cum = self._segment_floats[self._segment(s)]
+        ax, ay, dx, dy, _, seg, cum, _ = self._segment_floats[self._segment(s)]
         f = (s - cum) / seg
         return ax + dx * f, ay + dy * f
 
     def heading_at(self, s: float) -> float:
-        return self._heading_floats[self._segment(s)]
+        return self._segment_floats[self._segment(s)][7]
 
     def locate(self, s: np.ndarray) -> tuple:
         """(segment, curvature) at an array of arc positions, as `frames` reads them:
@@ -157,12 +152,14 @@ class Polyline:
 
     @cached_property
     def _segment_floats(self) -> list:
-        """Per-segment Python floats: the scalar `project` loop is faster on
-        them than on numpy scalars, and most lanes have one segment."""
+        """Per-segment Python floats, which the scalar `project` loop reads faster than
+        numpy scalars: ax, ay, dx, dy, length^2, length, arc position and heading (by
+        np.arctan2 as in `frames`; math.atan2 rounds some differently). Most lanes have one."""
         p, d = self.points, self._d
         return list(zip(p[:-1, 0].tolist(), p[:-1, 1].tolist(), d[:, 0].tolist(),
                         d[:, 1].tolist(), (self._seg * self._seg).tolist(),
-                        self._seg.tolist(), self.cum[:-1].tolist()))
+                        self._seg.tolist(), self.cum[:-1].tolist(),
+                        np.arctan2(d[:, 1], d[:, 0]).tolist()))
 
     def project(self, point):
         """(s, signed lateral offset) of the closest point.
@@ -189,7 +186,7 @@ class Polyline:
         px, py = float(p[0]), float(p[1])
         best = math.inf
         near = []   # (dist2, i, t, tc, qx, qy) of the segments near the closest so far
-        for i, (ax, ay, dx, dy, len2, seg, cum) in enumerate(self._segment_floats):
+        for i, (ax, ay, dx, dy, len2, seg, cum, _) in enumerate(self._segment_floats):
             rx, ry = px - ax, py - ay
             t = (rx * dx + ry * dy) / len2
             tc = min(max(t, 0.0), 1.0)
@@ -206,7 +203,7 @@ class Polyline:
             near = [e for e in near if e[0] <= best + 1e-12]
             pick = next((e for e in near if e[2] == e[3]), near[0])
         _, i, t, tc, qx, qy = pick
-        _, _, dx, dy, _, seg, cum = self._segment_floats[i]
+        _, _, dx, dy, _, seg, cum, _ = self._segment_floats[i]
         if (i == 0 and t < 0.0) or (i == len(self._seg) - 1 and t > 1.0):
             tc = t  # past an end: along the end segment's extension
         return cum + tc * seg, (dx * qy - dy * qx) / seg
@@ -216,7 +213,7 @@ class Polyline:
             return self._project_segments(p)
         # `_project_segments` on its one segment, bitwise: past either end
         # the foot is t on the extension, and on the segment t is tc
-        ax, ay, dx, dy, len2, seg, cum = self._segment_floats[0]
+        ax, ay, dx, dy, len2, seg, cum, _ = self._segment_floats[0]
         rx, ry = p[:, 0] - ax, p[:, 1] - ay
         t = (rx * dx + ry * dy) / len2
         tc = np.minimum(np.maximum(t, 0.0), 1.0)
@@ -293,10 +290,7 @@ class AgentState:
     behavior: Behavior = field(default_factory=Behavior)
 
     def copy(self) -> "AgentState":
-        return AgentState(
-            self.id, self.kind, self.x, self.y, self.heading, self.speed,
-            self.length, self.width, self.mass, self.lane, self.behavior,
-        )
+        return replace(self)
 
 
 @dataclass(eq=False)

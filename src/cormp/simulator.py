@@ -285,24 +285,16 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
                 decision_fields = _decision_row_fields(result.decision)
             if fallback:
                 log.events.append(SimEvent(t, "fallback_stop", {}))
-            if result.aborted:
-                log.events.append(SimEvent(t, "lane_change_aborted",
-                                           {"maneuver": lc_active.value if lc_active else ""}))
-                lc_active = None
-            if maneuver in LANE_CHANGES:
-                # an uncommitted lane change is a fresh start: close the open one
-                if lc_active is not None and not committed:
-                    log.events.append(SimEvent(t, "lane_change_completed",
-                                               {"maneuver": lc_active.value}))
-                    lc_active = None
-                if lc_active is None:
-                    lc_active = maneuver
+            # any result but a committed replay closes the open lane change,
+            # then opens one if it is itself a lane change
+            if not committed:
+                if lc_active is not None:
+                    closed = "lane_change_aborted" if result.aborted else "lane_change_completed"
+                    log.events.append(SimEvent(t, closed, {"maneuver": lc_active.value}))
+                lc_active = maneuver if maneuver in LANE_CHANGES else None
+                if lc_active is not None:
                     log.events.append(SimEvent(t, "lane_change_started",
                                                {"maneuver": maneuver.value}))
-            elif lc_active is not None:
-                log.events.append(SimEvent(t, "lane_change_completed",
-                                           {"maneuver": lc_active.value}))
-                lc_active = None
 
         tick_events = world.detect_collisions() + world.detect_violations()
         log.events.extend(tick_events)

@@ -9,9 +9,9 @@ Each line is `<scenario> <planner> <sha256>`, the digest of the two files'
 bytes as `cormp run` writes them, for the eight scenarios in `scenarios/`,
 the two curved roads of `tests/conftest.py` and, with `--workload-seeds`,
 every distinct drive of the three `perfbench` workloads at those seeds, each
-under cor-mp, mobil and utility. Run it in two checkouts and `diff` the
-outputs to see which logs a change moved. `tests/log_digests.txt` holds the
-lines without workload seeds, which `test_log_digests.py` checks.
+under every planner of `cormp.baselines.PLANNERS`. Run it in two checkouts and
+`diff` the outputs to see which logs a change moved. `tests/log_digests.txt`
+holds the lines without workload seeds, which `test_log_digests.py` checks.
 
 `--out DIR` writes each run's files to `DIR/<scenario>/<planner>/`. `--diff`
 compares two such trees and prints one line per run that differs: the first
@@ -37,8 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from conftest import CURVED  # noqa: E402
 
 from cormp import PlannerConfig, load_scenario, make_planner, simulator  # noqa: E402
-
-PLANNERS = ("cor-mp", "mobil", "utility")
+from cormp.baselines import PLANNERS  # noqa: E402
 ARTIFACTS = ("log.csv", "events.json")
 # the log's decisions and rule outcomes, as against its continuous poses and values
 DISCRETE = ("ego_lane", "maneuver", "committed", "fallback", "events")

@@ -128,4 +128,4 @@ def test_exit_codes_are_mutually_exclusive(tmp_path):
 
 
 def test_planner_registry_matches_the_cli_choices():
-    assert PLANNERS == ("cor-mp", "mobil", "utility")
+    assert tuple(PLANNERS) == ("cor-mp", "mobil", "utility")

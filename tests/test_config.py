@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -38,7 +39,7 @@ def test_profile_is_not_a_config_key():
 
 def test_from_dict_roundtrip():
     cfg = PlannerConfig(dt=0.05, ttc_min_s=3.0)
-    again = PlannerConfig.from_dict(cfg.to_dict())
+    again = PlannerConfig.from_dict(dataclasses.asdict(cfg))
     assert again == cfg
 
 

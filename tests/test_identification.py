@@ -580,6 +580,22 @@ def test_standing_at_the_crosswalk_hold_line_breaks_no_rule():
         assert rules[m] == set() and cands[m].feasible, m
 
 
+def test_accelerating_from_the_crosswalk_hold_line_enters_it():
+    # planted: the bumper stands 0.2 m past the hold line with a walker
+    # standing on the span at the lane's right edge, clear of the ego's path;
+    # a row that starts at rest there is parked only while its front never
+    # advances, so accelerating drives into the occupied crosswalk
+    standing = dict(LEAVING, speed=0.0)
+    ctx = context(road(n_lanes=1, ego={"position": [96.95, 0.0], "speed": 0.0},
+                       others=[standing], crosswalks=[CROSSWALK]))
+    assert ctx.crosswalk_occupancy[0].all()
+    cands, rules, _ = filtered(ctx)
+    assert rules[Maneuver.KEEP_LANE_ACCELERATE] == {"crosswalk"}
+    assert not cands[Maneuver.KEEP_LANE_ACCELERATE].feasible
+    for m in (Maneuver.KEEP_LANE_SAME_SPEED, Maneuver.STOP):
+        assert rules[m] == set() and cands[m].feasible, m
+
+
 def test_stop_survives_as_fallback_when_nothing_is_feasible():
     blocker = {"id": "wall", "kind": "obstacle", "position": [27.0, 0.0],
                "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}

@@ -6,7 +6,6 @@ from cormp.baselines import MobilPlanner
 from cormp.bezier import SpeedProfile, TimedTrajectory, sample_trajectory
 from cormp.config import PlannerConfig
 from cormp.identification import (
-    ManeuverCandidate,
     Maneuver,
     PlanContext,
 )
@@ -21,10 +20,6 @@ from cormp.planner import (
 from cormp.resources import RESOURCES, STATES, ResourceState, profile_weights
 from cormp.scenario import Polyline, load_scenario
 from cormp.simulator import run
-
-
-def stub_candidate(maneuver: Maneuver, feasible: bool = True) -> ManeuverCandidate:
-    return ManeuverCandidate(maneuver, None, feasible=feasible)
 
 
 REGULAR = profile_weights("regular")
@@ -79,46 +74,38 @@ def test_choice_is_scale_invariant(weigh):
 
 
 def test_decide_takes_the_argmax():
-    cands = [stub_candidate(Maneuver.CHANGE_LANE_LEFT),
-             stub_candidate(Maneuver.KEEP_LANE_SAME_SPEED)]
     profits = {Maneuver.CHANGE_LANE_LEFT: 0.7, Maneuver.KEEP_LANE_SAME_SPEED: 0.6}
-    maneuver, tie = decide(cands, profits, None, 1e-9)
+    maneuver, tie = decide(profits, None, 1e-9)
     assert maneuver is Maneuver.CHANGE_LANE_LEFT
     assert not tie
 
 
 def test_decide_tie_prefers_the_previous_maneuver():
-    cands = [stub_candidate(Maneuver.KEEP_LANE_SAME_SPEED),
-             stub_candidate(Maneuver.KEEP_LANE_DECELERATE)]
     profits = {Maneuver.KEEP_LANE_SAME_SPEED: 0.6,
                Maneuver.KEEP_LANE_DECELERATE: 0.6}
-    maneuver, tie = decide(cands, profits, Maneuver.KEEP_LANE_DECELERATE, 1e-9)
+    maneuver, tie = decide(profits, Maneuver.KEEP_LANE_DECELERATE, 1e-9)
     assert maneuver is Maneuver.KEEP_LANE_DECELERATE
     assert tie
 
 
 def test_decide_tie_without_history_uses_fixed_order():
-    cands = [stub_candidate(Maneuver.KEEP_LANE_DECELERATE),
-             stub_candidate(Maneuver.KEEP_LANE_SAME_SPEED)]
     profits = {m: 0.5 for m in (Maneuver.KEEP_LANE_DECELERATE,
                                 Maneuver.KEEP_LANE_SAME_SPEED)}
-    maneuver, tie = decide(cands, profits, None, 1e-9)
+    maneuver, tie = decide(profits, None, 1e-9)
     assert maneuver is Maneuver.KEEP_LANE_SAME_SPEED  # calmest option first
     assert tie
     assert TIE_ORDER[0] is Maneuver.KEEP_LANE_SAME_SPEED
 
 
 def test_decide_with_only_a_fallback():
-    cands = [stub_candidate(m, feasible=False) for m in list(Maneuver)[:5]]
-    cands.append(stub_candidate(Maneuver.STOP))
     profits = {Maneuver.STOP: 0.1}
-    maneuver, _ = decide(cands, profits, None, 1e-9)
+    maneuver, _ = decide(profits, None, 1e-9)
     assert maneuver is Maneuver.STOP
 
 
 def test_decide_requires_a_feasible_candidate():
     with pytest.raises(ValueError):
-        decide([stub_candidate(Maneuver.STOP, feasible=False)], {}, None, 1e-9)
+        decide({}, None, 1e-9)
 
 
 # ---------------------------------------------------------------- plan_tick

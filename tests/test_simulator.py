@@ -227,6 +227,48 @@ def test_back_to_back_lane_changes_are_logged_separately():
     assert (m.lane_changes_left, m.lane_changes_right) == (1, 1)
 
 
+class LaneChangeScript(ScriptedPlanner):
+    """A cruiser whose plan calls report the scripted (maneuver, committed,
+    aborted) results in turn."""
+
+    def __init__(self, script):
+        super().__init__(lambda t: 15.0 + 10.0 * t, lambda t: 0.0, 10.0)
+        self.script = script
+        self.reset()
+
+    def reset(self):
+        self.calls = iter(self.script)
+
+    def plan(self, scenario, sim_time):
+        maneuver, committed, aborted = next(self.calls)
+        return PlanResult(super().plan(scenario, sim_time).trajectory, maneuver,
+                          committed=committed, aborted=aborted)
+
+
+def lane_change_events(log) -> list:
+    return [(e["t"], e["type"], e.get("maneuver")) for e in log.events_json()]
+
+
+def test_each_result_but_a_committed_replay_closes_the_open_lane_change():
+    left, right = Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT
+    script = [(left, False, False), (left, True, False),
+              (Maneuver.KEEP_LANE_DECELERATE, False, True),
+              (right, False, False), (Maneuver.KEEP_LANE_SAME_SPEED, False, False)]
+    log = run(lane_doc(duration=2.5), LaneChangeScript(script))
+    assert lane_change_events(log) == [
+        (0.0, "lane_change_started", "change_lane_left"),
+        (1.0, "lane_change_aborted", "change_lane_left"),
+        (pytest.approx(1.5), "lane_change_started", "change_lane_right"),
+        (2.0, "lane_change_completed", "change_lane_right"),
+    ]
+    # a change still open when the run ends completes at its end
+    log = run(lane_doc(duration=1.0), LaneChangeScript(script[:2]))
+    assert lane_change_events(log) == [
+        (0.0, "lane_change_started", "change_lane_left"),
+        (1.0, "lane_change_completed", "change_lane_left"),
+    ]
+
+
 @pytest.mark.parametrize("planner_id", ["cor-mp", "mobil", "utility"])
 def test_red_light_on_the_neighbour_lane_is_not_a_violation(planner_id):
     # the light stands on the right lane only; the ego keeps to the left lane,
