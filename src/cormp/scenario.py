@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import PROFILES
+from .kernels import REACH_MARGIN
 
 BOUNDARY_KINDS = ("solid", "dashed")
 AGENT_KINDS = ("ego", "vehicle", "pedestrian", "obstacle")
@@ -152,14 +153,28 @@ class Polyline:
 
     @cached_property
     def _segment_floats(self) -> list:
-        """Per-segment Python floats, which the scalar `project` loop reads faster than
-        numpy scalars: ax, ay, dx, dy, length^2, length, arc position and heading (by
-        np.arctan2 as in `frames`; math.atan2 rounds some differently). Most lanes have one."""
+        """Per-segment Python floats, which a pair `project` reads run by run (`_chunks`)
+        faster than numpy scalars: ax, ay, dx, dy, length^2, length, arc position and heading
+        (by np.arctan2 as in `frames`; math.atan2 rounds some differently). Most lanes have one."""
         p, d = self.points, self._d
         return list(zip(p[:-1, 0].tolist(), p[:-1, 1].tolist(), d[:, 0].tolist(),
                         d[:, 1].tolist(), (self._seg * self._seg).tolist(),
                         self._seg.tolist(), self.cum[:-1].tolist(),
                         np.arctan2(d[:, 1], d[:, 0]).tolist()))
+
+    @cached_property
+    def _chunks(self) -> list:
+        """(x, y, r, first, rows) per run of isqrt(n - 1) + 1 of the n segments: the disc
+        about the mean (x, y) of its vertices, out to the farthest (r), covers the run, whose
+        `_segment_floats` are `rows` from segment `first`. One run (n <= 2): (-inf, 0, rows)."""
+        rows = self._segment_floats
+        k = math.isqrt(len(rows) - 1) + 1
+        if k >= len(rows):
+            return [(-math.inf, 0, rows)]
+        starts = range(0, len(rows), k)
+        discs = [(v, v.mean(axis=0)) for v in (self.points[i:i + k + 1] for i in starts)]
+        return [(*c.tolist(), float(np.hypot(*(v - c).T).max()), i, rows[i:i + k])
+                for i, (v, c) in zip(starts, discs)]
 
     def project(self, point):
         """(s, signed lateral offset) of the closest point.
@@ -174,35 +189,45 @@ class Polyline:
         foot lies on it wins, else the first: near a vertex the segment that
         holds the point beats its neighbour clamped to that vertex.
 
-        A pair runs a loop on Python floats, an array one vectorised pass.
-        On a 2-core host with CPython 3.11 and numpy 2.4, the array pass wins
-        from about 2 points on a 59-segment arc and 6 on a one-segment lane;
-        one point costs 66 us looped against 72 us vectorised on the arc, 4
-        against 24 us on the lane. So pass one point as a pair, several as an array.
+        A pair loops on Python floats over the runs of `_chunks`, nearest first,
+        up to the first whose disc lies over `REACH_MARGIN` beyond the closest segment
+        so far; an array runs one vectorised pass over every segment. On a 2-core
+        host with CPython 3.11 and numpy 2.4, a point near the line costs 8 us as
+        a pair against 40 us as an array on a 59-segment arc, 1.5 against 13 us
+        on a one-segment lane, and the array pass wins from about 6 points on the
+        arc and 9 on the lane. So pass one point as a pair, several as an array.
         """
-        p = np.asarray(point, dtype=np.float64)
-        if p.ndim == 2:
-            return self._project_many(p)
-        px, py = float(p[0]), float(p[1])
-        best = math.inf
-        near = []   # (dist2, i, t, tc, qx, qy) of the segments near the closest so far
-        for i, (ax, ay, dx, dy, len2, seg, cum, _) in enumerate(self._segment_floats):
-            rx, ry = px - ax, py - ay
-            t = (rx * dx + ry * dy) / len2
-            tc = min(max(t, 0.0), 1.0)
-            qx, qy = rx - dx * tc, ry - dy * tc
-            dist2 = qx * qx + qy * qy
-            if dist2 < best - 1e-9:   # so much closer that none so far can tie with it
-                best = dist2
-                near = [(dist2, i, t, tc, qx, qy)]
-            elif dist2 <= best + 1e-12:
-                best = min(best, dist2)
-                near.append((dist2, i, t, tc, qx, qy))
+        if not isinstance(point, tuple):   # a tuple is a pair, read without numpy
+            point = np.asarray(point, dtype=np.float64)
+            if point.ndim == 2:
+                return self._project_many(point)
+        px, py = float(point[0]), float(point[1])
+        runs = self._chunks
+        if len(runs) > 1:   # by the distance of their disc's edge, nearest first
+            runs = sorted((math.hypot(px - x, py - y) - r, first, rows)
+                          for x, y, r, first, rows in runs)
+        best, near = math.inf, []   # near: (i, dist2, t, tc, qx, qy) by the closest so far
+        for edge, first, rows in runs:
+            # no segment is nearer than its disc's edge (<= 0 inside), both exact to ulps
+            if edge > 0.0 and edge > math.sqrt(best) + REACH_MARGIN:
+                break
+            for i, (ax, ay, dx, dy, len2, seg, cum, _) in enumerate(rows, first):
+                rx, ry = px - ax, py - ay
+                t = (rx * dx + ry * dy) / len2
+                tc = min(max(t, 0.0), 1.0)
+                qx, qy = rx - dx * tc, ry - dy * tc
+                dist2 = qx * qx + qy * qy
+                if dist2 < best - 1e-9:   # so much closer that none so far can tie with it
+                    best = dist2
+                    near = [(i, dist2, t, tc, qx, qy)]
+                elif dist2 <= best + 1e-12:
+                    best = min(best, dist2)
+                    near.append((i, dist2, t, tc, qx, qy))
         pick = near[0]
         if len(near) > 1:
-            near = [e for e in near if e[0] <= best + 1e-12]
+            near = sorted(e for e in near if e[1] <= best + 1e-12)
             pick = next((e for e in near if e[2] == e[3]), near[0])
-        _, i, t, tc, qx, qy = pick
+        i, _, t, tc, qx, qy = pick
         _, _, dx, dy, _, seg, cum, _ = self._segment_floats[i]
         if (i == 0 and t < 0.0) or (i == len(self._seg) - 1 and t > 1.0):
             tc = t  # past an end: along the end segment's extension

@@ -11,7 +11,7 @@ the two curved roads of `tests/conftest.py` and, with `--workload-seeds`,
 every distinct drive of the three `perfbench` workloads at those seeds, each
 under every planner of `cormp.baselines.PLANNERS`. Run it in two checkouts and
 `diff` the outputs to see which logs a change moved. `tests/log_digests.txt`
-holds the lines without workload seeds, which `test_log_digests.py` checks.
+holds the lines of `--workload-seeds 1`, which `test_log_digests.py` checks.
 
 `--out DIR` writes each run's files to `DIR/<scenario>/<planner>/`. `--diff`
 compares two such trees and prints one line per run that differs: the first

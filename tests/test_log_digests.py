@@ -1,9 +1,11 @@
-"""The closed-loop logs of the shipped scenarios and the conftest arcs, byte for byte.
+"""The closed-loop logs of the shipped scenarios, the conftest arcs and the
+benchmark's seed-1 drives, byte for byte.
 
 `log_digests.txt` holds one `<scenario> <planner> <sha256>` line per run, as
-`python3 tests/log_digest.py` prints them, under a header that names the
-Python and numpy versions it was written with. A change that moves a log on
-purpose rewrites the file and says which runs moved.
+`python3 tests/log_digest.py --workload-seeds 1` prints them, under a header
+that names the Python and numpy versions it was written with. A change that
+moves a log on purpose rewrites the file and says which runs moved; so does
+a change to the drives that `perfbench/workloads.py` makes.
 """
 import pathlib
 import platform
@@ -20,9 +22,9 @@ def test_every_log_matches_its_golden_digest():
     lines = GOLDEN.read_text(encoding="utf-8").splitlines()
     header = [line for line in lines if line.startswith("#")]
     want = dict(line.rsplit(" ", 1) for line in lines if not line.startswith("#"))
-    assert len(want) == 30
+    assert len(want) == 66
     got = {f"{name} {planner}": log_digest.digest(doc, planner)
-           for name, doc in log_digest.documents([]).items()
+           for name, doc in log_digest.documents([1]).items()
            for planner in log_digest.PLANNERS}
     differ = sorted(run for run in want.keys() | got.keys() if want.get(run) != got.get(run))
     assert not differ, (

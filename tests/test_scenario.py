@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR, load
+from conftest import SCENARIO_DIR, arc_centerline, load
 from cormp.scenario import (
     Behavior,
     Polyline,
@@ -17,6 +17,7 @@ from cormp.scenario import (
     load_scenario,
     serialize_scenario,
 )
+from projection_oracle import project_oracle
 
 
 def minimal_doc() -> dict:
@@ -71,8 +72,7 @@ def test_polyline_project_array_matches_points():
                      [[60.0, -10.0], [-30.0, 60.0]]])   # beyond both ends
     s, lat = line.project(pts)
     assert s[-2] < 0.0 and s[-1] > line.length
-    for k, p in enumerate(pts):
-        assert (s[k], lat[k]) == pytest.approx(line.project(p), abs=1e-12)
+    assert [line.project(p) for p in pts] == list(zip(s.tolist(), lat.tolist()))
 
 
 def test_polyline_project_far_from_the_line():
@@ -169,6 +169,64 @@ def test_polyline_project_is_exact_next_to_interior_vertices(turn):
     s_one = [line.project(p)[0] for p in pts]
     assert np.max(np.abs(s_many - s)) < 1e-9
     assert np.max(np.abs(np.array(s_one) - s)) < 1e-9
+
+
+@st.composite
+def projection_cases(draw) -> tuple:
+    """(vertices, queries) in the line's own frame, then moved together.
+
+    Lines: left and right arcs of radius 100-300 m, zigzags (one of 1e-7 m
+    amplitude) and random walks of 2-200 vertices, as drawn or rotated by
+    3.0 rad and moved to (-5000, 7000) m. Queries: the vertices, segment
+    midpoints, points on the bisector at interior vertices (on a zigzag
+    equidistant from both segments: exact ties), points jittered off the
+    line and points 1 km away.
+    """
+    kind = draw(st.sampled_from(["arc", "zigzag", "walk"]))
+    n = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "arc":
+        pts = np.array(arc_centerline(draw(st.floats(100.0, 300.0)),
+                                      draw(st.sampled_from([1, -1])), n_points=n))
+    elif kind == "zigzag":
+        amplitude = draw(st.sampled_from([1e-7, 0.5, 4.0]))
+        pts = np.column_stack([2.0 * np.arange(n), amplitude * (np.arange(n) % 2)])
+    else:
+        pts = np.cumsum(rng.normal(0.0, 10.0, (n, 2)), axis=0)
+    d = np.diff(pts, axis=0)
+    normal = np.column_stack([-d[:, 1], d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    bisector = normal[:-1] + normal[1:]
+    bisector /= np.maximum(np.hypot(bisector[:, 0], bisector[:, 1]), 1e-300)[:, None]
+    away = rng.uniform(-math.pi, math.pi, 8)
+
+    def some(m: int) -> np.ndarray:   # up to 24 of range(m)
+        return rng.permutation(m)[:24]
+
+    segments, inner, jittered = some(n - 1), 1 + some(n - 2), pts[some(n)]
+    queries = np.vstack([
+        pts[some(n)], 0.5 * (pts[segments] + pts[segments + 1]),
+        pts[inner] + bisector[inner - 1] * rng.choice([-3.0, -0.5, 0.5, 3.0], (len(inner), 1)),
+        jittered + rng.normal(0.0, 1.0, jittered.shape)
+        * 10.0 ** rng.uniform(-9.0, 0.0, (len(jittered), 1)),
+        pts.mean(axis=0) + 1000.0 * np.column_stack([np.cos(away), np.sin(away)]),
+    ])
+    if draw(st.booleans()):
+        c, s = math.cos(3.0), math.sin(3.0)
+        turn = np.array([[c, s], [-s, c]])   # rows times it turn by 3.0 rad
+        pts, queries = pts @ turn + (-5000.0, 7000.0), queries @ turn + (-5000.0, 7000.0)
+    return pts, queries
+
+
+@settings(max_examples=120)
+@given(projection_cases())
+def test_polyline_project_equals_the_full_scan_bitwise(case):
+    pts, queries = case
+    line = Polyline(pts)
+    want = np.array([project_oracle(line, q) for q in queries])
+    pairs = np.array([line.project(tuple(q)) for q in queries.tolist()])
+    assert pairs.tobytes() == want.tobytes()
+    assert np.array([line.project(q) for q in queries]).tobytes() == want.tobytes()
+    assert np.column_stack(line.project(queries)).tobytes() == want.tobytes()
 
 
 def test_polyline_frames_on_an_arc():
