@@ -364,16 +364,18 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
 
 
 def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
-                      ego_length: float, ego_width: float) -> np.ndarray:
-    """(C,) footprint time-to-collision of each candidate with any predicted road user.
+                      ego_length: float, ego_width: float) -> tuple:
+    """(ttc, who): each candidate's (C,) footprint time-to-collision with any
+    predicted road user, and the (C,) row of `block` that sets it.
 
     Scans a candidate's first min(len, T) samples, aligned with every row's,
     for the first oriented-rectangle overlap and refines linearly on the
     separating-axis gap inside that tick (the gap is positive before it and
-    <= 0 at it). +inf where no footprints overlap.
+    <= 0 at it). +inf, and row -1, where no footprints overlap; of road
+    users that tie, the first row.
     """
     if len(block) == 0:
-        return np.full(len(cands), math.inf)
+        return np.full(len(cands), math.inf), np.full(len(cands), -1)
     n = min(cands.x.shape[1], block.steps)
     gaps = pose_gaps(
         cands.x[:, None, :n], cands.y[:, None, :n], cands.heading[:, None, :n],
@@ -384,6 +386,7 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
     gaps = np.where(cands.valid[:, None, :n], gaps, np.inf)
     overlap = np.min(gaps, axis=1) <= 0.0
     ttc = np.where(overlap[:, 0], 0.0, math.inf)
+    who = np.where(overlap[:, 0], np.argmax(gaps[:, :, 0] <= 0.0, axis=1), -1)
     rows = np.nonzero(overlap.any(axis=1) & ~overlap[:, 0])[0]
     i = np.argmax(overlap[rows], axis=1)
     # each road user overlapping first at tick i collides in (t[i-1], t[i]]:
@@ -392,7 +395,8 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
     g1 = gaps[rows, :, i]
     frac = np.divide(g0, g0 - g1, out=np.full_like(g0, np.inf), where=g1 <= 0.0)
     ttc[rows] = cands.t[rows, i - 1] + np.min(frac, axis=1) * cands.dt
-    return ttc
+    who[rows] = np.argmin(frac, axis=1)
+    return ttc, who
 
 
 def _red_lights(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
@@ -449,11 +453,13 @@ def _crosswalks(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
 
 def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
                        candidates: list) -> tuple:
-    """(broken, min_ttc): the rules each candidate breaks, and its footprint TTC.
+    """(broken, min_ttc, ttc_agent): the rules each candidate breaks, its
+    footprint TTC and the road user that sets it.
 
     `broken` is a (C, len(RULES)) bool matrix, column k set where a
     candidate breaks `RULES[k]`; `min_ttc` is (C,), inf for a candidate with
-    no row. Every column but `no_lane` is one array expression over the
+    no row; `ttc_agent` is the (C,) list of that road user's id, None where
+    the TTC is inf. Every column but `no_lane` is one array expression over the
     candidates' rows of the plan's `block`; the red-light and crosswalk
     columns share one projection of every row's samples per lane they
     concern, and time-to-collision is one call over every row. Sets each
@@ -464,6 +470,7 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
     eps = cfg.rule_speed_epsilon
     broken = np.zeros((len(candidates), len(RULES)), dtype=bool)
     min_ttc = np.full(len(candidates), math.inf)
+    ttc_agent = [None] * len(candidates)
     has = np.array([c.row is not None for c in candidates], dtype=bool)
     broken[:, 0] = ~has
     ruled = [c for c in candidates if c.row is not None]
@@ -481,8 +488,11 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
                 np.column_stack([cands.x.ravel(), cands.y.ravel()]))
             return s.reshape(cands.x.shape) + ego.length / 2.0
 
-        ttc = time_to_collision(cands, ctx.predictions, ego.length, ego.width)
+        ttc, who = time_to_collision(cands, ctx.predictions, ego.length, ego.width)
         min_ttc[has] = ttc
+        ids = ctx.predictions.ids
+        for k, w in zip(np.flatnonzero(has).tolist(), who.tolist()):
+            ttc_agent[k] = ids[w] if w >= 0 else None
         broken[has, 1:] = np.array([   # in `RULES` order
             cands.speed[:, -1] > np.array([lanes[t].speed_limit for t in targets.tolist()]) + eps,
             np.array([m is Maneuver.KEEP_LANE_ACCELERATE for m in maneuvers])
@@ -497,4 +507,4 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
         feasible = np.array([c.maneuver is Maneuver.STOP for c in candidates])
     for cand, ok in zip(candidates, feasible.tolist()):
         cand.feasible = ok
-    return broken, min_ttc
+    return broken, min_ttc, ttc_agent

@@ -1,13 +1,15 @@
 """Run metrics derived from a simulation log."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from .resources import RESOURCES, ResourceState
 from .scenario import Scenario
-from .simulator import SimLog
+from .simulator import DECISION_COLUMNS, SimLog
 
 
 @dataclass
@@ -28,7 +30,7 @@ class Metrics:
     latency_ms: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def invested_energy_kj(epoch_speeds, mass: float) -> float:
@@ -46,6 +48,7 @@ def invested_energy_kj(epoch_speeds, mass: float) -> float:
 
 
 def compute_metrics(log: SimLog, scenario: Scenario) -> Metrics:
+    ticks = log.ticks
     speeds = log.column("ego_speed").astype(float)
     dt = log.dt
 
@@ -64,21 +67,23 @@ def compute_metrics(log: SimLog, scenario: Scenario) -> Metrics:
     lc_right = sum(1 for e in log.events if e.type == "lane_change_started"
                    and e.detail.get("maneuver") == "change_lane_right")
 
-    time_in_state = {
-        res.value: {state.value: 0.0 for state in ResourceState} for res in RESOURCES
+    # a dwell time is dt added once per tick, in tick order: held[n] is n ticks of it
+    held = list(accumulate(repeat(dt, len(ticks)), initial=0.0))
+    ticks_in_state = {
+        res.value: {state.value: 0 for state in ResourceState} for res in RESOURCES
     }
-    maneuver_time: dict = {}
-    for row in log.rows:
-        maneuver_time[row["maneuver"]] = maneuver_time.get(row["maneuver"], 0.0) + dt
+    for d, n in Counter(tick.decision for tick in ticks).items():
+        if d is None:
+            continue
+        values = dict(zip(DECISION_COLUMNS, log.decisions[d]))
         for res in RESOURCES:
-            state = row.get(f"state_{res.value}")
+            state = values[f"state_{res.value}"]
             if state is not None:
-                time_in_state[res.value][state] += dt
-    for res_states in time_in_state.values():
-        for k in res_states:
-            res_states[k] = round(res_states[k], 9)
-    for k in maneuver_time:
-        maneuver_time[k] = round(maneuver_time[k], 9)
+                ticks_in_state[res.value][state] += n
+    time_in_state = {res: {state: round(held[n], 9) for state, n in counts.items()}
+                     for res, counts in ticks_in_state.items()}
+    maneuver_time = {m: round(held[n], 9)
+                     for m, n in Counter(tick.maneuver for tick in ticks).items()}
 
     lat = np.asarray(log.latencies_ms, dtype=float)
     latency = {}

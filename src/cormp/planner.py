@@ -50,6 +50,7 @@ class Decision:
     candidates: list                  # all six ManeuverCandidates
     broken: np.ndarray                # (6, len(RULES)) rule matrix of the candidates
     min_ttc: np.ndarray               # (6,) their footprint TTC
+    ttc_agent: list                   # (6,) id of the road user setting each TTC, or None
     values: np.ndarray                # (F, 6) resource values of the feasible ones, in order
     states: np.ndarray                # (F, 6) codes into `resources.STATES`
     chosen: int                       # the maneuver's row of `values` and `states`
@@ -86,7 +87,7 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
     if weights is None:
         weights = profile_weights(ctx.scenario.profile)
     block, candidates = enumerate_candidates(ctx)
-    broken, min_ttc = feasibility_filter(ctx, block, candidates)
+    broken, min_ttc, ttc_agent = feasibility_filter(ctx, block, candidates)
     feasible = [c for c in candidates if c.feasible]
     values, states = assess_candidates(ctx, block, [c.row for c in feasible], current_values)
     total = 0.0
@@ -103,6 +104,7 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
         candidates=candidates,
         broken=broken,
         min_ttc=min_ttc,
+        ttc_agent=ttc_agent,
         values=values,
         states=states,
         chosen=row,

@@ -10,7 +10,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,28 +49,94 @@ class SimEvent:
         return {"t": self.t, "type": self.type, **self.detail}
 
 
+DECISION_COLUMNS = tuple(CSV_COLUMNS[11:-1])   # V_, feasible_ by maneuver; mu_, state_ by resource
+_NO_DECISION = "," * (len(DECISION_COLUMNS) - 1)   # their cells before any decision
+
+
+class Tick(NamedTuple):
+    """One tick of a run: its values of the first 11 `CSV_COLUMNS`, its
+    `events` cell, and the index into `SimLog.decisions` of the decision it
+    follows (None before any decision)."""
+
+    t: float
+    ego_x: float
+    ego_y: float
+    ego_heading: float
+    ego_speed: float
+    ego_accel_lon: float
+    ego_accel_lat: float
+    ego_lane: str
+    maneuver: str
+    committed: int
+    fallback: int
+    events: str
+    decision: int | None
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+class _Rows(Sequence):
+    """`SimLog.rows`: each tick as a dict keyed by `CSV_COLUMNS`, built on
+    access; a tick before any decision has no `DECISION_COLUMNS` keys."""
+
+    def __init__(self, log: SimLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.ticks)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._row(tick) for tick in self._log.ticks[k]]
+        return self._row(self._log.ticks[k])
+
+    def _row(self, tick: Tick) -> dict:
+        row = dict(zip(Tick._fields[:-1], tick))
+        if tick.decision is not None:
+            row.update(zip(DECISION_COLUMNS, self._log.decisions[tick.decision]))
+        return row
+
+
 @dataclass
 class SimLog:
+    """The record of one run.
+
+    `ticks` holds one `Tick` per tick. `decisions` holds one tuple per
+    planner decision, its values in `DECISION_COLUMNS` order, which every
+    tick up to the next decision refers to by index, so a decision's fields
+    are stored once, not on each of its ticks. `to_csv` formats each
+    decision once and each tick in one expression. `rows` is a read-only
+    view of the per-tick dicts that the log once stored;
+    `tests/log_oracle.py` keeps the writers that read them.
+    """
+
     scenario_name: str
     planner: str
     profile: str
     dt: float
-    rows: list = field(default_factory=list)       # dicts keyed by CSV_COLUMNS
-    events: list = field(default_factory=list)     # SimEvent
+    ticks: list = field(default_factory=list)       # Tick
+    decisions: list = field(default_factory=list)   # tuples of DECISION_COLUMNS values
+    events: list = field(default_factory=list)      # SimEvent
     latencies_ms: list = field(default_factory=list)
     epoch_speeds: list = field(default_factory=list)  # ego speed at each decision time
 
-    def to_csv(self) -> str:
-        def cell(v) -> str:
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
+    @property
+    def rows(self) -> Sequence:
+        return _Rows(self)
 
+    def to_csv(self) -> str:
+        decisions = [",".join(map(_cell, values)) for values in self.decisions]
         lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(cell(row.get(c)) for c in CSV_COLUMNS))
+        # a tick's cells are never None; repr() of a float or int is what _cell gives
+        lines += [f"{t!r},{x!r},{y!r},{h!r},{v!r},{a_lon!r},{a_lat!r},{lane},{m},{c},{f},"
+                  f"{_NO_DECISION if d is None else decisions[d]},{events}"
+                  for t, x, y, h, v, a_lon, a_lat, lane, m, c, f, events, d in self.ticks]
         return "\n".join(lines) + "\n"
 
     def events_json(self) -> list:
@@ -78,7 +146,9 @@ class SimLog:
         return sum(1 for e in self.events if e.type == etype)
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self.rows])
+        """The values of one `Tick` field over the run."""
+        j = Tick._fields.index(name)
+        return np.array([tick[j] for tick in self.ticks])
 
 
 class _AgentRuntime:
@@ -226,19 +296,25 @@ class SimWorld:
         return events
 
 
-def _decision_row_fields(decision: Decision) -> dict:
-    fields: dict = {}
+# positions in DECISION_COLUMNS
+_V_AT = {m: DECISION_COLUMNS.index(f"V_{m.value}") for m in Maneuver}
+_FEASIBLE_AT = {m: DECISION_COLUMNS.index(f"feasible_{m.value}") for m in Maneuver}
+_MU_AT = DECISION_COLUMNS.index(f"mu_{RESOURCES[0].value}")
+_STATE_AT = DECISION_COLUMNS.index(f"state_{RESOURCES[0].value}")
+
+
+def _decision_row_fields(decision: Decision) -> tuple:
+    """The decision's `DECISION_COLUMNS` values; None where a maneuver has no candidate or V."""
+    fields: list = [None] * len(DECISION_COLUMNS)
     for cand in decision.candidates:
-        name = cand.maneuver.value
-        fields[f"feasible_{name}"] = int(cand.feasible)
-        fields[f"V_{name}"] = decision.profits.get(cand.maneuver)
+        fields[_FEASIBLE_AT[cand.maneuver]] = int(cand.feasible)
+        fields[_V_AT[cand.maneuver]] = decision.profits.get(cand.maneuver)
     # Python floats: the log writes repr(), which numpy 2 gives as np.float64(...)
     row = decision.chosen
-    for res, mu, code in zip(RESOURCES, decision.values[row].tolist(),
-                             decision.states[row].tolist()):
-        fields[f"mu_{res.value}"] = mu
-        fields[f"state_{res.value}"] = STATES[code].value
-    return fields
+    fields[_MU_AT:_MU_AT + len(RESOURCES)] = decision.values[row].tolist()
+    fields[_STATE_AT:_STATE_AT + len(RESOURCES)] = [
+        STATES[code].value for code in decision.states[row].tolist()]
+    return tuple(fields)
 
 
 def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> SimLog:
@@ -251,6 +327,7 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
     """
     cfg = config if config is not None else PlannerConfig()
     world = SimWorld(scenario, cfg)
+    ego = world.ego
     log = SimLog(scenario_name=scenario.name, planner=getattr(planner, "name", "planner"),
                  profile=getattr(planner, "profile", scenario.profile), dt=cfg.dt)
 
@@ -259,35 +336,37 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
     planner.reset()
 
     n_ticks = math.ceil(scenario.duration_s / cfg.dt)
-    active: TimedTrajectory | None = None
-    active_idx = 0
-    decision_fields: dict = {}
-    maneuver: Maneuver | None = None
-    committed = False
-    fallback = False
+    replan_steps = cfg.replan_steps
+    active: TimedTrajectory | None = None   # planned at tick 0
+    active_idx = last = 0           # its current and last sample
+    accels: tuple = ()              # its a_lon and a_lat, as lists of floats
+    decision: int | None = None     # index of the last decision in log.decisions
+    label: tuple = ()               # the maneuver, committed and fallback cells
     lc_active: Maneuver | None = None
 
     for k in range(n_ticks):
         t = k * cfg.dt
         world.t = t
-        need_plan = (k % cfg.replan_steps == 0) or active is None or active_idx >= len(active) - 1
+        need_plan = k % replan_steps == 0 or active_idx >= last
         if need_plan:
             t0 = time.perf_counter()
             result: PlanResult = planner.plan(world.scenario, t)
             log.latencies_ms.append((time.perf_counter() - t0) * 1000.0)
             active = result.trajectory
-            active_idx = 0
+            active_idx, last = 0, len(active) - 1
+            accels = (active.a_lon.tolist(), active.a_lat.tolist())
             maneuver = result.maneuver
-            committed = result.committed
             fallback = result.decision is not None and result.decision.fallback
-            log.epoch_speeds.append(world.ego.speed)
+            label = (maneuver.value, int(result.committed), int(fallback))
+            log.epoch_speeds.append(ego.speed)
             if result.decision is not None:
-                decision_fields = _decision_row_fields(result.decision)
+                decision = len(log.decisions)
+                log.decisions.append(_decision_row_fields(result.decision))
             if fallback:
                 log.events.append(SimEvent(t, "fallback_stop", {}))
             # any result but a committed replay closes the open lane change,
             # then opens one if it is itself a lane change
-            if not committed:
+            if not result.committed:
                 if lc_active is not None:
                     closed = "lane_change_aborted" if result.aborted else "lane_change_completed"
                     log.events.append(SimEvent(t, closed, {"maneuver": lc_active.value}))
@@ -298,25 +377,12 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
 
         tick_events = world.detect_collisions() + world.detect_violations()
         log.events.extend(tick_events)
+        log.ticks.append(Tick(t, ego.x, ego.y, ego.heading, ego.speed,
+                              accels[0][active_idx], accels[1][active_idx],
+                              ego.lane, *label, ";".join([e.type for e in tick_events]),
+                              decision))
 
-        row = {
-            "t": t,
-            "ego_x": world.ego.x,
-            "ego_y": world.ego.y,
-            "ego_heading": world.ego.heading,
-            "ego_speed": world.ego.speed,
-            "ego_accel_lon": float(active.a_lon[min(active_idx, len(active) - 1)]),
-            "ego_accel_lat": float(active.a_lat[min(active_idx, len(active) - 1)]),
-            "ego_lane": world.ego.lane,
-            "maneuver": maneuver.value,
-            "committed": int(committed),
-            "fallback": int(fallback),
-            "events": ";".join(e.type for e in tick_events),
-        }
-        row.update(decision_fields)
-        log.rows.append(row)
-
-        if active_idx < len(active) - 1:
+        if active_idx < last:
             active_idx += 1
             world.apply_ego_sample(active, active_idx)
         world.advance_others()
@@ -325,5 +391,5 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
     if lc_active is not None:
         log.events.append(SimEvent(n_ticks * cfg.dt, "lane_change_completed",
                                    {"maneuver": lc_active.value}))
-    log.epoch_speeds.append(world.ego.speed)
+    log.epoch_speeds.append(ego.speed)
     return log

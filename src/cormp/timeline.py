@@ -27,17 +27,16 @@ _LEGEND_HEIGHT = 26
 
 
 def _bands(log: SimLog) -> list:
-    """Contiguous (t_start, t_end, maneuver) runs from the log rows."""
+    """Contiguous (t_start, t_end, maneuver) runs from the log's ticks."""
     bands = []
     start, current = None, None
-    for row in log.rows:
-        m = row["maneuver"]
-        if m != current:
+    for tick in log.ticks:
+        if tick.maneuver != current:
             if current is not None:
-                bands.append((start, row["t"], current))
-            start, current = row["t"], m
+                bands.append((start, tick.t, current))
+            start, current = tick.t, tick.maneuver
     if current is not None:
-        bands.append((start, len(log.rows) * log.dt, current))
+        bands.append((start, len(log.ticks) * log.dt, current))
     return bands
 
 

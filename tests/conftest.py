@@ -20,6 +20,7 @@ from cormp.simulator import SimLog, run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
+SHIPPED = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
 
 # Property tests run a fixed example sequence with no per-example deadline,
 # so the suite is deterministic; each test sets its own max_examples.
@@ -153,7 +154,8 @@ def weigh(monkeypatch):
         CandidateBlock([TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 2)] * len(plan["values"])),
         [ManeuverCandidate(m, None, r) for r, m in enumerate(plan["maneuvers"])]))
     monkeypatch.setattr(cormp.planner, "feasibility_filter", lambda ctx, block, candidates: (
-        np.zeros((len(candidates), len(RULES)), dtype=bool), np.full(len(candidates), math.inf)))
+        np.zeros((len(candidates), len(RULES)), dtype=bool), np.full(len(candidates), math.inf),
+        [None] * len(candidates)))
     monkeypatch.setattr(cormp.planner, "assess_candidates", lambda ctx, block, rows, held: (
         plan["values"], np.full(plan["values"].shape, 3)))
     ctx = SimpleNamespace(sim_time=0.0, config=PlannerConfig())

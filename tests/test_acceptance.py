@@ -313,7 +313,7 @@ def test_criterion_6_bezier_and_ttc():
                                    zeros.copy(), zeros.copy())
 
         pred = prediction_block(("vehicle", straight(vo, x0, y0), length, width))
-        ttc = time_to_collision(CandidateBlock([straight(ve, 0.0, 0.0)]), pred, 4.5, 1.8)[0]
+        ttc = time_to_collision(CandidateBlock([straight(ve, 0.0, 0.0)]), pred, 4.5, 1.8)[0][0]
 
         dx = np.abs((x0 + vo * t_fine) - ve * t_fine) - (4.5 + length) / 2.0
         dy = abs(y0) - (1.8 + width) / 2.0

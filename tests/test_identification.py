@@ -71,7 +71,7 @@ def filtered(ctx: PlanContext) -> tuple:
     """A plan's candidates by maneuver after `feasibility_filter`, the set of
     `RULES` each breaks and its min TTC, each by maneuver."""
     block, cands = enumerate_candidates(ctx)
-    broken, min_ttc = feasibility_filter(ctx, block, cands)
+    broken, min_ttc, _ = feasibility_filter(ctx, block, cands)
     assert broken.shape == (len(cands), len(RULES)) and min_ttc.shape == (len(cands),)
     maneuvers = [c.maneuver for c in cands]
     return (by_maneuver(cands),
@@ -429,7 +429,7 @@ def lead_context(ego_speed: float, lead_speed: float, gap_centers: float,
 
 
 def ttc_of(traj, ctx: PlanContext) -> float:
-    return time_to_collision(CandidateBlock([traj]), ctx.predictions, 4.5, 1.8)[0]
+    return time_to_collision(CandidateBlock([traj]), ctx.predictions, 4.5, 1.8)[0][0]
 
 
 def test_footprint_ttc_beats_the_point_mass_estimate():
@@ -483,6 +483,27 @@ def test_short_ttc_marks_collision_risk():
     assert min_ttc[Maneuver.KEEP_LANE_SAME_SPEED] == pytest.approx(1.8, abs=1e-3)
     assert min_ttc[Maneuver.KEEP_LANE_SAME_SPEED] < ctx.config.ttc_min_s
     assert min_ttc[Maneuver.CHANGE_LANE_LEFT] == math.inf   # no row
+
+
+def test_ttc_names_the_road_user_that_overlaps_first():
+    # two blockers ahead at 15 m/s, the farther one listed first: contact with
+    # "near" at 1.8 s, with "far" (behind it) only later
+    far = {"id": "far", "kind": "obstacle", "position": [60.0, 0.0],
+           "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
+    near = dict(far, id="near", position=[46.5, 0.0])
+    ctx = context(road(n_lanes=1, ego={"speed": 15.0}, limit=20.0, others=[far, near]))
+    assert ctx.predictions.ids == ["far", "near"]
+    block, cands = enumerate_candidates(ctx)
+    ttc, who = time_to_collision(block.take([c.row for c in cands if c.row is not None]),
+                                 ctx.predictions, 4.5, 1.8)
+    assert np.isfinite(ttc).any() and set(who[np.isfinite(ttc)].tolist()) == {1}
+    assert set(who[~np.isfinite(ttc)].tolist()) <= {-1}
+    decision = plan_tick(ctx)
+    agents = {c.maneuver: a for c, a in zip(decision.candidates, decision.ttc_agent)}
+    assert agents[Maneuver.KEEP_LANE_SAME_SPEED] == "near"
+    assert agents[Maneuver.CHANGE_LANE_LEFT] is None          # no row
+    for c, a, t in zip(decision.candidates, decision.ttc_agent, decision.min_ttc.tolist()):
+        assert (a is None) == (t == math.inf), c.maneuver
 
 
 def test_the_rule_matrix_names_every_rule_a_candidate_breaks():
@@ -623,7 +644,7 @@ def test_rule_columns_project_each_lane_once(monkeypatch):
         project = Polyline.project
         monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(
             np.ndim(p)) or project(self, p))
-        broken, _ = feasibility_filter(ctx, block, cands)
+        broken, _, _ = feasibility_filter(ctx, block, cands)
         monkeypatch.undo()
         assert calls == [2] * lanes
         assert broken[:, [RULES.index("red_light"), RULES.index("crosswalk")]].any()

@@ -7,23 +7,26 @@ import pytest
 
 from conftest import load, timed_run
 from cormp.metrics import compute_metrics, invested_energy_kj
-from cormp.simulator import SimEvent, SimLog
+from cormp.simulator import DECISION_COLUMNS, SimEvent, SimLog, Tick
 
 
 def minimal_scenario():
     return load("empty_road")
 
 
+def mk_tick(t, speed, maneuver, decision):
+    """A tick with only the fields the metrics read."""
+    return Tick(t, 0.0, 0.0, 0.0, speed, 0.0, 0.0, "lane", maneuver, 0, 0, "", decision)
+
+
 def mk_log(speeds, dt=0.1, events=(), maneuver="keep_lane_same_speed",
            epoch_speeds=(), states=None, latencies=()):
-    rows = []
-    for k, v in enumerate(speeds):
-        row = {"t": k * dt, "ego_speed": float(v), "maneuver": maneuver}
-        if states is not None:
-            row.update(states)
-        rows.append(row)
+    # with `states`, every tick follows one decision holding them
+    decisions = [] if states is None else [tuple(states.get(c) for c in DECISION_COLUMNS)]
+    ticks = [mk_tick(k * dt, float(v), maneuver, None if states is None else 0)
+             for k, v in enumerate(speeds)]
     return SimLog(scenario_name="synthetic", planner="test", profile="regular",
-                  dt=dt, rows=rows, events=list(events),
+                  dt=dt, ticks=ticks, decisions=decisions, events=list(events),
                   latencies_ms=list(latencies),
                   epoch_speeds=list(epoch_speeds))
 
@@ -133,11 +136,11 @@ def test_metrics_depend_only_on_time_order():
     m1 = compute_metrics(log, sc)
 
     shuffled = SimLog(log.scenario_name, log.planner, log.profile, log.dt,
-                      rows=list(log.rows), events=list(log.events),
-                      latencies_ms=list(log.latencies_ms),
+                      ticks=list(log.ticks), decisions=list(log.decisions),
+                      events=list(log.events), latencies_ms=list(log.latencies_ms),
                       epoch_speeds=list(log.epoch_speeds))
-    random.Random(5).shuffle(shuffled.rows)
-    shuffled.rows.sort(key=lambda r: r["t"])
+    random.Random(5).shuffle(shuffled.ticks)
+    shuffled.ticks.sort(key=lambda tick: tick.t)
     m2 = compute_metrics(shuffled, sc)
     assert m1.to_dict() == m2.to_dict()
 
@@ -146,16 +149,14 @@ def test_reread_csv_reproduces_row_metrics():
     # everything derived from rows must survive a CSV round trip exactly
     sc, log, _ = timed_run("red_light")
     reader = csv.DictReader(io.StringIO(log.to_csv()))
-    rows = []
-    for parsed in reader:
-        rows.append({
-            "t": float(parsed["t"]),
-            "ego_speed": float(parsed["ego_speed"]),
-            "maneuver": parsed["maneuver"],
-            **{k: parsed[k] for k in parsed if k.startswith("state_") and parsed[k]},
-        })
+    ticks, decisions = [], []
+    for k, parsed in enumerate(reader):   # each tick its own decision record
+        ticks.append(mk_tick(float(parsed["t"]), float(parsed["ego_speed"]),
+                             parsed["maneuver"], k))
+        decisions.append(tuple(parsed[c] if c.startswith("state_") and parsed[c] else None
+                               for c in DECISION_COLUMNS))
     reread = SimLog(log.scenario_name, log.planner, log.profile, log.dt,
-                    rows=rows, events=list(log.events),
+                    ticks=ticks, decisions=decisions, events=list(log.events),
                     latencies_ms=list(log.latencies_ms),
                     epoch_speeds=list(log.epoch_speeds))
     m1 = compute_metrics(log, sc)

@@ -111,7 +111,7 @@ def test_stacked_measures_match_per_row_references(k, make_ego):
 
 
 def assert_measures_match(cands, trajectories, block, rows):
-    ttc = time_to_collision(cands, block, EGO_L, EGO_W)
+    ttc, _ = time_to_collision(cands, block, EGO_L, EGO_W)
     safety = safety_value(cands, block, EGO_L, EGO_W, CFG)
     hits = block.corridor_hits(cands, EGO_L, EGO_W, CFG)
     crowdedness = crowdedness_value(hits, CFG)
@@ -191,3 +191,21 @@ def test_lane_change_past_the_rows_compares_to_their_last_sample():
     mu = safety_value(CandidateBlock([ego]), block, EGO_L, EGO_W, CFG)[0]
     assert mu == safety_row(ego, row, 4.5, 1.8)
     assert mu < safety_value(CandidateBlock([first(ego, 41)]), block, EGO_L, EGO_W, CFG)[0]
+
+
+def test_ttc_names_the_row_whose_contact_comes_first():
+    # at 15 m/s the ego's front meets a standing car at 1.02 s and an oncoming
+    # one at 1.05 s: both first overlap at the 1.1 s tick, the oncoming one
+    # deeper (3.75 m against 1.2 m), and it is listed first
+    t = 0.1 * np.arange(41)
+    oncoming = ("vehicle", trajectory(83.25 - 60.0 * t, np.zeros(41), 60.0), 4.5, 1.8)
+    standing = ("vehicle", trajectory(np.full(41, 19.8), np.zeros(41), 0.0), 4.5, 1.8)
+    ttc, who = time_to_collision(CandidateBlock([keep_lane()]),
+                                 prediction_block(oncoming, standing), EGO_L, EGO_W)
+    assert ttc[0] == pytest.approx(1.02, abs=1e-9) and who.tolist() == [1]
+    # two rows overlapping the ego at the first tick: TTC 0, the first of them named
+    beside = [("vehicle", trajectory(np.full(41, x), np.zeros(41), 0.0), 4.5, 1.8)
+              for x in (3.0, 1.0)]
+    ttc, who = time_to_collision(CandidateBlock([keep_lane()]),
+                                 prediction_block(standing, *beside), EGO_L, EGO_W)
+    assert ttc.tolist() == [0.0] and who.tolist() == [1]

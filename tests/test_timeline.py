@@ -2,15 +2,15 @@ import re
 import xml.etree.ElementTree as ET
 
 from conftest import timed_run
-from cormp.simulator import SimLog
+from cormp.simulator import SimLog, Tick
 from cormp.timeline import MANEUVER_COLORS, _bands, render_timeline, write_timeline
 
 
 def mk_log(maneuvers, dt=0.1):
-    rows = [{"t": k * dt, "maneuver": m, "ego_speed": 1.0}
-            for k, m in enumerate(maneuvers)]
+    ticks = [Tick(k * dt, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, "lane", m, 0, 0, "", None)
+             for k, m in enumerate(maneuvers)]
     return SimLog(scenario_name="synthetic", planner="test", profile="regular",
-                  dt=dt, rows=rows)
+                  dt=dt, ticks=ticks)
 
 
 def band_titles(svg):
