@@ -12,6 +12,7 @@ the padded (R, T) rows every pairwise measure of a plan broadcasts over.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -155,8 +156,14 @@ class CandidateBlock:
         return TimedTrajectory(self.dt, *self._rows[:, c, :np.count_nonzero(self.valid[c])])
 
 
-def _speeds_and_arcs(profiles, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, n) speeds and arc lengths at n ticks, row p under profiles[p].
+# a profile's v0, accel and v_max, bit for bit: the key of `_speeds_and_arcs`
+_PROFILE = struct.Struct("3d")
+
+
+@lru_cache(maxsize=32)
+def _speeds_and_arcs(profiles: bytes, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, n) speeds and arc lengths at n ticks, row p under the p-th
+    profile packed in `profiles` by `_PROFILE`.
 
     Each row follows v(t) = clip(v0 + a t, 0, cap), cap = max(v_max, v0).
     Both are running sums of per-tick steps, so they equal stepping
@@ -164,10 +171,14 @@ def _speeds_and_arcs(profiles, dt: float, n: int) -> tuple[np.ndarray, np.ndarra
     whole tick fits before the clip; the one tick that reaches the cap or
     rest is integrated exactly, and the speed holds from there on (from the
     first tick without acceleration).
+
+    Cached and read-only, like `tick_times`: steady driving asks for the
+    same profiles plan after plan. The key is bitwise, so 0.0 and -0.0,
+    whose speeds differ in sign, keep their own tables.
     """
     rows = []
-    for p in profiles:
-        a, v0, cap = p.accel, p.v0, max(p.v_max, p.v0)
+    for v0, a, v_max in _PROFILE.iter_unpack(profiles):
+        cap = max(v_max, v0)
         # the clip's speed, and (clip - v) / a is the time left before it;
         # dividing by inf puts a profile without acceleration at its clip now
         clip, hold = (cap, cap) if a > 0 else ((0.0, 0.0) if a < 0 else (0.0, v0))
@@ -195,7 +206,9 @@ def _speeds_and_arcs(profiles, dt: float, n: int) -> tuple[np.ndarray, np.ndarra
     np.copyto(ds, exact, where=clips)
     np.copyto(ds[:, 1:], hold_ds, where=clips[:, :-1])
     np.copyto(v[:, 1:], hold, where=clips)
-    return v, np.cumsum(s, axis=1, out=s)
+    np.cumsum(s, axis=1, out=s)
+    v.flags.writeable = s.flags.writeable = False
+    return v, s
 
 
 @lru_cache(maxsize=8)
@@ -220,9 +233,9 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     profile that comes to rest keeps emitting resting samples up to the
     horizon. Lateral acceleration is path curvature times v^2.
 
-    One `_speeds_and_arcs` call covers every row, and each distinct path
-    locates and gathers its rows' segments once; each row is bitwise what it
-    would be if sampled alone.
+    One cached `_speeds_and_arcs` table covers every row, and each distinct
+    path locates and gathers its rows' segments once; each row is bitwise
+    what it would be if sampled alone.
 
     The block's (R, T) rows are the read-only buffers the samples are
     written to, padded with each row's last sample as
@@ -234,7 +247,8 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     if min(horizons) < 0:
         raise ValueError("horizon must be >= 0")
     t = tick_times(dt, max(horizons))
-    v, s = _speeds_and_arcs([p for _, p, _ in rows], dt, len(t))
+    v, s = _speeds_and_arcs(b"".join(_PROFILE.pack(p.v0, p.accel, p.v_max) for _, p, _ in rows),
+                            dt, len(t))
     groups: dict = {}
     for r, (path, _, _) in enumerate(rows):
         groups.setdefault(path, []).append(r)
@@ -242,7 +256,7 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     # s never decreases along a row
     counts = np.minimum([len(tick_times(dt, h)) for h in horizons],
                         (s <= length + 1e-9).sum(axis=1))
-    np.minimum(s, length, out=s)
+    s = np.minimum(s, length)
     kappa = np.empty_like(s)
     frames = np.empty((6,) + s.shape)   # each sample's row of its path's `frame_table`
     for path, idx in groups.items():

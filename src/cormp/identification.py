@@ -82,6 +82,13 @@ class PredictionBlock:
     def steps(self) -> int:
         return self.x.shape[1]
 
+    def reach2(self, ego_length: float, ego_width: float) -> np.ndarray:
+        """(K,) squared center distance within which the ego's footprint can
+        meet each row's: the two circumradii plus `REACH_MARGIN` (see `kernels`)."""
+        reach = (math.hypot(ego_length / 2.0, ego_width / 2.0) + REACH_MARGIN
+                 + np.hypot(self.half_length, self.half_width))
+        return reach * reach
+
     def corridor_hits(self, cands: CandidateBlock, ego_length: float, ego_width: float,
                       cfg: PlannerConfig) -> np.ndarray:
         """(C, K) bool: rows whose corridor crosses each candidate's corridor.
@@ -99,11 +106,9 @@ class PredictionBlock:
         st = max(1, int(round(cfg.crowd_sample_stride_s / cfg.dt)))
         ax, ay, ah = cands.x[:, ::st], cands.y[:, ::st], cands.heading[:, ::st]
         bx, by, bh = self.x[:, ::st], self.y[:, ::st], self.heading[:, ::st]
-        reach = (math.hypot(ego_length / 2.0, ego_width / 2.0) + REACH_MARGIN
-                 + np.hypot(self.half_length, self.half_width))
         dx = bx[None, :, None, :] - ax[:, None, :, None]
         dy = by[None, :, None, :] - ay[:, None, :, None]
-        near = dx * dx + dy * dy <= (reach * reach)[None, :, None, None]
+        near = dx * dx + dy * dy <= self.reach2(ego_length, ego_width)[None, :, None, None]
         c, k, i, j = np.nonzero(near & cands.valid[:, None, ::st, None])
         gaps = pose_gaps(ax[c, i], ay[c, i], ah[c, i], ego_length / 2.0, ego_width / 2.0,
                          bx[k, j], by[k, j], bh[k, j], self.half_length[k], self.half_width[k])
@@ -373,29 +378,42 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
     separating-axis gap inside that tick (the gap is positive before it and
     <= 0 at it). +inf, and row -1, where no footprints overlap; of road
     users that tie, the first row.
+
+    Only candidates and road users with an aligned pair of valid samples
+    whose centers lie within reach (`PredictionBlock.reach2`) take part in
+    the gap scan, kept in order: every other pair's gap is > 0 (see
+    `kernels`), so it can neither overlap nor set a refined contact, and
+    culling changes no result. Without such a pair there is no gap scan.
     """
-    if len(block) == 0:
-        return np.full(len(cands), math.inf), np.full(len(cands), -1)
+    ttc = np.full(len(cands), math.inf)
+    who = np.full(len(cands), -1)
     n = min(cands.x.shape[1], block.steps)
-    gaps = pose_gaps(
-        cands.x[:, None, :n], cands.y[:, None, :n], cands.heading[:, None, :n],
-        ego_length / 2.0, ego_width / 2.0,
-        block.x[None, :, :n], block.y[None, :, :n], block.heading[None, :, :n],
-        block.half_length[None, :, None], block.half_width[None, :, None],
-    )
-    gaps = np.where(cands.valid[:, None, :n], gaps, np.inf)
+    dx = block.x[None, :, :n] - cands.x[:, None, :n]
+    dy = block.y[None, :, :n] - cands.y[:, None, :n]
+    near = dx * dx + dy * dy <= block.reach2(ego_length, ego_width)[None, :, None]
+    pairs = np.any(near & cands.valid[:, None, :n], axis=2)   # (C, K)
+    rows = np.flatnonzero(pairs.any(axis=1))
+    if len(rows) == 0:
+        return ttc, who
+    users = np.flatnonzero(pairs.any(axis=0))
+    ax, ay, ah = (a[rows, None, :n] for a in (cands.x, cands.y, cands.heading))
+    bx, by, bh = (b[None, users, :n] for b in (block.x, block.y, block.heading))
+    gaps = pose_gaps(ax, ay, ah, ego_length / 2.0, ego_width / 2.0, bx, by, bh,
+                     block.half_length[None, users, None], block.half_width[None, users, None])
+    gaps = np.where(cands.valid[rows, None, :n], gaps, np.inf)
     overlap = np.min(gaps, axis=1) <= 0.0
-    ttc = np.where(overlap[:, 0], 0.0, math.inf)
-    who = np.where(overlap[:, 0], np.argmax(gaps[:, :, 0] <= 0.0, axis=1), -1)
-    rows = np.nonzero(overlap.any(axis=1) & ~overlap[:, 0])[0]
-    i = np.argmax(overlap[rows], axis=1)
+    first = overlap[:, 0]
+    ttc[rows[first]] = 0.0
+    who[rows[first]] = users[np.argmax(gaps[first, :, 0] <= 0.0, axis=1)]
+    later = np.flatnonzero(overlap.any(axis=1) & ~first)
+    i = np.argmax(overlap[later], axis=1)
     # each road user overlapping first at tick i collides in (t[i-1], t[i]]:
     # those that overlap only later cannot collide sooner
-    g0 = gaps[rows, :, i - 1]
-    g1 = gaps[rows, :, i]
+    g0 = gaps[later, :, i - 1]
+    g1 = gaps[later, :, i]
     frac = np.divide(g0, g0 - g1, out=np.full_like(g0, np.inf), where=g1 <= 0.0)
-    ttc[rows] = cands.t[rows, i - 1] + np.min(frac, axis=1) * cands.dt
-    who[rows] = np.argmin(frac, axis=1)
+    ttc[rows[later]] = cands.t[rows[later], i - 1] + np.min(frac, axis=1) * cands.dt
+    who[rows[later]] = users[np.argmin(frac, axis=1)]
     return ttc, who
 
 

@@ -29,7 +29,11 @@ spans at most 90 degrees between two tested axes, one of which separates by
 at least cos(45 deg) of the distance. `REACH_MARGIN` = 1 mm is many orders
 above the rounding error of the computed gap (a few ulps of the coordinates,
 under 1e-9 m for coordinates below 1e6 m), so a culled pair never has a
-computed gap <= 0, and culling changes no overlap verdict.
+computed gap <= 0, and culling changes no overlap verdict. Two callers cull:
+`PredictionBlock.corridor_hits` gathers only the near sample pairs for the
+gap, and `identification.time_to_collision` scans only the candidates and
+road users with a near aligned pair, where a culled pair could neither
+overlap nor set a refined contact.
 """
 from __future__ import annotations
 
@@ -63,9 +67,10 @@ def rect_gap(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
 def pose_gaps(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
     """Elementwise SAT gaps of two broadcast pose arrays.
 
-    A (1, n) against a (K, n) array gives the aligned TTC scan of K rows; an
-    (n, 1) against a (K, 1, m) array compares every sample pair; 1-D gathers
-    of near pairs give one gap per pair (corridor crossings).
+    An (R, 1, n) against a (1, K, n) array gives the aligned TTC scan of R
+    candidates against K rows; an (n, 1) against a (K, 1, m) array compares
+    every sample pair; 1-D gathers of near pairs give one gap per pair
+    (corridor crossings).
     """
     dx = bx - ax
     dy = by - ay

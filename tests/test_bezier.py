@@ -414,6 +414,28 @@ def test_tick_grid_is_cached_and_read_only():
         t[0] = 1.0
 
 
+def test_speed_tables_are_cached_read_only_and_never_clamped():
+    # a 30 m path clamps the 20 m/s row's arcs; the same profiles along a
+    # 100 m path must still see the unclamped table, as if sampled first
+    batch = [(SpeedProfile(10.0, 1.0, 12.0), 4.0), (SpeedProfile(20.0, -3.0), 4.0)]
+    bezier._speeds_and_arcs.cache_clear()
+    fresh = sample_trajectory([(straight(100.0), p, h) for p, h in batch], 0.1)
+    short = sample_trajectory([(straight(30.0), p, h) for p, h in batch], 0.1)
+    again = sample_trajectory([(straight(100.0), p, h) for p, h in batch], 0.1)
+    info = bezier._speeds_and_arcs.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    assert np.count_nonzero(short.valid[1]) < np.count_nonzero(fresh.valid[1])
+    for name in FIELDS:
+        assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
+    v, s = bezier._speeds_and_arcs(bezier._PROFILE.pack(10.0, 1.0, 12.0), 0.1, 41)
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
+    # keyed bit for bit: a speed of -0.0 keeps its sign
+    rest, = sample_trajectory([(straight(10.0), SpeedProfile(0.0), 1.0)], 0.1)
+    signed, = sample_trajectory([(straight(10.0), SpeedProfile(-0.0), 1.0)], 0.1)
+    assert math.copysign(1.0, rest.speed[0]) == -math.copysign(1.0, signed.speed[0]) == 1.0
+
+
 def test_sampled_arrays_are_read_only():
     path = straight(40.0)
     trajs = sample_trajectory([(path, SpeedProfile(10.0, 0.0), 4.0),
