@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -167,8 +167,8 @@ class PlanContext:
         out = []
         for cw in self.scenario.crosswalks:
             mid = 0.5 * (cw.span[0] + cw.span[1])
-            rects = [(*lane.centerline.point_at(mid), lane.centerline.heading_at(mid),
-                      lane.width / 2.0) for lane in map(self.scenario.lanes.get, cw.lanes)]
+            rects = [(*lane.centerline.pose_at(mid), lane.width / 2.0)
+                     for lane in map(self.scenario.lanes.get, cw.lanes)]
             cx, cy, heading, half_width = np.array(rects).T[:, :, None, None]
             gaps = pose_gaps(cx, cy, heading, (cw.span[1] - cw.span[0]) / 2.0, half_width,
                              block.x[ped], block.y[ped], block.heading[ped],
@@ -189,6 +189,15 @@ def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfi
     return out
 
 
+@lru_cache(maxsize=64)
+def _travel(step: float, n: int) -> np.ndarray:
+    """Read-only (n,) distances 0, step, 2 step, ... covered by n ticks at a
+    constant speed, summed tick by tick as the simulator steps a road user."""
+    s = np.concatenate([[0.0], np.cumsum(np.full(n - 1, step))])
+    s.flags.writeable = False
+    return s
+
+
 def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) -> tuple:
     """Constant-velocity prediction on the tick grid: (x, y, heading, speed).
 
@@ -200,9 +209,7 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
     """
     if agent.speed <= 1e-9:
         return agent.x, agent.y, agent.heading, 0.0
-    n = config.horizon_steps + 1
-    # arc length accumulates tick by tick, as the simulator steps it
-    s = np.concatenate([[0.0], np.cumsum(np.full(n - 1, agent.speed * config.dt))])
+    s = _travel(agent.speed * config.dt, config.horizon_steps + 1)
     lane = scenario.lanes.get(agent.lane) if agent.kind in ("vehicle", "ego") else None
     if lane is not None:
         line = lane.centerline
@@ -226,8 +233,7 @@ def lane_path(lane: Lane, s0: float, x: float, y: float, heading: float,
     line = lane.centerline
     s_join = s0 + blend
     s_end = s0 + span
-    x3, y3 = line.point_at(s_join)
-    h3 = line.heading_at(s_join)
+    x3, y3, h3 = line.pose_at(s_join)
     handle = blend / 3.0
     ctrl = ((x, y), (x + math.cos(heading) * handle, y + math.sin(heading) * handle),
             (x3 - math.cos(h3) * handle, y3 - math.sin(h3) * handle), (x3, y3))

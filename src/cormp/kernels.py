@@ -29,11 +29,13 @@ spans at most 90 degrees between two tested axes, one of which separates by
 at least cos(45 deg) of the distance. `REACH_MARGIN` = 1 mm is many orders
 above the rounding error of the computed gap (a few ulps of the coordinates,
 under 1e-9 m for coordinates below 1e6 m), so a culled pair never has a
-computed gap <= 0, and culling changes no overlap verdict. Two callers cull:
-`PredictionBlock.corridor_hits` gathers only the near sample pairs for the
-gap, and `identification.time_to_collision` scans only the candidates and
+computed gap <= 0, and culling changes no overlap verdict. Three callers
+cull: `PredictionBlock.corridor_hits` gathers only the near sample pairs for
+the gap, `identification.time_to_collision` scans only the candidates and
 road users with a near aligned pair, where a culled pair could neither
-overlap nor set a refined contact.
+overlap nor set a refined contact, and `SimWorld.detect_collisions` calls
+`rect_gap` only on the road users within reach of the ego, counting every
+other one out of contact.
 """
 from __future__ import annotations
 

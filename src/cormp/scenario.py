@@ -121,11 +121,16 @@ class Polyline:
         cum = self._cum_floats
         return self.points[bisect.bisect_right(cum, lo):bisect.bisect_left(cum, hi)]
 
+    def pose_at(self, s: float) -> tuple:
+        """(x, y, heading) at arc length s, from one segment lookup: the scalar
+        form of `frames`. Extrapolates along end tangents."""
+        ax, ay, dx, dy, _, seg, cum, heading = self._segment_floats[self._segment(s)]
+        f = (s - cum) / seg
+        return ax + dx * f, ay + dy * f, heading
+
     def point_at(self, s: float) -> tuple:
         """(x, y) at arc length s; extrapolates along end tangents."""
-        ax, ay, dx, dy, _, seg, cum, _ = self._segment_floats[self._segment(s)]
-        f = (s - cum) / seg
-        return ax + dx * f, ay + dy * f
+        return self.pose_at(s)[:2]
 
     def heading_at(self, s: float) -> float:
         return self._segment_floats[self._segment(s)][7]
@@ -140,8 +145,8 @@ class Polyline:
     def frames(self, s) -> tuple:
         """x, y, heading and signed curvature at an array of arc positions.
 
-        Positions and headings are those of `point_at` and `heading_at`: s
-        beyond either end extends along that end's segment. Curvature is
+        Positions and headings are bitwise those of `pose_at`: s beyond
+        either end extends along that end's segment. Curvature is
         interpolated in s between the interior vertices, holds its end value
         beyond them, and is 0 on a two-point line.
         """

@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .bezier import TimedTrajectory
 from .config import PlannerConfig
 from .identification import LANE_CHANGES, Maneuver
 from .planner import Decision, PlanResult
@@ -151,14 +150,21 @@ class SimLog:
         return np.array([tick[j] for tick in self.ticks])
 
 
+def _circumradius(agent: AgentState) -> float:
+    return math.hypot(agent.length / 2.0, agent.width / 2.0)
+
+
 class _AgentRuntime:
-    """Mutable per-agent bookkeeping the scripted behaviors need."""
+    """Mutable per-agent bookkeeping the scripted behaviors need, and the
+    squared center distance beyond which the agent cannot touch the ego."""
 
     def __init__(self, agent: AgentState, scenario: Scenario) -> None:
         self.agent = agent
         self.traveled = 0.0  # pedestrian crossing distance
         lane = scenario.lanes.get(agent.lane)
         self.s = lane.centerline.project((agent.x, agent.y))[0] if lane is not None else 0.0
+        reach = _circumradius(scenario.ego) + kernels.REACH_MARGIN + _circumradius(agent)
+        self.reach2 = reach * reach
 
 
 class SimWorld:
@@ -210,8 +216,7 @@ class SimWorld:
             agent.y += math.sin(agent.heading) * speed * dt
             return
         rt.s += speed * dt
-        agent.x, agent.y = lane.centerline.point_at(rt.s)
-        agent.heading = lane.centerline.heading_at(rt.s)
+        agent.x, agent.y, agent.heading = lane.centerline.pose_at(rt.s)
 
     def advance_others(self) -> None:
         for agent in self.scenario.others():
@@ -219,11 +224,9 @@ class SimWorld:
 
     # ----- ego -------------------------------------------------------------
 
-    def apply_ego_sample(self, traj: TimedTrajectory, i: int) -> None:
-        self.ego.x = float(traj.x[i])
-        self.ego.y = float(traj.y[i])
-        self.ego.heading = float(traj.heading[i])
-        self.ego.speed = float(traj.speed[i])
+    def apply_ego_sample(self, x: float, y: float, heading: float, speed: float) -> None:
+        ego = self.ego
+        ego.x, ego.y, ego.heading, ego.speed = x, y, heading, speed
         self._update_ego_lane()
 
     def _update_ego_lane(self) -> None:
@@ -241,19 +244,25 @@ class SimWorld:
     # ----- events ----------------------------------------------------------
 
     def detect_collisions(self) -> list:
+        """A collision event for each road user that starts touching the ego.
+
+        Only a road user whose center lies within reach of the ego's
+        (`_AgentRuntime.reach2`) gets the separating-axis gap; beyond reach
+        the gap is > 0 (see `kernels`), so it is out of contact.
+        """
         events = []
         ego = self.ego
+        ex, ey = ego.x, ego.y
         for agent in self.scenario.others():
-            gap = kernels.rect_gap(
-                ego.x, ego.y, ego.heading, ego.length / 2.0, ego.width / 2.0,
-                agent.x, agent.y, agent.heading, agent.length / 2.0, agent.width / 2.0,
-            )
-            if gap <= 0.0:
-                if agent.id not in self._contact:
-                    self._contact.add(agent.id)
-                    events.append(SimEvent(self.t, "collision", {"agent": agent.id}))
-            else:
+            dx, dy = agent.x - ex, agent.y - ey
+            if (dx * dx + dy * dy > self.runtimes[agent.id].reach2
+                    or kernels.rect_gap(ex, ey, ego.heading, ego.length / 2.0, ego.width / 2.0,
+                                        agent.x, agent.y, agent.heading,
+                                        agent.length / 2.0, agent.width / 2.0) > 0.0):
                 self._contact.discard(agent.id)
+            elif agent.id not in self._contact:
+                self._contact.add(agent.id)
+                events.append(SimEvent(self.t, "collision", {"agent": agent.id}))
         return events
 
     def detect_violations(self) -> list:
@@ -331,14 +340,16 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
     log = SimLog(scenario_name=scenario.name, planner=getattr(planner, "name", "planner"),
                  profile=getattr(planner, "profile", scenario.profile), dt=cfg.dt)
 
-    warm = SimWorld(scenario, cfg)
-    planner.plan(warm.scenario, 0.0)
+    # reset on both sides of the warm-up: a reused planner may still hold a
+    # commitment from its last run, which the warm-up call would replay
+    planner.reset()
+    planner.plan(SimWorld(scenario, cfg).scenario, 0.0)
     planner.reset()
 
     n_ticks = math.ceil(scenario.duration_s / cfg.dt)
     replan_steps = cfg.replan_steps
-    active: TimedTrajectory | None = None   # planned at tick 0
-    active_idx = last = 0           # its current and last sample
+    active_idx = last = 0           # the active plan's current and last sample
+    poses: list = []                # its (x, y, heading, speed) samples, as Python floats
     accels: tuple = ()              # its a_lon and a_lat, as lists of floats
     decision: int | None = None     # index of the last decision in log.decisions
     label: tuple = ()               # the maneuver, committed and fallback cells
@@ -354,6 +365,8 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
             log.latencies_ms.append((time.perf_counter() - t0) * 1000.0)
             active = result.trajectory
             active_idx, last = 0, len(active) - 1
+            poses = list(zip(active.x.tolist(), active.y.tolist(), active.heading.tolist(),
+                             active.speed.tolist()))
             accels = (active.a_lon.tolist(), active.a_lat.tolist())
             maneuver = result.maneuver
             fallback = result.decision is not None and result.decision.fallback
@@ -384,7 +397,7 @@ def run(scenario: Scenario, planner, config: PlannerConfig | None = None) -> Sim
 
         if active_idx < last:
             active_idx += 1
-            world.apply_ego_sample(active, active_idx)
+            world.apply_ego_sample(*poses[active_idx])
         world.advance_others()
 
     # close any lane change still open at the end of the run

@@ -169,6 +169,55 @@ def assert_prediction_matches_simulator(world: SimWorld, car, cfg: PlannerConfig
         assert math.hypot(x[k] - car.x, y[k] - car.y) < 1e-9
 
 
+def test_a_lane_vehicle_moves_by_one_rule_in_predictions_and_the_simulator():
+    # a constant-speed car on the 60-point left arc of radius 140 m, 30 m
+    # before its 420 m end: each of four predictions in a row, the first across
+    # the last vertices and the lane end, is the pose the simulator steps it to
+    doc = curved_road(140.0, +1, "right", 12.5, 20.0)
+    line = Polyline(doc["lanes"][0]["centerline"])
+    x0, y0, h0 = line.pose_at(390.0)
+    doc["agents"][1].update(position=[x0, y0], heading=h0)
+    cfg = PlannerConfig()
+    world = SimWorld(load_scenario(doc), cfg)
+    car = world.scenario.agents[1]
+    for _ in range(4):
+        x, y, heading, _ = predict_oru(car, world.scenario, cfg)
+        assert len(x) == cfg.horizon_steps + 1
+        for k in range(len(x)):
+            if k:
+                world.advance_others()
+            assert math.hypot(x[k] - car.x, y[k] - car.y) < 1e-9, k
+            assert abs(heading[k] - car.heading) < 1e-12, k
+        world.advance_others()
+    assert world.runtimes["lead"].s == pytest.approx(390.0 + 4 * 41 * 1.25)
+
+
+def test_the_travel_table_is_cached_per_step_and_read_only():
+    doc = road(others=[{"id": "car", "kind": "vehicle", "lane": "right",
+                        "position": [50.0, 0.0], "heading": 0.0,
+                        "speed": 11.125, "length": 4.5, "width": 1.8}])
+    sc = load_scenario(doc)
+    car = sc.agents[1]
+    cfg = PlannerConfig()
+    predict_oru(car, sc, cfg)
+    info = identification._travel.cache_info()
+    predict_oru(car, sc, cfg)                   # the same speed: a hit
+    car.speed = 11.25
+    predict_oru(car, sc, cfg)                   # a new speed: a miss
+    after = identification._travel.cache_info()
+    assert (after.hits - info.hits, after.misses - info.misses) == (1, 1)
+    n = cfg.horizon_steps + 1
+    table = identification._travel(11.25 * cfg.dt, n)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1] = 0.0
+    # summed tick by tick, as the simulator steps
+    steps = [0.0]
+    for _ in range(n - 1):
+        steps.append(steps[-1] + 11.25 * cfg.dt)
+    assert table.tolist() == steps
+
+
 def test_lane_prediction_keeps_its_last_tick_when_the_path_rounds_short():
     # the horizon ends 0.5 um past a 0.5 rad corner: the last tick lands just
     # beyond a centerline vertex, and it is kept on the lane past the corner

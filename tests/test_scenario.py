@@ -229,6 +229,17 @@ def test_polyline_project_equals_the_full_scan_bitwise(case):
     assert np.column_stack(line.project(queries)).tobytes() == want.tobytes()
 
 
+def assert_scalar_poses_are_frames(line: Polyline, s: np.ndarray) -> None:
+    """`pose_at`, `point_at` and `heading_at` at each of s are bitwise the
+    x, y and heading `frames` gives for the whole array."""
+    x, y, heading, _ = line.frames(s)
+    for k, sk in enumerate(s.tolist()):
+        pose = (x[k].item(), y[k].item(), heading[k].item())
+        assert line.pose_at(sk) == pose, (k, sk)
+        assert line.point_at(sk) == pose[:2], (k, sk)
+        assert line.heading_at(sk) == pose[2], (k, sk)
+
+
 def test_polyline_frames_on_an_arc():
     r = 140.0
     angles = np.linspace(0.0, 3.0, 60)
@@ -236,21 +247,28 @@ def test_polyline_frames_on_an_arc():
     s = np.linspace(-30.0, line.length + 30.0, 200)           # past both ends
     x, y, heading, kappa = line.frames(s)
     assert np.allclose(kappa, 1.0 / r, rtol=0.01)            # a left turn
-    for k in [*range(0, 200, 17), 199]:
-        assert np.allclose((x[k], y[k]), line.point_at(float(s[k])), atol=1e-9)
-        assert heading[k] == pytest.approx(line.heading_at(float(s[k])), abs=1e-12)
+    assert_scalar_poses_are_frames(line, s)
 
 
 def test_polyline_frames_on_a_two_point_line():
     line = Polyline([[0.0, 0.0], [3.0, 4.0]])
-    s = [-2.0, 0.0, 2.5, 5.0, 7.0]
+    s = np.array([-2.0, 0.0, 2.5, 5.0, 7.0])
     x, y, heading, kappa = line.frames(s)
     assert np.array_equal(kappa, np.zeros(5))
     assert np.allclose(heading, math.atan2(4.0, 3.0))
-    for k in (0, 4):                        # beyond either end, along the line
-        assert (x[k], y[k]) == tuple(line.point_at(s[k]))
-        assert heading[k] == line.heading_at(s[k])
+    assert_scalar_poses_are_frames(line, s)   # beyond either end, along the line
     assert (x[-1], y[-1]) == pytest.approx((4.2, 5.6))
+
+
+@settings(max_examples=80)
+@given(projection_cases(), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=12))
+def test_pose_at_is_frames_bitwise_past_both_ends(case, fractions):
+    # arcs, zigzags and random walks: each vertex, 1e-9 m to either side of
+    # it, and fractions of the length from 20 % before the start to 20 % past the end
+    line = Polyline(case[0])
+    s = np.concatenate([line.cum, line.cum - 1e-9, line.cum + 1e-9,
+                        np.array(fractions) * line.length])
+    assert_scalar_poses_are_frames(line, s)
 
 
 def test_polyline_project_extends_s_past_both_ends():

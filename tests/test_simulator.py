@@ -164,9 +164,7 @@ def test_violation_checks_reuse_the_lane_update_projection(monkeypatch):
                              lights=[TrafficLight(lane, 150.0, [("red", 1000.0)], 0.0, 0.0)
                                      for lane in ("main", "side")])
     world = SimWorld(sc, PlannerConfig())
-    traj = TimedTrajectory(0.1, np.array([0.0, 0.1]), np.array([15.0, 16.0]), np.array([0.0, 0.3]),
-                           np.zeros(2), np.full(2, 10.0), np.zeros(2), np.zeros(2))
-    world.apply_ego_sample(traj, 1)
+    world.apply_ego_sample(16.0, 0.3, 0.0, 10.0)
     projected = []
     project = Polyline.project
     monkeypatch.setattr(Polyline, "project",
@@ -306,6 +304,24 @@ def test_runs_are_deterministic_in_process():
     b = run(sc, make_planner("cor-mp", cfg, "regular"), cfg)
     assert a.to_csv() == b.to_csv()
     assert a.events_json() == b.events_json()
+
+
+def test_a_planner_reused_after_a_run_that_ends_committed_logs_as_a_fresh_one():
+    # cut at 8 s, the run ends inside the right change committed at 7.5 s; a
+    # warm-up plan at t = 0 on that commitment would index its samples at -75
+    sc = dataclasses.replace(load("overtake_static"), duration_s=8.0)
+    cfg = PlannerConfig()
+    planner = make_planner("cor-mp", cfg, sc.profile)
+    first = run(sc, planner, cfg)
+    assert first.events_json()[-2:] == [
+        {"t": 7.5, "type": "lane_change_started", "maneuver": "change_lane_right"},
+        {"t": 8.0, "type": "lane_change_completed", "maneuver": "change_lane_right"}]
+    assert (planner.commitment.maneuver, planner.commitment.start_time) == (
+        Maneuver.CHANGE_LANE_RIGHT, 7.5)
+    again = run(sc, planner, cfg)
+    fresh = run(sc, make_planner("cor-mp", cfg, sc.profile), cfg)
+    assert again.to_csv() == fresh.to_csv() == first.to_csv()
+    assert again.events_json() == fresh.events_json()
 
 
 def test_csv_round_trips_through_a_parser():
