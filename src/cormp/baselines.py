@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass
 
 from .config import PlannerConfig
-from .identification import Maneuver, enumerate_candidates
-from .planner import CorMpPlanner, LaneChangeCommitment, PlanResult, plan_context
+from .identification import Maneuver, enumerate_candidates, interacting_agents
+from .planner import Commitment, CorMpPlanner, PlannerState, PlanResult, plan_context
 from .resources import ResourceType
 from .scenario import AgentState, Lane, Scenario
 
@@ -48,16 +48,16 @@ def idm_accel(v: float, v_desired: float, gap: float | None,
     return p.a_max * (free - (s_star / gap) ** 2)
 
 
-def find_neighbors(scenario: Scenario, lane: Lane, s_ref: float,
+def find_neighbors(agents: list, lane: Lane, s_ref: float,
                    ref_half_len: float, exclude: str):
-    """Nearest lead and follower on `lane` around arc position s_ref.
+    """Nearest lead and follower among `agents` on `lane` around arc position s_ref.
 
     Returns (lead_agent, lead_gap, follower_agent, follower_gap) with
     bumper-to-bumper gaps; missing neighbors come back as (None, None).
     """
     lead, lead_gap = None, None
     follower, follower_gap = None, None
-    for agent in scenario.agents:
+    for agent in agents:
         if agent.id == exclude or agent.kind == "pedestrian":
             continue
         s, lateral = lane.centerline.project((agent.x, agent.y))
@@ -78,7 +78,9 @@ class MobilPlanner:
     """MOBIL gap-acceptance lane changes on top of IDM car following.
 
     Deliberately ignores traffic lights and crosswalks; it exists to contrast
-    rule-aware resource planning against a classic interaction model.
+    rule-aware resource planning against a classic interaction model. It
+    sees the road users cor-mp sees: those within `interaction_radius_m` of
+    the ego. Its `state` holds only a lane change being replayed.
     """
 
     name = "mobil"
@@ -89,12 +91,12 @@ class MobilPlanner:
         self.profile = profile
         self.idm = idm
         self.mobil = mobil
-        self.commitment = LaneChangeCommitment()
+        self.state = PlannerState()
 
     def reset(self) -> None:
-        self.commitment.clear()
+        self.state = PlannerState()
 
-    def _change_gain(self, scenario: Scenario, ego: AgentState, target: Lane,
+    def _change_gain(self, agents: list, ego: AgentState, target: Lane,
                      a_keep: float, relief: float) -> float | None:
         """MOBIL incentive for moving to `target`; None when unsafe.
 
@@ -103,7 +105,7 @@ class MobilPlanner:
         """
         s_tgt, _ = target.centerline.project((ego.x, ego.y))
         t_lead, t_lead_gap, t_fol, t_fol_gap = find_neighbors(
-            scenario, target, s_tgt, ego.length / 2.0, ego.id)
+            agents, target, s_tgt, ego.length / 2.0, ego.id)
         if (t_lead_gap is not None and t_lead_gap <= 0.0) or \
            (t_fol_gap is not None and t_fol_gap <= 0.0):
             return None
@@ -113,7 +115,7 @@ class MobilPlanner:
                                   t_fol.speed - ego.speed, self.idm)
             s_fol, _ = target.centerline.project((t_fol.x, t_fol.y))
             f_lead, f_gap, _, _ = find_neighbors(
-                scenario, target, s_fol, t_fol.length / 2.0, t_fol.id)
+                agents, target, s_fol, t_fol.length / 2.0, t_fol.id)
             a_fol_old = idm_accel(t_fol.speed, target.speed_limit, f_gap,
                                   t_fol.speed - f_lead.speed if f_lead else 0.0, self.idm)
         if a_fol_new < -self.mobil.b_safe:
@@ -124,15 +126,16 @@ class MobilPlanner:
 
     def plan(self, scenario: Scenario, sim_time: float) -> PlanResult:
         cfg = self.config
-        remaining = self.commitment.remaining(sim_time, cfg.dt)
+        remaining = self.state.remaining(sim_time, cfg.dt)
         if remaining is not None:
-            return PlanResult(remaining, self.commitment.maneuver, committed=True)
+            return PlanResult(remaining, self.state.commitment.maneuver, committed=True)
 
         ego = scenario.ego
+        agents = [ego, *interacting_agents(scenario, ego, cfg)]
         lane = scenario.lanes[ego.lane]
         line = lane.centerline
         s, _ = line.project((ego.x, ego.y))
-        lead, gap, fol, fol_gap = find_neighbors(scenario, lane, s, ego.length / 2.0, ego.id)
+        lead, gap, fol, fol_gap = find_neighbors(agents, lane, s, ego.length / 2.0, ego.id)
         a_keep = idm_accel(ego.speed, lane.speed_limit, gap,
                            ego.speed - lead.speed if lead else 0.0, self.idm)
         # the follower the ego leaves behind then follows the ego's lead
@@ -154,7 +157,7 @@ class MobilPlanner:
         ):
             if neighbor_id is None or boundary == "solid":
                 continue
-            gain = self._change_gain(scenario, ego, scenario.lanes[neighbor_id], a_keep, relief)
+            gain = self._change_gain(agents, ego, scenario.lanes[neighbor_id], a_keep, relief)
             if gain is not None and gain > best_gain:
                 best_change, best_gain = maneuver, gain
 
@@ -163,9 +166,10 @@ class MobilPlanner:
             block, (cand,) = enumerate_candidates(ctx, (best_change,), {})
             if cand.row is not None:
                 trajectory = block[cand.row]
-                self.commitment.start(trajectory, best_change, sim_time)
+                self.state = PlannerState(commitment=Commitment(trajectory, best_change, sim_time))
                 return PlanResult(trajectory, best_change)
 
+        self.state = PlannerState()
         accel = min(max(a_keep, -cfg.a_lon_max), cfg.accel_keep_lane)
         if accel > 0.05:
             maneuver = Maneuver.KEEP_LANE_ACCELERATE
@@ -180,8 +184,9 @@ class MobilPlanner:
 class UtilityPlanner(CorMpPlanner):
     """Equal-weight utility over safety, target lane, progress, and comfort.
 
-    Shares the candidate generation, feasibility filter, tie break, and
-    commitment logic of the primary planner; only the scoring differs.
+    Shares the candidate generation, feasibility filter, tie break,
+    commitment logic and `PlannerState` of the primary planner; only the
+    scoring differs.
     """
 
     name = "utility"

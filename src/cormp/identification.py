@@ -31,7 +31,7 @@ import numpy as np
 
 from .bezier import CandidateBlock, SpeedProfile, chord_points, sample_trajectory
 from .config import PlannerConfig
-from .kernels import REACH_MARGIN, pose_gaps
+from .kernels import pose_gaps, reach2
 from .scenario import AgentState, Lane, Polyline, Scenario
 
 
@@ -82,13 +82,6 @@ class PredictionBlock:
     def steps(self) -> int:
         return self.x.shape[1]
 
-    def reach2(self, ego_length: float, ego_width: float) -> np.ndarray:
-        """(K,) squared center distance within which the ego's footprint can
-        meet each row's: the two circumradii plus `REACH_MARGIN` (see `kernels`)."""
-        reach = (math.hypot(ego_length / 2.0, ego_width / 2.0) + REACH_MARGIN
-                 + np.hypot(self.half_length, self.half_width))
-        return reach * reach
-
     def corridor_hits(self, cands: CandidateBlock, ego_length: float, ego_width: float,
                       cfg: PlannerConfig) -> np.ndarray:
         """(C, K) bool: rows whose corridor crosses each candidate's corridor.
@@ -96,10 +89,9 @@ class PredictionBlock:
         Both are subsampled every `crowd_sample_stride_s` and compared
         spatially, every sample of one against every sample of the other;
         a candidate's padding takes no part. Only sample pairs whose centers
-        lie within the two circumradii plus `REACH_MARGIN` can overlap
-        (see `kernels`), so only those are gathered for the SAT test. The
-        verdict of each (candidate, row) pair is its own: stacking more
-        candidates changes none.
+        lie within reach (`kernels.reach2`) can overlap, so only those are
+        gathered for the SAT test. The verdict of each (candidate, row) pair
+        is its own: stacking more candidates changes none.
         """
         if len(self) == 0:
             return np.zeros((len(cands), 0), dtype=bool)
@@ -108,7 +100,8 @@ class PredictionBlock:
         bx, by, bh = self.x[:, ::st], self.y[:, ::st], self.heading[:, ::st]
         dx = bx[None, :, None, :] - ax[:, None, :, None]
         dy = by[None, :, None, :] - ay[:, None, :, None]
-        near = dx * dx + dy * dy <= self.reach2(ego_length, ego_width)[None, :, None, None]
+        near = dx * dx + dy * dy <= reach2(ego_length / 2.0, ego_width / 2.0, self.half_length,
+                                           self.half_width)[None, :, None, None]
         c, k, i, j = np.nonzero(near & cands.valid[:, None, ::st, None])
         gaps = pose_gaps(ax[c, i], ay[c, i], ah[c, i], ego_length / 2.0, ego_width / 2.0,
                          bx[k, j], by[k, j], bh[k, j], self.half_length[k], self.half_width[k])
@@ -386,7 +379,7 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
     users that tie, the first row.
 
     Only candidates and road users with an aligned pair of valid samples
-    whose centers lie within reach (`PredictionBlock.reach2`) take part in
+    whose centers lie within reach (`kernels.reach2`) take part in
     the gap scan, kept in order: every other pair's gap is > 0 (see
     `kernels`), so it can neither overlap nor set a refined contact, and
     culling changes no result. Without such a pair there is no gap scan.
@@ -396,7 +389,8 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
     n = min(cands.x.shape[1], block.steps)
     dx = block.x[None, :, :n] - cands.x[:, None, :n]
     dy = block.y[None, :, :n] - cands.y[:, None, :n]
-    near = dx * dx + dy * dy <= block.reach2(ego_length, ego_width)[None, :, None]
+    near = dx * dx + dy * dy <= reach2(ego_length / 2.0, ego_width / 2.0, block.half_length,
+                                       block.half_width)[None, :, None]
     pairs = np.any(near & cands.valid[:, None, :n], axis=2)   # (C, K)
     rows = np.flatnonzero(pairs.any(axis=1))
     if len(rows) == 0:

@@ -16,8 +16,8 @@ and b's depends only on the relative heading, through c = |cos(hb - ha)| and
 s = |sin(hb - ha)|, computed once per pair from the four cosines and sines
 (the rotation matrix between the boxes, as in OBBTree): on a's long axis b
 reaches bhl*c + bhw*s, on a's short axis bhl*s + bhw*c, and the same with a
-and b swapped on b's axes. `pose_gaps` (arrays) and `rect_gap` (one pair, on
-Python floats) evaluate this one formula.
+and b swapped on b's axes. `pose_gaps` is the one implementation of this
+formula: it broadcasts over arrays and takes one pair as Python floats.
 
 Near-pair culling. A rectangle lies in the disc of its circumradius
 r = hypot(hl, hw) about its center, so two whose centers are more than
@@ -29,41 +29,28 @@ spans at most 90 degrees between two tested axes, one of which separates by
 at least cos(45 deg) of the distance. `REACH_MARGIN` = 1 mm is many orders
 above the rounding error of the computed gap (a few ulps of the coordinates,
 under 1e-9 m for coordinates below 1e6 m), so a culled pair never has a
-computed gap <= 0, and culling changes no overlap verdict. Three callers
-cull: `PredictionBlock.corridor_hits` gathers only the near sample pairs for
-the gap, `identification.time_to_collision` scans only the candidates and
-road users with a near aligned pair, where a culled pair could neither
-overlap nor set a refined contact, and `SimWorld.detect_collisions` calls
-`rect_gap` only on the road users within reach of the ego, counting every
-other one out of contact.
+computed gap <= 0, and culling changes no overlap verdict; a reach off by
+an ulp changes none either. `reach2` states this rule once. Three callers
+cull by it: `PredictionBlock.corridor_hits` gathers only the near sample
+pairs for the gap, `identification.time_to_collision` scans only the
+candidates and road users with a near aligned pair, where a culled pair
+could neither overlap nor set a refined contact, and
+`SimWorld.detect_collisions` takes the gap only of the road users within
+reach of the ego, counting every other one out of contact.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 REACH_MARGIN = 1e-3  # m, added to the circumradius sum of a near pair
 
 
-def rect_gap(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
-    """Separating-axis gap between two oriented rectangles.
-
-    (ax, ay) center, ah heading, ahl/ahw half length/width; likewise b*.
-    Returns max over the four edge normals of (center distance - projection
-    radii); <= 0 means the rectangles overlap. The single-pair twin of
-    `pose_gaps`, on Python floats.
-    """
-    dx = bx - ax
-    dy = by - ay
-    ca, sa = math.cos(ah), math.sin(ah)
-    cb, sb = math.cos(bh), math.sin(bh)
-    c = abs(ca * cb + sa * sb)
-    s = abs(ca * sb - sa * cb)
-    return max(abs(dx * ca + dy * sa) - ahl - (bhl * c + bhw * s),
-               abs(dy * ca - dx * sa) - ahw - (bhl * s + bhw * c),
-               abs(dx * cb + dy * sb) - (ahl * c + ahw * s) - bhl,
-               abs(dy * cb - dx * sb) - (ahl * s + ahw * c) - bhw)
+def reach2(ahl, ahw, bhl, bhw):
+    """Squared center distance beyond which two rectangles of half lengths
+    and widths (ahl, ahw) and (bhl, bhw) cannot meet: their circumradii plus
+    `REACH_MARGIN`, squared. Broadcasts over arrays."""
+    reach = np.hypot(ahl, ahw) + REACH_MARGIN + np.hypot(bhl, bhw)
+    return reach * reach
 
 
 def pose_gaps(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
@@ -72,7 +59,8 @@ def pose_gaps(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
     An (R, 1, n) against a (1, K, n) array gives the aligned TTC scan of R
     candidates against K rows; an (n, 1) against a (K, 1, m) array compares
     every sample pair; 1-D gathers of near pairs give one gap per pair
-    (corridor crossings).
+    (corridor crossings); Python floats give one pair's gap (the contact
+    test).
     """
     dx = bx - ax
     dy = by - ay

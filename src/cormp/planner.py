@@ -1,12 +1,14 @@
 """Profit maximization over feasible candidates, with lane-change commitment.
 
 `plan_tick` is pure: snapshot in, ranked decision out. `CorMpPlanner` wraps it
-with the small amount of state the closed loop needs: the previous maneuver
-(tie-break preference), the previous chosen resource values (state upgrades),
-and an in-progress lane change (`LaneChangeCommitment`, shared with the MOBIL
-baseline), which is committed until it completes unless its safety resource
-collapses, in which case the planner aborts into a deceleration along the
-remaining path, sampled like every other trajectory.
+with the small amount of state the closed loop needs, held as one frozen
+`PlannerState`: the previous maneuver (tie-break preference), the previous
+chosen resource values (state upgrades), and an in-progress lane change (a
+`Commitment`, shared with the MOBIL baseline), which is replayed until it
+completes unless its safety resource collapses, in which case the planner
+aborts into a deceleration along the remaining path, sampled like every
+other trajectory. Each plan call reads the state and assigns the next one
+once; no call changes a state it read.
 """
 from __future__ import annotations
 
@@ -146,31 +148,33 @@ def plan_context(scenario: Scenario, config: PlannerConfig, sim_time: float) -> 
                        predictions=block)
 
 
-class LaneChangeCommitment:
+@dataclass(frozen=True)
+class Commitment:
     """A chosen lane change, replayed from its start time until it completes."""
 
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.trajectory: TimedTrajectory | None = None
-        self.maneuver: Maneuver | None = None
-        self.start_time = 0.0
-
-    def start(self, trajectory: TimedTrajectory, maneuver: Maneuver, sim_time: float) -> None:
-        self.trajectory = trajectory
-        self.maneuver = maneuver
-        self.start_time = sim_time
+    trajectory: TimedTrajectory
+    maneuver: Maneuver
+    start_time: float
 
     def remaining(self, sim_time: float, dt: float) -> TimedTrajectory | None:
-        """The rest of the committed trajectory; None (and cleared) once it has run out."""
-        if self.trajectory is None:
-            return None
+        """The rest of the trajectory at `sim_time`; None once it has run out."""
         idx = int(round((sim_time - self.start_time) / dt))
         if idx >= len(self.trajectory) - 1:
-            self.clear()
             return None
         return self.trajectory.tail(idx)
+
+
+@dataclass(frozen=True)
+class PlannerState:
+    """What a closed-loop planner carries from one plan call to the next."""
+
+    previous: Maneuver | None = None              # the last maneuver, for the tie-break
+    current_values: np.ndarray | None = None      # (6,) read-only values it chose
+    commitment: Commitment | None = None          # the lane change being replayed
+
+    def remaining(self, sim_time: float, dt: float) -> TimedTrajectory | None:
+        """The committed lane change's rest at `sim_time`, or None."""
+        return None if self.commitment is None else self.commitment.remaining(sim_time, dt)
 
 
 @dataclass
@@ -185,7 +189,8 @@ class PlanResult:
 
 
 class CorMpPlanner:
-    """Stateful closed-loop wrapper around plan_tick."""
+    """Closed-loop wrapper around plan_tick: each call reads `state`, a
+    `PlannerState`, and replaces it with the next."""
 
     name = "cor-mp"
 
@@ -193,34 +198,29 @@ class CorMpPlanner:
         self.config = config
         self.weights = profile_weights(profile)
         self.profile = profile
-        self.previous: Maneuver | None = None
-        self.current_values: np.ndarray | None = None
-        self.commitment = LaneChangeCommitment()
+        self.state = PlannerState()
 
     def reset(self) -> None:
-        self.previous = None
-        self.current_values = None
-        self.commitment.clear()
+        self.state = PlannerState()
 
     def plan(self, scenario: Scenario, sim_time: float) -> PlanResult:
-        cfg = self.config
+        cfg, state = self.config, self.state
         ctx = plan_context(scenario, cfg, sim_time)
-        remaining = self.commitment.remaining(sim_time, cfg.dt)
+        remaining = state.remaining(sim_time, cfg.dt)
         if remaining is not None:
-            maneuver = self.commitment.maneuver
             mu_safety = safety_value(CandidateBlock([remaining]), ctx.predictions,
                                      ctx.ego.length, ctx.ego.width, cfg)[0]
             if mu_safety >= cfg.theta_loss:
-                return PlanResult(remaining, maneuver, committed=True)
-            self.commitment.clear()
-            self.previous = Maneuver.KEEP_LANE_DECELERATE
+                return PlanResult(remaining, state.commitment.maneuver, committed=True)
+            self.state = PlannerState(Maneuver.KEEP_LANE_DECELERATE, state.current_values)
             aborted = decelerate_along(remaining, cfg.stop_decel_default, cfg.dt,
                                        cfg.planning_horizon_s)
             return PlanResult(aborted, Maneuver.KEEP_LANE_DECELERATE, aborted=True)
 
-        decision = plan_tick(ctx, self.previous, self.current_values, self.weights)
-        self.previous = decision.maneuver
-        self.current_values = decision.values[decision.chosen]
-        if decision.maneuver in LANE_CHANGES:
-            self.commitment.start(decision.trajectory, decision.maneuver, sim_time)
+        decision = plan_tick(ctx, state.previous, state.current_values, self.weights)
+        held = decision.values[decision.chosen].copy()
+        held.flags.writeable = False
+        commitment = (Commitment(decision.trajectory, decision.maneuver, sim_time)
+                      if decision.maneuver in LANE_CHANGES else None)
+        self.state = PlannerState(decision.maneuver, held, commitment)
         return PlanResult(decision.trajectory, decision.maneuver, decision=decision)

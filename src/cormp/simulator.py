@@ -123,7 +123,7 @@ class SimLog:
     decisions: list = field(default_factory=list)   # tuples of DECISION_COLUMNS values
     events: list = field(default_factory=list)      # SimEvent
     latencies_ms: list = field(default_factory=list)
-    epoch_speeds: list = field(default_factory=list)  # ego speed at each decision time
+    epoch_speeds: list = field(default_factory=list)  # ego speed at each plan call and at the end
 
     @property
     def rows(self) -> Sequence:
@@ -150,10 +150,6 @@ class SimLog:
         return np.array([tick[j] for tick in self.ticks])
 
 
-def _circumradius(agent: AgentState) -> float:
-    return math.hypot(agent.length / 2.0, agent.width / 2.0)
-
-
 class _AgentRuntime:
     """Mutable per-agent bookkeeping the scripted behaviors need, and the
     squared center distance beyond which the agent cannot touch the ego."""
@@ -163,8 +159,9 @@ class _AgentRuntime:
         self.traveled = 0.0  # pedestrian crossing distance
         lane = scenario.lanes.get(agent.lane)
         self.s = lane.centerline.project((agent.x, agent.y))[0] if lane is not None else 0.0
-        reach = _circumradius(scenario.ego) + kernels.REACH_MARGIN + _circumradius(agent)
-        self.reach2 = reach * reach
+        ego = scenario.ego
+        self.reach2 = float(kernels.reach2(ego.length / 2.0, ego.width / 2.0,
+                                           agent.length / 2.0, agent.width / 2.0))
 
 
 class SimWorld:
@@ -256,9 +253,9 @@ class SimWorld:
         for agent in self.scenario.others():
             dx, dy = agent.x - ex, agent.y - ey
             if (dx * dx + dy * dy > self.runtimes[agent.id].reach2
-                    or kernels.rect_gap(ex, ey, ego.heading, ego.length / 2.0, ego.width / 2.0,
-                                        agent.x, agent.y, agent.heading,
-                                        agent.length / 2.0, agent.width / 2.0) > 0.0):
+                    or kernels.pose_gaps(ex, ey, ego.heading, ego.length / 2.0, ego.width / 2.0,
+                                         agent.x, agent.y, agent.heading,
+                                         agent.length / 2.0, agent.width / 2.0) > 0.0):
                 self._contact.discard(agent.id)
             elif agent.id not in self._contact:
                 self._contact.add(agent.id)

@@ -7,7 +7,7 @@ set at every tick.
 """
 from __future__ import annotations
 
-from cormp.kernels import rect_gap
+from cormp.kernels import pose_gaps
 from cormp.simulator import SimEvent, SimWorld
 
 
@@ -18,7 +18,7 @@ def collisions_oracle(world: SimWorld, contact: set) -> list:
     events = []
     ego = world.ego
     for agent in world.scenario.others():
-        gap = rect_gap(
+        gap = pose_gaps(
             ego.x, ego.y, ego.heading, ego.length / 2.0, ego.width / 2.0,
             agent.x, agent.y, agent.heading, agent.length / 2.0, agent.width / 2.0,
         )

@@ -86,7 +86,7 @@ def test_find_neighbors_reports_bumper_gaps():
     sc = neighbor_scenario()
     lane = sc.lanes["main"]
     lead, lead_gap, follower, follower_gap = find_neighbors(
-        sc, lane, 50.0, 4.5 / 2.0, "ego")
+        sc.agents, lane, 50.0, 4.5 / 2.0, "ego")
     assert lead.id == "ahead"
     assert lead_gap == pytest.approx(30.0 - 4.5, abs=1e-9)
     assert follower.id == "behind"
@@ -96,7 +96,7 @@ def test_find_neighbors_reports_bumper_gaps():
 def test_find_neighbors_skips_pedestrians_and_off_lane_agents():
     sc = neighbor_scenario()
     lane = sc.lanes["main"]
-    lead, _, _, _ = find_neighbors(sc, lane, 50.0, 2.25, "ego")
+    lead, _, _, _ = find_neighbors(sc.agents, lane, 50.0, 2.25, "ego")
     assert lead.id == "ahead"  # walker at s=60 and the off-lane car are ignored
 
 
@@ -233,9 +233,9 @@ def test_mobil_finds_the_current_lanes_neighbors_once_per_plan(monkeypatch):
     }
     calls = []
 
-    def counted(scenario, lane, s_ref, ref_half_len, exclude):
+    def counted(agents, lane, s_ref, ref_half_len, exclude):
         calls.append((lane.id, exclude))
-        return find_neighbors(scenario, lane, s_ref, ref_half_len, exclude)
+        return find_neighbors(agents, lane, s_ref, ref_half_len, exclude)
 
     monkeypatch.setattr(baselines, "find_neighbors", counted)
     MobilPlanner(PlannerConfig()).plan(load_scenario(doc), 0.0)

@@ -88,8 +88,8 @@ def test_culled_contacts_equal_the_full_scan_tick_by_tick(case):
 
 def count_gaps(monkeypatch) -> list:
     calls = []
-    gap = cormp.kernels.rect_gap
-    monkeypatch.setattr(cormp.kernels, "rect_gap",
+    gap = cormp.kernels.pose_gaps
+    monkeypatch.setattr(cormp.kernels, "pose_gaps",
                         lambda *args: calls.append(args) or gap(*args))
     return calls
 

@@ -28,7 +28,7 @@ from cormp.identification import (
     predict_oru,
     time_to_collision,
 )
-from cormp.kernels import rect_gap
+from cormp.kernels import pose_gaps
 from cormp.planner import CorMpPlanner, plan_context, plan_tick
 from cormp.scenario import Polyline, load_scenario
 from cormp.simulator import SimWorld, run
@@ -497,8 +497,8 @@ def test_footprint_ttc_matches_millisecond_sweep():
     brute = math.inf
     for k in range(4001):
         t = 0.001 * k
-        gap = rect_gap(15.0 + 15.0 * t, 0.0, 0.0, 2.25, 0.9,
-                       35.0 + 10.0 * t, 0.0, 0.0, 2.25, 0.9)
+        gap = pose_gaps(15.0 + 15.0 * t, 0.0, 0.0, 2.25, 0.9,
+                        35.0 + 10.0 * t, 0.0, 0.0, 2.25, 0.9)
         if gap <= 0.0:
             brute = t
             break

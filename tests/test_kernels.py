@@ -22,26 +22,26 @@ def random_poses(rng, n, spread=20.0):
     return x, y, h
 
 
-# ---------------------------------------------------------------- rect_gap
+# ---------------------------------------------------------------- one pair
 
 
 def test_gap_between_separated_squares():
     # unit squares, centers 3 m apart along x: 2 m of daylight
-    gap = kernels.rect_gap(0.0, 0.0, 0.0, 0.5, 0.5, 3.0, 0.0, 0.0, 0.5, 0.5)
+    gap = kernels.pose_gaps(0.0, 0.0, 0.0, 0.5, 0.5, 3.0, 0.0, 0.0, 0.5, 0.5)
     assert gap == pytest.approx(2.0, abs=1e-12)
 
 
 def test_gap_nonpositive_when_overlapping():
-    assert kernels.rect_gap(0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.0, 0.0, 1.0, 1.0) <= 0.0
+    assert kernels.pose_gaps(0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.0, 0.0, 1.0, 1.0) <= 0.0
     # touching edge to edge
-    assert kernels.rect_gap(0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 0.0, 0.0, 0.5, 0.5) \
+    assert kernels.pose_gaps(0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 0.0, 0.0, 0.5, 0.5) \
         == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_uses_both_footprints_orientations():
     # rotated rectangle reaches further along x than its axis-aligned box
-    gap_axis = kernels.rect_gap(0.0, 0.0, 0.0, 2.0, 0.5, 5.0, 0.0, 0.0, 0.5, 0.5)
-    gap_rot = kernels.rect_gap(0.0, 0.0, math.pi / 2, 2.0, 0.5, 5.0, 0.0, 0.0, 0.5, 0.5)
+    gap_axis = kernels.pose_gaps(0.0, 0.0, 0.0, 2.0, 0.5, 5.0, 0.0, 0.0, 0.5, 0.5)
+    gap_rot = kernels.pose_gaps(0.0, 0.0, math.pi / 2, 2.0, 0.5, 5.0, 0.0, 0.0, 0.5, 0.5)
     assert gap_rot > gap_axis
 
 
@@ -50,8 +50,8 @@ def test_gap_symmetry():
     for _ in range(50):
         ax, ay, ah = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3, 3)
         bx, by, bh = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3, 3)
-        g1 = kernels.rect_gap(ax, ay, ah, 2.0, 1.0, bx, by, bh, 1.5, 0.8)
-        g2 = kernels.rect_gap(bx, by, bh, 1.5, 0.8, ax, ay, ah, 2.0, 1.0)
+        g1 = kernels.pose_gaps(ax, ay, ah, 2.0, 1.0, bx, by, bh, 1.5, 0.8)
+        g2 = kernels.pose_gaps(bx, by, bh, 1.5, 0.8, ax, ay, ah, 2.0, 1.0)
         assert g1 == pytest.approx(g2, abs=1e-9)
 
 
@@ -93,11 +93,45 @@ rects = st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0),
 @settings(max_examples=300)
 @given(rects, rects)
 def test_fused_gap_sign_matches_polygon_overlap(a, b):
-    gap = float(kernels.pose_gaps(*(np.array([v]) for v in a + b))[0])
+    gap = float(kernels.pose_gaps(*a, *b))
     if abs(gap) < 1e-9:
         return  # touching: the sign is down to rounding
     assert (gap <= 0.0) == polygons_overlap(a, b)
-    assert gap == pytest.approx(kernels.rect_gap(*a, *b), abs=1e-12)
+    assert gap == pytest.approx(kernels.pose_gaps(*(np.array([v]) for v in a + b))[0],
+                                abs=1e-12)
+
+
+half = st.floats(0.05, 10.0)
+angle = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def pairs_beyond_reach(draw) -> tuple:
+    """Two rectangles (x, y, h, hl, hw) whose centers lie beyond
+    `kernels.reach2` of each other, by 1e-9 m to 50 m, in any direction and
+    at any headings; or with corners facing and diagonals on one line, the
+    closest the circumradius discs allow."""
+    ahl, ahw, bhl, bhw = (draw(half) for _ in range(4))
+    ax, ay, ah = draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4)), draw(angle)
+    reach = math.sqrt(kernels.reach2(ahl, ahw, bhl, bhw))
+    d = reach + draw(st.one_of(st.sampled_from([1e-9, 1e-6]), st.floats(1e-9, 50.0)))
+    if draw(st.booleans()):
+        direction, bh = draw(angle), draw(angle)
+    else:
+        direction = ah + math.atan2(ahw, ahl)
+        bh = direction + math.pi - math.atan2(bhw, bhl)
+    return ((ax, ay, ah, ahl, ahw),
+            (ax + d * math.cos(direction), ay + d * math.sin(direction), bh, bhl, bhw))
+
+
+@settings(max_examples=300)
+@given(pairs_beyond_reach())
+def test_rectangles_beyond_reach_never_meet(pair):
+    a, b = pair
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    if dx * dx + dy * dy <= kernels.reach2(a[3], a[4], b[3], b[4]):
+        return  # rounding put the centers back within reach
+    assert kernels.pose_gaps(*a, *b) > 0.0
 
 
 # ---------------------------------------------------------------- batch ops
@@ -110,8 +144,8 @@ def test_pose_gaps_matches_scalar_loop():
     bx, by, bh = random_poses(rng, n)
     gaps = kernels.pose_gaps(ax, ay, ah, 2.25, 0.9, bx, by, bh, 2.25, 0.9)
     for i in range(n):
-        expect = kernels.rect_gap(ax[i], ay[i], ah[i], 2.25, 0.9,
-                                  bx[i], by[i], bh[i], 2.25, 0.9)
+        expect = kernels.pose_gaps(float(ax[i]), float(ay[i]), float(ah[i]), 2.25, 0.9,
+                                   float(bx[i]), float(by[i]), float(bh[i]), 2.25, 0.9)
         assert gaps[i] == pytest.approx(expect, abs=1e-12)
 
 
@@ -137,7 +171,7 @@ def pose_row(x, y, h) -> TimedTrajectory:
 
 def test_corridor_hits_match_pairwise_scan():
     # every strided valid sample of each candidate against every strided
-    # sample of each row, as a pairwise rect_gap scan, over spreads from
+    # sample of each row, as a pairwise scan of one-pair gaps, over spreads from
     # crowded to sparse; candidates of different lengths, so the shorter
     # ones carry padding
     cfg = PlannerConfig()
@@ -152,8 +186,8 @@ def test_corridor_hits_match_pairwise_scan():
                      rng.uniform(0.5, 6.0), rng.uniform(0.5, 2.5))
                     for _ in range(int(rng.integers(1, 6)))]
             hits = prediction_block(*rows).corridor_hits(CandidateBlock(egos), 4.0, 2.0, cfg)
-            brute = [[any(kernels.rect_gap(ego.x[i], ego.y[i], ego.heading[i], 2.0, 1.0,
-                                           row.x[j], row.y[j], row.heading[j], L / 2.0, W / 2.0)
+            brute = [[any(kernels.pose_gaps(ego.x[i], ego.y[i], ego.heading[i], 2.0, 1.0,
+                                            row.x[j], row.y[j], row.heading[j], L / 2.0, W / 2.0)
                           <= 0.0
                           for i in range(0, len(ego), stride) for j in range(0, 41, stride))
                       for _, row, L, W in rows] for ego in egos]
@@ -174,7 +208,7 @@ def test_corridor_hits_keep_pairs_at_the_reach_boundary():
             for d in (ra + rb, ra + rb + kernels.REACH_MARGIN, ra + rb - 1e-3)]
     block = prediction_block(*rows)
     cands = CandidateBlock([pose_row(np.zeros(41), np.zeros(41), np.zeros(41))])
-    gaps = [kernels.rect_gap(0.0, 0.0, 0.0, 2.0, 1.0, row.x[0], row.y[0], h, 2.5, 0.8)
+    gaps = [kernels.pose_gaps(0.0, 0.0, 0.0, 2.0, 1.0, row.x[0], row.y[0], h, 2.5, 0.8)
             for _, row, _, _ in rows]
     assert abs(gaps[0]) < 1e-12 and gaps[1] > 0.0 > gaps[2]
     hits = block.corridor_hits(cands, 4.0, 2.0, cfg)
@@ -187,8 +221,8 @@ def test_corridor_hits_skip_padded_candidate_samples():
     # 3-sample candidate's strided samples are 0 (x = 0) and then padding
     # resting at x = 2; the 6-sample one reaches x = 5 at its own sample 5
     cfg = PlannerConfig()
-    assert kernels.rect_gap(2.0, 0.0, 0.0, 2.0, 1.0, 4.5, 0.0, 0.0, 2.0, 1.0) <= 0.0
-    assert kernels.rect_gap(0.0, 0.0, 0.0, 2.0, 1.0, 4.5, 0.0, 0.0, 2.0, 1.0) > 0.0
+    assert kernels.pose_gaps(2.0, 0.0, 0.0, 2.0, 1.0, 4.5, 0.0, 0.0, 2.0, 1.0) <= 0.0
+    assert kernels.pose_gaps(0.0, 0.0, 0.0, 2.0, 1.0, 4.5, 0.0, 0.0, 2.0, 1.0) > 0.0
     cands = CandidateBlock([pose_row(np.arange(n) * 1.0, np.zeros(n), np.zeros(n))
                             for n in (3, 6, 51)])
     block = prediction_block(("vehicle", pose_row(np.full(41, 4.5), np.zeros(41),

@@ -13,8 +13,10 @@ agree with the original's within `TOL`.
 
 Road users that cannot matter. Listing a shipped scenario's agents in
 another order (the non-ego ones shuffled, the ego last), or adding a static
-obstacle `FAR` m to the ego's left, off every lane, must leave `log.csv` and
-`events.json` byte-identical under every planner.
+obstacle `FAR` m to the ego's left, off every lane, or `FAR` m straight
+ahead, on the line that extends a straight lane, must leave `log.csv` and
+`events.json` byte-identical under every planner: each sees only the road
+users within its interaction radius.
 """
 from __future__ import annotations
 
@@ -110,14 +112,16 @@ def reordered(doc: dict) -> dict:
     return doc
 
 
-def with_far_obstacle(doc: dict) -> dict:
-    """`doc` plus a standing car `FAR` m to the ego's left, off every lane."""
+def with_far_obstacle(doc: dict, ahead: bool = False) -> dict:
+    """`doc` plus a standing car `FAR` m to the ego's left, off every lane,
+    or `FAR` m straight ahead of it."""
     doc = copy.deepcopy(doc)
     ego = next(a for a in doc["agents"] if a["kind"] == "ego")
     x, y = ego["position"]
+    c, s = math.cos(ego["heading"]), math.sin(ego["heading"])
+    dx, dy = (c, s) if ahead else (-s, c)
     doc["agents"].append({"id": "far_obstacle", "kind": "obstacle",
-                          "position": [x - FAR * math.sin(ego["heading"]),
-                                       y + FAR * math.cos(ego["heading"])],
+                          "position": [x + FAR * dx, y + FAR * dy],
                           "heading": ego["heading"], "speed": 0.0,
                           "length": 4.5, "width": 1.8})
     return doc
@@ -149,4 +153,7 @@ def test_agent_order_leaves_the_log_unchanged(name, planner):
 @pytest.mark.parametrize("planner", list(PLANNERS))
 @pytest.mark.parametrize("name", SHIPPED)
 def test_a_far_obstacle_leaves_the_log_unchanged(name, planner):
-    assert_same_artifacts(with_far_obstacle(shipped(name)), name, planner)
+    # to the left, off every lane, and straight ahead, on the line that
+    # extends a straight lane such as `red_light`'s
+    for ahead in (False, True):
+        assert_same_artifacts(with_far_obstacle(shipped(name), ahead), name, planner)

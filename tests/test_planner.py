@@ -11,7 +11,9 @@ from cormp.identification import (
 )
 from cormp.planner import (
     TIE_ORDER,
+    Commitment,
     CorMpPlanner,
+    PlannerState,
     decelerate_along,
     decide,
     plan_context,
@@ -143,7 +145,7 @@ def test_plan_tick_scores_only_feasible_candidates():
 def test_held_values_turn_acquired_states_desired():
     planner = CorMpPlanner(PlannerConfig(), "regular")
     first = planner.plan(load("empty_road"), 0.0).decision
-    assert np.array_equal(planner.current_values, first.values[first.chosen])
+    assert np.array_equal(planner.state.current_values, first.values[first.chosen])
     fresh = plan_tick(empty_road_context())
     held = plan_tick(empty_road_context(), current_values=np.zeros(len(RESOURCES)))
     assert np.array_equal(fresh.values, held.values)
@@ -213,9 +215,17 @@ def two_lane_scenario(others=()):
     return load_scenario(doc)
 
 
+def committed(planner, trajectory=None):
+    """`planner` with a left change committed at t = 0 along `trajectory`
+    (by default `straight_lc_trajectory`)."""
+    trajectory = straight_lc_trajectory() if trajectory is None else trajectory
+    planner.state = PlannerState(
+        commitment=Commitment(trajectory, Maneuver.CHANGE_LANE_LEFT, 0.0))
+    return planner
+
+
 def test_commitment_replays_the_stored_trajectory():
-    planner = CorMpPlanner(PlannerConfig(), "regular")
-    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
+    planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
     result = planner.plan(two_lane_scenario(), 1.0)
     assert result.committed
     assert not result.aborted
@@ -225,24 +235,22 @@ def test_commitment_replays_the_stored_trajectory():
 
 
 def test_commitment_expires_at_the_trajectory_end():
-    planner = CorMpPlanner(PlannerConfig(), "regular")
-    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
+    planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
     result = planner.plan(two_lane_scenario(), 5.0)
     assert not result.committed
     assert result.decision is not None
-    assert planner.commitment.trajectory is None or result.maneuver in (
+    assert planner.state.commitment is None or result.maneuver in (
         Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT)
 
 
 def test_commitment_aborts_on_a_sudden_blocker():
-    planner = CorMpPlanner(PlannerConfig(), "regular")
-    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
+    planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
     blocker = {"id": "intruder", "kind": "obstacle", "position": [12.6, 1.4],
                "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
     result = planner.plan(two_lane_scenario([blocker]), 1.0)
     assert result.aborted
     assert result.maneuver is Maneuver.KEEP_LANE_DECELERATE
-    assert planner.commitment.trajectory is None
+    assert planner.state.commitment is None
     assert result.trajectory.speed[-1] < 8.0
     # braking follows the committed geometry rather than steering back
     assert result.trajectory.y[0] == pytest.approx(0.7, abs=1e-6)
@@ -250,9 +258,8 @@ def test_commitment_aborts_on_a_sudden_blocker():
 
 def test_aborting_a_lane_change_begun_at_standstill_rests():
     # a lane change chosen at 0 m/s never moves, so its path has zero length
-    planner = CorMpPlanner(PlannerConfig(), "regular")
     standing = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 51)
-    planner.commitment.start(standing, Maneuver.CHANGE_LANE_LEFT, 0.0)
+    planner = committed(CorMpPlanner(PlannerConfig(), "regular"), standing)
     blocker = {"id": "intruder", "kind": "obstacle", "position": [4.0, 0.0],
                "heading": 0.0, "speed": 0.0, "length": 4.5, "width": 1.8}
     result = planner.plan(two_lane_scenario([blocker]), 1.0)
@@ -273,24 +280,65 @@ def test_standstill_abort_has_the_sampler_tick_count():
 
 
 def test_mobil_shares_the_commitment_replay():
-    planner = MobilPlanner(PlannerConfig(), "regular")
-    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
+    planner = committed(MobilPlanner(PlannerConfig(), "regular"))
     result = planner.plan(two_lane_scenario(), 1.0)
     assert result.committed
     assert result.trajectory.x[0] == pytest.approx(8.0)
     planner.reset()
-    assert planner.commitment.trajectory is None
+    assert planner.state.commitment is None
+
+
+def test_mobil_expiry_and_reset_both_give_the_empty_state():
+    # a 20 m/s lead 30 m ahead on the ego's lane, so MOBIL starts no change
+    lead = {"id": "lead", "kind": "vehicle", "position": [30.0, 0.0], "heading": 0.0,
+            "speed": 20.0, "length": 4.5, "width": 1.8, "lane": "right"}
+    planner = committed(MobilPlanner(PlannerConfig(), "regular"))
+    result = planner.plan(two_lane_scenario([lead]), 5.0)
+    assert not result.committed and result.maneuver not in (
+        Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT)
+    assert planner.state == PlannerState()
+    committed(planner).reset()
+    assert planner.state == PlannerState()
 
 
 def test_reset_clears_history():
     planner = CorMpPlanner(PlannerConfig(), "regular")
-    planner.previous = Maneuver.STOP
-    planner.current_values = np.ones(len(RESOURCES))
-    planner.commitment.start(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0)
+    planner.state = PlannerState(
+        Maneuver.STOP, np.ones(len(RESOURCES)),
+        Commitment(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0))
     planner.reset()
-    assert planner.previous is None
-    assert planner.current_values is None
-    assert planner.commitment.trajectory is None
+    assert planner.state.previous is None
+    assert planner.state.current_values is None
+    assert planner.state.commitment is None
+
+
+def test_a_plan_call_leaves_the_state_it_read_unchanged():
+    planner = CorMpPlanner(PlannerConfig(), "regular")
+    planner.plan(load("empty_road"), 0.0)
+    read = planner.state
+    values = read.current_values.copy()
+    assert not read.current_values.flags.writeable
+    planner.plan(two_lane_scenario(), 0.0)
+    assert not np.array_equal(planner.state.current_values, values)
+    assert read.previous is Maneuver.KEEP_LANE_ACCELERATE and read.commitment is None
+    assert np.array_equal(read.current_values, values)
+    # a committed replay reads the state and keeps it
+    committed(planner)
+    read = planner.state
+    assert planner.plan(two_lane_scenario(), 1.0).committed
+    assert planner.state is read
+
+
+def test_a_replay_past_the_commitment_end_decides_afresh():
+    planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
+    commitment = planner.state.commitment
+    assert commitment.remaining(5.0, 0.1) is None
+    assert commitment.remaining(5.0, 0.1) is None   # pure: nothing is cleared
+    assert planner.state.commitment is commitment
+    result = planner.plan(two_lane_scenario(), 6.0)
+    assert result.decision is not None and not result.committed
+    assert planner.state.previous is result.maneuver
+    assert planner.state.commitment is None
 
 
 def test_a_start_above_the_limit_brakes_instead_of_jumping_to_it():

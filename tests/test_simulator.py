@@ -316,7 +316,8 @@ def test_a_planner_reused_after_a_run_that_ends_committed_logs_as_a_fresh_one():
     assert first.events_json()[-2:] == [
         {"t": 7.5, "type": "lane_change_started", "maneuver": "change_lane_right"},
         {"t": 8.0, "type": "lane_change_completed", "maneuver": "change_lane_right"}]
-    assert (planner.commitment.maneuver, planner.commitment.start_time) == (
+    commitment = planner.state.commitment
+    assert (commitment.maneuver, commitment.start_time) == (
         Maneuver.CHANGE_LANE_RIGHT, 7.5)
     again = run(sc, planner, cfg)
     fresh = run(sc, make_planner("cor-mp", cfg, sc.profile), cfg)
