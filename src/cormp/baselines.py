@@ -131,7 +131,8 @@ class MobilPlanner:
             return PlanResult(remaining, self.state.commitment.maneuver, committed=True)
 
         ego = scenario.ego
-        agents = [ego, *interacting_agents(scenario, ego, cfg)]
+        others = interacting_agents(scenario, ego, cfg)
+        agents = [ego, *others]
         lane = scenario.lanes[ego.lane]
         line = lane.centerline
         s, _ = line.project((ego.x, ego.y))
@@ -161,7 +162,7 @@ class MobilPlanner:
             if gain is not None and gain > best_gain:
                 best_change, best_gain = maneuver, gain
 
-        ctx = plan_context(scenario, cfg, sim_time)
+        ctx = plan_context(scenario, cfg, sim_time, others)
         if best_change is not None:
             block, (cand,) = enumerate_candidates(ctx, (best_change,), {})
             if cand.row is not None:

@@ -382,10 +382,13 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
     whose centers lie within reach (`kernels.reach2`) take part in
     the gap scan, kept in order: every other pair's gap is > 0 (see
     `kernels`), so it can neither overlap nor set a refined contact, and
-    culling changes no result. Without such a pair there is no gap scan.
+    culling changes no result. Without such a pair there is no gap scan, and
+    without road users no array work at all.
     """
     ttc = np.full(len(cands), math.inf)
     who = np.full(len(cands), -1)
+    if len(block) == 0:
+        return ttc, who
     n = min(cands.x.shape[1], block.steps)
     dx = block.x[None, :, :n] - cands.x[:, None, :n]
     dy = block.y[None, :, :n] - cands.y[:, None, :n]

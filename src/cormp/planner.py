@@ -138,10 +138,13 @@ def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
     return stopping
 
 
-def plan_context(scenario: Scenario, config: PlannerConfig, sim_time: float) -> PlanContext:
-    """Snapshot for one plan call, with the interacting agents' predictions stacked."""
+def plan_context(scenario: Scenario, config: PlannerConfig, sim_time: float,
+                 agents: list | None = None) -> PlanContext:
+    """Snapshot for one plan call, with the predictions of `agents` stacked: the
+    interacting agents, which a caller that has them already passes in."""
     ego = scenario.ego
-    agents = interacting_agents(scenario, ego, config)
+    if agents is None:
+        agents = interacting_agents(scenario, ego, config)
     block = PredictionBlock(agents, [predict_oru(a, scenario, config) for a in agents],
                             config.horizon_steps + 1)
     return PlanContext(scenario=scenario, config=config, ego=ego, sim_time=sim_time,

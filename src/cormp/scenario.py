@@ -25,6 +25,8 @@ LIGHT_COLORS = ("red", "green")
 DEFAULT_VEHICLE_MASS = 1500.0
 DEFAULT_PEDESTRIAN_MASS = 75.0
 
+WALK_BELOW = 8   # an array of fewer points is projected point by point (`Polyline._walk`)
+
 
 class ScenarioError(ValueError):
     """Raised for structural or semantic problems in a scenario document."""
@@ -158,8 +160,8 @@ class Polyline:
 
     @cached_property
     def _segment_floats(self) -> list:
-        """Per-segment Python floats, which a pair `project` reads run by run (`_chunks`)
-        faster than numpy scalars: ax, ay, dx, dy, length^2, length, arc position and heading
+        """Per-segment Python floats, which `_walk` (by the runs of `_chunks`) and `pose_at`
+        read faster than numpy scalars: ax, ay, dx, dy, length^2, length, arc position and heading
         (by np.arctan2 as in `frames`; math.atan2 rounds some differently). Most lanes have one."""
         p, d = self.points, self._d
         return list(zip(p[:-1, 0].tolist(), p[:-1, 1].tolist(), d[:, 0].tolist(),
@@ -169,16 +171,17 @@ class Polyline:
 
     @cached_property
     def _chunks(self) -> list:
-        """(x, y, r, first, rows) per run of isqrt(n - 1) + 1 of the n segments: the disc
-        about the mean (x, y) of its vertices, out to the farthest (r), covers the run, whose
-        `_segment_floats` are `rows` from segment `first`. One run (n <= 2): (-inf, 0, rows)."""
-        rows = self._segment_floats
+        """(x, y, r, rows) per run of isqrt(n - 1) + 1 of the n segments: the disc about
+        the mean (x, y) of its vertices, out to the farthest (r), covers the run, whose
+        rows are each segment's index and ax, ay, dx, dy, length^2 (of `_segment_floats`).
+        One run (n <= 2) has an infinite disc."""
+        rows = [(i, *r[:5]) for i, r in enumerate(self._segment_floats)]
         k = math.isqrt(len(rows) - 1) + 1
         if k >= len(rows):
-            return [(-math.inf, 0, rows)]
+            return [(0.0, 0.0, math.inf, rows)]
         starts = range(0, len(rows), k)
         discs = [(v, v.mean(axis=0)) for v in (self.points[i:i + k + 1] for i in starts)]
-        return [(*c.tolist(), float(np.hypot(*(v - c).T).max()), i, rows[i:i + k])
+        return [(*c.tolist(), float(np.hypot(*(v - c).T).max()), rows[i:i + k])
                 for i, (v, c) in zip(starts, discs)]
 
     def project(self, point):
@@ -194,38 +197,43 @@ class Polyline:
         foot lies on it wins, else the first: near a vertex the segment that
         holds the point beats its neighbour clamped to that vertex.
 
-        A pair loops on Python floats over the runs of `_chunks`, nearest first,
-        up to the first whose disc lies over `REACH_MARGIN` beyond the closest segment
-        so far; an array runs one vectorised pass over every segment. On a 2-core
-        host with CPython 3.11 and numpy 2.4, a point near the line costs 8 us as
-        a pair against 40 us as an array on a 59-segment arc, 1.5 against 13 us
-        on a one-segment lane, and the array pass wins from about 6 points on the
-        arc and 9 on the lane. So pass one point as a pair, several as an array.
+        A pair, and each point of an array of fewer than `WALK_BELOW`, is
+        located by `_walk`; a larger array by one vectorised pass over every
+        segment. Both give the same bits. On a 2-core host with CPython 3.11
+        and numpy 2.4, the walk costs 5.7 us a point near a 59-segment arc and
+        1.2 us near a one-segment lane; the pass costs 39 and 12 us for one
+        point, and it is the cheaper on both from 8 points on.
         """
         if not isinstance(point, tuple):   # a tuple is a pair, read without numpy
             point = np.asarray(point, dtype=np.float64)
             if point.ndim == 2:
                 return self._project_many(point)
-        px, py = float(point[0]), float(point[1])
+        return self._walk(float(point[0]), float(point[1]))
+
+    def _walk(self, px: float, py: float) -> tuple:
+        """`project` of one point, on Python floats: the runs of `_chunks` nearest
+        first, up to the first whose disc lies over `REACH_MARGIN` beyond the
+        closest segment so far."""
         runs = self._chunks
+        edges, order = (-math.inf,), (0,)
         if len(runs) > 1:   # by the distance of their disc's edge, nearest first
-            runs = sorted((math.hypot(px - x, py - y) - r, first, rows)
-                          for x, y, r, first, rows in runs)
-        best, near = math.inf, []   # near: (i, dist2, t, tc, qx, qy) by the closest so far
-        for edge, first, rows in runs:
+            edges = [math.hypot(px - x, py - y) - r for x, y, r, _ in runs]
+            order = sorted(range(len(runs)), key=edges.__getitem__)
+        best, reach, near = math.inf, math.inf, []   # near: (i, dist2, t, tc, qx, qy)
+        for k in order:
             # no segment is nearer than its disc's edge (<= 0 inside), both exact to ulps
-            if edge > 0.0 and edge > math.sqrt(best) + REACH_MARGIN:
+            if edges[k] > reach:
                 break
-            for i, (ax, ay, dx, dy, len2, seg, cum, _) in enumerate(rows, first):
+            for i, ax, ay, dx, dy, len2 in runs[k][3]:
                 rx, ry = px - ax, py - ay
                 t = (rx * dx + ry * dy) / len2
-                tc = min(max(t, 0.0), 1.0)
+                tc = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
                 qx, qy = rx - dx * tc, ry - dy * tc
                 dist2 = qx * qx + qy * qy
                 if dist2 < best - 1e-9:   # so much closer that none so far can tie with it
-                    best = dist2
+                    best, reach = dist2, math.sqrt(dist2) + REACH_MARGIN
                     near = [(i, dist2, t, tc, qx, qy)]
-                elif dist2 <= best + 1e-12:
+                elif dist2 <= best + 1e-12:   # a tie: reach lags best by < 1e-9 m^2, culling less
                     best = min(best, dist2)
                     near.append((i, dist2, t, tc, qx, qy))
         pick = near[0]
@@ -239,6 +247,9 @@ class Polyline:
         return cum + tc * seg, (dx * qy - dy * qx) / seg
 
     def _project_many(self, p: np.ndarray) -> tuple:
+        if len(p) < WALK_BELOW:
+            s, lateral = zip(*map(self._walk, *p.T.tolist())) if len(p) else ((), ())
+            return np.array(s, dtype=np.float64), np.array(lateral, dtype=np.float64)
         if len(self._seg) > 1:
             return self._project_segments(p)
         # `_project_segments` on its one segment, bitwise: past either end

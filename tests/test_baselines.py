@@ -5,6 +5,7 @@ import pytest
 
 from conftest import timed_run
 from cormp import baselines
+from cormp import planner as planner_module
 from cormp.baselines import (
     IdmParams,
     MobilParams,
@@ -240,6 +241,26 @@ def test_mobil_finds_the_current_lanes_neighbors_once_per_plan(monkeypatch):
     monkeypatch.setattr(baselines, "find_neighbors", counted)
     MobilPlanner(PlannerConfig()).plan(load_scenario(doc), 0.0)
     assert sorted(calls) == [("left", "ego"), ("mid", "ego"), ("right", "ego")]
+
+
+def test_mobil_builds_the_interacting_agents_once_per_fresh_plan(monkeypatch):
+    # the neighbour search and the predictions share one list; a committed
+    # replay builds none
+    calls = []
+    for module in (baselines, planner_module):
+        fn = module.interacting_agents
+        monkeypatch.setattr(module, "interacting_agents",
+                            lambda *a, fn=fn: calls.append(1) or fn(*a))
+    planner = MobilPlanner(PlannerConfig())
+    for sc, maneuvers in ((two_lane_doc([car("slow", 35.0, 0.0, 5.0, "right")]),
+                           [Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_LEFT]),
+                          (two_lane_doc([]), [Maneuver.KEEP_LANE_ACCELERATE])):
+        planner.reset()
+        for k, maneuver in enumerate(maneuvers):
+            calls.clear()
+            result = planner.plan(sc, 0.5 * k)
+            assert result.maneuver is maneuver
+            assert len(calls) == (0 if result.committed else 1)
 
 
 # ---------------------------------------------------------------- utility

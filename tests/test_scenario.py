@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, arc_centerline, load
 from cormp.scenario import (
+    WALK_BELOW,
     Behavior,
     Polyline,
     ScenarioError,
@@ -176,14 +177,14 @@ def projection_cases(draw) -> tuple:
     """(vertices, queries) in the line's own frame, then moved together.
 
     Lines: left and right arcs of radius 100-300 m, zigzags (one of 1e-7 m
-    amplitude) and random walks of 2-200 vertices, as drawn or rotated by
-    3.0 rad and moved to (-5000, 7000) m. Queries: the vertices, segment
-    midpoints, points on the bisector at interior vertices (on a zigzag
-    equidistant from both segments: exact ties), points jittered off the
-    line and points 1 km away.
+    amplitude) and random walks of 2-200 vertices (often 2: a one-segment
+    lane), as drawn or rotated by 3.0 rad and moved to (-5000, 7000) m.
+    Queries: the vertices, segment midpoints, points on the bisector at
+    interior vertices (on a zigzag equidistant from both segments: exact
+    ties), points jittered off the line and points 1 km away.
     """
     kind = draw(st.sampled_from(["arc", "zigzag", "walk"]))
-    n = draw(st.integers(2, 200))
+    n = draw(st.one_of(st.just(2), st.integers(2, 200)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "arc":
         pts = np.array(arc_centerline(draw(st.floats(100.0, 300.0)),
@@ -227,6 +228,33 @@ def test_polyline_project_equals_the_full_scan_bitwise(case):
     assert pairs.tobytes() == want.tobytes()
     assert np.array([line.project(q) for q in queries]).tobytes() == want.tobytes()
     assert np.column_stack(line.project(queries)).tobytes() == want.tobytes()
+    # arrays walked point by point below the crossover, and passed whole from it on
+    for m in range(WALK_BELOW + 3):
+        for part in (slice(m), slice(len(queries) - m, None)):
+            s, lateral = line.project(queries[part])
+            assert s.dtype == lateral.dtype == np.float64 and s.shape == lateral.shape == (m,)
+            assert np.column_stack([s, lateral]).tobytes() == want[part].tobytes()
+
+
+@pytest.mark.parametrize("vertices", [arc_centerline(140.0, -1), [[0.0, 0.0], [300.0, 0.0]]])
+def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertices):
+    # each call counts once wherever `project` is spied on or traced: below
+    # the crossover an array is walked point by point, from it on passed whole
+    line = Polyline(vertices)
+    s = np.linspace(-10.0, line.length + 10.0, WALK_BELOW + 2)
+    x, y, heading, _ = line.frames(s)
+    pts = np.column_stack([x - 1.5 * np.sin(heading), y + 1.5 * np.cos(heading)])
+    calls = []
+    for name in ("project", "_walk", "_project_segments"):
+        fn = getattr(Polyline, name)
+        monkeypatch.setattr(Polyline, name,
+                            lambda self, *a, fn=fn, name=name: calls.append(name) or fn(self, *a))
+    for m in range(WALK_BELOW + 3):
+        calls.clear()
+        line.project(pts[:m])
+        walked = ["_walk"] * m if m < WALK_BELOW else []
+        whole = ["_project_segments"] if m >= WALK_BELOW and len(line._seg) > 1 else []
+        assert calls == ["project", *walked, *whole]
 
 
 def assert_scalar_poses_are_frames(line: Polyline, s: np.ndarray) -> None:

@@ -202,6 +202,18 @@ def test_no_gap_scan_when_every_road_user_is_beyond_reach(monkeypatch):
     assert calls == []
 
 
+def test_an_empty_block_returns_before_any_broadcast(monkeypatch):
+    # no road user in reach: every row inf and -1, as the oracle gives, with
+    # neither the reach rule nor a gap call
+    calls = spy_on_gaps(monkeypatch)
+    monkeypatch.setattr(identification, "reach2", lambda *a: calls.append("reach2"))
+    for steps in (1, 41):
+        cands, preds = blocks(ROWS, [], steps)
+        ttc, who = assert_matches_oracle(cands, preds)
+        assert ttc.tolist() == [math.inf] * 3 and who.tolist() == [-1] * 3
+    assert calls == []
+
+
 def test_one_gap_scan_over_the_live_rows_and_road_users(monkeypatch):
     # the same 80 cars and one standing at x = 30 m, listed 41st, which only
     # the 10 m/s row reaches within its 41 samples (the 5 m/s one stops at
