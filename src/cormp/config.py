@@ -2,7 +2,8 @@
 
 Every numeric constant used by the planner is a field here so scenarios and
 tests can override behavior without touching code. `PlannerConfig.from_json`
-rejects unknown keys, mirroring the scenario loader.
+rejects unknown keys, and every field must pass `number`, the rule the
+scenario loader reads its numbers by.
 """
 from __future__ import annotations
 
@@ -10,11 +11,28 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 ENV_CONFIG = "CORMP_CONFIG"
 
 PROFILES = ("regular", "aggressive", "fuel_efficient")
+
+
+def number(value, path: str, lo=None, hi=None, error=ValueError) -> float:
+    """The one rule for a number read from a scenario or config file: a real
+    number, not a bool or a string, finite and within [lo, hi], as a float.
+    Anything else raises `error` with a message that starts with `path`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{path}: expected a number, got {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:   # NaN, +-inf, an int past any float
+        raise error(f"{path}: must be finite")
+    value = float(value)
+    if lo is not None and value < lo:
+        raise error(f"{path}: must be >= {lo}")
+    if hi is not None and value > hi:
+        raise error(f"{path}: must be <= {hi}")
+    return value
 
 
 @dataclass
@@ -67,6 +85,8 @@ class PlannerConfig:
     tie_epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):   # every field is a magnitude, a time or a count
+            number(getattr(self, f.name), f.name, lo=0.0)
         # all but dt and the horizon keep a resource's ratio from dividing by zero
         for key in ("dt", "e_ref_accel", "d_min_m"):
             if getattr(self, key) <= 0:

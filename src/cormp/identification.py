@@ -153,6 +153,13 @@ class PlanContext:
         return self.lane.centerline.project((self.ego.x, self.ego.y))[0]
 
     @cached_property
+    def lane_positions(self) -> tuple:
+        """(K,) s and lateral of each road user's first predicted sample on
+        the ego's lane, projected once per plan."""
+        block = self.predictions
+        return self.lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
+
+    @cached_property
     def crosswalk_occupancy(self) -> list:
         """Per crosswalk, (T,) bool: a pedestrian footprint is predicted on
         its area, on any of its lanes, at each tick. One broadcast each."""
@@ -263,8 +270,7 @@ def _stop_constraint_distance(ctx: PlanContext) -> float | None:
     # moving traffic is handled by TTC, not a fixed stop target
     still = block.vehicle_like & (block.speed[:, 0] <= 0.5)
     if still.any():
-        s_obj, lateral = lane.centerline.project(
-            np.column_stack([block.x[still, 0], block.y[still, 0]]))
+        s_obj, lateral = (a[still] for a in ctx.lane_positions)
         ahead = (s_obj > front) & (np.abs(lateral) <= lane.width / 2.0)
         stop_s = s_obj - block.half_length[still] - cfg.stop_line_margin_m
         targets.extend(stop_s[ahead].tolist())
@@ -297,12 +303,13 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     ego's lane, capped at its limit. A lane change, a cubic onto the neighbour
     lane over the lane-change duration and then its centerline, is sampled
     over the longer of that duration and the planning horizon. With a vehicle
-    ahead of the ego on its lane (first sample ahead in arc length), a
+    or obstacle ahead of the ego in arc length along the ego's lane, on any
+    lane (its first predicted sample projected onto the ego's lane), a
     constant-speed probe along it (the lane change's own row where profile and
     horizon agree) and a stretched path are sampled too; the stretched one is
-    taken where such a vehicle is predicted inside the probe's corridor, read
-    from the plan's one corridor pass. Without a neighbour lane the maneuver
-    is an infeasible placeholder with no row.
+    taken where such a road user is predicted inside the probe's corridor,
+    read from the plan's one corridor pass. Without a neighbour lane the
+    maneuver is an infeasible placeholder with no row.
     """
     cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
     if accels is None:
@@ -316,8 +323,7 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
                for m in maneuvers}
     leads = None
     if any(targets.values()) and block.vehicle_like.any():
-        s_obj, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
-        leads = block.vehicle_like & (s_obj > ctx.ego_s)
+        leads = block.vehicle_like & (ctx.lane_positions[0] > ctx.ego_s)
     lead = leads is not None and bool(leads.any())
     duration = cfg.lane_change_duration_s
     horizon = max(duration, cfg.planning_horizon_s)

@@ -10,12 +10,13 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .config import PROFILES
+from .config import PROFILES, number
 from .kernels import REACH_MARGIN
 
 BOUNDARY_KINDS = ("solid", "dashed")
@@ -289,7 +290,7 @@ class Lane:
     left_neighbor: str | None = None
     right_neighbor: str | None = None
     left_boundary: str = "solid"
-    right_boundary: str = "dashed"
+    right_boundary: str = "solid"
 
     @property
     def length(self) -> float:
@@ -384,7 +385,9 @@ class Scenario:
 # loading / validation
 
 
-def _require(doc: dict, path: str, allowed: set, required: set) -> None:
+def _require(doc, path: str, allowed: set, required: set) -> None:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: expected an object")
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {unknown}")
@@ -393,26 +396,49 @@ def _require(doc: dict, path: str, allowed: set, required: set) -> None:
         raise ScenarioError(f"{path}: missing keys {missing}")
 
 
-def _number(doc, key, path, lo=None, hi=None):
+# The readers of one value each: `doc[key]`, checked, named in any error by
+# its path, `path.key` for an object's key and `path[key]` for a list's index.
+
+
+def _path(path: str, key) -> str:
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+
+
+def _number(doc, key, path: str, lo=None, hi=None) -> float:
+    return number(doc[key], _path(path, key), lo, hi, ScenarioError)
+
+
+def _name(doc, key, path: str) -> str:
+    """An id or a name: a non-empty string."""
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {type(v).__name__}")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ScenarioError(f"{path}.{key}: must be finite")
-    if lo is not None and v < lo:
-        raise ScenarioError(f"{path}.{key}: must be >= {lo}")
-    if hi is not None and v > hi:
-        raise ScenarioError(f"{path}.{key}: must be <= {hi}")
+    if not isinstance(v, str) or not v:
+        raise ScenarioError(f"{_path(path, key)}: expected a non-empty string")
     return v
 
 
-def _point(doc, key, path):
+def _lane_ref(doc, key, path: str, lanes: dict) -> str:
+    """The id of a lane in `lanes`."""
     v = doc[key]
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)):
-        raise ScenarioError(f"{path}.{key}: expected [x, y]")
-    return float(v[0]), float(v[1])
+    if not isinstance(v, str) or v not in lanes:
+        raise ScenarioError(f"{_path(path, key)}: unknown lane {v!r}")
+    return v
+
+
+def _list(doc, key, path: str, what: str, least: int = 1, most: int | None = None) -> list:
+    v = doc[key]
+    if not isinstance(v, (list, tuple)) or not least <= len(v) <= (most or len(v)):
+        raise ScenarioError(f"{_path(path, key)}: expected {what}")
+    return v
+
+
+def _pair(doc, key, path: str, what: str) -> tuple:
+    """A two-item list and its path."""
+    return _list(doc, key, path, what, least=2, most=2), _path(path, key)
+
+
+def _point(doc, key, path: str) -> tuple:
+    v, at = _pair(doc, key, path, "[x, y]")
+    return _number(v, 0, at), _number(v, 1, at)
 
 
 def _load_lane(doc: dict, path: str) -> Lane:
@@ -422,25 +448,21 @@ def _load_lane(doc: dict, path: str) -> Lane:
                  "right_neighbor", "left_boundary", "right_boundary"},
         required={"id", "centerline", "width", "speed_limit"},
     )
-    if not isinstance(doc["id"], str) or not doc["id"]:
-        raise ScenarioError(f"{path}.id: expected a non-empty string")
+    points = _list(doc, "centerline", path, "[[x, y], ...] of at least two points", least=2)
+    line = [_point(points, i, f"{path}.centerline") for i in range(len(points))]
     try:
-        line = Polyline(doc["centerline"])
-    except (ValueError, TypeError) as exc:
+        line = Polyline(line)
+    except ValueError as exc:
         raise ScenarioError(f"{path}.centerline: {exc}") from exc
-    width = _number(doc, "width", path, lo=0.5)
-    limit = _number(doc, "speed_limit", path, lo=0.1)
-    lane = Lane(
-        id=doc["id"], centerline=line, width=width, speed_limit=limit,
-        left_neighbor=doc.get("left_neighbor"),
-        right_neighbor=doc.get("right_neighbor"),
-        left_boundary=doc.get("left_boundary", "solid"),
-        right_boundary=doc.get("right_boundary", "solid"),
-    )
     for key in ("left_boundary", "right_boundary"):
-        if getattr(lane, key) not in BOUNDARY_KINDS:
+        if key in doc and doc[key] not in BOUNDARY_KINDS:
             raise ScenarioError(f"{path}.{key}: expected one of {BOUNDARY_KINDS}")
-    return lane
+    # absent keys take the `Lane` defaults; neighbours are checked once every lane is known
+    optional = {k: doc[k] for k in ("left_neighbor", "right_neighbor",
+                                    "left_boundary", "right_boundary") if k in doc}
+    return Lane(id=_name(doc, "id", path), centerline=line,
+                width=_number(doc, "width", path, lo=0.5),
+                speed_limit=_number(doc, "speed_limit", path, lo=0.1), **optional)
 
 
 def _load_behavior(doc: dict, path: str) -> Behavior:
@@ -455,21 +477,13 @@ def _load_behavior(doc: dict, path: str) -> Behavior:
         return Behavior(type=btype)
     if btype == "speed_schedule":
         _require(doc, path, allowed={"type", "profile"}, required={"type", "profile"})
-        prof = doc["profile"]
-        if not isinstance(prof, list) or not prof:
-            raise ScenarioError(f"{path}.profile: expected a non-empty list of [t, v]")
+        prof = _list(doc, "profile", path, "a non-empty list of [t, v]")
         out = []
-        last_t = -math.inf
-        for i, pair in enumerate(prof):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ScenarioError(f"{path}.profile[{i}]: expected [t, v]")
-            t_k, v_k = float(pair[0]), float(pair[1])
-            if t_k <= last_t:
-                raise ScenarioError(f"{path}.profile[{i}]: times must increase")
-            if v_k < 0:
-                raise ScenarioError(f"{path}.profile[{i}]: speed must be >= 0")
-            out.append([t_k, v_k])
-            last_t = t_k
+        for i in range(len(prof)):
+            pair, at = _pair(prof, i, f"{path}.profile", "[t, v]")
+            out.append([_number(pair, 0, at), _number(pair, 1, at, lo=0.0)])
+            if i and out[i][0] <= out[i - 1][0]:
+                raise ScenarioError(f"{at}: times must increase")
         return Behavior(type="speed_schedule", profile=out)
     if btype == "cross":
         _require(doc, path, allowed={"type", "start_time", "speed", "distance"},
@@ -481,7 +495,7 @@ def _load_behavior(doc: dict, path: str) -> Behavior:
     raise ScenarioError(f"{path}.type: unknown behavior type {btype!r}")
 
 
-def _load_agent(doc: dict, path: str, index: int) -> AgentState:
+def _load_agent(doc: dict, path: str, index: int, lanes: dict) -> AgentState:
     _require(
         doc, path,
         allowed={"id", "kind", "position", "heading", "speed", "length",
@@ -493,19 +507,18 @@ def _load_agent(doc: dict, path: str, index: int) -> AgentState:
         raise ScenarioError(f"{path}.kind: expected one of {AGENT_KINDS}")
     x, y = _point(doc, "position", path)
     default_mass = DEFAULT_PEDESTRIAN_MASS if kind == "pedestrian" else DEFAULT_VEHICLE_MASS
-    mass = _number(doc, "mass", path, lo=1.0) if "mass" in doc else default_mass
     behavior = (_load_behavior(doc["behavior"], f"{path}.behavior")
                 if "behavior" in doc else _default_behavior(kind))
     return AgentState(
-        id=doc.get("id", f"agent{index}"),
+        id=_name(doc, "id", path) if "id" in doc else f"agent{index}",
         kind=kind,
         x=x, y=y,
         heading=_number(doc, "heading", path),
         speed=_number(doc, "speed", path, lo=0.0),
         length=_number(doc, "length", path, lo=0.05),
         width=_number(doc, "width", path, lo=0.05),
-        mass=mass,
-        lane=doc.get("lane"),
+        mass=_number(doc, "mass", path, lo=1.0) if "mass" in doc else default_mass,
+        lane=_lane_ref(doc, "lane", path, lanes) if doc.get("lane") is not None else None,
         behavior=behavior,
     )
 
@@ -520,49 +533,35 @@ def _load_light(doc: dict, path: str, lanes: dict) -> TrafficLight:
     _require(doc, path,
              allowed={"lane", "stop_line_s", "schedule", "position"},
              required={"lane", "stop_line_s", "schedule"})
-    lane_id = doc["lane"]
-    if lane_id not in lanes:
-        raise ScenarioError(f"{path}.lane: unknown lane {lane_id!r}")
-    stop_s = _number(doc, "stop_line_s", path, lo=0.0, hi=lanes[lane_id].length)
-    schedule = doc["schedule"]
-    if not isinstance(schedule, list) or not schedule:
-        raise ScenarioError(f"{path}.schedule: expected a non-empty list of [color, duration]")
+    lane = lanes[_lane_ref(doc, "lane", path, lanes)]
+    stop_s = _number(doc, "stop_line_s", path, lo=0.0, hi=lane.length)
+    schedule = _list(doc, "schedule", path, "a non-empty list of [color, duration]")
     parsed = []
-    for i, entry in enumerate(schedule):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ScenarioError(f"{path}.schedule[{i}]: expected [color, duration]")
-        color, dur = entry
-        if color not in LIGHT_COLORS:
-            raise ScenarioError(f"{path}.schedule[{i}]: color must be one of {LIGHT_COLORS}")
-        dur = float(dur)
+    for i in range(len(schedule)):
+        entry, at = _pair(schedule, i, f"{path}.schedule", "[color, duration]")
+        if entry[0] not in LIGHT_COLORS:
+            raise ScenarioError(f"{at}[0]: color must be one of {LIGHT_COLORS}")
+        dur = _number(entry, 1, at)
         if dur <= 0:
-            raise ScenarioError(f"{path}.schedule[{i}]: duration must be > 0")
-        parsed.append((color, dur))
+            raise ScenarioError(f"{at}[1]: duration must be > 0")
+        parsed.append((entry[0], dur))
     if "position" in doc:
         x, y = _point(doc, "position", path)
     else:
-        x, y = lanes[lane_id].centerline.point_at(stop_s)
-    return TrafficLight(lane=lane_id, stop_line_s=stop_s, schedule=parsed, x=float(x), y=float(y))
+        x, y = lane.centerline.point_at(stop_s)
+    return TrafficLight(lane=lane.id, stop_line_s=stop_s, schedule=parsed, x=float(x), y=float(y))
 
 
 def _load_crosswalk(doc: dict, path: str, lanes: dict) -> Crosswalk:
     _require(doc, path, allowed={"lanes", "span"}, required={"lanes", "span"})
-    lane_ids = doc["lanes"]
-    if not isinstance(lane_ids, list) or not lane_ids:
-        raise ScenarioError(f"{path}.lanes: expected a non-empty list of lane ids")
-    for lid in lane_ids:
-        if lid not in lanes:
-            raise ScenarioError(f"{path}.lanes: unknown lane {lid!r}")
-    span = doc["span"]
-    if not isinstance(span, (list, tuple)) or len(span) != 2:
-        raise ScenarioError(f"{path}.span: expected [s_begin, s_end]")
-    s0, s1 = float(span[0]), float(span[1])
+    refs = _list(doc, "lanes", path, "a non-empty list of lane ids")
+    lane_ids = [_lane_ref(refs, i, f"{path}.lanes", lanes) for i in range(len(refs))]
+    span, at = _pair(doc, "span", path, "[s_begin, s_end]")
+    end = min(lanes[lid].length for lid in lane_ids)   # within every lane's length
+    s0, s1 = _number(span, 0, at, lo=0.0, hi=end), _number(span, 1, at, lo=0.0, hi=end)
     if not s0 < s1:
-        raise ScenarioError(f"{path}.span: s_begin must be < s_end")
-    for lid in lane_ids:
-        if s1 > lanes[lid].length:
-            raise ScenarioError(f"{path}.span: extends past lane {lid!r} (length {lanes[lid].length:.1f})")
-    return Crosswalk(lanes=list(lane_ids), span=(s0, s1))
+        raise ScenarioError(f"{at}: s_begin must be < s_end")
+    return Crosswalk(lanes=lane_ids, span=(s0, s1))
 
 
 def load_scenario(source) -> Scenario:
@@ -573,10 +572,7 @@ def load_scenario(source) -> Scenario:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        import os
         name_default = os.path.splitext(os.path.basename(str(source)))[0]
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario: top level must be an object")
     _require(
         doc, "scenario",
         allowed={"name", "duration_s", "profile", "apriori_lane", "lanes",
@@ -588,31 +584,25 @@ def load_scenario(source) -> Scenario:
     if profile not in PROFILES:
         raise ScenarioError(f"scenario.profile: expected one of {PROFILES}")
 
-    if not isinstance(doc["lanes"], list) or not doc["lanes"]:
-        raise ScenarioError("scenario.lanes: expected a non-empty list")
     lanes: dict = {}
-    for i, lane_doc in enumerate(doc["lanes"]):
+    lane_docs = _list(doc, "lanes", "scenario", "a non-empty list")
+    for i, lane_doc in enumerate(lane_docs):
         lane = _load_lane(lane_doc, f"lanes[{i}]")
         if lane.id in lanes:
             raise ScenarioError(f"lanes[{i}].id: duplicate lane id {lane.id!r}")
         lanes[lane.id] = lane
-    for lid, lane in lanes.items():
+    for i, lane_doc in enumerate(lane_docs):
         for key in ("left_neighbor", "right_neighbor"):
-            ref = getattr(lane, key)
-            if ref is not None and ref not in lanes:
-                raise ScenarioError(f"lane {lid!r}.{key}: unknown lane {ref!r}")
+            if lane_doc.get(key) is not None:
+                _lane_ref(lane_doc, key, f"lanes[{i}]", lanes)
 
-    if not isinstance(doc["agents"], list) or not doc["agents"]:
-        raise ScenarioError("scenario.agents: expected a non-empty list")
     agents = []
     seen_ids: set = set()
-    for i, agent_doc in enumerate(doc["agents"]):
-        agent = _load_agent(agent_doc, f"agents[{i}]", i)
+    for i, agent_doc in enumerate(_list(doc, "agents", "scenario", "a non-empty list")):
+        agent = _load_agent(agent_doc, f"agents[{i}]", i, lanes)
         if agent.id in seen_ids:
             raise ScenarioError(f"agents[{i}].id: duplicate agent id {agent.id!r}")
         seen_ids.add(agent.id)
-        if agent.lane is not None and agent.lane not in lanes:
-            raise ScenarioError(f"agents[{i}].lane: unknown lane {agent.lane!r}")
         agents.append(agent)
     egos = [a for a in agents if a.kind == "ego"]
     if len(egos) != 1:
@@ -621,27 +611,18 @@ def load_scenario(source) -> Scenario:
         raise ScenarioError("scenario.agents: the ego must reference a lane")
     agents.sort(key=lambda a: a.kind != "ego")  # ego first, stable otherwise
 
-    if doc.get("apriori_lane") not in lanes:
-        raise ScenarioError(f"scenario.apriori_lane: unknown lane {doc.get('apriori_lane')!r}")
-
-    lights = [
-        _load_light(d, f"lights[{i}]", lanes)
-        for i, d in enumerate(doc.get("lights", []))
-    ]
-    crosswalks = [
-        _load_crosswalk(d, f"crosswalks[{i}]", lanes)
-        for i, d in enumerate(doc.get("crosswalks", []))
-    ]
-
+    lights, crosswalks = (_list(doc, key, "scenario", "a list", least=0) if key in doc else []
+                          for key in ("lights", "crosswalks"))
     return Scenario(
-        name=doc.get("name", name_default),
+        name=_name(doc, "name", "scenario") if "name" in doc else name_default,
         duration_s=duration,
         profile=profile,
-        apriori_lane=doc["apriori_lane"],
+        apriori_lane=_lane_ref(doc, "apriori_lane", "scenario", lanes),
         lanes=lanes,
         agents=agents,
-        lights=lights,
-        crosswalks=crosswalks,
+        lights=[_load_light(d, f"lights[{i}]", lanes) for i, d in enumerate(lights)],
+        crosswalks=[_load_crosswalk(d, f"crosswalks[{i}]", lanes)
+                    for i, d in enumerate(crosswalks)],
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,28 +79,6 @@ def _cell(v) -> str:
     return str(v)
 
 
-class _Rows(Sequence):
-    """`SimLog.rows`: each tick as a dict keyed by `CSV_COLUMNS`, built on
-    access; a tick before any decision has no `DECISION_COLUMNS` keys."""
-
-    def __init__(self, log: SimLog) -> None:
-        self._log = log
-
-    def __len__(self) -> int:
-        return len(self._log.ticks)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._row(tick) for tick in self._log.ticks[k]]
-        return self._row(self._log.ticks[k])
-
-    def _row(self, tick: Tick) -> dict:
-        row = dict(zip(Tick._fields[:-1], tick))
-        if tick.decision is not None:
-            row.update(zip(DECISION_COLUMNS, self._log.decisions[tick.decision]))
-        return row
-
-
 @dataclass
 class SimLog:
     """The record of one run.
@@ -110,9 +87,9 @@ class SimLog:
     planner decision, its values in `DECISION_COLUMNS` order, which every
     tick up to the next decision refers to by index, so a decision's fields
     are stored once, not on each of its ticks. `to_csv` formats each
-    decision once and each tick in one expression. `rows` is a read-only
-    view of the per-tick dicts that the log once stored;
-    `tests/log_oracle.py` keeps the writers that read them.
+    decision once and each tick in one expression. `rows` builds the
+    per-tick dicts that the log once stored; `tests/log_oracle.py` keeps the
+    writers that read them.
     """
 
     scenario_name: str
@@ -126,8 +103,13 @@ class SimLog:
     epoch_speeds: list = field(default_factory=list)  # ego speed at each plan call and at the end
 
     @property
-    def rows(self) -> Sequence:
-        return _Rows(self)
+    def rows(self) -> list:
+        """Each tick as a dict keyed by `CSV_COLUMNS`, built on access; a tick
+        before any decision has no `DECISION_COLUMNS` keys."""
+        decisions = [dict(zip(DECISION_COLUMNS, values)) for values in self.decisions]
+        return [dict(zip(Tick._fields[:-1], tick),
+                     **(decisions[tick.decision] if tick.decision is not None else {}))
+                for tick in self.ticks]
 
     def to_csv(self) -> str:
         decisions = [",".join(map(_cell, values)) for values in self.decisions]

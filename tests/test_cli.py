@@ -59,6 +59,29 @@ def test_malformed_scenario_is_a_usage_error(tmp_path, capsys):
     assert "missing keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, config", [
+    pytest.param(('"id": "ego"', '"id": ["ego"]'), None, id="list-agent-id"),
+    pytest.param(('["red", 15.0]', '["red", NaN]'), None, id="nan-red-phase"),
+    pytest.param(None, '{"dt": "0.1"}', id="string-dt"),
+    pytest.param(None, '{"ttc_min_s": NaN}', id="nan-ttc-min"),
+])
+def test_a_bad_value_is_an_error_line_not_a_run(tmp_path, capsys, edit, config):
+    # red_light.json with one value edited in its text, or a config file
+    args = ["run", scenario("red_light"), "--out", str(tmp_path / "out")]
+    if edit is not None:
+        text = (SCENARIO_DIR / "red_light.json").read_text(encoding="utf-8")
+        assert edit[0] in text
+        args[1] = str(tmp_path / "scenario.json")
+        (tmp_path / "scenario.json").write_text(text.replace(*edit), encoding="utf-8")
+    if config is not None:
+        (tmp_path / "config.json").write_text(config, encoding="utf-8")
+        args += ["--config", str(tmp_path / "config.json")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cormp: error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_incident_runs_exit_two(tmp_path):
     # MOBIL ignores crosswalks by design, so it hits the crossing pedestrian
     out = tmp_path / "mobil-ped"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -65,6 +66,18 @@ def test_validation_rejects_values_a_resource_would_divide_by(overrides, key):
         PlannerConfig(**overrides)
     with pytest.raises(ValueError, match=key):
         PlannerConfig.from_dict(overrides)
+
+
+FIELDS = [f.name for f in dataclasses.fields(PlannerConfig)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, "1", -1.0],
+                         ids=["nan", "inf", "true", "str", "negative"])
+@pytest.mark.parametrize("key", FIELDS)
+def test_a_field_that_is_not_a_finite_real_is_rejected_by_its_key(key, bad):
+    with pytest.raises(ValueError) as err:
+        PlannerConfig.from_dict({key: bad})
+    assert str(err.value).startswith(f"{key}:")
 
 
 def test_profiles_constant():

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import (CURVED, SCENARIO_DIR, assert_row_is_its_lone_block, curved_road,
+from conftest import (CURVED, SCENARIO_DIR, assert_row_is_its_lone_block, curved_road, load,
                       prediction_block)
 from cormp import identification
 from cormp.baselines import make_planner
@@ -897,3 +897,20 @@ def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
         tags = Counter(calls)
         assert (tags["stack"], tags["polyline"], tags["list_block"]) == (1, 0, 0)
         assert tags["corridor"] == 1   # the lead probe and crowdedness share it
+
+
+@pytest.mark.parametrize("name", ["overtake_static", "busy_highway"])
+def test_road_users_are_projected_onto_the_ego_lane_once_per_plan(name, monkeypatch):
+    # the standing-vehicle stop target and the lane-change lead read one
+    # projection of every road user's first sample
+    ctx = plan_context(load(name), PlannerConfig(), 0.0)
+    line, real, calls = ctx.lane.centerline, Polyline.project, []
+
+    def spy(self, p):
+        if self is line and np.ndim(p) == 2:
+            calls.append(len(p))
+        return real(self, p)
+
+    monkeypatch.setattr(Polyline, "project", spy)
+    enumerate_candidates(ctx)
+    assert calls == [len(ctx.predictions.vehicle_like)]

@@ -1,4 +1,6 @@
+import copy
 import glob
+import json
 import math
 import os
 import warnings
@@ -8,10 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR, arc_centerline, load
+from conftest import CURVED, SCENARIO_DIR, SHIPPED, arc_centerline, load
 from cormp.scenario import (
     WALK_BELOW,
     Behavior,
+    Lane,
     Polyline,
     ScenarioError,
     TrafficLight,
@@ -454,12 +457,127 @@ def test_all_shipped_scenarios_load(scenario_dir):
 
 
 def test_serialize_roundtrip():
-    sc = load("highway")
-    again = load_scenario(serialize_scenario(sc))
-    assert set(again.lanes) == set(sc.lanes)
-    assert [a.id for a in again.agents] == [a.id for a in sc.agents]
-    assert again.apriori_lane == sc.apriori_lane
-    assert again.duration_s == sc.duration_s
+    # every shipped scenario and both conftest arcs: a reloaded scenario
+    # serializes to the same document, and that document is strict JSON
+    for name in SHIPPED + sorted(CURVED):
+        first = serialize_scenario(load(name))
+        json.dumps(first, allow_nan=False)
+        assert serialize_scenario(load_scenario(first)) == first, name
+
+
+def full_doc() -> dict:
+    """Every record kind: two neighbouring lanes, a road user of each
+    behaviour type, a light with a position and a crosswalk over both lanes."""
+    return {
+        "name": "full",
+        "duration_s": 10.0,
+        "profile": "regular",
+        "apriori_lane": "l0",
+        "lanes": [
+            {"id": "l0", "centerline": [[0.0, 0.0], [50.0, 0.0], [100.0, 0.0]],
+             "width": 3.5, "speed_limit": 13.89, "left_neighbor": "l1",
+             "left_boundary": "dashed", "right_boundary": "solid"},
+            {"id": "l1", "centerline": [[0.0, 3.5], [100.0, 3.5]],
+             "width": 3.5, "speed_limit": 13.89, "right_neighbor": "l0"},
+        ],
+        "agents": [
+            {"id": "ego", "kind": "ego", "position": [5.0, 0.0], "heading": 0.0,
+             "speed": 8.0, "length": 4.5, "width": 1.8, "mass": 1500.0, "lane": "l0",
+             "behavior": {"type": "lane_follow"}},
+            {"id": "lead", "kind": "vehicle", "position": [30.0, 3.5], "heading": 0.0,
+             "speed": 6.0, "length": 4.5, "width": 1.8, "lane": "l1",
+             "behavior": {"type": "speed_schedule", "profile": [[0.0, 6.0], [4.0, 3.0]]}},
+            {"id": "walker", "kind": "pedestrian", "position": [61.0, -4.0], "heading": 1.5,
+             "speed": 0.0, "length": 0.5, "width": 0.5,
+             "behavior": {"type": "cross", "start_time": 2.0, "speed": 1.4, "distance": 9.0}},
+            {"id": "cone", "kind": "obstacle", "position": [90.0, 3.5], "heading": 0.0,
+             "speed": 0.0, "length": 1.0, "width": 1.0, "behavior": {"type": "static"}},
+        ],
+        "lights": [{"lane": "l0", "stop_line_s": 40.0, "position": [40.0, -2.0],
+                    "schedule": [["red", 5.0], ["green", 10.0]]}],
+        "crosswalks": [{"lanes": ["l0", "l1"], "span": [60.0, 63.0]}],
+    }
+
+
+def leaves(node, path: str, keys: tuple = ()):
+    """(path, keys, value) of each scalar under `node`, the path as the loader names it."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        at = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, at, keys + (key,))
+        else:
+            yield at, keys + (key,), value
+
+
+def doc_leaves(doc: dict):
+    for key, value in doc.items():
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from leaves(item, f"{key}[{i}]", (key, i))
+        else:
+            yield f"scenario.{key}", (key,), value
+
+
+def planted(keys: tuple, value) -> dict:
+    doc = copy.deepcopy(full_doc())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+NUMBERS = [(path, keys) for path, keys, v in doc_leaves(full_doc()) if isinstance(v, float)]
+REFERENCES = [(path, keys) for path, keys, _ in doc_leaves(full_doc())
+              if keys[-1] in ("id", "name", "apriori_lane", "lane", "left_neighbor",
+                              "right_neighbor") or keys[-2:-1] == ("lanes",)]
+
+
+def test_the_planted_document_loads_and_names_every_kind_of_leaf():
+    sc = load_scenario(full_doc())
+    assert {a.behavior.type for a in sc.agents} == {"lane_follow", "speed_schedule",
+                                                    "cross", "static"}
+    numbers = {path for path, _ in NUMBERS}
+    assert {"lanes[0].centerline[1][0]", "agents[1].behavior.profile[1][0]",
+            "lights[0].schedule[0][1]", "lights[0].position[1]",
+            "crosswalks[0].span[0]", "scenario.duration_s"} <= numbers
+    assert {path for path, _ in REFERENCES} == {
+        "scenario.name", "scenario.apriori_lane", "lanes[0].id", "lanes[0].left_neighbor",
+        "lanes[1].id", "lanes[1].right_neighbor", "agents[0].id", "agents[0].lane",
+        "agents[1].id", "agents[1].lane", "agents[2].id", "agents[3].id", "lights[0].lane",
+        "crosswalks[0].lanes[0]", "crosswalks[0].lanes[1]"}
+
+
+@pytest.mark.parametrize("path, keys", NUMBERS, ids=[path for path, _ in NUMBERS])
+def test_a_number_that_is_not_a_finite_real_is_rejected_by_its_path(path, keys):
+    for bad in (math.nan, math.inf, -math.inf, True, "1"):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(planted(keys, bad))
+        assert str(err.value).startswith(f"{path}:"), (bad, str(err.value))
+
+
+@pytest.mark.parametrize("path, keys", REFERENCES, ids=[path for path, _ in REFERENCES])
+def test_an_id_or_lane_reference_that_is_not_a_string_is_rejected_by_its_path(path, keys):
+    for bad in (["l0"], 1.0):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(planted(keys, bad))
+        assert str(err.value).startswith(f"{path}:"), (bad, str(err.value))
+
+
+def test_a_crosswalk_span_lies_within_its_lanes():
+    for span, path in (([-5.0, 3.0], "crosswalks[0].span[0]"),
+                       ([60.0, 100.5], "crosswalks[0].span[1]")):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(planted(("crosswalks", 0, "span"), span))
+        assert str(err.value).startswith(f"{path}:")
+
+
+def test_a_lane_without_boundaries_has_the_documented_solid_ones():
+    doc = minimal_doc()
+    loaded = load_scenario(doc).lanes["l0"]
+    built = Lane(id="l0", centerline=loaded.centerline, width=3.5, speed_limit=13.89)
+    assert (loaded.left_boundary, loaded.right_boundary) == ("solid", "solid")
+    assert (built.left_boundary, built.right_boundary) == ("solid", "solid")
 
 
 # ---------------------------------------------------------------- lookups
