@@ -262,8 +262,12 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     for path, idx in groups.items():
         # adjacent rows, the usual case, are read and written as a slice, not copied
         sel = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
-        i, kappa[sel] = path.locate(s[sel])
-        frames[:, sel] = path.frame_table.take(i, axis=1)
+        if path.frame_table.shape[1] == 2:   # one straight segment: nothing to look up
+            kappa[sel] = 0.0
+            frames[:, sel] = path.frame_table[:, :1, None]
+        else:
+            i, kappa[sel] = path.locate(s[sel])
+            frames[:, sel] = path.frame_table.take(i, axis=1)
     ax, ay, dx, dy, seg_len, cum = frames
     f = (s - cum) / seg_len
     buffers = np.empty((7,) + s.shape)
@@ -277,9 +281,10 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     a_lon[:, :-1] /= dt
     np.multiply(kappa * v, v, out=a_lat)
     width, ns = len(t), counts.tolist()
+    a_lon[:, -1] = a_lon[:, -2] if width > 1 else 0.0   # a row's last step repeats
     for r, n in enumerate(ns):
-        a_lon[r, n - 1] = a_lon[r, n - 2] if n > 1 else 0.0
-        if n < width:
+        if n < width:   # a row that ends early: its own last step, then padding
+            a_lon[r, n - 1] = a_lon[r, n - 2] if n > 1 else 0.0
             buffers[:, r, n:] = buffers[:, r, n - 1:n]
     buffers.flags.writeable = False
     block = CandidateBlock.__new__(CandidateBlock)

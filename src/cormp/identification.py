@@ -179,14 +179,8 @@ class PlanContext:
 
 def interacting_agents(scenario: Scenario, ego: AgentState, config: PlannerConfig) -> list:
     """Non-ego agents within the interaction radius of the ego."""
-    out = []
-    for agent in scenario.agents:
-        if agent.id == ego.id:
-            continue
-        d = math.hypot(agent.x - ego.x, agent.y - ego.y)
-        if d <= config.interaction_radius_m:
-            out.append(agent)
-    return out
+    return [a for a in scenario.agents if a.id != ego.id
+            and math.hypot(a.x - ego.x, a.y - ego.y) <= config.interaction_radius_m]
 
 
 @lru_cache(maxsize=64)
@@ -213,8 +207,7 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
     lane = scenario.lanes.get(agent.lane) if agent.kind in ("vehicle", "ego") else None
     if lane is not None:
         line = lane.centerline
-        x, y, heading, _ = line.frames(line.project((agent.x, agent.y))[0] + s)
-        return x, y, heading, agent.speed
+        return (*line.frames(line.project((agent.x, agent.y))[0] + s), agent.speed)
     return (agent.x + math.cos(agent.heading) * s, agent.y + math.sin(agent.heading) * s,
             agent.heading, agent.speed)
 
@@ -249,17 +242,12 @@ def lane_path(lane: Lane, s0: float, x: float, y: float, heading: float,
 
 def _stop_constraint_distance(ctx: PlanContext) -> float | None:
     """Distance from the ego front bumper to the nearest active stop target."""
-    cfg = ctx.config
-    ego = ctx.ego
-    lane = ctx.lane
+    cfg, ego, lane = ctx.config, ctx.ego, ctx.lane
     front = ctx.ego_s + ego.length / 2.0
     targets = []
     for light in ctx.scenario.lights:
-        if light.lane != ego.lane:
-            continue
-        if light.stop_line_s <= front:
-            continue
-        if light.color_at(ctx.sim_time) == "red":
+        if (light.lane == ego.lane and light.stop_line_s > front
+                and light.color_at(ctx.sim_time) == "red"):
             targets.append(light.stop_line_s - cfg.stop_line_margin_m)
     for cw, occupied in zip(ctx.scenario.crosswalks, ctx.crosswalk_occupancy):
         if ego.lane not in cw.lanes or cw.span[0] <= front:
@@ -503,32 +491,33 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
     ruled = [c for c in candidates if c.row is not None]
     if ruled:
         cands = block.take([c.row for c in ruled])
-        maneuvers = [c.maneuver for c in ruled]
-        targets = np.array([c.target_lane for c in ruled])
         solid = {Maneuver.CHANGE_LANE_LEFT: lane.left_boundary == "solid",
                  Maneuver.CHANGE_LANE_RIGHT: lane.right_boundary == "solid"}
-
-        @cache
-        def front(lane_id: str) -> np.ndarray:
-            """(R, T) arc position of the ego front bumper on the lane."""
-            s, _ = lanes[lane_id].centerline.project(
-                np.column_stack([cands.x.ravel(), cands.y.ravel()]))
-            return s.reshape(cands.x.shape) + ego.length / 2.0
-
         ttc, who = time_to_collision(cands, ctx.predictions, ego.length, ego.width)
         min_ttc[has] = ttc
         ids = ctx.predictions.ids
         for k, w in zip(np.flatnonzero(has).tolist(), who.tolist()):
             ttc_agent[k] = ids[w] if w >= 0 else None
-        broken[has, 1:] = np.array([   # in `RULES` order
-            cands.speed[:, -1] > np.array([lanes[t].speed_limit for t in targets.tolist()]) + eps,
-            np.array([m is Maneuver.KEEP_LANE_ACCELERATE for m in maneuvers])
-            & (ego.speed >= lane.speed_limit - eps),
-            [solid.get(m, False) for m in maneuvers],
-            _red_lights(ctx, cands, targets, front),
-            _crosswalks(ctx, cands, targets, front),
-            ttc < cfg.ttc_min_s,
-        ]).T
+        rules = np.zeros((len(ruled), len(RULES) - 1), dtype=bool)   # `RULES[1:]`, in order
+        np.greater(cands.speed[:, -1], [lanes[c.target_lane].speed_limit + eps for c in ruled],
+                   out=rules[:, 0])
+        if ego.speed >= lane.speed_limit - eps:
+            rules[:, 1] = [c.maneuver is Maneuver.KEEP_LANE_ACCELERATE for c in ruled]
+        rules[:, 2] = [solid.get(c.maneuver, False) for c in ruled]
+        if ctx.scenario.lights or ctx.scenario.crosswalks:
+            targets = np.array([c.target_lane for c in ruled])
+
+            @cache
+            def front(lane_id: str) -> np.ndarray:
+                """(R, T) arc position of the ego front bumper on the lane."""
+                s, _ = lanes[lane_id].centerline.project(
+                    np.column_stack([cands.x.ravel(), cands.y.ravel()]))
+                return s.reshape(cands.x.shape) + ego.length / 2.0
+
+            rules[:, 3] = _red_lights(ctx, cands, targets, front)
+            rules[:, 4] = _crosswalks(ctx, cands, targets, front)
+        np.less(ttc, cfg.ttc_min_s, out=rules[:, 5])
+        broken[has, 1:] = rules
     feasible = ~broken.any(axis=1)
     if not feasible.any():
         feasible = np.array([c.maneuver is Maneuver.STOP for c in candidates])

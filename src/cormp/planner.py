@@ -92,11 +92,14 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
     broken, min_ttc, ttc_agent = feasibility_filter(ctx, block, candidates)
     feasible = [c for c in candidates if c.feasible]
     values, states = assess_candidates(ctx, block, [c.row for c in feasible], current_values)
-    total = 0.0
-    for k, res in enumerate(RESOURCES):   # the weighted sum, in `RESOURCES` order
-        total = total + weights[res] * values[:, k]
+    weight = [weights[res] for res in RESOURCES]
     maneuvers = [c.maneuver for c in feasible]
-    profits = dict(zip(maneuvers, total.tolist()))
+    profits = {}
+    for m, row in zip(maneuvers, values.tolist()):
+        total = 0.0
+        for w, v in zip(weight, row):   # the weighted sum, in `RESOURCES` order
+            total += w * v
+        profits[m] = total
     maneuver, tie_break = decide(profits, previous, ctx.config.tie_epsilon)
     row = maneuvers.index(maneuver)
     return Decision(

@@ -98,8 +98,8 @@ def kinetic_energy_delta_kj(mass_kg: float, v_a, v_b):
 
     Deceleration consumes nothing: the delta is zero unless v_b > v_a.
     """
-    dv = np.subtract(v_b, v_a)
-    return np.where(dv > 0.0, 0.5 * mass_kg * dv * dv / 1000.0, 0.0)
+    dv = np.maximum(np.subtract(v_b, v_a), 0.0)
+    return 0.5 * mass_kg * dv * dv / 1000.0
 
 
 def safety_value(cands: CandidateBlock, block: PredictionBlock,
@@ -130,24 +130,16 @@ def safety_value(cands: CandidateBlock, block: PredictionBlock,
 
 
 def _comfort_axis(acc: np.ndarray, comf: float, amax: float) -> np.ndarray:
-    """(C,) comfort of each row's largest |acc|: 1 up to `comf`, linear to 0 at `amax`.
-
-    A row's padding repeats its last sample, so it never holds the largest.
-    """
-    worst = np.abs(acc).max(axis=1)
-    return np.where(worst <= comf, 1.0, _unit((amax - worst) / (amax - comf)))
-
-
-def apriori_lane_value(ends: np.ndarray, apriori_lane) -> np.ndarray:
-    """(n,) per (n, 2) end point: 1 on the a-priori lane centerline, 0 two lane widths away."""
-    _, lateral = apriori_lane.centerline.project(ends)
-    return _unit(1.0 - np.abs(lateral) / (2.0 * apriori_lane.width))
+    """(C,) comfort of each row's largest |acc|: 1 up to `comf` (where the ratio is
+    >= 1, as amax > comf), linear to 0 at `amax`. A row's padding repeats its
+    last sample, so it never holds the largest."""
+    return _unit((amax - np.abs(acc).max(axis=1)) / (amax - comf))
 
 
 def crowdedness_value(hits: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
     """(C,) 1 minus the (normalized) count of corridors crossing each candidate's,
     from the (C, K) `PredictionBlock.corridor_hits` of the candidates."""
-    return 1.0 - _unit(np.count_nonzero(hits, axis=1) / float(cfg.crowd_reference_count))
+    return 1.0 - _unit(hits.sum(axis=1) / float(cfg.crowd_reference_count))
 
 
 # indexed by the state codes of `assess_candidates`
@@ -176,13 +168,20 @@ def assess_candidates(ctx: PlanContext, block: CandidateBlock, rows: list,
     mu[:, 0] = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg)
     mu[:, 1] = np.minimum(_comfort_axis(cands.a_lon, cfg.a_lon_comfort, cfg.a_lon_max),
                           _comfort_axis(cands.a_lat, cfg.a_lat_comfort, cfg.a_lat_max))
-    # each row's own n - 1 steps, summed alone: a padded sum would round differently
-    steps = np.hypot(np.diff(cands.x, axis=1), np.diff(cands.y, axis=1))
-    lengths = [steps[c, :n - 1].sum() for c, n in enumerate(cands.valid.sum(axis=1).tolist())]
-    mu[:, 2] = _unit(np.array(lengths) / (ctx.lane.speed_limit * cfg.planning_horizon_s))
-    mu[:, 3] = apriori_lane_value(cands.end_xy, ctx.scenario.lanes[ctx.scenario.apriori_lane])
+    steps = np.hypot(cands.x[:, 1:] - cands.x[:, :-1], cands.y[:, 1:] - cands.y[:, :-1])
+    counts = cands.valid.sum(axis=1)
+    # each row's own n - 1 steps, by row length: a padded sum would round differently
+    for n in set(counts.tolist()):
+        at = counts == n
+        mu[at, 2] = steps[at, :n - 1].sum(axis=1)
+    mu[:, 2] /= ctx.lane.speed_limit * cfg.planning_horizon_s
+    # the a-priori lane: 1 on its centerline, 0 two lane widths away
+    apriori = ctx.scenario.lanes[ctx.scenario.apriori_lane]
+    mu[:, 3] = 1.0 - np.abs(apriori.centerline.project(cands.end_xy)[1]) / (2.0 * apriori.width)
     spent = kinetic_energy_delta_kj(ego.mass, ego.speed, cands.speed[:, -1])
-    mu[:, 4] = 1.0 - _unit(spent / cfg.energy_reference_kj(ego.mass))
+    mu[:, 4] = spent / cfg.energy_reference_kj(ego.mass)
+    mu[:, 2:5] = _unit(mu[:, 2:5])   # objective, a-priori lane and the energy spent
+    mu[:, 4] = 1.0 - mu[:, 4]
     mu[:, 5] = crowdedness_value(ctx.corridor_hits(block)[rows], cfg)
     held = np.nan if current_values is None else current_values   # nan: none held
     codes = np.where(mu < cfg.theta_loss, 0, np.where(

@@ -67,6 +67,8 @@ def _frame_tables(paths) -> tuple:
         raise ValueError("polyline has zero-length segments")
     t[..., 2:, -1] = t[..., 5, 0] = 0.0
     np.cumsum(seg, axis=-1, out=t[..., 5, 1:])
+    if width == 2:   # no interior vertex, so no turning angle
+        return table, np.empty((len(pts), 0)), counts
     # signed turning angle at each interior vertex over the mean length of
     # its two segments: 1/R for vertices on an arc of radius R (0 where both
     # segments are padding)
@@ -138,26 +140,26 @@ class Polyline:
     def heading_at(self, s: float) -> float:
         return self._segment_floats[self._segment(s)][7]
 
+    def _segments(self, s: np.ndarray) -> np.ndarray:
+        """`_segment` of each of an array of arc positions (0 on a two-point line)."""
+        if len(self._kappa) == 0:
+            return np.zeros(np.shape(s), dtype=np.intp)
+        return np.searchsorted(self.cum[1:-1], s, side="right")
+
     def locate(self, s: np.ndarray) -> tuple:
-        """(segment, curvature) at an array of arc positions, as `frames` reads them:
-        the count of interior vertices at or before s is `_segment`."""
-        inner = self.cum[1:-1]
-        i = np.searchsorted(inner, s, side="right")
-        return i, np.interp(s, inner, self._kappa) if len(inner) else np.zeros_like(s)
+        """(`_segments`, curvature) at an array of arc positions. Curvature is
+        interpolated in s between the interior vertices, holds its end value
+        beyond them, and is 0 on a two-point line."""
+        kappa = np.interp(s, self.cum[1:-1], self._kappa) if len(self._kappa) else np.zeros_like(s)
+        return self._segments(s), kappa
 
     def frames(self, s) -> tuple:
-        """x, y, heading and signed curvature at an array of arc positions.
-
-        Positions and headings are bitwise those of `pose_at`: s beyond
-        either end extends along that end's segment. Curvature is
-        interpolated in s between the interior vertices, holds its end value
-        beyond them, and is 0 on a two-point line.
-        """
+        """x, y and heading at an array of arc positions, bitwise those of
+        `pose_at`: s beyond either end extends along that end's segment."""
         s = np.asarray(s, dtype=np.float64)
-        i, kappa = self.locate(s)
-        ax, ay, dx, dy, seg, cum = self.frame_table.take(i, axis=1)
+        ax, ay, dx, dy, seg, cum = self.frame_table.take(self._segments(s), axis=1)
         f = (s - cum) / seg
-        return ax + dx * f, ay + dy * f, np.arctan2(dy, dx), kappa
+        return ax + dx * f, ay + dy * f, np.arctan2(dy, dx)
 
     @cached_property
     def _segment_floats(self) -> list:

@@ -4,7 +4,7 @@
 replaced with array expressions over a plan's block: comfort, objective,
 energy and the state of each value are computed on Python floats from each
 candidate's own trajectory, and safety, crowdedness and the a-priori lane
-from a block stacked from the trajectories alone. `assess_candidates` must
+(`apriori_lane_value`) from a block stacked from the trajectories alone. `assess_candidates` must
 equal it bitwise. `path_length` is the objective's distance covered.
 """
 from __future__ import annotations
@@ -14,13 +14,7 @@ import numpy as np
 from cormp.bezier import CandidateBlock, TimedTrajectory
 from cormp.config import PlannerConfig
 from cormp.identification import PlanContext
-from cormp.resources import (
-    RESOURCES,
-    ResourceState,
-    ResourceType,
-    apriori_lane_value,
-    safety_value,
-)
+from cormp.resources import RESOURCES, ResourceState, ResourceType, safety_value
 
 
 def clamp01(x: float) -> float:
@@ -40,6 +34,13 @@ def comfort_value(traj: TimedTrajectory, cfg: PlannerConfig) -> float:
 
     return min(axis(traj.a_lon, cfg.a_lon_comfort, cfg.a_lon_max),
                axis(traj.a_lat, cfg.a_lat_comfort, cfg.a_lat_max))
+
+
+def apriori_lane_value(ends: np.ndarray, apriori_lane) -> np.ndarray:
+    """(n,) per (n, 2) end point: 1 on the a-priori lane centerline, 0 two lane widths away."""
+    _, lateral = apriori_lane.centerline.project(ends)
+    held = 1.0 - np.abs(lateral) / (2.0 * apriori_lane.width)
+    return np.minimum(np.maximum(held, 0.0), 1.0)
 
 
 def path_length(traj: TimedTrajectory) -> float:

@@ -380,7 +380,8 @@ def test_batched_sampling_matches_per_profile_calls(rows, dt, lengths):
         t, s, v = stepped_samples(path.length, profile, dt, horizon)
         assert np.array_equal(traj.t, t)
         assert np.array_equal(traj.speed, v)
-        x, y, heading, kappa = path.frames(s)
+        x, y, heading = path.frames(s)
+        _, kappa = path.locate(s)
         assert np.array_equal(traj.x, x) and np.array_equal(traj.y, y)
         assert np.array_equal(traj.heading, heading)
         assert np.array_equal(traj.a_lat, kappa * v * v)
@@ -401,9 +402,9 @@ def test_batched_rows_end_where_the_path_runs_out():
 def test_frames_on_a_block_match_row_by_row(rows, length):
     path = bent_path(length)
     s = np.array(rows)
-    block = path.frames(s)
+    block = (*path.frames(s), path.locate(s)[1])
     for p, row in enumerate(s):
-        for got, want in zip(block, path.frames(row)):
+        for got, want in zip(block, (*path.frames(row), path.locate(row)[1])):
             assert np.array_equal(got[p], want)
 
 

@@ -24,7 +24,6 @@ from cormp.resources import (
     STATES,
     ResourceState,
     ResourceType,
-    apriori_lane_value,
     assess_candidates,
     crowdedness_value,
     kinetic_energy_delta_kj,
@@ -33,8 +32,8 @@ from cormp.resources import (
     safety_value,
 )
 from cormp.scenario import Lane, Polyline
-from resource_oracle import (assess_oracle, clamp01, classify_state, comfort_value, energy_value,
-                             objective_value)
+from resource_oracle import (apriori_lane_value, assess_oracle, clamp01, classify_state,
+                             comfort_value, energy_value, objective_value)
 
 CFG = PlannerConfig()
 
@@ -344,22 +343,37 @@ picks = st.integers(0, 63)   # indices into the rows, or into the oracle's value
 @given(assessed_rows, st.lists(picks, min_size=1, max_size=8),
        st.one_of(st.none(), st.tuples(picks, picks)),
        st.one_of(st.none(), st.lists(st.one_of(picks, st.floats(0.0, 1.0)),
-                                     min_size=len(RESOURCES), max_size=len(RESOURCES))))
+                                     min_size=len(RESOURCES), max_size=len(RESOURCES))),
+       st.one_of(st.none(), st.tuples(picks, picks, picks, picks)))
 # 1- and 2-sample rows next to full ones; rest, braking to rest, a speed-clipped
 # ramp and a row off the 3 m line; both thresholds at values in play, with and
-# without held values
+# without held values; rows whose largest |a_lon| and |a_lat| are exactly the
+# comfort limit and exactly the maximum
 @example([(0, SpeedProfile(0.0, 0.0), 0.0), (0, SpeedProfile(13.89, 0.0), 0.1),
           (0, SpeedProfile(5.0, -6.0), 4.0), (1, SpeedProfile(12.0, 4.0, 13.89), 5.0),
           (2, SpeedProfile(25.0, 0.0), 4.0), (0, SpeedProfile(13.89, 0.9, 13.89), 4.0)],
-         [5, 4, 3, 2, 1, 0], (1, 7), None)
+         [5, 4, 3, 2, 1, 0], (1, 7), None, (1, 2, 1, 2))
 @example([(0, SpeedProfile(0.0, 0.0), 0.0), (0, SpeedProfile(13.89, 0.0), 0.1),
           (0, SpeedProfile(5.0, -6.0), 4.0), (1, SpeedProfile(12.0, 4.0, 13.89), 5.0)],
-         [0, 1, 2, 3], (2, 11), list(range(len(RESOURCES))))
-def test_assess_candidates_equals_the_per_candidate_oracle_bitwise(rows, idx, thresholds, held):
+         [0, 1, 2, 3], (2, 11), list(range(len(RESOURCES))), None)
+@example([(0, SpeedProfile(12.0, 0.9, 13.89), 4.0), (1, SpeedProfile(13.0, -0.9), 5.0),
+          (0, SpeedProfile(10.0, -2.0), 4.0), (1, SpeedProfile(8.0, 4.0), 5.0)],
+         [0, 1, 2, 3], None, None, (0, 1, 1, 2))
+def test_assess_candidates_equals_the_per_candidate_oracle_bitwise(rows, idx, thresholds, held,
+                                                                  limits):
     ctx, paths = busy_context()
     block = sample_trajectory([(paths[k], profile, h) for k, profile, h in rows], ctx.config.dt)
     picked = list(dict.fromkeys(i % len(rows) for i in idx))
     trajectories = [block[r] for r in picked]
+    if limits is not None:   # each axis's comfort limit and maximum at rows' largest |a|
+        axes = {}
+        for axis, picks_of in (("lon", limits[:2]), ("lat", limits[2:])):
+            worst = sorted({float(np.abs(getattr(traj, f"a_{axis}")).max())
+                            for traj in trajectories})
+            comfort, most = sorted(worst[i % len(worst)] for i in picks_of)
+            axes[f"a_{axis}_comfort"] = comfort
+            axes[f"a_{axis}_max"] = most if most > comfort else comfort + 1.0
+        ctx = dataclasses.replace(ctx, config=ctx.config.replace(**axes))
     values = sorted({v for mu, _ in assess_oracle(ctx, trajectories) for v in mu.values()})
     if thresholds is not None:   # both exactly at values in play
         lo, hi = sorted(values[i % len(values)] for i in thresholds)

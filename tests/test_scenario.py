@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CURVED, SCENARIO_DIR, SHIPPED, arc_centerline, load
@@ -245,7 +245,7 @@ def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertice
     # the crossover an array is walked point by point, from it on passed whole
     line = Polyline(vertices)
     s = np.linspace(-10.0, line.length + 10.0, WALK_BELOW + 2)
-    x, y, heading, _ = line.frames(s)
+    x, y, heading = line.frames(s)
     pts = np.column_stack([x - 1.5 * np.sin(heading), y + 1.5 * np.cos(heading)])
     calls = []
     for name in ("project", "_walk", "_project_segments"):
@@ -263,7 +263,7 @@ def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertice
 def assert_scalar_poses_are_frames(line: Polyline, s: np.ndarray) -> None:
     """`pose_at`, `point_at` and `heading_at` at each of s are bitwise the
     x, y and heading `frames` gives for the whole array."""
-    x, y, heading, _ = line.frames(s)
+    x, y, heading = line.frames(s)
     for k, sk in enumerate(s.tolist()):
         pose = (x[k].item(), y[k].item(), heading[k].item())
         assert line.pose_at(sk) == pose, (k, sk)
@@ -276,16 +276,15 @@ def test_polyline_frames_on_an_arc():
     angles = np.linspace(0.0, 3.0, 60)
     line = Polyline(np.column_stack([r * np.sin(angles), r - r * np.cos(angles)]))
     s = np.linspace(-30.0, line.length + 30.0, 200)           # past both ends
-    x, y, heading, kappa = line.frames(s)
-    assert np.allclose(kappa, 1.0 / r, rtol=0.01)            # a left turn
+    assert np.allclose(line.locate(s)[1], 1.0 / r, rtol=0.01)   # a left turn
     assert_scalar_poses_are_frames(line, s)
 
 
 def test_polyline_frames_on_a_two_point_line():
     line = Polyline([[0.0, 0.0], [3.0, 4.0]])
     s = np.array([-2.0, 0.0, 2.5, 5.0, 7.0])
-    x, y, heading, kappa = line.frames(s)
-    assert np.array_equal(kappa, np.zeros(5))
+    x, y, heading = line.frames(s)
+    assert np.array_equal(line.locate(s)[1], np.zeros(5))
     assert np.allclose(heading, math.atan2(4.0, 3.0))
     assert_scalar_poses_are_frames(line, s)   # beyond either end, along the line
     assert (x[-1], y[-1]) == pytest.approx((4.2, 5.6))
@@ -356,6 +355,8 @@ def test_a_two_point_path_stacks_with_long_ones_as_it_builds_alone():
 @settings(max_examples=100)
 @given(st.lists(st.lists(st.tuples(st.floats(0.01, 30.0), st.floats(-3.0, 3.0)),
                          min_size=1, max_size=40), min_size=1, max_size=5))
+@example([[(7.0, 0.5)]])                                       # two points, alone
+@example([[(5.0, 0.3)], [(12.5, -1.2)], [(0.01, 3.0)]])        # every path two points
 def test_stacked_polylines_equal_their_lone_builds(steps):
     # each path walks forward by (length, turn) steps, so no segment is degenerate
     paths = []

@@ -1,16 +1,22 @@
-"""Every site the benchmark's traced run wraps still names a function of the program.
+"""Every site the benchmark's traced run wraps still names a function of the
+program, and the program still calls it there.
 
 `perfbench/spans.py` wraps each `SITES` entry where its module looks the
 function up; a site that no longer resolves is reported once and then reads 0
-in every traced metric. `SITES` is parsed from the source, so no span is
-installed and nothing of the benchmark runs.
+in every traced metric, and so does one that resolves but is no longer called
+through that name (say, a function inlined into its caller). `SITES` is parsed
+from the source, so no span is installed and nothing of the benchmark runs;
+the reach test puts its own spies where `install` would put the spans.
 """
 import ast
 import importlib
 
 import pytest
 
-from conftest import ROOT
+from conftest import ROOT, load
+from cormp.config import PlannerConfig
+from cormp.planner import CorMpPlanner
+from cormp.simulator import run
 
 # the sites that went stale before this guard; fixing one removes it from here
 STALE = {
@@ -24,6 +30,10 @@ STALE = {
 }
 
 
+# live sites that no cor-mp drive calls: `heading_at` has no caller in the program
+UNREACHED = {"cormp.scenario.Polyline.heading_at"}
+
+
 def traced_sites() -> list:
     """`SITES` as (module, attribute) pairs, read from the source."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
@@ -32,13 +42,18 @@ def traced_sites() -> list:
     return [(site.elts[0].value, site.elts[1].value) for site in sites.elts]
 
 
-def resolves(module: str, attr: str) -> bool:
-    """Whether `install` would find the function: each dotted part of `attr`
-    looked up from the module in turn."""
+def lookup(module: str, attr: str) -> tuple:
+    """(owner, leaf name, function) where `install` finds the site: each dotted
+    part of `attr` looked up from the module in turn; None where one is missing."""
     owner = importlib.import_module(module)
-    for part in attr.split("."):
+    *path, leaf = attr.split(".")
+    for part in path:
         owner = getattr(owner, part, None)
-    return callable(owner)
+    return owner, leaf, getattr(owner, leaf, None)
+
+
+def resolves(module: str, attr: str) -> bool:
+    return callable(lookup(module, attr)[2])
 
 
 @pytest.mark.parametrize("module, attr", traced_sites(), ids=lambda name: name)
@@ -48,3 +63,23 @@ def test_a_traced_site_resolves_unless_it_is_known_stale(module, attr):
 
 def test_every_known_stale_site_is_still_traced():
     assert STALE <= {f"{module}.{attr}" for module, attr in traced_sites()}
+
+
+def test_every_live_site_is_called_on_a_drive_with_a_committed_lane_change(monkeypatch):
+    # a spy where each span would go; `overtake_static` changes lanes around a
+    # parked car, so commit replays check their safety through `planner`
+    called = set()
+    live = [(f"{module}.{attr}", *lookup(module, attr)) for module, attr in traced_sites()
+            if f"{module}.{attr}" not in STALE]
+    for name, owner, leaf, fn in live:
+        def spy(*args, fn=fn, name=name, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, leaf, spy)
+    scenario, cfg = load("overtake_static"), PlannerConfig()
+    log = run(scenario, CorMpPlanner(cfg, scenario.profile), cfg)
+    assert any(row["committed"] for row in log.rows)
+    names = {name for name, *_ in live}
+    assert UNREACHED <= names
+    assert sorted(names - UNREACHED - called) == []
+    assert not called & UNREACHED   # a caller appeared: move the site out of UNREACHED
