@@ -139,8 +139,10 @@ class CandidateBlock:
         self.dt = dt
 
     def take(self, idx: list) -> CandidateBlock:
-        """The block of rows `idx` (copies), padded as here."""
+        """A new block of rows `idx`, padded as here: views of a run in order, else copies."""
         sub = CandidateBlock.__new__(CandidateBlock)
+        if idx and idx == list(range(idx[0], idx[0] + len(idx))):
+            idx = slice(idx[0], idx[0] + len(idx))
         sub._set(self._rows[:, idx], self.valid[idx], self.dt)
         return sub
 
@@ -161,12 +163,12 @@ _PROFILE = struct.Struct("3d")
 
 
 @lru_cache(maxsize=32)
-def _speeds_and_arcs(profiles: bytes, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, n) speeds and arc lengths at n ticks, row p under the p-th
-    profile packed in `profiles` by `_PROFILE`.
+def _speeds_and_arcs(profiles: bytes, dt: float, n: int) -> tuple[np.ndarray, ...]:
+    """(P, n) speeds and arc lengths, and the (P, n - 1) speed steps over dt,
+    at n ticks, row p under the p-th profile packed in `profiles` by `_PROFILE`.
 
     Each row follows v(t) = clip(v0 + a t, 0, cap), cap = max(v_max, v0).
-    Both are running sums of per-tick steps, so they equal stepping
+    Speeds and arcs are running sums of per-tick steps, so they equal stepping
     `v += a dt` and `s += ds` tick by tick. The speed ramps by a dt while a
     whole tick fits before the clip; the one tick that reaches the cap or
     rest is integrated exactly, and the speed holds from there on (from the
@@ -207,8 +209,9 @@ def _speeds_and_arcs(profiles: bytes, dt: float, n: int) -> tuple[np.ndarray, np
     np.copyto(ds[:, 1:], hold_ds, where=clips[:, :-1])
     np.copyto(v[:, 1:], hold, where=clips)
     np.cumsum(s, axis=1, out=s)
-    v.flags.writeable = s.flags.writeable = False
-    return v, s
+    a_lon = (v[:, 1:] - v[:, :-1]) / dt
+    v.flags.writeable = s.flags.writeable = a_lon.flags.writeable = False
+    return v, s, a_lon
 
 
 @lru_cache(maxsize=8)
@@ -247,8 +250,8 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     if min(horizons) < 0:
         raise ValueError("horizon must be >= 0")
     t = tick_times(dt, max(horizons))
-    v, s = _speeds_and_arcs(b"".join(_PROFILE.pack(p.v0, p.accel, p.v_max) for _, p, _ in rows),
-                            dt, len(t))
+    v, s, dv_dt = _speeds_and_arcs(
+        b"".join(_PROFILE.pack(p.v0, p.accel, p.v_max) for _, p, _ in rows), dt, len(t))
     groups: dict = {}
     for r, (path, _, _) in enumerate(rows):
         groups.setdefault(path, []).append(r)
@@ -277,8 +280,7 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     np.add(ay, dy * f, out=y)
     np.arctan2(dy, dx, out=heading)
     speed[:] = v
-    np.subtract(v[:, 1:], v[:, :-1], out=a_lon[:, :-1])
-    a_lon[:, :-1] /= dt
+    a_lon[:, :-1] = dv_dt
     np.multiply(kappa * v, v, out=a_lat)
     width, ns = len(t), counts.tolist()
     a_lon[:, -1] = a_lon[:, -2] if width > 1 else 0.0   # a row's last step repeats

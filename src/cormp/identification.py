@@ -67,10 +67,12 @@ class PredictionBlock:
         for k, prediction in enumerate(predictions):
             for row, values in zip(rows[:, k], prediction):
                 row[:] = values
+        self._rows = rows
         self.x, self.y, self.heading, self.speed = rows
         self.ids = [a.id for a in agents]
-        self.half_length = np.array([a.length for a in agents], dtype=np.float64) / 2.0
-        self.half_width = np.array([a.width for a in agents], dtype=np.float64) / 2.0
+        self._half = np.array([[a.length for a in agents], [a.width for a in agents]]) / 2.0
+        self.half_length, self.half_width = self._half   # (2, K)
+        self._reach = (None, None)   # the last ego box asked, and its reach2
         self.pedestrian = np.array([a.kind == "pedestrian" for a in agents], dtype=bool)
         self.vehicle_like = np.array([a.kind in ("vehicle", "obstacle") for a in agents],
                                      dtype=bool)
@@ -81,6 +83,13 @@ class PredictionBlock:
     @property
     def steps(self) -> int:
         return self.x.shape[1]
+
+    def reach2(self, ego_half_length: float, ego_half_width: float) -> np.ndarray:
+        """(K,) `kernels.reach2` of the ego box with each row's, kept for the last box asked."""
+        box = (ego_half_length, ego_half_width)
+        if self._reach[0] != box:
+            self._reach = box, reach2(*box, *self._half)
+        return self._reach[1]
 
     def corridor_hits(self, cands: CandidateBlock, ego_length: float, ego_width: float,
                       cfg: PlannerConfig) -> np.ndarray:
@@ -96,15 +105,15 @@ class PredictionBlock:
         if len(self) == 0:
             return np.zeros((len(cands), 0), dtype=bool)
         st = max(1, int(round(cfg.crowd_sample_stride_s / cfg.dt)))
-        ax, ay, ah = cands.x[:, ::st], cands.y[:, ::st], cands.heading[:, ::st]
-        bx, by, bh = self.x[:, ::st], self.y[:, ::st], self.heading[:, ::st]
-        dx = bx[None, :, None, :] - ax[:, None, :, None]
-        dy = by[None, :, None, :] - ay[:, None, :, None]
-        near = dx * dx + dy * dy <= reach2(ego_length / 2.0, ego_width / 2.0, self.half_length,
-                                           self.half_width)[None, :, None, None]
+        a, b = cands._rows[1:4, :, ::st], self._rows[:3, :, ::st]   # x, y, heading
+        dx = b[0][None, :, None, :] - a[0][:, None, :, None]
+        dy = b[1][None, :, None, :] - a[1][:, None, :, None]
+        near = dx * dx + dy * dy <= self.reach2(ego_length / 2.0,
+                                                ego_width / 2.0)[None, :, None, None]
         c, k, i, j = np.nonzero(near & cands.valid[:, None, ::st, None])
-        gaps = pose_gaps(ax[c, i], ay[c, i], ah[c, i], ego_length / 2.0, ego_width / 2.0,
-                         bx[k, j], by[k, j], bh[k, j], self.half_length[k], self.half_width[k])
+        a, b, half = a[:, c, i], b[:, k, j], self._half.take(k, axis=1)
+        gaps = pose_gaps(a[0], a[1], a[2], ego_length / 2.0, ego_width / 2.0,
+                         b[0], b[1], b[2], half[0], half[1])
         hits = np.zeros((len(cands), len(self)), dtype=bool)
         overlap = gaps <= 0.0
         hits[c[overlap], k[overlap]] = True
@@ -297,7 +306,9 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     horizon agree) and a stretched path are sampled too; the stretched one is
     taken where such a road user is predicted inside the probe's corridor,
     read from the plan's one corridor pass. Without a neighbour lane the
-    maneuver is an infeasible placeholder with no row.
+    maneuver is an infeasible placeholder with no row. The rows are each
+    side's nominal row and probe, then every stretched row, then the keep-lane
+    rows: lane changes that all stretch and the keep-lane rows form one run.
     """
     cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
     if accels is None:
@@ -319,7 +330,7 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     blend = v * duration
     wide = blend * cfg.lane_change_stretch
     tail = v * (horizon - duration) + 5.0
-    paths, rows = [], []   # vertex arrays; (path index, profile, horizon)
+    paths, rows, wide_rows = [], [], []   # vertex arrays; (path index, profile, horizon)
     sides = {}   # maneuver -> [target lane, nominal row, probe row, stretched row]
     for m, target_id in targets.items():
         if target_id is None:
@@ -335,9 +346,11 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
             if not (1.0 <= ego.speed <= cap and duration >= cfg.planning_horizon_s):
                 at[2] = len(rows)
                 rows.append((len(paths) - 1, SpeedProfile(v, 0.0), duration))
-            at[3] = len(rows)
-            rows.append((len(paths), profile, horizon))
+            at[3] = len(wide_rows)   # counted from the first stretched row
+            wide_rows.append((len(paths), profile, horizon))
             paths.append(lane_path(target, s0, ego.x, ego.y, ego.heading, wide, wide + tail))
+    first_wide = len(rows)
+    rows += wide_rows
     if accels:
         span = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
         rows += [(len(paths), SpeedProfile(ego.speed, a, lane.speed_limit),
@@ -355,8 +368,8 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
             out.append(ManeuverCandidate(m, None, feasible=False))
             continue
         target_id, nominal, _, stretched_row = sides[m]
-        out.append(ManeuverCandidate(m, target_id, stretched_row if stretched[m] else nominal,
-                                     stretched[m]))
+        out.append(ManeuverCandidate(
+            m, target_id, first_wide + stretched_row if stretched[m] else nominal, stretched[m]))
     return sampled, out + [ManeuverCandidate(m, ego.lane, r)
                            for r, m in enumerate(accels, len(rows) - len(accels))]
 
@@ -379,24 +392,24 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
     culling changes no result. Without such a pair there is no gap scan, and
     without road users no array work at all.
     """
-    ttc = np.full(len(cands), math.inf)
-    who = np.full(len(cands), -1)
+    ttc, who = np.empty(len(cands)), np.empty(len(cands), dtype=np.int64)
+    ttc.fill(math.inf)
+    who.fill(-1)
     if len(block) == 0:
         return ttc, who
     n = min(cands.x.shape[1], block.steps)
     dx = block.x[None, :, :n] - cands.x[:, None, :n]
     dy = block.y[None, :, :n] - cands.y[:, None, :n]
-    near = dx * dx + dy * dy <= reach2(ego_length / 2.0, ego_width / 2.0, block.half_length,
-                                       block.half_width)[None, :, None]
-    pairs = np.any(near & cands.valid[:, None, :n], axis=2)   # (C, K)
-    rows = np.flatnonzero(pairs.any(axis=1))
+    near = dx * dx + dy * dy <= block.reach2(ego_length / 2.0, ego_width / 2.0)[None, :, None]
+    pairs = np.logical_or.reduce(near & cands.valid[:, None, :n], axis=2)   # (C, K)
+    rows = np.logical_or.reduce(pairs, axis=1).nonzero()[0]
     if len(rows) == 0:
         return ttc, who
-    users = np.flatnonzero(pairs.any(axis=0))
-    ax, ay, ah = (a[rows, None, :n] for a in (cands.x, cands.y, cands.heading))
-    bx, by, bh = (b[None, users, :n] for b in (block.x, block.y, block.heading))
-    gaps = pose_gaps(ax, ay, ah, ego_length / 2.0, ego_width / 2.0, bx, by, bh,
-                     block.half_length[None, users, None], block.half_width[None, users, None])
+    users = np.logical_or.reduce(pairs, axis=0).nonzero()[0]
+    a, b = cands._rows[1:4, rows, None, :n], block._rows[:3, None, users, :n]   # x, y, heading
+    half = block._half[:, None, users, None]
+    gaps = pose_gaps(a[0], a[1], a[2], ego_length / 2.0, ego_width / 2.0,
+                     b[0], b[1], b[2], half[0], half[1])
     gaps = np.where(cands.valid[rows, None, :n], gaps, np.inf)
     overlap = np.min(gaps, axis=1) <= 0.0
     first = overlap[:, 0]

@@ -115,18 +115,18 @@ def safety_value(cands: CandidateBlock, block: PredictionBlock,
         return np.ones(len(cands))
     # samples past the rows' end take their last one
     idx = np.arange(cands.x.shape[1])
-    dx = np.take(block.x, idx, axis=1, mode="clip") - cands.x[:, None, :]
-    dy = np.take(block.y, idx, axis=1, mode="clip") - cands.y[:, None, :]
+    dx = block.x.take(idx, axis=1, mode="clip") - cands.x[:, None, :]
+    dy = block.y.take(idx, axis=1, mode="clip") - cands.y[:, None, :]
     cos_h = np.cos(cands.heading)[:, None, :]
     sin_h = np.sin(cands.heading)[:, None, :]
     lon = dx * cos_h + dy * sin_h
-    lat = -dx * sin_h + dy * cos_h
+    lat = dy * cos_h - dx * sin_h   # bitwise -dx sin + dy cos
     lon_gap = np.maximum(np.abs(lon) - (ego_length / 2.0 + block.half_length[:, None]), 0.0)
     req_lon = cands.speed[:, None, :] * cfg.t_headway_s + cfg.d_min_m
     req_lat = ego_width / 2.0 + block.half_width + cfg.lateral_clearance_m
     r = np.maximum(lon_gap / req_lon, np.abs(lat) / req_lat[:, None])   # >= 0
-    r = np.where(cands.valid[:, None, :], r, np.inf)
-    return np.minimum(r.min(axis=(1, 2)), 1.0)
+    worst = np.minimum.reduce(r, axis=(1, 2), where=cands.valid[:, None, :], initial=np.inf)
+    return np.minimum(worst, 1.0)
 
 
 def _comfort_axis(acc: np.ndarray, comf: float, amax: float) -> np.ndarray:

@@ -428,9 +428,13 @@ def test_speed_tables_are_cached_read_only_and_never_clamped():
     assert np.count_nonzero(short.valid[1]) < np.count_nonzero(fresh.valid[1])
     for name in FIELDS:
         assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
-    v, s = bezier._speeds_and_arcs(bezier._PROFILE.pack(10.0, 1.0, 12.0), 0.1, 41)
-    with pytest.raises(ValueError):
-        s[0, 0] = 1.0
+    v, s, a_lon = bezier._speeds_and_arcs(bezier._PROFILE.pack(10.0, 1.0, 12.0), 0.1, 41)
+    for table in (v, s, a_lon):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    # a_lon is v stepped tick by tick, over dt
+    speeds = v[0].tolist()
+    assert a_lon[0].tolist() == [(b - a) / 0.1 for a, b in zip(speeds, speeds[1:])]
     # keyed bit for bit: a speed of -0.0 keeps its sign
     rest, = sample_trajectory([(straight(10.0), SpeedProfile(0.0), 1.0)], 0.1)
     signed, = sample_trajectory([(straight(10.0), SpeedProfile(-0.0), 1.0)], 0.1)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (CURVED, SCENARIO_DIR, assert_row_is_its_lone_block, curved_road, load,
                       prediction_block)
-from cormp import identification
+from cormp import identification, resources
 from cormp.baselines import make_planner
 from cormp.bezier import _MAX_CHORDS, SpeedProfile, sample_trajectory
 from cormp.config import PlannerConfig
@@ -361,6 +361,37 @@ def test_lane_change_stretches_around_a_lead_past_the_lane_end():
         doc = road(length=200.0, ego={"position": [x, 0.0]}, others=[lead])
         _, (cand,) = enumerate_candidates(context(doc), (Maneuver.CHANGE_LANE_LEFT,), {})
         assert cand.stretched, x
+
+
+@pytest.mark.parametrize("name", ["slow_lead", "busy_highway"])
+def test_filter_and_assessment_read_the_plan_block_in_place(name, monkeypatch):
+    # a one-lane plan's keep-lane rows, and on busy_highway both sides'
+    # stretched rows before them, form a run of the plan's block
+    cfg = PlannerConfig()
+    ctx = plan_context(SimWorld(load(name), cfg).scenario, cfg, 0.0)
+    block, cands = enumerate_candidates(ctx)
+    sides = [c.stretched for c in cands if c.maneuver in LANE_CHANGES and c.row is not None]
+    assert sides == {"slow_lead": [], "busy_highway": [True, True]}[name]
+    read = []
+    for module, attr in ((identification, "time_to_collision"), (resources, "safety_value")):
+        def record(rows, *args, real=getattr(module, attr)):
+            read.append(rows)
+            return real(rows, *args)
+        monkeypatch.setattr(module, attr, record)
+    feasibility_filter(ctx, block, cands)
+    resources.assess_candidates(ctx, block, [c.row for c in cands if c.feasible])
+    assert len(read) == 2 and all(np.shares_memory(rows.x, block.x) for rows in read)
+    # rows out of order, repeated or with a gap are copied, and a view's valid is its
+    # own to rebind
+    for idx in ([1, 0], [0, 2], [0, 1, 1], [0, 0, 2], [0, 2, 1, 3]):
+        taken = block.take(idx)
+        assert not np.shares_memory(taken.x, block.x), idx
+        assert np.array_equal(taken.x, block.x[idx]), idx
+    valid = block.valid.copy()
+    view = block.take([0, 1])
+    assert np.shares_memory(view.x, block.x)
+    view.valid = np.zeros_like(view.valid)
+    assert np.array_equal(block.valid, valid)
 
 
 # ---------------------------------------------------------------- planned paths

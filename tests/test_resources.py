@@ -359,6 +359,14 @@ picks = st.integers(0, 63)   # indices into the rows, or into the oracle's value
 @example([(0, SpeedProfile(12.0, 0.9, 13.89), 4.0), (1, SpeedProfile(13.0, -0.9), 5.0),
           (0, SpeedProfile(10.0, -2.0), 4.0), (1, SpeedProfile(8.0, 4.0), 5.0)],
          [0, 1, 2, 3], None, None, (0, 1, 1, 2))
+# rows 1 to 3 of five, read in place, and three of them out of order, copied;
+# the longest row, which sets the padding, is not among them
+@example([(1, SpeedProfile(13.89, 0.0), 5.0), (0, SpeedProfile(12.0, 4.0, 13.89), 4.0),
+          (2, SpeedProfile(5.0, -6.0), 4.0), (0, SpeedProfile(13.89, 0.0), 0.1),
+          (0, SpeedProfile(0.0, 0.0), 0.0)], [1, 2, 3], None, None, None)
+@example([(1, SpeedProfile(13.89, 0.0), 5.0), (0, SpeedProfile(12.0, 4.0, 13.89), 4.0),
+          (2, SpeedProfile(5.0, -6.0), 4.0), (0, SpeedProfile(13.89, 0.0), 0.1),
+          (0, SpeedProfile(0.0, 0.0), 0.0)], [3, 1, 4], None, None, None)
 def test_assess_candidates_equals_the_per_candidate_oracle_bitwise(rows, idx, thresholds, held,
                                                                   limits):
     ctx, paths = busy_context()

@@ -122,9 +122,14 @@ def test_culled_ttc_matches_the_full_scan():
     @given(ttc_cases())
     @example(([(0.0, 0.0, 0.0, 10.0, 8)], [], 10))   # no road users
     @example(FAR_THEN_CORNER)
+    # the same candidates as a view of rows 1.. of a block whose row 0 is longer
+    @example(FAR_THEN_CORNER + ((0.0, -20.0, 0.0, 10.0, 16),))
     def check(case):
-        rows, users, steps = case
-        cands, preds = blocks(rows, users, steps)
+        rows, users, steps, *lead = case
+        cands, preds = blocks(lead + rows, users, steps)
+        if lead:
+            whole, cands = cands, cands.take(list(range(1, len(cands))))
+            assert np.shares_memory(cands.x, whole.x)
         ttc, who = assert_matches_oracle(cands, preds)
         seen.update("zero" if t == 0.0 else "refined" for t in ttc.tolist() if t < math.inf)
         if any(0 <= k < len(users) - 1 and users[k + 1] == users[k] for k in who.tolist()):
