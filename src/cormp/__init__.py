@@ -8,7 +8,7 @@ weights turn the six scores into a single profit figure and the planner picks
 the most profitable feasible maneuver every replanning period.
 """
 from .baselines import IdmParams, MobilParams, MobilPlanner, UtilityPlanner, idm_accel, make_planner
-from .bezier import SpeedProfile, TimedTrajectory, sample_trajectory
+from .bezier import LanePath, SpeedProfile, TimedTrajectory, sample_trajectory
 from .config import PlannerConfig, load_config
 from .identification import (
     Maneuver,
@@ -42,6 +42,7 @@ __all__ = [
     "Decision",
     "IdmParams",
     "Lane",
+    "LanePath",
     "Maneuver",
     "ManeuverCandidate",
     "Metrics",

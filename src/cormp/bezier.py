@@ -1,13 +1,15 @@
-"""Cubic Bezier curves, speed profiles and time-sampled trajectories.
+"""Lane paths, speed profiles and time-sampled trajectories.
 
-The cubic Bezier is the paper's curve primitive; `chord_points` turns one,
-given by its four control points, into the vertices of a `Polyline`, the one
-path type every planned trajectory is sampled from (see
-`identification.lane_path`). `sample_trajectory` turns any number of (path,
-constant-acceleration speed profile, horizon) rows into trajectories on the
-simulator tick grid in one call, with headings and lateral accelerations
-taken from each path's own frames, and returns them as one `CandidateBlock`:
-the padded (R, T) rows every pairwise measure of a plan broadcasts over.
+Every planned path lies in its lane's frame (as in Werling et al., "Optimal
+trajectory generation for dynamic street scenarios in a Frenet frame", ICRA
+2010): a `LanePath` runs along a lane centerline from the ego's arc position,
+offset from it by a cubic Bezier in arc length, the paper's curve primitive,
+that reaches the centerline at the join and follows it from there on.
+`sample_trajectory` turns any number of (lane path, constant-acceleration
+speed profile, horizon) rows into trajectories on the simulator tick grid in
+one call, the profile measuring distance along the centerline, and returns
+them as one `CandidateBlock`: the padded (R, T) rows every pairwise measure of
+a plan broadcasts over.
 """
 from __future__ import annotations
 
@@ -15,48 +17,34 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import bernstein, bezier_curve
 from .scenario import Polyline
 
-# Chords of a planned cubic stray at most this far from it (0.1 mm on a 3.5 m
-# lane). The last chord's heading is then off the curve's by about 3 D / (n L)
-# rad (`lane_path` blend L, second difference D, n chords): 5.9e-4 rad for a
-# 3.5 m lane change at 13.89 m/s in 256 chords, 1.0e-3 rad at 8 m/s.
-_CHORD_TOL_M = 1e-4
-_MAX_CHORDS = 1024
 
+class LanePath(NamedTuple):
+    """A path `span` m along the centerline `line` from arc position `s0`,
+    offset d(s) to the left of it.
 
-@lru_cache(maxsize=16)
-def _chord_basis(n: int) -> np.ndarray:
-    """Read-only Bernstein basis at u = 0, 1/n, ..., 1; the 11 power-of-two
-    n up to _MAX_CHORDS all stay cached, in about 66 KB."""
-    basis = bernstein(np.linspace(0.0, 1.0, n + 1))
-    basis.flags.writeable = False
-    return basis
-
-
-def chord_points(ctrl, extra: int = 0) -> np.ndarray:
-    """Points at uniform u steps whose chords stray at most _CHORD_TOL_M from the cubic.
-
-    `ctrl` is four (x, y) pairs of floats. A chord over a step h strays at
-    most max|B''| h^2 / 8, and max|B''| = 6 max(|p0 - 2 p1 + p2|,
-    |p1 - 2 p2 + p3|). n is the smallest power of two that meets the tolerance,
-    capped at _MAX_CHORDS; past the cap (a second difference over about 140 m,
-    a pose far off its lane) the tolerance does not hold. A straight curve is
-    one chord, a 3.5 m lane change 256 at any length. The points fill the
-    first rows of an (n + 1 + extra, 2) array; the caller fills the rest.
+    d is the cubic Bezier through the (s, d) points (s0, d0), (s0 + b/3,
+    d0 + slope b/3), (s0 + 2b/3, 0) and (s0 + b, 0), b = `blend` > 0: a cubic
+    in s that starts at offset d0 with slope dd/ds = `slope` and meets the
+    centerline with d = d' = 0 at the join s0 + b, after which d is 0.
     """
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = ctrl
-    second = max(math.hypot(x0 - 2.0 * x1 + x2, y0 - 2.0 * y1 + y2),
-                 math.hypot(x1 - 2.0 * x2 + x3, y1 - 2.0 * y2 + y3))
-    need = min(_MAX_CHORDS, max(1, math.ceil(math.sqrt(0.75 * second / _CHORD_TOL_M))))
-    n = 1 << (need - 1).bit_length()
-    out = np.empty((n + 1 + extra, 2))
-    out[:n + 1] = bezier_curve(_chord_basis(n), ctrl)
-    return out
+
+    line: Polyline
+    s0: float
+    d0: float
+    slope: float
+    blend: float
+    span: float
+
+    @classmethod
+    def along(cls, line: Polyline) -> LanePath:
+        """`line` itself, from its start to its end: a path without offset."""
+        return cls(line, 0.0, 0.0, 0.0, line.length, line.length)
 
 
 @dataclass
@@ -227,18 +215,25 @@ def tick_times(dt: float, horizon: float) -> np.ndarray:
 
 
 def sample_trajectory(rows, dt: float) -> CandidateBlock:
-    """Sample poses along paths under clamped constant-accel speed profiles.
+    """Sample poses along lane paths under clamped constant-accel speed profiles.
 
-    `rows` is a sequence of (path, `SpeedProfile`, horizon) triples; row r
-    of the `CandidateBlock` returned is the trajectory of `rows[r]`.
-    A row's samples fall on the ticks up to its horizon and end early where
-    its path is exhausted, so the trajectories may differ in length; a
-    profile that comes to rest keeps emitting resting samples up to the
-    horizon. Lateral acceleration is path curvature times v^2.
+    `rows` is a sequence of (`LanePath`, `SpeedProfile`, horizon) triples;
+    row r of the `CandidateBlock` returned is the trajectory of `rows[r]`.
+    A profile measures distance x along its path's centerline: the sample at
+    x is the centerline point at s = s0 + x moved d(s) along its segment's
+    left normal. A row's samples fall on the ticks up to its horizon and end
+    early where its span is exhausted, so the trajectories may differ in
+    length; a profile that comes to rest keeps emitting resting samples up to
+    the horizon. Heading is the segment's plus arctan d'; lateral
+    acceleration is v^2 times the path curvature, taken as the centerline's
+    (interpolated by `Polyline.locate`) plus d'', both first order in the
+    curvature times d and in d'.
 
     One cached `_speeds_and_arcs` table covers every row, and each distinct
-    path locates and gathers its rows' segments once; each row is bitwise
-    what it would be if sampled alone.
+    centerline locates and gathers its rows' samples once; each row is
+    bitwise what it would be if sampled alone, and a sample from the join on,
+    or of a path without offset, is bitwise the centerline's `frames` and
+    `locate` at s.
 
     The block's (R, T) rows are the read-only buffers the samples are
     written to, padded with each row's last sample as
@@ -250,35 +245,44 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     if min(horizons) < 0:
         raise ValueError("horizon must be >= 0")
     t = tick_times(dt, max(horizons))
-    v, s, dv_dt = _speeds_and_arcs(
+    v, arc, dv_dt = _speeds_and_arcs(
         b"".join(_PROFILE.pack(p.v0, p.accel, p.v_max) for _, p, _ in rows), dt, len(t))
     groups: dict = {}
-    for r, (path, _, _) in enumerate(rows):
-        groups.setdefault(path, []).append(r)
-    length = np.array([[path.length] for path, _, _ in rows])
-    # s never decreases along a row
+    terms = []
+    for r, ((line, s0, d0, slope, b, span), _, _) in enumerate(rows):
+        groups.setdefault(line, []).append(r)
+        # d = d0 + x (slope + x (c2 + x c3)) at x = s - s0 < b
+        terms.append((s0, span, b, d0, slope, -(3.0 * d0 + 2.0 * slope * b) / (b * b),
+                      (2.0 * d0 + slope * b) / (b * b * b)))
+    s0, span, b, d0, slope, c2, c3 = np.array(terms).T[:, :, None]
+    # x never decreases along a row
     counts = np.minimum([len(tick_times(dt, h)) for h in horizons],
-                        (s <= length + 1e-9).sum(axis=1))
-    s = np.minimum(s, length)
+                        (arc <= span + 1e-9).sum(axis=1))
+    x = np.minimum(arc, span)
+    s = x + s0
+    before = x < b   # the offset and its derivatives are 0 from the join on
+    d = (((x * c3 + c2) * x + slope) * x + d0) * before   # by Horner's rule
+    dd = ((x * (3.0 * c3) + 2.0 * c2) * x + slope) * before
     kappa = np.empty_like(s)
-    frames = np.empty((6,) + s.shape)   # each sample's row of its path's `frame_table`
-    for path, idx in groups.items():
+    frames = np.empty((6,) + s.shape)   # each sample's column of its centerline's `frame_table`
+    for line, idx in groups.items():
         # adjacent rows, the usual case, are read and written as a slice, not copied
         sel = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
-        if path.frame_table.shape[1] == 2:   # one straight segment: nothing to look up
-            kappa[sel] = 0.0
-            frames[:, sel] = path.frame_table[:, :1, None]
-        else:
-            i, kappa[sel] = path.locate(s[sel])
-            frames[:, sel] = path.frame_table.take(i, axis=1)
+        i, kappa[sel] = line.locate(s[sel])
+        frames[:, sel] = line.frame_table.take(i, axis=1)
     ax, ay, dx, dy, seg_len, cum = frames
     f = (s - cum) / seg_len
+    d /= seg_len
+    kappa += (x * (6.0 * c3) + 2.0 * c2) * before   # plus d''
     buffers = np.empty((7,) + s.shape)
-    block_t, x, y, heading, speed, a_lon, a_lat = buffers
+    block_t, px, py, heading, speed, a_lon, a_lat = buffers
     block_t[:] = t
-    np.add(ax, dx * f, out=x)
-    np.add(ay, dy * f, out=y)
+    np.add(ax, dx * f, out=px)
+    px -= dy * d
+    np.add(ay, dy * f, out=py)
+    py += dx * d
     np.arctan2(dy, dx, out=heading)
+    heading += np.arctan(dd)
     speed[:] = v
     a_lon[:, :-1] = dv_dt
     np.multiply(kappa * v, v, out=a_lat)

@@ -1,10 +1,10 @@
 """Maneuver identification: candidate generation, prediction, feasibility.
 
 Six discrete maneuvers are turned into tick-sampled trajectory candidates from
-the ego's current state, each along a path whose vertices `lane_path` gives:
-a cubic Bezier from the current pose onto a lane centerline, then the
-centerline itself. A plan projects the ego once onto each lane it considers,
-builds all its paths with one `Polyline.stack` call and samples every
+the ego's current state, each along the `LanePath` that `lane_path` gives: a
+lateral offset from a lane centerline, a cubic Bezier in its arc length from
+the ego's pose onto the centerline, then the centerline itself. A plan
+projects the ego once onto each lane it considers and samples every
 candidate, lane-change probe and stretched variant in one
 `sample_trajectory` call, whose `CandidateBlock` is the plan's block: each
 candidate records its row, and every later measure takes rows of it. Other
@@ -29,10 +29,10 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .bezier import CandidateBlock, SpeedProfile, chord_points, sample_trajectory
+from .bezier import CandidateBlock, LanePath, SpeedProfile, sample_trajectory
 from .config import PlannerConfig
 from .kernels import pose_gaps, reach2
-from .scenario import AgentState, Lane, Polyline, Scenario
+from .scenario import AgentState, Lane, Scenario
 
 
 class Maneuver(Enum):
@@ -157,9 +157,10 @@ class PlanContext:
         return self._corridor[1]
 
     @cached_property
-    def ego_s(self) -> float:
-        """The ego's arc position on its own lane, projected once per plan."""
-        return self.lane.centerline.project((self.ego.x, self.ego.y))[0]
+    def ego_position(self) -> tuple:
+        """The ego's arc position s and lateral offset on its own lane,
+        projected once per plan."""
+        return self.lane.centerline.project((self.ego.x, self.ego.y))
 
     @cached_property
     def lane_positions(self) -> tuple:
@@ -221,38 +222,26 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
             agent.heading, agent.speed)
 
 
-def lane_path(lane: Lane, s0: float, x: float, y: float, heading: float,
-              blend: float, span: float) -> np.ndarray:
-    """(n, 2) vertices of the planned path from the pose (x, y, heading) onto
-    `lane` and along its centerline, for `Polyline` or `Polyline.stack`.
+def lane_path(lane: Lane, s0: float, d0: float, heading: float, blend: float,
+              span: float) -> LanePath:
+    """The planned path from a pose at arc position s0 and lateral offset d0
+    on `lane` (as `project` gives them), heading `heading`, for `span` m
+    along the lane, past either end along its end segment: its offset meets
+    the centerline `blend` (> 0) m ahead of s0 (see `LanePath`).
 
-    `s0` is the pose's arc position on the lane, as `project` gives it. A
-    cubic Bezier with tangent handles of blend/3 (blend > 0) at both ends
-    joins the pose to the centerline `blend` m ahead of s0; the path then
-    follows the centerline's own vertices until `span` (>= blend) m ahead,
-    extending the end segments past either lane end.
+    The start slope is the tangent of the heading's offset from the lane
+    segment at s0, wrapped to (-pi, pi] and clamped to +-pi/4, so that every
+    heading gives a finite path.
     """
-    line = lane.centerline
-    s_join = s0 + blend
-    s_end = s0 + span
-    x3, y3, h3 = line.pose_at(s_join)
-    handle = blend / 3.0
-    ctrl = ((x, y), (x + math.cos(heading) * handle, y + math.sin(heading) * handle),
-            (x3 - math.cos(h3) * handle, y3 - math.sin(h3) * handle), (x3, y3))
-    if span <= blend:
-        return chord_points(ctrl)
-    # vertices within 1e-6 m of the join or the end would make a degenerate segment
-    inner = line.vertices_between(s_join + 1e-6, s_end - 1e-6)
-    points = chord_points(ctrl, extra=len(inner) + 1)
-    points[-len(inner) - 1:-1] = inner
-    points[-1] = line.point_at(s_end)
-    return points
+    turn = math.pi - (math.pi - heading + lane.centerline.pose_at(s0)[2]) % math.tau
+    slope = math.tan(min(max(turn, -math.pi / 4.0), math.pi / 4.0))
+    return LanePath(lane.centerline, s0, d0, slope, blend, span)
 
 
 def _stop_constraint_distance(ctx: PlanContext) -> float | None:
     """Distance from the ego front bumper to the nearest active stop target."""
     cfg, ego, lane = ctx.config, ctx.ego, ctx.lane
-    front = ctx.ego_s + ego.length / 2.0
+    front = ctx.ego_position[0] + ego.length / 2.0
     targets = []
     for light in ctx.scenario.lights:
         if (light.lane == ego.lane and light.stop_line_s > front
@@ -294,12 +283,12 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     candidate per maneuver -> acceleration.
 
     By default all six, in Maneuver enum order, Stop braking at `_stop_decel`.
-    Every path is built by one `Polyline.stack` call and every trajectory is a
-    row of one `sample_trajectory` call, whose block is returned; each
-    candidate records its row. Keep-lane candidates share a path back onto the
-    ego's lane, capped at its limit. A lane change, a cubic onto the neighbour
-    lane over the lane-change duration and then its centerline, is sampled
-    over the longer of that duration and the planning horizon. With a vehicle
+    Every trajectory is a row of one `sample_trajectory` call, whose block is
+    returned; each candidate records its row. Keep-lane candidates share a
+    path back onto the ego's lane over their whole span, capped at its limit.
+    A lane change, onto the neighbour lane over the lane-change duration and
+    then along its centerline, is sampled over the longer of that duration
+    and the planning horizon. With a vehicle
     or obstacle ahead of the ego in arc length along the ego's lane, on any
     lane (its first predicted sample projected onto the ego's lane), a
     constant-speed probe along it (the lane change's own row where profile and
@@ -322,7 +311,7 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
                for m in maneuvers}
     leads = None
     if any(targets.values()) and block.vehicle_like.any():
-        leads = block.vehicle_like & (ctx.lane_positions[0] > ctx.ego_s)
+        leads = block.vehicle_like & (ctx.lane_positions[0] > ctx.ego_position[0])
     lead = leads is not None and bool(leads.any())
     duration = cfg.lane_change_duration_s
     horizon = max(duration, cfg.planning_horizon_s)
@@ -330,34 +319,33 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     blend = v * duration
     wide = blend * cfg.lane_change_stretch
     tail = v * (horizon - duration) + 5.0
-    paths, rows, wide_rows = [], [], []   # vertex arrays; (path index, profile, horizon)
+    paths, rows, wide_rows = [], [], []   # `LanePath`s; (path index, profile, horizon)
     sides = {}   # maneuver -> [target lane, nominal row, probe row, stretched row]
     for m, target_id in targets.items():
         if target_id is None:
             continue
         target = ctx.scenario.lanes[target_id]
         cap = min(lane.speed_limit, target.speed_limit)
-        s0 = target.centerline.project((ego.x, ego.y))[0]
+        s0, d0 = target.centerline.project((ego.x, ego.y))
         profile = SpeedProfile(ego.speed, 0.0, cap)
         sides[m] = at = [target_id, len(rows), len(rows), None]
         rows.append((len(paths), profile, horizon))
-        paths.append(lane_path(target, s0, ego.x, ego.y, ego.heading, blend, blend + tail))
+        paths.append(lane_path(target, s0, d0, ego.heading, blend, blend + tail))
         if lead:
             if not (1.0 <= ego.speed <= cap and duration >= cfg.planning_horizon_s):
                 at[2] = len(rows)
                 rows.append((len(paths) - 1, SpeedProfile(v, 0.0), duration))
             at[3] = len(wide_rows)   # counted from the first stretched row
             wide_rows.append((len(paths), profile, horizon))
-            paths.append(lane_path(target, s0, ego.x, ego.y, ego.heading, wide, wide + tail))
+            paths.append(lane_path(target, s0, d0, ego.heading, wide, wide + tail))
     first_wide = len(rows)
     rows += wide_rows
     if accels:
         span = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
         rows += [(len(paths), SpeedProfile(ego.speed, a, lane.speed_limit),
                   cfg.planning_horizon_s) for a in accels.values()]
-        paths.append(lane_path(lane, ctx.ego_s, ego.x, ego.y, ego.heading, span, span))
-    lines = Polyline.stack(paths) if paths else []
-    sampled = sample_trajectory([(lines[k], p, h) for k, p, h in rows], cfg.dt) if rows else None
+        paths.append(lane_path(lane, *ctx.ego_position, ego.heading, span, span))
+    sampled = sample_trajectory([(paths[k], p, h) for k, p, h in rows], cfg.dt) if rows else None
     stretched = dict.fromkeys(sides, False)
     if lead:
         hits = ctx.corridor_hits(sampled)[:, leads]

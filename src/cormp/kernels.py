@@ -1,9 +1,9 @@
 """Numeric hot kernels, in numpy.
 
-The planner spends almost all of its time testing oriented-rectangle footprints
+The planner spends most of its time testing oriented-rectangle footprints
 against each other (time-to-collision scans, corridor intersection counts,
-collision detection) and evaluating cubic Bezier curves in batches. Those inner
-loops live here, vectorised over pose and parameter arrays.
+collision detection). Those inner loops live here, vectorised over pose
+arrays.
 
 Overlap tests use the separating-axis theorem on the four edge normals. Every
 function reports a signed "gap": the largest separation over the candidate
@@ -72,19 +72,4 @@ def pose_gaps(ax, ay, ah, ahl, ahw, bx, by, bh, bhl, bhw):
     gap = np.maximum(gap, np.abs(dy * ca - dx * sa) - ahw - (bhl * s + bhw * c))
     gap = np.maximum(gap, np.abs(dx * cb + dy * sb) - (ahl * c + ahw * s) - bhl)
     return np.maximum(gap, np.abs(dy * cb - dx * sb) - (ahl * s + ahw * c) - bhw)
-
-
-def bernstein(us: np.ndarray) -> np.ndarray:
-    """(4, 1, n) cubic Bernstein basis at the parameter array us."""
-    v = 1.0 - us
-    return np.stack([v * v * v, 3.0 * v * v * us, 3.0 * v * us * us, us * us * us])[:, None, :]
-
-
-def bezier_curve(basis: np.ndarray, ctrl) -> np.ndarray:
-    """(n, 2) points of the cubic with control points `ctrl` (4 x 2) on a `bernstein` basis.
-
-    Sums b0 p0 + b1 p1 + b2 p2 + b3 p3 in that order.
-    """
-    terms = basis * np.array(ctrl, dtype=np.float64)[:, :, None]   # (4, 2, n)
-    return (terms[0] + terms[1] + terms[2] + terms[3]).T
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import SpeedProfile, TimedTrajectory, sample_trajectory, tick_times
+from .bezier import LanePath, SpeedProfile, TimedTrajectory, sample_trajectory, tick_times
 from .config import PlannerConfig
 from .identification import (
     LANE_CHANGES,
@@ -122,13 +122,13 @@ def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
                      horizon: float) -> TimedTrajectory:
     """Re-profile a trajectory's path with a constant deceleration to rest.
 
-    Positions stay on the polyline through the trajectory's samples; only the
-    speed schedule changes. Used for lane-change aborts, where steering back
-    would be a second lateral maneuver but slowing down along the committed
-    geometry is always available. A trajectory that does not move (a lane
-    change begun at standstill) gives a resting one on the `tick_times`
-    grid that every sampled trajectory uses; if the path runs out
-    before the vehicle stops, the result ends there.
+    Positions stay on the polyline through the trajectory's samples, a lane
+    path without offset; only the speed schedule changes. Used for lane-change
+    aborts, where steering back would be a second lateral maneuver but slowing
+    down along the committed geometry is always available. A trajectory that
+    does not move (a lane change begun at standstill) gives a resting one on
+    the `tick_times` grid that every sampled trajectory uses; if the path runs
+    out before the vehicle stops, the result ends there.
     """
     xy = np.column_stack([traj.x, traj.y])
     moved = np.concatenate([[True], np.any(np.diff(xy, axis=0) != 0.0, axis=1)])
@@ -137,7 +137,8 @@ def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
                                           float(traj.heading[0]), dt,
                                           len(tick_times(dt, horizon)))
     stopping, = sample_trajectory(
-        [(Polyline(xy[moved]), SpeedProfile(float(traj.speed[0]), -decel), horizon)], dt)
+        [(LanePath.along(Polyline(xy[moved])), SpeedProfile(float(traj.speed[0]), -decel),
+          horizon)], dt)
     return stopping
 
 

@@ -3,48 +3,35 @@
 `CubicBezier` is the reference that planned paths are checked against: its
 derivatives and curvature come from the closed forms, and its points from
 `bezier_points`, which evaluates a cubic at an array of parameters on the
-planner's Bernstein kernels. `CubicBezier.chord_points` hands the cubic to the
-planner's own `cormp.bezier.chord_points`, and `chord_count` restates how
-many chords it should cut. `lane_cubic` builds the cubic that
-`identification.lane_path` joins a pose to its lane with.
+Bernstein basis. `lane_frame_poses` is the reference for a sampled
+`cormp.bezier.LanePath`: its offset is the cubic through the path's four
+(s, d) control points, evaluated the same way.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from cormp.bezier import _CHORD_TOL_M, _MAX_CHORDS, chord_points
-from cormp.kernels import bernstein, bezier_curve
+
+def bernstein(us: np.ndarray) -> np.ndarray:
+    """(4, 1, n) cubic Bernstein basis at the parameter array us."""
+    v = 1.0 - us
+    return np.stack([v * v * v, 3.0 * v * v * us, 3.0 * v * us * us, us * us * us])[:, None, :]
+
+
+def bezier_curve(basis: np.ndarray, ctrl) -> np.ndarray:
+    """(n, 2) points of the cubic with control points `ctrl` (4 x 2) on a `bernstein` basis.
+
+    Sums b0 p0 + b1 p1 + b2 p2 + b3 p3 in that order.
+    """
+    terms = basis * np.array(ctrl, dtype=np.float64)[:, :, None]   # (4, 2, n)
+    return (terms[0] + terms[1] + terms[2] + terms[3]).T
 
 
 def bezier_points(ctrl: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Evaluate a cubic Bezier (4x2 control array) at parameter array us."""
     return bezier_curve(bernstein(us), ctrl)
-
-
-def chord_count(ctrl: np.ndarray) -> int:
-    """Chords for a 4x2 control array: the smallest power of two at least
-    sqrt(0.75 max|second difference| / _CHORD_TOL_M), and at most _MAX_CHORDS."""
-    second = np.hypot(*(ctrl[:-2] - 2.0 * ctrl[1:-1] + ctrl[2:]).T).max()
-    need = math.ceil(math.sqrt(0.75 * second / _CHORD_TOL_M))
-    n = 1
-    while n < min(need, _MAX_CHORDS):
-        n *= 2
-    return n
-
-
-def lane_cubic(line, x: float, y: float, heading: float, blend: float) -> np.ndarray:
-    """4x2 control points from the pose (x, y, heading) to the point of the
-    centerline `line` `blend` m ahead, with tangent handles of blend / 3."""
-    s_join = line.project((x, y))[0] + blend
-    p3 = np.array(line.point_at(s_join))
-    h3 = line.heading_at(s_join)
-    p0 = np.array([x, y])
-    p1 = p0 + np.array([math.cos(heading), math.sin(heading)]) * (blend / 3.0)
-    p2 = p3 - np.array([math.cos(h3), math.sin(h3)]) * (blend / 3.0)
-    return np.array([p0, p1, p2, p3])
 
 
 def _as_ctrl(points) -> np.ndarray:
@@ -93,10 +80,37 @@ class CubicBezier:
             return 0.0
         return float((d1[0] * d2[1] - d1[1] * d2[0]) / speed2**1.5)
 
-    def chord_points(self) -> np.ndarray:
-        return chord_points(self.ctrl.tolist())
-
 
 def _check_u(u: float) -> None:
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"parameter u={u} outside [0, 1]")
+
+
+def lane_offset_cubic(path) -> CubicBezier:
+    """The cubic of a `LanePath`'s offset, on its (s, d) control points."""
+    _, s0, d0, slope, b, _ = path
+    return CubicBezier([(s0, d0), (s0 + b / 3.0, d0 + slope * b / 3.0),
+                        (s0 + 2.0 * b / 3.0, 0.0), (s0 + b, 0.0)])
+
+
+def lane_frame_poses(path, s: np.ndarray) -> tuple:
+    """(x, y, heading, curvature) of `path` at arc positions s on its centerline.
+
+    d(s), d'(s) and d''(s) come from the offset cubic at u = (s - s0) / b
+    (its s is linear in u, so d' = (dd/du) / (ds/du) and d'' = (d^2 d/du^2) /
+    (ds/du)^2), and are 0 from the join s0 + b on. The pose is the
+    centerline's `frames` at s moved d along the normal of its heading, the
+    heading turned by arctan d', and the curvature `locate`'s plus d''.
+    """
+    cubic = lane_offset_cubic(path)
+    u = (s - path.s0) / path.blend
+    offset = np.zeros((3, len(s)))
+    for k, uk in enumerate(u.tolist()):
+        if uk < 1.0:
+            ds_du, dd_du = cubic.derivative(uk)
+            offset[:, k] = (bezier_points(cubic.ctrl, np.array([uk]))[0, 1], dd_du / ds_du,
+                            cubic.second_derivative(uk)[1] / (ds_du * ds_du))
+    d, slope, bend = offset
+    x, y, heading = path.line.frames(s)
+    return (x - np.sin(heading) * d, y + np.cos(heading) * d, heading + np.arctan(slope),
+            path.line.locate(s)[1] + bend)

@@ -5,16 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CURVED, assert_row_is_its_lone_block
+from conftest import arc_centerline, assert_row_is_its_lone_block
 from cormp import bezier
-from cormp.baselines import make_planner
-from cormp.bezier import (_CHORD_TOL_M, _MAX_CHORDS, SpeedProfile, TimedTrajectory,
-                          sample_trajectory, tick_times)
-from cormp.config import PlannerConfig
-from cormp.kernels import bezier_curve
-from cormp.scenario import Polyline, load_scenario
-from cormp.simulator import run
-from curve_oracle import CubicBezier, bezier_points, chord_count, lane_cubic
+from cormp.bezier import LanePath, SpeedProfile, TimedTrajectory, sample_trajectory, tick_times
+from cormp.identification import lane_path
+from cormp.scenario import Lane, Polyline
+from curve_oracle import CubicBezier, bezier_points, lane_frame_poses
 from resource_oracle import path_length
 
 UNIT_SQUARE = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
@@ -115,11 +111,10 @@ def test_quarter_circle_curvature():
 # sample_trajectory runs along a Polyline path; at 1 m/s with a 1 ms tick and
 # a horizon past its end, the last sample's time is the path length to within
 # one tick.
-# Cubics become paths through `chord_points`, which must keep their length.
 
 
 def sampled_at_unit_speed(path: Polyline) -> TimedTrajectory:
-    traj, = sample_trajectory([(path, SpeedProfile(1.0, 0.0), 10.0)], dt=1e-3)
+    traj, = sample_trajectory([(LanePath.along(path), SpeedProfile(1.0, 0.0), 10.0)], dt=1e-3)
     return traj
 
 
@@ -130,7 +125,8 @@ def test_sampled_length_straight_segment():
 
 
 def test_sampled_length_against_dense_polyline():
-    traj = sampled_at_unit_speed(Polyline(CubicBezier(UNIT_SQUARE).chord_points()))
+    traj = sampled_at_unit_speed(Polyline(bezier_points(np.array(UNIT_SQUARE),
+                                                        np.linspace(0.0, 1.0, 129))))
     us = np.linspace(0.0, 1.0, 100_001)
     pts = np.array([de_casteljau(UNIT_SQUARE, u) for u in us])
     oracle = float(np.sum(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))))
@@ -138,82 +134,11 @@ def test_sampled_length_against_dense_polyline():
     assert path_length(traj) == pytest.approx(traj.t[-1], abs=1e-3)
 
 
-def test_flat_cubic_becomes_one_chord():
-    pts = CubicBezier([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]).chord_points()
-    assert np.array_equal(pts, [(0.0, 0.0), (3.0, 0.0)])
-
-
-def chord_stray(ctrl: np.ndarray) -> tuple:
-    """(chord count, largest distance from the cubic to its chords), the
-    cubic evaluated by the oracle 16 times per chord."""
-    pts = CubicBezier(ctrl).chord_points()
-    n = len(pts) - 1
-    u = (np.arange(n)[:, None] + np.linspace(0.0, 1.0, 17)) / n
-    curve = bezier_points(ctrl, u.ravel()).reshape(n, 17, 2)
-    a, d = pts[:-1, None], (pts[1:] - pts[:-1])[:, None]
-    f = np.clip(((curve - a) * d).sum(axis=2) / (d * d).sum(axis=2), 0.0, 1.0)
-    return n, float(np.hypot(*(curve - a - f[..., None] * d).T).max())
-
-
-def lane_change_cubics():
-    """Random cubics shaped like lane changes, and the cubics from poses on
-    both conftest arcs onto each of their lanes."""
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        length, lateral = rng.uniform(5.0, 120.0), rng.uniform(-4.0, 4.0)
-        h0, h3 = rng.uniform(-0.3, 0.3, size=2)
-        p0, p3 = np.zeros(2), np.array([length, lateral])
-        yield np.array([p0, p0 + np.array([math.cos(h0), math.sin(h0)]) * length / 3.0,
-                        p3 - np.array([math.cos(h3), math.sin(h3)]) * length / 3.0, p3])
-    for doc in CURVED.values():
-        lanes = load_scenario(doc).lanes
-        ego = lanes["right"].centerline
-        for s in (5.0, 37.3, 140.0):
-            (x, y), h = ego.point_at(s), ego.heading_at(s)
-            for lane in lanes.values():
-                for blend in (20.0, 55.56, 72.2):
-                    yield lane_cubic(lane.centerline, x, y, h, blend)
-
-
-def test_chords_stay_within_the_stated_tolerance():
-    for ctrl in lane_change_cubics():
-        n, stray = chord_stray(ctrl)
-        assert n == chord_count(ctrl) and n & (n - 1) == 0 and n <= _MAX_CHORDS
-        assert n < _MAX_CHORDS and stray <= _CHORD_TOL_M, (ctrl, n, stray)
-
-
-def test_a_pose_far_off_its_lane_reaches_the_chord_cap():
-    # 0.75 max|second difference| / _MAX_CHORDS^2 passes _CHORD_TOL_M at
-    # about 140 m: the cap then binds, and the chords stray past the tolerance
-    for offset, within in ((40.0, True), (300.0, False)):
-        ctrl = np.array([(0.0, offset), (20.0, offset), (40.0, 0.0), (60.0, 0.0)])
-        n, stray = chord_stray(ctrl)
-        assert n == _MAX_CHORDS
-        assert (stray <= _CHORD_TOL_M) == within, stray
-
-
-def test_closed_loop_chord_counts_each_build_one_basis(monkeypatch):
-    counts = []
-
-    def spy(basis, ctrl):
-        counts.append(basis.shape[-1] - 1)
-        return bezier_curve(basis, ctrl)
-
-    monkeypatch.setattr(bezier, "bezier_curve", spy)
-    bezier._chord_basis.cache_clear()
-    cfg = PlannerConfig()
-    for doc in CURVED.values():
-        scenario = load_scenario(doc)
-        run(scenario, make_planner("cor-mp", cfg, scenario.profile), cfg)
-    assert all(n & (n - 1) == 0 and n <= _MAX_CHORDS for n in counts)
-    assert bezier._chord_basis.cache_info().misses == len(set(counts))
-
-
 # ---------------------------------------------------------------- sampling
 
 
-def straight(length: float) -> Polyline:
-    return Polyline([(0.0, 0.0), (length, 0.0)])
+def straight(length: float) -> LanePath:
+    return LanePath.along(Polyline([(0.0, 0.0), (length, 0.0)]))
 
 
 def test_constant_speed_sampling_uniform_spacing():
@@ -247,9 +172,9 @@ def test_lateral_acceleration_is_curvature_times_speed_squared():
     r = 50.0
     k = 4.0 / 3.0 * math.tan(math.pi / 8.0)
     arc = CubicBezier([(r, 0.0), (r, r * k), (r * k, r), (0.0, r)])
-    pts = arc.chord_points()
+    pts = bezier_points(arc.ctrl, np.linspace(0.0, 1.0, 513))
     path = Polyline(pts)
-    traj, = sample_trajectory([(path, SpeedProfile(15.0, 0.0), 10.0)], dt=0.1)
+    traj, = sample_trajectory([(LanePath.along(path), SpeedProfile(15.0, 0.0), 10.0)], dt=0.1)
     interior = slice(2, len(traj) - 2)
     assert np.allclose(np.abs(traj.a_lat[interior]), 15.0 ** 2 / r, atol=0.05)
     # against the analytic curvature at each sample's curve parameter
@@ -313,7 +238,7 @@ def test_sampled_profile_matches_tick_by_tick_stepping(length, profile, dt, hori
     traj, = sample_trajectory([(path, profile, horizon)], dt)
     t, s, v = stepped_samples(length, profile, dt, horizon)
     assert np.array_equal(traj.t, t)
-    assert np.array_equal(traj.x, path.frames(s)[0])
+    assert np.array_equal(traj.x, path.line.frames(s)[0])
     assert np.array_equal(traj.speed, v)
 
 
@@ -367,7 +292,7 @@ def test_batched_sampling_matches_per_profile_calls(rows, dt, lengths):
     # ticks, a = 0, v0 > v_max, standing starts, dt = 0.15, mixed horizons,
     # rows that share a path, a one-segment path among bent ones, and paths
     # that run out before the horizon at a different tick per row
-    paths = [bent_path(length) for length in lengths] + [straight(30.0)]
+    paths = [LanePath.along(bent_path(length)) for length in lengths] + [straight(30.0)]
     call = [(paths[k], profile, horizon) for k, profile, horizon in rows]
     together = sample_trajectory(call, dt)
     assert len(together) == len(call)
@@ -377,14 +302,74 @@ def test_batched_sampling_matches_per_profile_calls(rows, dt, lengths):
         alone, = sample_trajectory([(path, profile, horizon)], dt)
         for name in FIELDS:
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
-        t, s, v = stepped_samples(path.length, profile, dt, horizon)
+        t, s, v = stepped_samples(path.span, profile, dt, horizon)
         assert np.array_equal(traj.t, t)
         assert np.array_equal(traj.speed, v)
-        x, y, heading = path.frames(s)
-        _, kappa = path.locate(s)
+        x, y, heading = path.line.frames(s)
+        _, kappa = path.line.locate(s)
         assert np.array_equal(traj.x, x) and np.array_equal(traj.y, y)
         assert np.array_equal(traj.heading, heading)
         assert np.array_equal(traj.a_lat, kappa * v * v)
+
+
+LANES = [Lane("straight", Polyline([(0.0, 0.0), (600.0, 0.0)]), 3.5, 13.89),
+         *(Lane(f"arc{turn}", Polyline(arc_centerline(140.0, turn)), 3.5, 13.89)
+           for turn in (-1, 1))]
+LANE_PROFILES = (SpeedProfile(13.89, 0.0, 13.89), SpeedProfile(8.0, 1.5, 13.89),
+                 SpeedProfile(5.0, -3.0), SpeedProfile(0.0))
+
+
+def lane_paths() -> list:
+    """(lane, pose, `lane_path`) from poses beside a straight lane and both
+    140 m arcs: at a vertex and between vertices, on the lane, off it and a
+    lane's width off it, with heading offsets, and past the straight lane's
+    end and far off it; each as lane changes, a short blend, a path that ends
+    before its join and a keep-lane path."""
+    poses = [(LANES[0], (630.0, 0.3, 0.0)), (LANES[0], (100.0, 40.0, 0.0))]
+    for lane in LANES:
+        line = lane.centerline
+        for s in (float(line.cum[min(2, len(line.cum) - 2)]), 37.3):   # a vertex, and between
+            x0, y0, h = line.pose_at(s)
+            for dy, dh in ((0.0, 0.0), (0.8, 0.05), (-0.4, -0.1), (3.5, 0.0), (-3.5, 0.2)):
+                poses.append((lane, (x0 - math.sin(h) * dy, y0 + math.cos(h) * dy, h + dh)))
+    out = []
+    for lane, pose in poses:
+        s0, d0 = lane.centerline.project(pose[:2])
+        for blend, span in ((55.56, 60.56), (55.56, 200.0), (3.0, 100.0), (20.0, 10.0),
+                            (60.0, 60.0)):
+            out.append((lane, pose, lane_path(lane, s0, d0, pose[2], blend, span)))
+    return out
+
+
+def test_lane_path_rows_follow_the_lane_frame_oracle():
+    # rows of every lane in one call, in an order that splits each lane's rows
+    paths = lane_paths()
+    call = [(k, profile) for k in range(len(paths)) for profile in LANE_PROFILES]
+    call = [call[i] for i in np.random.default_rng(5).permutation(len(call))]
+    block = sample_trajectory([(paths[k][2], profile, 5.0) for k, profile in call], 0.1)
+    for row, (k, profile) in enumerate(call):
+        lane, pose, path = paths[k]
+        traj = block[row]
+        assert_row_is_its_lone_block(block, row)
+        alone, = sample_trajectory([(path, profile, 5.0)], 0.1)
+        for name in FIELDS:
+            assert np.array_equal(getattr(traj, name), getattr(alone, name)), (row, name)
+        _, x, v = stepped_samples(path.span, profile, 0.1, 5.0)
+        s = x + path.s0
+        want = lane_frame_poses(path, s)
+        for got, ref in zip((traj.x, traj.y, traj.heading, traj.a_lat),
+                            (*want[:3], want[3] * v * v)):
+            assert np.max(np.abs(got - ref)) <= 1e-9, (row, path)
+        # it starts along the pose's heading, and at the pose beside a straight lane
+        assert abs(traj.heading[0] - pose[2]) <= 1e-9
+        if lane is LANES[0]:
+            assert math.hypot(traj.x[0] - pose[0], traj.y[0] - pose[1]) <= 1e-9
+        # from the join on, exactly on the centerline
+        on = x >= path.blend
+        cx, cy, ch = path.line.frames(s[on])
+        assert np.array_equal(traj.x[on], cx) and np.array_equal(traj.y[on], cy)
+        assert np.array_equal(traj.heading[on], ch)
+        assert np.array_equal(traj.a_lat[on], path.line.locate(s[on])[1] * v[on] * v[on])
 
 
 def test_batched_rows_end_where_the_path_runs_out():

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from conftest import (CURVED, SCENARIO_DIR, assert_row_is_its_lone_block, curved
                       prediction_block)
 from cormp import identification, resources
 from cormp.baselines import make_planner
-from cormp.bezier import _MAX_CHORDS, SpeedProfile, sample_trajectory
+from cormp.bezier import SpeedProfile, sample_trajectory
 from cormp.config import PlannerConfig
 from cormp.identification import (
     LANE_CHANGES,
@@ -32,7 +31,6 @@ from cormp.kernels import pose_gaps
 from cormp.planner import CorMpPlanner, plan_context, plan_tick
 from cormp.scenario import Polyline, load_scenario
 from cormp.simulator import SimWorld, run
-from curve_oracle import chord_count, lane_cubic
 from resource_oracle import path_length
 
 EGO = {"id": "ego", "kind": "ego", "position": [15.0, 0.0], "heading": 0.0,
@@ -311,17 +309,18 @@ def test_keep_lane_kinematics_with_explicit_rate():
     assert path_length(traj) == pytest.approx(52.0, abs=1e-6)
 
 
-def test_keep_lane_and_lane_change_follow_a_curved_centerline():
-    sc = load_scenario(curved_road(140.0, -1, "left", 8.0, 8.5))
+@pytest.mark.parametrize("turn", [-1, 1])
+def test_keep_lane_and_lane_change_follow_a_curved_centerline(turn):
+    sc = load_scenario(curved_road(140.0, turn, "left", 8.0, 8.5))
     cfg = PlannerConfig()
     ctx = PlanContext(scenario=sc, config=cfg, ego=sc.ego, sim_time=0.0,
                       predictions=prediction_block())
     keep = trajectories(ctx, (), {Maneuver.KEEP_LANE_SAME_SPEED: 0.0})[
         Maneuver.KEEP_LANE_SAME_SPEED]
     _, lateral = sc.lanes["right"].centerline.project(np.column_stack([keep.x, keep.y]))
-    # the solid edge is 0.85 m from the centerline for this ego; the start
-    # heading is the 7 m chord's direction, so the cubic cuts in a little
-    assert np.max(np.abs(lateral)) < 0.3
+    # the solid edge is 0.85 m from the centerline for this ego, which starts
+    # at a vertex along the segment there
+    assert np.max(np.abs(lateral)) < 0.05
     change = trajectories(ctx, (Maneuver.CHANGE_LANE_LEFT,), {})[Maneuver.CHANGE_LANE_LEFT]
     _, lateral = sc.lanes["left"].centerline.project((change.x[-1], change.y[-1]))
     assert abs(lateral) < 0.01
@@ -397,52 +396,18 @@ def test_filter_and_assessment_read_the_plan_block_in_place(name, monkeypatch):
 # ---------------------------------------------------------------- planned paths
 
 
-def lane_path_oracle(lane, x, y, heading, blend, span) -> tuple:
-    """(path, chord count): `lane_path` built as numpy control points, the
-    cubic's chord points evaluated coordinate by coordinate, then stacked
-    with the centerline vertices between join and end and the end point."""
-    line = lane.centerline
-    s0 = line.project((x, y))[0]
-    s_join, s_end = s0 + blend, s0 + span
-    p = lane_cubic(line, x, y, heading, blend)
-    n = chord_count(p)
-    u = np.linspace(0.0, 1.0, n + 1)
-    v = 1.0 - u
-    b = (v * v * v, 3.0 * v * v * u, 3.0 * v * u * u, u * u * u)
-    head = np.stack([b[0] * p[0, k] + b[1] * p[1, k] + b[2] * p[2, k] + b[3] * p[3, k]
-                     for k in (0, 1)], axis=1)
-    if span <= blend:
-        return Polyline(head), n
-    inner = line.points[(line.cum > s_join + 1e-6) & (line.cum < s_end - 1e-6)]
-    return Polyline(np.vstack([head, inner, [line.point_at(s_end)]])), n
-
-
-def test_lane_path_matches_the_stacked_cubic_oracle_bitwise():
-    straight = load_scenario(road()).lanes
-    arcs = {turn: load_scenario(curved_road(140.0, turn, "left", 8.0, 8.5)).lanes
-            for turn in (-1, 1)}
-    poses = []
-    for lanes in (straight, *arcs.values()):
-        line = lanes["right"].centerline
-        for s in (float(line.cum[min(2, len(line.cum) - 2)]), 37.3):   # a vertex, and between
-            (x0, y0), h = line.point_at(s), line.heading_at(s)
-            for dy, dh in ((0.0, 0.0), (0.8, 0.05), (-0.4, -0.1), (1.7, 0.2)):
-                poses.append((lanes, x0 - math.sin(h) * dy, y0 + math.cos(h) * dy, h + dh))
-    poses.append((straight, 630.0, 0.3, 0.0))   # past the lane end
-    poses.append((straight, 100.0, 40.0, 0.0))  # far off the lanes: the chord cap
-    counts = set()
-    for lanes, x, y, heading in poses:
-        for lane_id in ("right", "left"):
-            for blend, span in ((55.56, 60.56), (55.56, 200.0), (55.56, 55.56), (20.0, 10.0),
-                                (3.0, 100.0)):
-                line = lanes[lane_id].centerline
-                path = Polyline(lane_path(lanes[lane_id], line.project((x, y))[0], x, y,
-                                          heading, blend, span))
-                want, n = lane_path_oracle(lanes[lane_id], x, y, heading, blend, span)
-                counts.add(n)
-                assert np.array_equal(path.points, want.points), (lane_id, x, y, blend, span)
-                assert np.array_equal(path.cum, want.cum)
-    assert {1, _MAX_CHORDS} <= counts
+@pytest.mark.parametrize("heading", [0.3, 0.8, 1.0, 1.5, math.pi / 2, 2.0, math.pi])
+def test_an_off_lane_heading_gives_a_finite_drive_near_the_road(heading):
+    # the start slope is clamped at pi/4: tan of the heading offset alone
+    # grows without bound towards pi/2
+    doc = json.loads((SCENARIO_DIR / "empty_road.json").read_text())
+    doc["agents"][0]["heading"] = heading
+    sc, cfg = load_scenario(doc), PlannerConfig()
+    log = run(sc, make_planner("cor-mp", cfg, sc.profile), cfg)
+    poses = np.array([[row["ego_x"], row["ego_y"], row["ego_heading"]] for row in log.rows],
+                     dtype=float)
+    assert np.isfinite(poses).all()
+    assert np.max(np.abs(poses[:, 1])) < 15.0
 
 
 # ---------------------------------------------------------------- stop rates
@@ -762,8 +727,8 @@ def per_path_reference(ctx: PlanContext) -> list:
     cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
 
     def along(target, blend, span):
-        s0 = target.centerline.project((ego.x, ego.y))[0]
-        return Polyline(lane_path(target, s0, ego.x, ego.y, ego.heading, blend, span))
+        s0, d0 = target.centerline.project((ego.x, ego.y))
+        return lane_path(target, s0, d0, ego.heading, blend, span)
 
     def sample(path, profile, horizon):
         traj, = sample_trajectory([(path, profile, horizon)], cfg.dt)
@@ -812,31 +777,10 @@ def per_path_reference(ctx: PlanContext) -> list:
     return out
 
 
-def assert_same_polyline(got: Polyline, want: Polyline) -> None:
-    for name in ("frame_table", "cum", "_kappa"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-
-def enumerate_with_paths(ctx: PlanContext) -> tuple:
-    """`enumerate_candidates(ctx)`, and the (vertices, Polyline) pairs of its stacked build."""
-    built = []
-    stack = Polyline.stack
-
-    def record(paths):
-        lines = stack(paths)
-        built.extend(zip(paths, lines))
-        return lines
-
-    with mock.patch.object(Polyline, "stack", record):
-        return enumerate_candidates(ctx), built
-
-
 def assert_matches_reference(ctx: PlanContext) -> list:
-    """Compare bitwise, and each candidate's row of the plan's block and each
-    stacked path with their lone builds; returns the stretched flags."""
-    (block, got), built = enumerate_with_paths(ctx)
-    for points, line in built:
-        assert_same_polyline(line, Polyline(points))
+    """Compare each candidate's row of the plan's block, bitwise, with its
+    sampling in `per_path_reference`; returns the stretched flags."""
+    block, got = enumerate_candidates(ctx)
     for cand in got:
         if cand.row is not None:
             assert_row_is_its_lone_block(block, cand.row)
@@ -885,8 +829,9 @@ def test_enumerate_matches_the_per_path_reference_bitwise():
     assert any(any(f) for f in flags)               # some lane change was stretched
     # no plan row above runs out of path: rows along the arc's keep-lane path
     # that do, at different ticks, next to one that does not and a 1-sample one
-    _, built = enumerate_with_paths(context(arc))
-    keep = built[-1][1]
+    ctx = context(arc)
+    span = max(ctx.lane.speed_limit, ctx.ego.speed) * cfg.planning_horizon_s + 5.0
+    keep = lane_path(ctx.lane, *ctx.ego_position, ctx.ego.heading, span, span)
     block = sample_trajectory([(keep, SpeedProfile(v, 0.0), 10.0) for v in (40.0, 25.0)]
                               + [(keep, SpeedProfile(5.0, 0.0), 4.0),
                                  (keep, SpeedProfile(5.0, 0.0), 0.0)], 0.1)
@@ -904,9 +849,9 @@ def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
     project = Polyline.project
     monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(
         "scalar_project" if np.ndim(p) == 1 else "project") or project(self, p))
-    # one stacked path build, no lone `Polyline`, one corridor pass at most,
-    # and no block stacked from a list of trajectories
-    counted = {(Polyline, "stack"): "stack", (Polyline, "__init__"): "polyline",
+    # no `Polyline` built, one corridor pass at most, and no block stacked
+    # from a list of trajectories
+    counted = {(Polyline, "__init__"): "polyline",
                (PredictionBlock, "corridor_hits"): "corridor",
                (CandidateBlock, "__init__"): "list_block"}
     for (owner, name), tag in counted.items():
@@ -926,22 +871,23 @@ def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
         # one projection of the ego per lane: its own and each neighbour
         assert calls.count("scalar_project") == lanes
         tags = Counter(calls)
-        assert (tags["stack"], tags["polyline"], tags["list_block"]) == (1, 0, 0)
+        assert (tags["polyline"], tags["list_block"]) == (0, 0)
         assert tags["corridor"] == 1   # the lead probe and crowdedness share it
 
 
 @pytest.mark.parametrize("name", ["overtake_static", "busy_highway"])
 def test_road_users_are_projected_onto_the_ego_lane_once_per_plan(name, monkeypatch):
     # the standing-vehicle stop target and the lane-change lead read one
-    # projection of every road user's first sample
+    # projection of every road user's first sample, and the stop target and
+    # the keep-lane path one of the ego
     ctx = plan_context(load(name), PlannerConfig(), 0.0)
     line, real, calls = ctx.lane.centerline, Polyline.project, []
 
     def spy(self, p):
-        if self is line and np.ndim(p) == 2:
-            calls.append(len(p))
+        if self is line:
+            calls.append(len(p) if np.ndim(p) == 2 else "ego")
         return real(self, p)
 
     monkeypatch.setattr(Polyline, "project", spy)
     enumerate_candidates(ctx)
-    assert calls == [len(ctx.predictions.vehicle_like)]
+    assert Counter(calls) == Counter(["ego", len(ctx.predictions.vehicle_like)])

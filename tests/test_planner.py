@@ -3,7 +3,7 @@ import pytest
 
 from conftest import load
 from cormp.baselines import MobilPlanner
-from cormp.bezier import SpeedProfile, TimedTrajectory, sample_trajectory
+from cormp.bezier import LanePath, SpeedProfile, TimedTrajectory, sample_trajectory
 from cormp.config import PlannerConfig
 from cormp.identification import (
     Maneuver,
@@ -273,8 +273,8 @@ def test_standstill_abort_has_the_sampler_tick_count():
     cfg = PlannerConfig(dt=0.15)
     standing = TimedTrajectory.stationary(0.0, 0.0, 0.0, cfg.dt, 27)
     rest = decelerate_along(standing, 2.0, cfg.dt, cfg.planning_horizon_s)
-    moving, = sample_trajectory([(Polyline([[0.0, 0.0], [100.0, 0.0]]), SpeedProfile(5.0, 0.0),
-                                  cfg.planning_horizon_s)], cfg.dt)
+    moving, = sample_trajectory([(LanePath.along(Polyline([[0.0, 0.0], [100.0, 0.0]])),
+                                  SpeedProfile(5.0, 0.0), cfg.planning_horizon_s)], cfg.dt)
     assert len(rest) == len(moving) == cfg.horizon_steps + 1 == 27
     assert np.all(rest.speed == 0.0)
 

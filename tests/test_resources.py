@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import load, prediction_block
-from cormp.bezier import SpeedProfile, TimedTrajectory, sample_trajectory
+from cormp.bezier import LanePath, SpeedProfile, TimedTrajectory, sample_trajectory
 from cormp.config import PROFILES, PlannerConfig
 from cormp.identification import (
     CandidateBlock,
@@ -323,10 +323,10 @@ def busy_context() -> tuple:
     ctx = plan_context(load("busy_highway"), PlannerConfig(), 0.0)
     ego, lane = ctx.ego, ctx.lane
     target = ctx.scenario.lanes[lane.left_neighbor]
-    s0 = target.centerline.project((ego.x, ego.y))[0]
-    return ctx, (Polyline(lane_path(lane, ctx.ego_s, ego.x, ego.y, ego.heading, 60.0, 60.0)),
-                 Polyline(lane_path(target, s0, ego.x, ego.y, ego.heading, 70.0, 90.0)),
-                 Polyline([[ego.x, ego.y], [ego.x + 3.0, ego.y]]))
+    s0, d0 = target.centerline.project((ego.x, ego.y))
+    return ctx, (lane_path(lane, *ctx.ego_position, ego.heading, 60.0, 60.0),
+                 lane_path(target, s0, d0, ego.heading, 70.0, 90.0),
+                 LanePath.along(Polyline([[ego.x, ego.y], [ego.x + 3.0, ego.y]])))
 
 
 speeds = st.one_of(st.sampled_from([0.0, 13.89, 25.0]), st.floats(0.0, 30.0))

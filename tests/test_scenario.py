@@ -3,11 +3,10 @@ import glob
 import json
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CURVED, SCENARIO_DIR, SHIPPED, arc_centerline, load
@@ -315,14 +314,6 @@ def test_polyline_rejects_degenerate_input():
         Polyline([[0.0, 0.0], [0.0, 0.0]])
 
 
-def assert_same_polyline(got: Polyline, want: Polyline) -> None:
-    for name in ("frame_table", "cum", "_kappa"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-
-BENT = np.column_stack([np.linspace(0.0, 100.0, 258), 5.0 * np.sin(np.linspace(0.0, 3.0, 258))])
-
-
 @pytest.mark.parametrize("bad", [
     [[1.0, 2.0]],                                              # one point
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],                        # not 2D points
@@ -331,42 +322,9 @@ BENT = np.column_stack([np.linspace(0.0, 100.0, 258), 5.0 * np.sin(np.linspace(0
     [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]],          # a zero-length segment
     [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]],                      # ... as its last one
 ])
-def test_a_stacked_path_raises_what_it_raises_alone(bad):
-    with pytest.raises(ValueError) as alone:
+def test_a_bad_vertex_array_is_rejected(bad):
+    with pytest.raises(ValueError):
         Polyline(bad)
-    for at in range(3):
-        paths = [BENT, BENT[:7]]
-        paths.insert(at, bad)
-        with pytest.raises(ValueError) as stacked:
-            Polyline.stack(paths)
-        assert str(stacked.value) == str(alone.value)
-
-
-def test_a_two_point_path_stacks_with_long_ones_as_it_builds_alone():
-    short = [[3.0, 1.0], [4.0, 1.5]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")   # no divide or invalid warning on the padding
-        lines = Polyline.stack([BENT, short, BENT[::-1]])
-    for line, points in zip(lines, [BENT, short, BENT[::-1]]):
-        assert_same_polyline(line, Polyline(points))
-    assert lines[1].length == Polyline(short).length and len(lines[1]._kappa) == 0
-
-
-@settings(max_examples=100)
-@given(st.lists(st.lists(st.tuples(st.floats(0.01, 30.0), st.floats(-3.0, 3.0)),
-                         min_size=1, max_size=40), min_size=1, max_size=5))
-@example([[(7.0, 0.5)]])                                       # two points, alone
-@example([[(5.0, 0.3)], [(12.5, -1.2)], [(0.01, 3.0)]])        # every path two points
-def test_stacked_polylines_equal_their_lone_builds(steps):
-    # each path walks forward by (length, turn) steps, so no segment is degenerate
-    paths = []
-    for walk in steps:
-        heading = np.cumsum([turn for _, turn in walk])
-        length = np.array([step for step, _ in walk])
-        paths.append(np.vstack([[0.0, 0.0], np.column_stack(
-            [np.cumsum(length * np.cos(heading)), np.cumsum(length * np.sin(heading))])]))
-    for line, points in zip(Polyline.stack(paths), paths):
-        assert_same_polyline(line, Polyline(points))
 
 
 # ---------------------------------------------------------------- loading

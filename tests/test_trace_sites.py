@@ -30,8 +30,9 @@ STALE = {
 }
 
 
-# live sites that no cor-mp drive calls: `heading_at` has no caller in the program
-UNREACHED = {"cormp.scenario.Polyline.heading_at"}
+# live sites that no cor-mp drive calls: `heading_at` has no caller in the
+# program, and only the loader calls `point_at` (for a light's position)
+UNREACHED = {"cormp.scenario.Polyline.heading_at", "cormp.scenario.Polyline.point_at"}
 
 
 def traced_sites() -> list:
