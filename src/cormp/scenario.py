@@ -26,7 +26,7 @@ LIGHT_COLORS = ("red", "green")
 DEFAULT_VEHICLE_MASS = 1500.0
 DEFAULT_PEDESTRIAN_MASS = 75.0
 
-WALK_BELOW = 8   # an array of fewer points is projected point by point (`Polyline._walk`)
+WALK_BELOW = 8   # from this many points, a one-segment lane projects an array in closed form
 
 
 class ScenarioError(ValueError):
@@ -151,12 +151,15 @@ class Polyline:
         foot lies on it wins, else the first: near a vertex the segment that
         holds the point beats its neighbour clamped to that vertex.
 
-        A pair, and each point of an array of fewer than `WALK_BELOW`, is
-        located by `_walk`; a larger array by one vectorised pass over every
-        segment. Both give the same bits. On a 2-core host with CPython 3.11
-        and numpy 2.4, the walk costs 5.7 us a point near a 59-segment arc and
-        1.2 us near a one-segment lane; the pass costs 39 and 12 us for one
-        point, and it is the cheaper on both from 8 points on.
+        On a one-segment lane, an array of `WALK_BELOW` or more points takes
+        the segment's closed form, where no tie can arise. A pair, and every
+        other array point by point, is located by `_walk`, the one statement
+        of the tie rule; both paths give the same bits.
+        Every shipped lane has one segment, and a curved drive sends its
+        many-segment lanes fewer than `WALK_BELOW` points at a time: the
+        seed-1 benchmark drives send 952 smaller arrays, and all 102 larger
+        ones go to one-segment lanes. The walk's cost per point still grows
+        with the segment count.
         """
         if not isinstance(point, tuple):   # a tuple is a pair, read without numpy
             point = np.asarray(point, dtype=np.float64)
@@ -201,37 +204,16 @@ class Polyline:
         return cum + tc * seg, (dx * qy - dy * qx) / seg
 
     def _project_many(self, p: np.ndarray) -> tuple:
-        if len(p) < WALK_BELOW:
-            s, lateral = zip(*map(self._walk, *p.T.tolist())) if len(p) else ((), ())
-            return np.array(s, dtype=np.float64), np.array(lateral, dtype=np.float64)
-        if len(self._seg) > 1:
-            return self._project_segments(p)
-        # `_project_segments` on its one segment, bitwise: past either end
-        # the foot is t on the extension, and on the segment t is tc
-        ax, ay, dx, dy, len2, seg, cum, _ = self._segment_floats[0]
-        rx, ry = p[:, 0] - ax, p[:, 1] - ay
-        t = (rx * dx + ry * dy) / len2
-        tc = np.minimum(np.maximum(t, 0.0), 1.0)
-        return cum + t * seg, (dx * (ry - dy * tc) - dy * (rx - dx * tc)) / seg
-
-    def _project_segments(self, p: np.ndarray) -> tuple:
-        a, d, seg = self.points[:-1], self._d, self._seg
-        rx = p[:, 0:1] - a[:, 0]
-        ry = p[:, 1:2] - a[:, 1]
-        t = (rx * d[:, 0] + ry * d[:, 1]) / (seg * seg)
-        tc = np.minimum(np.maximum(t, 0.0), 1.0)
-        qx = rx - d[:, 0] * tc
-        qy = ry - d[:, 1] * tc
-        dist2 = qx * qx + qy * qy
-        near = dist2 <= dist2.min(axis=1, keepdims=True) + 1e-12
-        # 2 for a near segment holding its foot, 1 for another near one
-        j = np.argmax(near.astype(np.int8) + (near & (tc == t)), axis=1)
-        r = np.arange(len(p))
-        tj = t[r, j]
-        past_end = ((j == 0) & (tj < 0.0)) | ((j == len(seg) - 1) & (tj > 1.0))
-        s = self.cum[j] + np.where(past_end, tj, tc[r, j]) * seg[j]
-        lateral = (d[j, 0] * qy[r, j] - d[j, 1] * qx[r, j]) / seg[j]
-        return s, lateral
+        if len(p) >= WALK_BELOW and len(self._seg) == 1:
+            # `_walk` on the one segment, bitwise: past either end the foot
+            # is t on the extension, and on the segment t is tc
+            ax, ay, dx, dy, len2, seg, cum, _ = self._segment_floats[0]
+            rx, ry = p[:, 0] - ax, p[:, 1] - ay
+            t = (rx * dx + ry * dy) / len2
+            tc = np.minimum(np.maximum(t, 0.0), 1.0)
+            return cum + t * seg, (dx * (ry - dy * tc) - dy * (rx - dx * tc)) / seg
+        s, lateral = zip(*map(self._walk, *p.T.tolist())) if len(p) else ((), ())
+        return np.array(s, dtype=np.float64), np.array(lateral, dtype=np.float64)
 
 
 @dataclass(eq=False)

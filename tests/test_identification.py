@@ -190,6 +190,21 @@ def test_a_lane_vehicle_moves_by_one_rule_in_predictions_and_the_simulator():
     assert world.runtimes["lead"].s == pytest.approx(390.0 + 4 * 41 * 1.25)
 
 
+def test_a_laneless_vehicle_moves_straight_in_predictions_and_the_simulator():
+    # no lane: the simulator steps it along its heading tick by tick, as the
+    # prediction extrapolates it, over three predictions in a row
+    doc = road(others=[{"id": "car", "kind": "vehicle", "position": [40.0, -8.0],
+                        "heading": 0.4, "speed": 11.0, "length": 4.5, "width": 1.8}])
+    cfg = PlannerConfig()
+    world = SimWorld(load_scenario(doc), cfg)
+    car = world.scenario.agents[1]
+    assert car.lane is None
+    for _ in range(3):
+        assert_prediction_matches_simulator(world, car, cfg)
+        assert car.heading == 0.4
+    assert car.x == pytest.approx(40.0 + 3 * cfg.horizon_steps * 11.0 * cfg.dt * math.cos(0.4))
+
+
 def test_the_travel_table_is_cached_per_step_and_read_only():
     doc = road(others=[{"id": "car", "kind": "vehicle", "lane": "right",
                         "position": [50.0, 0.0], "heading": 0.0,

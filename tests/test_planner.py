@@ -1,7 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from conftest import load
+from conftest import SCENARIO_DIR, load, timed_run
 from cormp.baselines import MobilPlanner
 from cormp.bezier import LanePath, SpeedProfile, TimedTrajectory, sample_trajectory
 from cormp.config import PlannerConfig
@@ -363,3 +366,51 @@ def test_a_start_above_the_limit_brakes_instead_of_jumping_to_it():
     assert speeds[0] == 20.0 and speeds[-1] < 20.0
     assert np.all(np.abs(np.diff(speeds)) <= cfg.stop_decel_default * cfg.dt + 1e-9)
     assert log.rows[0]["ego_accel_lon"] == pytest.approx(-cfg.stop_decel_default)
+
+
+# ------------------------------------------ a crossing during a committed change
+
+
+def planted_crossing(ahead: float, delay: float) -> tuple:
+    """(scenario, commit time) of `two_lane_slow_lead` with a 3 m crosswalk
+    over both lanes starting `ahead` m past the ego's x at the tick cor-mp
+    starts its first lane change, and a pedestrian 9 m left of the right
+    centerline in the crosswalk's middle, who crosses 12 m at 1.4 m/s from
+    `delay` s after that tick."""
+    _, log, _ = timed_run("two_lane_slow_lead")
+    start = next(e.t for e in log.events if e.type == "lane_change_started")
+    x = next(tick.ego_x for tick in log.ticks if tick.t == start)
+    with open(SCENARIO_DIR / "two_lane_slow_lead.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["crosswalks"] = [{"lanes": ["right", "left"], "span": [x + ahead, x + ahead + 3.0]}]
+    doc["agents"].append({"id": "walker", "kind": "pedestrian", "position": [x + ahead + 1.5, 9.0],
+                          "heading": -math.pi / 2.0, "speed": 0.0, "length": 0.5, "width": 0.5,
+                          "behavior": {"type": "cross", "start_time": start + delay,
+                                       "speed": 1.4, "distance": 12.0}})
+    return load_scenario(doc), start
+
+
+def cor_mp_drive(sc):
+    cfg = PlannerConfig()
+    return run(sc, CorMpPlanner(cfg, sc.profile), cfg)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: a committed lane change is replayed with only the "
+                          "safety value, so a pedestrian who starts crossing after the commit is hit")
+@pytest.mark.parametrize("ahead, delay", [(40.0, 0.5), (50.0, 0.5), (50.0, 1.5)])
+def test_a_pedestrian_who_starts_crossing_during_a_committed_change_is_not_hit(ahead, delay):
+    # as shipped, each hits the walker during the replay: at 8.5, 9.1 and 9.2 s
+    log = cor_mp_drive(planted_crossing(ahead, delay)[0])
+    assert [tick.t for tick in log.ticks if tick.committed and "collision" in tick.events] == []
+
+
+def test_a_committed_change_aborts_for_a_pedestrian_who_starts_crossing_after_it():
+    # the one planted case whose replay sees the walker in time: the change
+    # starts at the commit tick, aborts 1.5 s later and the drive hits no one
+    sc, start = planted_crossing(50.0, 1.0)
+    events = [(e.t, e.type) for e in cor_mp_drive(sc).events
+              if e.type in ("collision", "lane_change_started", "lane_change_aborted")]
+    assert events[:2] == [(start, "lane_change_started"),
+                          (pytest.approx(start + 1.5), "lane_change_aborted")]
+    assert "collision" not in {kind for _, kind in events}

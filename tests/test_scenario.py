@@ -155,8 +155,10 @@ def test_one_segment_projection_matches_the_general_path_bitwise(a, b, free, alo
     ux, uy = (bx - ax) / math.dist(a, b), (by - ay) / math.dist(a, b)
     pts = np.array(free + [(ax + (bx - ax) * f - uy * w, ay + (by - ay) * f + ux * w)
                            for f, w in along])
-    for got, want in zip(line.project(pts), line._project_segments(pts)):
-        assert got.tobytes() == want.tobytes()
+    # walked below `WALK_BELOW` points, in closed form from it on
+    for block in (pts, np.tile(pts, (WALK_BELOW, 1))):
+        want = np.array([project_oracle(line, q) for q in block])
+        assert np.column_stack(line.project(block)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("turn", [1.0, -1.0])
@@ -230,7 +232,7 @@ def test_polyline_project_equals_the_full_scan_bitwise(case):
     assert pairs.tobytes() == want.tobytes()
     assert np.array([line.project(q) for q in queries]).tobytes() == want.tobytes()
     assert np.column_stack(line.project(queries)).tobytes() == want.tobytes()
-    # arrays walked point by point below the crossover, and passed whole from it on
+    # arrays on either side of `WALK_BELOW`, where a one-segment line turns to its closed form
     for m in range(WALK_BELOW + 3):
         for part in (slice(m), slice(len(queries) - m, None)):
             s, lateral = line.project(queries[part])
@@ -238,25 +240,37 @@ def test_polyline_project_equals_the_full_scan_bitwise(case):
             assert np.column_stack([s, lateral]).tobytes() == want[part].tobytes()
 
 
+def test_a_thousand_vertex_arc_projects_a_plan_block_as_the_oracle_does():
+    # 4 rows of 41 samples, as the filter sends a lane, at offsets across
+    # both lanes and past both ends of a 1000-vertex arc
+    line = Polyline(arc_centerline(150.0, 1, n_points=1000))
+    s = np.linspace(-10.0, line.length + 10.0, 41)
+    x, y, heading = line.frames(s)
+    pts = np.vstack([np.column_stack([x - d * np.sin(heading), y + d * np.cos(heading)])
+                     for d in (-1.75, 0.0, 1.75, 5.25)])
+    want = np.array([project_oracle(line, q) for q in pts])
+    assert np.column_stack(line.project(pts)).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("vertices", [arc_centerline(140.0, -1), [[0.0, 0.0], [300.0, 0.0]]])
 def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertices):
-    # each call counts once wherever `project` is spied on or traced: below
-    # the crossover an array is walked point by point, from it on passed whole
+    # each call counts once wherever `project` is spied on or traced: a
+    # many-segment line walks every array point by point, a one-segment
+    # line only those below `WALK_BELOW`
     line = Polyline(vertices)
     s = np.linspace(-10.0, line.length + 10.0, WALK_BELOW + 2)
     x, y, heading = line.frames(s)
     pts = np.column_stack([x - 1.5 * np.sin(heading), y + 1.5 * np.cos(heading)])
     calls = []
-    for name in ("project", "_walk", "_project_segments"):
+    for name in ("project", "_walk"):
         fn = getattr(Polyline, name)
         monkeypatch.setattr(Polyline, name,
                             lambda self, *a, fn=fn, name=name: calls.append(name) or fn(self, *a))
     for m in range(WALK_BELOW + 3):
         calls.clear()
         line.project(pts[:m])
-        walked = ["_walk"] * m if m < WALK_BELOW else []
-        whole = ["_project_segments"] if m >= WALK_BELOW and len(line._seg) > 1 else []
-        assert calls == ["project", *walked, *whole]
+        walked = m if m < WALK_BELOW or len(line._seg) > 1 else 0
+        assert calls == ["project"] + ["_walk"] * walked
 
 
 def assert_scalar_poses_are_frames(line: Polyline, s: np.ndarray) -> None:
@@ -416,12 +430,13 @@ def test_all_shipped_scenarios_load(scenario_dir):
 
 
 def test_serialize_roundtrip():
-    # every shipped scenario and both conftest arcs: a reloaded scenario
-    # serializes to the same document, and that document is strict JSON
-    for name in SHIPPED + sorted(CURVED):
-        first = serialize_scenario(load(name))
+    # every shipped scenario, both conftest arcs and the document with every
+    # record kind: a reloaded scenario serializes to the same document, and
+    # that document is strict JSON
+    for sc in [load(name) for name in SHIPPED + sorted(CURVED)] + [load_scenario(full_doc())]:
+        first = serialize_scenario(sc)
         json.dumps(first, allow_nan=False)
-        assert serialize_scenario(load_scenario(first)) == first, name
+        assert serialize_scenario(load_scenario(first)) == first, sc.name
 
 
 def full_doc() -> dict:
@@ -521,6 +536,28 @@ def test_an_id_or_lane_reference_that_is_not_a_string_is_rejected_by_its_path(pa
         with pytest.raises(ScenarioError) as err:
             load_scenario(planted(keys, bad))
         assert str(err.value).startswith(f"{path}:"), (bad, str(err.value))
+
+
+REJECTIONS = [
+    (("lanes", 0), "l0", "lanes[0]: expected an object"),
+    (("agents",), {"ego": {}}, "scenario.agents: expected a non-empty list"),
+    (("lanes", 0, "centerline"), [[0.0, 0.0], [50.0, 0.0], [50.0, 0.0], [100.0, 0.0]],
+     "lanes[0].centerline: polyline has zero-length segments"),
+    (("agents", 1, "behavior", "profile"), [[0.0, 6.0], [4.0, 3.0], [4.0, 2.0]],
+     "agents[1].behavior.profile[2]: times must increase"),
+    (("agents", 3, "kind"), "tree", "agents[3].kind: expected one of"),
+    (("lights", 0, "schedule", 1, 1), 0.0, "lights[0].schedule[1][1]: duration must be > 0"),
+    (("crosswalks", 0, "span"), [63.0, 63.0], "crosswalks[0].span: s_begin must be < s_end"),
+    (("profile",), "reckless", "scenario.profile: expected one of"),
+]
+
+
+@pytest.mark.parametrize("keys, bad, message", REJECTIONS,
+                         ids=[message.split(":")[0] for _, _, message in REJECTIONS])
+def test_a_malformed_record_is_rejected_by_its_path(keys, bad, message):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(planted(keys, bad))
+    assert str(err.value).startswith(message), str(err.value)
 
 
 def test_a_crosswalk_span_lies_within_its_lanes():
