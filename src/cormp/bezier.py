@@ -25,8 +25,9 @@ from .scenario import Polyline
 
 
 class LanePath(NamedTuple):
-    """A path `span` m along the centerline `line` from arc position `s0`,
-    offset d(s) to the left of it.
+    """A path along the centerline `line` from arc position `s0`, offset
+    d(s) to the left of it, on past either end of the line along its end
+    segment.
 
     d is the cubic Bezier through the (s, d) points (s0, d0), (s0 + b/3,
     d0 + slope b/3), (s0 + 2b/3, 0) and (s0 + b, 0), b = `blend` > 0: a cubic
@@ -39,12 +40,6 @@ class LanePath(NamedTuple):
     d0: float
     slope: float
     blend: float
-    span: float
-
-    @classmethod
-    def along(cls, line: Polyline) -> LanePath:
-        """`line` itself, from its start to its end: a path without offset."""
-        return cls(line, 0.0, 0.0, 0.0, line.length, line.length)
 
 
 @dataclass
@@ -86,14 +81,6 @@ class TimedTrajectory:
             self.t[sl] - self.t[start],
             self.x[sl], self.y[sl], self.heading[sl],
             self.speed[sl], self.a_lon[sl], self.a_lat[sl],
-        )
-
-    @staticmethod
-    def stationary(x: float, y: float, heading: float, dt: float, n: int) -> "TimedTrajectory":
-        t = np.arange(n, dtype=np.float64) * dt
-        z = np.zeros(n)
-        return TimedTrajectory(
-            dt, t, np.full(n, x), np.full(n, y), np.full(n, heading), z.copy(), z.copy(), z.copy()
         )
 
 
@@ -221,13 +208,13 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     row r of the `CandidateBlock` returned is the trajectory of `rows[r]`.
     A profile measures distance x along its path's centerline: the sample at
     x is the centerline point at s = s0 + x moved d(s) along its segment's
-    left normal. A row's samples fall on the ticks up to its horizon and end
-    early where its span is exhausted, so the trajectories may differ in
-    length; a profile that comes to rest keeps emitting resting samples up to
-    the horizon. Heading is the segment's plus arctan d'; lateral
-    acceleration is v^2 times the path curvature, taken as the centerline's
-    (interpolated by `Polyline.locate`) plus d'', both first order in the
-    curvature times d and in d'.
+    left normal, past either end of the centerline along its end segment. A
+    row's samples fall on the ticks up to its own horizon, so the
+    trajectories may differ in length; a profile that comes to rest keeps
+    emitting resting samples up to the horizon. Heading is the segment's plus
+    arctan d'; lateral acceleration is v^2 times the path curvature, taken as
+    the centerline's (interpolated by `Polyline.locate`) plus d'', both first
+    order in the curvature times d and in d'.
 
     One cached `_speeds_and_arcs` table covers every row, and each distinct
     centerline locates and gathers its rows' samples once; each row is
@@ -245,20 +232,17 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     if min(horizons) < 0:
         raise ValueError("horizon must be >= 0")
     t = tick_times(dt, max(horizons))
-    v, arc, dv_dt = _speeds_and_arcs(
+    v, x, dv_dt = _speeds_and_arcs(
         b"".join(_PROFILE.pack(p.v0, p.accel, p.v_max) for _, p, _ in rows), dt, len(t))
     groups: dict = {}
     terms = []
-    for r, ((line, s0, d0, slope, b, span), _, _) in enumerate(rows):
+    for r, ((line, s0, d0, slope, b), _, _) in enumerate(rows):
         groups.setdefault(line, []).append(r)
         # d = d0 + x (slope + x (c2 + x c3)) at x = s - s0 < b
-        terms.append((s0, span, b, d0, slope, -(3.0 * d0 + 2.0 * slope * b) / (b * b),
+        terms.append((s0, b, d0, slope, -(3.0 * d0 + 2.0 * slope * b) / (b * b),
                       (2.0 * d0 + slope * b) / (b * b * b)))
-    s0, span, b, d0, slope, c2, c3 = np.array(terms).T[:, :, None]
-    # x never decreases along a row
-    counts = np.minimum([len(tick_times(dt, h)) for h in horizons],
-                        (arc <= span + 1e-9).sum(axis=1))
-    x = np.minimum(arc, span)
+    s0, b, d0, slope, c2, c3 = np.array(terms).T[:, :, None]
+    counts = np.array([len(tick_times(dt, h)) for h in horizons])
     s = x + s0
     before = x < b   # the offset and its derivatives are 0 from the join on
     d = (((x * c3 + c2) * x + slope) * x + d0) * before   # by Horner's rule
@@ -289,7 +273,7 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     width, ns = len(t), counts.tolist()
     a_lon[:, -1] = a_lon[:, -2] if width > 1 else 0.0   # a row's last step repeats
     for r, n in enumerate(ns):
-        if n < width:   # a row that ends early: its own last step, then padding
+        if n < width:   # a row with a shorter horizon: its own last step, then padding
             a_lon[r, n - 1] = a_lon[r, n - 2] if n > 1 else 0.0
             buffers[:, r, n:] = buffers[:, r, n - 1:n]
     buffers.flags.writeable = False

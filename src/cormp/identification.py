@@ -222,12 +222,11 @@ def predict_oru(agent: AgentState, scenario: Scenario, config: PlannerConfig) ->
             agent.heading, agent.speed)
 
 
-def lane_path(lane: Lane, s0: float, d0: float, heading: float, blend: float,
-              span: float) -> LanePath:
+def lane_path(lane: Lane, s0: float, d0: float, heading: float, blend: float) -> LanePath:
     """The planned path from a pose at arc position s0 and lateral offset d0
-    on `lane` (as `project` gives them), heading `heading`, for `span` m
-    along the lane, past either end along its end segment: its offset meets
-    the centerline `blend` (> 0) m ahead of s0 (see `LanePath`).
+    on `lane` (as `project` gives them), heading `heading`, along the lane and
+    past either end along its end segment: its offset meets the centerline
+    `blend` (> 0) m ahead of s0 (see `LanePath`).
 
     The start slope is the tangent of the heading's offset from the lane
     segment at s0, wrapped to (-pi, pi] and clamped to +-pi/4, so that every
@@ -235,7 +234,7 @@ def lane_path(lane: Lane, s0: float, d0: float, heading: float, blend: float,
     """
     turn = math.pi - (math.pi - heading + lane.centerline.pose_at(s0)[2]) % math.tau
     slope = math.tan(min(max(turn, -math.pi / 4.0), math.pi / 4.0))
-    return LanePath(lane.centerline, s0, d0, slope, blend, span)
+    return LanePath(lane.centerline, s0, d0, slope, blend)
 
 
 def _stop_constraint_distance(ctx: PlanContext) -> float | None:
@@ -284,17 +283,18 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
 
     By default all six, in Maneuver enum order, Stop braking at `_stop_decel`.
     Every trajectory is a row of one `sample_trajectory` call, whose block is
-    returned; each candidate records its row. Keep-lane candidates share a
-    path back onto the ego's lane over their whole span, capped at its limit.
-    A lane change, onto the neighbour lane over the lane-change duration and
+    returned; each candidate records its row. Keep-lane candidates, capped
+    at the lane's limit, share a path back onto the ego's lane that joins it
+    5 m past the farthest the cap lets them go in the planning horizon. A
+    lane change, onto the neighbour lane over the lane-change duration and
     then along its centerline, is sampled over the longer of that duration
-    and the planning horizon. With a vehicle
-    or obstacle ahead of the ego in arc length along the ego's lane, on any
-    lane (its first predicted sample projected onto the ego's lane), a
-    constant-speed probe along it (the lane change's own row where profile and
-    horizon agree) and a stretched path are sampled too; the stretched one is
-    taken where such a road user is predicted inside the probe's corridor,
-    read from the plan's one corridor pass. Without a neighbour lane the
+    and the planning horizon. With a vehicle or obstacle ahead of the ego in
+    arc length along the ego's lane, on any lane (its first predicted sample
+    projected onto the ego's lane), a constant-speed probe along it (the lane
+    change's own row where profile and horizon agree) and a stretched path
+    are sampled too; the stretched one is taken where such a road user is
+    predicted inside the probe's corridor, read from the plan's one corridor
+    pass. Without a neighbour lane the
     maneuver is an infeasible placeholder with no row. The rows are each
     side's nominal row and probe, then every stretched row, then the keep-lane
     rows: lane changes that all stretch and the keep-lane rows form one run.
@@ -318,7 +318,6 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     v = max(ego.speed, 1.0)
     blend = v * duration
     wide = blend * cfg.lane_change_stretch
-    tail = v * (horizon - duration) + 5.0
     paths, rows, wide_rows = [], [], []   # `LanePath`s; (path index, profile, horizon)
     sides = {}   # maneuver -> [target lane, nominal row, probe row, stretched row]
     for m, target_id in targets.items():
@@ -330,21 +329,21 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
         profile = SpeedProfile(ego.speed, 0.0, cap)
         sides[m] = at = [target_id, len(rows), len(rows), None]
         rows.append((len(paths), profile, horizon))
-        paths.append(lane_path(target, s0, d0, ego.heading, blend, blend + tail))
+        paths.append(lane_path(target, s0, d0, ego.heading, blend))
         if lead:
             if not (1.0 <= ego.speed <= cap and duration >= cfg.planning_horizon_s):
                 at[2] = len(rows)
                 rows.append((len(paths) - 1, SpeedProfile(v, 0.0), duration))
             at[3] = len(wide_rows)   # counted from the first stretched row
             wide_rows.append((len(paths), profile, horizon))
-            paths.append(lane_path(target, s0, d0, ego.heading, wide, wide + tail))
+            paths.append(lane_path(target, s0, d0, ego.heading, wide))
     first_wide = len(rows)
     rows += wide_rows
     if accels:
-        span = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
+        reach = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
         rows += [(len(paths), SpeedProfile(ego.speed, a, lane.speed_limit),
                   cfg.planning_horizon_s) for a in accels.values()]
-        paths.append(lane_path(lane, *ctx.ego_position, ego.heading, span, span))
+        paths.append(lane_path(lane, *ctx.ego_position, ego.heading, reach))
     sampled = sample_trajectory([(paths[k], p, h) for k, p, h in rows], cfg.dt) if rows else None
     stretched = dict.fromkeys(sides, False)
     if lead:

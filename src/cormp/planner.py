@@ -6,9 +6,10 @@ with the small amount of state the closed loop needs, held as one frozen
 chosen resource values (state upgrades), and an in-progress lane change (a
 `Commitment`, shared with the MOBIL baseline), which is replayed until it
 completes unless its safety resource collapses, in which case the planner
-aborts into a deceleration along the remaining path, sampled like every
-other trajectory. Each plan call reads the state and assigns the next one
-once; no call changes a state it read.
+drops it and plans afresh, like any other call. So every trajectory it
+returns is a committed replay or a row of one `plan_tick` pass. Each plan
+call reads the state and assigns the next one once; no call changes a state
+it read.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import LanePath, SpeedProfile, TimedTrajectory, sample_trajectory, tick_times
+from .bezier import TimedTrajectory
 from .config import PlannerConfig
 from .identification import (
     LANE_CHANGES,
@@ -30,7 +31,7 @@ from .identification import (
     predict_oru,
 )
 from .resources import RESOURCES, assess_candidates, profile_weights, safety_value
-from .scenario import Polyline, Scenario
+from .scenario import Scenario
 
 # deterministic preference order when profits tie and the previous maneuver
 # is not among the tied set
@@ -118,30 +119,6 @@ def plan_tick(ctx: PlanContext, previous: Maneuver | None = None,
     )
 
 
-def decelerate_along(traj: TimedTrajectory, decel: float, dt: float,
-                     horizon: float) -> TimedTrajectory:
-    """Re-profile a trajectory's path with a constant deceleration to rest.
-
-    Positions stay on the polyline through the trajectory's samples, a lane
-    path without offset; only the speed schedule changes. Used for lane-change
-    aborts, where steering back would be a second lateral maneuver but slowing
-    down along the committed geometry is always available. A trajectory that
-    does not move (a lane change begun at standstill) gives a resting one on
-    the `tick_times` grid that every sampled trajectory uses; if the path runs
-    out before the vehicle stops, the result ends there.
-    """
-    xy = np.column_stack([traj.x, traj.y])
-    moved = np.concatenate([[True], np.any(np.diff(xy, axis=0) != 0.0, axis=1)])
-    if np.count_nonzero(moved) < 2:
-        return TimedTrajectory.stationary(float(traj.x[0]), float(traj.y[0]),
-                                          float(traj.heading[0]), dt,
-                                          len(tick_times(dt, horizon)))
-    stopping, = sample_trajectory(
-        [(LanePath.along(Polyline(xy[moved])), SpeedProfile(float(traj.speed[0]), -decel),
-          horizon)], dt)
-    return stopping
-
-
 def plan_context(scenario: Scenario, config: PlannerConfig, sim_time: float,
                  agents: list | None = None) -> PlanContext:
     """Snapshot for one plan call, with the predictions of `agents` stacked: the
@@ -192,7 +169,7 @@ class PlanResult:
     maneuver: Maneuver
     decision: Decision | None = None   # None while committed to a lane change
     committed: bool = False
-    aborted: bool = False
+    aborted: bool = False              # the decision replaced a collapsed commitment
 
 
 class CorMpPlanner:
@@ -219,10 +196,6 @@ class CorMpPlanner:
                                      ctx.ego.length, ctx.ego.width, cfg)[0]
             if mu_safety >= cfg.theta_loss:
                 return PlanResult(remaining, state.commitment.maneuver, committed=True)
-            self.state = PlannerState(Maneuver.KEEP_LANE_DECELERATE, state.current_values)
-            aborted = decelerate_along(remaining, cfg.stop_decel_default, cfg.dt,
-                                       cfg.planning_horizon_s)
-            return PlanResult(aborted, Maneuver.KEEP_LANE_DECELERATE, aborted=True)
 
         decision = plan_tick(ctx, state.previous, state.current_values, self.weights)
         held = decision.values[decision.chosen].copy()
@@ -230,4 +203,5 @@ class CorMpPlanner:
         commitment = (Commitment(decision.trajectory, decision.maneuver, sim_time)
                       if decision.maneuver in LANE_CHANGES else None)
         self.state = PlannerState(decision.maneuver, held, commitment)
-        return PlanResult(decision.trajectory, decision.maneuver, decision=decision)
+        return PlanResult(decision.trajectory, decision.maneuver, decision=decision,
+                          aborted=remaining is not None)

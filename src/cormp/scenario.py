@@ -34,8 +34,7 @@ class ScenarioError(ValueError):
 
 
 class Polyline:
-    """Arc-length parameterized 2D polyline: lane centerlines, and the path an
-    aborted lane change brakes along."""
+    """Arc-length parameterized 2D polyline: a lane centerline."""
 
     def __init__(self, points) -> None:
         p = np.asarray(points, dtype=np.float64)

@@ -12,10 +12,10 @@ from hypothesis import settings
 
 import cormp.planner
 from cormp.baselines import make_planner
-from cormp.bezier import CandidateBlock, TimedTrajectory
+from cormp.bezier import CandidateBlock, LanePath, TimedTrajectory
 from cormp.config import PlannerConfig
 from cormp.identification import RULES, Maneuver, ManeuverCandidate, PredictionBlock
-from cormp.scenario import AgentState, Scenario, load_scenario
+from cormp.scenario import AgentState, Polyline, Scenario, load_scenario
 from cormp.simulator import SimLog, run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -114,6 +114,17 @@ def timed_run(name: str, planner_id: str = "cor-mp",
     return _RUN_CACHE[key]
 
 
+def along(line: Polyline) -> LanePath:
+    """`line` itself from its start, and on past its end, without offset."""
+    return LanePath(line, 0.0, 0.0, 0.0, line.length)
+
+
+def resting(x: float, y: float, heading: float, dt: float, n: int) -> TimedTrajectory:
+    """`n` samples `dt` apart of a body at rest at (x, y), facing `heading`."""
+    return TimedTrajectory(dt, np.arange(n) * dt, np.full(n, x), np.full(n, y),
+                           np.full(n, heading), *np.zeros((3, n)))
+
+
 def prediction_block(*rows, steps: int = 41) -> PredictionBlock:
     """A `PredictionBlock` of (kind, trajectory, length, width) rows.
 
@@ -151,7 +162,7 @@ def weigh(monkeypatch):
     """
     plan: dict = {}
     monkeypatch.setattr(cormp.planner, "enumerate_candidates", lambda ctx: (
-        CandidateBlock([TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 2)] * len(plan["values"])),
+        CandidateBlock([resting(0.0, 0.0, 0.0, 0.1, 2)] * len(plan["values"])),
         [ManeuverCandidate(m, None, r) for r, m in enumerate(plan["maneuvers"])]))
     monkeypatch.setattr(cormp.planner, "feasibility_filter", lambda ctx, block, candidates: (
         np.zeros((len(candidates), len(RULES)), dtype=bool), np.full(len(candidates), math.inf),

@@ -88,7 +88,7 @@ def _check_u(u: float) -> None:
 
 def lane_offset_cubic(path) -> CubicBezier:
     """The cubic of a `LanePath`'s offset, on its (s, d) control points."""
-    _, s0, d0, slope, b, _ = path
+    _, s0, d0, slope, b = path
     return CubicBezier([(s0, d0), (s0 + b / 3.0, d0 + slope * b / 3.0),
                         (s0 + 2.0 * b / 3.0, 0.0), (s0 + b, 0.0)])
 

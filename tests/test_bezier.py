@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import arc_centerline, assert_row_is_its_lone_block
+from conftest import along, arc_centerline, assert_row_is_its_lone_block
 from cormp import bezier
 from cormp.bezier import LanePath, SpeedProfile, TimedTrajectory, sample_trajectory, tick_times
 from cormp.identification import lane_path
@@ -108,29 +108,30 @@ def test_quarter_circle_curvature():
 
 # ---------------------------------------------------------------- arc length
 #
-# sample_trajectory runs along a Polyline path; at 1 m/s with a 1 ms tick and
-# a horizon past its end, the last sample's time is the path length to within
-# one tick.
+# sample_trajectory runs along a Polyline path; at 1 m/s with a 1 ms tick, the
+# sample at time t is t m along it, so the one at the path's length is at its
+# end, and the samples up to it trace the path's length.
 
 
-def sampled_at_unit_speed(path: Polyline) -> TimedTrajectory:
-    traj, = sample_trajectory([(LanePath.along(path), SpeedProfile(1.0, 0.0), 10.0)], dt=1e-3)
+def sampled_at_unit_speed(path: Polyline, horizon: float) -> TimedTrajectory:
+    traj, = sample_trajectory([(along(path), SpeedProfile(1.0, 0.0), horizon)], dt=1e-3)
     return traj
 
 
 def test_sampled_length_straight_segment():
-    traj = sampled_at_unit_speed(Polyline([(0.0, 0.0), (3.0, 0.0)]))
-    assert traj.t[-1] == pytest.approx(3.0, abs=2e-3)
+    traj = sampled_at_unit_speed(Polyline([(0.0, 0.0), (3.0, 0.0)]), 3.0)
+    assert (traj.x[-1], traj.y[-1]) == (pytest.approx(3.0, abs=1e-9), 0.0)
     assert path_length(traj) == pytest.approx(traj.t[-1], abs=1e-3)
 
 
 def test_sampled_length_against_dense_polyline():
-    traj = sampled_at_unit_speed(Polyline(bezier_points(np.array(UNIT_SQUARE),
-                                                        np.linspace(0.0, 1.0, 129))))
     us = np.linspace(0.0, 1.0, 100_001)
     pts = np.array([de_casteljau(UNIT_SQUARE, u) for u in us])
     oracle = float(np.sum(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))))
-    assert traj.t[-1] == pytest.approx(oracle, abs=2e-3)
+    traj = sampled_at_unit_speed(Polyline(bezier_points(np.array(UNIT_SQUARE),
+                                                        np.linspace(0.0, 1.0, 129))), oracle)
+    # the curve's end, reached at its own arc length
+    assert math.hypot(traj.x[-1] - 1.0, traj.y[-1]) <= 2e-3
     assert path_length(traj) == pytest.approx(traj.t[-1], abs=1e-3)
 
 
@@ -138,11 +139,11 @@ def test_sampled_length_against_dense_polyline():
 
 
 def straight(length: float) -> LanePath:
-    return LanePath.along(Polyline([(0.0, 0.0), (length, 0.0)]))
+    return along(Polyline([(0.0, 0.0), (length, 0.0)]))
 
 
 def test_constant_speed_sampling_uniform_spacing():
-    traj, = sample_trajectory([(straight(40.0), SpeedProfile(10.0, 0.0), 10.0)], dt=0.1)
+    traj, = sample_trajectory([(straight(40.0), SpeedProfile(10.0, 0.0), 4.0)], dt=0.1)
     assert traj.t[-1] - traj.t[0] == pytest.approx(4.0)
     steps = np.hypot(np.diff(traj.x), np.diff(traj.y))
     assert np.allclose(steps, 1.0, atol=1e-9)
@@ -174,7 +175,8 @@ def test_lateral_acceleration_is_curvature_times_speed_squared():
     arc = CubicBezier([(r, 0.0), (r, r * k), (r * k, r), (0.0, r)])
     pts = bezier_points(arc.ctrl, np.linspace(0.0, 1.0, 513))
     path = Polyline(pts)
-    traj, = sample_trajectory([(LanePath.along(path), SpeedProfile(15.0, 0.0), 10.0)], dt=0.1)
+    # 5 s at 15 m/s stays on the 78.5 m arc
+    traj, = sample_trajectory([(along(path), SpeedProfile(15.0, 0.0), 5.0)], dt=0.1)
     interior = slice(2, len(traj) - 2)
     assert np.allclose(np.abs(traj.a_lat[interior]), 15.0 ** 2 / r, atol=0.05)
     # against the analytic curvature at each sample's curve parameter
@@ -207,15 +209,15 @@ def step_distance(v, a, dt, v_max):
     return v_now * dt, v_now
 
 
-def stepped_samples(length, profile, dt, horizon):
+def stepped_samples(profile, dt, horizon):
     """Reference: t, arc length and speed stepped tick by tick. A start above
     v_max is capped at itself: it holds or slows, and never drops to v_max."""
     ts, ss, speeds = [], [], []
     v, v_max = profile.v0, max(profile.v_max, profile.v0)
     s, k = 0.0, 0
-    while k * dt <= horizon + 1e-9 and s <= length + 1e-9:
+    while k * dt <= horizon + 1e-9:
         ts.append(k * dt)
-        ss.append(min(s, length))
+        ss.append(s)
         speeds.append(v)
         ds, v = step_distance(v, profile.accel, dt, v_max)
         s += ds
@@ -228,15 +230,15 @@ def stepped_samples(length, profile, dt, horizon):
     (200.0, SpeedProfile(13.0, 1.5, v_max=13.89), 0.15, 4.0),  # v_max at 0.593 s
     (200.0, SpeedProfile(7.3, -3.0), 0.1, 4.0),                # rest at 2.433 s
     (200.0, SpeedProfile(12.0, -4.0), 0.15, 4.0),              # rest at 3 s, a tick
-    (25.0, SpeedProfile(9.0, 1.0), 0.1, 4.0),                  # path ends at 2.3 s
-    (30.0, SpeedProfile(14.0, 0.0), 0.15, 5.0),                # path ends at 2.1 s
+    (25.0, SpeedProfile(9.0, 1.0), 0.1, 4.0),                  # past the line's end at 2.3 s
+    (30.0, SpeedProfile(14.0, 0.0), 0.15, 5.0),                # past the line's end at 2.1 s
     (200.0, SpeedProfile(15.0, 1.0, v_max=13.89), 0.1, 4.0),   # starts over the cap: holds
     (200.0, SpeedProfile(0.0, -2.0), 0.15, 4.0),               # stays at rest
 ])
 def test_sampled_profile_matches_tick_by_tick_stepping(length, profile, dt, horizon):
     path = straight(length)
     traj, = sample_trajectory([(path, profile, horizon)], dt)
-    t, s, v = stepped_samples(length, profile, dt, horizon)
+    t, s, v = stepped_samples(profile, dt, horizon)
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.x, path.line.frames(s)[0])
     assert np.array_equal(traj.speed, v)
@@ -290,9 +292,9 @@ horizons = st.one_of(st.sampled_from([4.0, 5.0, 0.05, 0.0]), st.floats(0.0, 6.0)
 def test_batched_sampling_matches_per_profile_calls(rows, dt, lengths):
     # each row of one call is what it is sampled alone: clip kinks between
     # ticks, a = 0, v0 > v_max, standing starts, dt = 0.15, mixed horizons,
-    # rows that share a path, a one-segment path among bent ones, and paths
-    # that run out before the horizon at a different tick per row
-    paths = [LanePath.along(bent_path(length)) for length in lengths] + [straight(30.0)]
+    # rows that share a path, a one-segment path among bent ones, and rows
+    # that run past their path's end at a different tick per row
+    paths = [along(bent_path(length)) for length in lengths] + [straight(30.0)]
     call = [(paths[k], profile, horizon) for k, profile, horizon in rows]
     together = sample_trajectory(call, dt)
     assert len(together) == len(call)
@@ -302,7 +304,7 @@ def test_batched_sampling_matches_per_profile_calls(rows, dt, lengths):
         alone, = sample_trajectory([(path, profile, horizon)], dt)
         for name in FIELDS:
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
-        t, s, v = stepped_samples(path.span, profile, dt, horizon)
+        t, s, v = stepped_samples(profile, dt, horizon)
         assert np.array_equal(traj.t, t)
         assert np.array_equal(traj.speed, v)
         x, y, heading = path.line.frames(s)
@@ -323,8 +325,9 @@ def lane_paths() -> list:
     """(lane, pose, `lane_path`) from poses beside a straight lane and both
     140 m arcs: at a vertex and between vertices, on the lane, off it and a
     lane's width off it, with heading offsets, and past the straight lane's
-    end and far off it; each as lane changes, a short blend, a path that ends
-    before its join and a keep-lane path."""
+    end and far off it; each as a lane change, a short blend, a blend that
+    the faster profiles pass and the slower ones do not reach, and a
+    keep-lane path."""
     poses = [(LANES[0], (630.0, 0.3, 0.0)), (LANES[0], (100.0, 40.0, 0.0))]
     for lane in LANES:
         line = lane.centerline
@@ -335,9 +338,8 @@ def lane_paths() -> list:
     out = []
     for lane, pose in poses:
         s0, d0 = lane.centerline.project(pose[:2])
-        for blend, span in ((55.56, 60.56), (55.56, 200.0), (3.0, 100.0), (20.0, 10.0),
-                            (60.0, 60.0)):
-            out.append((lane, pose, lane_path(lane, s0, d0, pose[2], blend, span)))
+        for blend in (55.56, 3.0, 20.0, 60.0):
+            out.append((lane, pose, lane_path(lane, s0, d0, pose[2], blend)))
     return out
 
 
@@ -354,7 +356,7 @@ def test_lane_path_rows_follow_the_lane_frame_oracle():
         alone, = sample_trajectory([(path, profile, 5.0)], 0.1)
         for name in FIELDS:
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), (row, name)
-        _, x, v = stepped_samples(path.span, profile, 0.1, 5.0)
+        _, x, v = stepped_samples(profile, 0.1, 5.0)
         s = x + path.s0
         want = lane_frame_poses(path, s)
         for got, ref in zip((traj.x, traj.y, traj.heading, traj.a_lat),
@@ -372,12 +374,14 @@ def test_lane_path_rows_follow_the_lane_frame_oracle():
         assert np.array_equal(traj.a_lat[on], path.line.locate(s[on])[1] * v[on] * v[on])
 
 
-def test_batched_rows_end_where_the_path_runs_out():
-    batch = [SpeedProfile(v, 0.0) for v in (5.0, 10.0, 20.0)]
-    path = straight(30.0)
-    trajs = sample_trajectory([(path, profile, 4.0) for profile in batch], 0.1)
+def test_batched_rows_end_at_their_own_horizon_past_the_path():
+    # each row runs on past the 10 m line's end, along its end segment
+    batch = [(SpeedProfile(5.0, 0.0), 4.0), (SpeedProfile(10.0, 0.0), 3.0),
+             (SpeedProfile(20.0, 0.0), 1.5)]
+    trajs = sample_trajectory([(straight(10.0), p, h) for p, h in batch], 0.1)
     assert [len(traj) for traj in trajs] == [41, 31, 16]
     assert [traj.x[-1] for traj in trajs] == [20.0, 30.0, 30.0]
+    assert all(np.all(traj.y == 0.0) for traj in trajs)
 
 
 @settings(max_examples=100)
@@ -401,16 +405,15 @@ def test_tick_grid_is_cached_and_read_only():
 
 
 def test_speed_tables_are_cached_read_only_and_never_clamped():
-    # a 30 m path clamps the 20 m/s row's arcs; the same profiles along a
-    # 100 m path must still see the unclamped table, as if sampled first
+    # the same profiles along another path share the table, and sampling
+    # along it leaves the table as it was for the first path
     batch = [(SpeedProfile(10.0, 1.0, 12.0), 4.0), (SpeedProfile(20.0, -3.0), 4.0)]
     bezier._speeds_and_arcs.cache_clear()
     fresh = sample_trajectory([(straight(100.0), p, h) for p, h in batch], 0.1)
-    short = sample_trajectory([(straight(30.0), p, h) for p, h in batch], 0.1)
+    sample_trajectory([(along(bent_path(30.0)), p, h) for p, h in batch], 0.1)
     again = sample_trajectory([(straight(100.0), p, h) for p, h in batch], 0.1)
     info = bezier._speeds_and_arcs.cache_info()
     assert (info.hits, info.misses) == (2, 1)
-    assert np.count_nonzero(short.valid[1]) < np.count_nonzero(fresh.valid[1])
     for name in FIELDS:
         assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
     v, s, a_lon = bezier._speeds_and_arcs(bezier._PROFILE.pack(10.0, 1.0, 12.0), 0.1, 41)
@@ -440,14 +443,6 @@ def test_sampled_arrays_are_read_only():
 
 
 # ---------------------------------------------------------------- container
-
-
-def test_stationary_factory():
-    traj = TimedTrajectory.stationary(3.0, 4.0, 0.5, dt=0.1, n=8)
-    assert len(traj) == 8
-    assert np.allclose(traj.x, 3.0) and np.allclose(traj.y, 4.0)
-    assert np.allclose(traj.speed, 0.0)
-    assert path_length(traj) == pytest.approx(0.0)
 
 
 def test_tail_rebases_time():

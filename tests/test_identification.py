@@ -583,6 +583,23 @@ def test_solid_boundary_blocks_the_lane_change():
     assert rules[Maneuver.CHANGE_LANE_LEFT] == {"solid_line"}   # planted: the boundary alone
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="feasibility_filter checks a solid boundary only for lane changes, "
+                          "so a keep-lane row that leaves its lane over one is feasible")
+def test_a_keep_lane_row_over_the_solid_edge_is_infeasible():
+    # the pose in which a cor-mp lane change on `two_lane_slow_lead` ends
+    # short of its join: 0.02 m left of the right lane's centerline, heading
+    # 0.131 rad towards its solid right edge, 0.85 m away for this ego
+    ctx = context(road(ego={"position": [120.91, 0.02], "heading": -0.131, "speed": 0.94}))
+    block, cands = enumerate_candidates(ctx)
+    feasibility_filter(ctx, block, cands)
+    room = ctx.lane.width / 2.0 - ctx.ego.width / 2.0
+    over = {c.maneuver: bool(np.any(block[c.row].y < -room)) for c in cands
+            if c.target_lane == ctx.ego.lane}
+    assert over[Maneuver.KEEP_LANE_ACCELERATE]   # it reaches y = -0.95 m
+    assert [m for m, c in by_maneuver(cands).items() if over.get(m) and c.feasible] == []
+
+
 def test_red_light_crossing_is_infeasible():
     light = {"lane": "right", "stop_line_s": 150.0, "schedule": [["red", 1000.0]]}
     cands, rules, _ = filtered(context(road(ego={"position": [130.0, 0.0]}, lights=[light])))
@@ -741,9 +758,9 @@ def per_path_reference(ctx: PlanContext) -> list:
     probe alone, and a stretched path built only once its probe hits a lead."""
     cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
 
-    def along(target, blend, span):
+    def along(target, blend):
         s0, d0 = target.centerline.project((ego.x, ego.y))
-        return lane_path(target, s0, d0, ego.heading, blend, span)
+        return lane_path(target, s0, d0, ego.heading, blend)
 
     def sample(path, profile, horizon):
         traj, = sample_trajectory([(path, profile, horizon)], cfg.dt)
@@ -753,10 +770,9 @@ def per_path_reference(ctx: PlanContext) -> list:
     horizon = max(duration, cfg.planning_horizon_s)
     v = max(ego.speed, 1.0)
     blend = v * duration
-    tail = v * (horizon - duration) + 5.0
     targets = {Maneuver.CHANGE_LANE_LEFT: lane.left_neighbor,
                Maneuver.CHANGE_LANE_RIGHT: lane.right_neighbor}
-    paths = {m: along(ctx.scenario.lanes[t], blend, blend + tail)
+    paths = {m: along(ctx.scenario.lanes[t], blend)
              for m, t in targets.items() if t is not None}
     stretched = dict.fromkeys(paths, False)
     if paths and block.vehicle_like.any():
@@ -777,12 +793,11 @@ def per_path_reference(ctx: PlanContext) -> list:
         path = paths[m]
         if stretched[m]:
             wide = blend * cfg.lane_change_stretch
-            path = along(target, wide, wide + tail)
+            path = along(target, wide)
         cap = min(lane.speed_limit, target.speed_limit)
         out.append((m, target_id, stretched[m], sample(path, SpeedProfile(ego.speed, 0.0, cap),
                                                         horizon)))
-    span = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
-    keep = along(lane, span, span)
+    keep = along(lane, max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0)
     for m, a in ((Maneuver.KEEP_LANE_ACCELERATE, cfg.accel_keep_lane),
                  (Maneuver.KEEP_LANE_SAME_SPEED, 0.0),
                  (Maneuver.KEEP_LANE_DECELERATE, -cfg.decel_keep_lane),
@@ -842,16 +857,16 @@ def test_enumerate_matches_the_per_path_reference_bitwise():
         doc = dict(arc, agents=[dict(arc["agents"][0], speed=speed), *arc["agents"][1:]])
         flags.append(assert_matches_reference(context(doc)))
     assert any(any(f) for f in flags)               # some lane change was stretched
-    # no plan row above runs out of path: rows along the arc's keep-lane path
-    # that do, at different ticks, next to one that does not and a 1-sample one
+    # the plan rows above have two horizons at most: rows along the arc's
+    # keep-lane path with four, one past the arc's end and a 1-sample one
     ctx = context(arc)
-    span = max(ctx.lane.speed_limit, ctx.ego.speed) * cfg.planning_horizon_s + 5.0
-    keep = lane_path(ctx.lane, *ctx.ego_position, ctx.ego.heading, span, span)
-    block = sample_trajectory([(keep, SpeedProfile(v, 0.0), 10.0) for v in (40.0, 25.0)]
-                              + [(keep, SpeedProfile(5.0, 0.0), 4.0),
-                                 (keep, SpeedProfile(5.0, 0.0), 0.0)], 0.1)
-    lengths = [len(traj) for traj in block]
-    assert lengths[2:] == [41, 1] and lengths[0] < lengths[1] < 101
+    keep = lane_path(ctx.lane, *ctx.ego_position, ctx.ego.heading,
+                     max(ctx.lane.speed_limit, ctx.ego.speed) * cfg.planning_horizon_s + 5.0)
+    block = sample_trajectory([(keep, SpeedProfile(40.0, 0.0), 10.0),
+                               (keep, SpeedProfile(25.0, 0.0), 7.0),
+                               (keep, SpeedProfile(5.0, 0.0), 4.0),
+                               (keep, SpeedProfile(5.0, 0.0), 0.0)], 0.1)
+    assert [len(traj) for traj in block] == [101, 71, 41, 1]
     for row in range(len(block)):
         assert_row_is_its_lone_block(block, row)
 

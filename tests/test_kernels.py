@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load, prediction_block, timed_run
+from conftest import load, prediction_block, resting, timed_run
 from cormp import kernels
 from cormp.bezier import TimedTrajectory
 from cormp.config import PlannerConfig
@@ -164,7 +164,7 @@ def broadcast_hits(block, cands, ego_length, ego_width, cfg):
 
 
 def pose_row(x, y, h) -> TimedTrajectory:
-    row = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, len(x))
+    row = resting(0.0, 0.0, 0.0, 0.1, len(x))
     row.x[:], row.y[:], row.heading[:] = x, y, h
     return row
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import load, prediction_block
-from cormp.bezier import LanePath, SpeedProfile, TimedTrajectory, sample_trajectory
+from conftest import along, load, prediction_block, resting
+from cormp.bezier import SpeedProfile, TimedTrajectory, sample_trajectory
 from cormp.config import PROFILES, PlannerConfig
 from cormp.identification import (
     CandidateBlock,
@@ -171,9 +171,9 @@ def test_safety_zero_on_contact():
 
 def test_safety_takes_worst_sample():
     ego = straight_traj(10.0)                           # moves 0..40 m
-    pred = vehicle_pred(TimedTrajectory.stationary(60.0, 0.0, 0.0, 0.1, 41))
+    pred = vehicle_pred(resting(60.0, 0.0, 0.0, 0.1, 41))
     close = safety(ego, prediction_block(pred))
-    far_pred = vehicle_pred(TimedTrajectory.stationary(90.0, 0.0, 0.0, 0.1, 41))
+    far_pred = vehicle_pred(resting(90.0, 0.0, 0.0, 0.1, 41))
     assert close < safety(ego, prediction_block(far_pred))
 
 
@@ -208,7 +208,7 @@ def test_objective_full_speed_ratio():
 
 
 def test_objective_standstill():
-    stop = TimedTrajectory.stationary(0.0, 0.0, 0.0, 0.1, 41)
+    stop = resting(0.0, 0.0, 0.0, 0.1, 41)
     assert objective_value(stop, 10.0, 4.0) == 0.0
 
 
@@ -256,13 +256,13 @@ def crowdedness(ego: TimedTrajectory, block) -> float:
 def test_crowdedness_counts_crossing_corridors():
     ego = straight_traj(10.0)  # corridor x in [0, 40]
     def block(x):
-        return vehicle_pred(TimedTrajectory.stationary(x, 0.0, 0.0, 0.1, 41))
+        return vehicle_pred(resting(x, 0.0, 0.0, 0.1, 41))
     assert crowdedness(ego, prediction_block()) == 1.0
     two = prediction_block(block(10.0), block(20.0))
     assert crowdedness(ego, two) == pytest.approx(0.6)
     five = prediction_block(*[block(x) for x in (5.0, 10.0, 15.0, 20.0, 25.0)])
     assert crowdedness(ego, five) == 0.0
-    aside = prediction_block(vehicle_pred(TimedTrajectory.stationary(10.0, 50.0, 0.0, 0.1, 41)))
+    aside = prediction_block(vehicle_pred(resting(10.0, 50.0, 0.0, 0.1, 41)))
     assert crowdedness(ego, aside) == 1.0
 
 
@@ -319,14 +319,14 @@ def test_property_values_clamped_over_random_inputs():
 @lru_cache(maxsize=1)
 def busy_context() -> tuple:
     """`busy_highway` at 0 s and three paths from the ego: its keep-lane path,
-    a lane change onto the left lane and a 3 m line that rows run off."""
+    a lane change onto the left lane and a 3 m line that rows run past."""
     ctx = plan_context(load("busy_highway"), PlannerConfig(), 0.0)
     ego, lane = ctx.ego, ctx.lane
     target = ctx.scenario.lanes[lane.left_neighbor]
     s0, d0 = target.centerline.project((ego.x, ego.y))
-    return ctx, (lane_path(lane, *ctx.ego_position, ego.heading, 60.0, 60.0),
-                 lane_path(target, s0, d0, ego.heading, 70.0, 90.0),
-                 LanePath.along(Polyline([[ego.x, ego.y], [ego.x + 3.0, ego.y]])))
+    return ctx, (lane_path(lane, *ctx.ego_position, ego.heading, 60.0),
+                 lane_path(target, s0, d0, ego.heading, 70.0),
+                 along(Polyline([[ego.x, ego.y], [ego.x + 3.0, ego.y]])))
 
 
 speeds = st.one_of(st.sampled_from([0.0, 13.89, 25.0]), st.floats(0.0, 30.0))
@@ -346,7 +346,7 @@ picks = st.integers(0, 63)   # indices into the rows, or into the oracle's value
                                      min_size=len(RESOURCES), max_size=len(RESOURCES))),
        st.one_of(st.none(), st.tuples(picks, picks, picks, picks)))
 # 1- and 2-sample rows next to full ones; rest, braking to rest, a speed-clipped
-# ramp and a row off the 3 m line; both thresholds at values in play, with and
+# ramp and a row past the 3 m line's end; both thresholds at values in play, with and
 # without held values; rows whose largest |a_lon| and |a_lat| are exactly the
 # comfort limit and exactly the maximum
 @example([(0, SpeedProfile(0.0, 0.0), 0.0), (0, SpeedProfile(13.89, 0.0), 0.1),
