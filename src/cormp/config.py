@@ -87,8 +87,10 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):   # every field is a magnitude, a time or a count
             number(getattr(self, f.name), f.name, lo=0.0)
-        # all but dt and the horizon keep a resource's ratio from dividing by zero
-        for key in ("dt", "e_ref_accel", "d_min_m"):
+        # past dt, the lane-change pair sizes a lane change's blend and the rest
+        # keep a resource's ratio from dividing by zero
+        for key in ("dt", "lane_change_duration_s", "lane_change_stretch", "e_ref_accel",
+                    "d_min_m"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive")
         if self.planning_horizon_s < self.replan_period_s:

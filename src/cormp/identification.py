@@ -5,20 +5,19 @@ the ego's current state, each along the `LanePath` that `lane_path` gives: a
 lateral offset from a lane centerline, a cubic Bezier in its arc length from
 the ego's pose onto the centerline, then the centerline itself. A plan
 projects the ego once onto each lane it considers and samples every
-candidate, lane-change probe and stretched variant in one
-`sample_trajectory` call, whose `CandidateBlock` is the plan's block: each
-candidate records its row, and every later measure takes rows of it. Other
-road users get constant-velocity predictions on the same tick grid, along
-their centerline or a straight line, stacked into one `PredictionBlock` per
-plan, so that every pairwise measure is one broadcast over both blocks, and
-their corridors are crossed with the plan's rows at most once per plan
-(`PlanContext.corridor_hits`). The feasibility filter returns the plan's rule
-matrix: one row per candidate, one column per rule in `RULES` (no lane,
-speeding, accelerating at the limit, a solid boundary, a red light, an
-occupied crosswalk, footprint time-to-collision below the threshold), each
-column one array expression over the candidates' rows. A candidate is
-feasible where no column is set; if none is, Stop is retained as the
-fallback.
+candidate and stretched lane change in one `sample_trajectory` call, whose
+`CandidateBlock` is the plan's block: each candidate records its row, and
+every later measure takes rows of it. Other road users get constant-velocity
+predictions on the same tick grid, along their centerline or a straight
+line, stacked into one `PredictionBlock` per plan, so that every pairwise
+measure is one broadcast over both blocks, and their corridors are crossed
+with the plan's rows at most once per plan (`PlanContext.corridor_hits`).
+The feasibility filter returns the plan's rule matrix: one row per
+candidate, one column per rule in `RULES` (no lane, speeding, accelerating
+at the limit, a solid boundary, a red light, an occupied crosswalk,
+footprint time-to-collision below the threshold), each column one array
+expression over the candidates' rows. A candidate is feasible where no
+column is set; if none is, Stop is retained as the fallback.
 """
 from __future__ import annotations
 
@@ -47,7 +46,8 @@ class Maneuver(Enum):
 
 LANE_CHANGES = (Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT)
 
-# the columns of `feasibility_filter`'s rule matrix
+# the columns of `feasibility_filter`'s rule matrix; `no_lane` marks a candidate
+# without a row (a lane change without a neighbour lane, or below 1 m/s)
 RULES = ("no_lane", "speed", "accelerate_at_limit", "solid_line", "red_light", "crosswalk",
          "ttc")
 
@@ -147,8 +147,8 @@ class PlanContext:
     def corridor_hits(self, cands: CandidateBlock) -> np.ndarray:
         """(C, K) `PredictionBlock.corridor_hits` of the ego along `cands`.
 
-        Kept for the last block asked about, so the lane-change lead probe
-        and crowdedness read rows of one pass over the plan's block.
+        Kept for the last block asked about, so the lane changes' stretch
+        verdicts and crowdedness read rows of one pass over the plan's block.
         """
         if self._corridor is None or self._corridor[0] is not cands:
             ego = self.ego
@@ -286,18 +286,17 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     returned; each candidate records its row. Keep-lane candidates, capped
     at the lane's limit, share a path back onto the ego's lane that joins it
     5 m past the farthest the cap lets them go in the planning horizon. A
-    lane change, onto the neighbour lane over the lane-change duration and
-    then along its centerline, is sampled over the longer of that duration
-    and the planning horizon. With a vehicle or obstacle ahead of the ego in
-    arc length along the ego's lane, on any lane (its first predicted sample
-    projected onto the ego's lane), a constant-speed probe along it (the lane
-    change's own row where profile and horizon agree) and a stretched path
-    are sampled too; the stretched one is taken where such a road user is
-    predicted inside the probe's corridor, read from the plan's one corridor
-    pass. Without a neighbour lane the
+    lane change, onto the neighbour lane over the distance the ego covers in
+    the lane-change duration and then along its centerline, is sampled at
+    constant speed over the longer of that duration and the planning
+    horizon. With a vehicle or obstacle ahead of the ego in arc length along
+    the ego's lane, on any lane (its first predicted sample projected onto
+    the ego's lane), a stretched path is sampled too, and taken where such a
+    road user is predicted inside the nominal row's corridor, read from the
+    plan's one corridor pass. Without a neighbour lane, or below 1 m/s, the
     maneuver is an infeasible placeholder with no row. The rows are each
-    side's nominal row and probe, then every stretched row, then the keep-lane
-    rows: lane changes that all stretch and the keep-lane rows form one run.
+    side's nominal row, then every stretched row, then the keep-lane rows:
+    lane changes that all stretch and the keep-lane rows form one run.
     """
     cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
     if accels is None:
@@ -307,56 +306,49 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
             Maneuver.KEEP_LANE_DECELERATE: -cfg.decel_keep_lane,
             Maneuver.STOP: -_stop_decel(ctx),
         }
+    # below 1 m/s a lane change, blended over the distance the ego covers in
+    # its duration, gets no row
     targets = {m: lane.left_neighbor if m is Maneuver.CHANGE_LANE_LEFT else lane.right_neighbor
-               for m in maneuvers}
+               for m in maneuvers} if ego.speed >= 1.0 else {}
     leads = None
     if any(targets.values()) and block.vehicle_like.any():
         leads = block.vehicle_like & (ctx.lane_positions[0] > ctx.ego_position[0])
     lead = leads is not None and bool(leads.any())
-    duration = cfg.lane_change_duration_s
-    horizon = max(duration, cfg.planning_horizon_s)
-    v = max(ego.speed, 1.0)
-    blend = v * duration
-    wide = blend * cfg.lane_change_stretch
-    paths, rows, wide_rows = [], [], []   # `LanePath`s; (path index, profile, horizon)
-    sides = {}   # maneuver -> [target lane, nominal row, probe row, stretched row]
+    horizon = max(cfg.lane_change_duration_s, cfg.planning_horizon_s)
+    blend = ego.speed * cfg.lane_change_duration_s
+    rows, wide_rows = [], []   # (`LanePath`, profile, horizon)
+    sides = {}   # maneuver -> (target lane, nominal row); its stretched row is first_wide + that
     for m, target_id in targets.items():
         if target_id is None:
             continue
         target = ctx.scenario.lanes[target_id]
-        cap = min(lane.speed_limit, target.speed_limit)
         s0, d0 = target.centerline.project((ego.x, ego.y))
-        profile = SpeedProfile(ego.speed, 0.0, cap)
-        sides[m] = at = [target_id, len(rows), len(rows), None]
-        rows.append((len(paths), profile, horizon))
-        paths.append(lane_path(target, s0, d0, ego.heading, blend))
+        profile = SpeedProfile(ego.speed, 0.0, min(lane.speed_limit, target.speed_limit))
+        sides[m] = target_id, len(rows)
+        rows.append((lane_path(target, s0, d0, ego.heading, blend), profile, horizon))
         if lead:
-            if not (1.0 <= ego.speed <= cap and duration >= cfg.planning_horizon_s):
-                at[2] = len(rows)
-                rows.append((len(paths) - 1, SpeedProfile(v, 0.0), duration))
-            at[3] = len(wide_rows)   # counted from the first stretched row
-            wide_rows.append((len(paths), profile, horizon))
-            paths.append(lane_path(target, s0, d0, ego.heading, wide))
+            wide_rows.append((lane_path(target, s0, d0, ego.heading,
+                                        blend * cfg.lane_change_stretch), profile, horizon))
     first_wide = len(rows)
     rows += wide_rows
     if accels:
-        reach = max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0
-        rows += [(len(paths), SpeedProfile(ego.speed, a, lane.speed_limit),
-                  cfg.planning_horizon_s) for a in accels.values()]
-        paths.append(lane_path(lane, *ctx.ego_position, ego.heading, reach))
-    sampled = sample_trajectory([(paths[k], p, h) for k, p, h in rows], cfg.dt) if rows else None
+        keep = lane_path(lane, *ctx.ego_position, ego.heading,
+                         max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0)
+        rows += [(keep, SpeedProfile(ego.speed, a, lane.speed_limit), cfg.planning_horizon_s)
+                 for a in accels.values()]
+    sampled = sample_trajectory(rows, cfg.dt) if rows else None
     stretched = dict.fromkeys(sides, False)
     if lead:
         hits = ctx.corridor_hits(sampled)[:, leads]
-        stretched = {m: bool(hits[probe].any()) for m, (_, _, probe, _) in sides.items()}
+        stretched = {m: bool(hits[nominal].any()) for m, (_, nominal) in sides.items()}
     out = []
     for m in maneuvers:
         if m not in sides:
             out.append(ManeuverCandidate(m, None, feasible=False))
             continue
-        target_id, nominal, _, stretched_row = sides[m]
+        target_id, nominal = sides[m]
         out.append(ManeuverCandidate(
-            m, target_id, first_wide + stretched_row if stretched[m] else nominal, stretched[m]))
+            m, target_id, first_wide + nominal if stretched[m] else nominal, stretched[m]))
     return sampled, out + [ManeuverCandidate(m, ego.lane, r)
                            for r, m in enumerate(accels, len(rows) - len(accels))]
 
@@ -474,8 +466,9 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
     `broken` is a (C, len(RULES)) bool matrix, column k set where a
     candidate breaks `RULES[k]`; `min_ttc` is (C,), inf for a candidate with
     no row; `ttc_agent` is the (C,) list of that road user's id, None where
-    the TTC is inf. Every column but `no_lane` is one array expression over the
-    candidates' rows of the plan's `block`; the red-light and crosswalk
+    the TTC is inf. `no_lane` marks a candidate without a row (a lane change
+    without a neighbour lane, or below 1 m/s); every other column is one
+    array expression over the candidates' rows of the plan's `block`; the red-light and crosswalk
     columns share one projection of every row's samples per lane they
     concern, and time-to-collision is one call over every row. Sets each
     candidate feasible where no column is set; when none is, Stop is

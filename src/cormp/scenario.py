@@ -83,13 +83,6 @@ class Polyline:
         f = (s - cum) / seg
         return ax + dx * f, ay + dy * f, heading
 
-    def point_at(self, s: float) -> tuple:
-        """(x, y) at arc length s; extrapolates along end tangents."""
-        return self.pose_at(s)[:2]
-
-    def heading_at(self, s: float) -> float:
-        return self._segment_floats[self._segment(s)][7]
-
     def _segments(self, s: np.ndarray) -> np.ndarray:
         """`_segment` of each of an array of arc positions (0 on a two-point line)."""
         if len(self._kappa) == 0:
@@ -142,8 +135,8 @@ class Polyline:
 
         s is the arc position with the end segments extended past either end
         (negative before the start, beyond `length` past the end), so that
-        `point_at(s)` is the foot of the point on that extension: `project`
-        inverts `point_at` and `frames` everywhere. Lateral offset is positive
+        `pose_at(s)` is the foot of the point on that extension: `project`
+        inverts `pose_at` and `frames` everywhere. Lateral offset is positive
         to the left of the travel direction. `point` is one (x, y) pair,
         giving two floats, or an (n, 2) array, giving two arrays. Among the
         segments within 1e-12 m^2 of the closest, the first whose unclamped
@@ -482,7 +475,7 @@ def _load_light(doc: dict, path: str, lanes: dict) -> TrafficLight:
     if "position" in doc:
         x, y = _point(doc, "position", path)
     else:
-        x, y = lane.centerline.point_at(stop_s)
+        x, y = lane.centerline.pose_at(stop_s)[:2]
     return TrafficLight(lane=lane.id, stop_line_s=stop_s, schedule=parsed, x=float(x), y=float(y))
 
 

@@ -59,9 +59,13 @@ def test_validation_rejects_bad_values():
                  id="crowd_reference_count"),
     pytest.param({"e_ref_accel": 0.0}, "e_ref_accel", id="e_ref_accel"),
     pytest.param({"t_headway_s": 0.0, "d_min_m": 0.0}, "d_min_m", id="d_min_m"),
+    pytest.param({"lane_change_duration_s": 0.0}, "lane_change_duration_s",
+                 id="lane_change_duration_s"),
+    pytest.param({"lane_change_stretch": 0.0}, "lane_change_stretch", id="lane_change_stretch"),
 ])
 def test_validation_rejects_values_a_resource_would_divide_by(overrides, key):
-    # each makes a comfort, crowdedness, energy or safety ratio divide by zero
+    # each makes a comfort, crowdedness, energy or safety ratio, or a lane
+    # change's blend, divide by zero
     with pytest.raises(ValueError, match=key):
         PlannerConfig(**overrides)
     with pytest.raises(ValueError, match=key):

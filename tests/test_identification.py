@@ -646,6 +646,44 @@ def test_a_missing_lane_breaks_only_the_no_lane_rule():
     assert not cands[Maneuver.CHANGE_LANE_RIGHT].feasible
 
 
+def test_below_one_metre_per_second_a_lane_change_has_no_row():
+    # a lane change blends over the distance the ego covers in its duration:
+    # at 1 m/s its row reaches the neighbour's centerline, below it there is
+    # no row, and each side breaks only `no_lane`
+    block, cands = enumerate_candidates(context(road(ego={"speed": 1.0})))
+    change = block[by_maneuver(cands)[Maneuver.CHANGE_LANE_LEFT].row]
+    assert (change.x[-1], change.y[-1], change.heading[-1]) == pytest.approx((20.0, 3.5, 0.0))
+    ctx = context(road(ego={"speed": 0.5}))
+    block, _ = enumerate_candidates(ctx)
+    assert len(block) == 4
+    cands, rules, min_ttc = filtered(ctx)
+    for m in LANE_CHANGES:
+        assert (cands[m].target_lane, cands[m].row, cands[m].feasible) == (None, None, False)
+        assert rules[m] == {"no_lane"} and min_ttc[m] == math.inf
+
+
+@pytest.mark.parametrize("ego, cfg, rows", [
+    ({}, PlannerConfig(), [2, 3, 4, 5, 6, 7]),
+    ({"speed": 0.5}, PlannerConfig(), [None, None, 0, 1, 2, 3]),
+    ({"speed": 27.0}, PlannerConfig(), [2, 3, 4, 5, 6, 7]),    # above the 25 m/s limit
+    ({}, PlannerConfig(lane_change_duration_s=3.0), [2, 3, 4, 5, 6, 7]),
+    (None, PlannerConfig(), [0, 1, 2, 3, 4, 5]),                # no vehicle ahead
+], ids=["default", "slow", "fast", "short_change", "alone"])
+def test_a_plan_samples_one_nominal_and_one_stretched_row_per_lane_change_side(ego, cfg, rows):
+    # on the middle of busy_highway's three lanes at 0 s, with vehicles ahead
+    # (both lane changes stretch), or with the ego alone: the rows are each
+    # side's nominal row, then each side's stretched one, then the four
+    # keep-lane rows
+    doc = json.loads((SCENARIO_DIR / "busy_highway.json").read_text())
+    if ego is None:
+        doc["agents"] = doc["agents"][:1]
+    else:
+        doc["agents"][0].update(ego)
+    block, cands = enumerate_candidates(context(doc, cfg))
+    assert [c.row for c in cands] == rows
+    assert len(block) == max(row for row in rows if row is not None) + 1
+
+
 CROSSWALK = {"lanes": ["right"], "span": [100.0, 103.0]}
 # on the crosswalk's right edge at 0 s, walking off the road
 LEAVING = {"id": "ped", "kind": "pedestrian", "position": [101.5, -1.6],
@@ -755,7 +793,8 @@ def test_lane_change_tuple_matches_enum():
 
 def per_path_reference(ctx: PlanContext) -> list:
     """The six candidates as sampled one path per call: each lane change's
-    probe alone, and a stretched path built only once its probe hits a lead."""
+    nominal row alone, none below 1 m/s, and a stretched path built only once
+    its nominal row's corridor holds a lead."""
     cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
 
     def along(target, blend):
@@ -766,37 +805,35 @@ def per_path_reference(ctx: PlanContext) -> list:
         traj, = sample_trajectory([(path, profile, horizon)], cfg.dt)
         return traj
 
-    duration = cfg.lane_change_duration_s
-    horizon = max(duration, cfg.planning_horizon_s)
-    v = max(ego.speed, 1.0)
-    blend = v * duration
+    horizon = max(cfg.lane_change_duration_s, cfg.planning_horizon_s)
+    blend = ego.speed * cfg.lane_change_duration_s
     targets = {Maneuver.CHANGE_LANE_LEFT: lane.left_neighbor,
                Maneuver.CHANGE_LANE_RIGHT: lane.right_neighbor}
-    paths = {m: along(ctx.scenario.lanes[t], blend)
-             for m, t in targets.items() if t is not None}
-    stretched = dict.fromkeys(paths, False)
-    if paths and block.vehicle_like.any():
+    if ego.speed < 1.0:
+        targets = dict.fromkeys(targets)
+    profiles = {m: SpeedProfile(ego.speed, 0.0, min(lane.speed_limit,
+                                                    ctx.scenario.lanes[t].speed_limit))
+                for m, t in targets.items() if t is not None}
+    nominal = {m: sample(along(ctx.scenario.lanes[targets[m]], blend), p, horizon)
+               for m, p in profiles.items()}
+    stretched = dict.fromkeys(nominal, False)
+    if nominal and block.vehicle_like.any():
         s_ego, _ = lane.centerline.project((ego.x, ego.y))
         s_obj, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
         leads = block.vehicle_like & (s_obj > s_ego)
         if leads.any():
-            probes = CandidateBlock([sample(p, SpeedProfile(v, 0.0), duration)
-                                     for p in paths.values()])
-            hits = block.corridor_hits(probes, ego.length, ego.width, cfg)
-            stretched = dict(zip(paths, np.any(hits[:, leads], axis=1).tolist()))
+            hits = block.corridor_hits(CandidateBlock(list(nominal.values())), ego.length,
+                                       ego.width, cfg)
+            stretched = dict(zip(nominal, np.any(hits[:, leads], axis=1).tolist()))
     out = []
     for m, target_id in targets.items():
         if target_id is None:
             out.append((m, None, False, None))
-            continue
-        target = ctx.scenario.lanes[target_id]
-        path = paths[m]
-        if stretched[m]:
-            wide = blend * cfg.lane_change_stretch
-            path = along(target, wide)
-        cap = min(lane.speed_limit, target.speed_limit)
-        out.append((m, target_id, stretched[m], sample(path, SpeedProfile(ego.speed, 0.0, cap),
-                                                        horizon)))
+        elif stretched[m]:
+            wide = along(ctx.scenario.lanes[target_id], blend * cfg.lane_change_stretch)
+            out.append((m, target_id, True, sample(wide, profiles[m], horizon)))
+        else:
+            out.append((m, target_id, False, nominal[m]))
     keep = along(lane, max(lane.speed_limit, ego.speed) * cfg.planning_horizon_s + 5.0)
     for m, a in ((Maneuver.KEEP_LANE_ACCELERATE, cfg.accel_keep_lane),
                  (Maneuver.KEEP_LANE_SAME_SPEED, 0.0),
@@ -850,8 +887,10 @@ def test_enumerate_matches_the_per_path_reference_bitwise():
     assert len(flags) == 4                          # the warm-up call, then t = 0, 5, 10 s
     flags += busy_highway_contexts(cfg, (0.0,), speed=0.0)     # a standing start
     flags += busy_highway_contexts(cfg, (0.0,), speed=27.0)    # above the 25 m/s limit
-    # a lane change shorter than the horizon: the probe has its own row
-    flags += busy_highway_contexts(PlannerConfig(lane_change_duration_s=3.0), (0.0,))
+    # a lane change shorter than the horizon: both sides still stretch
+    short = busy_highway_contexts(PlannerConfig(lane_change_duration_s=3.0), (0.0,))
+    assert [f[:2] for f in short] == [[True, True]] * 2
+    flags += short
     arc = CURVED["arc_left_overtake_r140"]                    # a slow lead ahead
     for speed in (arc["agents"][0]["speed"], 0.0):
         doc = dict(arc, agents=[dict(arc["agents"][0], speed=speed), *arc["agents"][1:]])
@@ -902,7 +941,7 @@ def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
         assert calls.count("scalar_project") == lanes
         tags = Counter(calls)
         assert (tags["polyline"], tags["list_block"]) == (0, 0)
-        assert tags["corridor"] == 1   # the lead probe and crowdedness share it
+        assert tags["corridor"] == 1   # the stretch verdicts and crowdedness share it
 
 
 @pytest.mark.parametrize("name", ["overtake_static", "busy_highway"])

@@ -235,7 +235,7 @@ def test_corridor_hits_skip_padded_candidate_samples():
 @pytest.mark.parametrize("tick", [0, 50])
 def test_corridor_hits_match_the_full_broadcast_on_busy_highway(tick, monkeypatch):
     # the real plan at t = tick * dt, with the ego where the closed loop put
-    # it: every corridor_hits call (lane-change probe, crowdedness) returns
+    # it: every corridor_hits call (lane-change stretch, crowdedness) returns
     # the (C, K) bools of the unculled broadcast
     _, log, _ = timed_run("busy_highway")
     cfg = PlannerConfig()

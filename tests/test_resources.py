@@ -31,7 +31,7 @@ from cormp.resources import (
     rank_order_centroid,
     safety_value,
 )
-from cormp.scenario import Lane, Polyline
+from cormp.scenario import Lane, Polyline, load_scenario
 from resource_oracle import (apriori_lane_value, assess_oracle, clamp01, classify_state,
                              comfort_value, energy_value, objective_value)
 
@@ -215,6 +215,33 @@ def test_objective_standstill():
 def test_objective_half_speed():
     assert objective_value(straight_traj(5.0), 10.0, 4.0) \
         == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a lane-change row spans the 5 s lane-change duration, but the "
+                          "objective divides its length by the 4 s planning horizon")
+def test_a_lane_change_at_constant_speed_gains_no_objective_over_keeping_lane():
+    # at 10 m/s on a straight two-lane road limited to 13.89 m/s, the lane
+    # change's 51-sample row scores 0.9026 against 0.7199 for keeping lane at
+    # the same speed; on `two_lane_slow_lead` at 4.5 s that margin decides
+    # the overtake (V 0.9437 against 0.9436 for keep_lane_decelerate)
+    lanes = [{"id": "right", "centerline": [[0.0, 0.0], [600.0, 0.0]], "width": 3.5,
+              "speed_limit": 13.89, "left_neighbor": "left", "left_boundary": "dashed",
+              "right_boundary": "solid"},
+             {"id": "left", "centerline": [[0.0, 3.5], [600.0, 3.5]], "width": 3.5,
+              "speed_limit": 13.89, "right_neighbor": "right", "left_boundary": "solid",
+              "right_boundary": "dashed"}]
+    ego = {"id": "ego", "kind": "ego", "position": [15.0, 0.0], "heading": 0.0, "speed": 10.0,
+           "length": 4.5, "width": 1.8, "lane": "right"}
+    doc = {"name": "road", "duration_s": 20.0, "apriori_lane": "right", "lanes": lanes,
+           "agents": [ego]}
+    ctx = plan_context(load_scenario(doc), CFG, 0.0)
+    block, cands = enumerate_candidates(ctx)
+    rows = {c.maneuver: c.row for c in cands}
+    change, keep = rows[Maneuver.CHANGE_LANE_LEFT], rows[Maneuver.KEEP_LANE_SAME_SPEED]
+    values, _ = assess_candidates(ctx, block, [change, keep])
+    objective = values[:, RESOURCES.index(ResourceType.OBJECTIVE)]
+    assert objective[0] == pytest.approx(objective[1], rel=0.01)
 
 
 # ---------------------------------------------------------------- lane hold

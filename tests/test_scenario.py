@@ -45,16 +45,14 @@ def minimal_doc() -> dict:
 def test_polyline_basic_geometry():
     line = Polyline([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
     assert line.length == pytest.approx(20.0)
-    assert np.allclose(line.point_at(5.0), (5.0, 0.0))
-    assert np.allclose(line.point_at(15.0), (10.0, 5.0))
-    assert line.heading_at(5.0) == pytest.approx(0.0)
-    assert line.heading_at(15.0) == pytest.approx(math.pi / 2)
+    assert np.allclose(line.pose_at(5.0), (5.0, 0.0, 0.0))
+    assert np.allclose(line.pose_at(15.0), (10.0, 5.0, math.pi / 2))
 
 
-def test_polyline_point_at_extrapolates_past_ends():
+def test_polyline_pose_at_extrapolates_past_ends():
     line = Polyline([[0.0, 0.0], [10.0, 0.0]])
-    assert np.allclose(line.point_at(-3.0), (-3.0, 0.0))
-    assert np.allclose(line.point_at(13.0), (13.0, 0.0))
+    assert np.allclose(line.pose_at(-3.0), (-3.0, 0.0, 0.0))
+    assert np.allclose(line.pose_at(13.0), (13.0, 0.0, 0.0))
 
 
 def test_polyline_project_returns_extended_s_and_lateral():
@@ -126,9 +124,9 @@ def arc_position(line: Polyline, f: float, ds: float) -> float:
 
 @settings(max_examples=60)
 @given(polylines(), st.lists(arc_positions, min_size=1, max_size=8))
-def test_polyline_project_inverts_point_at_past_both_ends(line, positions):
+def test_polyline_project_inverts_pose_at_past_both_ends(line, positions):
     s = np.array([arc_position(line, f, ds) for f, ds in positions])
-    pts = np.array([line.point_at(float(sk)) for sk in s])
+    pts = np.array([line.pose_at(float(sk))[:2] for sk in s])
     s_many, lat_many = line.project(pts)
     for k, p in enumerate(pts):
         s_one, lat_one = line.project(p)
@@ -169,7 +167,7 @@ def test_polyline_project_is_exact_next_to_interior_vertices(turn):
     line = Polyline(np.column_stack([140.0 * np.sin(a), turn * 140.0 * (1.0 - np.cos(a))]))
     s = np.array([line.cum[k] + side * ds for k in range(1, 59)
                   for ds in (1e-8, 1e-7, 1e-6, 1e-5) for side in (-1.0, 1.0)])
-    pts = np.array([line.point_at(float(sk)) for sk in s])
+    pts = np.array([line.pose_at(float(sk))[:2] for sk in s])
     s_many, _ = line.project(pts)
     s_one = [line.project(p)[0] for p in pts]
     assert np.max(np.abs(s_many - s)) < 1e-9
@@ -274,14 +272,12 @@ def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertice
 
 
 def assert_scalar_poses_are_frames(line: Polyline, s: np.ndarray) -> None:
-    """`pose_at`, `point_at` and `heading_at` at each of s are bitwise the
-    x, y and heading `frames` gives for the whole array."""
+    """`pose_at` at each of s is bitwise the x, y and heading `frames` gives
+    for the whole array."""
     x, y, heading = line.frames(s)
     for k, sk in enumerate(s.tolist()):
         pose = (x[k].item(), y[k].item(), heading[k].item())
         assert line.pose_at(sk) == pose, (k, sk)
-        assert line.point_at(sk) == pose[:2], (k, sk)
-        assert line.heading_at(sk) == pose[2], (k, sk)
 
 
 def test_polyline_frames_on_an_arc():
@@ -595,8 +591,8 @@ def test_lateral_offset_neighbor_centerline_one_width_apart():
     sc = load("highway")
     right = sc.lanes["right"]
     left = sc.lanes["left"]
-    probe = left.centerline.point_at(100.0)
-    assert abs(lateral(probe, right)) == pytest.approx(right.width)
+    point = left.centerline.pose_at(100.0)[:2]
+    assert abs(lateral(point, right)) == pytest.approx(right.width)
 
 
 # ---------------------------------------------------------------- dynamics

@@ -27,12 +27,13 @@ STALE = {
     "cormp.resources.any_overlap",
     "cormp.bezier.bezier_points",
     "cormp.bezier.bezier_frames",
+    "cormp.scenario.Polyline.point_at",
+    "cormp.scenario.Polyline.heading_at",
 }
 
 
-# live sites that no cor-mp drive calls: `heading_at` has no caller in the
-# program, and only the loader calls `point_at` (for a light's position)
-UNREACHED = {"cormp.scenario.Polyline.heading_at", "cormp.scenario.Polyline.point_at"}
+# live sites that no cor-mp drive calls
+UNREACHED: set = set()
 
 
 def traced_sites() -> list:
