@@ -80,7 +80,8 @@ class MobilPlanner:
     Deliberately ignores traffic lights and crosswalks; it exists to contrast
     rule-aware resource planning against a classic interaction model. It
     sees the road users cor-mp sees: those within `interaction_radius_m` of
-    the ego. Its `state` holds only a lane change being replayed.
+    the ego. Its `state` holds only a lane change in progress, whose row it
+    samples afresh each call and does not check.
     """
 
     name = "mobil"
@@ -125,10 +126,10 @@ class MobilPlanner:
         return (a_ego_new - a_keep) + self.mobil.politeness * ((a_fol_new - a_fol_old) + relief)
 
     def plan(self, scenario: Scenario, sim_time: float) -> PlanResult:
-        cfg = self.config
-        remaining = self.state.remaining(sim_time, cfg.dt)
-        if remaining is not None:
-            return PlanResult(remaining, self.state.commitment.maneuver, committed=True)
+        cfg, commitment = self.config, self.state.commitment
+        block = commitment and commitment.row(scenario, cfg, sim_time)
+        if block is not None:
+            return PlanResult(block[0], commitment.maneuver, committed=True)
 
         ego = scenario.ego
         others = interacting_agents(scenario, ego, cfg)
@@ -166,9 +167,9 @@ class MobilPlanner:
         if best_change is not None:
             block, (cand,) = enumerate_candidates(ctx, (best_change,), {})
             if cand.row is not None:
-                trajectory = block[cand.row]
-                self.state = PlannerState(commitment=Commitment(trajectory, best_change, sim_time))
-                return PlanResult(trajectory, best_change)
+                self.state = PlannerState(commitment=Commitment(
+                    best_change, cand.target_lane, sim_time + cfg.lane_change_duration_s, cand.join))
+                return PlanResult(block[cand.row], best_change)
 
         self.state = PlannerState()
         accel = min(max(a_keep, -cfg.a_lon_max), cfg.accel_keep_lane)

@@ -73,16 +73,6 @@ class TimedTrajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def tail(self, start: int) -> "TimedTrajectory":
-        """Samples from index `start` on, with time rebased to 0."""
-        sl = slice(start, None)
-        return TimedTrajectory(
-            self.dt,
-            self.t[sl] - self.t[start],
-            self.x[sl], self.y[sl], self.heading[sl],
-            self.speed[sl], self.a_lon[sl], self.a_lat[sl],
-        )
-
 
 class CandidateBlock:
     """Trajectories on one tick grid, stacked: row c is `trajectories[c]`.

@@ -108,6 +108,11 @@ class PlannerConfig:
         return math.floor(self.planning_horizon_s / self.dt + 1e-9)
 
     @property
+    def lane_change_horizon_s(self) -> float:
+        """A lane change's row spans the longer of its duration and the planning horizon."""
+        return max(self.lane_change_duration_s, self.planning_horizon_s)
+
+    @property
     def replan_steps(self) -> int:
         return max(1, int(round(self.replan_period_s / self.dt)))
 

@@ -127,6 +127,7 @@ class ManeuverCandidate:
     row: int | None = None        # its trajectory's row of the plan's block; None without a lane
     stretched: bool = False
     feasible: bool = True
+    join: float | None = None     # where a lane change's path meets its target's centerline, in s
 
 
 @dataclass
@@ -283,20 +284,20 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
 
     By default all six, in Maneuver enum order, Stop braking at `_stop_decel`.
     Every trajectory is a row of one `sample_trajectory` call, whose block is
-    returned; each candidate records its row. Keep-lane candidates, capped
-    at the lane's limit, share a path back onto the ego's lane that joins it
-    5 m past the farthest the cap lets them go in the planning horizon. A
-    lane change, onto the neighbour lane over the distance the ego covers in
-    the lane-change duration and then along its centerline, is sampled at
-    constant speed over the longer of that duration and the planning
-    horizon. With a vehicle or obstacle ahead of the ego in arc length along
-    the ego's lane, on any lane (its first predicted sample projected onto
-    the ego's lane), a stretched path is sampled too, and taken where such a
-    road user is predicted inside the nominal row's corridor, read from the
-    plan's one corridor pass. Without a neighbour lane, or below 1 m/s, the
-    maneuver is an infeasible placeholder with no row. The rows are each
-    side's nominal row, then every stretched row, then the keep-lane rows:
-    lane changes that all stretch and the keep-lane rows form one run.
+    returned; each candidate records its row, and a lane change its join.
+    Keep-lane candidates, capped at the lane's limit, share a path back onto the
+    ego's lane that joins it 5 m past the farthest the cap lets them go in the
+    planning horizon. A lane change, onto the neighbour lane over the distance
+    the ego covers in the lane-change duration, to its join, and then along its
+    centerline, is sampled at constant speed over `lane_change_horizon_s`. With
+    a vehicle or obstacle ahead of the ego in arc length along the ego's lane,
+    on any lane (its first predicted sample projected onto the ego's lane), a
+    stretched path is sampled too, and taken where such a road user is predicted
+    inside the nominal row's corridor, read from the plan's one corridor pass.
+    Without a neighbour lane, or below 1 m/s, the maneuver is an infeasible
+    placeholder with no row. The rows are each side's nominal row, then every
+    stretched row, then the keep-lane rows: lane changes that all stretch and
+    the keep-lane rows form one run.
     """
     cfg, ego, lane, block = ctx.config, ctx.ego, ctx.lane, ctx.predictions
     if accels is None:
@@ -314,21 +315,21 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     if any(targets.values()) and block.vehicle_like.any():
         leads = block.vehicle_like & (ctx.lane_positions[0] > ctx.ego_position[0])
     lead = leads is not None and bool(leads.any())
-    horizon = max(cfg.lane_change_duration_s, cfg.planning_horizon_s)
+    horizon = cfg.lane_change_horizon_s
     blend = ego.speed * cfg.lane_change_duration_s
+    wide_blend = blend * cfg.lane_change_stretch
     rows, wide_rows = [], []   # (`LanePath`, profile, horizon)
-    sides = {}   # maneuver -> (target lane, nominal row); its stretched row is first_wide + that
+    sides = {}   # maneuver -> (target lane, nominal row, s0); stretched row: first_wide + nominal
     for m, target_id in targets.items():
         if target_id is None:
             continue
         target = ctx.scenario.lanes[target_id]
         s0, d0 = target.centerline.project((ego.x, ego.y))
         profile = SpeedProfile(ego.speed, 0.0, min(lane.speed_limit, target.speed_limit))
-        sides[m] = target_id, len(rows)
+        sides[m] = target_id, len(rows), s0
         rows.append((lane_path(target, s0, d0, ego.heading, blend), profile, horizon))
         if lead:
-            wide_rows.append((lane_path(target, s0, d0, ego.heading,
-                                        blend * cfg.lane_change_stretch), profile, horizon))
+            wide_rows.append((lane_path(target, s0, d0, ego.heading, wide_blend), profile, horizon))
     first_wide = len(rows)
     rows += wide_rows
     if accels:
@@ -340,15 +341,15 @@ def enumerate_candidates(ctx: PlanContext, maneuvers=LANE_CHANGES,
     stretched = dict.fromkeys(sides, False)
     if lead:
         hits = ctx.corridor_hits(sampled)[:, leads]
-        stretched = {m: bool(hits[nominal].any()) for m, (_, nominal) in sides.items()}
+        stretched = {m: bool(hits[nominal].any()) for m, (_, nominal, _) in sides.items()}
     out = []
     for m in maneuvers:
         if m not in sides:
             out.append(ManeuverCandidate(m, None, feasible=False))
             continue
-        target_id, nominal = sides[m]
-        out.append(ManeuverCandidate(
-            m, target_id, first_wide + nominal if stretched[m] else nominal, stretched[m]))
+        target_id, nominal, s0 = sides[m]
+        row, b = (first_wide + nominal, wide_blend) if stretched[m] else (nominal, blend)
+        out.append(ManeuverCandidate(m, target_id, row, stretched[m], join=s0 + b))
     return sampled, out + [ManeuverCandidate(m, ego.lane, r)
                            for r, m in enumerate(accels, len(rows) - len(accels))]
 
@@ -463,16 +464,17 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
     """(broken, min_ttc, ttc_agent): the rules each candidate breaks, its
     footprint TTC and the road user that sets it.
 
-    `broken` is a (C, len(RULES)) bool matrix, column k set where a
-    candidate breaks `RULES[k]`; `min_ttc` is (C,), inf for a candidate with
-    no row; `ttc_agent` is the (C,) list of that road user's id, None where
-    the TTC is inf. `no_lane` marks a candidate without a row (a lane change
-    without a neighbour lane, or below 1 m/s); every other column is one
-    array expression over the candidates' rows of the plan's `block`; the red-light and crosswalk
-    columns share one projection of every row's samples per lane they
-    concern, and time-to-collision is one call over every row. Sets each
-    candidate feasible where no column is set; when none is, Stop is
-    retained as the fallback, feasible with its broken rules still set.
+    `broken` is a (C, len(RULES)) bool matrix, column k set where a candidate
+    breaks `RULES[k]`; `min_ttc` is (C,), inf for a candidate with no row;
+    `ttc_agent` is the (C,) list of that road user's id, None where the TTC is
+    inf. `no_lane` marks a candidate without a row (a lane change without a
+    neighbour lane, or below 1 m/s); every other column is one array expression
+    over the candidates' rows of `block`; `solid_line` marks a row whose target
+    lies across a solid line from the ego's lane, which a committed change
+    leaves behind; the red-light and crosswalk columns share one projection of
+    every row's samples per lane they concern, and time-to-collision is one call
+    over every row. Sets each candidate feasible where no column is set; when
+    none is, Stop is retained as the fallback, its broken rules still set.
     """
     cfg, ego, lane, lanes = ctx.config, ctx.ego, ctx.lane, ctx.scenario.lanes
     eps = cfg.rule_speed_epsilon
@@ -484,8 +486,8 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
     ruled = [c for c in candidates if c.row is not None]
     if ruled:
         cands = block.take([c.row for c in ruled])
-        solid = {Maneuver.CHANGE_LANE_LEFT: lane.left_boundary == "solid",
-                 Maneuver.CHANGE_LANE_RIGHT: lane.right_boundary == "solid"}
+        solid = {lane.left_neighbor: lane.left_boundary == "solid",
+                 lane.right_neighbor: lane.right_boundary == "solid"}
         ttc, who = time_to_collision(cands, ctx.predictions, ego.length, ego.width)
         min_ttc[has] = ttc
         ids = ctx.predictions.ids
@@ -496,7 +498,7 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
                    out=rules[:, 0])
         if ego.speed >= lane.speed_limit - eps:
             rules[:, 1] = [c.maneuver is Maneuver.KEEP_LANE_ACCELERATE for c in ruled]
-        rules[:, 2] = [solid.get(c.maneuver, False) for c in ruled]
+        rules[:, 2] = [solid.get(c.target_lane, False) for c in ruled]
         if ctx.scenario.lights or ctx.scenario.crosswalks:
             targets = np.array([c.target_lane for c in ruled])
 

@@ -4,12 +4,10 @@
 with the small amount of state the closed loop needs, held as one frozen
 `PlannerState`: the previous maneuver (tie-break preference), the previous
 chosen resource values (state upgrades), and an in-progress lane change (a
-`Commitment`, shared with the MOBIL baseline), which is replayed until it
-completes unless its safety resource collapses, in which case the planner
-drops it and plans afresh, like any other call. So every trajectory it
-returns is a committed replay or a row of one `plan_tick` pass. Each plan
-call reads the state and assigns the next one once; no call changes a state
-it read.
+`Commitment`, shared with the MOBIL baseline). Until it expires, each call
+samples it afresh from the ego's pose and judges that row as a plan judges its
+rows; if it fails, the planner drops it and plans afresh, like any other call.
+Each plan call reads the state and assigns the next one once; no call changes a state it read.
 """
 from __future__ import annotations
 
@@ -17,17 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import TimedTrajectory
+from .bezier import CandidateBlock, SpeedProfile, TimedTrajectory, sample_trajectory
 from .config import PlannerConfig
 from .identification import (
     LANE_CHANGES,
-    CandidateBlock,
     Maneuver,
+    ManeuverCandidate,
     PlanContext,
     PredictionBlock,
     enumerate_candidates,
     feasibility_filter,
     interacting_agents,
+    lane_path,
     predict_oru,
 )
 from .resources import RESOURCES, assess_candidates, profile_weights, safety_value
@@ -134,18 +133,23 @@ def plan_context(scenario: Scenario, config: PlannerConfig, sim_time: float,
 
 @dataclass(frozen=True)
 class Commitment:
-    """A chosen lane change, replayed from its start time until it completes."""
+    """A chosen lane change onto lane `target`, whose path meets its centerline
+    at arc position `join`, held until `expiry`: its start plus its duration."""
 
-    trajectory: TimedTrajectory
     maneuver: Maneuver
-    start_time: float
+    target: str
+    expiry: float
+    join: float
 
-    def remaining(self, sim_time: float, dt: float) -> TimedTrajectory | None:
-        """The rest of the trajectory at `sim_time`; None once it has run out."""
-        idx = int(round((sim_time - self.start_time) / dt))
-        if idx >= len(self.trajectory) - 1:
+    def row(self, scenario: Scenario, cfg: PlannerConfig, sim_time: float) -> CandidateBlock | None:
+        """The change sampled afresh from the ego's pose at its speed over the lane-change
+        horizon, as a one-row block; None from half a tick before `expiry` (so before the join)."""
+        if sim_time + cfg.dt / 2.0 >= self.expiry:
             return None
-        return self.trajectory.tail(idx)
+        ego, lane = scenario.ego, scenario.lanes[self.target]
+        s, d = lane.centerline.project((ego.x, ego.y))
+        return sample_trajectory([(lane_path(lane, s, d, ego.heading, self.join - s),
+                                   SpeedProfile(ego.speed), cfg.lane_change_horizon_s)], cfg.dt)
 
 
 @dataclass(frozen=True)
@@ -154,11 +158,7 @@ class PlannerState:
 
     previous: Maneuver | None = None              # the last maneuver, for the tie-break
     current_values: np.ndarray | None = None      # (6,) read-only values it chose
-    commitment: Commitment | None = None          # the lane change being replayed
-
-    def remaining(self, sim_time: float, dt: float) -> TimedTrajectory | None:
-        """The committed lane change's rest at `sim_time`, or None."""
-        return None if self.commitment is None else self.commitment.remaining(sim_time, dt)
+    commitment: Commitment | None = None          # the lane change in progress
 
 
 @dataclass
@@ -167,9 +167,9 @@ class PlanResult:
 
     trajectory: TimedTrajectory
     maneuver: Maneuver
-    decision: Decision | None = None   # None while committed to a lane change
-    committed: bool = False
-    aborted: bool = False              # the decision replaced a collapsed commitment
+    decision: Decision | None = None   # None on a committed lane change's row
+    committed: bool = False            # the row of a commitment that passed its check
+    aborted: bool = False              # the decision replaced a commitment that failed it
 
 
 class CorMpPlanner:
@@ -188,20 +188,22 @@ class CorMpPlanner:
         self.state = PlannerState()
 
     def plan(self, scenario: Scenario, sim_time: float) -> PlanResult:
-        cfg, state = self.config, self.state
+        cfg, state, commitment = self.config, self.state, self.state.commitment
         ctx = plan_context(scenario, cfg, sim_time)
-        remaining = state.remaining(sim_time, cfg.dt)
-        if remaining is not None:
-            mu_safety = safety_value(CandidateBlock([remaining]), ctx.predictions,
-                                     ctx.ego.length, ctx.ego.width, cfg)[0]
-            if mu_safety >= cfg.theta_loss:
-                return PlanResult(remaining, state.commitment.maneuver, committed=True)
+        block = commitment and commitment.row(scenario, cfg, sim_time)
+        if block is not None:
+            cand = ManeuverCandidate(commitment.maneuver, commitment.target, 0)
+            feasibility_filter(ctx, block, [cand])
+            if cand.feasible and safety_value(block, ctx.predictions, ctx.ego.length,
+                                              ctx.ego.width, cfg)[0] >= cfg.theta_loss:
+                return PlanResult(block[0], commitment.maneuver, committed=True)
 
         decision = plan_tick(ctx, state.previous, state.current_values, self.weights)
         held = decision.values[decision.chosen].copy()
         held.flags.writeable = False
-        commitment = (Commitment(decision.trajectory, decision.maneuver, sim_time)
-                      if decision.maneuver in LANE_CHANGES else None)
+        c = next(c for c in decision.candidates if c.maneuver is decision.maneuver)
+        commitment = Commitment(c.maneuver, c.target_lane, sim_time + cfg.lane_change_duration_s,
+                                c.join) if decision.maneuver in LANE_CHANGES else None
         self.state = PlannerState(decision.maneuver, held, commitment)
         return PlanResult(decision.trajectory, decision.maneuver, decision=decision,
-                          aborted=remaining is not None)
+                          aborted=block is not None)

@@ -132,7 +132,7 @@ def test_mobil_overtakes_a_slow_lead_into_an_empty_lane():
     result = planner.plan(sc, 0.0)
     assert result.maneuver is Maneuver.CHANGE_LANE_LEFT
     follow_up = planner.plan(sc, 0.5)
-    assert follow_up.committed  # the change is held until the curve ends
+    assert follow_up.committed  # the change is held until its duration runs out
 
 
 def test_mobil_respects_the_new_follower():
@@ -245,7 +245,7 @@ def test_mobil_finds_the_current_lanes_neighbors_once_per_plan(monkeypatch):
 
 def test_mobil_builds_the_interacting_agents_once_per_fresh_plan(monkeypatch):
     # the neighbour search and the predictions share one list; a committed
-    # replay builds none
+    # call builds none
     calls = []
     for module in (baselines, planner_module):
         fn = module.interacting_agents

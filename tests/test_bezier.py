@@ -441,13 +441,3 @@ def test_sampled_arrays_are_read_only():
         with pytest.raises(ValueError):
             getattr(trajs, name)[0, 0] = 0.0
 
-
-# ---------------------------------------------------------------- container
-
-
-def test_tail_rebases_time():
-    traj, = sample_trajectory([(straight(40.0), SpeedProfile(10.0, 0.0), 4.0)], dt=0.1)
-    tail = traj.tail(5)
-    assert tail.t[0] == pytest.approx(0.0)
-    assert len(tail) == len(traj) - 5
-    assert tail.x[0] == pytest.approx(traj.x[5])

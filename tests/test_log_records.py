@@ -64,7 +64,7 @@ class DecisionSpy:
 
 @pytest.mark.parametrize("planner", list(PLANNERS))
 def test_ticks_between_two_decisions_share_one_record(planner):
-    # overtake_static: two lane changes, each replayed while committed
+    # overtake_static: two lane changes, each re-sampled while committed
     sc = load("overtake_static")
     cfg = PlannerConfig()
     spy = DecisionSpy(make_planner(planner, cfg, sc.profile))

@@ -6,9 +6,8 @@ import pytest
 
 from conftest import SCENARIO_DIR, load, timed_run
 from cormp.baselines import MobilPlanner
-from cormp.bezier import TimedTrajectory
 from cormp.config import PlannerConfig
-from cormp.identification import LANE_CHANGES, Maneuver, PlanContext
+from cormp.identification import LANE_CHANGES, Maneuver, PlanContext, enumerate_candidates
 from cormp.kernels import pose_gaps
 from cormp.planner import (
     TIE_ORDER,
@@ -19,7 +18,7 @@ from cormp.planner import (
     plan_context,
     plan_tick,
 )
-from cormp.resources import RESOURCES, STATES, ResourceState, profile_weights
+from cormp.resources import RESOURCES, STATES, ResourceState, profile_weights, safety_value
 from cormp.scenario import load_scenario
 from cormp.simulator import run
 
@@ -159,15 +158,10 @@ def test_held_values_turn_acquired_states_desired():
 # ---------------------------------------------------------------- closed loop
 
 
-def straight_lc_trajectory(dt: float = 0.1) -> TimedTrajectory:
-    n = 51
-    t = np.arange(n) * dt
-    return TimedTrajectory(dt, t, 8.0 * t, np.linspace(0.0, 3.5, n),
-                           np.zeros(n), np.full(n, 8.0), np.zeros(n),
-                           np.zeros(n))
-
-
-def two_lane_scenario(others=()):
+def two_lane_scenario(others=(), ego=None, **extra):
+    """The ego at 8 m/s at x = 0 on the right lane of a straight two-lane
+    road, its left lane bounded by a solid line; `ego` overrides its keys and
+    `extra` adds document keys."""
     doc = {
         "name": "lc", "duration_s": 20.0, "apriori_lane": "right",
         "lanes": [
@@ -180,37 +174,56 @@ def two_lane_scenario(others=()):
         ],
         "agents": [
             {"id": "ego", "kind": "ego", "position": [0.0, 0.0], "heading": 0.0,
-             "speed": 8.0, "length": 4.5, "width": 1.8, "lane": "right"},
+             "speed": 8.0, "length": 4.5, "width": 1.8, "lane": "right", **(ego or {})},
         ] + list(others),
+        **extra,
     }
     return load_scenario(doc)
 
 
+# a left change committed at t = 0 from the ego of `two_lane_scenario`: it
+# blends over the 40 m the ego covers at 8 m/s in 5 s
+LEFT = Commitment(Maneuver.CHANGE_LANE_LEFT, "left", 5.0, 40.0)
+
+
 def committed(planner):
-    """`planner` with a left change committed at t = 0 along
-    `straight_lc_trajectory`."""
-    planner.state = PlannerState(
-        commitment=Commitment(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0))
+    """`planner` holding `LEFT`."""
+    planner.state = PlannerState(commitment=LEFT)
     return planner
 
 
-def test_commitment_replays_the_stored_trajectory():
+def test_a_committed_change_is_the_plans_own_row_sampled_afresh():
     planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
     result = planner.plan(two_lane_scenario(), 1.0)
     assert result.committed
     assert not result.aborted
     assert result.maneuver is Maneuver.CHANGE_LANE_LEFT
     assert result.decision is None
-    assert result.trajectory.x[0] == pytest.approx(8.0)  # tail from t = 1.0
+    assert planner.state.commitment is LEFT
+    # from the ego's pose, not from where a stored trajectory would be at 1 s,
+    # and bitwise the left change a plan from that pose samples
+    traj = result.trajectory
+    assert (traj.x[0], traj.y[0], traj.t[0]) == (0.0, 0.0, 0.0)
+    assert len(traj) == 51
+    assert (traj.y[-1], traj.heading[-1]) == pytest.approx((3.5, 0.0), abs=1e-12)
+    ctx = plan_context(two_lane_scenario(), PlannerConfig(), 1.0)
+    block, (cand, *_) = enumerate_candidates(ctx)
+    assert (cand.maneuver, cand.target_lane, cand.join) == (LEFT.maneuver, "left", 40.0)
+    row = block[cand.row]
+    for name in ("t", "x", "y", "heading", "speed", "a_lon", "a_lat"):
+        assert np.array_equal(getattr(traj, name), getattr(row, name)), name
 
 
-def test_commitment_expires_at_the_trajectory_end():
-    planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
-    result = planner.plan(two_lane_scenario(), 5.0)
-    assert not result.committed
+def test_a_commitment_expires_after_the_lane_change_duration():
+    sc, cfg = two_lane_scenario(), PlannerConfig()
+    assert LEFT.row(sc, cfg, 4.9) is not None
+    assert LEFT.row(sc, cfg, 4.96) is None   # within half a tick of the expiry
+    assert LEFT.row(sc, cfg, 5.0) is None
+    planner = committed(CorMpPlanner(cfg, "regular"))
+    result = planner.plan(sc, 5.0)
+    assert not result.committed and not result.aborted
     assert result.decision is not None
-    assert planner.state.commitment is None or result.maneuver in (
-        Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT)
+    assert planner.state.commitment is None or result.maneuver in LANE_CHANGES
 
 
 def parked(x: float, y: float) -> dict:
@@ -219,9 +232,9 @@ def parked(x: float, y: float) -> dict:
 
 
 def test_commitment_aborts_on_a_sudden_blocker():
-    # the replay's safety collapses, so the call drops the commitment and
-    # plans afresh from the ego's pose: its result is that plan's decision,
-    # and the state is set from it as from any other decision
+    # the committed row runs into the obstacle, so the call drops the
+    # commitment and plans afresh from the ego's pose: its result is that
+    # plan's decision, and the state is set from it as from any other decision
     planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
     sc = two_lane_scenario([parked(12.6, 1.4)])
     result = planner.plan(sc, 1.0)
@@ -240,7 +253,7 @@ def test_commitment_aborts_on_a_sudden_blocker():
 
 @pytest.mark.parametrize("x, y", [(16.0, 1.6), (20.0, 2.0)])
 def test_an_aborted_change_keeps_clear_of_the_obstacle_that_aborted_it(x, y):
-    # braking along the committed geometry ran into both, a fresh plan does not
+    # the committed row runs into both, a fresh plan does not
     planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
     result = planner.plan(two_lane_scenario([parked(x, y)]), 1.0)
     assert result.aborted and result.decision is not None
@@ -249,11 +262,26 @@ def test_an_aborted_change_keeps_clear_of_the_obstacle_that_aborted_it(x, y):
     assert np.all(gaps > 0.0)
 
 
-def test_mobil_shares_the_commitment_replay():
+def test_a_committed_row_that_breaks_a_rule_aborts_though_it_is_safe():
+    # a red light 30 m ahead on the target lane, which the row crosses at
+    # 8 m/s: no road user is near, so only the rule columns can see it
+    sc = two_lane_scenario(lights=[{"lane": "left", "stop_line_s": 30.0,
+                                    "schedule": [["red", 1000.0]]}])
+    ctx = plan_context(sc, PlannerConfig(), 1.0)
+    block = LEFT.row(sc, PlannerConfig(), 1.0)
+    assert safety_value(block, ctx.predictions, 4.5, 1.8, PlannerConfig())[0] == 1.0
+    planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
+    result = planner.plan(sc, 1.0)
+    assert result.aborted and not result.committed
+    assert result.maneuver is not Maneuver.CHANGE_LANE_LEFT
+
+
+def test_mobil_samples_the_same_committed_row_unchecked():
+    sc = two_lane_scenario([parked(12.6, 1.4)])
     planner = committed(MobilPlanner(PlannerConfig(), "regular"))
-    result = planner.plan(two_lane_scenario(), 1.0)
-    assert result.committed
-    assert result.trajectory.x[0] == pytest.approx(8.0)
+    result = planner.plan(sc, 1.0)
+    assert result.committed and result.decision is None
+    assert np.array_equal(result.trajectory.y, LEFT.row(sc, PlannerConfig(), 1.0)[0].y)
     planner.reset()
     assert planner.state.commitment is None
 
@@ -264,8 +292,7 @@ def test_mobil_expiry_and_reset_both_give_the_empty_state():
             "speed": 20.0, "length": 4.5, "width": 1.8, "lane": "right"}
     planner = committed(MobilPlanner(PlannerConfig(), "regular"))
     result = planner.plan(two_lane_scenario([lead]), 5.0)
-    assert not result.committed and result.maneuver not in (
-        Maneuver.CHANGE_LANE_LEFT, Maneuver.CHANGE_LANE_RIGHT)
+    assert not result.committed and result.maneuver not in LANE_CHANGES
     assert planner.state == PlannerState()
     committed(planner).reset()
     assert planner.state == PlannerState()
@@ -273,9 +300,7 @@ def test_mobil_expiry_and_reset_both_give_the_empty_state():
 
 def test_reset_clears_history():
     planner = CorMpPlanner(PlannerConfig(), "regular")
-    planner.state = PlannerState(
-        Maneuver.STOP, np.ones(len(RESOURCES)),
-        Commitment(straight_lc_trajectory(), Maneuver.CHANGE_LANE_LEFT, 0.0))
+    planner.state = PlannerState(Maneuver.STOP, np.ones(len(RESOURCES)), LEFT)
     planner.reset()
     assert planner.state.previous is None
     assert planner.state.current_values is None
@@ -292,23 +317,32 @@ def test_a_plan_call_leaves_the_state_it_read_unchanged():
     assert not np.array_equal(planner.state.current_values, values)
     assert read.previous is Maneuver.KEEP_LANE_ACCELERATE and read.commitment is None
     assert np.array_equal(read.current_values, values)
-    # a committed replay reads the state and keeps it
+    # a committed row reads the state and keeps it
     committed(planner)
     read = planner.state
     assert planner.plan(two_lane_scenario(), 1.0).committed
     assert planner.state is read
 
 
-def test_a_replay_past_the_commitment_end_decides_afresh():
+def test_a_call_past_the_commitment_end_decides_afresh():
     planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
-    commitment = planner.state.commitment
-    assert commitment.remaining(5.0, 0.1) is None
-    assert commitment.remaining(5.0, 0.1) is None   # pure: nothing is cleared
-    assert planner.state.commitment is commitment
-    result = planner.plan(two_lane_scenario(), 6.0)
+    sc = two_lane_scenario()
+    assert LEFT.row(sc, PlannerConfig(), 5.0) is None
+    assert planner.state.commitment is LEFT   # pure: nothing is cleared
+    result = planner.plan(sc, 6.0)
     assert result.decision is not None and not result.committed
     assert planner.state.previous is result.maneuver
     assert planner.state.commitment is None
+
+
+def test_a_change_into_a_lane_with_a_solid_far_line_stays_committed_once_in_it():
+    # the left lane's left line is solid; once the ego is on the left lane, the
+    # left change's line is the one it crossed at commit, not that one
+    sc = two_lane_scenario(ego={"position": [20.0, 2.0], "lane": "left"})
+    planner = committed(CorMpPlanner(PlannerConfig(), "regular"))
+    result = planner.plan(sc, 2.5)
+    assert result.committed and not result.aborted
+    assert planner.state.commitment is LEFT
 
 
 def test_a_start_above_the_limit_brakes_instead_of_jumping_to_it():
@@ -362,42 +396,39 @@ def cor_mp_drive(sc):
     return run(sc, CorMpPlanner(cfg, sc.profile), cfg)
 
 
-def during_replay(at: float) -> str:
-    return (f"ROADMAP item 1: the replay checks only the safety value, so the walker, "
-            f"who starts crossing after the commit, is hit at {at} s on a committed tick")
+GRID = [(ahead, delay) for ahead in (40.0, 50.0, 60.0) for delay in (0.5, 1.0, 1.5, 2.0)]
 
 
-AFTER_REPLAY = ("the replay runs to its end at 9.5 s; the Stop chosen as the fallback at "
-                "9.5 and 10.0 s brakes from 10.7 m/s too late, and the walker is hit at 10.1 s")
+def collisions_and_violations(log) -> list:
+    return [(tick.t, tick.events) for tick in log.ticks
+            if "collision" in tick.events or "rule_violation" in tick.events]
 
 
-def hit(reason: str):
-    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+@pytest.mark.parametrize("ahead, delay", GRID)
+def test_a_pedestrian_who_starts_crossing_during_a_committed_change_is_not_hit(ahead, delay):
+    # README's promise, zero collisions and zero rule violations, on the
+    # planted crossing d m ahead of the commit, the walker starting after it:
+    # each committed row is judged by every rule and TTC, so a walker who
+    # steps out aborts the change
+    assert collisions_and_violations(cor_mp_drive(planted_crossing(ahead, delay)[0])) == []
+
+
+MOBIL_HITS = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "MOBIL's car following skips pedestrians: its change ends at 5.0 s, and it keeps "
+    "13.89 m/s into the walker at 8.3 s on an uncommitted tick"))
 
 
 @pytest.mark.parametrize("ahead, delay", [
-    pytest.param(40.0, 0.5, marks=hit(during_replay(8.5))),
-    (40.0, 1.0), (40.0, 1.5), (40.0, 2.0),
-    pytest.param(50.0, 0.5, marks=hit(during_replay(9.1))),
-    (50.0, 1.0),
-    pytest.param(50.0, 1.5, marks=hit(during_replay(9.2))),
-    (50.0, 2.0),
-    (60.0, 0.5),
-    pytest.param(60.0, 1.0, marks=hit("walker starting 1.0 s after the commit: " + AFTER_REPLAY)),
-    pytest.param(60.0, 1.5, marks=hit("walker starting 1.5 s after the commit: " + AFTER_REPLAY)),
-    pytest.param(60.0, 2.0, marks=hit("walker starting 2.0 s after the commit: " + AFTER_REPLAY)),
-])
-def test_a_pedestrian_who_starts_crossing_during_a_committed_change_is_not_hit(ahead, delay):
-    # README's promise, zero collisions and zero rule violations, on the
-    # planted crossing d m ahead of the commit, the walker starting after it
-    log = cor_mp_drive(planted_crossing(ahead, delay)[0])
-    assert [(tick.t, tick.events) for tick in log.ticks
-            if "collision" in tick.events or "rule_violation" in tick.events] == []
+    pytest.param(*case, marks=MOBIL_HITS) if case == (60.0, 0.5) else case for case in GRID])
+def test_mobil_on_the_planted_crossing_grid(ahead, delay):
+    sc = planted_crossing(ahead, delay)[0]
+    cfg = PlannerConfig()
+    assert collisions_and_violations(run(sc, MobilPlanner(cfg, sc.profile), cfg)) == []
 
 
 def test_a_committed_change_aborts_for_a_pedestrian_who_starts_crossing_after_it():
-    # the one planted case whose replay sees the walker in time: the change
-    # starts at the commit tick, aborts 1.5 s later into a decision of its own
+    # the change starts at the commit tick and aborts 1.5 s later, as the
+    # walker steps out, into a decision of its own
     sc, start = planted_crossing(50.0, 1.0)
     log = cor_mp_drive(sc)
     events = [(e.t, e.type) for e in log.events
@@ -409,3 +440,73 @@ def test_a_committed_change_aborts_for_a_pedestrian_who_starts_crossing_after_it
     assert commit.committed == 0 and abort.committed == 0
     assert abort.decision not in (None, commit.decision)
     assert log.decisions[abort.decision] != log.decisions[commit.decision]
+
+
+class Recording:
+    """`planner`, recording each call after the warm-up as (time, ego pose, result)."""
+
+    def __init__(self, planner) -> None:
+        self.inner, self.name, self.profile = planner, planner.name, planner.profile
+        self.calls = []
+
+    def reset(self) -> None:
+        self.inner.reset()
+        self.calls = []
+
+    def plan(self, scenario, sim_time):
+        ego = scenario.ego
+        result = self.inner.plan(scenario, sim_time)
+        self.calls.append((sim_time, (ego.x, ego.y, ego.heading), result))
+        return result
+
+
+def recorded_drive(name: str, cfg: PlannerConfig, planner=CorMpPlanner,
+                   profile: str | None = None) -> list:
+    sc = load(name)
+    recording = Recording(planner(cfg, profile or sc.profile))
+    run(sc, recording, cfg)
+    return recording.calls
+
+
+@pytest.mark.parametrize("name, changes", [("overtake_static", 2), ("two_lane_slow_lead", 2)])
+def test_a_committed_row_is_the_commit_time_path_from_the_ego_pose(name, changes):
+    # each committed call samples the change afresh from where the ego is; up
+    # to rounding, its row is the commit's trajectory from that time on, over
+    # the samples the ego drives before the next call, and it reaches the
+    # full lane-change horizon
+    cfg = PlannerConfig()
+    commits = 0
+    for t, (x, y, heading), result in recorded_drive(name, cfg):
+        traj = result.trajectory
+        if not result.committed:
+            start, trajectory = t, traj
+            continue
+        commits += 1
+        assert result.decision is None and result.maneuver in LANE_CHANGES
+        assert len(traj) == 51 == round(cfg.lane_change_horizon_s / cfg.dt) + 1
+        assert (traj.x[0], traj.y[0], traj.heading[0]) == pytest.approx((x, y, heading),
+                                                                         abs=1e-9)
+        k, n = round((t - start) / cfg.dt), cfg.replan_steps + 1
+        for field in ("x", "y", "heading"):
+            assert np.allclose(getattr(traj, field)[:n], getattr(trajectory, field)[k:k + n],
+                               rtol=0.0, atol=1e-9), field
+    assert commits == 9 * changes   # every 0.5 s from 0.5 to 4.5 s after each commit
+
+
+@pytest.mark.parametrize("planner, name, profile", [
+    (CorMpPlanner, "overtake_static", "aggressive"), (MobilPlanner, "two_lane_slow_lead", None)])
+def test_a_lane_change_shorter_than_the_horizon_expires_before_its_join(planner, name, profile):
+    # at 3 s a lane change's row spans the 4 s planning horizon, but its
+    # commitment expires after 3 s: no call re-samples it at or past its join
+    cfg = PlannerConfig(lane_change_duration_s=3.0)
+    calls = recorded_drive(name, cfg, planner, profile)
+    elapsed = []
+    for t, _, result in calls:
+        if not result.committed:
+            start = t
+        else:
+            elapsed.append(t - start)
+        traj = result.trajectory
+        rows = np.array([traj.t, traj.x, traj.y, traj.heading, traj.speed, traj.a_lon, traj.a_lat])
+        assert np.isfinite(rows).all() and len(traj) == 41
+    assert elapsed and max(elapsed) == pytest.approx(2.5)

@@ -308,7 +308,7 @@ def test_runs_are_deterministic_in_process():
 
 def test_a_planner_reused_after_a_run_that_ends_committed_logs_as_a_fresh_one():
     # cut at 8 s, the run ends inside the right change committed at 7.5 s; a
-    # warm-up plan at t = 0 on that commitment would index its samples at -75
+    # warm-up plan at t = 0 on that commitment would sample it from the start
     sc = dataclasses.replace(load("overtake_static"), duration_s=8.0)
     cfg = PlannerConfig()
     planner = make_planner("cor-mp", cfg, sc.profile)
@@ -317,8 +317,8 @@ def test_a_planner_reused_after_a_run_that_ends_committed_logs_as_a_fresh_one():
         {"t": 7.5, "type": "lane_change_started", "maneuver": "change_lane_right"},
         {"t": 8.0, "type": "lane_change_completed", "maneuver": "change_lane_right"}]
     commitment = planner.state.commitment
-    assert (commitment.maneuver, commitment.start_time) == (
-        Maneuver.CHANGE_LANE_RIGHT, 7.5)
+    assert (commitment.maneuver, commitment.target, commitment.expiry) == (
+        Maneuver.CHANGE_LANE_RIGHT, "right", 12.5)
     again = run(sc, planner, cfg)
     fresh = run(sc, make_planner("cor-mp", cfg, sc.profile), cfg)
     assert again.to_csv() == fresh.to_csv() == first.to_csv()

@@ -69,7 +69,8 @@ def test_every_known_stale_site_is_still_traced():
 
 def test_every_live_site_is_called_on_a_drive_with_a_committed_lane_change(monkeypatch):
     # a spy where each span would go; `overtake_static` changes lanes around a
-    # parked car, so commit replays check their safety through `planner`
+    # parked car, so committed rows are judged through `planner`'s filter and
+    # safety value
     called = set()
     live = [(f"{module}.{attr}", *lookup(module, attr)) for module, attr in traced_sites()
             if f"{module}.{attr}" not in STALE]
