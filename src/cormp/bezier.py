@@ -9,7 +9,7 @@ that reaches the centerline at the join and follows it from there on.
 speed profile, horizon) rows into trajectories on the simulator tick grid in
 one call, the profile measuring distance along the centerline, and returns
 them as one `CandidateBlock`: the padded (R, T) rows every pairwise measure of
-a plan broadcasts over.
+a plan broadcasts over, with each sample's arc position on its lane.
 """
 from __future__ import annotations
 
@@ -79,27 +79,30 @@ class CandidateBlock:
 
     t, x, y, heading, speed, a_lon and a_lat are (C, T) arrays, T the longest
     trajectory's sample count; a shorter row repeats its last sample, and
-    `valid` marks each row's own samples. Indexing or iterating the block
-    gives each row's `TimedTrajectory`, built on demand as views of the row's
-    valid samples. `sample_trajectory` returns its own buffers as one; a plan
-    hands `take` of the rows in play to each measure. Padding changes no
-    measure: none reads a sample that `valid` does not mark, or one that only
-    repeats a marked sample (such as a row's largest |a_lon|).
+    `valid` marks each row's own samples. s is the (C, T) arc position of
+    each sample on the centerline its row was sampled along, padded alike;
+    it is NaN in a block built from trajectories, which carry none.
+    Indexing or iterating the block gives each row's `TimedTrajectory`,
+    built on demand as views of the row's valid samples. `sample_trajectory`
+    returns its own buffers as one; a plan hands `take` of the rows in play
+    to each measure. Padding changes no measure: none reads a sample that
+    `valid` does not mark, or one that only repeats a marked sample (such as
+    a row's largest |a_lon|).
     """
 
     def __init__(self, trajectories: list) -> None:
         lengths = np.array([len(traj) for traj in trajectories])
-        rows = np.empty((7, len(trajectories), lengths.max()))
+        rows = np.full((8, len(trajectories), lengths.max()), np.nan)
         for c, traj in enumerate(trajectories):
             n = len(traj)
-            rows[:, c, :n] = (traj.t, traj.x, traj.y, traj.heading, traj.speed,
-                              traj.a_lon, traj.a_lat)
-            rows[:, c, n:] = rows[:, c, n - 1:n]
+            rows[:7, c, :n] = (traj.t, traj.x, traj.y, traj.heading, traj.speed,
+                               traj.a_lon, traj.a_lat)
+            rows[:7, c, n:] = rows[:7, c, n - 1:n]
         self._set(rows, np.arange(rows.shape[2]) < lengths[:, None], trajectories[0].dt)
 
     def _set(self, rows: np.ndarray, valid: np.ndarray, dt: float) -> None:
         self._rows = rows
-        self.t, self.x, self.y, self.heading, self.speed, self.a_lon, self.a_lat = rows
+        self.t, self.x, self.y, self.heading, self.speed, self.a_lon, self.a_lat, self.s = rows
         self.valid = valid
         self.dt = dt
 
@@ -120,7 +123,7 @@ class CandidateBlock:
         return self._rows.shape[1]
 
     def __getitem__(self, c: int) -> TimedTrajectory:
-        return TimedTrajectory(self.dt, *self._rows[:, c, :np.count_nonzero(self.valid[c])])
+        return TimedTrajectory(self.dt, *self._rows[:7, c, :np.count_nonzero(self.valid[c])])
 
 
 # a profile's v0, accel and v_max, bit for bit: the key of `_speeds_and_arcs`
@@ -214,7 +217,7 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
 
     The block's (R, T) rows are the read-only buffers the samples are
     written to, padded with each row's last sample as
-    `CandidateBlock(trajectories)` pads them.
+    `CandidateBlock(trajectories)` pads them; the s row is each sample's s0 + x.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -233,7 +236,9 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
                       (2.0 * d0 + slope * b) / (b * b * b)))
     s0, b, d0, slope, c2, c3 = np.array(terms).T[:, :, None]
     counts = np.array([len(tick_times(dt, h)) for h in horizons])
-    s = x + s0
+    buffers = np.empty((8,) + x.shape)
+    block_t, px, py, heading, speed, a_lon, a_lat, s = buffers
+    np.add(x, s0, out=s)
     before = x < b   # the offset and its derivatives are 0 from the join on
     d = (((x * c3 + c2) * x + slope) * x + d0) * before   # by Horner's rule
     dd = ((x * (3.0 * c3) + 2.0 * c2) * x + slope) * before
@@ -248,8 +253,6 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     f = (s - cum) / seg_len
     d /= seg_len
     kappa += (x * (6.0 * c3) + 2.0 * c2) * before   # plus d''
-    buffers = np.empty((7,) + s.shape)
-    block_t, px, py, heading, speed, a_lon, a_lat = buffers
     block_t[:] = t
     np.add(ax, dx * f, out=px)
     px -= dy * d

@@ -16,15 +16,17 @@ The feasibility filter returns the plan's rule matrix: one row per
 candidate, one column per rule in `RULES` (no lane, speeding, accelerating
 at the limit, a solid boundary, a red light, an occupied crosswalk,
 footprint time-to-collision below the threshold), each column one array
-expression over the candidates' rows. A candidate is feasible where no
-column is set; if none is, Stop is retained as the fallback.
+expression over the candidates' rows. Lights and crosswalks are judged in
+each row's own lane frame, on the arc positions it was sampled at; no row
+is projected. A candidate is feasible where no column is set; if none is,
+Stop is retained as the fallback.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -407,26 +409,40 @@ def time_to_collision(cands: CandidateBlock, block: PredictionBlock,
     return ttc, who
 
 
+def _mark(ctx: PlanContext, targets: np.ndarray, concerned: np.ndarray, lane_id: str,
+          s: float) -> np.ndarray:
+    """(R, 1): arc position s on lane `lane_id` in each row's own lane frame,
+    `targets`: s on that lane; for the `concerned` rows on another lane, the
+    point at s projected onto theirs, one pair projection per lane."""
+    out = np.full((len(targets), 1), s)
+    point = ctx.scenario.lanes[lane_id].centerline.pose_at(s)[:2]
+    for other in set(targets[concerned].tolist()) - {lane_id}:
+        out[targets == other] = ctx.scenario.lanes[other].centerline.project(point)[0]
+    return out
+
+
 def _red_lights(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
-                front) -> np.ndarray:
+                front: np.ndarray) -> np.ndarray:
     """(R,) rows that cross a red stop line, or enter its hold zone while it
     is red, on a lane they concern: the ego's, or `targets`, each row's
-    target lane. `front(lane_id)` gives the (R, T) front-bumper arc positions
-    of the rows on a lane. A light counts as red if it is red now or at the
-    tick of the crossing or entry."""
+    target lane, the lane it was sampled along. `front` is the (R, T)
+    front-bumper arc position of each row on its own lane, against which
+    `_mark` puts each line. A light counts as red if it is red now or at
+    the tick of the crossing or entry."""
     cfg = ctx.config
     out = np.zeros(len(cands), dtype=bool)
     for light in ctx.scenario.lights:
         ahead = (targets == light.lane) | (light.lane == ctx.ego.lane)
         if not ahead.any():
             continue
-        s = front(light.lane)
-        ahead &= s[:, 0] < light.stop_line_s   # not yet past this light
         # gate entry a bit outside the hold window so tracking fuzz cannot
         # park the bumper right on its boundary
         hold_line = light.stop_line_s - cfg.red_light_hold_m - cfg.hold_buffer_m
-        crosses = ahead[:, None] & (s >= light.stop_line_s)
-        enters = (ahead & (s[:, 0] < hold_line))[:, None] & (s >= hold_line)
+        stop, hold = (_mark(ctx, targets, ahead, light.lane, s)
+                      for s in (light.stop_line_s, hold_line))
+        ahead &= front[:, 0] < stop[:, 0]   # not yet past this light
+        crosses = ahead[:, None] & (front >= stop)
+        enters = (ahead & (front[:, 0] < hold[:, 0]))[:, None] & (front >= hold)
         red_now = light.color_at(ctx.sim_time) == "red"
         for event in (crosses, enters):
             rows = np.nonzero(event.any(axis=1))[0]
@@ -437,12 +453,12 @@ def _red_lights(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
 
 
 def _crosswalks(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
-                front) -> np.ndarray:
+                front: np.ndarray) -> np.ndarray:
     """(R,) rows that enter a crosswalk's hold margin on a lane they concern
     while it is occupied now or at the tick of entry, with `targets` and
-    `front` as in `_red_lights`. The span is measured along the ego's lane
-    where the crosswalk spans it, else along each row's target lane; a row
-    parked past the hold line does not enter while its front never advances."""
+    `front` as in `_red_lights`. The span is that of the ego's lane where the
+    crosswalk spans it, else of each row's target lane; a row parked past the
+    hold line does not enter while its front never advances."""
     cfg, ego = ctx.config, ctx.ego
     out = np.zeros(len(cands), dtype=bool)
     for cw, occupied in zip(ctx.scenario.crosswalks, ctx.crosswalk_occupancy):
@@ -450,10 +466,11 @@ def _crosswalks(ctx: PlanContext, cands: CandidateBlock, targets: np.ndarray,
             enters = (targets == lane_id) | (lane_id == ego.lane)
             if not enters.any():
                 continue
-            s = front(lane_id)
-            at = s >= cw.span[0] - cfg.crosswalk_hold_m
-            enters &= (s[:, 0] < cw.span[1]) & at.any(axis=1)
-            enters &= ~(at[:, 0] & (s[:, -1] <= s[:, 0]))
+            hold, end = (_mark(ctx, targets, enters, lane_id, s)
+                         for s in (cw.span[0] - cfg.crosswalk_hold_m, cw.span[1]))
+            at = front >= hold
+            enters &= (front[:, 0] < end[:, 0]) & at.any(axis=1)
+            enters &= ~(at[:, 0] & (front[:, -1] <= front[:, 0]))
             tick = np.minimum(at.argmax(axis=1), len(occupied) - 1)
             out |= enters & (occupied[0] | occupied[tick])
     return out
@@ -471,10 +488,12 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
     neighbour lane, or below 1 m/s); every other column is one array expression
     over the candidates' rows of `block`; `solid_line` marks a row whose target
     lies across a solid line from the ego's lane, which a committed change
-    leaves behind; the red-light and crosswalk columns share one projection of
-    every row's samples per lane they concern, and time-to-collision is one call
-    over every row. Sets each candidate feasible where no column is set; when
-    none is, Stop is retained as the fallback, its broken rules still set.
+    leaves behind; the red-light and crosswalk columns compare each row's own
+    front-bumper arc position on its target lane, the lane it was sampled
+    along, with each threshold in that lane's frame (`_mark`), and
+    time-to-collision is one call over every row. Sets each candidate feasible
+    where no column is set; when none is, Stop is retained as the fallback,
+    its broken rules still set.
     """
     cfg, ego, lane, lanes = ctx.config, ctx.ego, ctx.lane, ctx.scenario.lanes
     eps = cfg.rule_speed_epsilon
@@ -501,14 +520,7 @@ def feasibility_filter(ctx: PlanContext, block: CandidateBlock | None,
         rules[:, 2] = [solid.get(c.target_lane, False) for c in ruled]
         if ctx.scenario.lights or ctx.scenario.crosswalks:
             targets = np.array([c.target_lane for c in ruled])
-
-            @cache
-            def front(lane_id: str) -> np.ndarray:
-                """(R, T) arc position of the ego front bumper on the lane."""
-                s, _ = lanes[lane_id].centerline.project(
-                    np.column_stack([cands.x.ravel(), cands.y.ravel()]))
-                return s.reshape(cands.x.shape) + ego.length / 2.0
-
+            front = cands.s + ego.length / 2.0
             rules[:, 3] = _red_lights(ctx, cands, targets, front)
             rules[:, 4] = _crosswalks(ctx, cands, targets, front)
         np.less(ttc, cfg.ttc_min_s, out=rules[:, 5])

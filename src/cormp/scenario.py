@@ -26,8 +26,6 @@ LIGHT_COLORS = ("red", "green")
 DEFAULT_VEHICLE_MASS = 1500.0
 DEFAULT_PEDESTRIAN_MASS = 75.0
 
-WALK_BELOW = 8   # from this many points, a one-segment lane projects an array in closed form
-
 
 class ScenarioError(ValueError):
     """Raised for structural or semantic problems in a scenario document."""
@@ -143,20 +141,17 @@ class Polyline:
         foot lies on it wins, else the first: near a vertex the segment that
         holds the point beats its neighbour clamped to that vertex.
 
-        On a one-segment lane, an array of `WALK_BELOW` or more points takes
-        the segment's closed form, where no tie can arise. A pair, and every
-        other array point by point, is located by `_walk`, the one statement
-        of the tie rule; both paths give the same bits.
-        Every shipped lane has one segment, and a curved drive sends its
-        many-segment lanes fewer than `WALK_BELOW` points at a time: the
-        seed-1 benchmark drives send 952 smaller arrays, and all 102 larger
-        ones go to one-segment lanes. The walk's cost per point still grows
+        A pair, and an array point by point, is located by `_walk`, the one
+        statement of the tie rule. Callers send pairs and arrays of a few
+        points: the ego and the road users, not the samples of a plan's rows,
+        which carry their own arc positions. The walk's cost per point grows
         with the segment count.
         """
         if not isinstance(point, tuple):   # a tuple is a pair, read without numpy
             point = np.asarray(point, dtype=np.float64)
             if point.ndim == 2:
-                return self._project_many(point)
+                s, lateral = zip(*map(self._walk, *point.T.tolist())) if len(point) else ((), ())
+                return np.array(s, dtype=np.float64), np.array(lateral, dtype=np.float64)
         return self._walk(float(point[0]), float(point[1]))
 
     def _walk(self, px: float, py: float) -> tuple:
@@ -194,18 +189,6 @@ class Polyline:
         if (i == 0 and t < 0.0) or (i == len(self._seg) - 1 and t > 1.0):
             tc = t  # past an end: along the end segment's extension
         return cum + tc * seg, (dx * qy - dy * qx) / seg
-
-    def _project_many(self, p: np.ndarray) -> tuple:
-        if len(p) >= WALK_BELOW and len(self._seg) == 1:
-            # `_walk` on the one segment, bitwise: past either end the foot
-            # is t on the extension, and on the segment t is tc
-            ax, ay, dx, dy, len2, seg, cum, _ = self._segment_floats[0]
-            rx, ry = p[:, 0] - ax, p[:, 1] - ay
-            t = (rx * dx + ry * dy) / len2
-            tc = np.minimum(np.maximum(t, 0.0), 1.0)
-            return cum + t * seg, (dx * (ry - dy * tc) - dy * (rx - dx * tc)) / seg
-        s, lateral = zip(*map(self._walk, *p.T.tolist())) if len(p) else ((), ())
-        return np.array(s, dtype=np.float64), np.array(lateral, dtype=np.float64)
 
 
 @dataclass(eq=False)

@@ -89,9 +89,69 @@ CURVED = {
 }
 
 
+def lit_arc(n_points: int) -> dict:
+    """Two-lane left-hand arc of radius 150 m over 420 m, its centerlines of
+    `n_points` vertices, with a light on each lane, a crosswalk over both and
+    traffic: the ego at 13.89 m/s on the outer lane 80 m before its red
+    light, 10 vehicles past that light at 11 m/s and 10 on the inner lane at
+    12 m/s, and 4 walkers that cross both lanes from the outside, one after
+    the other, as the ego nears the crosswalk."""
+    radius, width = 150.0, 3.5
+    lines = {"right": arc_centerline(radius, 1, n_points=n_points),
+             "left": arc_centerline(radius, 1, width, n_points=n_points)}
+
+    def pose(offset: float, s: float) -> tuple:
+        """Position `offset` m left of the outer centerline at its arc position
+        s, and the heading along it."""
+        a = s / radius - math.pi / 2.0
+        r = radius - offset
+        return [r * math.cos(a), radius + r * math.sin(a)], a + math.pi / 2.0
+
+    def car(name: str, lane: str, s: float, speed: float) -> dict:
+        position, heading = pose(width if lane == "left" else 0.0, s)
+        return {"id": name, "kind": "ego" if name == "ego" else "vehicle",
+                "position": position, "heading": heading, "speed": speed,
+                "length": 4.5, "width": 1.8, "lane": lane}
+
+    def walker(k: int) -> dict:
+        position, heading = pose(-4.0, 201.5)
+        return {"id": f"walker{k}", "kind": "pedestrian", "position": position,
+                "heading": heading + math.pi / 2.0, "speed": 0.0, "length": 0.6, "width": 0.6,
+                "behavior": {"type": "cross", "start_time": 6.0 + 1.5 * k, "speed": 1.4,
+                             "distance": 12.0}}
+
+    return {
+        "name": f"lit_arc_{n_points}",
+        "duration_s": 15.0,
+        "apriori_lane": "right",
+        "lanes": [
+            {"id": "right", "centerline": lines["right"], "width": width, "speed_limit": 13.89,
+             "left_neighbor": "left", "left_boundary": "dashed", "right_boundary": "solid"},
+            {"id": "left", "centerline": lines["left"], "width": width, "speed_limit": 13.89,
+             "right_neighbor": "right", "left_boundary": "solid", "right_boundary": "dashed"},
+        ],
+        "agents": [car("ego", "right", 30.0, 13.89)]
+        + [car(f"slow{k}", "right", 130.0 + 25.0 * k, 11.0) for k in range(10)]
+        + [car(f"fast{k}", "left", 5.0 + 30.0 * k, 12.0) for k in range(10)]
+        + [walker(k) for k in range(4)],
+        "lights": [
+            {"lane": "right", "stop_line_s": 110.0, "schedule": [["red", 6.0], ["green", 30.0]]},
+            {"lane": "left", "stop_line_s": 250.0, "schedule": [["green", 4.0], ["red", 30.0]]},
+        ],
+        "crosswalks": [{"lanes": ["right", "left"], "span": [200.0, 203.0]}],
+    }
+
+
+# Lit arcs at two lane resolutions, kept out of the clean sweep and the
+# digests: the rule checks' cost must not grow with the vertex count.
+LIT_ARCS = {f"lit_arc_{n}": lit_arc(n) for n in (60, 1000)}
+
+
 def load(name: str) -> Scenario:
     if name in CURVED:
         return load_scenario(CURVED[name])
+    if name in LIT_ARCS:
+        return load_scenario(LIT_ARCS[name])
     return load_scenario(str(SCENARIO_DIR / f"{name}.json"))
 
 

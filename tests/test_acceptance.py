@@ -363,6 +363,22 @@ def test_criterion_8_latency_under_load():
           f"with 10 other road users")
 
 
+def test_criterion_8_latency_on_a_lit_thousand_vertex_arc():
+    # the rule checks read each row's own arc position, so a light per lane
+    # and a crosswalk cost no more on 1000-vertex centerlines than on 60
+    sc, log, _ = timed_run("lit_arc_1000")
+    assert len(sc.lanes["right"].centerline.points) == 1000
+    assert len(sc.others()) == 24 and sc.lights and sc.crosswalks
+    lat = np.asarray(log.latencies_ms)
+    assert len(lat) >= 30
+    median = float(np.median(lat))
+    p99 = float(np.percentile(lat, 99))
+    assert median < 10.0
+    assert p99 < 50.0
+    print(f"\n[criterion-8] PASS median plan {median:.2f} ms, p99 {p99:.2f} ms "
+          f"on a lit 1000-vertex arc with 24 other road users")
+
+
 # --------------------------------------------------------------------------
 # criterion 9: reproducible artifacts
 

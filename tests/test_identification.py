@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import (CURVED, SCENARIO_DIR, assert_row_is_its_lone_block, curved_road, load,
                       prediction_block)
+import cormp.planner
 from cormp import identification, resources
 from cormp.baselines import make_planner
 from cormp.bezier import SpeedProfile, sample_trajectory
@@ -32,6 +34,7 @@ from cormp.planner import CorMpPlanner, plan_context, plan_tick
 from cormp.scenario import Polyline, load_scenario
 from cormp.simulator import SimWorld, run
 from resource_oracle import path_length
+from rule_oracle import rule_columns, vertex_slack
 
 EGO = {"id": "ego", "kind": "ego", "position": [15.0, 0.0], "heading": 0.0,
        "speed": 13.89, "length": 4.5, "width": 1.8, "mass": 1500.0,
@@ -743,26 +746,118 @@ def test_stop_survives_as_fallback_when_nothing_is_feasible():
     assert decision.maneuver is Maneuver.STOP and decision.fallback
 
 
-def test_rule_columns_project_each_lane_once(monkeypatch):
-    # a red light and an occupied crosswalk ahead on the ego's lane, and the
-    # neighbour lane: one array projection of the plan's rows per lane concerned
-    light = {"lane": "right", "stop_line_s": 150.0, "schedule": [["red", 1000.0]]}
-    for doc, lanes in ((road(ego={"position": [60.0, 0.0]}, others=[LEAVING], lights=[light],
-                             crosswalks=[CROSSWALK]), 1),
-                       (road(ego={"position": [60.0, 0.0]}, others=[LEAVING], lights=[light],
-                             crosswalks=[dict(CROSSWALK, lanes=["right", "left"])]), 1),
-                       (road(ego={"position": [120.0, 0.0]},
-                             lights=[light, dict(light, lane="left")]), 2)):
+LIGHT = {"lane": "right", "stop_line_s": 150.0, "schedule": [["red", 1000.0]]}
+RULE_COLUMNS = [RULES.index("red_light"), RULES.index("crosswalk")]
+
+
+@pytest.mark.parametrize("doc, pairs", [
+    # on the ego's lane, which concerns the left change's row: the light's
+    # stop and hold lines, and the crosswalk's hold line and end, mapped once
+    # each onto the left lane
+    (road(ego={"position": [60.0, 0.0]}, others=[LEAVING], lights=[LIGHT],
+          crosswalks=[CROSSWALK]), 4),
+    (road(ego={"position": [60.0, 0.0]}, others=[LEAVING], lights=[LIGHT],
+          crosswalks=[dict(CROSSWALK, lanes=["right", "left"])]), 4),
+    # the left lane's light concerns only the left change's row, on that lane
+    (road(ego={"position": [120.0, 0.0]}, lights=[LIGHT, dict(LIGHT, lane="left")]), 2),
+    (road(ego={"position": [120.0, 0.0]}, lights=[dict(LIGHT, lane="left")],
+          crosswalks=[dict(CROSSWALK, lanes=["left"], span=[160.0, 163.0])]), 0),
+    # on a one-lane road every row is on the rule's lane
+    (road(n_lanes=1, ego={"position": [60.0, 0.0]}, others=[LEAVING], lights=[LIGHT],
+          crosswalks=[CROSSWALK]), 0),
+], ids=["ego_lane", "both_lanes", "light_per_lane", "other_lane", "one_lane"])
+def test_rule_columns_project_only_a_pair_per_threshold_and_other_lane(monkeypatch, doc, pairs):
+    # a red light and an occupied crosswalk: the filter projects no row, and
+    # maps each threshold that concerns a row on another lane onto that lane
+    # with one pair projection, none where every concerned row is on the
+    # rule's lane
+    ctx = context(doc)
+    block, cands = enumerate_candidates(ctx)
+    calls = []
+    project = Polyline.project
+    monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(
+        np.ndim(p)) or project(self, p))
+    broken, _, _ = feasibility_filter(ctx, block, cands)
+    monkeypatch.undo()
+    assert calls == [1] * pairs
+    assert broken[:, RULE_COLUMNS].any()
+
+
+def assert_rule_columns_match_the_projection(ctx, block, cands, broken) -> int:
+    """The filter's red-light and crosswalk columns equal those of projecting
+    every sample (`rule_oracle`), and each row's own s lies within
+    `vertex_slack` of its samples' projections onto its own lane. Returns
+    the number of verdicts set."""
+    has = [c.row is not None for c in cands]
+    ruled = [c for c in cands if c.row is not None]
+    rows = block.take([c.row for c in ruled])
+    targets = np.array([c.target_lane for c in ruled])
+    got = broken[has][:, RULE_COLUMNS]
+    assert np.array_equal(got, rule_columns(ctx, rows, targets)), ctx.sim_time
+    for lane_id in set(targets.tolist()):
+        line, on = ctx.scenario.lanes[lane_id].centerline, targets == lane_id
+        px, py, own = rows.x[on].ravel(), rows.y[on].ravel(), rows.s[on].ravel()
+        x, y, heading = line.frames(own)
+        d = (py - y) * np.cos(heading) - (px - x) * np.sin(heading)
+        s, _ = line.project(np.column_stack([px, py]))
+        assert np.all(np.abs(s - own) <= vertex_slack(line, d) + 1e-9), (ctx.sim_time, lane_id)
+    return int(got.sum())
+
+
+def test_rule_columns_equal_the_per_sample_projection_on_two_straight_lanes():
+    # lights and an occupied crosswalk on either lane or both, the ego on
+    # either lane at 13.89 m/s, with its lane change's row, at several
+    # distances from them; a light turns red at 2 s. The left lane starts
+    # level with the right one or 20 m before it, so that its arc positions
+    # exceed the right lane's by 20 m
+    walker = {"id": "ped", "kind": "pedestrian", "position": [161.5, -2.5],
+              "heading": math.pi / 2, "speed": 1.4, "length": 0.6, "width": 0.6}
+    light = dict(LIGHT, schedule=[["green", 2.0], ["red", 1000.0]])
+    crosswalk = {"lanes": ["right"], "span": [160.0, 163.0]}
+    rules = [dict(lights=[light]), dict(lights=[dict(light, lane="left")]),
+             dict(lights=[light, dict(light, lane="left")]),
+             dict(crosswalks=[crosswalk]), dict(crosswalks=[dict(crosswalk, lanes=["left"])]),
+             dict(crosswalks=[dict(crosswalk, lanes=["right", "left"])]),
+             dict(lights=[light, dict(light, lane="left", stop_line_s=170.0)],
+                  crosswalks=[dict(crosswalk, lanes=["right", "left"])])]
+    verdicts = Counter()
+    for (lane, y), x, rule, shift in itertools.product((("right", 0.0), ("left", 3.5)),
+                                                       (60.0, 100.0, 125.0, 140.0, 155.0),
+                                                       rules, (0.0, 20.0)):
+        doc = road(ego={"position": [x, y], "lane": lane}, others=[walker], **rule)
+        doc["lanes"][1]["centerline"] = [[-shift, 3.5], [600.0 - shift, 3.5]]
         ctx = context(doc)
         block, cands = enumerate_candidates(ctx)
-        calls = []
-        project = Polyline.project
-        monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(
-            np.ndim(p)) or project(self, p))
+        assert any(c.row is not None and c.target_lane != lane for c in cands)
         broken, _, _ = feasibility_filter(ctx, block, cands)
-        monkeypatch.undo()
-        assert calls == [2] * lanes
-        assert broken[:, [RULES.index("red_light"), RULES.index("crosswalk")]].any()
+        for c, row in zip(cands, broken[:, RULE_COLUMNS].tolist()):
+            verdicts[c.target_lane == lane, tuple(row)] += 1
+        assert_rule_columns_match_the_projection(ctx, block, cands, broken)
+    # both verdicts of both columns, on both kinds of row
+    assert all(verdicts[own, (True, False)] and verdicts[own, (False, True)]
+               and verdicts[own, (False, False)] for own in (True, False)), verdicts
+
+
+@pytest.mark.parametrize("name", ["lit_arc_60", "lit_arc_1000", "arc_right_r140"])
+def test_rule_columns_equal_the_per_sample_projection_over_an_arc_drive(name, monkeypatch):
+    # plan by plan over a cor-mp drive. On `arc_right_r140` a left change's
+    # row starts 3.5 m inside the turn of its lane, whose samples project up
+    # to 0.13 m away from their own s near its vertices
+    filter_plan = feasibility_filter
+    verdicts = []
+
+    def checked(ctx, block, cands):
+        out = filter_plan(ctx, block, cands)
+        if any(c.row is not None for c in cands):
+            verdicts.append(assert_rule_columns_match_the_projection(ctx, block, cands, out[0]))
+        return out
+
+    monkeypatch.setattr(cormp.planner, "feasibility_filter", checked)
+    sc = load(name)
+    cfg = PlannerConfig()
+    run(sc, CorMpPlanner(cfg, sc.profile), cfg)
+    assert len(verdicts) >= 15
+    assert (sum(verdicts) > 0) == bool(sc.lights)
 
 
 def test_filter_always_leaves_a_feasible_candidate():

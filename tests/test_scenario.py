@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import CURVED, SCENARIO_DIR, SHIPPED, arc_centerline, load
 from cormp.scenario import (
-    WALK_BELOW,
     Behavior,
     Lane,
     Polyline,
@@ -153,10 +152,8 @@ def test_one_segment_projection_matches_the_general_path_bitwise(a, b, free, alo
     ux, uy = (bx - ax) / math.dist(a, b), (by - ay) / math.dist(a, b)
     pts = np.array(free + [(ax + (bx - ax) * f - uy * w, ay + (by - ay) * f + ux * w)
                            for f, w in along])
-    # walked below `WALK_BELOW` points, in closed form from it on
-    for block in (pts, np.tile(pts, (WALK_BELOW, 1))):
-        want = np.array([project_oracle(line, q) for q in block])
-        assert np.column_stack(line.project(block)).tobytes() == want.tobytes()
+    want = np.array([project_oracle(line, q) for q in pts])
+    assert np.column_stack(line.project(pts)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("turn", [1.0, -1.0])
@@ -230,8 +227,8 @@ def test_polyline_project_equals_the_full_scan_bitwise(case):
     assert pairs.tobytes() == want.tobytes()
     assert np.array([line.project(q) for q in queries]).tobytes() == want.tobytes()
     assert np.column_stack(line.project(queries)).tobytes() == want.tobytes()
-    # arrays on either side of `WALK_BELOW`, where a one-segment line turns to its closed form
-    for m in range(WALK_BELOW + 3):
+    # arrays of 0 to 10 points, from either end of the queries
+    for m in range(11):
         for part in (slice(m), slice(len(queries) - m, None)):
             s, lateral = line.project(queries[part])
             assert s.dtype == lateral.dtype == np.float64 and s.shape == lateral.shape == (m,)
@@ -239,8 +236,8 @@ def test_polyline_project_equals_the_full_scan_bitwise(case):
 
 
 def test_a_thousand_vertex_arc_projects_a_plan_block_as_the_oracle_does():
-    # 4 rows of 41 samples, as the filter sends a lane, at offsets across
-    # both lanes and past both ends of a 1000-vertex arc
+    # 4 rows of 41 samples at offsets across both lanes and past both ends
+    # of a 1000-vertex arc
     line = Polyline(arc_centerline(150.0, 1, n_points=1000))
     s = np.linspace(-10.0, line.length + 10.0, 41)
     x, y, heading = line.frames(s)
@@ -252,11 +249,10 @@ def test_a_thousand_vertex_arc_projects_a_plan_block_as_the_oracle_does():
 
 @pytest.mark.parametrize("vertices", [arc_centerline(140.0, -1), [[0.0, 0.0], [300.0, 0.0]]])
 def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertices):
-    # each call counts once wherever `project` is spied on or traced: a
-    # many-segment line walks every array point by point, a one-segment
-    # line only those below `WALK_BELOW`
+    # each call counts once wherever `project` is spied on or traced, and
+    # every array is walked point by point, on one segment as on many
     line = Polyline(vertices)
-    s = np.linspace(-10.0, line.length + 10.0, WALK_BELOW + 2)
+    s = np.linspace(-10.0, line.length + 10.0, 10)
     x, y, heading = line.frames(s)
     pts = np.column_stack([x - 1.5 * np.sin(heading), y + 1.5 * np.cos(heading)])
     calls = []
@@ -264,11 +260,10 @@ def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertice
         fn = getattr(Polyline, name)
         monkeypatch.setattr(Polyline, name,
                             lambda self, *a, fn=fn, name=name: calls.append(name) or fn(self, *a))
-    for m in range(WALK_BELOW + 3):
+    for m in range(11):
         calls.clear()
         line.project(pts[:m])
-        walked = m if m < WALK_BELOW or len(line._seg) > 1 else 0
-        assert calls == ["project"] + ["_walk"] * walked
+        assert calls == ["project"] + ["_walk"] * m
 
 
 def assert_scalar_poses_are_frames(line: Polyline, s: np.ndarray) -> None:
