@@ -75,32 +75,20 @@ class TimedTrajectory:
 
 
 class CandidateBlock:
-    """Trajectories on one tick grid, stacked: row c is `trajectories[c]`.
+    """Trajectories on one tick grid, stacked: the (8, C, T) `rows` of C trajectories.
 
-    t, x, y, heading, speed, a_lon and a_lat are (C, T) arrays, T the longest
-    trajectory's sample count; a shorter row repeats its last sample, and
-    `valid` marks each row's own samples. s is the (C, T) arc position of
-    each sample on the centerline its row was sampled along, padded alike;
-    it is NaN in a block built from trajectories, which carry none.
-    Indexing or iterating the block gives each row's `TimedTrajectory`,
-    built on demand as views of the row's valid samples. `sample_trajectory`
-    returns its own buffers as one; a plan hands `take` of the rows in play
-    to each measure. Padding changes no measure: none reads a sample that
-    `valid` does not mark, or one that only repeats a marked sample (such as
-    a row's largest |a_lon|).
+    t, x, y, heading, speed, a_lon, a_lat and s are its (C, T) arrays, T the
+    longest trajectory's sample count; a shorter row repeats its last sample,
+    and `valid` marks each row's own samples. s is the arc position of each
+    sample on the centerline its row was sampled along. Indexing or iterating
+    the block gives each row's `TimedTrajectory`, built on demand as views of
+    the row's valid samples. `sample_trajectory` returns its own buffers as
+    one; a plan hands `take` of the rows in play to each measure. Padding
+    changes no measure: none reads a sample that `valid` does not mark, or
+    one that only repeats a marked sample (such as a row's largest |a_lon|).
     """
 
-    def __init__(self, trajectories: list) -> None:
-        lengths = np.array([len(traj) for traj in trajectories])
-        rows = np.full((8, len(trajectories), lengths.max()), np.nan)
-        for c, traj in enumerate(trajectories):
-            n = len(traj)
-            rows[:7, c, :n] = (traj.t, traj.x, traj.y, traj.heading, traj.speed,
-                               traj.a_lon, traj.a_lat)
-            rows[:7, c, n:] = rows[:7, c, n - 1:n]
-        self._set(rows, np.arange(rows.shape[2]) < lengths[:, None], trajectories[0].dt)
-
-    def _set(self, rows: np.ndarray, valid: np.ndarray, dt: float) -> None:
+    def __init__(self, rows: np.ndarray, valid: np.ndarray, dt: float) -> None:
         self._rows = rows
         self.t, self.x, self.y, self.heading, self.speed, self.a_lon, self.a_lat, self.s = rows
         self.valid = valid
@@ -108,11 +96,9 @@ class CandidateBlock:
 
     def take(self, idx: list) -> CandidateBlock:
         """A new block of rows `idx`, padded as here: views of a run in order, else copies."""
-        sub = CandidateBlock.__new__(CandidateBlock)
         if idx and idx == list(range(idx[0], idx[0] + len(idx))):
             idx = slice(idx[0], idx[0] + len(idx))
-        sub._set(self._rows[:, idx], self.valid[idx], self.dt)
-        return sub
+        return CandidateBlock(self._rows[:, idx], self.valid[idx], self.dt)
 
     @property
     def end_xy(self) -> np.ndarray:
@@ -216,8 +202,8 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
     `locate` at s.
 
     The block's (R, T) rows are the read-only buffers the samples are
-    written to, padded with each row's last sample as
-    `CandidateBlock(trajectories)` pads them; the s row is each sample's s0 + x.
+    written to, each padded with its row's last sample; the s row is each
+    sample's s0 + x.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -270,6 +256,4 @@ def sample_trajectory(rows, dt: float) -> CandidateBlock:
             a_lon[r, n - 1] = a_lon[r, n - 2] if n > 1 else 0.0
             buffers[:, r, n:] = buffers[:, r, n - 1:n]
     buffers.flags.writeable = False
-    block = CandidateBlock.__new__(CandidateBlock)
-    block._set(buffers, np.arange(width) < counts[:, None], dt)
-    return block
+    return CandidateBlock(buffers, np.arange(width) < counts[:, None], dt)

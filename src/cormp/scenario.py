@@ -26,6 +26,11 @@ LIGHT_COLORS = ("red", "green")
 DEFAULT_VEHICLE_MASS = 1500.0
 DEFAULT_PEDESTRIAN_MASS = 75.0
 
+# `Polyline._cells` covers the points within BAND of a line, a neighbour lane's
+# centerline 3.5 m over among them, with cells at least CELL_MIN wide
+BAND = 5.0       # m
+CELL_MIN = 2.0   # m
+
 
 class ScenarioError(ValueError):
     """Raised for structural or semantic problems in a scenario document."""
@@ -104,7 +109,7 @@ class Polyline:
 
     @cached_property
     def _segment_floats(self) -> list:
-        """Per-segment Python floats, which `_walk` (by the runs of `_chunks`) and `pose_at`
+        """Per-segment Python floats, which `_nearest` (by the rows of `_chunks`) and `pose_at`
         read faster than numpy scalars: ax, ay, dx, dy, length^2, length, arc position and heading
         (by np.arctan2 as in `frames`; math.atan2 rounds some differently). Most lanes have one."""
         p, d = self.points, self._d
@@ -128,6 +133,46 @@ class Polyline:
         return [(*c.tolist(), float(np.hypot(*(v - c).T).max()), rows[i:i + k])
                 for i, (v, c) in zip(starts, discs)]
 
+    @cached_property
+    def _cells(self) -> tuple:
+        """(h, cells) of a line of more than one run of `_chunks`, else (0.0, {}).
+
+        cells maps each square cell of side h, keyed (floor(x / h), floor(y / h)), that
+        holds a point within `BAND` of the line to the rows (of `_chunks`, in index order)
+        of every segment that can be the closest to a point of the cell or tie with it:
+        those within d + h * sqrt(2) + `REACH_MARGIN` of the cell's centre, d the centre's
+        distance to the line, since that distance is 1-Lipschitz. h is the mean segment
+        length, at least `CELL_MIN`. Only the cells about each segment's bounding box are
+        weighed against it, so the build grows with the segment count.
+        """
+        if len(self._chunks) == 1:
+            return 0.0, {}
+        rows = [row for *_, run in self._chunks for row in run]
+        h = max(CELL_MIN, self.length / len(rows))
+        cover, slack = BAND + h / math.sqrt(2.0), h * math.sqrt(2.0) + REACH_MARGIN
+        a, b, d = self.points[:-1], self.points[1:], self._d
+        lo = np.floor((np.minimum(a, b) - (cover + slack)) / h).astype(np.int64)
+        span = np.floor((np.maximum(a, b) + (cover + slack)) / h).astype(np.int64) - lo + 1
+        count = span[:, 0] * span[:, 1]
+        seg = np.repeat(np.arange(len(rows)), count)   # (cell, segment) pairs, by segment
+        k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+        ix, iy = lo[seg, 0] + k // span[seg, 1], lo[seg, 1] + k % span[seg, 1]
+        rx, ry = (ix + 0.5) * h - a[seg, 0], (iy + 0.5) * h - a[seg, 1]
+        dx, dy = d[seg].T
+        t = np.clip((rx * dx + ry * dy) / self._seg[seg] ** 2, 0.0, 1.0)
+        dist = np.hypot(rx - dx * t, ry - dy * t)
+        key = (ix - ix.min()) * (iy.max() - iy.min() + 1) + iy
+        order = np.argsort(key, kind="stable")   # by cell, each cell's pairs by segment
+        key, ix, iy, seg, dist = key[order], ix[order], iy[order], seg[order], dist[order]
+        first = np.flatnonzero(np.diff(key, prepend=key[0] - 1))
+        near = np.repeat(np.minimum.reduceat(dist, first), np.diff(first, append=len(key)))
+        keep = (near <= cover) & (dist <= near + slack)
+        key, ix, iy, seg = key[keep], ix[keep], iy[keep], seg[keep].tolist()
+        first = np.flatnonzero(np.diff(key, prepend=key[0] - 1)).tolist()
+        lists = [tuple(seg[i:e]) for i, e in zip(first, first[1:] + [len(seg)])]
+        shared = {j: tuple(map(rows.__getitem__, j)) for j in set(lists)}   # one per distinct list
+        return h, dict(zip(zip(ix[first].tolist(), iy[first].tolist()), map(shared.get, lists)))
+
     def project(self, point):
         """(s, signed lateral offset) of the closest point.
 
@@ -141,48 +186,60 @@ class Polyline:
         foot lies on it wins, else the first: near a vertex the segment that
         holds the point beats its neighbour clamped to that vertex.
 
-        A pair, and an array point by point, is located by `_walk`, the one
-        statement of the tie rule. Callers send pairs and arrays of a few
-        points: the ego and the road users, not the samples of a plan's rows,
-        which carry their own arc positions. The walk's cost per point grows
-        with the segment count.
+        A pair, and an array point by point, is located by `_project_one`,
+        and `_nearest` states the tie rule. A point within `BAND` of a line of
+        many segments reads the rows of its cell of `_cells`, the segments
+        near that cell, so its cost follows the line's vertex spacing, not its
+        segment count; any other point reads the runs of `_chunks` that its
+        disc test keeps. Callers send pairs and arrays of a few points: the
+        ego and the road users, not the samples of a plan's rows, which carry
+        their own arc positions.
         """
         if not isinstance(point, tuple):   # a tuple is a pair, read without numpy
             point = np.asarray(point, dtype=np.float64)
             if point.ndim == 2:
-                s, lateral = zip(*map(self._walk, *point.T.tolist())) if len(point) else ((), ())
+                s, lateral = (zip(*map(self._project_one, *point.T.tolist()))
+                              if len(point) else ((), ()))
                 return np.array(s, dtype=np.float64), np.array(lateral, dtype=np.float64)
-        return self._walk(float(point[0]), float(point[1]))
+        return self._project_one(float(point[0]), float(point[1]))
 
-    def _walk(self, px: float, py: float) -> tuple:
-        """`project` of one point, on Python floats: the runs of `_chunks` nearest
-        first, up to the first whose disc lies over `REACH_MARGIN` beyond the
-        closest segment so far."""
+    def _project_one(self, px: float, py: float) -> tuple:
+        """`project` of one point, on Python floats: `_nearest` over the rows of
+        its cell of `_cells`, or else of the runs of `_chunks` whose disc's edge
+        lies within `REACH_MARGIN` of the least bound any disc puts on the
+        closest segment's distance (its centre's distance plus its radius)."""
+        h, cells = self._cells
+        if cells and abs(px) + abs(py) < math.inf:   # not nan or inf
+            rows = cells.get((math.floor(px / h), math.floor(py / h)))
+            if rows is not None:
+                return self._nearest(px, py, rows)
         runs = self._chunks
-        edges, order = (-math.inf,), (0,)
-        if len(runs) > 1:   # by the distance of their disc's edge, nearest first
-            edges = [math.hypot(px - x, py - y) - r for x, y, r, _ in runs]
-            order = sorted(range(len(runs)), key=edges.__getitem__)
-        best, reach, near = math.inf, math.inf, []   # near: (i, dist2, t, tc, qx, qy)
-        for k in order:
-            # no segment is nearer than its disc's edge (<= 0 inside), both exact to ulps
-            if edges[k] > reach:
-                break
-            for i, ax, ay, dx, dy, len2 in runs[k][3]:
-                rx, ry = px - ax, py - ay
-                t = (rx * dx + ry * dy) / len2
-                tc = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-                qx, qy = rx - dx * tc, ry - dy * tc
-                dist2 = qx * qx + qy * qy
-                if dist2 < best - 1e-9:   # so much closer that none so far can tie with it
-                    best, reach = dist2, math.sqrt(dist2) + REACH_MARGIN
-                    near = [(i, dist2, t, tc, qx, qy)]
-                elif dist2 <= best + 1e-12:   # a tie: reach lags best by < 1e-9 m^2, culling less
-                    best = min(best, dist2)
-                    near.append((i, dist2, t, tc, qx, qy))
+        if len(runs) == 1:
+            return self._nearest(px, py, runs[0][3])
+        far = [math.hypot(px - x, py - y) for x, y, _, _ in runs]
+        reach = min(f + run[2] for f, run in zip(far, runs)) + REACH_MARGIN
+        return self._nearest(px, py, [row for f, (_, _, r, rows) in zip(far, runs)
+                                      if f - r <= reach for row in rows])
+
+    def _nearest(self, px: float, py: float, rows: list) -> tuple:
+        """`project` of one point by the tie rule over `rows` of `_chunks`, in
+        index order, which must hold every segment within 1e-12 m^2 of the closest."""
+        best, near = math.inf, []   # near: (i, dist2, t, tc, qx, qy)
+        for i, ax, ay, dx, dy, len2 in rows:
+            rx, ry = px - ax, py - ay
+            t = (rx * dx + ry * dy) / len2
+            tc = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            qx, qy = rx - dx * tc, ry - dy * tc
+            dist2 = qx * qx + qy * qy
+            if dist2 < best - 1e-9:   # so much closer that none so far can tie with it
+                best = dist2
+                near = [(i, dist2, t, tc, qx, qy)]
+            elif dist2 <= best + 1e-12:
+                best = min(best, dist2)
+                near.append((i, dist2, t, tc, qx, qy))
         pick = near[0]
         if len(near) > 1:
-            near = sorted(e for e in near if e[1] <= best + 1e-12)
+            near = [e for e in near if e[1] <= best + 1e-12]
             pick = next((e for e in near if e[2] == e[3]), near[0])
         i, _, t, tc, qx, qy = pick
         _, _, dx, dy, _, seg, cum, _ = self._segment_floats[i]

@@ -198,11 +198,25 @@ def prediction_block(*rows, steps: int = 41) -> PredictionBlock:
                            len(rows[0][1]) if rows else steps)
 
 
+def stacked(trajectories: list) -> CandidateBlock:
+    """A `CandidateBlock` whose row c is `trajectories[c]`, a shorter one
+    padded with its last sample; its s row is NaN, as a trajectory carries
+    no arc position."""
+    lengths = np.array([len(traj) for traj in trajectories])
+    rows = np.full((8, len(trajectories), lengths.max()), np.nan)
+    for c, traj in enumerate(trajectories):
+        n = len(traj)
+        rows[:7, c, :n] = (traj.t, traj.x, traj.y, traj.heading, traj.speed,
+                           traj.a_lon, traj.a_lat)
+        rows[:7, c, n:] = rows[:7, c, n - 1:n]
+    return CandidateBlock(rows, np.arange(rows.shape[2]) < lengths[:, None], trajectories[0].dt)
+
+
 def assert_row_is_its_lone_block(block, row: int) -> None:
-    """Row `row` of a `CandidateBlock` is `CandidateBlock([block[row]])`, bitwise:
+    """Row `row` of a `CandidateBlock` is `stacked([block[row]])`, bitwise:
     every array over the trajectory's own samples, then its last sample
     repeated to the block's width, and `valid` marking exactly its own."""
-    alone = CandidateBlock([block[row]])
+    alone = stacked([block[row]])
     n = len(block[row])
     for name in ("t", "x", "y", "heading", "speed", "a_lon", "a_lat"):
         got, want = getattr(block, name)[row], getattr(alone, name)[0]
@@ -222,7 +236,7 @@ def weigh(monkeypatch):
     """
     plan: dict = {}
     monkeypatch.setattr(cormp.planner, "enumerate_candidates", lambda ctx: (
-        CandidateBlock([resting(0.0, 0.0, 0.0, 0.1, 2)] * len(plan["values"])),
+        stacked([resting(0.0, 0.0, 0.0, 0.1, 2)] * len(plan["values"])),
         [ManeuverCandidate(m, None, r) for r, m in enumerate(plan["maneuvers"])]))
     monkeypatch.setattr(cormp.planner, "feasibility_filter", lambda ctx, block, candidates: (
         np.zeros((len(candidates), len(RULES)), dtype=bool), np.full(len(candidates), math.inf),

@@ -1,9 +1,11 @@
 """The pair projection over every segment, for tests.
 
 `project_oracle` is the loop that `Polyline.project` ran on one (x, y) pair
-before it culled segments by the bounding discs of `Polyline._chunks`: it
-visits all segments in index order on the line's `_segment_floats`.
-`Polyline.project` must equal it bitwise, on a pair and on an array.
+before it weighed only some segments: the rows of the point's cell of
+`Polyline._cells`, or the runs of `Polyline._chunks` that the point's disc
+test keeps. It visits all segments in index order on the line's
+`_segment_floats`. `Polyline.project` must equal it bitwise, on a pair and on
+an array, by either path.
 """
 from __future__ import annotations
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cormp.bezier import CandidateBlock, TimedTrajectory
+from conftest import stacked
+from cormp.bezier import TimedTrajectory
 from cormp.config import PlannerConfig
 from cormp.identification import PlanContext
 from cormp.resources import RESOURCES, ResourceState, ResourceType, safety_value
@@ -78,7 +79,7 @@ def assess_oracle(ctx: PlanContext, trajectories: list, current_values=None) -> 
     `current_values` holds a value per resource in `RESOURCES` order, or is None."""
     cfg = ctx.config
     ego = ctx.ego
-    cands = CandidateBlock(trajectories)
+    cands = stacked(trajectories)
     apriori = ctx.scenario.lanes[ctx.scenario.apriori_lane]
     held = {} if current_values is None else dict(zip(RESOURCES, current_values))
     safety = safety_value(cands, ctx.predictions, ego.length, ego.width, cfg).tolist()

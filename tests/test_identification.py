@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (CURVED, SCENARIO_DIR, assert_row_is_its_lone_block, curved_road, load,
-                      prediction_block)
+                      prediction_block, stacked)
 import cormp.planner
 from cormp import identification, resources
 from cormp.baselines import make_planner
@@ -17,7 +17,6 @@ from cormp.config import PlannerConfig
 from cormp.identification import (
     LANE_CHANGES,
     RULES,
-    CandidateBlock,
     Maneuver,
     PlanContext,
     PredictionBlock,
@@ -492,7 +491,7 @@ def lead_context(ego_speed: float, lead_speed: float, gap_centers: float,
 
 
 def ttc_of(traj, ctx: PlanContext) -> float:
-    return time_to_collision(CandidateBlock([traj]), ctx.predictions, 4.5, 1.8)[0][0]
+    return time_to_collision(stacked([traj]), ctx.predictions, 4.5, 1.8)[0][0]
 
 
 def test_footprint_ttc_beats_the_point_mass_estimate():
@@ -917,7 +916,7 @@ def per_path_reference(ctx: PlanContext) -> list:
         s_obj, _ = lane.centerline.project(np.column_stack([block.x[:, 0], block.y[:, 0]]))
         leads = block.vehicle_like & (s_obj > s_ego)
         if leads.any():
-            hits = block.corridor_hits(CandidateBlock(list(nominal.values())), ego.length,
+            hits = block.corridor_hits(stacked(list(nominal.values())), ego.length,
                                        ego.width, cfg)
             stretched = dict(zip(nominal, np.any(hits[:, leads], axis=1).tolist()))
     out = []
@@ -1013,11 +1012,9 @@ def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
     project = Polyline.project
     monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(
         "scalar_project" if np.ndim(p) == 1 else "project") or project(self, p))
-    # no `Polyline` built, one corridor pass at most, and no block stacked
-    # from a list of trajectories
+    # no `Polyline` built and one corridor pass at most
     counted = {(Polyline, "__init__"): "polyline",
-               (PredictionBlock, "corridor_hits"): "corridor",
-               (CandidateBlock, "__init__"): "list_block"}
+               (PredictionBlock, "corridor_hits"): "corridor"}
     for (owner, name), tag in counted.items():
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, tag=tag: calls.append(tag) or fn(*a))
@@ -1035,7 +1032,7 @@ def test_one_sampler_call_per_decision_and_no_path_after_it(monkeypatch):
         # one projection of the ego per lane: its own and each neighbour
         assert calls.count("scalar_project") == lanes
         tags = Counter(calls)
-        assert (tags["polyline"], tags["list_block"]) == (0, 0)
+        assert tags["polyline"] == 0
         assert tags["corridor"] == 1   # the stretch verdicts and crowdedness share it
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load, prediction_block, resting, timed_run
+from conftest import load, prediction_block, resting, stacked, timed_run
 from cormp import kernels
 from cormp.bezier import TimedTrajectory
 from cormp.config import PlannerConfig
-from cormp.identification import CandidateBlock, PredictionBlock
+from cormp.identification import PredictionBlock
 from cormp.planner import plan_context, plan_tick
 from cormp.simulator import SimWorld
 from curve_oracle import CubicBezier, bezier_points
@@ -185,7 +185,7 @@ def test_corridor_hits_match_pairwise_scan():
             rows = [("vehicle", pose_row(*random_poses(rng, 41, spread)),
                      rng.uniform(0.5, 6.0), rng.uniform(0.5, 2.5))
                     for _ in range(int(rng.integers(1, 6)))]
-            hits = prediction_block(*rows).corridor_hits(CandidateBlock(egos), 4.0, 2.0, cfg)
+            hits = prediction_block(*rows).corridor_hits(stacked(egos), 4.0, 2.0, cfg)
             brute = [[any(kernels.pose_gaps(ego.x[i], ego.y[i], ego.heading[i], 2.0, 1.0,
                                             row.x[j], row.y[j], row.heading[j], L / 2.0, W / 2.0)
                           <= 0.0
@@ -207,7 +207,7 @@ def test_corridor_hits_keep_pairs_at_the_reach_boundary():
                                  np.full(41, h)), 5.0, 1.6)
             for d in (ra + rb, ra + rb + kernels.REACH_MARGIN, ra + rb - 1e-3)]
     block = prediction_block(*rows)
-    cands = CandidateBlock([pose_row(np.zeros(41), np.zeros(41), np.zeros(41))])
+    cands = stacked([pose_row(np.zeros(41), np.zeros(41), np.zeros(41))])
     gaps = [kernels.pose_gaps(0.0, 0.0, 0.0, 2.0, 1.0, row.x[0], row.y[0], h, 2.5, 0.8)
             for _, row, _, _ in rows]
     assert abs(gaps[0]) < 1e-12 and gaps[1] > 0.0 > gaps[2]
@@ -223,7 +223,7 @@ def test_corridor_hits_skip_padded_candidate_samples():
     cfg = PlannerConfig()
     assert kernels.pose_gaps(2.0, 0.0, 0.0, 2.0, 1.0, 4.5, 0.0, 0.0, 2.0, 1.0) <= 0.0
     assert kernels.pose_gaps(0.0, 0.0, 0.0, 2.0, 1.0, 4.5, 0.0, 0.0, 2.0, 1.0) > 0.0
-    cands = CandidateBlock([pose_row(np.arange(n) * 1.0, np.zeros(n), np.zeros(n))
+    cands = stacked([pose_row(np.arange(n) * 1.0, np.zeros(n), np.zeros(n))
                             for n in (3, 6, 51)])
     block = prediction_block(("vehicle", pose_row(np.full(41, 4.5), np.zeros(41),
                                                   np.zeros(41)), 4.0, 2.0))

@@ -13,10 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import prediction_block
+from conftest import prediction_block, stacked
 from cormp.bezier import TimedTrajectory
 from cormp.config import PlannerConfig
-from cormp.identification import CandidateBlock, time_to_collision
+from cormp.identification import time_to_collision
 from cormp.kernels import pose_gaps
 from cormp.resources import crowdedness_value, safety_value
 
@@ -103,7 +103,7 @@ def test_stacked_measures_match_per_row_references(k, make_ego):
         rows = random_rows(rng, k)
         block = prediction_block(*rows)
         ttc = [ttc_row(ego, r, L, W) for _, r, L, W in rows]
-        assert_measures_match(CandidateBlock([ego]), [ego], block, rows)
+        assert_measures_match(stacked([ego]), [ego], block, rows)
         seen.update("inf" if t == math.inf else ("zero" if t == 0.0 else "refined")
                     for t in ttc)
     # every TTC rule is exercised once there are rows
@@ -163,7 +163,7 @@ STACKED_ROWS = {0: [], 1: [ALONGSIDE], 5: [PARKED_LEFT, LATE, BEHIND, RIGHT_LANE
 def test_stacked_candidates_match_per_row_references(k):
     rows = STACKED_ROWS[k]
     assert [len(c) for c in CANDIDATES] == [51, 51, 41, 41, 41, 23]
-    assert_measures_match(CandidateBlock(CANDIDATES), CANDIDATES, prediction_block(*rows), rows)
+    assert_measures_match(stacked(CANDIDATES), CANDIDATES, prediction_block(*rows), rows)
 
 
 def test_stacked_reference_cases_are_reached():
@@ -188,9 +188,9 @@ def test_lane_change_past_the_rows_compares_to_their_last_sample():
     ego = lane_change()
     row = trajectory(np.full(41, 75.0), np.full(41, 3.5), 0.0)
     block = prediction_block(("vehicle", row, 4.5, 1.8))
-    mu = safety_value(CandidateBlock([ego]), block, EGO_L, EGO_W, CFG)[0]
+    mu = safety_value(stacked([ego]), block, EGO_L, EGO_W, CFG)[0]
     assert mu == safety_row(ego, row, 4.5, 1.8)
-    assert mu < safety_value(CandidateBlock([first(ego, 41)]), block, EGO_L, EGO_W, CFG)[0]
+    assert mu < safety_value(stacked([first(ego, 41)]), block, EGO_L, EGO_W, CFG)[0]
 
 
 def test_ttc_names_the_row_whose_contact_comes_first():
@@ -200,12 +200,12 @@ def test_ttc_names_the_row_whose_contact_comes_first():
     t = 0.1 * np.arange(41)
     oncoming = ("vehicle", trajectory(83.25 - 60.0 * t, np.zeros(41), 60.0), 4.5, 1.8)
     standing = ("vehicle", trajectory(np.full(41, 19.8), np.zeros(41), 0.0), 4.5, 1.8)
-    ttc, who = time_to_collision(CandidateBlock([keep_lane()]),
+    ttc, who = time_to_collision(stacked([keep_lane()]),
                                  prediction_block(oncoming, standing), EGO_L, EGO_W)
     assert ttc[0] == pytest.approx(1.02, abs=1e-9) and who.tolist() == [1]
     # two rows overlapping the ego at the first tick: TTC 0, the first of them named
     beside = [("vehicle", trajectory(np.full(41, x), np.zeros(41), 0.0), 4.5, 1.8)
               for x in (3.0, 1.0)]
-    ttc, who = time_to_collision(CandidateBlock([keep_lane()]),
+    ttc, who = time_to_collision(stacked([keep_lane()]),
                                  prediction_block(standing, *beside), EGO_L, EGO_W)
     assert ttc.tolist() == [0.0] and who.tolist() == [1]

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import along, load, prediction_block, resting
+from conftest import along, load, prediction_block, resting, stacked
 from cormp.bezier import SpeedProfile, TimedTrajectory, sample_trajectory
 from cormp.config import PROFILES, PlannerConfig
 from cormp.identification import (
-    CandidateBlock,
     Maneuver,
     enumerate_candidates,
     lane_path,
@@ -142,7 +141,7 @@ def one_sample(v: float, x: float = 0.0, y: float = 0.0) -> TimedTrajectory:
 
 
 def safety(ego: TimedTrajectory, block) -> float:
-    return safety_value(CandidateBlock([ego]), block, 4.5, 1.8, CFG)[0]
+    return safety_value(stacked([ego]), block, 4.5, 1.8, CFG)[0]
 
 
 def test_safety_vacuous_without_objects():
@@ -253,7 +252,7 @@ def mission_lane() -> Lane:
 
 
 def lane_hold(*trajs: TimedTrajectory) -> list:
-    return apriori_lane_value(CandidateBlock(list(trajs)).end_xy, mission_lane()).tolist()
+    return apriori_lane_value(stacked(list(trajs)).end_xy, mission_lane()).tolist()
 
 
 def test_apriori_examples():
@@ -277,7 +276,7 @@ def test_apriori_uses_final_sample():
 
 
 def crowdedness(ego: TimedTrajectory, block) -> float:
-    return crowdedness_value(block.corridor_hits(CandidateBlock([ego]), 4.5, 1.8, CFG), CFG)[0]
+    return crowdedness_value(block.corridor_hits(stacked([ego]), 4.5, 1.8, CFG), CFG)[0]
 
 
 def test_crowdedness_counts_crossing_corridors():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CURVED, SCENARIO_DIR, SHIPPED, arc_centerline, load
+from conftest import CURVED, SCENARIO_DIR, SHIPPED, arc_centerline, lit_arc, load
 from cormp.scenario import (
+    BAND,
     Behavior,
     Lane,
     Polyline,
@@ -176,13 +177,19 @@ def projection_cases(draw) -> tuple:
     """(vertices, queries) in the line's own frame, then moved together.
 
     Lines: left and right arcs of radius 100-300 m, zigzags (one of 1e-7 m
-    amplitude) and random walks of 2-200 vertices (often 2: a one-segment
-    lane), as drawn or rotated by 3.0 rad and moved to (-5000, 7000) m.
+    amplitude), random walks and hairpins of 2-200 vertices (often 2: a
+    one-segment lane), as drawn or rotated by 3.0 rad and moved to
+    (-5000, 7000) m. A hairpin runs out along a straight line and back
+    beside it, 0.5-12 m apart, so a cell of `Polyline._cells` between its
+    legs must list segments far apart in index.
     Queries: the vertices, segment midpoints, points on the bisector at
     interior vertices (on a zigzag equidistant from both segments: exact
-    ties), points jittered off the line and points 1 km away.
+    ties), points midway between a hairpin's legs (exact ties of segments
+    far apart in index), points jittered off the line, points 1e-6 m inside
+    and outside `BAND` and one and two cells past it, points 1 km away, and
+    some of these moved onto the edges and corners of their cells.
     """
-    kind = draw(st.sampled_from(["arc", "zigzag", "walk"]))
+    kind = draw(st.sampled_from(["arc", "zigzag", "walk", "hairpin"]))
     n = draw(st.one_of(st.just(2), st.integers(2, 200)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "arc":
@@ -191,8 +198,13 @@ def projection_cases(draw) -> tuple:
     elif kind == "zigzag":
         amplitude = draw(st.sampled_from([1e-7, 0.5, 4.0]))
         pts = np.column_stack([2.0 * np.arange(n), amplitude * (np.arange(n) % 2)])
-    else:
+    elif kind == "walk":
         pts = np.cumsum(rng.normal(0.0, 10.0, (n, 2)), axis=0)
+    else:
+        gap, n = draw(st.sampled_from([0.5, 3.0, 12.0])), max(n, 4)
+        out, back = np.linspace(0.0, 2.0 * n, n // 2), np.linspace(2.0 * n, 0.0, n - n // 2)
+        pts = np.vstack([np.column_stack([out, np.zeros_like(out)]),
+                         np.column_stack([back, np.full_like(back, gap)])])
     d = np.diff(pts, axis=0)
     normal = np.column_stack([-d[:, 1], d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
     bisector = normal[:-1] + normal[1:]
@@ -203,17 +215,28 @@ def projection_cases(draw) -> tuple:
         return rng.permutation(m)[:24]
 
     segments, inner, jittered = some(n - 1), 1 + some(n - 2), pts[some(n)]
+    mid = 0.5 * (pts[segments] + pts[segments + 1])
+    h = Polyline(pts)._cells[0] or 1.0
     queries = np.vstack([
-        pts[some(n)], 0.5 * (pts[segments] + pts[segments + 1]),
+        pts[some(n)], mid,
         pts[inner] + bisector[inner - 1] * rng.choice([-3.0, -0.5, 0.5, 3.0], (len(inner), 1)),
         jittered + rng.normal(0.0, 1.0, jittered.shape)
         * 10.0 ** rng.uniform(-9.0, 0.0, (len(jittered), 1)),
+        mid + normal[segments] * rng.choice([-1.0, 1.0], (len(mid), 1))
+        * rng.choice([BAND - 1e-6, BAND + 1e-6, BAND + h, BAND + 2.0 * h], (len(mid), 1)),
         pts.mean(axis=0) + 1000.0 * np.column_stack([np.cos(away), np.sin(away)]),
     ])
+    if kind == "hairpin":   # midway between the legs
+        queries = np.vstack([queries, mid * (1.0, 0.0) + (0.0, 0.5 * pts[-1, 1])])
     if draw(st.booleans()):
         c, s = math.cos(3.0), math.sin(3.0)
         turn = np.array([[c, s], [-s, c]])   # rows times it turn by 3.0 rad
         pts, queries = pts @ turn + (-5000.0, 7000.0), queries @ turn + (-5000.0, 7000.0)
+    # some queries onto a cell's edge in x, in y, or both (a corner)
+    h = Polyline(pts)._cells[0] or 1.0
+    snap = rng.permutation(len(queries))[:12]
+    queries[snap] = np.where(rng.random((len(snap), 2)) < 0.6,
+                             np.round(queries[snap] / h) * h, queries[snap])
     return pts, queries
 
 
@@ -236,14 +259,30 @@ def test_polyline_project_equals_the_full_scan_bitwise(case):
 
 
 def test_a_thousand_vertex_arc_projects_a_plan_block_as_the_oracle_does():
-    # 4 rows of 41 samples at offsets across both lanes and past both ends
-    # of a 1000-vertex arc
+    # rows of 41 samples at offsets across both lanes, on either side of
+    # `BAND` and past it, and past both ends of a 1000-vertex arc
     line = Polyline(arc_centerline(150.0, 1, n_points=1000))
     s = np.linspace(-10.0, line.length + 10.0, 41)
     x, y, heading = line.frames(s)
     pts = np.vstack([np.column_stack([x - d * np.sin(heading), y + d * np.cos(heading)])
-                     for d in (-1.75, 0.0, 1.75, 5.25)])
+                     for d in (-1.75, 0.0, 1.75, 5.25, BAND - 1e-6, -BAND - 1e-6,
+                               BAND + 3.0, -2.0 * BAND)])
     want = np.array([project_oracle(line, q) for q in pts])
+    assert np.column_stack(line.project(pts)).tobytes() == want.tobytes()
+
+
+def test_a_cell_corner_midway_between_diagonal_legs_ties_across_the_hairpin():
+    # legs along (1, -1), the first from (-1, -1) and the second back to
+    # (1, 1): (2k, -2k) lies sqrt(2) from both, on the corner of a 2 m cell
+    # whose centre lies on the second leg, 2 sqrt(2) = h sqrt(2) from the
+    # first. The first leg wins the tie, so the cell must list it.
+    t = np.arange(21.0)
+    line = Polyline(np.vstack([np.column_stack([t - 1.0, -t - 1.0]),
+                               np.column_stack([t[::-1] + 1.0, 1.0 - t[::-1]])]))
+    assert line._cells[0] == 2.0
+    pts = np.column_stack([2.0 * t[1:10], -2.0 * t[1:10]])
+    want = np.array([project_oracle(line, q) for q in pts])
+    assert want[:, 0].max() < 20.0 * math.sqrt(2.0)   # on the first leg
     assert np.column_stack(line.project(pts)).tobytes() == want.tobytes()
 
 
@@ -256,14 +295,39 @@ def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertice
     x, y, heading = line.frames(s)
     pts = np.column_stack([x - 1.5 * np.sin(heading), y + 1.5 * np.cos(heading)])
     calls = []
-    for name in ("project", "_walk"):
+    for name in ("project", "_project_one", "_nearest"):
         fn = getattr(Polyline, name)
         monkeypatch.setattr(Polyline, name,
                             lambda self, *a, fn=fn, name=name: calls.append(name) or fn(self, *a))
     for m in range(11):
         calls.clear()
         line.project(pts[:m])
-        assert calls == ["project"] + ["_walk"] * m
+        assert calls == ["project"] + ["_project_one", "_nearest"] * m
+
+
+# Mean rows of `_chunks` that `Polyline._nearest` weighs per point within a
+# lane width of a `lit_arc` lane. A cell of `_cells` lists the segments
+# within d + h sqrt(2) of its centre, d its distance to the line and h the
+# mean segment length, at least 2 m: 4.4 rows at 60 vertices and 22 at 1000
+# on the same 420 m (past 210 vertices h stays 2 m, so the rows grow with
+# the vertex density). The walk over the discs of `_chunks` weighs at least
+# a run of isqrt(n - 1) + 1 segments, 32 at 1000 vertices: 8.2 and 40 here.
+ROWS_PER_POINT = 30
+
+
+@pytest.mark.parametrize("n_points", [60, 1000])
+def test_a_near_lane_point_weighs_fewer_rows_than_a_run_of_the_disc_walk(monkeypatch, n_points):
+    weighed = []
+    nearest = Polyline._nearest
+    monkeypatch.setattr(Polyline, "_nearest", lambda self, px, py, rows: weighed.append(
+        len(rows)) or nearest(self, px, py, rows))
+    for lane in load_scenario(lit_arc(n_points)).lanes.values():
+        line = lane.centerline
+        x, y, heading = line.frames(np.linspace(0.0, line.length, 97))
+        for d in (-3.5, -1.75, 0.0, 1.75, 3.5):
+            line.project(np.column_stack([x - d * np.sin(heading), y + d * np.cos(heading)]))
+    assert len(weighed) == 2 * 97 * 5
+    assert np.mean(weighed) <= ROWS_PER_POINT
 
 
 def assert_scalar_poses_are_frames(line: Polyline, s: np.ndarray) -> None:

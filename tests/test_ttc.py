@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import load, prediction_block, timed_run
+from conftest import load, prediction_block, stacked, timed_run
 from cormp import identification
-from cormp.bezier import CandidateBlock, TimedTrajectory
+from cormp.bezier import TimedTrajectory
 from cormp.config import PlannerConfig
 from cormp.identification import time_to_collision
 from cormp.kernels import REACH_MARGIN
@@ -51,7 +51,7 @@ def blocks(rows, users, steps) -> tuple:
     """The candidate block of `rows` (x0, y0, heading, speed, n) and the
     prediction block of `users` (x0, y0, heading, speed, half length, half
     width) over `steps` ticks."""
-    cands = CandidateBlock([traj(*line(x0, y0, h, v, n), v) for x0, y0, h, v, n in rows])
+    cands = stacked([traj(*line(x0, y0, h, v, n), v) for x0, y0, h, v, n in rows])
     preds = prediction_block(*[("vehicle", traj(*line(x0, y0, h, v, steps), v), 2.0 * hl,
                                 2.0 * hw) for x0, y0, h, v, hl, hw in users], steps=steps)
     return cands, preds
