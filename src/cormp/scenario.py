@@ -109,7 +109,7 @@ class Polyline:
 
     @cached_property
     def _segment_floats(self) -> list:
-        """Per-segment Python floats, which `_nearest` (by the rows of `_chunks`) and `pose_at`
+        """Per-segment Python floats, which `_nearest` (by `_rows`) and `pose_at`
         read faster than numpy scalars: ax, ay, dx, dy, length^2, length, arc position and heading
         (by np.arctan2 as in `frames`; math.atan2 rounds some differently). Most lanes have one."""
         p, d = self.points, self._d
@@ -119,59 +119,62 @@ class Polyline:
                         np.arctan2(d[:, 1], d[:, 0]).tolist()))
 
     @cached_property
-    def _chunks(self) -> list:
-        """(x, y, r, rows) per run of isqrt(n - 1) + 1 of the n segments: the disc about
-        the mean (x, y) of its vertices, out to the farthest (r), covers the run, whose
-        rows are each segment's index and ax, ay, dx, dy, length^2 (of `_segment_floats`).
-        One run (n <= 2) has an infinite disc."""
-        rows = [(i, *r[:5]) for i, r in enumerate(self._segment_floats)]
-        k = math.isqrt(len(rows) - 1) + 1
-        if k >= len(rows):
-            return [(0.0, 0.0, math.inf, rows)]
-        starts = range(0, len(rows), k)
-        discs = [(v, v.mean(axis=0)) for v in (self.points[i:i + k + 1] for i in starts)]
-        return [(*c.tolist(), float(np.hypot(*(v - c).T).max()), rows[i:i + k])
-                for i, (v, c) in zip(starts, discs)]
+    def _rows(self) -> list:
+        """(index, ax, ay, dx, dy, length^2) of each segment, of `_segment_floats`:
+        the rows `_nearest` weighs."""
+        return [(i, *r[:5]) for i, r in enumerate(self._segment_floats)]
 
     @cached_property
     def _cells(self) -> tuple:
-        """(h, cells) of a line of more than one run of `_chunks`, else (0.0, {}).
+        """(h, cells) of a line of more than two segments, else (0.0, {}).
 
         cells maps each square cell of side h, keyed (floor(x / h), floor(y / h)), that
-        holds a point within `BAND` of the line to the rows (of `_chunks`, in index order)
+        holds a point within `BAND` of the line to the rows (of `_rows`, in index order)
         of every segment that can be the closest to a point of the cell or tie with it:
         those within d + h * sqrt(2) + `REACH_MARGIN` of the cell's centre, d the centre's
         distance to the line, since that distance is 1-Lipschitz. h is the mean segment
-        length, at least `CELL_MIN`. Only the cells about each segment's bounding box are
-        weighed against it, so the build grows with the segment count.
+        length, at least `CELL_MIN`. A segment is weighed against the cells of the band
+        about it, a column of cells at a time along its longer axis (u; v the other), so
+        the build grows with the segment count and the line's length over h.
         """
-        if len(self._chunks) == 1:
+        rows = self._rows
+        if len(rows) <= 2:
             return 0.0, {}
-        rows = [row for *_, run in self._chunks for row in run]
         h = max(CELL_MIN, self.length / len(rows))
         cover, slack = BAND + h / math.sqrt(2.0), h * math.sqrt(2.0) + REACH_MARGIN
-        a, b, d = self.points[:-1], self.points[1:], self._d
-        lo = np.floor((np.minimum(a, b) - (cover + slack)) / h).astype(np.int64)
-        span = np.floor((np.maximum(a, b) + (cover + slack)) / h).astype(np.int64) - lo + 1
-        count = span[:, 0] * span[:, 1]
-        seg = np.repeat(np.arange(len(rows)), count)   # (cell, segment) pairs, by segment
-        k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
-        ix, iy = lo[seg, 0] + k // span[seg, 1], lo[seg, 1] + k % span[seg, 1]
-        rx, ry = (ix + 0.5) * h - a[seg, 0], (iy + 0.5) * h - a[seg, 1]
-        dx, dy = d[seg].T
-        t = np.clip((rx * dx + ry * dy) / self._seg[seg] ** 2, 0.0, 1.0)
-        dist = np.hypot(rx - dx * t, ry - dy * t)
+        reach = cover + slack   # of a kept cell's centre from a kept segment
+        steep = np.abs(self._d[:, 1]) > np.abs(self._d[:, 0])
+        au, av = np.where(steep, self.points[:-1].T[::-1], self.points[:-1].T)
+        du, dv = np.where(steep, self._d.T[::-1], self._d.T)
+
+        def spread(lo, hi):   # (pair, k) for each integer k of [lo, hi] of each pair
+            n = (hi - lo + 1).astype(np.intp)
+            pair = np.repeat(np.arange(len(n)), n)
+            return pair, lo[pair] + (np.arange(len(pair)) - (np.cumsum(n) - n)[pair])
+
+        seg, iu = spread(np.floor((np.minimum(au, au + du) - reach) / h),
+                         np.floor((np.maximum(au, au + du) + reach) / h))
+        au, av, du, dv = au[seg], av[seg], du[seg], dv[seg]
+        # v along the part of the segment within reach of the column's centre in u
+        v = av + dv * np.clip(((iu + 0.5) * h - au + [[-reach], [reach]]) / du, 0.0, 1.0)
+        pair, iv = spread(np.floor((v.min(axis=0) - reach) / h),
+                          np.floor((v.max(axis=0) + reach) / h))
+        seg, iu, au, av, du, dv = seg[pair], iu[pair], au[pair], av[pair], du[pair], dv[pair]
+        ru, rv = (iu + 0.5) * h - au, (iv + 0.5) * h - av
+        t = np.clip((ru * du + rv * dv) / (du * du + dv * dv), 0.0, 1.0)
+        dist = np.hypot(ru - du * t, rv - dv * t)
+        ix, iy = np.where(steep[seg], (iv, iu), (iu, iv)).astype(np.int64)
         key = (ix - ix.min()) * (iy.max() - iy.min() + 1) + iy
         order = np.argsort(key, kind="stable")   # by cell, each cell's pairs by segment
         key, ix, iy, seg, dist = key[order], ix[order], iy[order], seg[order], dist[order]
         first = np.flatnonzero(np.diff(key, prepend=key[0] - 1))
         near = np.repeat(np.minimum.reduceat(dist, first), np.diff(first, append=len(key)))
         keep = (near <= cover) & (dist <= near + slack)
-        key, ix, iy, seg = key[keep], ix[keep], iy[keep], seg[keep].tolist()
+        key, ix, iy = key[keep], ix[keep], iy[keep]
+        kept = np.fromiter(rows, dtype=object)[seg[keep]].tolist()
         first = np.flatnonzero(np.diff(key, prepend=key[0] - 1)).tolist()
-        lists = [tuple(seg[i:e]) for i, e in zip(first, first[1:] + [len(seg)])]
-        shared = {j: tuple(map(rows.__getitem__, j)) for j in set(lists)}   # one per distinct list
-        return h, dict(zip(zip(ix[first].tolist(), iy[first].tolist()), map(shared.get, lists)))
+        return h, {(x, y): tuple(kept[i:e]) for x, y, i, e in zip(
+            ix[first].tolist(), iy[first].tolist(), first, first[1:] + [len(kept)])}
 
     def project(self, point):
         """(s, signed lateral offset) of the closest point.
@@ -188,12 +191,12 @@ class Polyline:
 
         A pair, and an array point by point, is located by `_project_one`,
         and `_nearest` states the tie rule. A point within `BAND` of a line of
-        many segments reads the rows of its cell of `_cells`, the segments
-        near that cell, so its cost follows the line's vertex spacing, not its
-        segment count; any other point reads the runs of `_chunks` that its
-        disc test keeps. Callers send pairs and arrays of a few points: the
-        ego and the road users, not the samples of a plan's rows, which carry
-        their own arc positions.
+        more than two segments reads the rows of its cell of `_cells`, the
+        segments near that cell, so its cost follows the line's vertex
+        spacing, not its segment count; any other point weighs every segment.
+        Callers send pairs and arrays of a few points: the ego and the road
+        users, not the samples of a plan's rows, which carry their own arc
+        positions.
         """
         if not isinstance(point, tuple):   # a tuple is a pair, read without numpy
             point = np.asarray(point, dtype=np.float64)
@@ -205,24 +208,16 @@ class Polyline:
 
     def _project_one(self, px: float, py: float) -> tuple:
         """`project` of one point, on Python floats: `_nearest` over the rows of
-        its cell of `_cells`, or else of the runs of `_chunks` whose disc's edge
-        lies within `REACH_MARGIN` of the least bound any disc puts on the
-        closest segment's distance (its centre's distance plus its radius)."""
+        its cell of `_cells`, or else over all of `_rows`."""
         h, cells = self._cells
         if cells and abs(px) + abs(py) < math.inf:   # not nan or inf
             rows = cells.get((math.floor(px / h), math.floor(py / h)))
             if rows is not None:
                 return self._nearest(px, py, rows)
-        runs = self._chunks
-        if len(runs) == 1:
-            return self._nearest(px, py, runs[0][3])
-        far = [math.hypot(px - x, py - y) for x, y, _, _ in runs]
-        reach = min(f + run[2] for f, run in zip(far, runs)) + REACH_MARGIN
-        return self._nearest(px, py, [row for f, (_, _, r, rows) in zip(far, runs)
-                                      if f - r <= reach for row in rows])
+        return self._nearest(px, py, self._rows)
 
     def _nearest(self, px: float, py: float, rows: list) -> tuple:
-        """`project` of one point by the tie rule over `rows` of `_chunks`, in
+        """`project` of one point by the tie rule over `rows` of `_rows`, in
         index order, which must hold every segment within 1e-12 m^2 of the closest."""
         best, near = math.inf, []   # near: (i, dist2, t, tc, qx, qy)
         for i, ax, ay, dx, dy, len2 in rows:

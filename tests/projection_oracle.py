@@ -1,11 +1,10 @@
 """The pair projection over every segment, for tests.
 
-`project_oracle` is the loop that `Polyline.project` ran on one (x, y) pair
-before it weighed only some segments: the rows of the point's cell of
-`Polyline._cells`, or the runs of `Polyline._chunks` that the point's disc
-test keeps. It visits all segments in index order on the line's
-`_segment_floats`. `Polyline.project` must equal it bitwise, on a pair and on
-an array, by either path.
+`project_oracle` is the loop that `Polyline.project` runs on one (x, y) pair
+outside its cell index, written out apart from it: it visits all segments in
+index order on the line's `_segment_floats`. `Polyline.project` must equal it
+bitwise, on a pair and on an array, whether the point reads the rows of its
+cell of `Polyline._cells` or every segment.
 """
 from __future__ import annotations
 

@@ -3,6 +3,7 @@ import glob
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,30 @@ def test_a_cell_corner_midway_between_diagonal_legs_ties_across_the_hairpin():
     assert np.column_stack(line.project(pts)).tobytes() == want.tobytes()
 
 
+def test_a_long_diagonal_segment_among_short_ones_builds_its_band_not_its_box():
+    # 2000 segments of 0.1 m, so cells are 2 m wide, then one 3 km segment
+    # along (1, 1). The cells within reach of it form a band about 20 cells
+    # across, some 21k (cell, segment) pairs; its bounding box holds over a
+    # million cells. The build's peak allocation stays near that of the
+    # short segments alone.
+    dense = np.column_stack([0.1 * np.arange(2001.0), np.zeros(2001)])
+    line = Polyline(np.vstack([dense, dense[-1] + 3000.0 / math.sqrt(2.0)]))
+    peaks = []
+    for built in (Polyline(dense), line):
+        tracemalloc.start()
+        built._cells
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert line._cells[0] == 2.0
+    assert peaks[1] < 2.0 * peaks[0], peaks
+    s = np.concatenate([np.linspace(190.0, 210.0, 9), np.linspace(210.0, 3200.0, 31)])
+    x, y, heading = line.frames(s)
+    pts = np.vstack([np.column_stack([x - d * np.sin(heading), y + d * np.cos(heading)])
+                     for d in (-BAND - 1e-6, -3.0, 0.0, 1.75, BAND - 1e-6)])
+    want = np.array([project_oracle(line, q) for q in pts])
+    assert np.column_stack(line.project(pts)).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("vertices", [arc_centerline(140.0, -1), [[0.0, 0.0], [300.0, 0.0]]])
 def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertices):
     # each call counts once wherever `project` is spied on or traced, and
@@ -305,18 +330,18 @@ def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertice
         assert calls == ["project"] + ["_project_one", "_nearest"] * m
 
 
-# Mean rows of `_chunks` that `Polyline._nearest` weighs per point within a
+# Mean rows of `_rows` that `Polyline._nearest` weighs per point within a
 # lane width of a `lit_arc` lane. A cell of `_cells` lists the segments
 # within d + h sqrt(2) of its centre, d its distance to the line and h the
 # mean segment length, at least 2 m: 4.4 rows at 60 vertices and 22 at 1000
 # on the same 420 m (past 210 vertices h stays 2 m, so the rows grow with
-# the vertex density). The walk over the discs of `_chunks` weighs at least
-# a run of isqrt(n - 1) + 1 segments, 32 at 1000 vertices: 8.2 and 40 here.
+# the vertex density). A walk over runs of isqrt(n - 1) + 1 segments weighed
+# 8.2 and 40 here; a full scan weighs 59 and 999.
 ROWS_PER_POINT = 30
 
 
 @pytest.mark.parametrize("n_points", [60, 1000])
-def test_a_near_lane_point_weighs_fewer_rows_than_a_run_of_the_disc_walk(monkeypatch, n_points):
+def test_a_near_lane_point_weighs_a_bounded_count_of_rows(monkeypatch, n_points):
     weighed = []
     nearest = Polyline._nearest
     monkeypatch.setattr(Polyline, "_nearest", lambda self, px, py, rows: weighed.append(
