@@ -335,8 +335,9 @@ def test_a_small_array_is_walked_without_reentering_project(monkeypatch, vertice
 # within d + h sqrt(2) of its centre, d its distance to the line and h the
 # mean segment length, at least 2 m: 4.4 rows at 60 vertices and 22 at 1000
 # on the same 420 m (past 210 vertices h stays 2 m, so the rows grow with
-# the vertex density). A walk over runs of isqrt(n - 1) + 1 segments weighed
-# 8.2 and 40 here; a full scan weighs 59 and 999.
+# the vertex density). A search whose work grows with the segment count
+# fails it at 1000 vertices: a full scan weighs 999 rows there, and a walk
+# over runs of isqrt(n - 1) + 1 segments 40.
 ROWS_PER_POINT = 30
 
 
